@@ -19,17 +19,6 @@ Both engines must also agree numerically (profit within 1e-6, columns
 within atol 1e-9 — the same tolerance as the scalar-equivalence suite).
 Thresholds relax under ``ECT_PERF_RELAXED=1`` / scaled-down workloads so
 CI smoke runs guard regressions without flaky hard numbers.
-
-Since the backend seam (PR 10) the engine dispatches its hot-path array
-ops through :mod:`repro.backend`. That adds a third measurement:
-:class:`DirectStepSimulation`, the pre-seam ``step()`` verbatim (direct
-``np.*`` calls, same buffers), run against the seamed engine to price
-the dispatch indirection. The guard: the numpy backend through the seam
-must stay within 5% of the direct kernel (15% relaxed), and the two
-books must agree **byte-identically** — the seam is a refactor, not an
-approximation. Every backend that resolves on this machine also gets a
-throughput row (numpy only where numba isn't installed; the optional CI
-leg adds the jitted row, checked at atol 1e-9).
 """
 
 from __future__ import annotations
@@ -40,7 +29,6 @@ import time
 import numpy as np
 
 from conftest import perf_relaxed, write_perf_report
-from repro.backend import available_backends
 from repro.energy.battery import CHARGE, DISCHARGE, IDLE
 from repro.errors import FleetError, GridError
 from repro.fleet import FleetRuleBasedScheduler, FleetSimulation, build_default_fleet
@@ -53,10 +41,6 @@ PR3_BASELINE_RATE = 582_104.0
 #: Same-hardware speedup guard over the reference step implementation.
 MIN_SPEEDUP = 2.0
 MIN_SPEEDUP_RELAXED = 1.2
-
-#: Dispatch-overhead guard: numpy-through-the-seam vs the direct kernel.
-MIN_SEAM_RATIO = 0.95
-MIN_SEAM_RATIO_RELAXED = 0.85
 
 
 class ReferenceStepSimulation(FleetSimulation):
@@ -222,190 +206,6 @@ class ReferenceStepSimulation(FleetSimulation):
         }
 
 
-class DirectStepSimulation(FleetSimulation):
-    """The pre-seam fused step, verbatim: direct ``np.*`` calls.
-
-    This is the PR-10 baseline — the exact ``step()`` the engine ran
-    before its array ops were routed through :mod:`repro.backend`. It
-    shares every buffer, plane and constant with the seamed engine, so
-    (seamed numpy rate) / (this rate) isolates the pure cost of the
-    dispatch indirection, and the two books must match byte for byte.
-    """
-
-    def step(self, actions: np.ndarray) -> dict[str, np.ndarray]:
-        from repro.fleet.simulation import _SOC_EPS
-
-        if self.done:
-            raise FleetError(f"fleet horizon of {self.horizon} slots exhausted")
-        actions = np.asarray(actions)
-        if actions.shape != (self.n_hubs,):
-            raise FleetError(
-                f"actions must have shape ({self.n_hubs},), got {actions.shape}"
-            )
-        self._check_actions(actions)
-
-        tele = self._telemetry
-        step_start = time.perf_counter() if tele is not None else 0.0
-
-        t = self._t
-        params = self.params
-        dt = params.dt_h
-        planes = self.planes
-        b = self._buf
-        soc = self.soc_kwh
-        book = self.book
-        dest = book.begin_slot(t)
-        if self._windowed_book:
-            inputs = self.inputs
-            np.copyto(dest["blackout"], planes.outage[:, t])
-            np.copyto(dest["p_bs_kw"], planes.p_bs_kw[:, t])
-            np.copyto(dest["p_cs_kw"], planes.p_cs_kw[:, t])
-            np.copyto(dest["p_pv_kw"], inputs.pv_power_kw[:, t])
-            np.copyto(dest["p_wt_kw"], inputs.wt_power_kw[:, t])
-            np.copyto(dest["rtp_kwh"], inputs.rtp_kwh[:, t])
-            np.copyto(dest["srtp_kwh"], planes.srtp_kwh[:, t])
-            np.copyto(dest["revenue"], planes.revenue[:, t])
-            np.copyto(dest["unserved_kwh"], 0.0)
-            np.copyto(dest["import_shortfall_kw"], 0.0)
-        applied = dest["action"]
-        p_bp = dest["p_bp_kw"]
-        p_grid = dest["p_grid_kw"]
-        surplus = dest["surplus_kw"]
-        unserved = dest["unserved_kwh"]
-
-        np.subtract(params.soc_max_kwh, soc, out=b.headroom)
-        np.maximum(b.headroom, 0.0, out=b.headroom)
-        np.add(b.headroom, _SOC_EPS, out=b.tmp)
-        np.greater(self._stored_requested, b.tmp, out=b.mask)
-        np.copyto(b.stored, self._stored_requested)
-        np.copyto(b.stored, b.headroom, where=b.mask)
-        np.equal(actions, CHARGE, out=b.charging)
-        np.greater(b.stored, 0.0, out=b.mask)
-        np.logical_and(b.charging, b.mask, out=b.charging)
-        np.logical_not(b.charging, out=b.idle_mask)
-        np.copyto(b.stored, 0.0, where=b.idle_mask)
-        np.divide(b.stored, params.charge_efficiency, out=b.bus_charge_kwh)
-
-        np.subtract(soc, params.soc_min_kwh, out=b.available)
-        np.maximum(b.available, 0.0, out=b.available)
-        np.add(b.available, _SOC_EPS, out=b.tmp)
-        np.greater(self._drawn_requested, b.tmp, out=b.mask)
-        np.copyto(b.drawn, self._drawn_requested)
-        np.copyto(b.drawn, b.available, where=b.mask)
-        np.equal(actions, DISCHARGE, out=b.discharging)
-        np.greater(b.drawn, 0.0, out=b.mask)
-        np.logical_and(b.discharging, b.mask, out=b.discharging)
-        np.logical_not(b.discharging, out=b.idle_mask)
-        np.copyto(b.drawn, 0.0, where=b.idle_mask)
-        np.multiply(b.drawn, self._bus_per_drawn, out=b.bus_discharge_kwh)
-
-        np.copyto(applied, IDLE)
-        np.copyto(applied, CHARGE, where=b.charging)
-        np.copyto(applied, DISCHARGE, where=b.discharging)
-
-        np.subtract(b.bus_charge_kwh, b.bus_discharge_kwh, out=p_bp)
-        np.divide(p_bp, dt, out=p_bp)
-        np.add(soc, b.stored, out=b.new_soc)
-        np.subtract(b.new_soc, b.drawn, out=b.new_soc)
-
-        np.add(planes.residual_static_kw[:, t], p_bp, out=b.residual)
-        np.maximum(b.residual, 0.0, out=p_grid)
-        np.negative(b.residual, out=surplus)
-        np.maximum(surplus, 0.0, out=surplus)
-        np.add(b.stored, b.drawn, out=b.throughput)
-
-        outage_now = bool(planes.outage_any[t])
-        coupled = self._coupled
-        if outage_now or coupled:
-            np.copyto(unserved, 0.0)
-
-        if outage_now:
-            dark = np.flatnonzero(planes.outage[:, t])
-            dest["p_cs_kw"][dark] = 0.0
-            dest["revenue"][dark] = 0.0
-
-            soc_pre = soc[dark]
-            deficit_kwh = planes.blackout_deficit_kwh[dark, t]
-            eta = self._reserve_eta[dark]
-            drawn_dark = np.minimum(deficit_kwh / eta, soc_pre)
-            served_kwh = drawn_dark * eta
-            p_bp[dark] = np.where(served_kwh > 0.0, -served_kwh / dt, 0.0)
-            p_grid[dark] = 0.0
-            surplus[dark] = planes.blackout_surplus_kw[dark, t]
-            b.new_soc[dark] = soc_pre - drawn_dark
-            b.throughput[dark] = drawn_dark
-            unserved[dark] = deficit_kwh - served_kwh
-            applied[dark] = IDLE
-            if tele is not None:
-                tele.metrics.inc("engine.blackout_hub_slots", dark.size)
-                tele.metrics.inc(
-                    "engine.reserve_dispatches",
-                    int(np.count_nonzero(drawn_dark > 0.0)),
-                )
-
-        if self._any_import_limit:
-            np.greater(p_grid, params.import_limit_kw, out=b.mask)
-            np.logical_and(b.mask, self._limit_active, out=b.mask)
-            if b.mask.any():
-                hub = int(np.argmax(b.mask))
-                raise GridError(
-                    f"hub {hub}: import of {p_grid[hub]:.3f} kW exceeds the "
-                    f"interconnection limit of "
-                    f"{params.import_limit_kw[hub]:.3f} kW"
-                )
-
-        if coupled:
-            if tele is None:
-                granted, shortfall_kw = self.feeders.allocate(p_grid, t)
-            else:
-                alloc_start = time.perf_counter()
-                granted, shortfall_kw = self.feeders.allocate(p_grid, t)
-                tele.metrics.add_time(
-                    "allocation", time.perf_counter() - alloc_start
-                )
-            np.copyto(p_grid, granted)
-            np.copyto(dest["import_shortfall_kw"], shortfall_kw)
-            shortfall_kwh = shortfall_kw * dt
-            eta = self._reserve_eta
-            drawn_short = np.minimum(shortfall_kwh / eta, b.new_soc)
-            served_kwh = drawn_short * eta
-            p_bp -= np.where(drawn_short > 0.0, served_kwh / dt, 0.0)
-            b.new_soc -= drawn_short
-            b.throughput += drawn_short
-            unserved += np.maximum(shortfall_kwh - served_kwh, 0.0)
-            if tele is not None:
-                congested = int(np.count_nonzero(shortfall_kw > 0.0))
-                if congested:
-                    tele.metrics.inc("engine.congested_hub_slots", congested)
-                    tele.metrics.inc(
-                        "engine.curtailed_kwh", float(shortfall_kwh.sum())
-                    )
-                    tele.metrics.inc(
-                        "engine.reserve_dispatches",
-                        int(np.count_nonzero(drawn_short > 0.0)),
-                    )
-
-        np.multiply(p_grid, planes.rtp_dt[:, t], out=dest["grid_cost"])
-        np.not_equal(applied, IDLE, out=b.mask)
-        np.multiply(b.mask, params.c_bp_per_slot, out=dest["bp_cost"])
-
-        self.soc_kwh = b.new_soc.copy()
-        np.copyto(dest["soc_kwh"], self.soc_kwh)
-        self.throughput_kwh = self.throughput_kwh + b.throughput
-
-        book.commit_slot(t)
-        self._t += 1
-        if tele is not None:
-            tele.metrics.inc("engine.slots")
-            tele.metrics.inc("engine.hub_slots", self.params.n_hubs)
-            tele.metrics.observe(
-                "engine.step_seconds", time.perf_counter() - step_start
-            )
-        for column in dest.values():
-            column.flags.writeable = False
-        return dest
-
-
 def _timed_run(sim, rounds: int = 3):
     # One untimed warm-up run first: the initial pass pays page faults,
     # allocator growth and (single-core CI boxes) frequency ramp that
@@ -433,64 +233,28 @@ def test_bench_step_kernel():
         feeders=fused.feeders,
         voll_per_kwh=fused.voll_per_kwh,
     )
-    direct = DirectStepSimulation(
-        fused.params,
-        fused.inputs,
-        feeders=fused.feeders,
-        voll_per_kwh=fused.voll_per_kwh,
-    )
     hub_slots = N_HUBS * fused.horizon
 
     fused_book, fused_s = _timed_run(fused)
     reference_book, reference_s = _timed_run(reference)
-    direct_book, direct_s = _timed_run(direct)
-
-    # One throughput row per backend that actually resolves here. The
-    # numpy row re-measures the seamed default on a fresh engine; a
-    # numba row appears only where the optional package is installed.
-    backend_rates: dict[str, float] = {}
-    backend_books: dict[str, object] = {}
-    for backend in available_backends():
-        sim = FleetSimulation(
-            fused.params,
-            fused.inputs,
-            feeders=fused.feeders,
-            voll_per_kwh=fused.voll_per_kwh,
-            backend=backend,
-        )
-        backend_book, backend_s = _timed_run(sim)
-        backend_rates[backend] = hub_slots / backend_s
-        backend_books[backend] = backend_book
 
     fused_rate = hub_slots / fused_s
     reference_rate = hub_slots / reference_s
-    direct_rate = hub_slots / direct_s
     speedup = fused_rate / reference_rate
-    seam_ratio = fused_rate / direct_rate
     vs_recorded = fused_rate / PR3_BASELINE_RATE
     relaxed = perf_relaxed()
     floor = MIN_SPEEDUP_RELAXED if relaxed else MIN_SPEEDUP
-    seam_floor = MIN_SEAM_RATIO_RELAXED if relaxed else MIN_SEAM_RATIO
 
-    backend_lines = [
-        f"backend:{name:<9} {rate:>12,.0f} hub-slots/sec"
-        for name, rate in backend_rates.items()
-    ]
     report = "\n".join(
         [
             "== step-kernel: fused planes kernel vs PR-3 per-slot step ==",
             f"workload: {N_HUBS} hubs x {fused.horizon} slots "
             f"({hub_slots} hub-slots), rule-based scheduler",
             f"fused     {fused_rate:>12,.0f} hub-slots/sec  ({fused_s:.3f}s)",
-            f"direct    {direct_rate:>12,.0f} hub-slots/sec  "
-            f"({direct_s:.3f}s, pre-seam np.* kernel)",
             f"reference {reference_rate:>12,.0f} hub-slots/sec  "
             f"({reference_s:.3f}s)",
-            *backend_lines,
             f"speedup   {speedup:>12.2f}x  (guard: >= {floor:.1f}x"
             f"{', relaxed' if relaxed else ''})",
-            f"seam cost {seam_ratio:>12.3f}x of direct  "
-            f"(guard: >= {seam_floor:.2f}x{', relaxed' if relaxed else ''})",
             f"vs PR-3 recorded rate ({PR3_BASELINE_RATE:,.0f}/s): "
             f"{vs_recorded:.2f}x",
             f"profit agreement: fused ${fused_book.profit:,.1f} vs "
@@ -508,11 +272,8 @@ def test_bench_step_kernel():
                 "scheduler": "rule-based",
             },
             "fused_hub_slots_per_sec": fused_rate,
-            "direct_hub_slots_per_sec": direct_rate,
             "reference_hub_slots_per_sec": reference_rate,
-            "backend_hub_slots_per_sec": backend_rates,
             "speedup": speedup,
-            "seam_ratio_vs_direct": seam_ratio,
             "pr3_recorded_rate": PR3_BASELINE_RATE,
             "speedup_vs_pr3_recorded": vs_recorded,
             "relaxed": relaxed,
@@ -533,26 +294,4 @@ def test_bench_step_kernel():
         )
     assert (fused_book.action == reference_book.action).all()
 
-    # The seam is a refactor, not an approximation: numpy through the
-    # backend dispatch books the *identical* run the direct kernel does.
-    assert direct_book.profit == fused_book.profit
-    for name in fused_book._FLOAT_COLUMNS:
-        assert (getattr(fused_book, name) == getattr(direct_book, name)).all(), name
-    assert (fused_book.action == direct_book.action).all()
-
-    # Per-backend agreement: numpy byte-identical, jitted within 1e-9.
-    for name, backend_book in backend_books.items():
-        if name == "numpy":
-            assert backend_book.profit == fused_book.profit
-        else:  # pragma: no cover - needs the optional numba package
-            for column in fused_book._FLOAT_COLUMNS:
-                np.testing.assert_allclose(
-                    getattr(backend_book, column),
-                    getattr(fused_book, column),
-                    rtol=0,
-                    atol=1e-9,
-                    err_msg=f"{name}:{column}",
-                )
-
     assert speedup >= floor, report
-    assert seam_ratio >= seam_floor, report

@@ -33,7 +33,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .backend import get_backend
 from .errors import ConfigError
 from .experiments.base import ExperimentResult, scaled
 from .rng import RngFactory
@@ -374,9 +373,6 @@ def _fleet_result(
         metrics.inc("engine.congested_feeder_slots", book.congested_feeder_slots)
         metrics.inc("engine.unserved_kwh", book.total_unserved_kwh)
         metrics.inc("runs")
-        # The *resolved* backend (a "numba" spec without the package
-        # records the numpy fallback it actually ran on).
-        telemetry.set_backend(get_backend(resolved.run.backend).name)
         result.telemetry = telemetry.to_dict()
     return result
 
@@ -527,7 +523,6 @@ def train_fleet(
         metrics.inc("rl.train_episodes", train_episodes)
         metrics.inc("rl.train_transitions", hub_slots)
         metrics.inc("runs")
-        telemetry.set_backend(get_backend(resolved.run.backend).name)
         result.telemetry = telemetry.to_dict()
     return result
 
@@ -718,6 +713,5 @@ def run_pricing(
     )
     if telemetry is not None:
         telemetry.metrics.inc("pricing.methods", len(methods))
-        telemetry.set_backend(get_backend(resolved.run.backend).name)
         result.telemetry = telemetry.to_dict()
     return result

@@ -10,7 +10,6 @@ Usage::
     ect-hub fleet --preset congested-city --set run.days=3
     ect-hub fleet --spec scenario.json --out results.json
     ect-hub fleet --preset congested-city --shards 8 --storage windowed
-    ect-hub fleet --preset fleet-default --backend numba
 
     ect-hub train-fleet --n-hubs 12 --episodes 100
     ect-hub train-fleet --preset congested-city --set rl.train_episodes=50
@@ -195,15 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cost-book layout: 'windowed' folds slots into running "
         "aggregates so memory stops scaling with the horizon "
         "(sugar for --set run.storage=...)",
-    )
-    fleet_p.add_argument(
-        "--backend",
-        choices=("numpy", "numba"),
-        default=None,
-        help="array backend the engine dispatches through: 'numpy' "
-        "(reference, byte-identical) or 'numba' (optional JIT; falls "
-        "back to numpy with a warning when the package is missing) "
-        "(sugar for --set run.backend=...)",
     )
     fleet_p.add_argument("--scale", type=float, default=None)
     fleet_p.add_argument("--seed", type=int, default=None)
@@ -629,8 +619,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         spec = _fleet_spec(args)
         if args.storage is not None:
             spec = spec.with_overrides({"run.storage": args.storage})
-        if args.backend is not None:
-            spec = spec.with_overrides({"run.backend": args.backend})
         # --shards stays an api.run *argument* (not a spec override) so
         # the exported data["spec"] — and therefore the whole --out
         # payload — is byte-identical whatever the shard count.

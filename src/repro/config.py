@@ -148,15 +148,19 @@ def save_json(config: Any, path: str | Path) -> None:
     Path(path).write_text(json.dumps(to_dict(config), indent=2, sort_keys=True))
 
 
-def load_json(cls: Type[C], path: str | Path) -> C:
-    """Load a dataclass config from a JSON file written by :func:`save_json`."""
+def read_json(path: str | Path) -> Any:
+    """Parse a JSON config file; I/O and syntax errors raise ConfigError."""
     try:
-        payload = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    return from_dict(cls, payload)
+
+
+def load_json(cls: Type[C], path: str | Path) -> C:
+    """Load a dataclass config from a JSON file written by :func:`save_json`."""
+    return from_dict(cls, read_json(path))
 
 
 def replace(config: C, **changes: Any) -> C:

@@ -84,15 +84,13 @@ def fleet_simulation_from_scenarios(
     voll_per_kwh: float = 0.0,
     storage: str = "dense",
     window: int | None = None,
-    backend: str = "numpy",
 ) -> FleetSimulation:
     """Convenience: params + inputs + engine in one call.
 
     ``storage``/``window`` select the cost-book layout (see
     :class:`~repro.fleet.costs.FleetCostBook`): ``"windowed"`` folds
     slots into running aggregates over a bounded ring so book memory
-    stops scaling with the horizon. ``backend`` picks the array backend
-    the engine dispatches through (see :mod:`repro.backend`).
+    stops scaling with the horizon.
     """
     return FleetSimulation(
         fleet_params_from_scenarios(scenarios),
@@ -102,7 +100,6 @@ def fleet_simulation_from_scenarios(
         voll_per_kwh=voll_per_kwh,
         storage=storage,
         window=window,
-        backend=backend,
     )
 
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import ArrayOps, get_backend
 from ..errors import FleetError
 from ..hub.costs import CostBook, SlotLedger
 from .grid import FeederGroup
@@ -84,12 +83,7 @@ class FleetCostBook:
         voll_per_kwh: float = 0.0,
         storage: str = "dense",
         window: int | None = None,
-        backend: str | ArrayOps = "numpy",
     ) -> None:
-        # Books cross process boundaries (shard workers pickle them back
-        # to the parent), so only the resolved backend *name* is stored;
-        # the ops instance is re-resolved lazily per process (see `ops`).
-        self.backend = get_backend(backend).name
         if n_hubs <= 0 or horizon < 0:
             raise FleetError(
                 f"invalid fleet book shape ({n_hubs} hubs, {horizon} slots)"
@@ -122,61 +116,38 @@ class FleetCostBook:
                 raise FleetError(f"window must be positive, got {window}")
             self.window: int | None = min(window, max(horizon, 1))
             shape = (n_hubs, self.window)
-            ops = self.ops
             # Hot-path columns carry pinned dtypes (float64 / int64 /
-            # bool_) so layouts match across platforms and backends.
+            # bool_) so layouts match across platforms.
             self._ring: dict[str, np.ndarray] = {
-                "action": ops.zeros(shape, np.int64),
-                "blackout": ops.zeros(shape, np.bool_),
+                "action": np.zeros(shape, np.int64),
+                "blackout": np.zeros(shape, np.bool_),
             }
             for name in self._FLOAT_COLUMNS:
-                self._ring[name] = ops.zeros(shape, np.float64)
+                self._ring[name] = np.zeros(shape, np.float64)
             self._init_accumulators()
         else:
             self.window = None
-            ops = self.ops
-            self.action = ops.zeros((n_hubs, horizon), np.int64)
-            self.blackout = ops.zeros((n_hubs, horizon), np.bool_)
+            self.action = np.zeros((n_hubs, horizon), np.int64)
+            self.blackout = np.zeros((n_hubs, horizon), np.bool_)
             for name in self._FLOAT_COLUMNS:
-                setattr(self, name, ops.zeros((n_hubs, horizon), np.float64))
+                setattr(self, name, np.zeros((n_hubs, horizon), np.float64))
         self._n_recorded = 0
 
     def _init_accumulators(self) -> None:
-        ops = self.ops
         n, n_feeders = self.n_hubs, self.feeders.n_feeders
         n_days = -(-self.horizon // _SLOTS_PER_DAY)
-        self._acc_op_cost = ops.zeros(n, np.float64)
-        self._acc_revenue = ops.zeros(n, np.float64)
-        self._acc_unserved = ops.zeros(n, np.float64)
-        self._acc_surplus = ops.zeros(n, np.float64)
-        self._acc_grid_energy = ops.zeros(n, np.float64)
-        self._acc_import_shortfall = ops.zeros(n, np.float64)
-        self._acc_daily = ops.zeros((n, n_days), np.float64)
-        self._acc_feeder_import = ops.zeros(n_feeders, np.float64)
-        self._acc_feeder_shortfall = ops.zeros(n_feeders, np.float64)
-        self._acc_feeder_peak = ops.zeros(n_feeders, np.float64)
+        self._acc_op_cost = np.zeros(n, np.float64)
+        self._acc_revenue = np.zeros(n, np.float64)
+        self._acc_unserved = np.zeros(n, np.float64)
+        self._acc_surplus = np.zeros(n, np.float64)
+        self._acc_grid_energy = np.zeros(n, np.float64)
+        self._acc_import_shortfall = np.zeros(n, np.float64)
+        self._acc_daily = np.zeros((n, n_days), np.float64)
+        self._acc_feeder_import = np.zeros(n_feeders, np.float64)
+        self._acc_feeder_shortfall = np.zeros(n_feeders, np.float64)
+        self._acc_feeder_peak = np.zeros(n_feeders, np.float64)
         self._congested_slots = 0
         self._blackout_hub_slots = 0
-
-    @property
-    def ops(self) -> ArrayOps:
-        """The book's array backend, resolved lazily per process.
-
-        Shard workers ship books back to the parent by pickle;
-        :meth:`__getstate__` drops the (potentially unpicklable, e.g.
-        JIT-holding) ops instance, and this property re-resolves it from
-        the stored backend name on first use in the receiving process.
-        """
-        ops = self.__dict__.get("_ops")
-        if ops is None:
-            ops = get_backend(self.backend)
-            self._ops = ops
-        return ops
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_ops", None)
-        return state
 
     def __getattr__(self, name: str):
         # Normal lookup failed: in windowed mode the per-slot columns do
@@ -289,7 +260,6 @@ class FleetCostBook:
         self._n_recorded += 1
 
     def _fold_slot(self, t: int) -> None:
-        ops = self.ops
         ring, slot = self._ring, t % self.window
         grid_cost = ring["grid_cost"][:, slot]
         bp_cost = ring["bp_cost"][:, slot]
@@ -308,21 +278,21 @@ class FleetCostBook:
             revenue - grid_cost - bp_cost - self.voll_per_kwh * unserved
         )
         assignment, n_feeders = self.feeders.assignment, self.feeders.n_feeders
-        feeder_import = ops.bincount(
+        feeder_import = np.bincount(
             assignment, weights=p_grid, minlength=n_feeders
         )
-        feeder_shortfall = ops.bincount(
+        feeder_shortfall = np.bincount(
             assignment, weights=shortfall, minlength=n_feeders
         )
         self._acc_feeder_import += feeder_import
         self._acc_feeder_shortfall += feeder_shortfall
-        ops.maximum(
+        np.maximum(
             self._acc_feeder_peak, feeder_import, out=self._acc_feeder_peak
         )
         # Shortfalls are non-negative, so a feeder sum is positive exactly
         # when any member was curtailed — the count matches dense exactly.
-        self._congested_slots += ops.count_nonzero(feeder_shortfall > 0.0)
-        self._blackout_hub_slots += ops.count_nonzero(ring["blackout"][:, slot])
+        self._congested_slots += int(np.count_nonzero(feeder_shortfall > 0.0))
+        self._blackout_hub_slots += int(np.count_nonzero(ring["blackout"][:, slot]))
 
     def _require_dense(self, what: str) -> None:
         if self._windowed:
@@ -439,9 +409,8 @@ class FleetCostBook:
 
     def _per_feeder_slots(self, name: str) -> np.ndarray:
         """Roll a hub column up to ``(n_feeders, n_recorded)``."""
-        ops = self.ops
-        rolled = ops.zeros((self.feeders.n_feeders, self._n_recorded), np.float64)
-        ops.scatter_add(rolled, self.feeders.assignment, self._recorded(name))
+        rolled = np.zeros((self.feeders.n_feeders, self._n_recorded), np.float64)
+        np.add.at(rolled, self.feeders.assignment, self._recorded(name))
         return rolled
 
     def feeder_import_kw(self) -> np.ndarray:
@@ -541,7 +510,7 @@ class FleetCostBook:
         if rewards.shape[1] == 0:
             return np.zeros((self.n_hubs, 0))
         starts = np.arange(0, rewards.shape[1], slots_per_day)
-        return self.ops.reduceat_sum(rewards, starts, axis=1)
+        return np.add.reduceat(rewards, starts, axis=1)
 
     # ------------------------------------------------------------------ #
     # Shard merging                                                        #
@@ -599,7 +568,6 @@ class FleetCostBook:
             voll_per_kwh=voll_per_kwh,
             storage=storage,
             window=window,
-            backend=books[0].backend,
         )
         if storage == "dense":
             for book, idx in zip(books, hub_indices):

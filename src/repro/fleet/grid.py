@@ -27,11 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..backend import ArrayOps, get_backend
 from ..errors import FleetError
 
 #: Supported contention-resolution policies.
 ALLOCATION_POLICIES = ("proportional", "priority")
+
+
+def _segment_prefix_sum(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums within ``[bounds[k], bounds[k+1])`` segments."""
+    ahead = np.zeros(values.shape[0])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        ahead[lo + 1 : hi] = np.cumsum(values[lo : hi - 1])
+    return ahead
 
 
 @dataclass(frozen=True)
@@ -241,9 +248,7 @@ class FeederGroup:
     # Allocation                                                           #
     # ------------------------------------------------------------------ #
 
-    def allocate(
-        self, import_kw: np.ndarray, t: int, *, ops: ArrayOps | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def allocate(self, import_kw: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Resolve one slot's contention: ``(granted_kw, shortfall_kw)``.
 
         ``import_kw`` is each hub's requested grid draw. Where a feeder's
@@ -252,13 +257,7 @@ class FeederGroup:
         :attr:`policy`. Granted + shortfall reproduces the request
         exactly, both arrays are non-negative, and per-feeder granted
         totals never exceed capacity (beyond float rounding).
-
-        ``ops`` selects the array backend for the allocation arithmetic;
-        the engine passes its own so the whole slot runs on one backend.
-        Standalone callers can omit it (numpy reference).
         """
-        if ops is None:
-            ops = get_backend()
         demand = np.asarray(import_kw, dtype=float)
         if demand.shape != self.assignment.shape:
             raise FleetError(
@@ -269,17 +268,17 @@ class FeederGroup:
             return demand, np.zeros_like(demand)
         capacity = self.capacity_at(t)
         if self.policy == "proportional":
-            granted = self._allocate_proportional(demand, capacity, ops)
+            granted = self._allocate_proportional(demand, capacity)
         else:
-            granted = self._allocate_priority(demand, capacity, ops)
-        shortfall = ops.maximum(demand - granted, 0.0)
+            granted = self._allocate_priority(demand, capacity)
+        shortfall = np.maximum(demand - granted, 0.0)
         return granted, shortfall
 
     def _allocate_proportional(
-        self, demand: np.ndarray, capacity: np.ndarray, ops: ArrayOps
+        self, demand: np.ndarray, capacity: np.ndarray
     ) -> np.ndarray:
         """Scale every member of an over-subscribed feeder by cap/draw."""
-        feeder_demand = ops.bincount(
+        feeder_demand = np.bincount(
             self.assignment, weights=demand, minlength=self.n_feeders
         )
         scale = np.ones(self.n_feeders)
@@ -290,7 +289,7 @@ class FeederGroup:
         return demand * scale[self.assignment]
 
     def _allocate_priority(
-        self, demand: np.ndarray, capacity: np.ndarray, ops: ArrayOps
+        self, demand: np.ndarray, capacity: np.ndarray
     ) -> np.ndarray:
         """Greedy fill in descending priority order within each feeder."""
         n = self.n_hubs
@@ -299,7 +298,7 @@ class FeederGroup:
         )
         # Sort by (feeder, -priority, hub index); each hub's queue-ahead
         # demand is then an exclusive prefix sum within its feeder segment.
-        # ops.segment_prefix_sum computes it per segment, never globally: a
+        # _segment_prefix_sum computes it per segment, never globally: a
         # global cumsum minus the segment-start offset would leak other
         # feeders' rounding into this feeder's grants, breaking the
         # bit-identity of feeder-closed shards (FeederGroup.subgroup)
@@ -307,13 +306,13 @@ class FeederGroup:
         order = np.lexsort((np.arange(n), -priority, self.assignment))
         feeder_sorted = self.assignment[order]
         demand_sorted = demand[order]
-        starts = np.r_[0, ops.flatnonzero(np.diff(feeder_sorted)) + 1]
+        starts = np.r_[0, np.flatnonzero(np.diff(feeder_sorted)) + 1]
         bounds = np.r_[starts, n]
-        ahead = ops.segment_prefix_sum(demand_sorted, bounds)
-        granted_sorted = ops.clip(
+        ahead = _segment_prefix_sum(demand_sorted, bounds)
+        granted_sorted = np.clip(
             capacity[feeder_sorted] - ahead, 0.0, demand_sorted
         )
-        granted = ops.empty(n, np.float64)
+        granted = np.empty(n, np.float64)
         granted[order] = granted_sorted
         return granted
 

@@ -28,7 +28,8 @@ Planes are immutable for the engine's lifetime and shared across
 
 from __future__ import annotations
 
-from ..backend import ArrayOps, get_backend
+import numpy as np
+
 from .inputs import FleetInputs
 from .params import FleetParams
 
@@ -51,18 +52,7 @@ class SlotPlanes:
         "outage_any",
     )
 
-    def __init__(
-        self,
-        params: FleetParams,
-        inputs: FleetInputs,
-        *,
-        ops: ArrayOps | None = None,
-    ) -> None:
-        # Plane construction runs once per engine (not per step); routing
-        # it through the backend keeps every array the kernel reads
-        # produced by the same primitive set the slot loop dispatches to.
-        if ops is None:
-            ops = get_backend()
+    def __init__(self, params: FleetParams, inputs: FleetInputs) -> None:
         pv = inputs.pv_power_kw
         wt = inputs.wt_power_kw
         dt = params.dt_h
@@ -86,8 +76,8 @@ class SlotPlanes:
         # Blackout branch (HubSimulation._blackout_slot): the BS deficit
         # after renewables, and the surplus when renewables over-supply.
         renewable = pv + wt
-        self.blackout_deficit_kwh = ops.maximum(self.p_bs_kw - renewable, 0.0) * dt
-        self.blackout_surplus_kw = ops.maximum(renewable - self.p_bs_kw, 0.0)
+        self.blackout_deficit_kwh = np.maximum(self.p_bs_kw - renewable, 0.0) * dt
+        self.blackout_surplus_kw = np.maximum(renewable - self.p_bs_kw, 0.0)
 
         #: Boolean outage mask plus a per-slot any-hub-dark fast path: at
         #: realistic outage rates almost every slot skips the dark branch.
@@ -97,14 +87,14 @@ class SlotPlanes:
         #: Feeder congestion signal: each hub's action-independent grid
         #: draw (BS + CS net of renewables, zero while dark) — what
         #: ``available_import_kw()`` used to rebuild per call.
-        self.base_import_kw = ops.where(
+        self.base_import_kw = np.where(
             self.outage,
             0.0,
-            ops.maximum(self.p_bs_kw + self.p_cs_kw - pv - wt, 0.0),
+            np.maximum(self.p_bs_kw + self.p_cs_kw - pv - wt, 0.0),
         )
         #: On-site renewable surplus consulted by the congestion-aware
         #: schedulers before committing a charge.
-        self.onsite_surplus_kw = ops.maximum(
+        self.onsite_surplus_kw = np.maximum(
             pv + wt - self.p_bs_kw - self.p_cs_kw, 0.0
         )
 

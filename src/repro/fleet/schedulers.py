@@ -59,13 +59,12 @@ def suppress_infeasible_charges(
     """
     if sim.feeders.is_unlimited:
         return actions
-    ops = sim.ops
     available = sim.available_import_kw()
     # Both the headroom signal and the on-site surplus come from the
     # engine's SlotPlanes cache — nothing is rebuilt per step.
     onsite_surplus = sim.planes.onsite_surplus_kw[:, sim.t]
-    extra_import = ops.maximum(sim.params.charge_rate_kw - onsite_surplus, 0.0)
-    return ops.where(
+    extra_import = np.maximum(sim.params.charge_rate_kw - onsite_surplus, 0.0)
+    return np.where(
         (actions == CHARGE) & (extra_import > available), IDLE, actions
     )
 
@@ -166,23 +165,22 @@ class FleetRuleBasedScheduler(FleetScheduler):
         self._expensive: np.ndarray | None = None
 
     def reset(self, sim: FleetSimulation) -> None:
-        # One axis-vectorized quantile per threshold; the backend's
-        # per-row results are bit-identical to N separate np.quantile(row)
+        # One axis-vectorized quantile per threshold; numpy's per-row
+        # results are bit-identical to N separate np.quantile(row)
         # calls, so thresholds still match the scalar scheduler's exactly
         # (the engine equivalence suite compares whole scheduled runs).
         prices = sim.inputs.rtp_kwh
-        self._cheap = sim.ops.quantile_rows(prices, self.cheap_quantile)
-        self._expensive = sim.ops.quantile_rows(prices, self.expensive_quantile)
+        self._cheap = np.quantile(prices, self.cheap_quantile, axis=1)
+        self._expensive = np.quantile(prices, self.expensive_quantile, axis=1)
 
     def __call__(self, sim: FleetSimulation) -> np.ndarray:
         if self._cheap is None or self._expensive is None:
             self.reset(sim)
-        ops = sim.ops
         price = sim.inputs.rtp_kwh[:, sim.t]
-        actions = ops.where(
+        actions = np.where(
             price <= self._cheap,
             CHARGE,
-            ops.where(price >= self._expensive, DISCHARGE, IDLE),
+            np.where(price >= self._expensive, DISCHARGE, IDLE),
         )
         if self.congestion_aware:
             actions = suppress_infeasible_charges(sim, actions)
@@ -208,21 +206,20 @@ class FleetGreedyRenewableScheduler(FleetScheduler):
     def reset(self, sim: FleetSimulation) -> None:
         # Axis-vectorized like the rule-based thresholds (bit-identical
         # per row to separate np.quantile calls).
-        self._threshold = sim.ops.quantile_rows(
-            sim.inputs.rtp_kwh, self.expensive_quantile
+        self._threshold = np.quantile(
+            sim.inputs.rtp_kwh, self.expensive_quantile, axis=1
         )
 
     def __call__(self, sim: FleetSimulation) -> np.ndarray:
         if self._threshold is None:
             self.reset(sim)
-        ops = sim.ops
         t = sim.t
         renewables = sim.inputs.pv_power_kw[:, t] + sim.inputs.wt_power_kw[:, t]
         bs_load = sim.planes.p_bs_kw[:, t]
-        actions = ops.where(
+        actions = np.where(
             renewables > bs_load,
             CHARGE,
-            ops.where(sim.inputs.rtp_kwh[:, t] >= self._threshold, DISCHARGE, IDLE),
+            np.where(sim.inputs.rtp_kwh[:, t] >= self._threshold, DISCHARGE, IDLE),
         )
         if self.congestion_aware:
             actions = suppress_infeasible_charges(sim, actions)

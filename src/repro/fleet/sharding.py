@@ -147,9 +147,6 @@ def run_shard(task: ShardTask) -> ShardResult:
             feeders=assembly.feeders,
             voll_per_kwh=run.voll_per_kwh,
             storage=run.storage,
-            # Workers rebuild from the parent's spec JSON, so the shard
-            # engine inherits (and re-resolves) the parent's backend.
-            backend=run.backend,
         )
         scheduler = make_scheduler(
             spec.scheduler,

@@ -28,15 +28,6 @@ energy is served from the Eq. 6 battery reserve (the same arithmetic as a
 blackout slot) and whatever the reserve cannot cover is booked as
 unserved. Under the default unlimited feeder the coupled step is
 bit-identical to the uncoupled one.
-
-Array backends: every hot-path array operation dispatches through an
-:class:`~repro.backend.base.ArrayOps` resolved once at construction
-(``backend="numpy"`` by default — direct ufunc aliases, byte-identical
-to the pre-seam kernel; ``"numba"`` JIT-fuses the battery block where
-the optional package is installed, else falls back with a warning). The
-ops instance is shared with the engine's planes, cost book, feeder
-allocation, and schedulers, so one ``RunSpec.backend`` knob switches the
-whole slot loop.
 """
 
 from __future__ import annotations
@@ -46,7 +37,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..backend import ArrayOps, get_backend
 from ..energy.battery import CHARGE, DISCHARGE, IDLE
 from ..errors import ConfigError, FleetError, GridError
 from .costs import FleetCostBook
@@ -62,6 +52,58 @@ _SOC_EPS = 1e-12
 _ACTIONS = (DISCHARGE, IDLE, CHARGE)
 
 
+def _resolve_battery(kernel, soc, actions, b, applied, p_bp) -> None:
+    """The battery block of one fused slot step, for all hubs at once.
+
+    ``kernel`` holds the engine's per-hub constants, ``soc``/``actions``
+    are read-only ``(n_hubs,)`` inputs and ``b`` is the reusable buffer
+    namespace. On return ``b.stored``, ``b.drawn``, ``b.bus_charge_kwh``,
+    ``b.bus_discharge_kwh`` and ``b.new_soc`` hold the resolved energies,
+    and ``applied`` / ``p_bp`` (cost-book column views) are fully written.
+    """
+    # --- Charge path (BatteryPack._charge): clip the stored energy to
+    # the SoC_max headroom; a fully-clipped request degrades to IDLE.
+    np.subtract(kernel.soc_max_kwh, soc, out=b.headroom)
+    np.maximum(b.headroom, 0.0, out=b.headroom)
+    np.add(b.headroom, kernel.soc_eps, out=b.tmp)
+    np.greater(kernel.stored_requested, b.tmp, out=b.mask)
+    np.copyto(b.stored, kernel.stored_requested)
+    np.copyto(b.stored, b.headroom, where=b.mask)
+    np.equal(actions, CHARGE, out=b.charging)
+    np.greater(b.stored, 0.0, out=b.mask)
+    np.logical_and(b.charging, b.mask, out=b.charging)
+    np.logical_not(b.charging, out=b.idle_mask)
+    np.copyto(b.stored, 0.0, where=b.idle_mask)
+    # stored is zero wherever not charging, so the plain divide equals
+    # the old where(charging, stored/η, 0) select.
+    np.divide(b.stored, kernel.charge_efficiency, out=b.bus_charge_kwh)
+
+    # --- Discharge path (BatteryPack._discharge), both conventions.
+    np.subtract(soc, kernel.soc_min_kwh, out=b.available)
+    np.maximum(b.available, 0.0, out=b.available)
+    np.add(b.available, kernel.soc_eps, out=b.tmp)
+    np.greater(kernel.drawn_requested, b.tmp, out=b.mask)
+    np.copyto(b.drawn, kernel.drawn_requested)
+    np.copyto(b.drawn, b.available, where=b.mask)
+    np.equal(actions, DISCHARGE, out=b.discharging)
+    np.greater(b.drawn, 0.0, out=b.mask)
+    np.logical_and(b.discharging, b.mask, out=b.discharging)
+    np.logical_not(b.discharging, out=b.idle_mask)
+    np.copyto(b.drawn, 0.0, where=b.idle_mask)
+    np.multiply(b.drawn, kernel.bus_per_drawn, out=b.bus_discharge_kwh)
+
+    # Applied action: requested unless the clip degraded it to IDLE.
+    np.copyto(applied, IDLE)
+    np.copyto(applied, CHARGE, where=b.charging)
+    np.copyto(applied, DISCHARGE, where=b.discharging)
+
+    # Battery bus power and the SoC advance.
+    np.subtract(b.bus_charge_kwh, b.bus_discharge_kwh, out=p_bp)
+    np.divide(p_bp, kernel.dt_h, out=p_bp)
+    np.add(soc, b.stored, out=b.new_soc)
+    np.subtract(b.new_soc, b.drawn, out=b.new_soc)
+
+
 class FleetSimulation:
     """Advance a whole fleet through :class:`FleetInputs`, slot by slot."""
 
@@ -75,18 +117,12 @@ class FleetSimulation:
         voll_per_kwh: float = 0.0,
         storage: str = "dense",
         window: int | None = None,
-        backend: str | ArrayOps = "numpy",
     ) -> None:
         if params.n_hubs != inputs.n_hubs:
             raise FleetError(
                 f"params describe {params.n_hubs} hubs but inputs carry "
                 f"{inputs.n_hubs}"
             )
-        #: The array backend every hot-path operation dispatches through.
-        self.ops = get_backend(backend)
-        #: Resolved backend name ("numba" falls back to "numpy" without
-        #: the package, and this records what actually runs).
-        self.backend = self.ops.name
         self.params = params
         self.inputs = inputs
         self.feeders = feeders or FeederGroup.unlimited(params.n_hubs)
@@ -104,7 +140,7 @@ class FleetSimulation:
         # the uncoupled default pays nothing for the coupling machinery.
         self._coupled = not self.feeders.is_unlimited
         #: Action-independent slot planes, shared across resets.
-        self.planes = SlotPlanes(params, inputs, ops=self.ops)
+        self.planes = SlotPlanes(params, inputs)
         self._outage = self.planes.outage
         self._initial_soc = self._as_soc_fraction(initial_soc_fraction)
         self.voll_per_kwh = float(voll_per_kwh)
@@ -126,7 +162,7 @@ class FleetSimulation:
         self.book = self._new_book()
         self._t = 0
         self.soc_kwh = self._reset_soc(self._initial_soc)
-        self.throughput_kwh = self.ops.zeros(params.n_hubs, np.float64)
+        self.throughput_kwh = np.zeros(params.n_hubs, np.float64)
 
     def _new_book(self) -> FleetCostBook:
         """A fresh cost book with the exogenous columns pre-filled.
@@ -148,7 +184,6 @@ class FleetSimulation:
             voll_per_kwh=self.voll_per_kwh,
             storage=self._book_storage,
             window=self._book_window,
-            backend=self.backend,
         )
         if self._windowed_book:
             return book
@@ -182,9 +217,9 @@ class FleetSimulation:
         # Interconnection limit: 0 disables the check (GridConnection rule).
         self._limit_active = params.import_limit_kw > 0.0
         self._any_import_limit = bool(self._limit_active.any())
-        #: The battery composite's constant block, handed to
-        #: ``ops.resolve_battery`` each step (one namespace instead of
-        #: re-reading params attributes inside the hot loop).
+        #: The battery block's constants, handed to ``_resolve_battery``
+        #: each step (one namespace instead of re-reading params
+        #: attributes inside the hot loop).
         self._kernel = SimpleNamespace(
             soc_max_kwh=params.soc_max_kwh,
             soc_min_kwh=params.soc_min_kwh,
@@ -198,11 +233,10 @@ class FleetSimulation:
 
     def _allocate_buffers(self) -> None:
         """Reusable ``out=`` buffers so the hot step allocates nothing."""
-        ops = self.ops
         n = self.params.n_hubs
 
         def f():
-            return ops.empty(n, np.float64)
+            return np.empty(n, np.float64)
 
         self._buf = SimpleNamespace(
             headroom=f(),
@@ -215,10 +249,10 @@ class FleetSimulation:
             residual=f(),
             throughput=f(),
             tmp=f(),
-            mask=ops.empty(n, np.bool_),
-            charging=ops.empty(n, np.bool_),
-            discharging=ops.empty(n, np.bool_),
-            idle_mask=ops.empty(n, np.bool_),
+            mask=np.empty(n, np.bool_),
+            charging=np.empty(n, np.bool_),
+            discharging=np.empty(n, np.bool_),
+            idle_mask=np.empty(n, np.bool_),
         )
 
     def _as_soc_fraction(self, fraction: float | np.ndarray) -> np.ndarray:
@@ -295,7 +329,7 @@ class FleetSimulation:
             else self._as_soc_fraction(soc_fraction)
         )
         self.soc_kwh = self._reset_soc(fractions)
-        self.throughput_kwh = self.ops.zeros(self.params.n_hubs, np.float64)
+        self.throughput_kwh = np.zeros(self.params.n_hubs, np.float64)
 
     # ------------------------------------------------------------------ #
     # Stepping                                                             #
@@ -344,7 +378,6 @@ class FleetSimulation:
         params = self.params
         dt = params.dt_h
         planes = self.planes
-        ops = self.ops
         b = self._buf
         soc = self.soc_kwh
         book = self.book
@@ -358,36 +391,34 @@ class FleetSimulation:
             # and zero the branch-written ones (every other column is
             # overwritten unconditionally below).
             inputs = self.inputs
-            ops.copyto(dest["blackout"], planes.outage[:, t])
-            ops.copyto(dest["p_bs_kw"], planes.p_bs_kw[:, t])
-            ops.copyto(dest["p_cs_kw"], planes.p_cs_kw[:, t])
-            ops.copyto(dest["p_pv_kw"], inputs.pv_power_kw[:, t])
-            ops.copyto(dest["p_wt_kw"], inputs.wt_power_kw[:, t])
-            ops.copyto(dest["rtp_kwh"], inputs.rtp_kwh[:, t])
-            ops.copyto(dest["srtp_kwh"], planes.srtp_kwh[:, t])
-            ops.copyto(dest["revenue"], planes.revenue[:, t])
-            ops.copyto(dest["unserved_kwh"], 0.0)
-            ops.copyto(dest["import_shortfall_kw"], 0.0)
+            np.copyto(dest["blackout"], planes.outage[:, t])
+            np.copyto(dest["p_bs_kw"], planes.p_bs_kw[:, t])
+            np.copyto(dest["p_cs_kw"], planes.p_cs_kw[:, t])
+            np.copyto(dest["p_pv_kw"], inputs.pv_power_kw[:, t])
+            np.copyto(dest["p_wt_kw"], inputs.wt_power_kw[:, t])
+            np.copyto(dest["rtp_kwh"], inputs.rtp_kwh[:, t])
+            np.copyto(dest["srtp_kwh"], planes.srtp_kwh[:, t])
+            np.copyto(dest["revenue"], planes.revenue[:, t])
+            np.copyto(dest["unserved_kwh"], 0.0)
+            np.copyto(dest["import_shortfall_kw"], 0.0)
         applied = dest["action"]
         p_bp = dest["p_bp_kw"]
         p_grid = dest["p_grid_kw"]
         surplus = dest["surplus_kw"]
         unserved = dest["unserved_kwh"]
 
-        # --- Battery composite (BatteryPack._charge/_discharge fused):
+        # --- Battery block (BatteryPack._charge/_discharge fused):
         # resolves stored/drawn energy, the applied action, the battery
-        # bus power, and the SoC advance in one backend call. The numpy
-        # reference replays the pre-seam ufunc sequence verbatim; the
-        # numba backend runs the same arithmetic as a JIT per-hub loop.
-        ops.resolve_battery(self._kernel, soc, actions, b, applied, p_bp)
+        # bus power, and the SoC advance.
+        _resolve_battery(self._kernel, soc, actions, b, applied, p_bp)
 
         # --- Eq. 7 (EctHub.power_balance): import the residual, curtail
         # surplus. The action-independent part comes from the plane cache.
-        ops.add(planes.residual_static_kw[:, t], p_bp, out=b.residual)
-        ops.maximum(b.residual, 0.0, out=p_grid)
-        ops.negative(b.residual, out=surplus)
-        ops.maximum(surplus, 0.0, out=surplus)
-        ops.add(b.stored, b.drawn, out=b.throughput)
+        np.add(planes.residual_static_kw[:, t], p_bp, out=b.residual)
+        np.maximum(b.residual, 0.0, out=p_grid)
+        np.negative(b.residual, out=surplus)
+        np.maximum(surplus, 0.0, out=surplus)
+        np.add(b.stored, b.drawn, out=b.throughput)
 
         # The exogenous columns (BS/CS draw, renewables, prices, blackout
         # mask, non-blackout revenue) were bulk-filled at reset; the
@@ -396,23 +427,23 @@ class FleetSimulation:
         outage_now = bool(planes.outage_any[t])
         coupled = self._coupled
         if outage_now or coupled:
-            ops.copyto(unserved, 0.0)
+            np.copyto(unserved, 0.0)
 
         # --- Blackout branch, only on the rows whose outage fires now
         # (HubSimulation._blackout_slot + BatteryPack.emergency_supply:
         # charging suspended, the action overridden, SoC allowed below
         # SoC_min). Most slots skip this block entirely.
         if outage_now:
-            dark = ops.flatnonzero(planes.outage[:, t])
+            dark = np.flatnonzero(planes.outage[:, t])
             dest["p_cs_kw"][dark] = 0.0
             dest["revenue"][dark] = 0.0
 
             soc_pre = soc[dark]
             deficit_kwh = planes.blackout_deficit_kwh[dark, t]
             eta = self._reserve_eta[dark]
-            drawn_dark = ops.minimum(deficit_kwh / eta, soc_pre)
+            drawn_dark = np.minimum(deficit_kwh / eta, soc_pre)
             served_kwh = drawn_dark * eta
-            p_bp[dark] = ops.where(served_kwh > 0.0, -served_kwh / dt, 0.0)
+            p_bp[dark] = np.where(served_kwh > 0.0, -served_kwh / dt, 0.0)
             p_grid[dark] = 0.0
             surplus[dark] = planes.blackout_surplus_kw[dark, t]
             b.new_soc[dark] = soc_pre - drawn_dark
@@ -423,17 +454,17 @@ class FleetSimulation:
                 tele.metrics.inc("engine.blackout_hub_slots", dark.size)
                 tele.metrics.inc(
                     "engine.reserve_dispatches",
-                    ops.count_nonzero(drawn_dark > 0.0),
+                    int(np.count_nonzero(drawn_dark > 0.0)),
                 )
 
         # The per-hub interconnection limit applies to the *requested*
         # import, before any feeder-level curtailment (blackout rows
         # request 0 kW, so a positive limit can never fire there).
         if self._any_import_limit:
-            ops.greater(p_grid, params.import_limit_kw, out=b.mask)
-            ops.logical_and(b.mask, self._limit_active, out=b.mask)
+            np.greater(p_grid, params.import_limit_kw, out=b.mask)
+            np.logical_and(b.mask, self._limit_active, out=b.mask)
             if b.mask.any():
-                hub = int(ops.argmax(b.mask))
+                hub = int(np.argmax(b.mask))
                 raise GridError(
                     f"hub {hub}: import of {p_grid[hub]:.3f} kW exceeds the "
                     f"interconnection limit of "
@@ -445,26 +476,26 @@ class FleetSimulation:
             # from the Eq. 6 reserve exactly like a blackout deficit
             # (blackout hubs request 0 import, so they pass through).
             if tele is None:
-                granted, shortfall_kw = self.feeders.allocate(p_grid, t, ops=ops)
+                granted, shortfall_kw = self.feeders.allocate(p_grid, t)
             else:
                 alloc_start = time.perf_counter()
-                granted, shortfall_kw = self.feeders.allocate(p_grid, t, ops=ops)
+                granted, shortfall_kw = self.feeders.allocate(p_grid, t)
                 tele.metrics.add_time(
                     "allocation", time.perf_counter() - alloc_start
                 )
-            ops.copyto(p_grid, granted)
-            ops.copyto(dest["import_shortfall_kw"], shortfall_kw)
+            np.copyto(p_grid, granted)
+            np.copyto(dest["import_shortfall_kw"], shortfall_kw)
             shortfall_kwh = shortfall_kw * dt
             eta = self._reserve_eta
-            drawn_short = ops.minimum(shortfall_kwh / eta, b.new_soc)
+            drawn_short = np.minimum(shortfall_kwh / eta, b.new_soc)
             served_kwh = drawn_short * eta
-            p_bp -= ops.where(drawn_short > 0.0, served_kwh / dt, 0.0)
+            p_bp -= np.where(drawn_short > 0.0, served_kwh / dt, 0.0)
             b.new_soc -= drawn_short
             b.throughput += drawn_short
             # (x/η)·η can exceed x by one ulp — never book negative unserved.
-            unserved += ops.maximum(shortfall_kwh - served_kwh, 0.0)
+            unserved += np.maximum(shortfall_kwh - served_kwh, 0.0)
             if tele is not None:
-                congested = ops.count_nonzero(shortfall_kw > 0.0)
+                congested = int(np.count_nonzero(shortfall_kw > 0.0))
                 if congested:
                     tele.metrics.inc("engine.congested_hub_slots", congested)
                     tele.metrics.inc(
@@ -472,19 +503,19 @@ class FleetSimulation:
                     )
                     tele.metrics.inc(
                         "engine.reserve_dispatches",
-                        ops.count_nonzero(drawn_short > 0.0),
+                        int(np.count_nonzero(drawn_short > 0.0)),
                     )
 
         # Eqs. 8, 9, 11 — identical expressions to compute_slot_ledger.
-        ops.multiply(p_grid, planes.rtp_dt[:, t], out=dest["grid_cost"])
-        ops.not_equal(applied, IDLE, out=b.mask)
-        ops.multiply(b.mask, params.c_bp_per_slot, out=dest["bp_cost"])
+        np.multiply(p_grid, planes.rtp_dt[:, t], out=dest["grid_cost"])
+        np.not_equal(applied, IDLE, out=b.mask)
+        np.multiply(b.mask, params.c_bp_per_slot, out=dest["bp_cost"])
 
         # Commit the battery state as fresh arrays (like the PR-3 engine)
         # so caller-held `soc_kwh`/`throughput_kwh` snapshots stay valid
         # forever; the scratch buffers are reused next step.
         self.soc_kwh = b.new_soc.copy()
-        ops.copyto(dest["soc_kwh"], self.soc_kwh)
+        np.copyto(dest["soc_kwh"], self.soc_kwh)
         self.throughput_kwh = self.throughput_kwh + b.throughput
 
         book.commit_slot(t)

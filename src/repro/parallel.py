@@ -157,11 +157,6 @@ def _run_payload(payload: str, with_telemetry: bool = False) -> ExperimentResult
     ``with_telemetry`` runs the job under a worker-local telemetry
     session; the record rides back on ``result.telemetry`` (metadata is
     skipped — the parent stamps one fingerprint for the whole sweep).
-
-    Because the job is rebuilt from the spec JSON, the worker's engine
-    re-resolves ``run.backend`` in its own process — sweep children
-    inherit the parent's array backend (and fall back identically where
-    the optional numba package is missing).
     """
     # Local imports keep the worker bootstrap light under spawn-style
     # start methods (under fork they are already-cached module lookups).

@@ -89,10 +89,6 @@ class FleetEnv:
         Append the normalised ``available_import_kw`` observation
         feature. ``None`` (default) enables it exactly when a
         capacity-limited feeder group is attached.
-    backend:
-        Array backend the per-episode engines dispatch through (see
-        :mod:`repro.backend`); the default numpy reference is
-        byte-identical to the pre-seam environment.
     """
 
     def __init__(
@@ -107,9 +103,7 @@ class FleetEnv:
         feeders: FeederGroup | None = None,
         voll_per_kwh: float = 0.0,
         feeder_aware: bool | None = None,
-        backend: str = "numpy",
     ) -> None:
-        self.backend = backend
         if not scenarios:
             raise EnvError("FleetEnv needs at least one scenario")
         horizons = {s.n_hours for s in scenarios}
@@ -309,7 +303,6 @@ class FleetEnv:
             initial_soc_fraction=initial_soc,
             feeders=self._episode_feeders(start),
             voll_per_kwh=self.voll_per_kwh,
-            backend=self.backend,
         )
         # The discounted selling price straight off the engine's plane
         # cache (bit-identical to base_price x (1 - discount)).

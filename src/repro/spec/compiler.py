@@ -274,11 +274,6 @@ class FleetAssembly:
             )
         return rows
 
-    @property
-    def backend(self) -> str:
-        """The array backend the spec asks engines built from this to use."""
-        return self.spec.run.backend
-
     def realize_occupancy(self, discount: np.ndarray | None = None) -> np.ndarray:
         """Charging occupancy under a discount schedule — one vectorized pass.
 
@@ -334,10 +329,6 @@ def assembly_fingerprint(spec: ScenarioSpec) -> str:
     """
     payload = spec.to_dict()
     run = payload["run"]
-    # run.backend is deliberately excluded: the backend changes how the
-    # engine computes, not what the assembly *is* (sites, traces, strata,
-    # outages, feeders are identical across backends), so the sweep
-    # executor's assembly cache stays shared across backend variants.
     return json.dumps(
         {
             "fleet": payload["fleet"],
@@ -508,7 +499,6 @@ def build(
         feeders=assembly.feeders,
         voll_per_kwh=run.voll_per_kwh,
         storage=run.storage,
-        backend=run.backend,
     )
     scheduler = make_scheduler(
         spec.scheduler, n_hubs=assembly.n_hubs, rng_factory=RngFactory(seed=run.seed)
@@ -560,7 +550,6 @@ def build_fleet_env(spec: ScenarioSpec, *, rng=None):
         feeders=feeders,
         voll_per_kwh=spec.run.voll_per_kwh,
         feeder_aware=rl.feeder_aware and not feeders.is_unlimited,
-        backend=spec.run.backend,
     )
     return assembly, env
 

@@ -104,7 +104,6 @@ def congestion_signal(assembly: FleetAssembly) -> np.ndarray:
         initial_soc_fraction=run.initial_soc_fraction,
         feeders=feeders,
         voll_per_kwh=run.voll_per_kwh,
-        backend=run.backend,
     )
     base = simulation.planes.base_import_kw
     available = np.empty(shape)

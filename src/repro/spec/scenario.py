@@ -11,6 +11,12 @@ holds bit-for-bit, unknown keys raise :class:`~repro.errors.ConfigError`,
 and a spec saved as JSON today rebuilds the exact same simulation in any
 future session (``repro.api.build`` / ``repro.api.run``).
 
+Saved specs carry a top-level ``schema_version`` (:data:`SCHEMA_VERSION`).
+It is a format marker, not a spec field: ``from_dict`` upgrades older
+payloads through ``_migrate`` before parsing, so a spec saved by an
+earlier version still loads after a field is removed. A payload without
+the marker is version 1.
+
 Dotted-path overrides (:func:`apply_overrides`) are the update language
 shared by the CLI's ``--set key=value`` flags and the sweep expander:
 ``{"grid.feeder_capacity_kw": 400.0}`` returns a new spec with only that
@@ -22,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
+from pathlib import Path
 from typing import Any, Mapping
 
 from .. import config
@@ -35,6 +42,7 @@ from ..synth.charging import ChargingConfig
 from ..synth.rtp import RtpConfig
 from ..synth.traffic import TrafficConfig
 from ..synth.weather import WeatherConfig
+from ..telemetry import log
 
 #: Fleet size / horizon a spec describes when left unset (the ``ect-hub
 #: fleet`` defaults, so flag-built and spec-built runs agree).
@@ -461,10 +469,6 @@ class RlSpec:
 #: kept local so plain spec builds stay engine-import-free).
 STORAGE_MODES = ("dense", "windowed")
 
-#: Array backends the engine can dispatch through (mirrors
-#: ``repro.backend.BACKEND_NAMES``; kept local for the same reason).
-BACKENDS = ("numpy", "numba")
-
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -481,12 +485,6 @@ class RunSpec:
     choice, not a model change), and ``storage="windowed"`` folds the
     cost book into running aggregates so memory stops scaling with the
     horizon (aggregates agree with dense at atol 1e-9).
-
-    ``backend`` picks the array backend the engine dispatches through:
-    ``"numpy"`` (default, the byte-identical reference) or ``"numba"``
-    (optional JIT; falls back to numpy with a warning where the package
-    is missing, held to atol 1e-9 otherwise). Shard and sweep workers
-    rebuild from the spec, so children inherit the parent's backend.
     """
 
     days: int = DEFAULT_DAYS
@@ -496,7 +494,6 @@ class RunSpec:
     voll_per_kwh: float = 0.0
     shards: int = 1
     storage: str = "dense"
-    backend: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.days <= 0:
@@ -510,11 +507,6 @@ class RunSpec:
             raise ConfigError(
                 f"unknown run storage {self.storage!r}; "
                 f"available: {', '.join(STORAGE_MODES)}"
-            )
-        if self.backend not in BACKENDS:
-            raise ConfigError(
-                f"unknown run backend {self.backend!r}; "
-                f"available: {', '.join(BACKENDS)}"
             )
         if not math.isfinite(self.scale) or self.scale <= 0:
             raise ConfigError(f"scale must be finite and positive, got {self.scale}")
@@ -558,8 +550,8 @@ class ScenarioSpec:
     # ------------------------------------------------------------------ #
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain dict/list/scalar form (JSON-safe)."""
-        return config.to_dict(self)
+        """Plain dict/list/scalar form (JSON-safe), stamped with the schema."""
+        return {"schema_version": SCHEMA_VERSION, **config.to_dict(self)}
 
     def to_json(self, *, indent: int = 2) -> str:
         """Canonical JSON text (sorted keys, stable across runs)."""
@@ -567,8 +559,9 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "ScenarioSpec":
-        """Rebuild a spec; unknown keys raise :class:`ConfigError`."""
-        return config.from_dict(cls, payload)
+        """Rebuild a spec (older schemas are migrated first); unknown keys
+        raise :class:`ConfigError`."""
+        return config.from_dict(cls, _migrate(payload))
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
@@ -581,16 +574,95 @@ class ScenarioSpec:
 
     def save(self, path) -> None:
         """Write the spec as JSON."""
-        config.save_json(self, path)
+        Path(path).write_text(self.to_json())
 
     @classmethod
     def load(cls, path) -> "ScenarioSpec":
         """Load a spec JSON file written by :meth:`save` (or by hand)."""
-        return config.load_json(cls, path)
+        return cls.from_dict(config.read_json(path))
 
     def with_overrides(self, overrides: Mapping[str, Any]) -> "ScenarioSpec":
         """A new spec with dotted-path leaves replaced (see module docs)."""
         return apply_overrides(self, overrides)
+
+
+# --------------------------------------------------------------------- #
+# Schema versions                                                         #
+# --------------------------------------------------------------------- #
+
+#: The saved-spec format :meth:`ScenarioSpec.to_dict` writes.
+SCHEMA_VERSION = 2
+
+#: Spec fields each schema version removed, as ``(section, field)``
+#: paths keyed by that version. Loading an older payload drops them with
+#: one deprecation warning. Version 2 removed ``RunSpec.backend``, the
+#: array-backend knob (numpy is the only engine).
+_REMOVED_FIELDS = {2: (("run", "backend"),)}
+
+
+def _pop_schema_version(payload: dict[str, Any]) -> int:
+    """Remove and validate a payload's ``schema_version`` (absent means 1)."""
+    version = payload.pop("schema_version", 1)
+    if not isinstance(version, int) or isinstance(version, bool) or version < 1:
+        raise ConfigError(
+            f"spec schema_version must be a positive integer, got {version!r}"
+        )
+    if version > SCHEMA_VERSION:
+        raise ConfigError(
+            f"spec schema_version {version} is newer than this code's "
+            f"schema_version {SCHEMA_VERSION}"
+        )
+    return version
+
+
+def _removed_since(version: int) -> list[tuple[str, str]]:
+    """The field paths a payload saved at ``version`` may still carry."""
+    return [
+        path
+        for removed_in, paths in _REMOVED_FIELDS.items()
+        if removed_in > version
+        for path in paths
+    ]
+
+
+def _drop_removed_fields(
+    spec_payload: dict[str, Any], removed: list[tuple[str, str]]
+) -> list[str]:
+    """Drop removed fields from a spec payload in place; returns their paths."""
+    dropped = []
+    for section, name in removed:
+        node = spec_payload.get(section)
+        if isinstance(node, dict) and name in node:
+            spec_payload[section] = {k: v for k, v in node.items() if k != name}
+            dropped.append(f"{section}.{name}")
+    return dropped
+
+
+def _warn_dropped(version: int, dropped: list[str]) -> None:
+    """The one deprecation warning a migrated payload logs."""
+    if dropped:
+        log.warning(
+            f"spec schema_version {version} is deprecated: dropped the "
+            f"removed field(s) {', '.join(sorted(set(dropped)))}; re-save "
+            f"the spec to upgrade it to schema_version {SCHEMA_VERSION}"
+        )
+
+
+def _migrate(payload: Any) -> Any:
+    """Upgrade a saved :class:`ScenarioSpec` payload to :data:`SCHEMA_VERSION`.
+
+    Returns a copy without the ``schema_version`` marker (the input is
+    not mutated); non-dict payloads pass through for ``from_dict`` to
+    reject. A newer version than this code knows raises ConfigError.
+    """
+    if not isinstance(payload, dict):
+        return payload
+    payload = dict(payload)
+    version = _pop_schema_version(payload)
+    _warn_dropped(
+        version, _drop_removed_fields(payload, _removed_since(version))
+    )
+    return payload
 
 
 # --------------------------------------------------------------------- #

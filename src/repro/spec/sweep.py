@@ -13,12 +13,22 @@ study.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Mapping
 
 from .. import config
 from ..errors import ConfigError
-from .scenario import ScenarioSpec, apply_overrides
+from .scenario import (
+    SCHEMA_VERSION,
+    ScenarioSpec,
+    _drop_removed_fields,
+    _pop_schema_version,
+    _removed_since,
+    _warn_dropped,
+    apply_overrides,
+)
 
 
 @dataclass(frozen=True)
@@ -97,19 +107,51 @@ class SweepSpec:
     # ------------------------------------------------------------------ #
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain dict/list/scalar form (JSON-safe)."""
-        return config.to_dict(self)
+        """Plain dict/list/scalar form (JSON-safe), stamped with the schema.
+
+        The nested ``base`` spec shares the sweep's ``schema_version``.
+        """
+        return {"schema_version": SCHEMA_VERSION, **config.to_dict(self)}
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "SweepSpec":
-        """Rebuild a sweep; unknown keys raise :class:`ConfigError`."""
-        return config.from_dict(cls, payload)
+        """Rebuild a sweep (older schemas are migrated first); unknown keys
+        raise :class:`ConfigError`."""
+        return config.from_dict(cls, _migrate(payload))
 
     def save(self, path) -> None:
         """Write the sweep as JSON."""
-        config.save_json(self, path)
+        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
 
     @classmethod
     def load(cls, path) -> "SweepSpec":
         """Load a sweep JSON file written by :meth:`save` (or by hand)."""
-        return config.load_json(cls, path)
+        return cls.from_dict(config.read_json(path))
+
+
+def _migrate(payload: Any) -> Any:
+    """Upgrade a saved :class:`SweepSpec` payload to the current schema.
+
+    Fields an older schema still carries are dropped from the base spec
+    and from the parameter grid (as dotted keys), with one deprecation
+    warning. Returns a copy without the ``schema_version`` marker; the
+    input is not mutated.
+    """
+    if not isinstance(payload, dict):
+        return payload
+    payload = dict(payload)
+    version = _pop_schema_version(payload)
+    removed = _removed_since(version)
+    dropped: list[str] = []
+    if isinstance(payload.get("base"), dict):
+        payload["base"] = dict(payload["base"])
+        dropped += _drop_removed_fields(payload["base"], removed)
+    parameters = payload.get("parameters")
+    if isinstance(parameters, dict):
+        keys = {".".join(path) for path in removed}
+        dropped += [key for key in parameters if key in keys]
+        payload["parameters"] = {
+            k: v for k, v in parameters.items() if k not in keys
+        }
+    _warn_dropped(version, dropped)
+    return payload

@@ -71,19 +71,15 @@ def _static_metadata() -> dict:
     }
 
 
-def run_metadata(*, backend: str | None = None) -> dict:
+def run_metadata() -> dict:
     """The environment fingerprint plus the live peak-RSS gauge.
 
     The static fields are cached (the git subprocess runs once per
     process); ``peak_rss_mb`` is re-read every call, so a record
     snapshotted at the end of a run carries that run's memory
-    high-water mark. ``backend`` stamps the array backend that actually
-    executed the run (the *resolved* name — a "numba" spec that fell
-    back records "numpy"); ``None`` means no engine ran under this
-    session. Returns a fresh dict each call — mutate freely.
+    high-water mark. Returns a fresh dict each call — mutate freely.
     """
     return {
         **_static_metadata(),
-        "backend": backend,
         "peak_rss_mb": peak_rss_mb(),
     }

@@ -56,7 +56,6 @@ class Telemetry:
         self.rl_updates: list[dict] = []
         self._include_meta = include_meta
         self._workers = 1
-        self._backend: str | None = None
 
     def span(self, name: str, **fields):
         """Open a phase span (delegates to the tracer)."""
@@ -69,12 +68,6 @@ class Telemetry:
     def set_workers(self, n_workers: int) -> None:
         """Record how many worker processes fed this session's record."""
         self._workers = int(n_workers)
-
-    def set_backend(self, backend: str) -> None:
-        """Record the *resolved* array backend this session's run executed
-        on (part of the ``meta`` run fingerprint — a "numba" spec that
-        fell back to numpy records what actually ran)."""
-        self._backend = str(backend)
 
     # ------------------------------------------------------------------ #
     # Aggregation                                                          #
@@ -115,7 +108,7 @@ class Telemetry:
         if self.rl_updates:
             record["rl"] = list(self.rl_updates)
         if self._include_meta:
-            record["meta"] = run_metadata(backend=self._backend)
+            record["meta"] = run_metadata()
         return record
 
     def summary_lines(self) -> list[str]:

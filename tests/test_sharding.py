@@ -17,6 +17,7 @@ The city-scale contract under test has three legs:
 from __future__ import annotations
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -305,6 +306,13 @@ class TestRunShard:
         np.testing.assert_array_equal(
             result.book.grid_cost[:, :], full_book.grid_cost[idx, :]
         )
+
+    def test_executed_book_survives_pickle(self):
+        """Shard workers pickle their books back to the parent for the
+        merge; a round-tripped book must report the same daily rewards."""
+        book = api.build(base_spec()).execute()
+        clone = pickle.loads(pickle.dumps(book))
+        np.testing.assert_array_equal(clone.daily_rewards(), book.daily_rewards())
 
 
 # --------------------------------------------------------------------- #

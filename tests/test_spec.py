@@ -41,6 +41,7 @@ from repro.spec import (
     spec_from_fleet_flags,
     verify_roundtrips,
 )
+from repro.spec.scenario import SCHEMA_VERSION
 
 #: A tiny heterogeneous scenario reused across tests (fast to run).
 HETERO_SPEC = ScenarioSpec(
@@ -71,7 +72,9 @@ class TestRoundTrip:
     @pytest.mark.parametrize("name", available_presets())
     def test_every_preset_round_trips_through_json(self, name):
         spec = get_preset(name)
-        rebuilt = ScenarioSpec.from_json(json.dumps(spec.to_dict()))
+        payload = spec.to_dict()
+        assert payload["schema_version"] == SCHEMA_VERSION == 2
+        rebuilt = ScenarioSpec.from_json(json.dumps(payload))
         assert rebuilt == spec
 
     def test_verify_roundtrips_reports_all_presets(self):
@@ -86,9 +89,10 @@ class TestRoundTrip:
     def test_save_and_load(self, tmp_path):
         path = tmp_path / "spec.json"
         HETERO_SPEC.save(path)
+        assert json.loads(path.read_text())["schema_version"] == SCHEMA_VERSION
         assert ScenarioSpec.load(path) == HETERO_SPEC
 
-    def test_sweep_round_trips(self):
+    def test_sweep_round_trips(self, tmp_path):
         sweep = SweepSpec(
             base=HETERO_SPEC,
             parameters={"run.seed": (0, 1), "grid.feeder_capacity_kw": (100.0, 50.0)},
@@ -97,6 +101,10 @@ class TestRoundTrip:
             json.loads(json.dumps(sweep.to_dict()))
         )
         assert rebuilt == sweep
+        path = tmp_path / "sweep.json"
+        sweep.save(path)
+        assert json.loads(path.read_text())["schema_version"] == SCHEMA_VERSION
+        assert SweepSpec.load(path) == sweep
 
 
 class TestUnknownKeys:
@@ -117,6 +125,70 @@ class TestUnknownKeys:
         payload["fleet"]["groups"][0]["battery_size"] = 2.0
         with pytest.raises(ConfigError, match="unknown key"):
             ScenarioSpec.from_dict(payload)
+
+
+def v1_payload(spec: ScenarioSpec, backend: str) -> dict:
+    """A spec as schema version 1 saved it: no marker, a run backend."""
+    payload = spec.to_dict()
+    del payload["schema_version"]
+    payload["run"]["backend"] = backend
+    return payload
+
+
+class TestSchemaVersion:
+    @pytest.mark.parametrize("backend", ["numpy", "numba"])
+    def test_v1_backend_is_dropped_with_one_warning(self, backend, capsys):
+        payload = v1_payload(ScenarioSpec(), backend)
+        assert ScenarioSpec.from_dict(payload) == ScenarioSpec()
+        err = capsys.readouterr().err
+        assert err.count("[warning]") == 1
+        assert "schema_version 1 is deprecated" in err
+        assert payload["run"]["backend"] == backend  # input not mutated
+
+    def test_v1_without_backend_loads_silently(self, capsys):
+        payload = ScenarioSpec().to_dict()
+        del payload["schema_version"]
+        assert ScenarioSpec.from_dict(payload) == ScenarioSpec()
+        assert capsys.readouterr().err == ""
+
+    def test_v1_sweep_loads(self, capsys):
+        # The dotted key of the run field schema version 2 removed.
+        removed_key = ".".join(("run", "backend"))
+        payload = {
+            "name": "legacy",
+            "base": v1_payload(HETERO_SPEC, "numba"),
+            "parameters": {"run.seed": [0, 1], removed_key: ["numpy", "numba"]},
+        }
+        sweep = SweepSpec.from_dict(payload)
+        assert sweep == SweepSpec(
+            base=HETERO_SPEC, parameters={"run.seed": (0, 1)}, name="legacy"
+        )
+        assert sweep.n_jobs == 2
+        assert capsys.readouterr().err.count("[warning]") == 1
+
+    def test_future_version_rejected(self):
+        payload = {**ScenarioSpec().to_dict(), "schema_version": 3}
+        with pytest.raises(ConfigError, match="schema_version 3 .* schema_version 2"):
+            ScenarioSpec.from_dict(payload)
+        sweep = {**SweepSpec().to_dict(), "schema_version": 3}
+        with pytest.raises(ConfigError, match="schema_version 3"):
+            SweepSpec.from_dict(sweep)
+
+    @pytest.mark.parametrize("bad", [0, "2", 1.5, True])
+    def test_malformed_version_rejected(self, bad):
+        payload = {**ScenarioSpec().to_dict(), "schema_version": bad}
+        with pytest.raises(ConfigError, match="schema_version"):
+            ScenarioSpec.from_dict(payload)
+
+    def test_current_version_keeps_the_removed_field_unknown(self):
+        payload = v1_payload(ScenarioSpec(), "numpy")
+        payload["schema_version"] = 2
+        with pytest.raises(ConfigError, match="unknown key"):
+            ScenarioSpec.from_dict(payload)
+
+    def test_version_is_not_a_settable_field(self):
+        with pytest.raises(ConfigError, match="unknown key"):
+            ScenarioSpec().with_overrides({"schema_version": 1})
 
 
 class TestValidation:

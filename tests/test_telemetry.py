@@ -219,11 +219,8 @@ class TestRunMetadata:
             "numpy_version",
             "git_commit",
             "ect_perf_relaxed",
-            "backend",
             "peak_rss_mb",
         }
-        assert meta["backend"] is None  # no engine ran under this call
-        assert run_metadata(backend="numpy")["backend"] == "numpy"
         json.dumps(meta)
 
     def test_static_part_cached_live_gauge_fresh(self):
