@@ -543,14 +543,18 @@ def run_sweep(
 
     ``jobs`` selects the executor: ``None`` or ``1`` runs the grid
     serially in-process (the default, byte-identical to always),
-    ``N > 1`` fans the jobs out over ``N`` worker processes
-    (:mod:`repro.parallel`), and ``0`` means one worker per available
-    CPU (the affinity set where the platform reports one). Parallel
-    results are re-ordered by job index and tagged identically, so
-    serial and parallel sweeps produce byte-identical exports.
+    ``N > 1`` fans the jobs out over ``N`` worker processes, capped at
+    the available CPUs (:mod:`repro.parallel`), and ``0`` means one
+    worker per available CPU (the affinity set where the platform
+    reports one). Parallel results are re-ordered by job index and
+    tagged identically, so serial and parallel sweeps produce
+    byte-identical exports.
     ``chunk_size`` sets how many jobs ride in one worker task (default:
     ~4 chunks per worker) — bigger chunks amortise submit overhead and
-    let the per-worker assembly cache hit across same-fleet jobs.
+    let the per-worker assembly cache hit across same-fleet jobs. The
+    serial loop goes through the same one-slot cache
+    (:func:`repro.parallel._cached_assembly`), so consecutive jobs over
+    one fleet synthesize its hubs once.
 
     With a ``telemetry`` session, each job runs under its own
     job-local session (in-process for serial, in-worker for parallel —
@@ -560,7 +564,7 @@ def run_sweep(
     byte-identical between executors; per-job records additionally stay
     on each ``result.telemetry``.
     """
-    from .parallel import resolve_jobs, run_jobs_parallel
+    from .parallel import _cached_assembly, resolve_jobs, run_jobs_parallel
 
     expanded = sweep.jobs()
     n_workers = resolve_jobs(jobs)
@@ -583,6 +587,7 @@ def run_sweep(
                 telemetry=(
                     Telemetry(include_meta=False) if telemetry is not None else None
                 ),
+                assembly=_cached_assembly(job.spec),
             )
             for job in expanded
         ]

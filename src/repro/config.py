@@ -10,6 +10,7 @@ bad config fails at construction, not mid-simulation.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import types
 import typing
@@ -47,12 +48,7 @@ def from_dict(cls: Type[C], payload: dict[str, Any]) -> C:
             f"valid keys: {sorted(field_map)}"
         )
 
-    # Resolve string annotations (PEP 563) so nested dataclasses round-trip.
-    try:
-        hints = typing.get_type_hints(cls)
-    except Exception:  # pragma: no cover - exotic forward references
-        hints = {}
-
+    hints = _type_hints(cls)
     kwargs = {
         name: _convert_field(field_map[name], hints.get(name), value)
         for name, value in payload.items()
@@ -74,11 +70,20 @@ def convert_field_value(cls: type, name: str, value: Any) -> Any:
             f"unknown key {name!r} for {cls.__name__}; "
             f"valid keys: {sorted(field_map)}"
         )
+    return _convert_field(field_map[name], _type_hints(cls).get(name), value)
+
+
+@functools.cache
+def _type_hints(cls: type) -> types.MappingProxyType:
+    """``cls``'s resolved annotations (PEP 563 strings evaluated), read-only.
+
+    Resolving them is most of the cost of parsing a spec, and a class's
+    annotations do not change, so each class is resolved once.
+    """
     try:
-        hints = typing.get_type_hints(cls)
+        return types.MappingProxyType(typing.get_type_hints(cls))
     except Exception:  # pragma: no cover - exotic forward references
-        hints = {}
-    return _convert_field(field_map[name], hints.get(name), value)
+        return types.MappingProxyType({})
 
 
 def _convert_field(field: dataclasses.Field, hint: Any, value: Any) -> Any:

@@ -120,11 +120,19 @@ class BlackoutModel:
         cfg = self.config
         down = np.zeros(n_hours, dtype=bool)
         t = 0
+        # One uniform per slot until an outage starts, then its duration:
+        # draw the rest of the horizon as one block, and on a hit rewind
+        # and redraw only up to it, so the stream ends where a slot-by-slot
+        # loop would leave it.
         while t < n_hours:
-            if rng.random() < cfg.outage_probability_per_hour:
-                duration = int(rng.integers(1, 2 * cfg.recovery_time_h))
-                down[t : t + duration] = True
-                t += duration
-            else:
-                t += 1
+            state = rng.bit_generator.state
+            hits = np.flatnonzero(rng.random(n_hours - t) < cfg.outage_probability_per_hour)
+            if not hits.size:
+                break
+            rng.bit_generator.state = state
+            rng.random(hits[0] + 1)
+            duration = int(rng.integers(1, 2 * cfg.recovery_time_h))
+            t += int(hits[0])
+            down[t : t + duration] = True
+            t += duration
         return down

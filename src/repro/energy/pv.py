@@ -50,10 +50,25 @@ class PvConfig:
         if self.inverter_limit_kw < 0:
             raise ConfigError("inverter_limit_kw must be non-negative")
 
-    @property
-    def clip_kw(self) -> float:
-        """Effective AC output ceiling."""
-        return self.inverter_limit_kw if self.inverter_limit_kw > 0 else self.rated_kw
+
+def pv_power_kw(
+    rated_kw: np.ndarray | float,
+    irradiance_w_m2: np.ndarray | float,
+    config: PvConfig,
+) -> np.ndarray:
+    """AC power of plants that share ``config`` apart from their rating.
+
+    ``rated_kw`` broadcasts against ``irradiance_w_m2``: a ``(n_hubs, 1)``
+    column of ratings over ``(n_hubs, horizon)`` irradiance rows converts
+    a whole fleet at once. The AC clip is ``config.inverter_limit_kw``
+    when set, else each plant's own rating.
+    """
+    ghi = np.asarray(irradiance_w_m2, dtype=float)
+    if ghi.size and ghi.min() < 0:
+        raise ConfigError("irradiance must be non-negative")
+    raw = rated_kw * config.performance_ratio * ghi / config.reference_irradiance_w_m2
+    clip_kw = config.inverter_limit_kw if config.inverter_limit_kw > 0 else rated_kw
+    return np.minimum(raw, clip_kw)
 
 
 class PvArray:
@@ -64,10 +79,5 @@ class PvArray:
 
     def power_kw(self, irradiance_w_m2: np.ndarray | float) -> np.ndarray | float:
         """AC power for the given irradiance (array-friendly)."""
-        ghi = np.asarray(irradiance_w_m2, dtype=float)
-        if ghi.size and ghi.min() < 0:
-            raise ConfigError("irradiance must be non-negative")
-        cfg = self.config
-        raw = cfg.rated_kw * cfg.performance_ratio * ghi / cfg.reference_irradiance_w_m2
-        power = np.minimum(raw, cfg.clip_kw)
+        power = pv_power_kw(self.config.rated_kw, irradiance_w_m2, self.config)
         return power if np.ndim(irradiance_w_m2) else float(power)

@@ -40,6 +40,33 @@ class WindTurbineConfig:
             )
 
 
+def turbine_power_kw(
+    rated_kw: np.ndarray | float,
+    wind_speed_m_s: np.ndarray | float,
+    config: WindTurbineConfig,
+) -> np.ndarray:
+    """Output of turbines that share ``config``'s power curve apart from their rating.
+
+    ``rated_kw`` broadcasts against ``wind_speed_m_s``: a ``(n_hubs, 1)``
+    column of ratings over ``(n_hubs, horizon)`` speed rows converts a
+    whole fleet at once.
+    """
+    speed = np.asarray(wind_speed_m_s, dtype=float)
+    if speed.size and speed.min() < 0:
+        raise ConfigError("wind speed must be non-negative")
+
+    v3 = speed**3
+    ci3 = config.cut_in_m_s**3
+    r3 = config.rated_speed_m_s**3
+    ramp = rated_kw * (v3 - ci3) / (r3 - ci3)
+
+    return np.where(
+        (speed < config.cut_in_m_s) | (speed >= config.cut_out_m_s),
+        0.0,
+        np.where(speed >= config.rated_speed_m_s, rated_kw, np.clip(ramp, 0.0, rated_kw)),
+    )
+
+
 class WindTurbine:
     """A wind turbine producing ``P_WT(t)`` from wind speed."""
 
@@ -48,19 +75,5 @@ class WindTurbine:
 
     def power_kw(self, wind_speed_m_s: np.ndarray | float) -> np.ndarray | float:
         """Power output for the given wind speed (array-friendly)."""
-        speed = np.asarray(wind_speed_m_s, dtype=float)
-        if speed.size and speed.min() < 0:
-            raise ConfigError("wind speed must be non-negative")
-        cfg = self.config
-
-        v3 = speed**3
-        ci3 = cfg.cut_in_m_s**3
-        r3 = cfg.rated_speed_m_s**3
-        ramp = cfg.rated_kw * (v3 - ci3) / (r3 - ci3)
-
-        power = np.where(
-            (speed < cfg.cut_in_m_s) | (speed >= cfg.cut_out_m_s),
-            0.0,
-            np.where(speed >= cfg.rated_speed_m_s, cfg.rated_kw, np.clip(ramp, 0.0, cfg.rated_kw)),
-        )
+        power = turbine_power_kw(self.config.rated_kw, wind_speed_m_s, self.config)
         return power if np.ndim(wind_speed_m_s) else float(power)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import FleetError
-from ..hub.scenario import HubScenario
+from ..hub.scenario import HubScenario, fleet_traces
 from .grid import FeederGroup
 from .inputs import FleetInputs
 from .params import FleetParams
@@ -36,8 +36,10 @@ def fleet_inputs_from_scenarios(
     *,
     outage: np.ndarray | None = None,
 ) -> FleetInputs:
-    """Stack the scenarios' traces once occupancy/discounts are decided.
+    """The scenarios' traces once occupancy/discounts are decided.
 
+    Scenarios compiled from one spec share their trace planes
+    (:func:`~repro.hub.scenario.fleet_traces`); other lists are stacked.
     ``occupied`` / ``discount`` / ``outage`` accept either one row per hub
     (``(n_hubs, horizon)``) or a single shared ``(horizon,)`` trace that is
     broadcast to every hub.
@@ -62,11 +64,12 @@ def fleet_inputs_from_scenarios(
             )
         return arr
 
+    traces = fleet_traces(scenarios)
     return FleetInputs(
-        load_rate=np.stack([s.load_rate for s in scenarios]),
-        rtp_kwh=np.stack([s.rtp_kwh for s in scenarios]),
-        pv_power_kw=np.stack([s.pv_power_kw for s in scenarios]),
-        wt_power_kw=np.stack([s.wt_power_kw for s in scenarios]),
+        load_rate=traces.load_rate,
+        rtp_kwh=traces.rtp_kwh,
+        pv_power_kw=traces.pv_power_kw,
+        wt_power_kw=traces.wt_power_kw,
         occupied=rows(occupied, int),
         discount=rows(discount, float),
         outage=None if outage is None else rows(outage, bool),

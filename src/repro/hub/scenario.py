@@ -11,22 +11,24 @@ loop, and :func:`resolve_occupancy` implements the strata semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from ..config import replace
 from ..errors import ConfigError, DataError
 from ..energy.base_station import BaseStationCluster, BaseStationConfig
 from ..energy.battery import BatteryConfig
 from ..energy.charging_station import ChargingStationConfig
-from ..energy.pv import PvArray, PvConfig
-from ..energy.wind_turbine import WindTurbine, WindTurbineConfig
+from ..energy.pv import PvConfig, pv_power_kw
+from ..energy.wind_turbine import WindTurbineConfig, turbine_power_kw
 from ..rng import RngFactory
 from ..synth.catalog import HubSite, default_fleet
 from ..synth.charging import ChargingBehaviorModel, ChargingConfig, Stratum
 from ..synth.rtp import RtpConfig, RtpGenerator
+from ..synth.solar import irradiance_planes
 from ..synth.traffic import TrafficConfig, TrafficGenerator
-from ..synth.weather import WeatherConfig, WeatherGenerator
+from ..synth.weather import WeatherConfig
+from ..synth.wind import wind_speed_planes
 from .constraints import sized_battery_config
 from .hub import EctHub, HubConfig
 from .simulation import HubInputs, HubSimulation
@@ -54,6 +56,43 @@ class ScenarioConfig:
             raise ConfigError("recovery_time_h must be non-negative")
 
 
+#: The per-slot trace fields of :class:`HubScenario` and :class:`FleetTraces`.
+TRACE_FIELDS = (
+    "load_rate",
+    "rtp_kwh",
+    "pv_power_kw",
+    "wt_power_kw",
+    "irradiance_w_m2",
+    "wind_speed_m_s",
+)
+
+
+@dataclass(frozen=True, eq=False)
+class FleetTraces:
+    """Every hub's exogenous traces as read-only ``(n_hubs, horizon)`` planes.
+
+    Row ``i`` belongs to the ``i``-th site given to
+    :func:`synthesize_traces`; :func:`build_scenario` wires one row into
+    a :class:`HubScenario` as views.
+    """
+
+    load_rate: np.ndarray
+    rtp_kwh: np.ndarray
+    pv_power_kw: np.ndarray
+    wt_power_kw: np.ndarray
+    irradiance_w_m2: np.ndarray
+    wind_speed_m_s: np.ndarray
+
+    @property
+    def n_hubs(self) -> int:
+        """Number of hub rows."""
+        return int(self.load_rate.shape[0])
+
+    def row(self, index: int) -> dict[str, np.ndarray]:
+        """Hub ``index``'s traces as row views, keyed by field name."""
+        return {name: getattr(self, name)[index] for name in TRACE_FIELDS}
+
+
 @dataclass
 class HubScenario:
     """One hub plus all its exogenous traces, ready to simulate."""
@@ -66,16 +105,16 @@ class HubScenario:
     wt_power_kw: np.ndarray
     irradiance_w_m2: np.ndarray
     wind_speed_m_s: np.ndarray
+    #: ``(planes, row)`` when :func:`build_scenario` cut these traces
+    #: from row ``row`` of a :class:`FleetTraces` — what lets
+    #: :func:`fleet_traces` hand the planes back without re-stacking.
+    fleet_row: tuple["FleetTraces", int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         n = len(self.load_rate)
-        for name in (
-            "rtp_kwh",
-            "pv_power_kw",
-            "wt_power_kw",
-            "irradiance_w_m2",
-            "wind_speed_m_s",
-        ):
+        for name in TRACE_FIELDS[1:]:
             if len(getattr(self, name)) != n:
                 raise DataError(f"scenario trace {name} has inconsistent length")
 
@@ -137,47 +176,110 @@ def resolve_occupancy(strata: np.ndarray, discounted: np.ndarray) -> np.ndarray:
     ).astype(int)
 
 
+def synthesize_traces(
+    sites: Sequence[HubSite],
+    config: ScenarioConfig,
+    rng_factory: RngFactory,
+) -> FleetTraces:
+    """Synthesize the exogenous traces of ``sites`` as whole-fleet planes.
+
+    Each hub's rows come from its own named streams
+    (``hub/{id}/weather/solar``, ``hub/{id}/weather/wind``,
+    ``hub/{id}/traffic`` and ``hub/{id}/rtp``), so a hub's traces do not
+    depend on which other hubs are synthesized with it. The parts that do
+    not depend on the hub (clear-sky GHI, the traffic, price and wind
+    diurnal terms, the calendar) are computed once; each AR(1) recursion
+    runs once over the hub axis; ``traffic_scale``, ``pv_kw`` and
+    ``wt_kw`` enter as per-hub columns.
+    """
+    n_hours = config.n_hours
+    names = [f"hub/{site.hub_id}" for site in sites]
+    irradiance, _ = irradiance_planes(
+        n_hours,
+        config.weather.solar,
+        [rng_factory.stream(f"{name}/weather/solar") for name in names],
+    )
+    wind_speed = wind_speed_planes(
+        n_hours,
+        config.weather.wind,
+        [rng_factory.stream(f"{name}/weather/wind") for name in names],
+    )
+    _, load_rate = TrafficGenerator(config.traffic).generate_planes(
+        n_hours,
+        [rng_factory.stream(f"{name}/traffic") for name in names],
+        scale=np.array([site.traffic_scale for site in sites]),
+    )
+    price_mwh = RtpGenerator(config.rtp).generate_planes(
+        n_hours,
+        [rng_factory.stream(f"{name}/rtp") for name in names],
+        load_rate=load_rate,
+    )
+
+    # A hub without a plant produces exactly zero, like the scalar hub.
+    pv_kw = np.array([site.pv_kw for site in sites])[:, None]
+    wt_kw = np.array([site.wt_kw for site in sites])[:, None]
+    pv_power = np.where(pv_kw > 0, pv_power_kw(pv_kw, irradiance, PvConfig()), 0.0)
+    wt_power = np.where(
+        wt_kw > 0, turbine_power_kw(wt_kw, wind_speed, WindTurbineConfig()), 0.0
+    )
+
+    planes = {
+        "load_rate": load_rate,
+        "rtp_kwh": price_mwh / 1000.0,
+        "pv_power_kw": pv_power,
+        "wt_power_kw": wt_power,
+        "irradiance_w_m2": irradiance,
+        "wind_speed_m_s": wind_speed,
+    }
+    for plane in planes.values():
+        plane.setflags(write=False)
+    return FleetTraces(**planes)
+
+
+def fleet_traces(scenarios: Sequence[HubScenario]) -> FleetTraces:
+    """The scenarios' traces as ``(n_hubs, horizon)`` planes.
+
+    Scenarios that :func:`build_scenario` cut from rows ``0..n-1`` of one
+    :class:`FleetTraces`, in that order, give those planes back without a
+    copy; any other sequence is stacked into new planes.
+    """
+    source = scenarios[0].fleet_row if scenarios else None
+    if source is not None:
+        planes = source[0]
+        if planes.n_hubs == len(scenarios) and all(
+            s.fleet_row is not None and s.fleet_row[0] is planes and s.fleet_row[1] == i
+            for i, s in enumerate(scenarios)
+        ):
+            return planes
+    return FleetTraces(
+        **{
+            name: np.stack([getattr(s, name) for s in scenarios])
+            for name in TRACE_FIELDS
+        }
+    )
+
+
 def build_scenario(
     site: HubSite,
     config: ScenarioConfig,
     rng_factory: RngFactory,
+    *,
+    traces: tuple[FleetTraces, int] | None = None,
 ) -> HubScenario:
-    """Generate one hub's scenario: traces, plants, and a sized battery."""
-    stream = f"hub/{site.hub_id}"
+    """One hub's scenario: traces, plants, and a sized battery.
 
-    weather_gen = WeatherGenerator(config.weather, rng_factory)
-    weather = weather_gen.generate(config.n_hours, stream=f"{stream}/weather")
-
-    traffic_cfg = replace(
-        config.traffic,
-        base_gb=config.traffic.base_gb * site.traffic_scale,
-        midday_peak_gb=config.traffic.midday_peak_gb * site.traffic_scale,
-        evening_peak_gb=config.traffic.evening_peak_gb * site.traffic_scale,
-    )
-    traffic = TrafficGenerator(traffic_cfg).generate(
-        config.n_hours, rng_factory.stream(f"{stream}/traffic")
-    )
-    prices = RtpGenerator(config.rtp).generate(
-        config.n_hours,
-        rng_factory.stream(f"{stream}/rtp"),
-        load_rate=traffic.load_rate,
-    )
+    ``traces`` is ``(planes, row)``: this hub's traces are row ``row`` of
+    planes :func:`synthesize_traces` already made for the whole fleet.
+    Without it the hub is synthesized here as a fleet of one.
+    """
+    if traces is None:
+        traces = (synthesize_traces([site], config, rng_factory), 0)
+    planes, row = traces
 
     pv_config = PvConfig(rated_kw=site.pv_kw) if site.pv_kw > 0 else None
     wt_config = (
         WindTurbineConfig(rated_kw=site.wt_kw) if site.wt_kw > 0 else None
     )
-    pv_power = (
-        np.asarray(PvArray(pv_config).power_kw(weather.irradiance_w_m2))
-        if pv_config is not None
-        else np.zeros(config.n_hours)
-    )
-    wt_power = (
-        np.asarray(WindTurbine(wt_config).power_kw(weather.wind_speed_m_s))
-        if wt_config is not None
-        else np.zeros(config.n_hours)
-    )
-
     cluster = BaseStationCluster(site.n_base_stations, config.base_station)
     battery = sized_battery_config(
         config.battery, cluster, config.recovery_time_h
@@ -192,16 +294,9 @@ def build_scenario(
         wind_turbine=wt_config,
         c_bp_per_slot=config.c_bp_per_slot,
     )
-    return HubScenario(
-        site=site,
-        hub_config=hub_config,
-        load_rate=traffic.load_rate,
-        rtp_kwh=prices.price_kwh,
-        pv_power_kw=pv_power,
-        wt_power_kw=wt_power,
-        irradiance_w_m2=weather.irradiance_w_m2,
-        wind_speed_m_s=weather.wind_speed_m_s,
-    )
+    scenario = HubScenario(site=site, hub_config=hub_config, **planes.row(row))
+    scenario.fleet_row = traces
+    return scenario
 
 
 def build_fleet_scenarios(
@@ -216,7 +311,11 @@ def build_fleet_scenarios(
         n_hubs if n_hubs is not None else config.charging.n_stations,
         rng_factory=factory,
     )
-    return [build_scenario(site, config, factory) for site in sites]
+    planes = synthesize_traces(sites, config, factory)
+    return [
+        build_scenario(site, config, factory, traces=(planes, row))
+        for row, site in enumerate(sites)
+    ]
 
 
 def fleet_behavior_model(

@@ -130,21 +130,25 @@ def resolve_chunk_size(
 
 
 #: One-slot per-process assembly cache: (fingerprint, FleetAssembly).
-#: Lives at module scope so it survives across tasks on one pool worker.
+#: Lives at module scope so it survives across tasks on one pool worker
+#: and across the jobs of a serial sweep.
 _WORKER_ASSEMBLY: tuple[str, object] | None = None
 
 
 def _cached_assembly(spec):
-    """This worker's :class:`FleetAssembly` for ``spec``, reusing the last
+    """This process's :class:`FleetAssembly` for ``spec``, reusing the last
     one when the spec's fleet/grid/blackout fingerprint matches.
 
     A hit skips trace synthesis *and* keeps the realized-strata cache
     warm (``build`` rebinds the assembly to the new spec), which is what
     makes scheduler/pricing sweeps over one fleet cheap per extra job.
+    Sharded specs get ``None``: their shards assemble their own hubs.
     """
     global _WORKER_ASSEMBLY
     from .spec.compiler import _assemble_fleet, assembly_fingerprint
 
+    if spec.run.shards > 1:
+        return None
     fingerprint = assembly_fingerprint(spec)
     if _WORKER_ASSEMBLY is None or _WORKER_ASSEMBLY[0] != fingerprint:
         _WORKER_ASSEMBLY = (fingerprint, _assemble_fleet(spec))
@@ -209,14 +213,18 @@ def run_jobs_parallel(
 
     The caller (``api.run_sweep``) expands the grid once and tags the
     returned results, so serial and parallel sweeps share one code path
-    for everything except the executor. Jobs are submitted as contiguous
-    chunks (:func:`resolve_chunk_size`); within a chunk they run in grid
-    order, which is also what lets the worker-side assembly cache hit.
+    for everything except the executor. At most one worker per available
+    CPU is started, whatever ``n_workers`` asks for. Jobs are submitted
+    as contiguous chunks (:func:`resolve_chunk_size`); within a chunk
+    they run in grid order, which is also what lets the worker-side
+    assembly cache hit.
     """
     if not expanded:
         return []
     results: list[ExperimentResult | None] = [None] * len(expanded)
-    workers = min(n_workers, len(expanded))
+    # More processes than CPUs only adds forks and time-slicing: the
+    # jobs are CPU-bound, and the results do not depend on the count.
+    workers = min(n_workers, len(expanded), _available_cpus())
     size = resolve_chunk_size(chunk_size, len(expanded), workers)
     chunks = [expanded[i : i + size] for i in range(0, len(expanded), size)]
     log.debug(

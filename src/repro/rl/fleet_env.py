@@ -44,7 +44,7 @@ from ..fleet.grid import FeederGroup
 from ..fleet.inputs import FleetInputs
 from ..fleet.params import FleetParams
 from ..fleet.simulation import FleetSimulation
-from ..hub.scenario import HubScenario, resolve_occupancy
+from ..hub.scenario import HubScenario, fleet_traces, resolve_occupancy
 from ..synth.charging import ChargingBehaviorModel
 from ..units import HOURS_PER_DAY
 from .env import ACTION_TO_SBP, N_ACTIONS, EnvConfig
@@ -158,17 +158,14 @@ class FleetEnv:
         )
         # Full-horizon trace blocks: raw rows feed episode FleetInputs;
         # the Eq. 24 observation planes carry the scalar env's scalings.
-        self._load_rate = np.stack([s.load_rate for s in self.scenarios])
-        self._rtp_kwh = np.stack([s.rtp_kwh for s in self.scenarios])
-        self._pv_kw = np.stack([s.pv_power_kw for s in self.scenarios])
-        self._wt_kw = np.stack([s.wt_power_kw for s in self.scenarios])
+        traces = fleet_traces(self.scenarios)
+        self._load_rate = traces.load_rate
+        self._rtp_kwh = traces.rtp_kwh
+        self._pv_kw = traces.pv_power_kw
+        self._wt_kw = traces.wt_power_kw
         self._obs_rtp = self._rtp_kwh / 0.1  # ≈$0.1/kWh scale
-        self._obs_irr = (
-            np.stack([s.irradiance_w_m2 for s in self.scenarios]) / 1000.0
-        )
-        self._obs_wind = (
-            np.stack([s.wind_speed_m_s for s in self.scenarios]) / 25.0
-        )
+        self._obs_irr = traces.irradiance_w_m2 / 1000.0
+        self._obs_wind = traces.wind_speed_m_s / 25.0
         self._sim: FleetSimulation | None = None
         self._start = 0
         self._obs_srtp: np.ndarray | None = None

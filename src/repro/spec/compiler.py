@@ -30,6 +30,7 @@ from ..hub.scenario import (
     ScenarioConfig,
     build_scenario,
     resolve_occupancy,
+    synthesize_traces,
 )
 from ..rng import RngFactory
 from ..synth.catalog import HubSite, default_fleet
@@ -324,15 +325,18 @@ def assembly_fingerprint(spec: ScenarioSpec) -> str:
 
     Two specs with equal fingerprints produce bit-identical
     :class:`FleetAssembly` pieces (sites, traces, strata, outages,
-    feeders) — scheduler/pricing/rl differences don't re-assemble. The
-    sweep executor keys its per-worker assembly cache on this.
+    feeder topology) — scheduler/pricing/rl differences don't
+    re-assemble, and neither does ``grid.allocation``, which
+    :func:`build` sets on the feeders of a reused assembly. The sweep
+    executor keys its per-process assembly cache on this.
     """
     payload = spec.to_dict()
     run = payload["run"]
+    grid = {key: value for key, value in payload["grid"].items() if key != "allocation"}
     return json.dumps(
         {
             "fleet": payload["fleet"],
-            "grid": payload["grid"],
+            "grid": grid,
             "blackout": payload["blackout"],
             "run": {key: run[key] for key in ("days", "seed", "scale")},
         },
@@ -383,9 +387,17 @@ def _assemble_fleet(
         # increasing, in range) as it restricts the feeder topology.
         feeders, _ = feeders.subgroup(idx)
         selected = [(sites[i], per_hub[i]) for i in idx]
+    # Traces depend only on the shared config and the site, never on the
+    # group's battery/cost overrides, so one plane pass serves every hub.
+    planes = synthesize_traces([site for site, _ in selected], base_config, factory)
     scenarios = [
-        build_scenario(site, _hub_config_for(base_config, group), factory)
-        for site, group in selected
+        build_scenario(
+            site,
+            _hub_config_for(base_config, group),
+            factory,
+            traces=(planes, row),
+        )
+        for row, (site, group) in enumerate(selected)
     ]
 
     # Strata scales index by *global* station id inside the behavior
@@ -455,9 +467,10 @@ def build(
     ``assembly`` reuses a previously built :class:`FleetAssembly` instead
     of re-synthesising traces — the sweep workers' cache seam. The
     assembly must come from a spec with the same
-    :func:`assembly_fingerprint` (scheduler/pricing/run-policy knobs may
-    differ; fleet/grid/blackout and run days/seed/scale may not) or a
-    :class:`ConfigError` is raised. The cached strata survive the rebind,
+    :func:`assembly_fingerprint` (scheduler/pricing/run-policy knobs and
+    the feeder allocation policy may differ; fleet/grid topology/blackout
+    and run days/seed/scale may not) or a :class:`ConfigError` is raised.
+    The cached strata survive the rebind,
     so re-pricing sweeps skip both trace synthesis and the strata draw.
     """
     if assembly is None:
@@ -468,10 +481,15 @@ def build(
                 "cached assembly does not match this spec's "
                 "fleet/grid/blackout/run sections"
             )
-        rebound = dataclasses.replace(assembly, spec=spec)
+        rebound = dataclasses.replace(
+            assembly,
+            spec=spec,
+            feeders=dataclasses.replace(assembly.feeders, policy=spec.grid.allocation),
+        )
         # dataclasses.replace re-inits, resetting the init=False strata
         # cache — carry it over; it's discount-independent by design.
-        rebound._strata = assembly._strata
+        # Realizing it on the reused assembly keeps it for the next job.
+        rebound._strata = assembly.realize_strata()
         assembly = rebound
     run = spec.run
     scenarios = assembly.scenarios

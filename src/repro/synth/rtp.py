@@ -6,19 +6,20 @@ The paper's Fig. 5 shows a 96-hour ENGIE real-time price trace in the
 a base diurnal curve plus a coupling term driven by the (normalised) system
 load, plus AR(1) noise and occasional scarcity spikes.
 
-Prices are generated in $/MWh to match the feed convention and converted to
-the library's internal $/kWh via :func:`repro.units.mwh_price_to_kwh`.
+Prices are generated in $/MWh to match the feed convention;
+:attr:`PriceTrace.price_kwh` gives the library's internal $/kWh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import ConfigError, DataError
 from ..timeutils import SlotCalendar, diurnal_harmonic
-from ..units import mwh_price_to_kwh
+from .noise import ar1_rows, normal_rows
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,60 @@ class RtpGenerator:
         self.config = config or RtpConfig()
         self.calendar = calendar or SlotCalendar()
 
+    def generate_planes(
+        self,
+        n_hours: int,
+        rngs: Sequence[np.random.Generator],
+        *,
+        load_rate: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Prices in $/MWh, one ``(len(rngs), n_hours)`` row per stream.
+
+        ``load_rate`` is the matching ``(len(rngs), n_hours)`` load plane
+        (see :meth:`generate`). The diurnal term is computed once for all
+        rows.
+        """
+        if n_hours < 0:
+            raise ConfigError(f"n_hours must be non-negative, got {n_hours}")
+        cfg = self.config
+        n_rows = len(rngs)
+        hod = np.asarray(self.calendar.hour_of_day(np.arange(n_hours)), dtype=float)
+
+        price = cfg.base_price_mwh + cfg.diurnal_amplitude_mwh * diurnal_harmonic(
+            hod, cfg.peak_hour, sharpness=2.0
+        )
+
+        if load_rate is not None:
+            load = np.asarray(load_rate, dtype=float)
+            if load.shape != (n_rows, n_hours):
+                raise DataError(
+                    f"load_rate shape {load.shape} does not match "
+                    f"{n_rows} rows x n_hours={n_hours}"
+                )
+            price = price + cfg.load_coupling_mwh * np.clip(load, 0.0, 1.0)
+
+        innovation_std = cfg.noise_volatility_mwh * np.sqrt(
+            max(1.0 - cfg.noise_persistence**2, 1e-9)
+        )
+        noise = ar1_rows(
+            normal_rows(rngs, innovation_std, n_hours),
+            cfg.noise_persistence,
+            np.zeros(n_rows),
+        )
+        price = price + noise
+
+        # Each stream draws its spike mask before its spike sizes.
+        spikes = (
+            np.array([rng.random(n_hours) for rng in rngs]).reshape(n_rows, n_hours)
+            < cfg.spike_probability
+        )
+        sizes = np.array(
+            [rng.exponential(cfg.spike_scale_mwh, size=n_hours) for rng in rngs]
+        ).reshape(n_rows, n_hours)
+        price = price + spikes * sizes
+
+        return np.clip(price, cfg.price_floor_mwh, cfg.price_cap_mwh)
+
     def generate(
         self,
         n_hours: int,
@@ -124,41 +179,7 @@ class RtpGenerator:
         :class:`~repro.synth.traffic.TrafficTrace`) adds the load-coupled
         component; omit it for a purely diurnal price.
         """
-        if n_hours < 0:
-            raise ConfigError(f"n_hours must be non-negative, got {n_hours}")
-        cfg = self.config
-        slots = np.arange(n_hours)
-        hod = np.asarray(self.calendar.hour_of_day(slots), dtype=float)
-
-        price = cfg.base_price_mwh + cfg.diurnal_amplitude_mwh * diurnal_harmonic(
-            hod, cfg.peak_hour, sharpness=2.0
-        )
-
         if load_rate is not None:
-            load = np.asarray(load_rate, dtype=float)
-            if load.shape != (n_hours,):
-                raise DataError(
-                    f"load_rate shape {load.shape} does not match n_hours={n_hours}"
-                )
-            price = price + cfg.load_coupling_mwh * np.clip(load, 0.0, 1.0)
-
-        noise = np.empty(n_hours)
-        state = 0.0
-        innovation_std = cfg.noise_volatility_mwh * np.sqrt(
-            max(1.0 - cfg.noise_persistence**2, 1e-9)
-        )
-        for t in range(n_hours):
-            state = cfg.noise_persistence * state + rng.normal(0.0, innovation_std)
-            noise[t] = state
-        price = price + noise
-
-        spikes = rng.random(n_hours) < cfg.spike_probability
-        price = price + spikes * rng.exponential(cfg.spike_scale_mwh, size=n_hours)
-
-        price = np.clip(price, cfg.price_floor_mwh, cfg.price_cap_mwh)
-        return PriceTrace(price_mwh=price)
-
-
-def price_to_internal(trace: PriceTrace) -> np.ndarray:
-    """Convert a trace to $/kWh using the shared units helper."""
-    return np.array([mwh_price_to_kwh(p) for p in trace.price_mwh])
+            load_rate = np.asarray(load_rate, dtype=float)[None]
+        prices = self.generate_planes(n_hours, [rng], load_rate=load_rate)
+        return PriceTrace(price_mwh=prices[0])

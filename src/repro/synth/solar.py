@@ -18,12 +18,14 @@ renewable volatility).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..timeutils import DAYS_PER_YEAR, SlotCalendar
 from ..units import HOURS_PER_DAY
+from .noise import normal_rows
 
 
 @dataclass(frozen=True)
@@ -93,29 +95,53 @@ def clear_sky_ghi(
     return config.clear_sky_peak_w_m2 * sin_el**1.15
 
 
-def cloud_cover_process(
+def cloud_cover_planes(
     n_hours: int,
     config: SolarConfig,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """AR(1) cloud cover trajectory clipped to [0, 1]."""
+    """AR(1) cloud cover clipped to [0, 1], one row per stream.
+
+    Returns a ``(len(rngs), n_hours)`` plane; the recursion runs once
+    over all rows.
+    """
     if n_hours < 0:
         raise ConfigError(f"n_hours must be non-negative, got {n_hours}")
-    cover = np.empty(n_hours)
-    state = config.mean_cloud_cover
+    noise = normal_rows(rngs, config.cloud_volatility, n_hours)
+    mean = config.mean_cloud_cover
     phi = config.cloud_persistence
-    for t in range(n_hours):
-        noise = rng.normal(0.0, config.cloud_volatility)
-        state = config.mean_cloud_cover + phi * (state - config.mean_cloud_cover) + noise
-        state = float(np.clip(state, 0.0, 1.0))
+    state = np.full(len(rngs), mean)
+    cover = np.empty((n_hours, len(rngs)))
+    for t, innovation in enumerate(noise.T):
+        state = np.clip(mean + phi * (state - mean) + innovation, 0.0, 1.0)
         cover[t] = state
-    return cover
+    return np.ascontiguousarray(cover.T)
 
 
 def cloud_transmittance(cloud_cover: np.ndarray) -> np.ndarray:
     """Kasten–Czeplak transmittance ``1 − 0.75 c³``."""
     cover = np.clip(np.asarray(cloud_cover, dtype=float), 0.0, 1.0)
     return 1.0 - 0.75 * cover**3
+
+
+def irradiance_planes(
+    n_hours: int,
+    config: SolarConfig,
+    rngs: Sequence[np.random.Generator],
+    *,
+    calendar: SlotCalendar | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """GHI in W/m² plus cloud cover, one ``(len(rngs), n_hours)`` row per stream.
+
+    The clear-sky curve is computed once and shared by every row.
+    """
+    calendar = calendar or SlotCalendar()
+    slots = np.arange(n_hours)
+    clear = clear_sky_ghi(
+        calendar.day_of_year(slots), calendar.hour_of_day(slots), config
+    )
+    cover = cloud_cover_planes(n_hours, config, rngs)
+    return clear * cloud_transmittance(cover), cover
 
 
 def generate_irradiance(
@@ -129,13 +155,8 @@ def generate_irradiance(
 
     Returns ``(ghi_w_m2, cloud_cover)``, both of length ``n_hours``.
     """
-    calendar = calendar or SlotCalendar()
-    slots = np.arange(n_hours)
-    doy = calendar.day_of_year(slots)
-    hod = calendar.hour_of_day(slots)
-    clear = clear_sky_ghi(doy, hod, config)
-    cover = cloud_cover_process(n_hours, config, rng)
-    return clear * cloud_transmittance(cover), cover
+    ghi, cover = irradiance_planes(n_hours, config, [rng], calendar=calendar)
+    return ghi[0], cover[0]
 
 
 def daylight_hours_mask(

@@ -17,11 +17,13 @@ against a configurable fleet capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import ConfigError, DataError
 from ..timeutils import SlotCalendar, diurnal_harmonic
+from .noise import ar1_rows, normal_rows
 
 
 @dataclass(frozen=True)
@@ -110,34 +112,58 @@ class TrafficGenerator:
         self.config = config or TrafficConfig()
         self.calendar = calendar or SlotCalendar()
 
-    def expected_profile(self, n_hours: int) -> np.ndarray:
-        """Noise-free expected traffic (GB/h) — the deterministic backbone."""
+    def _profile_rows(self, n_hours: int, scale: np.ndarray) -> np.ndarray:
+        """Expected traffic (GB/h) with every peak scaled per row by ``scale``."""
         cfg = self.config
         slots = np.arange(n_hours)
         hod = np.asarray(self.calendar.hour_of_day(slots), dtype=float)
+        scale = np.asarray(scale, dtype=float)[:, None]
         profile = (
-            cfg.base_gb
-            + cfg.midday_peak_gb * diurnal_harmonic(hod, cfg.midday_peak_hour, sharpness=3.0)
-            + cfg.evening_peak_gb * diurnal_harmonic(hod, cfg.evening_peak_hour, sharpness=2.0)
+            cfg.base_gb * scale
+            + (cfg.midday_peak_gb * scale)
+            * diurnal_harmonic(hod, cfg.midday_peak_hour, sharpness=3.0)
+            + (cfg.evening_peak_gb * scale)
+            * diurnal_harmonic(hod, cfg.evening_peak_hour, sharpness=2.0)
         )
         weekend = np.asarray(self.calendar.is_weekend(slots))
         return np.where(weekend, profile * cfg.weekend_factor, profile)
 
-    def generate(self, n_hours: int, rng: np.random.Generator) -> TrafficTrace:
-        """Expected profile with multiplicative AR(1) noise, mapped to load."""
+    def expected_profile(self, n_hours: int) -> np.ndarray:
+        """Noise-free expected traffic (GB/h) — the deterministic backbone."""
+        return self._profile_rows(n_hours, np.ones(1))[0]
+
+    def generate_planes(
+        self,
+        n_hours: int,
+        rngs: Sequence[np.random.Generator],
+        *,
+        scale: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(volume_gb, load_rate)`` planes, one ``(len(rngs), n_hours)`` row per stream.
+
+        ``scale`` multiplies each row's base level and peaks (a hub's
+        ``traffic_scale``; default 1). The diurnal harmonics and the
+        calendar are computed once for all rows.
+        """
         if n_hours < 0:
             raise ConfigError(f"n_hours must be non-negative, got {n_hours}")
         cfg = self.config
-        profile = self.expected_profile(n_hours)
-
-        noise = np.empty(n_hours)
-        state = 0.0
+        profile = self._profile_rows(
+            n_hours, np.ones(len(rngs)) if scale is None else scale
+        )
         innovation_std = cfg.noise_volatility * np.sqrt(
             max(1.0 - cfg.noise_persistence**2, 1e-9)
         )
-        for t in range(n_hours):
-            state = cfg.noise_persistence * state + rng.normal(0.0, innovation_std)
-            noise[t] = state
+        noise = ar1_rows(
+            normal_rows(rngs, innovation_std, n_hours),
+            cfg.noise_persistence,
+            np.zeros(len(rngs)),
+        )
         volume = np.maximum(profile * np.exp(noise), 0.0)
         load = np.clip(volume / cfg.capacity_gb, 0.0, 1.0)
-        return TrafficTrace(volume_gb=volume, load_rate=load)
+        return volume, load
+
+    def generate(self, n_hours: int, rng: np.random.Generator) -> TrafficTrace:
+        """Expected profile with multiplicative AR(1) noise, mapped to load."""
+        volume, load = self.generate_planes(n_hours, [rng])
+        return TrafficTrace(volume_gb=volume[0], load_rate=load[0])

@@ -14,12 +14,14 @@ stations) is applied multiplicatively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import special
 
 from ..errors import ConfigError
 from ..timeutils import SlotCalendar
+from .noise import ar1_rows, normal_rows
 
 
 @dataclass(frozen=True)
@@ -66,15 +68,42 @@ class WindConfig:
             )
 
 
-def _gaussian_ar1(n: int, phi: float, rng: np.random.Generator) -> np.ndarray:
-    """Stationary unit-variance Gaussian AR(1) series."""
-    series = np.empty(n)
-    innovation_std = np.sqrt(1.0 - phi**2)
-    state = rng.normal(0.0, 1.0)
-    for t in range(n):
-        state = phi * state + rng.normal(0.0, innovation_std)
-        series[t] = state
-    return series
+def _gaussian_ar1(
+    n: int, phi: float, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """Stationary unit-variance Gaussian AR(1) series, one row per stream."""
+    initial = np.array([rng.normal(0.0, 1.0) for rng in rngs])
+    noise = normal_rows(rngs, np.sqrt(1.0 - phi**2), n)
+    return ar1_rows(noise, phi, initial)
+
+
+def wind_speed_planes(
+    n_hours: int,
+    config: WindConfig,
+    rngs: Sequence[np.random.Generator],
+    *,
+    calendar: SlotCalendar | None = None,
+) -> np.ndarray:
+    """Wind speed in m/s, one ``(len(rngs), n_hours)`` row per stream.
+
+    The diurnal modulation is computed once and shared by every row.
+    """
+    if n_hours < 0:
+        raise ConfigError(f"n_hours must be non-negative, got {n_hours}")
+    if n_hours == 0:
+        return np.empty((len(rngs), 0))
+    calendar = calendar or SlotCalendar()
+
+    gaussian = _gaussian_ar1(n_hours, config.persistence, rngs)
+    # Probability-integral transform: Gaussian -> uniform -> Weibull marginal.
+    uniform = np.clip(special.ndtr(gaussian), 1e-12, 1.0 - 1e-12)
+    speeds = config.weibull_scale_m_s * (-np.log1p(-uniform)) ** (1.0 / config.weibull_shape)
+
+    if config.diurnal_amplitude > 0.0:
+        hod = np.asarray(calendar.hour_of_day(np.arange(n_hours)), dtype=float)
+        phase = 2.0 * np.pi * (hod - config.diurnal_peak_hour) / 24.0
+        speeds = speeds * (1.0 + config.diurnal_amplitude * np.cos(phase))
+    return np.maximum(speeds, 0.0)
 
 
 def generate_wind_speed(
@@ -85,22 +114,7 @@ def generate_wind_speed(
     calendar: SlotCalendar | None = None,
 ) -> np.ndarray:
     """Hourly wind-speed trace in m/s of length ``n_hours``."""
-    if n_hours < 0:
-        raise ConfigError(f"n_hours must be non-negative, got {n_hours}")
-    if n_hours == 0:
-        return np.empty(0)
-    calendar = calendar or SlotCalendar()
-
-    gaussian = _gaussian_ar1(n_hours, config.persistence, rng)
-    # Probability-integral transform: Gaussian -> uniform -> Weibull marginal.
-    uniform = np.clip(special.ndtr(gaussian), 1e-12, 1.0 - 1e-12)
-    speeds = config.weibull_scale_m_s * (-np.log1p(-uniform)) ** (1.0 / config.weibull_shape)
-
-    if config.diurnal_amplitude > 0.0:
-        hod = np.asarray(calendar.hour_of_day(np.arange(n_hours)), dtype=float)
-        phase = 2.0 * np.pi * (hod - config.diurnal_peak_hour) / 24.0
-        speeds = speeds * (1.0 + config.diurnal_amplitude * np.cos(phase))
-    return np.maximum(speeds, 0.0)
+    return wind_speed_planes(n_hours, config, [rng], calendar=calendar)[0]
 
 
 def weibull_mean(config: WindConfig) -> float:

@@ -1,0 +1,490 @@
+"""Whole-fleet trace synthesis against frozen slot-by-slot oracles.
+
+The ``oracle_*`` functions below are the per-slot generator loops the
+plane synthesizer replaced, kept verbatim as the reference: one scalar
+draw per slot, one hub at a time. Every plane row must equal its oracle
+exactly (``np.array_equal``), and every stream must be left in the same
+state, so exports stay byte-identical. The comparison runs on the host
+executing the tests; no digests are stored.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+from scipy import special
+
+from repro import api, parallel
+from repro.energy.grid import BlackoutConfig, BlackoutModel
+from repro.hub import scenario as hub_scenario
+from repro.hub.scenario import (
+    TRACE_FIELDS,
+    ScenarioConfig,
+    build_fleet_scenarios,
+    build_scenario,
+    fleet_traces,
+    synthesize_traces,
+)
+from repro.rng import RngFactory
+from repro.spec import SweepSpec
+from repro.spec.compiler import _assemble_fleet, spec_from_fleet_flags
+from repro.synth.catalog import default_fleet
+from repro.synth.rtp import RtpConfig, RtpGenerator
+from repro.synth.solar import (
+    SolarConfig,
+    clear_sky_ghi,
+    cloud_cover_planes,
+    cloud_transmittance,
+    generate_irradiance,
+)
+from repro.synth.traffic import TrafficConfig, TrafficGenerator
+from repro.synth.wind import WindConfig, generate_wind_speed, wind_speed_planes
+from repro.timeutils import SlotCalendar, diurnal_harmonic
+
+SEEDS = (0, 7, 1234)
+
+
+# --------------------------------------------------------------------- #
+# Frozen oracles: the per-slot loops, one hub at a time                  #
+# --------------------------------------------------------------------- #
+
+
+def oracle_cloud(n_hours, config, rng):
+    cover = np.empty(n_hours)
+    state = config.mean_cloud_cover
+    phi = config.cloud_persistence
+    for t in range(n_hours):
+        noise = rng.normal(0.0, config.cloud_volatility)
+        state = config.mean_cloud_cover + phi * (state - config.mean_cloud_cover) + noise
+        state = float(np.clip(state, 0.0, 1.0))
+        cover[t] = state
+    return cover
+
+
+def oracle_irradiance(n_hours, config, rng, calendar=SlotCalendar()):
+    slots = np.arange(n_hours)
+    clear = clear_sky_ghi(calendar.day_of_year(slots), calendar.hour_of_day(slots), config)
+    cover = oracle_cloud(n_hours, config, rng)
+    return clear * cloud_transmittance(cover), cover
+
+
+def oracle_gaussian_ar1(n, phi, rng):
+    series = np.empty(n)
+    innovation_std = np.sqrt(1.0 - phi**2)
+    state = rng.normal(0.0, 1.0)
+    for t in range(n):
+        state = phi * state + rng.normal(0.0, innovation_std)
+        series[t] = state
+    return series
+
+
+def oracle_wind(n_hours, config, rng, calendar=SlotCalendar()):
+    if n_hours == 0:
+        return np.empty(0)
+    gaussian = oracle_gaussian_ar1(n_hours, config.persistence, rng)
+    uniform = np.clip(special.ndtr(gaussian), 1e-12, 1.0 - 1e-12)
+    speeds = config.weibull_scale_m_s * (-np.log1p(-uniform)) ** (1.0 / config.weibull_shape)
+    if config.diurnal_amplitude > 0.0:
+        hod = np.asarray(calendar.hour_of_day(np.arange(n_hours)), dtype=float)
+        phase = 2.0 * np.pi * (hod - config.diurnal_peak_hour) / 24.0
+        speeds = speeds * (1.0 + config.diurnal_amplitude * np.cos(phase))
+    return np.maximum(speeds, 0.0)
+
+
+def oracle_traffic(n_hours, cfg, rng, calendar=SlotCalendar()):
+    slots = np.arange(n_hours)
+    hod = np.asarray(calendar.hour_of_day(slots), dtype=float)
+    profile = (
+        cfg.base_gb
+        + cfg.midday_peak_gb * diurnal_harmonic(hod, cfg.midday_peak_hour, sharpness=3.0)
+        + cfg.evening_peak_gb * diurnal_harmonic(hod, cfg.evening_peak_hour, sharpness=2.0)
+    )
+    weekend = np.asarray(calendar.is_weekend(slots))
+    profile = np.where(weekend, profile * cfg.weekend_factor, profile)
+    noise = np.empty(n_hours)
+    state = 0.0
+    innovation_std = cfg.noise_volatility * np.sqrt(
+        max(1.0 - cfg.noise_persistence**2, 1e-9)
+    )
+    for t in range(n_hours):
+        state = cfg.noise_persistence * state + rng.normal(0.0, innovation_std)
+        noise[t] = state
+    volume = np.maximum(profile * np.exp(noise), 0.0)
+    return volume, np.clip(volume / cfg.capacity_gb, 0.0, 1.0)
+
+
+def oracle_rtp(n_hours, cfg, rng, load_rate=None, calendar=SlotCalendar()):
+    hod = np.asarray(calendar.hour_of_day(np.arange(n_hours)), dtype=float)
+    price = cfg.base_price_mwh + cfg.diurnal_amplitude_mwh * diurnal_harmonic(
+        hod, cfg.peak_hour, sharpness=2.0
+    )
+    if load_rate is not None:
+        price = price + cfg.load_coupling_mwh * np.clip(load_rate, 0.0, 1.0)
+    noise = np.empty(n_hours)
+    state = 0.0
+    innovation_std = cfg.noise_volatility_mwh * np.sqrt(
+        max(1.0 - cfg.noise_persistence**2, 1e-9)
+    )
+    for t in range(n_hours):
+        state = cfg.noise_persistence * state + rng.normal(0.0, innovation_std)
+        noise[t] = state
+    price = price + noise
+    spikes = rng.random(n_hours) < cfg.spike_probability
+    price = price + spikes * rng.exponential(cfg.spike_scale_mwh, size=n_hours)
+    return np.clip(price, cfg.price_floor_mwh, cfg.price_cap_mwh)
+
+
+def oracle_outages(n_hours, probability, recovery_time_h, rng):
+    down = np.zeros(n_hours, dtype=bool)
+    t = 0
+    while t < n_hours:
+        if rng.random() < probability:
+            duration = int(rng.integers(1, 2 * recovery_time_h))
+            down[t : t + duration] = True
+            t += duration
+        else:
+            t += 1
+    return down
+
+
+def oracle_pv(rated_kw, ghi, performance_ratio=0.8, reference=1000.0):
+    raw = rated_kw * performance_ratio * ghi / reference
+    return np.minimum(raw, rated_kw)
+
+
+def oracle_wt(rated_kw, speed, cut_in=3.0, rated_speed=12.0, cut_out=25.0):
+    v3 = speed**3
+    ramp = rated_kw * (v3 - cut_in**3) / (rated_speed**3 - cut_in**3)
+    return np.where(
+        (speed < cut_in) | (speed >= cut_out),
+        0.0,
+        np.where(speed >= rated_speed, rated_kw, np.clip(ramp, 0.0, rated_kw)),
+    )
+
+
+def oracle_hub_traces(site, config, factory):
+    """One hub's six traces exactly as the per-hub builder made them."""
+    n = config.n_hours
+    stream = f"hub/{site.hub_id}"
+    ghi, _ = oracle_irradiance(
+        n, config.weather.solar, factory.stream(f"{stream}/weather/solar")
+    )
+    wind = oracle_wind(n, config.weather.wind, factory.stream(f"{stream}/weather/wind"))
+    traffic_cfg = dataclasses.replace(
+        config.traffic,
+        base_gb=config.traffic.base_gb * site.traffic_scale,
+        midday_peak_gb=config.traffic.midday_peak_gb * site.traffic_scale,
+        evening_peak_gb=config.traffic.evening_peak_gb * site.traffic_scale,
+    )
+    _, load = oracle_traffic(n, traffic_cfg, factory.stream(f"{stream}/traffic"))
+    price = oracle_rtp(n, config.rtp, factory.stream(f"{stream}/rtp"), load_rate=load)
+    return {
+        "load_rate": load,
+        "rtp_kwh": price / 1000.0,
+        "pv_power_kw": oracle_pv(site.pv_kw, ghi) if site.pv_kw > 0 else np.zeros(n),
+        "wt_power_kw": oracle_wt(site.wt_kw, wind) if site.wt_kw > 0 else np.zeros(n),
+        "irradiance_w_m2": ghi,
+        "wind_speed_m_s": wind,
+    }
+
+
+# --------------------------------------------------------------------- #
+# Helpers                                                                #
+# --------------------------------------------------------------------- #
+
+
+def _mixed_sites(seed):
+    """Urban and rural hubs plus plant-less and rescaled variants."""
+    sites = default_fleet(6, rng_factory=RngFactory(seed=seed))
+    return sites + [
+        dataclasses.replace(sites[0], hub_id=6, pv_kw=0.0),
+        dataclasses.replace(sites[1], hub_id=7, wt_kw=0.0, traffic_scale=1.55),
+        dataclasses.replace(sites[1], hub_id=8, pv_kw=0.0, wt_kw=3.0),
+    ]
+
+
+def _streams(seed, name, count):
+    factory = RngFactory(seed=seed)
+    return [factory.stream(f"{name}/{index}") for index in range(count)]
+
+
+def _assert_same_next_draw(rngs_a, rngs_b):
+    assert [rng.random() for rng in rngs_a] == [rng.random() for rng in rngs_b]
+
+
+# --------------------------------------------------------------------- #
+# One process at a time: rows and stream state                           #
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n_hours", [0, 1, 168])
+class TestProcessRows:
+    def test_cloud_cover(self, seed, n_hours):
+        config = SolarConfig()
+        plane = cloud_cover_planes(n_hours, config, _streams(seed, "s", 4))
+        oracle_rngs = _streams(seed, "s", 4)
+        expected = [oracle_cloud(n_hours, config, rng) for rng in oracle_rngs]
+        assert plane.shape == (4, n_hours)
+        for row, want in zip(plane, expected):
+            assert np.array_equal(row, want)
+
+    def test_cloud_cover_leaves_streams_where_the_loop_did(self, seed, n_hours):
+        rngs, oracle_rngs = _streams(seed, "s", 3), _streams(seed, "s", 3)
+        cloud_cover_planes(n_hours, SolarConfig(), rngs)
+        for rng in oracle_rngs:
+            oracle_cloud(n_hours, SolarConfig(), rng)
+        _assert_same_next_draw(rngs, oracle_rngs)
+
+    def test_irradiance_one_row_call(self, seed, n_hours):
+        calendar = SlotCalendar(start_day_of_year=172)
+        (rng,), (oracle_rng,) = _streams(seed, "s", 1), _streams(seed, "s", 1)
+        ghi, cover = generate_irradiance(n_hours, SolarConfig(), rng, calendar=calendar)
+        want_ghi, want_cover = oracle_irradiance(
+            n_hours, SolarConfig(), oracle_rng, calendar
+        )
+        assert np.array_equal(ghi, want_ghi)
+        assert np.array_equal(cover, want_cover)
+
+    def test_wind(self, seed, n_hours):
+        config = WindConfig()
+        rngs, oracle_rngs = _streams(seed, "w", 4), _streams(seed, "w", 4)
+        plane = wind_speed_planes(n_hours, config, rngs)
+        assert plane.shape == (4, n_hours)
+        for row, rng in zip(plane, oracle_rngs):
+            assert np.array_equal(row, oracle_wind(n_hours, config, rng))
+        _assert_same_next_draw(rngs, oracle_rngs)
+
+    def test_wind_one_row_call(self, seed, n_hours):
+        config = WindConfig(diurnal_amplitude=0.0)
+        (rng,), (oracle_rng,) = _streams(seed, "w", 1), _streams(seed, "w", 1)
+        assert np.array_equal(
+            generate_wind_speed(n_hours, config, rng),
+            oracle_wind(n_hours, config, oracle_rng),
+        )
+
+    def test_traffic_with_per_row_scale(self, seed, n_hours):
+        config = TrafficConfig()
+        scales = np.array([1.0, 0.55, 1.37, 0.8])
+        rngs, oracle_rngs = _streams(seed, "t", 4), _streams(seed, "t", 4)
+        volume, load = TrafficGenerator(config).generate_planes(
+            n_hours, rngs, scale=scales
+        )
+        for index, rng in enumerate(oracle_rngs):
+            scaled = dataclasses.replace(
+                config,
+                base_gb=config.base_gb * scales[index],
+                midday_peak_gb=config.midday_peak_gb * scales[index],
+                evening_peak_gb=config.evening_peak_gb * scales[index],
+            )
+            want_volume, want_load = oracle_traffic(n_hours, scaled, rng)
+            assert np.array_equal(volume[index], want_volume)
+            assert np.array_equal(load[index], want_load)
+        _assert_same_next_draw(rngs, oracle_rngs)
+
+    def test_traffic_one_row_call(self, seed, n_hours):
+        (rng,), (oracle_rng,) = _streams(seed, "t", 1), _streams(seed, "t", 1)
+        trace = TrafficGenerator().generate(n_hours, rng)
+        want_volume, want_load = oracle_traffic(n_hours, TrafficConfig(), oracle_rng)
+        assert np.array_equal(trace.volume_gb, want_volume)
+        assert np.array_equal(trace.load_rate, want_load)
+
+    def test_rtp_with_load_planes(self, seed, n_hours):
+        config = RtpConfig(spike_probability=0.2)
+        load = np.random.default_rng(seed).random((4, n_hours))
+        rngs, oracle_rngs = _streams(seed, "p", 4), _streams(seed, "p", 4)
+        plane = RtpGenerator(config).generate_planes(n_hours, rngs, load_rate=load)
+        for index, rng in enumerate(oracle_rngs):
+            want = oracle_rtp(n_hours, config, rng, load_rate=load[index])
+            assert np.array_equal(plane[index], want)
+        _assert_same_next_draw(rngs, oracle_rngs)
+
+    def test_rtp_one_row_call_without_load(self, seed, n_hours):
+        (rng,), (oracle_rng,) = _streams(seed, "p", 1), _streams(seed, "p", 1)
+        trace = RtpGenerator().generate(n_hours, rng)
+        assert np.array_equal(
+            trace.price_mwh, oracle_rtp(n_hours, RtpConfig(), oracle_rng)
+        )
+
+
+# --------------------------------------------------------------------- #
+# The fleet synthesizer                                                  #
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n_hours", [1, 168])
+def test_every_plane_row_matches_the_per_hub_oracle(seed, n_hours):
+    sites = _mixed_sites(seed)
+    config = ScenarioConfig(n_hours=n_hours)
+    planes = synthesize_traces(sites, config, RngFactory(seed=seed))
+    for row, site in enumerate(sites):
+        expected = oracle_hub_traces(site, config, RngFactory(seed=seed))
+        for name in TRACE_FIELDS:
+            assert np.array_equal(getattr(planes, name)[row], expected[name]), (
+                site.hub_id,
+                name,
+            )
+
+
+def test_planes_are_read_only_and_contiguous():
+    planes = synthesize_traces(_mixed_sites(0), ScenarioConfig(n_hours=24), RngFactory(0))
+    for name in TRACE_FIELDS:
+        plane = getattr(planes, name)
+        assert plane.shape == (9, 24)
+        assert plane.flags.c_contiguous and not plane.flags.writeable
+
+
+def test_a_hub_does_not_depend_on_its_neighbours():
+    sites = _mixed_sites(3)
+    config = ScenarioConfig(n_hours=48)
+    full = synthesize_traces(sites, config, RngFactory(seed=3))
+    subset = [sites[7], sites[2]]
+    part = synthesize_traces(subset, config, RngFactory(seed=3))
+    for name in TRACE_FIELDS:
+        assert np.array_equal(getattr(part, name), getattr(full, name)[[7, 2]])
+
+
+def test_single_hub_builder_is_a_one_row_fleet():
+    site = _mixed_sites(5)[1]
+    config = ScenarioConfig(n_hours=72)
+    scenario = build_scenario(site, config, RngFactory(seed=5))
+    expected = oracle_hub_traces(site, config, RngFactory(seed=5))
+    for name in TRACE_FIELDS:
+        assert np.array_equal(getattr(scenario, name), expected[name])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sharded_assembly_rows_equal_the_full_fleet(seed):
+    spec = spec_from_fleet_flags(
+        n_hubs=10, days=2, seed=seed, n_feeders=3, feeder_capacity_kw=90.0
+    )
+    full = fleet_traces(_assemble_fleet(spec).scenarios)
+    indices = [1, 4, 5, 9]
+    shard = _assemble_fleet(spec, hub_indices=indices)
+    assert [s.site.hub_id for s in shard.scenarios] == indices
+    shard_traces = fleet_traces(shard.scenarios)
+    for name in TRACE_FIELDS:
+        assert np.array_equal(getattr(shard_traces, name), getattr(full, name)[indices])
+
+
+# --------------------------------------------------------------------- #
+# Scenarios share their planes                                           #
+# --------------------------------------------------------------------- #
+
+
+class TestFleetTraces:
+    def test_scenarios_are_row_views_of_one_plane_set(self, factory):
+        scenarios = build_fleet_scenarios(ScenarioConfig(n_hours=48), factory, n_hubs=5)
+        planes = fleet_traces(scenarios)
+        for row, scenario in enumerate(scenarios):
+            for name in TRACE_FIELDS:
+                assert getattr(scenario, name).base is getattr(planes, name)
+                assert np.array_equal(getattr(scenario, name), getattr(planes, name)[row])
+
+    def test_other_sequences_are_stacked(self, factory):
+        scenarios = build_fleet_scenarios(ScenarioConfig(n_hours=48), factory, n_hubs=5)
+        planes = fleet_traces(scenarios)
+        for subset in (scenarios[::-1], scenarios[1:], scenarios[:1] + scenarios[2:]):
+            stacked = fleet_traces(subset)
+            assert stacked is not planes
+            for name in TRACE_FIELDS:
+                assert np.array_equal(
+                    getattr(stacked, name), np.stack([getattr(s, name) for s in subset])
+                )
+
+    def test_replaced_scenario_drops_the_plane_link(self, factory):
+        scenarios = build_fleet_scenarios(ScenarioConfig(n_hours=24), factory, n_hubs=3)
+        edited = dataclasses.replace(scenarios[1], load_rate=np.zeros(24))
+        assert edited.fleet_row is None
+        traces = fleet_traces([scenarios[0], edited, scenarios[2]])
+        assert not traces.load_rate[1].any()
+
+    def test_compiled_engine_reads_the_assembly_planes(self):
+        compiled = api.build(spec_from_fleet_flags(n_hubs=6, days=2))
+        planes = fleet_traces(compiled.scenarios)
+        inputs = compiled.simulation.inputs
+        assert inputs.load_rate is planes.load_rate
+        assert inputs.pv_power_kw is planes.pv_power_kw
+
+
+# --------------------------------------------------------------------- #
+# Outage sampler                                                         #
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("probability", [0.0, 5e-4, 0.01, 0.2, 0.9, 1.0])
+@pytest.mark.parametrize("recovery_time_h", [1, 2, 4, 9])
+def test_block_outage_sampler_matches_the_slot_loop(probability, recovery_time_h):
+    model = BlackoutModel(
+        BlackoutConfig(
+            outage_probability_per_hour=probability, recovery_time_h=recovery_time_h
+        )
+    )
+    for seed in range(5):
+        for n_hours in (0, 1, 5, 168, 720):
+            rng = RngFactory(seed=seed).stream("fleet/outage/0")
+            oracle_rng = RngFactory(seed=seed).stream("fleet/outage/0")
+            got = model.sample_outages(n_hours, rng)
+            want = oracle_outages(n_hours, probability, recovery_time_h, oracle_rng)
+            assert np.array_equal(got, want), (seed, n_hours)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+# --------------------------------------------------------------------- #
+# Serial sweeps reuse the assembly                                       #
+# --------------------------------------------------------------------- #
+
+
+def _counting_synthesis(monkeypatch):
+    calls = []
+    original = hub_scenario.synthesize_traces
+
+    def counted(sites, config, factory):
+        calls.append(len(sites))
+        return original(sites, config, factory)
+
+    monkeypatch.setattr(parallel, "_WORKER_ASSEMBLY", None)
+    monkeypatch.setattr("repro.spec.compiler.synthesize_traces", counted)
+    return calls
+
+
+def test_serial_sweep_synthesizes_each_fleet_once(monkeypatch):
+    """Scheduler and allocation changes reuse one assembly, and every job
+    still matches its own cold compile exactly."""
+    calls = _counting_synthesis(monkeypatch)
+    base = spec_from_fleet_flags(n_hubs=5, days=2, n_feeders=2, feeder_capacity_kw=20.0)
+    sweep = SweepSpec(
+        base=base,
+        parameters={
+            "scheduler.name": ("idle", "rule-based", "random"),
+            "grid.allocation": ("proportional", "priority"),
+        },
+    )
+    results = api.run_sweep(sweep)
+    assert calls == [5]
+    for result, job in zip(results, sweep.jobs()):
+        data = result.to_json_dict()["data"]
+        data.pop("sweep")
+        data.pop("sweep_overrides")
+        assert json.dumps(data, sort_keys=True) == json.dumps(
+            api.run(job.spec).to_json_dict()["data"], sort_keys=True
+        )
+
+
+def test_serial_sweep_reassembles_when_the_fleet_changes(monkeypatch):
+    calls = _counting_synthesis(monkeypatch)
+    sweep = SweepSpec(
+        base=spec_from_fleet_flags(n_hubs=4, days=2),
+        parameters={"run.seed": (0, 1), "scheduler.name": ("idle", "greedy-renewable")},
+    )
+    api.run_sweep(sweep)
+    assert calls == [4, 4]
+
+
+def test_sharded_specs_skip_the_assembly_cache():
+    spec = spec_from_fleet_flags(n_hubs=4, days=2).with_overrides({"run.shards": 2})
+    assert parallel._cached_assembly(spec) is None
