@@ -73,7 +73,6 @@ def run(
     spec: ScenarioSpec | str,
     *,
     telemetry: Telemetry | None = None,
-    shards: int | None = None,
     assembly=None,
 ) -> ExperimentResult:
     """Compile and run a scenario, reporting per-hub + network economics.
@@ -83,22 +82,11 @@ def run(
     lands on ``result.telemetry`` — the booked economics are identical
     either way (the reset the traced path adds is idempotent).
 
-    ``shards`` overrides the spec's ``run.shards`` knob *as an argument*
-    (the spec embedded in ``data["spec"]`` is untouched, so sharded and
-    unsharded ``--out`` exports stay byte-identical). ``shards > 1``
-    partitions the fleet feeder-aware (:mod:`repro.fleet.sharding`) and
-    compiles + steps each shard in a worker process; everything in
-    ``data`` is byte-identical to the unsharded run by construction
-    (test-enforced). ``assembly`` reuses a cached
-    :class:`~repro.spec.compiler.FleetAssembly` on the unsharded path —
-    the sweep workers' seam.
+    ``assembly`` reuses a cached
+    :class:`~repro.spec.compiler.FleetAssembly` — the sweep workers'
+    seam.
     """
     resolved = resolve_spec(spec)
-    n_shards = resolved.run.shards if shards is None else int(shards)
-    if n_shards < 1:
-        raise ConfigError(f"shards must be >= 1, got {n_shards}")
-    if n_shards > 1:
-        return _run_sharded(resolved, n_shards, telemetry=telemetry)
     if telemetry is None:
         compiled = _compile(resolved, assembly=assembly)
         simulation = compiled.simulation
@@ -126,146 +114,27 @@ def run(
             book = compiled.execute()
     elapsed = time.perf_counter() - start
 
-    return _fleet_result(
-        resolved,
-        book,
-        n_hubs=n_hubs,
-        days=days,
-        horizon=simulation.horizon,
-        scheduler_name=compiled.scheduler.name,
-        kinds=[s.site.kind for s in compiled.scenarios],
-        hub_ids=[s.site.hub_id for s in compiled.scenarios],
-        pricing=compiled.pricing,
-        elapsed=elapsed,
-        telemetry=telemetry,
-    )
-
-
-def _run_sharded(
-    resolved: ScenarioSpec, n_shards: int, *, telemetry: Telemetry | None = None
-) -> ExperimentResult:
-    """The city-scale path: shard the fleet, step shards in processes.
-
-    Workers re-derive their hubs from the spec JSON (name-keyed streams
-    make that bit-identical to the unsharded assembly — see
-    :mod:`repro.fleet.sharding`), so the parent only pays site-catalog
-    and planning cost. Pricing runs are the exception: the discount
-    plane couples all hubs through the training log, so the parent
-    compiles pricing over the full assembly once and ships each shard
-    its pre-sliced discount rows; the shards then bypass their own
-    ``pricing`` section via the explicit schedule.
-    """
-    from .fleet.costs import FleetCostBook
-    from .fleet.sharding import ShardTask, plan_shards
-    from .parallel import _available_cpus, run_shards_parallel
-    from .spec.compiler import _assemble_fleet, assemble_sites
-
-    sites, _, feeders, n_hubs, days, horizon = assemble_sites(resolved)
-    windowed = resolved.run.storage == "windowed"
-
-    pricing_compiled = None
-    discount_rows = None
-    if resolved.pricing.policy != "none":
-        from .spec.pricing import compile_pricing
-
-        if telemetry is None:
-            assembly = _assemble_fleet(resolved)
-            pricing_compiled = compile_pricing(assembly)
-        else:
-            with telemetry.span("compile", scenario=resolved.name):
-                assembly = _assemble_fleet(resolved)
-                pricing_compiled = compile_pricing(assembly, telemetry=telemetry)
-        discount_rows = assembly.discount_rows(pricing_compiled.discount)
-
-    # Windowed books can only merge feeder-closed shards, so unlimited
-    # feeders stay atomic there (single-feeder specs degenerate to one
-    # shard — documented in README#performance).
-    plan = plan_shards(feeders, n_shards, split_unlimited=not windowed)
-    spec_json = resolved.to_json()
-    tasks = [
-        ShardTask(
-            spec_json=spec_json,
-            hub_indices=idx,
-            shard_index=index,
-            discount_rows=None if discount_rows is None else discount_rows[idx],
-            with_telemetry=telemetry is not None,
-        )
-        for index, idx in enumerate(plan)
-    ]
-    workers = min(len(tasks), _available_cpus())
-    log.debug(
-        "sharded scenario",
-        scenario=resolved.name,
-        n_hubs=n_hubs,
-        shards=len(tasks),
-        workers=workers,
-    )
-
-    start = time.perf_counter()
-    shard_results = run_shards_parallel(tasks, workers)
-    elapsed = time.perf_counter() - start
-
-    def merge() -> FleetCostBook:
-        return FleetCostBook.merge_shards(
-            [r.book for r in shard_results],
-            [r.hub_indices for r in shard_results],
-            feeders=feeders,
-            voll_per_kwh=resolved.run.voll_per_kwh,
-        )
-
-    if telemetry is None:
-        book = merge()
-    else:
-        with telemetry.span("shard-merge", shards=len(tasks)):
-            book = merge()
-        telemetry.set_workers(workers)
-        # Absorb in shard order so counters stay byte-identical run to
-        # run whatever the completion order was.
-        for shard in shard_results:
-            telemetry.absorb(shard.telemetry, label="shard", index=shard.shard_index)
-
-    return _fleet_result(
-        resolved,
-        book,
-        n_hubs=n_hubs,
-        days=days,
-        horizon=horizon,
-        scheduler_name=resolved.scheduler.name,
-        kinds=[site.kind for site in sites],
-        hub_ids=[site.hub_id for site in sites],
-        pricing=pricing_compiled,
-        elapsed=elapsed,
-        telemetry=telemetry,
-        shard_note=(
-            f"sharded over {len(tasks)} shards ({workers} workers), "
-            f"storage={resolved.run.storage}"
-        ),
-    )
+    return _fleet_result(compiled, book, elapsed=elapsed, telemetry=telemetry)
 
 
 def _fleet_result(
-    resolved: ScenarioSpec,
+    compiled: CompiledScenario,
     book,
     *,
-    n_hubs: int,
-    days: int,
-    horizon: int,
-    scheduler_name: str,
-    kinds: list[str],
-    hub_ids: list[int],
-    pricing,
     elapsed: float,
     telemetry: Telemetry | None,
-    shard_note: str | None = None,
 ) -> ExperimentResult:
-    """The shared report tail: one completed book → ExperimentResult.
+    """The report tail: one completed book → ExperimentResult.
 
-    Both the unsharded and sharded paths end here, which is what makes
-    "sharded exports are byte-identical" a structural property: the
-    entire ``data`` payload is computed from the (merged) book plus the
-    spec. Wall-clock throughput and the shard note live in ``lines``
-    only — the ``--out`` JSON must stay deterministic and diffable.
+    The entire ``data`` payload is computed from the book plus the spec.
+    Wall-clock throughput lives in ``lines`` only — the ``--out`` JSON
+    must stay deterministic and diffable.
     """
+    resolved = compiled.spec
+    n_hubs, days = compiled.n_hubs, compiled.days
+    horizon = compiled.simulation.horizon
+    scheduler_name = compiled.scheduler.name
+    pricing = compiled.pricing
     hub_slots = n_hubs * horizon
     throughput = hub_slots / elapsed if elapsed > 0 else float("inf")
 
@@ -290,7 +159,7 @@ def _fleet_result(
         "blackout_slots": blackout_slots,
         "profit_per_hub": profit,
         "avg_daily_reward_per_hub": daily.mean(axis=1),
-        "kinds": kinds,
+        "kinds": [scenario.site.kind for scenario in compiled.scenarios],
         # Shared-grid coupling (zeros / infinities when uncoupled).
         "n_feeders": feeders.n_feeders,
         "feeder_capacity_kw": resolved.grid.feeder_capacity_kw,
@@ -317,10 +186,6 @@ def _fleet_result(
         + (f", scenario={resolved.name}" if resolved.name != "fleet" else ""),
         f"batched throughput {throughput:,.0f} hub-slots/sec "
         f"({hub_slots} hub-slots in {elapsed:.3f}s)",
-    ]
-    if shard_note is not None:
-        lines.append(shard_note)
-    lines += [
         f"network profit ${book.profit:,.0f}  (revenue ${book.charging_revenue:,.0f}"
         f" - operating ${book.operating_cost:,.0f}"
         + (f" - lost-load ${book.voll_cost:,.0f}" if voll > 0 else "")
@@ -350,8 +215,9 @@ def _fleet_result(
         )
     show = min(n_hubs, 12)
     for i in range(show):
+        site = compiled.scenarios[i].site
         lines.append(
-            f"  hub {hub_ids[i]:>3} ({kinds[i]:<5}) "
+            f"  hub {site.hub_id:>3} ({site.kind:<5}) "
             f"profit ${profit[i]:>10,.1f}  avg daily {daily[i].mean():>7.1f}"
         )
     if n_hubs > show:

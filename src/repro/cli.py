@@ -9,7 +9,7 @@ Usage::
     ect-hub fleet --n-hubs 200 [--days 14] [--scheduler rule-based]
     ect-hub fleet --preset congested-city --set run.days=3
     ect-hub fleet --spec scenario.json --out results.json
-    ect-hub fleet --preset congested-city --shards 8 --storage windowed
+    ect-hub fleet --preset congested-city --storage windowed
 
     ect-hub train-fleet --n-hubs 12 --episodes 100
     ect-hub train-fleet --preset congested-city --set rl.train_episodes=50
@@ -179,13 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(ALLOCATION_POLICIES),
         default=None,
         help="contention policy when a feeder limit binds",
-    )
-    fleet_p.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="partition the fleet feeder-aware and step shards in worker "
-        "processes (byte-identical results; default: the spec's run.shards)",
     )
     fleet_p.add_argument(
         "--storage",
@@ -619,10 +612,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         spec = _fleet_spec(args)
         if args.storage is not None:
             spec = spec.with_overrides({"run.storage": args.storage})
-        # --shards stays an api.run *argument* (not a spec override) so
-        # the exported data["spec"] — and therefore the whole --out
-        # payload — is byte-identical whatever the shard count.
-        result = api.run(spec, telemetry=telemetry, shards=args.shards)
+        result = api.run(spec, telemetry=telemetry)
         log.info(result.rendered())
         _emit_telemetry(telemetry, args)
         if args.out:

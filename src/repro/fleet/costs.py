@@ -27,10 +27,6 @@ accumulates in slot order; agreement with dense is equivalence-tested at
 atol 1e-9); full-column accessors raise :class:`FleetError` in windowed
 mode, and :meth:`recent` exposes the trailing window for trace-dependent
 consumers.
-
-City-scale sharding merges per-shard books back into one via
-:meth:`FleetCostBook.merge_shards` — a pure row/feeder scatter, so a
-merged dense book is byte-identical to the book an unsharded run writes.
 """
 
 from __future__ import annotations
@@ -251,8 +247,7 @@ class FleetCostBook:
         """Mark the slot handed out by :meth:`begin_slot` as recorded.
 
         In windowed storage this is where the slot is folded into the
-        running aggregates (always in slot order, so sharded and
-        unsharded windowed runs accumulate bit-identically per hub).
+        running aggregates, in slot order.
         """
         self._check_slot(t)
         if self._windowed:
@@ -511,100 +506,6 @@ class FleetCostBook:
             return np.zeros((self.n_hubs, 0))
         starts = np.arange(0, rewards.shape[1], slots_per_day)
         return np.add.reduceat(rewards, starts, axis=1)
-
-    # ------------------------------------------------------------------ #
-    # Shard merging                                                        #
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def merge_shards(
-        cls,
-        books: list["FleetCostBook"],
-        hub_indices: list[np.ndarray],
-        *,
-        feeders: FeederGroup,
-        voll_per_kwh: float = 0.0,
-    ) -> "FleetCostBook":
-        """Scatter per-shard books back into one fleet-wide book.
-
-        ``hub_indices[k]`` maps shard *k*'s rows to global hub indices
-        (ascending, disjoint, jointly covering ``feeders.n_hubs``).
-        Dense merging is a pure row scatter of every column, so the
-        merged book is byte-identical to what an unsharded run records.
-        Windowed merging scatters the per-hub/per-feeder accumulators —
-        exact as long as every shard is feeder-closed (each feeder's
-        members live in exactly one shard), which the planner guarantees
-        for windowed runs and this method enforces.
-        """
-        if not books or len(books) != len(hub_indices):
-            raise FleetError("merge_shards needs one index array per book")
-        horizon = books[0].horizon
-        storage = books[0].storage
-        window = books[0].window
-        recorded = books[0].n_recorded
-        for book, idx in zip(books, hub_indices):
-            idx = np.asarray(idx)
-            if book.horizon != horizon or book.storage != storage:
-                raise FleetError("shard books must share horizon and storage")
-            if book.window != window or book.n_recorded != recorded:
-                raise FleetError("shard books must share window and progress")
-            if book.n_hubs != idx.shape[0]:
-                raise FleetError(
-                    f"shard book holds {book.n_hubs} hubs but its index "
-                    f"array maps {idx.shape[0]}"
-                )
-        flat = np.concatenate([np.asarray(idx) for idx in hub_indices])
-        if (
-            flat.shape[0] != feeders.n_hubs
-            or not np.array_equal(np.sort(flat), np.arange(feeders.n_hubs))
-        ):
-            raise FleetError(
-                "shard hub indices must partition the fleet exactly"
-            )
-        merged = cls(
-            feeders.n_hubs,
-            horizon,
-            feeders=feeders,
-            voll_per_kwh=voll_per_kwh,
-            storage=storage,
-            window=window,
-        )
-        if storage == "dense":
-            for book, idx in zip(books, hub_indices):
-                merged.action[idx] = book.action
-                merged.blackout[idx] = book.blackout
-                for name in cls._FLOAT_COLUMNS:
-                    getattr(merged, name)[idx] = getattr(book, name)
-        else:
-            seen_feeders = np.zeros(feeders.n_feeders, dtype=bool)
-            for book, idx in zip(books, hub_indices):
-                for name, ring in merged._ring.items():
-                    ring[idx] = book._ring[name]
-                merged._acc_op_cost[idx] = book._acc_op_cost
-                merged._acc_revenue[idx] = book._acc_revenue
-                merged._acc_unserved[idx] = book._acc_unserved
-                merged._acc_surplus[idx] = book._acc_surplus
-                merged._acc_grid_energy[idx] = book._acc_grid_energy
-                merged._acc_import_shortfall[idx] = book._acc_import_shortfall
-                merged._acc_daily[idx] = book._acc_daily
-                present = np.unique(feeders.assignment[idx])
-                if present.shape[0] != book.feeders.n_feeders or seen_feeders[
-                    present
-                ].any():
-                    raise FleetError(
-                        "windowed shard merge needs feeder-closed shards "
-                        "(every feeder's hubs in exactly one shard)"
-                    )
-                seen_feeders[present] = True
-                merged._acc_feeder_import[present] = book._acc_feeder_import
-                merged._acc_feeder_shortfall[present] = (
-                    book._acc_feeder_shortfall
-                )
-                merged._acc_feeder_peak[present] = book._acc_feeder_peak
-                merged._congested_slots += book._congested_slots
-                merged._blackout_hub_slots += book._blackout_hub_slots
-        merged._n_recorded = recorded
-        return merged
 
     # ------------------------------------------------------------------ #
     # Scalar-engine interop                                                #

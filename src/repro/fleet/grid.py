@@ -190,43 +190,6 @@ class FeederGroup:
         """True when no feeder limit can ever bind (the uncoupled default)."""
         return self._is_unlimited
 
-    def subgroup(self, hub_indices) -> tuple["FeederGroup", np.ndarray]:
-        """Restrict the group to a hub subset (for intra-scenario sharding).
-
-        ``hub_indices`` must be strictly increasing global hub indices.
-        Returns ``(sub, feeder_ids)``: a :class:`FeederGroup` over the
-        subset with feeders renumbered to dense local ids (ascending
-        global order) and only the feeders the subset touches, plus the
-        local→global feeder id map.
-
-        Feeder arithmetic (:meth:`allocate`, :meth:`available_import_kw`)
-        is local to each feeder, so on a *feeder-closed* subset — every
-        selected feeder keeps its full membership — the sub-group
-        computes bit-identical grants/shortfalls/headroom for the
-        selected hubs: relative hub order is preserved by the ascending
-        selection, and each feeder's members and capacity are intact.
-        """
-        idx = np.asarray(hub_indices)
-        if idx.ndim != 1 or idx.size == 0:
-            raise FleetError("hub_indices must be a non-empty 1-D array")
-        if not np.issubdtype(idx.dtype, np.integer):
-            raise FleetError("hub_indices must hold integer hub indices")
-        if idx.min() < 0 or idx.max() >= self.n_hubs:
-            raise FleetError(
-                f"hub_indices must lie in [0, {self.n_hubs}), got range "
-                f"[{idx.min()}, {idx.max()}]"
-            )
-        if idx.size > 1 and (np.diff(idx) <= 0).any():
-            raise FleetError("hub_indices must be strictly increasing")
-        feeder_ids = np.unique(self.assignment[idx])
-        sub = FeederGroup(
-            assignment=np.searchsorted(feeder_ids, self.assignment[idx]),
-            import_capacity_kw=self.import_capacity_kw[feeder_ids],
-            policy=self.policy,
-            priority=None if self.priority is None else self.priority[idx],
-        )
-        return sub, feeder_ids
-
     def capacity_at(self, t: int) -> np.ndarray:
         """``(n_feeders,)`` import capacity for slot ``t``."""
         if self.import_capacity_kw.ndim == 2:
@@ -300,9 +263,8 @@ class FeederGroup:
         # demand is then an exclusive prefix sum within its feeder segment.
         # _segment_prefix_sum computes it per segment, never globally: a
         # global cumsum minus the segment-start offset would leak other
-        # feeders' rounding into this feeder's grants, breaking the
-        # bit-identity of feeder-closed shards (FeederGroup.subgroup)
-        # with the full fleet.
+        # feeders' rounding into this feeder's grants, so one feeder's
+        # grants would depend on how much the feeders before it draw.
         order = np.lexsort((np.arange(n), -priority, self.assignment))
         feeder_sorted = self.assignment[order]
         demand_sorted = demand[order]

@@ -102,23 +102,12 @@ class FleetRandomScheduler(FleetScheduler):
         n_hubs: int,
         *,
         prefix: str = "fleet/random",
-        hub_ids: Sequence[int] | None = None,
     ) -> "FleetRandomScheduler":
-        """One named sub-stream per hub, stable under fleet-size changes.
+        """One named sub-stream per hub, ``{prefix}/{i}``.
 
-        ``hub_ids`` overrides the stream indices — a sharded run passes
-        each hub's *global* index so shard hub *i* draws exactly the
-        stream the unsharded fleet would give it (``{prefix}/{hub_id}``).
+        Hub *i* draws the same stream whatever the fleet size.
         """
-        if hub_ids is None:
-            return cls(list(factory.substreams(prefix, n_hubs)))
-        if len(hub_ids) != n_hubs:
-            raise ConfigError(
-                f"{len(hub_ids)} hub_ids for {n_hubs} hubs"
-            )
-        return cls(
-            [factory.stream(f"{prefix}/{int(hub_id)}") for hub_id in hub_ids]
-        )
+        return cls(list(factory.substreams(prefix, n_hubs)))
 
     def reset(self, sim: FleetSimulation) -> None:
         if len(self._rngs) != sim.n_hubs:
@@ -243,16 +232,12 @@ def make_fleet_scheduler(
     congestion_aware: bool = True,
     cheap_quantile: float | None = None,
     expensive_quantile: float | None = None,
-    hub_ids: Sequence[int] | None = None,
 ) -> FleetScheduler:
     """Instantiate a fleet scheduler by name (random needs a factory).
 
     Quantiles left ``None`` use each scheduler class's own defaults; a
     quantile the named scheduler does not consume raises
-    :class:`ConfigError` instead of being silently dropped. ``hub_ids``
-    carries each hub's global index into the random scheduler's stream
-    names (sharded runs); the deterministic schedulers ignore it — their
-    per-hub state is row-local already.
+    :class:`ConfigError` instead of being silently dropped.
     """
 
     def reject_unused(allowed: tuple[str, ...]) -> None:
@@ -276,7 +261,7 @@ def make_fleet_scheduler(
     if name == FleetRandomScheduler.name:
         reject_unused(())
         factory = rng_factory or RngFactory(seed=0)
-        return FleetRandomScheduler.from_factory(factory, n_hubs, hub_ids=hub_ids)
+        return FleetRandomScheduler.from_factory(factory, n_hubs)
     if name == FleetRuleBasedScheduler.name:
         kwargs = {}
         if cheap_quantile is not None:

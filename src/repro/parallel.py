@@ -1,4 +1,4 @@
-"""Process-parallel execution: sweep job chunks and intra-scenario shards.
+"""Process-parallel sweep execution: job chunks over a worker pool.
 
 ``api.run_sweep`` grids are embarrassingly parallel — every job is an
 independent :class:`~repro.spec.scenario.ScenarioSpec`, and PR 3 made
@@ -12,20 +12,14 @@ parallel sweep is **byte-identical** to its serial twin — results are
 re-ordered by job index before they are returned, so even the ``--out``
 JSON matches byte for byte (test-enforced).
 
-Two executors live here:
-
-* :func:`run_jobs_parallel` — the sweep executor. Jobs are submitted in
-  **chunks** (many jobs per worker task) so a large grid pays one
-  submit/result round-trip per chunk instead of per job, and each worker
-  process keeps a one-slot :func:`assembly cache <_cached_assembly>`:
-  consecutive jobs in a chunk that share a fleet/grid/blackout
-  fingerprint (the common sweep shape — vary scheduler or pricing knobs
-  over one fleet) skip re-synthesising hub traces entirely.
-* :func:`run_shards_parallel` — the city-scale shard runner. One
-  scenario's hubs are partitioned by :func:`~repro.fleet.sharding.
-  plan_shards`; each worker compiles and steps its shard
-  (:func:`~repro.fleet.sharding.run_shard`) and the parent merges the
-  books. Shard results are ordered by shard index.
+Jobs are submitted in **chunks** (many jobs per worker task) by
+:func:`run_jobs_parallel`, so a large grid pays one submit/result
+round-trip per chunk instead of per job, and each worker process keeps a
+one-slot :func:`assembly cache <_cached_assembly>`: consecutive jobs in
+a chunk that share a fleet/grid/blackout fingerprint (the common sweep
+shape — vary scheduler or pricing knobs over one fleet) skip
+re-synthesising hub traces entirely. One scenario always runs in one
+process; parallelism is across jobs only.
 
 Guarantees:
 
@@ -64,22 +58,6 @@ from .errors import ConfigError, ParallelError
 from .experiments.base import ExperimentResult
 from .spec.sweep import SweepJob
 from .telemetry import log
-
-
-def _remote_traceback(error: BaseException) -> str:
-    """The failing worker's formatted traceback.
-
-    ``concurrent.futures`` re-raises worker exceptions in the parent with
-    the remote stack attached as a ``_RemoteTraceback`` cause (the real
-    traceback object cannot be pickled). Fall back to formatting the
-    exception locally if that private chain ever changes shape.
-    """
-    cause = getattr(error, "__cause__", None)
-    if type(cause).__name__ == "_RemoteTraceback":
-        return str(cause).strip().strip('"').strip()
-    return "".join(
-        traceback.format_exception(type(error), error, error.__traceback__)
-    ).strip()
 
 
 def _available_cpus() -> int:
@@ -142,13 +120,10 @@ def _cached_assembly(spec):
     A hit skips trace synthesis *and* keeps the realized-strata cache
     warm (``build`` rebinds the assembly to the new spec), which is what
     makes scheduler/pricing sweeps over one fleet cheap per extra job.
-    Sharded specs get ``None``: their shards assemble their own hubs.
     """
     global _WORKER_ASSEMBLY
     from .spec.compiler import _assemble_fleet, assembly_fingerprint
 
-    if spec.run.shards > 1:
-        return None
     fingerprint = assembly_fingerprint(spec)
     if _WORKER_ASSEMBLY is None or _WORKER_ASSEMBLY[0] != fingerprint:
         _WORKER_ASSEMBLY = (fingerprint, _assemble_fleet(spec))
@@ -263,43 +238,3 @@ def run_jobs_parallel(
                 ) from error
     return results  # type: ignore[return-value]
 
-
-def _run_shard_task(task):
-    """Worker entry point for one fleet shard (module-level: picklable)."""
-    from .fleet.sharding import run_shard
-
-    return run_shard(task)
-
-
-def run_shards_parallel(tasks: list, n_workers: int) -> list:
-    """Run :class:`~repro.fleet.sharding.ShardTask`s, ordered by shard index.
-
-    A single task (or ``n_workers <= 1``) runs in-process — no pool, no
-    pickling — so one-shard plans cost nothing over the unsharded path.
-    Failures raise :class:`ParallelError` naming the shard and its size,
-    with the worker traceback on ``.job_traceback``.
-    """
-    if not tasks:
-        return []
-    if len(tasks) == 1 or n_workers <= 1:
-        return [_run_shard_task(task) for task in tasks]
-    results = [None] * len(tasks)
-    workers = min(n_workers, len(tasks))
-    log.debug("starting shard pool", workers=workers, shards=len(tasks))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        future_tasks = {
-            pool.submit(_run_shard_task, task): task for task in tasks
-        }
-        for future in as_completed(future_tasks):
-            task = future_tasks[future]
-            try:
-                result = future.result()
-            except Exception as error:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise ParallelError(
-                    f"shard {task.shard_index} ({len(task.hub_indices)} hubs) "
-                    f"failed in a worker: {error}",
-                    job_traceback=_remote_traceback(error),
-                ) from error
-            results[result.shard_index] = result
-    return results

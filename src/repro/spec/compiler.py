@@ -184,14 +184,8 @@ def make_scheduler(
     *,
     n_hubs: int,
     rng_factory: RngFactory,
-    hub_ids=None,
 ) -> FleetScheduler:
-    """Instantiate the spec'd scheduler (quantiles None ⇒ class defaults).
-
-    ``hub_ids`` carries global hub indices into the random scheduler's
-    per-hub stream names — what keeps a sharded run's random actions
-    bit-identical to the unsharded fleet's.
-    """
+    """Instantiate the spec'd scheduler (quantiles None ⇒ class defaults)."""
     return make_fleet_scheduler(
         scheduler.name,
         n_hubs=n_hubs,
@@ -199,7 +193,6 @@ def make_scheduler(
         congestion_aware=scheduler.congestion_aware,
         cheap_quantile=scheduler.cheap_quantile,
         expensive_quantile=scheduler.expensive_quantile,
-        hub_ids=hub_ids,
     )
 
 
@@ -296,9 +289,7 @@ def assemble_sites(
     Returns ``(sites, per_hub, feeders, n_hubs, days, horizon)`` — the
     cheap, whole-fleet part of :func:`_assemble_fleet` (site jitter is a
     single sequential ``catalog/fleet`` stream, feeders a topology
-    table). The sharded runner plans shards and reports hub kinds from
-    this without compiling a single trace; every stream is name-keyed,
-    so a worker re-deriving the same sites sees identical values.
+    table), computed without synthesizing a single trace.
     """
     if not isinstance(spec, ScenarioSpec):
         raise ConfigError(
@@ -344,20 +335,8 @@ def assembly_fingerprint(spec: ScenarioSpec) -> str:
     )
 
 
-def _assemble_fleet(
-    spec: ScenarioSpec, *, hub_indices=None
-) -> FleetAssembly:
-    """Resolve a spec into sites, traces, blackout masks, and feeders.
-
-    ``hub_indices`` (strictly increasing global hub indices) restricts
-    the expensive per-hub work — trace synthesis, battery sizing, outage
-    sampling — to a shard of the fleet while keeping every whole-fleet
-    draw (site jitter, the charging behavior model's sequential streams)
-    identical to the unsharded assembly. Because all per-hub randomness
-    is name-keyed by global hub id, shard row *i* is bit-identical to
-    row ``hub_indices[i]`` of the full assembly; the returned feeders
-    are the matching :meth:`FeederGroup.subgroup`.
-    """
+def _assemble_fleet(spec: ScenarioSpec) -> FleetAssembly:
+    """Resolve a spec into sites, traces, blackout masks, and feeders."""
     sites, per_hub, feeders, n_hubs, days, horizon = assemble_sites(spec)
     run = spec.run
     factory = RngFactory(seed=run.seed)
@@ -379,17 +358,9 @@ def _assemble_fleet(
         },
     )
 
-    if hub_indices is None:
-        selected = list(zip(sites, per_hub))
-    else:
-        idx = np.asarray(hub_indices)
-        # subgroup() validates the index array (1-D, integer, strictly
-        # increasing, in range) as it restricts the feeder topology.
-        feeders, _ = feeders.subgroup(idx)
-        selected = [(sites[i], per_hub[i]) for i in idx]
     # Traces depend only on the shared config and the site, never on the
     # group's battery/cost overrides, so one plane pass serves every hub.
-    planes = synthesize_traces([site for site, _ in selected], base_config, factory)
+    planes = synthesize_traces(sites, base_config, factory)
     scenarios = [
         build_scenario(
             site,
@@ -397,11 +368,9 @@ def _assemble_fleet(
             factory,
             traces=(planes, row),
         )
-        for row, (site, group) in enumerate(selected)
+        for row, (site, group) in enumerate(zip(sites, per_hub))
     ]
 
-    # Strata scales index by *global* station id inside the behavior
-    # model, so the table always spans the full fleet.
     strata_scales: np.ndarray | None = None
     if any(
         group is not None
@@ -442,7 +411,7 @@ def _assemble_fleet(
         ),
         outage=outage,
         feeders=feeders,
-        n_hubs=len(scenarios),
+        n_hubs=n_hubs,
         days=days,
         horizon=horizon,
     )

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -478,13 +479,12 @@ class RunSpec:
     experiment-wide fidelity/runtime dial); ``voll_per_kwh`` is the
     value-of-lost-load penalty — Eq. 12 profit charges every unserved kWh
     at this rate, so reliability failures are monetized instead of free.
+    ``days`` (>= 1) and ``seed`` (>= 0) must be integers; numpy integers
+    are accepted and stored as ``int``.
 
-    ``shards`` and ``storage`` are the city-scale execution knobs:
-    ``shards > 1`` partitions the fleet feeder-aware over worker
-    processes (byte-identical results to an unsharded run — an executor
-    choice, not a model change), and ``storage="windowed"`` folds the
-    cost book into running aggregates so memory stops scaling with the
-    horizon (aggregates agree with dense at atol 1e-9).
+    ``storage="windowed"`` folds the cost book into running aggregates
+    so memory stops scaling with the horizon (aggregates agree with
+    dense at atol 1e-9).
     """
 
     days: int = DEFAULT_DAYS
@@ -492,17 +492,17 @@ class RunSpec:
     scale: float = 1.0
     initial_soc_fraction: float = 0.5
     voll_per_kwh: float = 0.0
-    shards: int = 1
     storage: str = "dense"
 
     def __post_init__(self) -> None:
-        if self.days <= 0:
-            raise ConfigError(f"days must be positive, got {self.days}")
-        if not isinstance(self.shards, int) or isinstance(self.shards, bool) \
-                or self.shards < 1:
-            raise ConfigError(
-                f"shards must be an integer >= 1, got {self.shards!r}"
-            )
+        for name, minimum in (("days", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+                    or value < minimum:
+                raise ConfigError(
+                    f"{name} must be an integer >= {minimum}, got {value!r}"
+                )
+            object.__setattr__(self, name, int(value))
         if self.storage not in STORAGE_MODES:
             raise ConfigError(
                 f"unknown run storage {self.storage!r}; "
@@ -591,13 +591,14 @@ class ScenarioSpec:
 # --------------------------------------------------------------------- #
 
 #: The saved-spec format :meth:`ScenarioSpec.to_dict` writes.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Spec fields each schema version removed, as ``(section, field)``
 #: paths keyed by that version. Loading an older payload drops them with
 #: one deprecation warning. Version 2 removed ``RunSpec.backend``, the
-#: array-backend knob (numpy is the only engine).
-_REMOVED_FIELDS = {2: (("run", "backend"),)}
+#: array-backend knob (numpy is the only engine); version 3 removed
+#: ``RunSpec.shards`` (one scenario always runs in one process).
+_REMOVED_FIELDS = {2: (("run", "backend"),), 3: (("run", "shards"),)}
 
 
 def _pop_schema_version(payload: dict[str, Any]) -> int:

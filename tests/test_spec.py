@@ -73,7 +73,7 @@ class TestRoundTrip:
     def test_every_preset_round_trips_through_json(self, name):
         spec = get_preset(name)
         payload = spec.to_dict()
-        assert payload["schema_version"] == SCHEMA_VERSION == 2
+        assert payload["schema_version"] == SCHEMA_VERSION == 3
         rebuilt = ScenarioSpec.from_json(json.dumps(payload))
         assert rebuilt == spec
 
@@ -135,6 +135,18 @@ def v1_payload(spec: ScenarioSpec, backend: str) -> dict:
     return payload
 
 
+#: The dotted key of the run field schema version 3 removed.
+REMOVED_IN_V3 = "run.shards"
+
+
+def v2_payload(spec: ScenarioSpec, shards: int) -> dict:
+    """A spec as schema version 2 saved it: a run shard count."""
+    payload = spec.to_dict()
+    payload["schema_version"] = 2
+    payload["run"]["shards"] = shards
+    return payload
+
+
 class TestSchemaVersion:
     @pytest.mark.parametrize("backend", ["numpy", "numba"])
     def test_v1_backend_is_dropped_with_one_warning(self, backend, capsys):
@@ -167,11 +179,11 @@ class TestSchemaVersion:
         assert capsys.readouterr().err.count("[warning]") == 1
 
     def test_future_version_rejected(self):
-        payload = {**ScenarioSpec().to_dict(), "schema_version": 3}
-        with pytest.raises(ConfigError, match="schema_version 3 .* schema_version 2"):
+        payload = {**ScenarioSpec().to_dict(), "schema_version": 4}
+        with pytest.raises(ConfigError, match="schema_version 4 .* schema_version 3"):
             ScenarioSpec.from_dict(payload)
-        sweep = {**SweepSpec().to_dict(), "schema_version": 3}
-        with pytest.raises(ConfigError, match="schema_version 3"):
+        sweep = {**SweepSpec().to_dict(), "schema_version": 4}
+        with pytest.raises(ConfigError, match="schema_version 4"):
             SweepSpec.from_dict(sweep)
 
     @pytest.mark.parametrize("bad", [0, "2", 1.5, True])
@@ -185,6 +197,45 @@ class TestSchemaVersion:
         payload["schema_version"] = 2
         with pytest.raises(ConfigError, match="unknown key"):
             ScenarioSpec.from_dict(payload)
+        payload = v2_payload(ScenarioSpec(), 4)
+        payload["schema_version"] = SCHEMA_VERSION
+        with pytest.raises(ConfigError, match="unknown key"):
+            ScenarioSpec.from_dict(payload)
+
+    def test_v2_shards_is_dropped_with_one_warning(self, capsys):
+        payload = v2_payload(HETERO_SPEC, 4)
+        assert ScenarioSpec.from_dict(payload) == HETERO_SPEC
+        err = capsys.readouterr().err
+        assert err.count("[warning]") == 1
+        assert "schema_version 2 is deprecated" in err
+        assert REMOVED_IN_V3 in err
+        assert payload["run"]["shards"] == 4  # input not mutated
+
+    def test_v1_drops_both_removed_fields_with_one_warning(self, capsys):
+        payload = v1_payload(ScenarioSpec(), "numpy")
+        payload["run"]["shards"] = 2
+        assert ScenarioSpec.from_dict(payload) == ScenarioSpec()
+        err = capsys.readouterr().err
+        assert err.count("[warning]") == 1
+        assert "run.backend, run.shards" in err
+
+    def test_v2_sweep_drops_the_shards_axis(self, capsys):
+        base = v2_payload(HETERO_SPEC, 2)
+        del base["schema_version"]  # the base shares the sweep's marker
+        payload = {
+            "schema_version": 2,
+            "name": "legacy",
+            "base": base,
+            "parameters": {"run.seed": [0, 1], REMOVED_IN_V3: [1, 2]},
+        }
+        sweep = SweepSpec.from_dict(payload)
+        assert sweep == SweepSpec(
+            base=HETERO_SPEC, parameters={"run.seed": (0, 1)}, name="legacy"
+        )
+        assert sweep.n_jobs == 2
+        err = capsys.readouterr().err
+        assert err.count("[warning]") == 1
+        assert REMOVED_IN_V3 in err
 
     def test_version_is_not_a_settable_field(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -215,6 +266,34 @@ class TestValidation:
     def test_negative_voll_rejected(self):
         with pytest.raises(ConfigError, match="voll_per_kwh"):
             RunSpec(voll_per_kwh=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("days", 0),
+            ("days", -2),
+            ("days", 1.5),
+            ("days", 2.0),
+            ("days", True),
+            ("days", "3"),
+            ("seed", -3),
+            ("seed", 1.0),
+            ("seed", True),
+            ("seed", None),
+        ],
+    )
+    def test_run_days_and_seed_must_be_integers(self, field, bad):
+        # Through the saved-spec route: JSON numbers reach RunSpec as-is.
+        payload = ScenarioSpec().to_dict()
+        payload["run"][field] = bad
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            ScenarioSpec.from_json(json.dumps(payload))
+
+    def test_numpy_run_integers_accepted_as_int(self):
+        run = RunSpec(days=np.int64(3), seed=np.int32(0))
+        assert (run.days, run.seed) == (3, 0)
+        assert type(run.days) is int and type(run.seed) is int
+        assert json.loads(ScenarioSpec(run=run).to_json())["run"]["days"] == 3
 
     def test_non_finite_run_knobs_rejected(self):
         with pytest.raises(ConfigError, match="voll_per_kwh"):

@@ -30,7 +30,7 @@ from repro.hub.scenario import (
 )
 from repro.rng import RngFactory
 from repro.spec import SweepSpec
-from repro.spec.compiler import _assemble_fleet, spec_from_fleet_flags
+from repro.spec.compiler import spec_from_fleet_flags
 from repro.synth.catalog import default_fleet
 from repro.synth.rtp import RtpConfig, RtpGenerator
 from repro.synth.solar import (
@@ -357,20 +357,6 @@ def test_single_hub_builder_is_a_one_row_fleet():
         assert np.array_equal(getattr(scenario, name), expected[name])
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_sharded_assembly_rows_equal_the_full_fleet(seed):
-    spec = spec_from_fleet_flags(
-        n_hubs=10, days=2, seed=seed, n_feeders=3, feeder_capacity_kw=90.0
-    )
-    full = fleet_traces(_assemble_fleet(spec).scenarios)
-    indices = [1, 4, 5, 9]
-    shard = _assemble_fleet(spec, hub_indices=indices)
-    assert [s.site.hub_id for s in shard.scenarios] == indices
-    shard_traces = fleet_traces(shard.scenarios)
-    for name in TRACE_FIELDS:
-        assert np.array_equal(getattr(shard_traces, name), getattr(full, name)[indices])
-
-
 # --------------------------------------------------------------------- #
 # Scenarios share their planes                                           #
 # --------------------------------------------------------------------- #
@@ -483,8 +469,3 @@ def test_serial_sweep_reassembles_when_the_fleet_changes(monkeypatch):
     )
     api.run_sweep(sweep)
     assert calls == [4, 4]
-
-
-def test_sharded_specs_skip_the_assembly_cache():
-    spec = spec_from_fleet_flags(n_hubs=4, days=2).with_overrides({"run.shards": 2})
-    assert parallel._cached_assembly(spec) is None
