@@ -49,6 +49,7 @@ the OR baseline, whose μ₁/μ₀ models each see only their own treatment arm
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -138,12 +139,10 @@ class EctPriceModel:
     # Loss (Eq. 23)                                                        #
     # ------------------------------------------------------------------ #
 
-    def _heads(
-        self, station_ids: np.ndarray, time_ids: np.ndarray
-    ) -> tuple[nn.Tensor, nn.Tensor, nn.Tensor, nn.Tensor]:
-        """Forward pass → (f00, f01, f11, g) as 1-D tensors."""
-        batch = len(station_ids)
-        logits = self.network(station_ids, time_ids)
+    @staticmethod
+    def _heads(logits: nn.Tensor) -> tuple[nn.Tensor, nn.Tensor, nn.Tensor, nn.Tensor]:
+        """(batch, 4) logits → (f00, f01, f11, g) as 1-D tensors."""
+        batch = logits.shape[0]
         c0 = logits.select_columns(np.zeros(batch, dtype=int)).reshape(batch, 1)
         c1 = logits.select_columns(np.ones(batch, dtype=int)).reshape(batch, 1)
         c2 = logits.select_columns(np.full(batch, 2, dtype=int)).reshape(batch, 1)
@@ -156,15 +155,14 @@ class EctPriceModel:
 
     def loss(
         self,
-        station_ids: np.ndarray,
-        time_ids: np.ndarray,
+        logits: nn.Tensor,
         treated: np.ndarray,
         charged: np.ndarray,
     ) -> nn.Tensor:
-        """The joint objective on one batch (Eq. 23 or its MLE form)."""
+        """The joint objective on one batch's logits (Eq. 23 or its MLE form)."""
         treated = np.asarray(treated, dtype=float)
         charged = np.asarray(charged, dtype=float)
-        f00, f01, f11, g = self._heads(station_ids, time_ids)
+        f00, f01, f11, g = self._heads(logits)
 
         y0t1 = nn.Tensor(((charged == 0) & (treated == 1)).astype(float))
         y1t0 = nn.Tensor(((charged == 1) & (treated == 0)).astype(float))
@@ -205,16 +203,17 @@ class EctPriceModel:
             epoch_loss = 0.0
             n_batches = 0
             for idx in dataset.batches(self.config.batch_size, self._rng):
-                loss = self.loss(
+                loss_head = partial(
+                    self.loss,
+                    treated=dataset.treated[idx],
+                    charged=dataset.charged[idx],
+                )
+                epoch_loss += self.network.fit_batch(
+                    self._optimizer,
                     dataset.station_ids[idx],
                     dataset.time_ids[idx],
-                    dataset.treated[idx],
-                    dataset.charged[idx],
+                    loss_head,
                 )
-                self._optimizer.zero_grad()
-                loss.backward()
-                self._optimizer.step()
-                epoch_loss += loss.item()
                 n_batches += 1
             history.append(epoch_loss / max(n_batches, 1))
         self._fitted = True
@@ -230,12 +229,7 @@ class EctPriceModel:
         """(n, 3) strata probabilities ordered [None, Incentive, Always]."""
         if not self._fitted:
             raise NotFittedError("EctPriceModel.predict_strata called before fit")
-        self.network.eval()
-        logits = self.network(
-            np.asarray(station_ids, dtype=int), np.asarray(time_ids, dtype=int)
-        ).numpy()
-        self.network.train()
-        strata = logits[:, :3]
+        strata = self.network(station_ids, time_ids)[:, :3]
         shifted = np.exp(strata - strata.max(axis=1, keepdims=True))
         return shifted / shifted.sum(axis=1, keepdims=True)
 
@@ -257,10 +251,4 @@ class EctPriceModel:
         """Estimated ``P(T=1 | X)`` per item."""
         if not self._fitted:
             raise NotFittedError("EctPriceModel.predict_propensity called before fit")
-        self.network.eval()
-        logits = self.network(
-            np.asarray(station_ids, dtype=int), np.asarray(time_ids, dtype=int)
-        ).numpy()
-        self.network.train()
-        clipped = np.clip(logits[:, 3], -60.0, 60.0)
-        return 1.0 / (1.0 + np.exp(-clipped))
+        return nn.kernels.sigmoid(self.network(station_ids, time_ids)[:, 3])

@@ -13,6 +13,8 @@ through hidden layers), fused into one logit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -71,13 +73,62 @@ class NcfNetwork(nn.Module):
         fused = dim + config.hidden_sizes[-1]
         self.head = nn.Linear(fused, n_outputs, rng)
 
-    def forward(self, station_ids: np.ndarray, time_ids: np.ndarray) -> nn.Tensor:
+    def forward(self, station_ids: np.ndarray, time_ids: np.ndarray) -> np.ndarray:
         """Raw logits of shape (batch, n_outputs)."""
-        gmf = self.station_gmf(station_ids) * self.time_gmf(time_ids)
-        mlp_in = nn.concat([self.station_mlp(station_ids), self.time_mlp(time_ids)], axis=1)
-        mlp_out = self.mlp(mlp_in).relu()
-        fused = nn.concat([gmf, mlp_out], axis=1)
-        return self.head(fused)
+        return self.forward_cached(station_ids, time_ids)[0]
+
+    def forward_cached(
+        self, station_ids: np.ndarray, time_ids: np.ndarray
+    ) -> tuple[np.ndarray, tuple]:
+        """Logits plus the cache :meth:`backward` consumes (fused numpy pass)."""
+        station_ids = np.asarray(station_ids, dtype=int)
+        time_ids = np.asarray(time_ids, dtype=int)
+        station_gmf = self.station_gmf.forward_array(station_ids)
+        time_gmf = self.time_gmf.forward_array(time_ids)
+        station_mlp = self.station_mlp.forward_array(station_ids)
+        time_mlp = self.time_mlp.forward_array(time_ids)
+        hidden, trace = self.mlp.forward_array(
+            np.concatenate([station_mlp, time_mlp], axis=1)
+        )
+        fused = np.concatenate(
+            [station_gmf * time_gmf, nn.kernels.relu(hidden)], axis=1
+        )
+        cache = (station_ids, time_ids, station_gmf, time_gmf, trace, fused)
+        return self.head.forward_array(fused), cache
+
+    def backward(self, cache: tuple, d_logits: np.ndarray) -> None:
+        """Add every parameter's gradient from d(logits)."""
+        station_ids, time_ids, station_gmf, time_gmf, trace, fused = cache
+        dim = station_gmf.shape[1]
+        d_fused = self.head.backward_array(fused, None, d_logits)
+        d_gmf = d_fused[:, :dim]
+        self.station_gmf.backward_array(station_ids, d_gmf * time_gmf)
+        self.time_gmf.backward_array(time_ids, d_gmf * station_gmf)
+        d_hidden = d_fused[:, dim:] * (trace[-1] > 0)
+        d_mlp_in = self.mlp.backward_array(trace, d_hidden)
+        self.station_mlp.backward_array(station_ids, d_mlp_in[:, :dim])
+        self.time_mlp.backward_array(time_ids, d_mlp_in[:, dim:])
+
+    def fit_batch(
+        self,
+        optimizer: nn.Optimizer,
+        station_ids: np.ndarray,
+        time_ids: np.ndarray,
+        loss_head: Callable[[nn.Tensor], nn.Tensor],
+    ) -> float:
+        """One optimizer step on one batch; returns the batch loss.
+
+        The loss head runs on the tape from a leaf ``Tensor(logits)``; its
+        gradient seeds the fused :meth:`backward`.
+        """
+        logits, cache = self.forward_cached(station_ids, time_ids)
+        head = nn.Tensor(logits, requires_grad=True)
+        loss = loss_head(head)
+        optimizer.zero_grad()
+        loss.backward()
+        self.backward(cache, head.grad)
+        optimizer.step()
+        return loss.item()
 
 
 class NcfRegressor:
@@ -131,16 +182,14 @@ class NcfRegressor:
             n_batches = 0
             for start in range(0, n, self.config.batch_size):
                 idx = order[start : start + self.config.batch_size]
-                loss = self._batch_loss(
-                    station_ids[idx],
-                    time_ids[idx],
-                    targets[idx],
-                    None if sample_weight is None else sample_weight[idx],
+                loss_head = partial(
+                    self._batch_loss,
+                    targets=targets[idx],
+                    weights=None if sample_weight is None else sample_weight[idx],
                 )
-                self._optimizer.zero_grad()
-                loss.backward()
-                self._optimizer.step()
-                epoch_loss += loss.item()
+                epoch_loss += self.network.fit_batch(
+                    self._optimizer, station_ids[idx], time_ids[idx], loss_head
+                )
                 n_batches += 1
             history.append(epoch_loss / max(n_batches, 1))
         self._fitted = True
@@ -148,12 +197,10 @@ class NcfRegressor:
 
     def _batch_loss(
         self,
-        stations: np.ndarray,
-        times: np.ndarray,
+        logits: nn.Tensor,
         targets: np.ndarray,
         weights: np.ndarray | None,
     ) -> nn.Tensor:
-        logits = self.network(stations, times)
         if self.binary:
             if weights is None:
                 return nn.bce_with_logits(logits, nn.Tensor(targets))
@@ -172,11 +219,9 @@ class NcfRegressor:
         """Predicted probability (binary) or value (regression), shape (n,)."""
         if not self._fitted:
             raise NotFittedError("NcfRegressor.predict called before fit")
-        self.network.eval()
-        logits = self.network(np.asarray(station_ids, dtype=int), np.asarray(time_ids, dtype=int))
-        self.network.train()
-        values = logits.sigmoid() if self.binary else logits
-        return values.numpy().reshape(-1).copy()
+        logits = self.network(station_ids, time_ids)
+        values = nn.kernels.sigmoid(logits) if self.binary else logits
+        return values.reshape(-1)
 
 
 def pretrain_rating_model(

@@ -3,8 +3,16 @@
 The paper trains its models (NCF labeler, CF-MTL ECT-Price, PPO ECT-DRL) in
 PyTorch; this package provides the equivalent primitives offline: a
 reverse-mode autograd :class:`Tensor`, layers, losses, and optimizers.
+
+The two network architectures train on fused numpy passes: each layer has a
+hand-written ``forward_array``/``backward_array`` (:mod:`.layers`) built on
+the shared :mod:`.kernels`, and the optimizers update one flat parameter
+buffer. The tape runs only the loss heads, rooted at a leaf
+``Tensor(logits, requires_grad=True)``, and is the gradient oracle the fused
+passes are tested against bitwise.
 """
 
+from . import kernels
 from .autograd import Tensor, concat, ensure_tensor, stack
 from .gradcheck import check_gradients, numerical_gradient
 from .layers import (
@@ -51,6 +59,7 @@ __all__ = [
     "cross_entropy",
     "ensure_tensor",
     "entropy_of_logits",
+    "kernels",
     "load_module",
     "mse_loss",
     "numerical_gradient",

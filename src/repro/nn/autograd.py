@@ -1,16 +1,19 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
-This is the neural substrate for the paper's learned components (the NCF
-base model, the CF-MTL ECT-Price model, and the PPO actor-critic): a small
-tape-based autograd engine in the style of micrograd/PyTorch, sufficient for
-MLPs with embeddings, softmax policies, and clipped-surrogate losses.
+A small tape-based autograd engine in the style of micrograd/PyTorch. The
+paper's two network architectures (the NCF trunk and the PPO actor-critic)
+run fused numpy forward/backward passes (:mod:`repro.nn.layers`); the tape
+runs only their loss heads, rooted at a leaf ``Tensor(logits,
+requires_grad=True)``, and serves as the gradient oracle the fused passes
+are tested against.
 
 Design notes
 ------------
 * A :class:`Tensor` wraps an ``ndarray`` (always float64 unless the caller
   passes another dtype) plus an optional gradient buffer.
 * Each op records a backward closure over its parents; ``backward()`` runs a
-  topological sort and accumulates gradients.
+  topological sort and accumulates gradients. The first contribution to a
+  node is copied, later ones are added in place.
 * Broadcasting is supported in forward ops; backward passes reduce gradients
   back to each parent's shape via :func:`_unbroadcast`.
 * No in-place mutation of ``data`` after an op has consumed it — optimizers
@@ -25,11 +28,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..errors import ModelError
+from . import kernels
 
 ArrayLike = "np.ndarray | float | int | Sequence"
-
-#: Inputs to exp/sigmoid are clipped to this magnitude to avoid overflow.
-_EXP_CLIP = 60.0
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -116,9 +117,12 @@ class Tensor:
     # ------------------------------------------------------------------ #
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        # Copy-on-first: the first contribution is copied (never aliased,
+        # since later ones add into it in place).
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = np.array(grad, dtype=float)
+        else:
+            self.grad += grad
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient buffer."""
@@ -157,7 +161,9 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in seen:
+                # Constants carry no gradient: leaving them out of the
+                # order keeps every other node's position.
+                if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
 
         self._accumulate(grad)
@@ -276,7 +282,7 @@ class Tensor:
 
     def exp(self) -> "Tensor":
         """Elementwise exponential (input clipped to ±60 for stability)."""
-        value = np.exp(np.clip(self.data, -_EXP_CLIP, _EXP_CLIP))
+        value = np.exp(np.clip(self.data, -kernels.EXP_CLIP, kernels.EXP_CLIP))
         out = _make(value, (self,))
 
         def backward(grad: np.ndarray) -> None:
@@ -324,8 +330,7 @@ class Tensor:
 
     def sigmoid(self) -> "Tensor":
         """Logistic sigmoid with overflow-safe evaluation."""
-        clipped = np.clip(self.data, -_EXP_CLIP, _EXP_CLIP)
-        value = 1.0 / (1.0 + np.exp(-clipped))
+        value = kernels.sigmoid(self.data)
         out = _make(value, (self,))
 
         def backward(grad: np.ndarray) -> None:
@@ -419,9 +424,8 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                buffer = np.zeros_like(self.data)
-                np.add.at(buffer, idx, grad)
-                self._accumulate(buffer)
+                n_rows = self.data.shape[0]
+                self._accumulate(kernels.scatter_rows(idx % n_rows, grad, n_rows))
 
         out._backward = backward if out.requires_grad else None
         return out
@@ -443,8 +447,10 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
+                # The (row, col) pairs are unique, so a fancy-index ``+=``
+                # adds each onto zero exactly as ``np.add.at`` would.
                 buffer = np.zeros_like(self.data)
-                np.add.at(buffer, (rows, idx), grad)
+                buffer[rows, idx] += grad
                 self._accumulate(buffer)
 
         out._backward = backward if out.requires_grad else None
@@ -452,9 +458,7 @@ class Tensor:
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
         """Numerically stable log-softmax along ``axis``."""
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        value = shifted - log_norm
+        value = kernels.log_softmax(self.data, axis=axis)
         out = _make(value, (self,))
 
         def backward(grad: np.ndarray) -> None:
@@ -514,8 +518,10 @@ def _axis_size(shape: tuple[int, ...], axis: int | tuple[int, ...]) -> int:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
-    requires = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=requires, _parents=parents if requires else ())
+    for parent in parents:
+        if parent.requires_grad:
+            return Tensor(data, requires_grad=True, _parents=parents)
+    return Tensor(data)
 
 
 def ensure_tensor(value: ArrayLike | Tensor) -> Tensor:

@@ -2,6 +2,13 @@
 
 Every layer takes an explicit RNG for weight init so model construction is
 deterministic under :class:`repro.rng.RngFactory`.
+
+Besides the tape ``forward(Tensor)``, the layers the paper's networks use
+(Linear, Embedding, ReLU, Tanh, MLP) carry a fused numpy pass:
+``forward_array(x)`` returns the output array, and
+``backward_array(x, y, grad)`` takes d(output), adds every parameter's
+gradient into its ``.grad`` and returns d(input). Each mirrors the ufunc
+sequence of the tape ops it replaces, so the gradients are bitwise equal.
 """
 
 from __future__ import annotations
@@ -11,9 +18,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import ModelError
-from . import init
+from . import init, kernels
 from .autograd import Tensor, concat, ensure_tensor
 from .module import Module
+
+
+def _add_grad(param: Tensor, grad: np.ndarray) -> None:
+    """Accumulate a freshly allocated ``grad`` into ``param.grad``."""
+    if param.grad is None:
+        param.grad = grad
+    else:
+        param.grad += grad
 
 
 class Linear(Module):
@@ -45,6 +60,22 @@ class Linear(Module):
             out = out + self.bias
         return out
 
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        """``x W + b`` on a 2-D batch."""
+        out = x @ self.weight.data
+        if self.bias is not None:
+            out = out + self.bias.data
+        return out
+
+    def backward_array(
+        self, x: np.ndarray, y: np.ndarray | None, grad: np.ndarray
+    ) -> np.ndarray:
+        """Add d(W), d(b) from ``grad`` = d(y); return d(x)."""
+        if self.bias is not None:
+            _add_grad(self.bias, grad.sum(axis=0))
+        _add_grad(self.weight, x.T @ grad)
+        return grad @ self.weight.data.T
+
 
 class Embedding(Module):
     """Lookup table mapping integer ids to dense vectors."""
@@ -69,13 +100,24 @@ class Embedding(Module):
         )
 
     def forward(self, ids: np.ndarray) -> Tensor:
+        return self.weight.gather_rows(self._checked(ids))
+
+    def forward_array(self, ids: np.ndarray) -> np.ndarray:
+        """Rows of the table for ``ids`` (1-D integer array)."""
+        return self.weight.data[self._checked(ids)]
+
+    def backward_array(self, ids: np.ndarray, grad: np.ndarray) -> None:
+        """Scatter-add ``grad`` = d(rows) into the table's gradient."""
+        _add_grad(self.weight, kernels.scatter_rows(ids, grad, self.num_embeddings))
+
+    def _checked(self, ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids, dtype=int)
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
             raise ModelError(
                 f"embedding ids out of range [0, {self.num_embeddings}): "
                 f"min={ids.min()}, max={ids.max()}"
             )
-        return self.weight.gather_rows(ids)
+        return ids
 
 
 class ReLU(Module):
@@ -84,12 +126,28 @@ class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ensure_tensor(x).relu()
 
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        return kernels.relu(x)
+
+    def backward_array(
+        self, x: np.ndarray, y: np.ndarray, grad: np.ndarray
+    ) -> np.ndarray:
+        return grad * (x > 0)
+
 
 class Tanh(Module):
     """Hyperbolic tangent activation layer."""
 
     def forward(self, x: Tensor) -> Tensor:
         return ensure_tensor(x).tanh()
+
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        return np.tanh(x)
+
+    def backward_array(
+        self, x: np.ndarray, y: np.ndarray, grad: np.ndarray
+    ) -> np.ndarray:
+        return grad * (1.0 - y**2)
 
 
 class Sigmoid(Module):
@@ -174,6 +232,24 @@ class MLP(Module):
 
     def forward(self, x) -> Tensor:
         return self.body(x)
+
+    def forward_array(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Output array plus the trace of every step's input and output.
+
+        Every activation in the MLP must have a fused pass (ReLU, Tanh).
+        """
+        trace = [x]
+        for step in self.body.steps:
+            x = step.forward_array(x)
+            trace.append(x)
+        return x, trace
+
+    def backward_array(self, trace: list[np.ndarray], grad: np.ndarray) -> np.ndarray:
+        """Backpropagate d(output) through ``trace``; return d(input)."""
+        steps = self.body.steps
+        for i in range(len(steps) - 1, -1, -1):
+            grad = steps[i].backward_array(trace[i], trace[i + 1], grad)
+        return grad
 
 
 def concat_features(parts: Sequence[Tensor], axis: int = -1) -> Tensor:

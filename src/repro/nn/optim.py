@@ -17,7 +17,17 @@ from .autograd import Tensor
 
 
 class Optimizer:
-    """Base optimizer: holds parameters and clears their gradients."""
+    """Base optimizer: owns one flat buffer holding all its parameters.
+
+    On construction the parameters are copied into one contiguous float64
+    buffer and each ``param.data`` is rebound to its view of it, so the
+    update rules run a handful of ufuncs over the whole buffer per step
+    instead of a loop per parameter. Elementwise updates are
+    layout-independent, so results are bitwise those of a per-parameter
+    loop. Parameter values must therefore only be changed in place
+    (``param.data[...] = ...``, as ``Module.load_state_dict`` does); a
+    rebound ``param.data`` no longer trains and fails the next step.
+    """
 
     def __init__(self, parameters: Sequence[Tensor], lr: float) -> None:
         self.parameters = [p for p in parameters if p.requires_grad]
@@ -25,7 +35,14 @@ class Optimizer:
             raise ModelError("optimizer received no trainable parameters")
         if lr <= 0:
             raise ModelError(f"learning rate must be positive, got {lr}")
+        _check_distinct(self.parameters)
         self.lr = float(lr)
+        self._flat = np.concatenate([p.data.ravel() for p in self.parameters])
+        offset = 0
+        for param in self.parameters:
+            size = param.data.size
+            param.data = self._flat[offset : offset + size].reshape(param.data.shape)
+            offset += size
 
     def zero_grad(self) -> None:
         """Clear gradient buffers on all managed parameters."""
@@ -36,11 +53,33 @@ class Optimizer:
         """Apply one update; subclasses implement."""
         raise NotImplementedError
 
-    def _grads(self) -> list[np.ndarray]:
+    def _flat_grad(self) -> np.ndarray:
+        """Every parameter's gradient (zeros where absent), concatenated."""
         grads = []
         for param in self.parameters:
-            grads.append(param.grad if param.grad is not None else np.zeros_like(param.data))
-        return grads
+            if param.data.base is not self._flat:
+                raise ModelError(
+                    "a parameter's storage was rebound after the optimizer packed "
+                    "it; change parameter values in place"
+                )
+            grad = param.grad
+            grads.append(grad.ravel() if grad is not None else np.zeros(param.size))
+        return np.concatenate(grads)
+
+
+def _check_distinct(parameters: list[Tensor]) -> None:
+    """Reject a parameter listed twice or two parameters sharing memory."""
+    for i, param in enumerate(parameters):
+        for other in parameters[:i]:
+            if other is param:
+                raise ModelError(
+                    f"parameter #{i} (shape {param.shape}) is listed twice"
+                )
+            if np.shares_memory(other.data, param.data):
+                raise ModelError(
+                    f"parameter #{i} (shape {param.shape}) aliases the memory of "
+                    f"another parameter (shape {other.shape})"
+                )
 
 
 class SGD(Optimizer):
@@ -59,19 +98,19 @@ class SGD(Optimizer):
             raise ModelError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
+        self._velocity = np.zeros_like(self._flat)
 
     def step(self) -> None:
-        for param, grad, velocity in zip(self.parameters, self._grads(), self._velocity):
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                update = velocity
-            else:
-                update = grad
-            param.data -= self.lr * update
+        grad = self._flat_grad()
+        if self.weight_decay:
+            grad = grad + self.weight_decay * self._flat
+        if self.momentum:
+            self._velocity *= self.momentum
+            self._velocity += grad
+            update = self._velocity
+        else:
+            update = grad
+        self._flat -= self.lr * update
 
 
 class Adam(Optimizer):
@@ -94,23 +133,27 @@ class Adam(Optimizer):
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self._step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
+        self._m = np.zeros_like(self._flat)
+        self._v = np.zeros_like(self._flat)
 
     def step(self) -> None:
+        grad = self._flat_grad()
+        if self.weight_decay:
+            grad = grad + self.weight_decay * self._flat
+        self._adam_update(grad)
+
+    def _adam_update(self, grad: np.ndarray) -> None:
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
-        for param, grad, m, v in zip(self.parameters, self._grads(), self._m, self._v):
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad**2
+        m_hat = m / bias1
+        v_hat = v / bias2
+        self._flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 class AdamW(Adam):
@@ -118,13 +161,8 @@ class AdamW(Adam):
 
     def step(self) -> None:
         if self.weight_decay:
-            for param in self.parameters:
-                param.data -= self.lr * self.weight_decay * param.data
-        decay, self.weight_decay = self.weight_decay, 0.0
-        try:
-            super().step()
-        finally:
-            self.weight_decay = decay
+            self._flat -= self.lr * self.weight_decay * self._flat
+        self._adam_update(self._flat_grad())
 
 
 def clip_grad_norm(parameters: Sequence[Tensor], max_norm: float) -> float:

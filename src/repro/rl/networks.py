@@ -3,6 +3,10 @@
 All state inputs are concatenated and fed into a shared fully-connected
 layer, which then feeds both the actor (3-way softmax over the battery
 actions) and the critic (scalar value) — exactly the topology of Fig. 10.
+
+The network runs on fused numpy passes (:meth:`ActorCritic.forward_cached`
+and :meth:`ActorCritic.backward`); only the PPO loss head
+(:func:`repro.rl.ppo.ppo_loss`, Eqs. 25–27) runs on the autograd tape.
 """
 
 from __future__ import annotations
@@ -39,11 +43,29 @@ class ActorCritic(nn.Module):
         self.actor_head.weight.data *= 0.01
         self.n_actions = n_actions
 
-    def forward(self, states: np.ndarray) -> tuple[nn.Tensor, nn.Tensor]:
+    def forward(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(policy logits, value estimates) for a batch of states."""
-        x = nn.Tensor(np.atleast_2d(np.asarray(states, dtype=float)))
-        features = self.trunk(x)
-        return self.actor_head(features), self.critic_head(features)
+        logits, values, _ = self.forward_cached(states)
+        return logits, values
+
+    def forward_cached(
+        self, states: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """Logits ``(n, n_actions)``, values ``(n, 1)`` and the cache
+        :meth:`backward` consumes (fused numpy pass)."""
+        x = np.atleast_2d(np.asarray(states, dtype=float))
+        features, trace = self.trunk.forward_array(x)
+        logits = self.actor_head.forward_array(features)
+        return logits, self.critic_head.forward_array(features), trace
+
+    def backward(
+        self, trace: list[np.ndarray], d_logits: np.ndarray, d_values: np.ndarray
+    ) -> None:
+        """Add every parameter's gradient from d(logits) and d(values)."""
+        features = trace[-1]
+        d_features = self.actor_head.backward_array(features, None, d_logits)
+        d_features += self.critic_head.backward_array(features, None, d_values)
+        self.trunk.backward_array(trace, d_features)
 
     # ------------------------------------------------------------------ #
     # Acting                                                               #
@@ -54,16 +76,16 @@ class ActorCritic(nn.Module):
     ) -> tuple[int, float, float]:
         """Sample an action; returns (action, log_prob, value)."""
         logits, value = self.forward(state)
-        log_probs = logits.log_softmax(axis=-1).numpy()[0]
+        log_probs = nn.kernels.log_softmax(logits)[0]
         probs = np.exp(log_probs)
         probs = probs / probs.sum()
         action = int(rng.choice(self.n_actions, p=probs))
-        return action, float(log_probs[action]), float(value.numpy()[0, 0])
+        return action, float(log_probs[action]), float(value[0, 0])
 
     def greedy_action(self, state: np.ndarray) -> int:
         """Deterministic argmax action (evaluation mode)."""
         logits, _ = self.forward(state)
-        return int(np.argmax(logits.numpy()[0]))
+        return int(np.argmax(logits[0]))
 
     def act_batch(
         self, states: np.ndarray, rng: np.random.Generator
@@ -75,7 +97,7 @@ class ActorCritic(nn.Module):
         draw per row), so the whole fleet acts on one network evaluation.
         """
         logits, values = self.forward(states)
-        log_probs = logits.log_softmax(axis=-1).numpy()
+        log_probs = nn.kernels.log_softmax(logits)
         probs = np.exp(log_probs)
         draws = rng.random((probs.shape[0], 1))
         # Softmax rows sum to 1 up to float error; the clamp covers a
@@ -84,21 +106,9 @@ class ActorCritic(nn.Module):
             (probs.cumsum(axis=1) < draws).sum(axis=1), self.n_actions - 1
         ).astype(int)
         taken = log_probs[np.arange(len(actions)), actions]
-        return actions, taken, values.numpy().reshape(-1)
+        return actions, taken, values.reshape(-1)
 
     def greedy_actions(self, states: np.ndarray) -> np.ndarray:
         """Row-wise argmax actions (batched evaluation mode)."""
         logits, _ = self.forward(states)
-        return np.argmax(logits.numpy(), axis=1).astype(int)
-
-    def evaluate_actions(
-        self, states: np.ndarray, actions: np.ndarray
-    ) -> tuple[nn.Tensor, nn.Tensor, nn.Tensor]:
-        """(log-probs of taken actions, values, entropy) with gradients."""
-        logits, values = self.forward(states)
-        log_probs = logits.log_softmax(axis=-1)
-        taken = log_probs.select_columns(np.asarray(actions, dtype=int))
-        probs = log_probs.exp()
-        entropy = -(probs * log_probs).sum(axis=-1).mean()
-        batch = values.shape[0]
-        return taken, values.reshape(batch), entropy
+        return np.argmax(logits, axis=1).astype(int)

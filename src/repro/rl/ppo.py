@@ -12,6 +12,7 @@ MSE term with coefficient ``c`` (Eq. 27). Parameters follow the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +74,47 @@ class UpdateStats:
     approx_kl: float = 0.0
 
 
+class PpoLoss(NamedTuple):
+    """The Eq. 25–27 objective on one minibatch and its tape terms."""
+
+    loss: nn.Tensor
+    policy_loss: nn.Tensor
+    value_loss: nn.Tensor
+    entropy: nn.Tensor
+    ratio: nn.Tensor
+
+
+def ppo_loss(
+    logits: nn.Tensor,
+    values: nn.Tensor,
+    actions: np.ndarray,
+    old_log_probs: np.ndarray,
+    advantages: np.ndarray,
+    returns: np.ndarray,
+    config: PpoConfig,
+) -> PpoLoss:
+    """Clipped surrogate (Eqs. 25–26) plus value MSE (Eq. 27) and entropy.
+
+    ``logits`` ``(n, n_actions)`` and ``values`` ``(n, 1)`` are the
+    actor-critic's head outputs as tensors: leaves in training, the layers'
+    tape outputs in the gradient oracle.
+    """
+    log_probs = logits.log_softmax(axis=-1)
+    new_log_probs = log_probs.select_columns(np.asarray(actions, dtype=int))
+    probs = log_probs.exp()
+    entropy = -(probs * log_probs).sum(axis=-1).mean()
+    values = values.reshape(values.shape[0])
+    ratio = (new_log_probs - nn.Tensor(old_log_probs)).exp()
+    adv = nn.Tensor(advantages)
+    unclipped = ratio * adv
+    clipped = ratio.clip(1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon) * adv
+    policy_loss = -unclipped.minimum(clipped).mean()
+
+    value_loss = nn.mse_loss(values, nn.Tensor(returns))
+    loss = policy_loss + config.value_coef * value_loss - config.entropy_coef * entropy
+    return PpoLoss(loss, policy_loss, value_loss, entropy, ratio)
+
+
 class PpoAgent:
     """The ECT-DRL agent: an actor-critic trained with PPO."""
 
@@ -123,7 +165,7 @@ class PpoAgent:
     def value(self, state: np.ndarray) -> float:
         """Critic value of a state (for bootstrap at rollout truncation)."""
         _, value = self.network.forward(state)
-        return float(value.numpy()[0, 0])
+        return float(value[0, 0])
 
     # ------------------------------------------------------------------ #
     # Learning (Eqs. 25–28)                                                #
@@ -152,43 +194,35 @@ class PpoAgent:
 
         for _ in range(cfg.update_epochs):
             for idx in buffer.minibatches(cfg.batch_size, self._rng):
-                states = buffer.states[idx]
-                actions = buffer.actions[idx]
-                old_log_probs = buffer.log_probs[idx]
-                advantages = buffer.advantages[idx]
-                returns = buffer.returns[idx]
-
-                new_log_probs, values, entropy = self.network.evaluate_actions(
-                    states, actions
-                )
-                ratio = (new_log_probs - nn.Tensor(old_log_probs)).exp()
-                adv = nn.Tensor(advantages)
-                unclipped = ratio * adv
-                clipped = ratio.clip(1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * adv
-                policy_loss = -unclipped.minimum(clipped).mean()
-
-                value_loss = nn.mse_loss(values, nn.Tensor(returns))
-                loss = (
-                    policy_loss
-                    + cfg.value_coef * value_loss
-                    - cfg.entropy_coef * entropy
+                logits, values, trace = self.network.forward_cached(buffer.states[idx])
+                logits_leaf = nn.Tensor(logits, requires_grad=True)
+                values_leaf = nn.Tensor(values, requires_grad=True)
+                terms = ppo_loss(
+                    logits_leaf,
+                    values_leaf,
+                    buffer.actions[idx],
+                    buffer.log_probs[idx],
+                    buffer.advantages[idx],
+                    buffer.returns[idx],
+                    cfg,
                 )
 
                 self._optimizer.zero_grad()
-                loss.backward()
-                nn.clip_grad_norm(self.network.parameters(), cfg.max_grad_norm)
+                terms.loss.backward()
+                self.network.backward(trace, logits_leaf.grad, values_leaf.grad)
+                nn.clip_grad_norm(self._optimizer.parameters, cfg.max_grad_norm)
                 self._optimizer.step()
 
-                ratios = ratio.numpy()
+                ratios = terms.ratio.numpy()
                 total_clipped += float(
                     (np.abs(ratios - 1.0) > cfg.clip_epsilon).mean()
                 )
                 # E[log π_old − log π_new] = E[−log r]; ratios are
                 # exp(new − old) so positive by construction.
                 total_kl += float(-np.log(ratios).mean())
-                total_policy += policy_loss.item()
-                total_value += value_loss.item()
-                total_entropy += entropy.item()
+                total_policy += terms.policy_loss.item()
+                total_value += terms.value_loss.item()
+                total_entropy += terms.entropy.item()
                 n_batches += 1
 
         buffer.clear()
