@@ -11,7 +11,9 @@ check. This bench measures the payoff two ways on the canonical
 * against :class:`ReferenceStepSimulation` — a faithful in-file copy of
   the PR-3 ``step()`` (slot-tuple rebuilds, fresh temporaries, both
   branches every slot) run on the same hardware, which is the
-  hardware-independent speedup the guard asserts on; and
+  hardware-independent speedup the guard asserts on (the median over
+  alternating fused/reference pairs, so load on a shared host slows
+  both sides of a pair instead of one engine's whole timing); and
 * against the absolute PR-3 rate recorded in ``reports/fleet.txt``
   (582,104 hub-slots/sec), reported for the cross-PR trend.
 
@@ -24,6 +26,7 @@ CI smoke runs guard regressions without flaky hard numbers.
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 import numpy as np
@@ -37,6 +40,9 @@ N_HUBS = 100
 
 #: PR-3 batched rate recorded in reports/fleet.txt before the overhaul.
 PR3_BASELINE_RATE = 582_104.0
+
+#: Alternating fused/reference pairs the speedup guard takes the median of.
+N_PAIRS = 11
 
 #: Same-hardware speedup guard over the reference step implementation.
 MIN_SPEEDUP = 2.0
@@ -206,19 +212,44 @@ class ReferenceStepSimulation(FleetSimulation):
         }
 
 
-def _timed_run(sim, rounds: int = 3):
-    # One untimed warm-up run first: the initial pass pays page faults,
-    # allocator growth and (single-core CI boxes) frequency ramp that
-    # would otherwise skew whichever engine happens to be timed first.
+def _timed_run(sim):
     sim.reset()
-    sim.run(FleetRuleBasedScheduler())
-    best, book = float("inf"), None
-    for _ in range(rounds):
-        sim.reset()
-        start = time.perf_counter()
-        book = sim.run(FleetRuleBasedScheduler())
-        best = min(best, time.perf_counter() - start)
-    return book, best
+    start = time.perf_counter()
+    book = sim.run(FleetRuleBasedScheduler())
+    return book, time.perf_counter() - start
+
+
+def _timed_pairs(fused, reference, pairs: int = N_PAIRS):
+    """Time both engines in adjacent, order-alternating pairs.
+
+    One untimed warm-up run of each engine first: the initial pass pays
+    page faults, allocator growth and frequency ramp that would otherwise
+    skew whichever engine happens to be timed first. The two runs of a
+    pair share the host's state at that moment, so their ratio cancels
+    slowdowns from other load on the host; the median over the pairs
+    drops the pairs a load spike split.
+    """
+    _timed_run(fused)
+    _timed_run(reference)
+    fused_times, reference_times = [], []
+    for i in range(pairs):
+        order = (fused, reference) if i % 2 == 0 else (reference, fused)
+        for sim in order:
+            book, seconds = _timed_run(sim)
+            if sim is fused:
+                fused_book = book
+                fused_times.append(seconds)
+            else:
+                reference_book = book
+                reference_times.append(seconds)
+    speedups = [r / f for f, r in zip(fused_times, reference_times)]
+    return (
+        fused_book,
+        reference_book,
+        statistics.median(fused_times),
+        statistics.median(reference_times),
+        speedups,
+    )
 
 
 def test_bench_step_kernel():
@@ -235,12 +266,13 @@ def test_bench_step_kernel():
     )
     hub_slots = N_HUBS * fused.horizon
 
-    fused_book, fused_s = _timed_run(fused)
-    reference_book, reference_s = _timed_run(reference)
+    fused_book, reference_book, fused_s, reference_s, speedups = _timed_pairs(
+        fused, reference
+    )
 
     fused_rate = hub_slots / fused_s
     reference_rate = hub_slots / reference_s
-    speedup = fused_rate / reference_rate
+    speedup = statistics.median(speedups)
     vs_recorded = fused_rate / PR3_BASELINE_RATE
     relaxed = perf_relaxed()
     floor = MIN_SPEEDUP_RELAXED if relaxed else MIN_SPEEDUP
@@ -253,7 +285,8 @@ def test_bench_step_kernel():
             f"fused     {fused_rate:>12,.0f} hub-slots/sec  ({fused_s:.3f}s)",
             f"reference {reference_rate:>12,.0f} hub-slots/sec  "
             f"({reference_s:.3f}s)",
-            f"speedup   {speedup:>12.2f}x  (guard: >= {floor:.1f}x"
+            f"speedup   {speedup:>12.2f}x  median of {N_PAIRS} pairs, range "
+            f"{min(speedups):.2f}-{max(speedups):.2f}x  (guard: >= {floor:.1f}x"
             f"{', relaxed' if relaxed else ''})",
             f"vs PR-3 recorded rate ({PR3_BASELINE_RATE:,.0f}/s): "
             f"{vs_recorded:.2f}x",
