@@ -1,8 +1,19 @@
-"""Thin setup shim so `pip install -e .` works without the `wheel` package.
+"""Packaging for ``repro``, the ECT-Hub reproduction library.
 
-All project metadata lives in pyproject.toml; this file only enables the
-legacy editable-install path on offline environments.
+There is no ``pyproject.toml``: this file holds all the metadata. The
+package lives under ``src/``; ``pip install .`` or ``pip wheel .``
+packages ``repro`` and every subpackage. Tests and benchmarks run from a
+checkout with ``PYTHONPATH=src`` (see README.md).
 """
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="0.1.0",
+    description="ECT-Hub: a base-station-centric energy-communication-transportation hub",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy", "scipy", "networkx"],
+    entry_points={"console_scripts": ["ect-hub = repro.cli:main"]},
+)

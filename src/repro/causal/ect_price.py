@@ -64,8 +64,9 @@ from .ncf import NcfConfig, NcfNetwork
 class EctPriceConfig:
     """Hyperparameters of the CF-MTL model.
 
-    Defaults mirror the paper's §V-A training setup (Adam, lr 0.01, weight
-    decay 1e-4, batch 64) at CPU-friendly sizes.
+    Adam at the paper's §V-A learning rate (0.01), at CPU-friendly sizes.
+    The defaults depart from §V-A's weight decay 1e-4 and batch 64: no
+    weight decay, and batch 128.
     """
 
     embedding_dim: int = 8
@@ -139,58 +140,84 @@ class EctPriceModel:
     # Loss (Eq. 23)                                                        #
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _heads(logits: nn.Tensor) -> tuple[nn.Tensor, nn.Tensor, nn.Tensor, nn.Tensor]:
-        """(batch, 4) logits → (f00, f01, f11, g) as 1-D tensors."""
-        batch = logits.shape[0]
-        c0 = logits.select_columns(np.zeros(batch, dtype=int)).reshape(batch, 1)
-        c1 = logits.select_columns(np.ones(batch, dtype=int)).reshape(batch, 1)
-        c2 = logits.select_columns(np.full(batch, 2, dtype=int)).reshape(batch, 1)
-        strata = nn.concat([c0, c1, c2], axis=1).softmax(axis=-1)
-        f00 = strata.select_columns(np.zeros(batch, dtype=int))
-        f01 = strata.select_columns(np.ones(batch, dtype=int))
-        f11 = strata.select_columns(np.full(batch, 2, dtype=int))
-        g = logits.select_columns(np.full(batch, 3, dtype=int)).sigmoid()
-        return f00, f01, f11, g
-
     def loss(
         self,
-        logits: nn.Tensor,
+        logits: np.ndarray,
         treated: np.ndarray,
         charged: np.ndarray,
-    ) -> nn.Tensor:
-        """The joint objective on one batch's logits (Eq. 23 or its MLE form)."""
+    ) -> tuple[float, np.ndarray]:
+        """The joint objective on one batch's ``(batch, 4)`` logits (Eq. 23
+        or its MLE form) and its d(logits), as a numpy head (see
+        :mod:`repro.nn.heads` for the rules that keep it bitwise the
+        tape's).
+
+        Columns 0–2 are the strata logits (a softmax gives f00, f01, f11),
+        column 3 the propensity logit (a sigmoid gives g). The gradient
+        contributions to g arrive in the order L1, L2, L3, L4 (and Lp).
+        """
         treated = np.asarray(treated, dtype=float)
         charged = np.asarray(charged, dtype=float)
-        f00, f01, f11, g = self._heads(logits)
-
-        y0t1 = nn.Tensor(((charged == 0) & (treated == 1)).astype(float))
-        y1t0 = nn.Tensor(((charged == 1) & (treated == 0)).astype(float))
-        y1t1 = nn.Tensor(((charged == 1) & (treated == 1)).astype(float))
-        y0t0 = nn.Tensor(((charged == 0) & (treated == 0)).astype(float))
+        batch = logits.shape[0]
+        log_strata = nn.kernels.log_softmax(logits[:, :3])
+        strata = np.exp(np.clip(log_strata, -nn.kernels.EXP_CLIP, nn.kernels.EXP_CLIP))
+        f00, f01, f11 = strata[:, 0], strata[:, 1], strata[:, 2]
+        g = nn.kernels.sigmoid(logits[:, 3])
+        not_g = 1.0 - g
+        sum3 = f01 + f11
+        sum4 = f00 + f11 if self.config.paper_eq16_compat else f00 + f01
+        # Predictions of L1..L4, in the identification table's order.
+        preds = (f00 * g, f11 * not_g, sum3 * g, sum4 * not_g)
+        cells = (
+            ((charged == 0) & (treated == 1)).astype(float),
+            ((charged == 1) & (treated == 0)).astype(float),
+            ((charged == 1) & (treated == 1)).astype(float),
+            ((charged == 0) & (treated == 0)).astype(float),
+        )
+        w = nn.heads.mean_grad((batch,))
 
         if self.config.loss_form == "nll":
-            p1 = (f00 * g).clip(1e-9, 1.0)
-            p2 = (f11 * (1.0 - g)).clip(1e-9, 1.0)
-            p3 = ((f01 + f11) * g).clip(1e-9, 1.0)
-            p4 = ((f00 + f01) * (1.0 - g)).clip(1e-9, 1.0)
-            nll = -(
-                y0t1 * p1.log()
-                + y1t0 * p2.log()
-                + y1t1 * p3.log()
-                + y0t0 * p4.log()
-            )
-            return nll.mean()
-
-        l1 = nn.mse_loss(f00 * g, y0t1)
-        l2 = nn.mse_loss(f11 * (1.0 - g), y1t0)
-        l3 = nn.mse_loss((f01 + f11) * g, y1t1)
-        if self.config.paper_eq16_compat:
-            l4 = nn.mse_loss((f00 + f11) * (1.0 - g), y0t0)
+            terms, d_preds = [], []
+            for pred, cell in zip(preds, cells):
+                prob = np.clip(pred, 1e-9, 1.0)
+                safe = np.maximum(prob, 1e-12)
+                terms.append(cell * np.log(safe))
+                inside = (pred > 1e-9) & (pred < 1.0)
+                d_preds.append(((-w * cell) / safe) * inside)
+            nll = -(((terms[0] + terms[1]) + terms[2]) + terms[3])
+            loss = float(nll.sum() * (1.0 / batch))
+            d_propensity = None
         else:
-            l4 = nn.mse_loss((f00 + f01) * (1.0 - g), y0t0)
-        lp = nn.mse_loss(g, nn.Tensor(treated))
-        return l1 + l2 + l3 + l4 + lp
+            losses, d_preds = [], []
+            for pred, target in (*zip(preds, cells), (g, treated)):
+                diff = pred - target
+                losses.append((diff * diff).sum() * (1.0 / batch))
+                half = w * diff
+                d_preds.append(half + half)
+            loss = float((((losses[0] + losses[1]) + losses[2]) + losses[3]) + losses[4])
+            d_propensity = d_preds.pop()
+        d1, d2, d3, d4 = d_preds
+
+        d_g = ((d1 * f00 + -(d2 * f11)) + d3 * sum3) + -(d4 * sum4)
+        if d_propensity is not None:
+            d_g += d_propensity
+        d_sum3 = d3 * g
+        d_sum4 = d4 * not_g
+        d_strata = np.empty((batch, 3))
+        d_strata[:, 0] = d1 * g + d_sum4
+        if self.config.paper_eq16_compat:
+            d_strata[:, 1] = d_sum3
+            d_strata[:, 2] = (d2 * not_g + d_sum3) + d_sum4
+        else:
+            d_strata[:, 1] = d_sum3 + d_sum4
+            d_strata[:, 2] = d2 * not_g + d_sum3
+        d_log_strata = d_strata * strata
+        d_logits = np.empty((batch, 4))
+        d_logits[:, :3] = d_log_strata - np.exp(log_strata) * d_log_strata.sum(
+            axis=-1, keepdims=True
+        )
+        d_logits[:, 3] = d_g * g * not_g
+        d_logits += 0.0
+        return loss, d_logits
 
     # ------------------------------------------------------------------ #
     # Training                                                             #
@@ -203,16 +230,15 @@ class EctPriceModel:
             epoch_loss = 0.0
             n_batches = 0
             for idx in dataset.batches(self.config.batch_size, self._rng):
-                loss_head = partial(
-                    self.loss,
-                    treated=dataset.treated[idx],
-                    charged=dataset.charged[idx],
-                )
                 epoch_loss += self.network.fit_batch(
                     self._optimizer,
                     dataset.station_ids[idx],
                     dataset.time_ids[idx],
-                    loss_head,
+                    partial(
+                        self.loss,
+                        treated=dataset.treated[idx],
+                        charged=dataset.charged[idx],
+                    ),
                 )
                 n_batches += 1
             history.append(epoch_loss / max(n_batches, 1))
@@ -232,12 +258,6 @@ class EctPriceModel:
         strata = self.network(station_ids, time_ids)[:, :3]
         shifted = np.exp(strata - strata.max(axis=1, keepdims=True))
         return shifted / shifted.sum(axis=1, keepdims=True)
-
-    def predict_strata_normalized(
-        self, station_ids: np.ndarray, time_ids: np.ndarray
-    ) -> np.ndarray:
-        """Alias of :meth:`predict_strata` (already a simplex distribution)."""
-        return self.predict_strata(station_ids, time_ids)
 
     def predict_stratum(
         self, station_ids: np.ndarray, time_ids: np.ndarray

@@ -80,9 +80,13 @@ class NcfNetwork(nn.Module):
     def forward_cached(
         self, station_ids: np.ndarray, time_ids: np.ndarray
     ) -> tuple[np.ndarray, tuple]:
-        """Logits plus the cache :meth:`backward` consumes (fused numpy pass)."""
-        station_ids = np.asarray(station_ids, dtype=int)
-        time_ids = np.asarray(time_ids, dtype=int)
+        """Logits plus the cache :meth:`backward` consumes (fused numpy pass).
+
+        Each id array is range-checked once: the GMF and MLP tables of a
+        key have the same number of rows.
+        """
+        station_ids = self.station_gmf.check_ids(station_ids)
+        time_ids = self.time_gmf.check_ids(time_ids)
         station_gmf = self.station_gmf.forward_array(station_ids)
         time_gmf = self.time_gmf.forward_array(time_ids)
         station_mlp = self.station_mlp.forward_array(station_ids)
@@ -97,38 +101,47 @@ class NcfNetwork(nn.Module):
         return self.head.forward_array(fused), cache
 
     def backward(self, cache: tuple, d_logits: np.ndarray) -> None:
-        """Add every parameter's gradient from d(logits)."""
+        """Add every parameter's gradient from d(logits).
+
+        The flat scatter positions of each id array are built once and
+        shared by its GMF and MLP tables (both ``embedding_dim`` wide).
+        """
         station_ids, time_ids, station_gmf, time_gmf, trace, fused = cache
         dim = station_gmf.shape[1]
+        station_positions = nn.kernels.scatter_positions(station_ids, dim)
+        time_positions = nn.kernels.scatter_positions(time_ids, dim)
         d_fused = self.head.backward_array(fused, None, d_logits)
         d_gmf = d_fused[:, :dim]
-        self.station_gmf.backward_array(station_ids, d_gmf * time_gmf)
-        self.time_gmf.backward_array(time_ids, d_gmf * station_gmf)
+        self.station_gmf.backward_array(
+            station_ids, d_gmf * time_gmf, station_positions
+        )
+        self.time_gmf.backward_array(time_ids, d_gmf * station_gmf, time_positions)
         d_hidden = d_fused[:, dim:] * (trace[-1] > 0)
         d_mlp_in = self.mlp.backward_array(trace, d_hidden)
-        self.station_mlp.backward_array(station_ids, d_mlp_in[:, :dim])
-        self.time_mlp.backward_array(time_ids, d_mlp_in[:, dim:])
+        self.station_mlp.backward_array(
+            station_ids, d_mlp_in[:, :dim], station_positions
+        )
+        self.time_mlp.backward_array(time_ids, d_mlp_in[:, dim:], time_positions)
 
     def fit_batch(
         self,
         optimizer: nn.Optimizer,
         station_ids: np.ndarray,
         time_ids: np.ndarray,
-        loss_head: Callable[[nn.Tensor], nn.Tensor],
+        loss_head: Callable[[np.ndarray], tuple[float, np.ndarray]],
     ) -> float:
         """One optimizer step on one batch; returns the batch loss.
 
-        The loss head runs on the tape from a leaf ``Tensor(logits)``; its
-        gradient seeds the fused :meth:`backward`.
+        ``loss_head(logits)`` returns ``(loss, d_logits)`` (see
+        :mod:`repro.nn.heads`); ``d_logits`` seeds the fused
+        :meth:`backward`, so the step builds no tensor.
         """
         logits, cache = self.forward_cached(station_ids, time_ids)
-        head = nn.Tensor(logits, requires_grad=True)
-        loss = loss_head(head)
+        loss, d_logits = loss_head(logits)
         optimizer.zero_grad()
-        loss.backward()
-        self.backward(cache, head.grad)
+        self.backward(cache, d_logits)
         optimizer.step()
-        return loss.item()
+        return loss
 
 
 class NcfRegressor:
@@ -160,19 +173,13 @@ class NcfRegressor:
         self._fitted = False
 
     def fit(
-        self,
-        station_ids: np.ndarray,
-        time_ids: np.ndarray,
-        targets: np.ndarray,
-        *,
-        sample_weight: np.ndarray | None = None,
+        self, station_ids: np.ndarray, time_ids: np.ndarray, targets: np.ndarray
     ) -> list[float]:
         """Train; returns the per-epoch mean loss trajectory."""
         station_ids = np.asarray(station_ids, dtype=int)
         time_ids = np.asarray(time_ids, dtype=int)
         targets = np.asarray(targets, dtype=float).reshape(-1, 1)
-        if sample_weight is not None:
-            sample_weight = np.asarray(sample_weight, dtype=float).reshape(-1, 1)
+        head = nn.heads.bce_with_logits if self.binary else nn.heads.mse
 
         history: list[float] = []
         n = len(station_ids)
@@ -182,38 +189,16 @@ class NcfRegressor:
             n_batches = 0
             for start in range(0, n, self.config.batch_size):
                 idx = order[start : start + self.config.batch_size]
-                loss_head = partial(
-                    self._batch_loss,
-                    targets=targets[idx],
-                    weights=None if sample_weight is None else sample_weight[idx],
-                )
                 epoch_loss += self.network.fit_batch(
-                    self._optimizer, station_ids[idx], time_ids[idx], loss_head
+                    self._optimizer,
+                    station_ids[idx],
+                    time_ids[idx],
+                    partial(head, targets=targets[idx]),
                 )
                 n_batches += 1
             history.append(epoch_loss / max(n_batches, 1))
         self._fitted = True
         return history
-
-    def _batch_loss(
-        self,
-        logits: nn.Tensor,
-        targets: np.ndarray,
-        weights: np.ndarray | None,
-    ) -> nn.Tensor:
-        if self.binary:
-            if weights is None:
-                return nn.bce_with_logits(logits, nn.Tensor(targets))
-            probs = logits.sigmoid().clip(1e-7, 1.0 - 1e-7)
-            t = nn.Tensor(targets)
-            w = nn.Tensor(weights)
-            losses = -(t * probs.log() + (1.0 - t) * (1.0 - probs).log())
-            return (losses * w).mean()
-        diff = logits - nn.Tensor(targets)
-        squared = diff * diff
-        if weights is not None:
-            squared = squared * nn.Tensor(weights)
-        return squared.mean()
 
     def predict(self, station_ids: np.ndarray, time_ids: np.ndarray) -> np.ndarray:
         """Predicted probability (binary) or value (regression), shape (n,)."""

@@ -4,15 +4,17 @@ The paper trains its models (NCF labeler, CF-MTL ECT-Price, PPO ECT-DRL) in
 PyTorch; this package provides the equivalent primitives offline: a
 reverse-mode autograd :class:`Tensor`, layers, losses, and optimizers.
 
-The two network architectures train on fused numpy passes: each layer has a
-hand-written ``forward_array``/``backward_array`` (:mod:`.layers`) built on
-the shared :mod:`.kernels`, and the optimizers update one flat parameter
-buffer. The tape runs only the loss heads, rooted at a leaf
-``Tensor(logits, requires_grad=True)``, and is the gradient oracle the fused
-passes are tested against bitwise.
+Training runs on plain numpy. Each layer of the two network architectures
+has a hand-written ``forward_array``/``backward_array`` (:mod:`.layers`)
+built on the shared :mod:`.kernels`; each loss head (:mod:`.heads`, and the
+model-specific heads next to their models) returns ``(loss, d_logits)``;
+the optimizers update one flat parameter buffer. A training step builds no
+:class:`Tensor`: parameters are stored as ``Tensor`` (``.data``/``.grad``),
+and the tape itself runs only in the tests, as the bitwise gradient oracle
+of the heads and the fused passes.
 """
 
-from . import kernels
+from . import heads, kernels
 from .autograd import Tensor, concat, ensure_tensor, stack
 from .gradcheck import check_gradients, numerical_gradient
 from .layers import (
@@ -59,6 +61,7 @@ __all__ = [
     "cross_entropy",
     "ensure_tensor",
     "entropy_of_logits",
+    "heads",
     "kernels",
     "load_module",
     "mse_loss",

@@ -2,10 +2,10 @@
 
 A small tape-based autograd engine in the style of micrograd/PyTorch. The
 paper's two network architectures (the NCF trunk and the PPO actor-critic)
-run fused numpy forward/backward passes (:mod:`repro.nn.layers`); the tape
-runs only their loss heads, rooted at a leaf ``Tensor(logits,
-requires_grad=True)``, and serves as the gradient oracle the fused passes
-are tested against.
+train on fused numpy forward/backward passes (:mod:`repro.nn.layers`)
+seeded by numpy loss heads (:mod:`repro.nn.heads`), so no training step
+runs the tape. :class:`Tensor` stores the parameters, and the tape is the
+gradient oracle the heads and fused passes are tested against.
 
 Design notes
 ------------

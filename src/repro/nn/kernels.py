@@ -9,6 +9,8 @@ tape's.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 #: Inputs to exp/sigmoid are clipped to this magnitude to avoid overflow.
@@ -31,18 +33,31 @@ def log_softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def scatter_rows(indices: np.ndarray, grad: np.ndarray, n_rows: int) -> np.ndarray:
+def scatter_positions(indices: np.ndarray, width: int) -> np.ndarray:
+    """Flat ``(row, col)`` positions of a row scatter of ``width``-wide rows."""
+    return (indices[:, None] * width + np.arange(width)).ravel()
+
+
+def scatter_rows(
+    indices: np.ndarray,
+    grad: np.ndarray,
+    n_rows: int,
+    positions: np.ndarray | None = None,
+) -> np.ndarray:
     """Sum the rows of ``grad`` into an ``(n_rows, ...)`` array by ``indices``.
 
     The backward of a row gather. One ``np.bincount`` over flattened
     ``(row, col)`` positions adds each element in ascending input order
     onto a zero start, so it is bitwise equal to ``np.add.at`` into zeros,
     repeated indices and signed zeros included. ``indices`` must be
-    non-negative.
+    non-negative. ``positions``, when given, is
+    ``scatter_positions(indices, width)``, built once for several scatters
+    of the same ids.
     """
     tail = grad.shape[1:]
-    width = int(np.prod(tail, dtype=int))
-    positions = (indices[:, None] * width + np.arange(width)).ravel()
+    width = math.prod(tail)
+    if positions is None:
+        positions = scatter_positions(indices, width)
     summed = np.bincount(positions, weights=grad.ravel(), minlength=n_rows * width)
     # An empty input makes bincount return integer zeros.
     return np.asarray(summed, dtype=float).reshape((n_rows, *tail))

@@ -100,17 +100,28 @@ class Embedding(Module):
         )
 
     def forward(self, ids: np.ndarray) -> Tensor:
-        return self.weight.gather_rows(self._checked(ids))
+        return self.weight.gather_rows(self.check_ids(ids))
 
     def forward_array(self, ids: np.ndarray) -> np.ndarray:
-        """Rows of the table for ``ids`` (1-D integer array)."""
-        return self.weight.data[self._checked(ids)]
+        """Rows of the table for ``ids``, a 1-D integer array that
+        :meth:`check_ids` has validated (once for all tables it indexes)."""
+        return self.weight.data[ids]
 
-    def backward_array(self, ids: np.ndarray, grad: np.ndarray) -> None:
-        """Scatter-add ``grad`` = d(rows) into the table's gradient."""
-        _add_grad(self.weight, kernels.scatter_rows(ids, grad, self.num_embeddings))
+    def backward_array(
+        self, ids: np.ndarray, grad: np.ndarray, positions: np.ndarray | None = None
+    ) -> None:
+        """Scatter-add ``grad`` = d(rows) into the table's gradient.
 
-    def _checked(self, ids: np.ndarray) -> np.ndarray:
+        ``positions`` is ``kernels.scatter_positions(ids, embedding_dim)``
+        when the caller shares it between tables looked up by the same ids.
+        """
+        _add_grad(
+            self.weight,
+            kernels.scatter_rows(ids, grad, self.num_embeddings, positions),
+        )
+
+    def check_ids(self, ids: np.ndarray) -> np.ndarray:
+        """``ids`` as an integer array; raises unless each is a row of the table."""
         ids = np.asarray(ids, dtype=int)
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
             raise ModelError(

@@ -1,9 +1,9 @@
 """Loss functions used across the paper's models.
 
 All losses reduce to scalar tensors (mean over the batch) so callers can do
-``loss.backward()`` directly. The CF-MTL objective (paper Eq. 23) is a sum
-of MSE terms over probability products; the generic pieces live here and the
-model-specific assembly lives in :mod:`repro.causal.ect_price`.
+``loss.backward()`` directly. These are the tape forms: training uses the
+numpy heads of :mod:`repro.nn.heads` (and the ECT-Price and PPO heads next to
+their models), and the tests hold those heads to these tape forms bitwise.
 """
 
 from __future__ import annotations

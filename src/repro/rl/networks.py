@@ -5,8 +5,9 @@ layer, which then feeds both the actor (3-way softmax over the battery
 actions) and the critic (scalar value) — exactly the topology of Fig. 10.
 
 The network runs on fused numpy passes (:meth:`ActorCritic.forward_cached`
-and :meth:`ActorCritic.backward`); only the PPO loss head
-(:func:`repro.rl.ppo.ppo_loss`, Eqs. 25–27) runs on the autograd tape.
+and :meth:`ActorCritic.backward`), seeded by the numpy PPO loss head
+(:func:`repro.rl.ppo.ppo_loss`, Eqs. 25–27); training builds no tensor.
+The autograd tape runs only in the tests, as the gradient oracle.
 """
 
 from __future__ import annotations

@@ -75,18 +75,23 @@ class UpdateStats:
 
 
 class PpoLoss(NamedTuple):
-    """The Eq. 25–27 objective on one minibatch and its tape terms."""
+    """The Eq. 25–27 objective on one minibatch, its terms and its gradients."""
 
-    loss: nn.Tensor
-    policy_loss: nn.Tensor
-    value_loss: nn.Tensor
-    entropy: nn.Tensor
-    ratio: nn.Tensor
+    loss: float
+    policy_loss: float
+    value_loss: float
+    entropy: float
+    #: New/old policy probability ratios (Eq. 26), shape ``(n,)``.
+    ratio: np.ndarray
+    clip_fraction: float
+    approx_kl: float
+    d_logits: np.ndarray
+    d_values: np.ndarray
 
 
 def ppo_loss(
-    logits: nn.Tensor,
-    values: nn.Tensor,
+    logits: np.ndarray,
+    values: np.ndarray,
     actions: np.ndarray,
     old_log_probs: np.ndarray,
     advantages: np.ndarray,
@@ -96,23 +101,63 @@ def ppo_loss(
     """Clipped surrogate (Eqs. 25–26) plus value MSE (Eq. 27) and entropy.
 
     ``logits`` ``(n, n_actions)`` and ``values`` ``(n, 1)`` are the
-    actor-critic's head outputs as tensors: leaves in training, the layers'
-    tape outputs in the gradient oracle.
+    actor-critic's outputs. A numpy head (see :mod:`repro.nn.heads`):
+    the loss terms come back as floats with d(logits) and d(values) for
+    the fused backward. The log-probabilities feed three consumers; their
+    gradients are summed in tape order: the taken-action select, the
+    entropy product, then the ``exp`` to probabilities.
     """
-    log_probs = logits.log_softmax(axis=-1)
-    new_log_probs = log_probs.select_columns(np.asarray(actions, dtype=int))
-    probs = log_probs.exp()
-    entropy = -(probs * log_probs).sum(axis=-1).mean()
-    values = values.reshape(values.shape[0])
-    ratio = (new_log_probs - nn.Tensor(old_log_probs)).exp()
-    adv = nn.Tensor(advantages)
-    unclipped = ratio * adv
-    clipped = ratio.clip(1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon) * adv
-    policy_loss = -unclipped.minimum(clipped).mean()
+    batch = logits.shape[0]
+    rows = np.arange(batch)
+    actions = np.asarray(actions, dtype=int)
+    advantages = np.asarray(advantages, dtype=float)
+    log_probs = nn.kernels.log_softmax(logits)
+    probs = np.exp(np.clip(log_probs, -nn.kernels.EXP_CLIP, nn.kernels.EXP_CLIP))
+    entropy = -((probs * log_probs).sum(axis=-1).sum() * (1.0 / batch))
+    ratio = np.exp(
+        np.clip(
+            log_probs[rows, actions] - old_log_probs,
+            -nn.kernels.EXP_CLIP,
+            nn.kernels.EXP_CLIP,
+        )
+    )
+    low, high = 1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon
+    unclipped = ratio * advantages
+    clipped = np.clip(ratio, low, high) * advantages
+    take_unclipped = unclipped <= clipped
+    surrogate = np.where(take_unclipped, unclipped, clipped)
+    policy_loss = -(surrogate.sum() * (1.0 / batch))
+    diff = values.reshape(batch) - returns
+    value_loss = (diff * diff).sum() * (1.0 / batch)
+    loss = (policy_loss + value_loss * config.value_coef) + -(
+        entropy * config.entropy_coef
+    )
 
-    value_loss = nn.mse_loss(values, nn.Tensor(returns))
-    loss = policy_loss + config.value_coef * value_loss - config.entropy_coef * entropy
-    return PpoLoss(loss, policy_loss, value_loss, entropy, ratio)
+    half = nn.heads.mean_grad((batch,), config.value_coef) * diff
+    d_values = (half + half).reshape(batch, 1)
+    d_surrogate = nn.heads.mean_grad((batch,), -1.0)
+    inside = (ratio > low) & (ratio < high)
+    d_ratio = (d_surrogate * take_unclipped) * advantages
+    d_ratio += ((d_surrogate * ~take_unclipped) * advantages) * inside
+    d_log_probs = np.zeros_like(log_probs)
+    d_log_probs[rows, actions] += d_ratio * ratio
+    d_entropy_terms = np.full(log_probs.shape, config.entropy_coef * (1.0 / batch))
+    d_log_probs += d_entropy_terms * probs
+    d_log_probs += (d_entropy_terms * log_probs) * probs
+    d_logits = d_log_probs - np.exp(log_probs) * d_log_probs.sum(axis=-1, keepdims=True)
+    return PpoLoss(
+        loss=float(loss),
+        policy_loss=float(policy_loss),
+        value_loss=float(value_loss),
+        entropy=float(entropy),
+        ratio=ratio,
+        clip_fraction=float((np.abs(ratio - 1.0) > config.clip_epsilon).mean()),
+        # E[log π_old − log π_new] = E[−log r]; ratios are exp(new − old)
+        # so positive by construction.
+        approx_kl=float(-np.log(ratio).mean()),
+        d_logits=d_logits,
+        d_values=d_values,
+    )
 
 
 class PpoAgent:
@@ -195,34 +240,25 @@ class PpoAgent:
         for _ in range(cfg.update_epochs):
             for idx in buffer.minibatches(cfg.batch_size, self._rng):
                 logits, values, trace = self.network.forward_cached(buffer.states[idx])
-                logits_leaf = nn.Tensor(logits, requires_grad=True)
-                values_leaf = nn.Tensor(values, requires_grad=True)
                 terms = ppo_loss(
-                    logits_leaf,
-                    values_leaf,
+                    logits,
+                    values,
                     buffer.actions[idx],
                     buffer.log_probs[idx],
                     buffer.advantages[idx],
                     buffer.returns[idx],
                     cfg,
                 )
-
                 self._optimizer.zero_grad()
-                terms.loss.backward()
-                self.network.backward(trace, logits_leaf.grad, values_leaf.grad)
+                self.network.backward(trace, terms.d_logits, terms.d_values)
                 nn.clip_grad_norm(self._optimizer.parameters, cfg.max_grad_norm)
                 self._optimizer.step()
 
-                ratios = terms.ratio.numpy()
-                total_clipped += float(
-                    (np.abs(ratios - 1.0) > cfg.clip_epsilon).mean()
-                )
-                # E[log π_old − log π_new] = E[−log r]; ratios are
-                # exp(new − old) so positive by construction.
-                total_kl += float(-np.log(ratios).mean())
-                total_policy += terms.policy_loss.item()
-                total_value += terms.value_loss.item()
-                total_entropy += terms.entropy.item()
+                total_clipped += terms.clip_fraction
+                total_kl += terms.approx_kl
+                total_policy += terms.policy_loss
+                total_value += terms.value_loss
+                total_entropy += terms.entropy
                 n_batches += 1
 
         buffer.clear()

@@ -127,20 +127,6 @@ class TestNnEdges:
         out = nn.Tensor(np.array([0.0, -1.0])).log().numpy()
         assert np.all(np.isfinite(out))
 
-    def test_weighted_regressor_fit(self, factory):
-        """NcfRegressor supports per-sample weights (IPS-style reweighting)."""
-        from repro.causal import NcfConfig, NcfRegressor
-
-        rng = factory.stream("w")
-        stations = rng.integers(0, 3, 600)
-        times = rng.integers(0, 4, 600)
-        target = (stations == 0).astype(float)
-        model = NcfRegressor(3, 4, NcfConfig(epochs=4, batch_size=128), rng)
-        history = model.fit(
-            stations, times, target, sample_weight=np.ones(600)
-        )
-        assert history[-1] < history[0]
-
 
 class TestBehaviorModelEdges:
     def test_zero_day_log(self, factory):
