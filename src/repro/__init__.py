@@ -6,7 +6,7 @@ Hub: A Base-Station-Centric Design in 5G and Beyond"* (ICDCS 2024).
 Subpackages
 -----------
 ``repro.nn``
-    From-scratch numpy autograd / neural-network substrate.
+    From-scratch numpy neural-network substrate (fused passes, Adam).
 ``repro.synth``
     Synthetic replacements for the paper's datasets (weather, RTP,
     cellular traffic, EV charging sessions, road/BS geography).

@@ -48,6 +48,7 @@ the OR baseline, whose μ₁/μ₀ models each see only their own treatment arm
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -83,10 +84,10 @@ class EctPriceConfig:
             raise ConfigError("embedding_dim must be positive")
         if any(h <= 0 for h in self.hidden_sizes):
             raise ConfigError("hidden sizes must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be non-negative")
+        if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be positive and finite")
+        if not math.isfinite(self.weight_decay) or self.weight_decay < 0:
+            raise ConfigError("weight_decay must be non-negative and finite")
         if self.batch_size <= 0 or self.epochs <= 0:
             raise ConfigError("batch_size and epochs must be positive")
         if self.loss_form not in ("nll", "mse"):

@@ -12,6 +12,7 @@ through hidden layers), fused into one logit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -43,10 +44,10 @@ class NcfConfig:
             raise ConfigError(f"embedding_dim must be positive, got {self.embedding_dim}")
         if any(h <= 0 for h in self.hidden_sizes):
             raise ConfigError("hidden sizes must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be non-negative")
+        if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be positive and finite")
+        if not math.isfinite(self.weight_decay) or self.weight_decay < 0:
+            raise ConfigError("weight_decay must be non-negative and finite")
         if self.batch_size <= 0 or self.epochs <= 0:
             raise ConfigError("batch_size and epochs must be positive")
 
@@ -63,7 +64,6 @@ class NcfNetwork(nn.Module):
         *,
         n_outputs: int = 1,
     ) -> None:
-        super().__init__()
         dim = config.embedding_dim
         self.station_gmf = nn.Embedding(n_stations, dim, rng)
         self.time_gmf = nn.Embedding(n_time_ids, dim, rng)
@@ -125,7 +125,7 @@ class NcfNetwork(nn.Module):
 
     def fit_batch(
         self,
-        optimizer: nn.Optimizer,
+        optimizer: nn.Adam,
         station_ids: np.ndarray,
         time_ids: np.ndarray,
         loss_head: Callable[[np.ndarray], tuple[float, np.ndarray]],
@@ -134,7 +134,7 @@ class NcfNetwork(nn.Module):
 
         ``loss_head(logits)`` returns ``(loss, d_logits)`` (see
         :mod:`repro.nn.heads`); ``d_logits`` seeds the fused
-        :meth:`backward`, so the step builds no tensor.
+        :meth:`backward`, so the step runs no autograd tape.
         """
         logits, cache = self.forward_cached(station_ids, time_ids)
         loss, d_logits = loss_head(logits)

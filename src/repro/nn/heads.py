@@ -2,8 +2,8 @@
 
 A head runs the forward of its loss and the backward to the gradient of
 the loss with respect to its input, both as plain ufunc sequences. The
-gradient seeds a network's fused ``backward``, so a training step builds
-no :class:`~repro.nn.autograd.Tensor`.
+gradient seeds a network's fused ``backward``, so training runs no
+autograd tape.
 
 Each head mirrors, op for op, the tape expression it replaces (kept as a
 frozen oracle in ``tests/test_fused_steps.py``), so losses and gradients

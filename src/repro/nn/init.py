@@ -20,9 +20,9 @@ def normal(
     shape: tuple[int, ...],
     rng: np.random.Generator,
     *,
-    std: float = 0.01,
+    std: float,
 ) -> np.ndarray:
-    """Gaussian init with the given standard deviation (embedding default)."""
+    """Gaussian init with the given standard deviation (the embeddings')."""
     if std <= 0:
         raise ModelError(f"std must be positive, got {std}")
     return rng.normal(0.0, std, size=shape)
@@ -40,25 +40,6 @@ def he_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     fan_in, _ = _fans(shape)
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape)
-
-
-def orthogonal(
-    shape: tuple[int, ...],
-    rng: np.random.Generator,
-    *,
-    gain: float = 1.0,
-) -> np.ndarray:
-    """Orthogonal init (PPO-style policy/value head initialization)."""
-    if len(shape) != 2:
-        raise ModelError(f"orthogonal init requires a 2-D shape, got {shape}")
-    rows, cols = shape
-    flat = rng.normal(0.0, 1.0, size=(max(rows, cols), min(rows, cols)))
-    q, r = np.linalg.qr(flat)
-    q *= np.sign(np.diag(r))
-    q = q[:rows, :cols] if q.shape != shape else q
-    if q.shape != shape:
-        q = q.T[:rows, :cols]
-    return gain * q
 
 
 def _fans(shape: tuple[int, ...]) -> tuple[int, int]:

@@ -1,10 +1,9 @@
-"""Numpy kernels shared by the autograd tape and the fused network passes.
+"""Numpy kernels of the fused network passes and the loss heads.
 
-Each kernel is written once and called from both sides: a
-:class:`~repro.nn.autograd.Tensor` op on the tape, and the hand-derived
-forward/backward of the layers in :mod:`repro.nn.layers`. Sharing the
-exact ufunc sequence is what keeps fused gradients bitwise equal to the
-tape's.
+Each kernel is one fixed ufunc sequence, written once and shared by the
+layers' forward/backward (:mod:`repro.nn.layers`), the loss heads and the
+tests' tape oracle. Sharing the exact sequence is what keeps the fused
+gradients bitwise equal to the tape's.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
-"""Module base class: parameter registration, train/eval mode, state dicts.
+"""Module base class and the plain :class:`Parameter` it registers.
 
-Mirrors the familiar PyTorch contract at the scale this project needs:
-attributes that are :class:`~repro.nn.autograd.Tensor` with
-``requires_grad=True`` are parameters; attributes that are Modules (or lists
-of Modules) recurse.
+Attributes that are :class:`Parameter` are parameters; attributes that are
+Modules (or lists of Modules) recurse. The discovery order is the
+attribute order, and it is load-bearing: :class:`~repro.nn.optim.Adam`
+lays out its flat buffer in it, and
+:func:`~repro.nn.optim.clip_grad_norm` sums the squared gradients in it.
 """
 
 from __future__ import annotations
@@ -12,27 +13,41 @@ from typing import Iterator
 
 import numpy as np
 
-from ..errors import ModelError
-from .autograd import Tensor
+
+class Parameter:
+    """A trainable array and its gradient (``None`` until a backward adds one)."""
+
+    __slots__ = ("data", "grad")
+
+    def __init__(self, data: np.ndarray) -> None:
+        self.data = np.asarray(data, dtype=float)
+        self.grad: np.ndarray | None = None
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Shape of the value array."""
+        return self.data.shape
+
+    @property
+    def size(self) -> int:
+        """Number of scalar entries."""
+        return self.data.size
+
+    def zero_grad(self) -> None:
+        """Drop the accumulated gradient."""
+        self.grad = None
 
 
 class Module:
     """Base class for all neural network modules."""
 
-    def __init__(self) -> None:
-        self._training = True
-
-    # ------------------------------------------------------------------ #
-    # Parameter discovery                                                 #
-    # ------------------------------------------------------------------ #
-
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
         """Yield ``(dotted_name, parameter)`` pairs, depth-first."""
         for name, value in vars(self).items():
             if name.startswith("_"):
                 continue
             path = f"{prefix}{name}"
-            if isinstance(value, Tensor) and value.requires_grad:
+            if isinstance(value, Parameter):
                 yield path, value
             elif isinstance(value, Module):
                 yield from value.named_parameters(prefix=f"{path}.")
@@ -40,10 +55,8 @@ class Module:
                 for index, item in enumerate(value):
                     if isinstance(item, Module):
                         yield from item.named_parameters(prefix=f"{path}.{index}.")
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        yield f"{path}.{index}", item
 
-    def parameters(self) -> list[Tensor]:
+    def parameters(self) -> list[Parameter]:
         """All trainable parameters of this module tree."""
         return [param for _, param in self.named_parameters()]
 
@@ -55,66 +68,6 @@ class Module:
         """Clear gradients on every parameter."""
         for param in self.parameters():
             param.zero_grad()
-
-    # ------------------------------------------------------------------ #
-    # Train / eval mode                                                   #
-    # ------------------------------------------------------------------ #
-
-    @property
-    def training(self) -> bool:
-        """Whether the module is in training mode (affects e.g. Dropout)."""
-        return self._training
-
-    def train(self) -> "Module":
-        """Switch this module tree to training mode."""
-        self._set_mode(True)
-        return self
-
-    def eval(self) -> "Module":
-        """Switch this module tree to inference mode."""
-        self._set_mode(False)
-        return self
-
-    def _set_mode(self, training: bool) -> None:
-        self._training = training
-        for value in vars(self).values():
-            if isinstance(value, Module):
-                value._set_mode(training)
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        item._set_mode(training)
-
-    # ------------------------------------------------------------------ #
-    # State dict                                                          #
-    # ------------------------------------------------------------------ #
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Copy of every parameter keyed by dotted name."""
-        return {name: param.data.copy() for name, param in self.named_parameters()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Load parameters in-place; shapes and names must match exactly."""
-        params = dict(self.named_parameters())
-        missing = set(params) - set(state)
-        unexpected = set(state) - set(params)
-        if missing or unexpected:
-            raise ModelError(
-                f"state dict mismatch: missing={sorted(missing)}, "
-                f"unexpected={sorted(unexpected)}"
-            )
-        for name, param in params.items():
-            incoming = np.asarray(state[name], dtype=float)
-            if incoming.shape != param.data.shape:
-                raise ModelError(
-                    f"shape mismatch for {name}: "
-                    f"expected {param.data.shape}, got {incoming.shape}"
-                )
-            param.data[...] = incoming
-
-    # ------------------------------------------------------------------ #
-    # Call protocol                                                       #
-    # ------------------------------------------------------------------ #
 
     def forward(self, *args, **kwargs):
         """Subclasses implement the computation here."""

@@ -6,8 +6,8 @@ actions) and the critic (scalar value) — exactly the topology of Fig. 10.
 
 The network runs on fused numpy passes (:meth:`ActorCritic.forward_cached`
 and :meth:`ActorCritic.backward`), seeded by the numpy PPO loss head
-(:func:`repro.rl.ppo.ppo_loss`, Eqs. 25–27); training builds no tensor.
-The autograd tape runs only in the tests, as the gradient oracle.
+(:func:`repro.rl.ppo.ppo_loss`, Eqs. 25–27); training runs no autograd
+tape. The tests keep one, as the gradient oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class ActorCritic(nn.Module):
         *,
         hidden_sizes: tuple[int, ...] = (64, 64),
     ) -> None:
-        super().__init__()
         if state_dim <= 0 or n_actions <= 1:
             raise ModelError(
                 f"state_dim must be positive and n_actions > 1, got "

@@ -11,6 +11,7 @@ MSE term with coefficient ``c`` (Eq. 27). Parameters follow the paper's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,18 +44,20 @@ class PpoConfig:
     hidden_sizes: tuple[int, ...] = (64, 64)
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ModelError("learning_rate must be positive")
+        for name in ("learning_rate", "max_grad_norm"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ModelError(f"{name} must be positive and finite, got {value}")
+        for name in ("weight_decay", "value_coef", "entropy_coef"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ModelError(f"{name} must be non-negative and finite, got {value}")
         if not 0.0 < self.clip_epsilon < 1.0:
             raise ModelError(f"clip_epsilon must be in (0, 1), got {self.clip_epsilon}")
         if not 0.0 < self.gamma <= 1.0 or not 0.0 <= self.gae_lambda <= 1.0:
             raise ModelError("invalid gamma / gae_lambda")
-        if self.value_coef < 0 or self.entropy_coef < 0:
-            raise ModelError("coefficients must be non-negative")
         if self.update_epochs <= 0 or self.batch_size <= 0:
             raise ModelError("update_epochs and batch_size must be positive")
-        if self.max_grad_norm <= 0:
-            raise ModelError("max_grad_norm must be positive")
 
 
 @dataclass

@@ -439,12 +439,15 @@ class RlSpec:
                     f"rl {name} must be positive, got {getattr(self, name)}"
                 )
         for name in ("reward_scale", "learning_rate", "max_grad_norm"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ConfigError(f"rl {name} must be positive and finite, got {value}")
+        for name in ("weight_decay", "value_coef", "entropy_coef"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
                 raise ConfigError(
-                    f"rl {name} must be positive, got {getattr(self, name)}"
+                    f"rl {name} must be non-negative and finite, got {value}"
                 )
-        if self.weight_decay < 0 or self.value_coef < 0 or self.entropy_coef < 0:
-            raise ConfigError("rl coefficients must be non-negative")
         if not 0.0 < self.gamma <= 1.0 or not 0.0 <= self.gae_lambda <= 1.0:
             raise ConfigError(
                 f"rl gamma/gae_lambda invalid: ({self.gamma}, {self.gae_lambda})"

@@ -1,11 +1,11 @@
-"""Reverse-mode automatic differentiation on numpy arrays.
+"""The reverse-mode autograd tape: the tests' gradient oracle.
 
 A small tape-based autograd engine in the style of micrograd/PyTorch. The
 paper's two network architectures (the NCF trunk and the PPO actor-critic)
 train on fused numpy forward/backward passes (:mod:`repro.nn.layers`)
 seeded by numpy loss heads (:mod:`repro.nn.heads`), so no training step
-runs the tape. :class:`Tensor` stores the parameters, and the tape is the
-gradient oracle the heads and fused passes are tested against.
+runs a tape. The tests hold the heads and the fused passes to this tape
+bitwise, and check the tape itself against finite differences.
 
 Design notes
 ------------
@@ -19,16 +19,20 @@ Design notes
 * No in-place mutation of ``data`` after an op has consumed it — optimizers
   update parameters between backward passes, which is safe because the tape
   is rebuilt each forward pass.
+* :class:`Tape` runs :mod:`repro.nn` layers on the tape: each
+  :class:`~repro.nn.Parameter` becomes a leaf sharing its ``data``, and
+  the leaf's gradient is copied back into the parameter's ``.grad``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import ModelError
-from . import kernels
+from repro import nn
+from repro.errors import ModelError
+from repro.nn import kernels
 
 ArrayLike = "np.ndarray | float | int | Sequence"
 
@@ -569,6 +573,133 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def parameters_of(tensors: Iterable[Tensor]) -> list[Tensor]:
-    """Filter an iterable down to the tensors that require gradients."""
-    return [t for t in tensors if t.requires_grad]
+# --------------------------------------------------------------------- #
+# Finite differences and the tape losses                                 #
+# --------------------------------------------------------------------- #
+
+
+def numerical_gradient(
+    fn: Callable[[], Tensor],
+    tensor: Tensor | nn.Parameter,
+    *,
+    eps: float = 1e-6,
+) -> np.ndarray:
+    """Central-difference gradient of scalar ``fn()`` w.r.t. ``tensor``."""
+    grad = np.zeros_like(tensor.data)
+    flat = tensor.data.reshape(-1)
+    grad_flat = grad.reshape(-1)
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + eps
+        f_plus = fn().item()
+        flat[i] = original - eps
+        f_minus = fn().item()
+        flat[i] = original
+        grad_flat[i] = (f_plus - f_minus) / (2.0 * eps)
+    return grad
+
+
+def check_gradients(
+    fn: Callable[[], Tensor],
+    tensors: Sequence[Tensor],
+    *,
+    eps: float = 1e-6,
+    atol: float = 1e-4,
+    rtol: float = 1e-4,
+) -> None:
+    """Assert that autograd gradients of ``fn`` match finite differences.
+
+    ``fn`` must be a nullary callable re-evaluating the scalar loss from the
+    given tensors; it is called repeatedly while entries are perturbed.
+    Raises :class:`ModelError` on mismatch with a diagnostic message.
+    """
+    for tensor in tensors:
+        tensor.zero_grad()
+    loss = fn()
+    if loss.size != 1:
+        raise ModelError(f"check_gradients requires a scalar loss, got {loss.shape}")
+    loss.backward()
+
+    for index, tensor in enumerate(tensors):
+        analytic = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
+        numeric = numerical_gradient(fn, tensor, eps=eps)
+        if not np.allclose(analytic, numeric, atol=atol, rtol=rtol):
+            worst = np.abs(analytic - numeric).max()
+            raise ModelError(
+                f"gradient mismatch on tensor #{index} (shape {tensor.shape}): "
+                f"max abs diff {worst:.3e}\nanalytic:\n{analytic}\nnumeric:\n{numeric}"
+            )
+
+
+def mse_loss(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
+    """Mean squared error over all elements (the paper's ``L(·,·)``)."""
+    prediction = ensure_tensor(prediction)
+    target = ensure_tensor(target)
+    if prediction.shape != target.shape:
+        raise ModelError(
+            f"mse_loss shape mismatch: prediction {prediction.shape} vs "
+            f"target {target.shape}"
+        )
+    diff = prediction - target
+    return (diff * diff).mean()
+
+
+def bce_with_logits(logits: Tensor, target: Tensor | np.ndarray) -> Tensor:
+    """Binary cross-entropy on raw logits (numerically stable form)."""
+    logits = ensure_tensor(logits)
+    target = ensure_tensor(target)
+    # max(z, 0) - z*y + log(1 + exp(-|z|))
+    zeros = Tensor(np.zeros_like(logits.data))
+    abs_z = logits.maximum(-logits)
+    losses = logits.maximum(zeros) - logits * target + ((-abs_z).exp() + 1.0).log()
+    return losses.mean()
+
+
+# --------------------------------------------------------------------- #
+# Layers on the tape                                                     #
+# --------------------------------------------------------------------- #
+
+
+class Tape:
+    """Runs :mod:`repro.nn` layers on the tape, one leaf per parameter.
+
+    ``tape(layer, x)`` is the layer's tape forward. Each
+    :class:`~repro.nn.Parameter` it reads becomes a leaf sharing the
+    parameter's ``data``; :meth:`backward` runs the tape, then copies each
+    leaf's gradient into its parameter's ``.grad``, where the fused passes
+    put theirs and the optimizer reads it. Build one tape per forward.
+    """
+
+    def __init__(self) -> None:
+        self._leaves: dict[int, tuple[nn.Parameter, Tensor]] = {}
+
+    def leaf(self, param: nn.Parameter) -> Tensor:
+        """The tape leaf of ``param`` (the same leaf on every use)."""
+        if id(param) not in self._leaves:
+            self._leaves[id(param)] = (param, Tensor(param.data, requires_grad=True))
+        return self._leaves[id(param)][1]
+
+    def __call__(self, layer: nn.Module, x) -> Tensor:
+        if isinstance(layer, nn.Linear):
+            return ensure_tensor(x) @ self.leaf(layer.weight) + self.leaf(layer.bias)
+        if isinstance(layer, nn.Embedding):
+            return self.leaf(layer.weight).gather_rows(layer.check_ids(x))
+        if isinstance(layer, nn.ReLU):
+            return ensure_tensor(x).relu()
+        if isinstance(layer, nn.Tanh):
+            return ensure_tensor(x).tanh()
+        if isinstance(layer, nn.MLP):
+            for step in layer.body.steps:
+                x = self(step, x)
+            return x
+        raise TypeError(f"no tape forward for {type(layer).__name__}")
+
+    def backward(self, loss: Tensor) -> None:
+        """``loss.backward()``, then each leaf's gradient into its parameter."""
+        loss.backward()
+        for param, leaf in self._leaves.values():
+            if leaf.grad is not None:
+                if param.grad is None:
+                    param.grad = leaf.grad
+                else:
+                    param.grad += leaf.grad

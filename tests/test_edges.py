@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import tape
 
-from repro import nn
 from repro.causal import EctPriceConfig, EctPriceModel, EctPricePolicy
 from repro.causal.policy import discount_schedule_for_hub
 from repro.errors import ConfigError, ModelError
@@ -105,26 +105,28 @@ class TestDiscountSchedules:
 
 
 class TestNnEdges:
+    """Edge cases of the autograd tape the fused passes are tested against."""
+
     def test_concat_empty_rejected(self):
         with pytest.raises(ModelError):
-            nn.concat([])
+            tape.concat([])
 
     def test_stack_empty_rejected(self):
         with pytest.raises(ModelError):
-            nn.stack([])
+            tape.stack([])
 
     def test_gather_rows_rejects_2d_indices(self, rng):
-        t = nn.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        t = tape.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         with pytest.raises(ModelError):
             t.gather_rows(np.zeros((2, 2), dtype=int))
 
     def test_pow_rejects_tensor_exponent(self, rng):
-        t = nn.Tensor(rng.normal(size=3))
+        t = tape.Tensor(rng.normal(size=3))
         with pytest.raises(ModelError):
-            t ** nn.Tensor(np.ones(3))  # type: ignore[operator]
+            t ** tape.Tensor(np.ones(3))  # type: ignore[operator]
 
     def test_log_floors_non_positive(self):
-        out = nn.Tensor(np.array([0.0, -1.0])).log().numpy()
+        out = tape.Tensor(np.array([0.0, -1.0])).log().numpy()
         assert np.all(np.isfinite(out))
 
 

@@ -537,3 +537,33 @@ class TestTrainFleetExperiment:
             RlSpec(hidden_sizes=(64, -1))
         # Lists from JSON payloads normalise to tuples.
         assert RlSpec(hidden_sizes=[32, 32]).hidden_sizes == (32, 32)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "learning_rate",
+            "reward_scale",
+            "max_grad_norm",
+            "weight_decay",
+            "value_coef",
+            "entropy_coef",
+        ],
+    )
+    def test_non_finite_hyperparameters_rejected(self, name, value):
+        """NaN passes every ``<= 0`` check and would train to NaN weights."""
+        from repro.causal.ect_price import EctPriceConfig
+        from repro.causal.ncf import NcfConfig
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match=name):
+            RlSpec(**{name: value})
+        with pytest.raises(ConfigError, match=name):
+            ScenarioSpec().with_overrides({f"rl.{name}": value})
+        if name != "reward_scale":  # an environment knob, not a PPO one
+            with pytest.raises(ModelError, match=name):
+                PpoConfig(**{name: value})
+        if name in ("learning_rate", "weight_decay"):
+            for config in (NcfConfig, EctPriceConfig):
+                with pytest.raises(ConfigError, match=name):
+                    config(**{name: value})

@@ -1,4 +1,5 @@
-"""Autograd engine tests: op correctness via numerical gradient checks."""
+"""Tests of the autograd tape (``tape.py``): op correctness via numerical
+gradient checks. The tape is the gradient oracle of the fused passes."""
 
 from __future__ import annotations
 
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from tape import Tensor, check_gradients, concat, stack
 
 from repro.errors import ModelError
-from repro.nn import Tensor, check_gradients, concat, stack
 
 
 def _t(rng, *shape):

@@ -314,6 +314,8 @@ class TestActorCriticAndPpo:
     def test_invalid_ppo_config(self):
         with pytest.raises(ModelError):
             PpoConfig(clip_epsilon=1.5)
+        with pytest.raises(ModelError, match="weight_decay"):
+            PpoConfig(weight_decay=-1e-4)
 
 
 class TestSchedulersAndTraining:
