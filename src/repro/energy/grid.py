@@ -15,6 +15,7 @@ reserve band (Eq. 6) must carry the base station.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -113,12 +114,37 @@ class BlackoutModel:
     def __init__(self, config: BlackoutConfig | None = None) -> None:
         self.config = config or BlackoutConfig()
 
-    def sample_outages(self, n_hours: int, rng: np.random.Generator) -> np.ndarray:
-        """Boolean array: True where the grid is down."""
+    def sample_outage_planes(
+        self, n_hours: int, rngs: Sequence[np.random.Generator]
+    ) -> np.ndarray:
+        """``(len(rngs), n_hours)`` boolean masks, True where the grid is down.
+
+        Row ``i`` comes from ``rngs[i]`` alone. Each stream draws the whole
+        horizon as one block of uniforms; a row with no outage start is
+        done, and only the rows with one rewind and run the event loop.
+        """
         if n_hours < 0:
             raise ConfigError(f"n_hours must be non-negative, got {n_hours}")
+        uniforms = np.empty((len(rngs), n_hours))
+        states = []
+        for rng, row in zip(rngs, uniforms):
+            states.append(rng.bit_generator.state)
+            rng.random(out=row)
+        down = np.zeros((len(rngs), n_hours), dtype=bool)
+        hit_rows = (uniforms < self.config.outage_probability_per_hour).any(axis=1)
+        for index in np.flatnonzero(hit_rows):
+            rngs[index].bit_generator.state = states[index]
+            self._fill_outages(down[index], rngs[index])
+        return down
+
+    def sample_outages(self, n_hours: int, rng: np.random.Generator) -> np.ndarray:
+        """One stream's outage mask: a one-row :meth:`sample_outage_planes` call."""
+        return self.sample_outage_planes(n_hours, [rng])[0]
+
+    def _fill_outages(self, down: np.ndarray, rng: np.random.Generator) -> None:
+        """Mark one horizon's outages in ``down``, drawing from ``rng``."""
         cfg = self.config
-        down = np.zeros(n_hours, dtype=bool)
+        n_hours = len(down)
         t = 0
         # One uniform per slot until an outage starts, then its duration:
         # draw the rest of the horizon as one block, and on a hit rewind
@@ -135,4 +161,3 @@ class BlackoutModel:
             t += int(hits[0])
             down[t : t + duration] = True
             t += duration
-        return down

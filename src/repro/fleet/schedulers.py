@@ -107,7 +107,7 @@ class FleetRandomScheduler(FleetScheduler):
 
         Hub *i* draws the same stream whatever the fleet size.
         """
-        return cls(list(factory.substreams(prefix, n_hubs)))
+        return cls(factory.substreams(prefix, n_hubs))
 
     def reset(self, sim: FleetSimulation) -> None:
         if len(self._rngs) != sim.n_hubs:

@@ -185,7 +185,8 @@ def synthesize_traces(
 
     Each hub's rows come from its own named streams
     (``hub/{id}/weather/solar``, ``hub/{id}/weather/wind``,
-    ``hub/{id}/traffic`` and ``hub/{id}/rtp``), so a hub's traces do not
+    ``hub/{id}/traffic`` and ``hub/{id}/rtp``, all seeded in one
+    :meth:`~repro.rng.RngFactory.streams` call), so a hub's traces do not
     depend on which other hubs are synthesized with it. The parts that do
     not depend on the hub (clear-sky GHI, the traffic, price and wind
     diurnal terms, the calendar) are computed once; each AR(1) recursion
@@ -193,26 +194,24 @@ def synthesize_traces(
     ``wt_kw`` enter as per-hub columns.
     """
     n_hours = config.n_hours
-    names = [f"hub/{site.hub_id}" for site in sites]
-    irradiance, _ = irradiance_planes(
-        n_hours,
-        config.weather.solar,
-        [rng_factory.stream(f"{name}/weather/solar") for name in names],
+    n_hubs = len(sites)
+    streams = rng_factory.streams(
+        [
+            f"hub/{site.hub_id}/{process}"
+            for process in ("weather/solar", "weather/wind", "traffic", "rtp")
+            for site in sites
+        ]
     )
-    wind_speed = wind_speed_planes(
-        n_hours,
-        config.weather.wind,
-        [rng_factory.stream(f"{name}/weather/wind") for name in names],
+    solar, wind, traffic, rtp = (
+        streams[part * n_hubs : (part + 1) * n_hubs] for part in range(4)
     )
+    irradiance, _ = irradiance_planes(n_hours, config.weather.solar, solar)
+    wind_speed = wind_speed_planes(n_hours, config.weather.wind, wind)
     _, load_rate = TrafficGenerator(config.traffic).generate_planes(
-        n_hours,
-        [rng_factory.stream(f"{name}/traffic") for name in names],
-        scale=np.array([site.traffic_scale for site in sites]),
+        n_hours, traffic, scale=np.array([site.traffic_scale for site in sites])
     )
     price_mwh = RtpGenerator(config.rtp).generate_planes(
-        n_hours,
-        [rng_factory.stream(f"{name}/rtp") for name in names],
-        load_rate=load_rate,
+        n_hours, rtp, load_rate=load_rate
     )
 
     # A hub without a plant produces exactly zero, like the scalar hub.

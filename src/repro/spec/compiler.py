@@ -235,17 +235,13 @@ class FleetAssembly:
         what any later caller with the same spec draws.
         """
         if self._strata is None:
-            factory = RngFactory(seed=self.spec.run.seed)
-            slots = np.arange(self.horizon)
-            self._strata = np.stack(
-                [
-                    self.behavior.sample_strata(
-                        scenario.site.hub_id,
-                        slots,
-                        factory.stream(f"fleet/occupancy/{scenario.site.hub_id}"),
-                    )
-                    for scenario in self.scenarios
-                ]
+            hub_ids = [scenario.site.hub_id for scenario in self.scenarios]
+            self._strata = self.behavior.strata_planes(
+                hub_ids,
+                np.arange(self.horizon),
+                RngFactory(seed=self.spec.run.seed).streams(
+                    [f"fleet/occupancy/{hub_id}" for hub_id in hub_ids]
+                ),
             )
         return self._strata
 
@@ -394,13 +390,11 @@ def _assemble_fleet(spec: ScenarioSpec) -> FleetAssembly:
                 recovery_time_h=spec.blackout.recovery_time_h,
             )
         )
-        outage = np.stack(
-            [
-                model.sample_outages(
-                    horizon, factory.stream(f"fleet/outage/{scenario.site.hub_id}")
-                )
-                for scenario in scenarios
-            ]
+        outage = model.sample_outage_planes(
+            horizon,
+            factory.streams(
+                [f"fleet/outage/{scenario.site.hub_id}" for scenario in scenarios]
+            ),
         )
 
     return FleetAssembly(

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import Sequence
 
 import numpy as np
 
@@ -261,85 +262,106 @@ class ChargingBehaviorModel:
     # Station personalities                                               #
     # ------------------------------------------------------------------ #
 
-    def _build_profiles(self) -> list[StationProfile]:
+    def _build_profiles(self) -> np.ndarray:
+        """``(n_stations, 3)`` [demand, incentive, always] scales.
+
+        One ``(n, 3)`` normal draw: the same sequence as three scalar
+        draws per station, station by station.
+        """
         rng = self._factory.stream("charging/profiles")
-        jitter = self.config.station_jitter
-        profiles = []
-        for station_id in range(self.config.n_stations):
-            profiles.append(
-                StationProfile(
-                    station_id=station_id,
-                    demand_scale=float(np.clip(rng.normal(1.0, jitter), 0.6, 1.4)),
-                    incentive_scale=float(np.clip(rng.normal(1.0, jitter), 0.6, 1.4)),
-                    always_scale=float(np.clip(rng.normal(1.0, jitter), 0.6, 1.4)),
-                )
-            )
-        return profiles
+        cfg = self.config
+        raw = rng.normal(1.0, cfg.station_jitter, size=(cfg.n_stations, 3))
+        return np.clip(raw, 0.6, 1.4)
 
     @property
     def station_profiles(self) -> list[StationProfile]:
         """The fleet's station personalities (deterministic under the seed)."""
-        return list(self._profiles)
-
-    def _profile_for(self, station_id: int) -> StationProfile:
-        if not 0 <= station_id < len(self._profiles):
-            raise ConfigError(
-                f"station_id {station_id} outside fleet of {len(self._profiles)}"
+        return [
+            StationProfile(
+                station_id=station_id,
+                demand_scale=demand,
+                incentive_scale=incentive,
+                always_scale=always,
             )
-        return self._profiles[station_id]
+            for station_id, (demand, incentive, always) in enumerate(
+                self._profiles.tolist()
+            )
+        ]
+
+    def _check_station_ids(self, station_ids) -> np.ndarray:
+        """``station_ids`` as an int array, every id inside the fleet."""
+        ids = np.asarray(station_ids)
+        n = self.config.n_stations
+        if ids.size and ids.dtype.kind not in "iu":
+            raise ConfigError(f"station ids must be integers, got {ids.dtype}")
+        outside = (ids < 0) | (ids >= n)
+        if outside.any():
+            raise ConfigError(f"station_id {ids[outside][0]} outside fleet of {n}")
+        return ids.astype(int)
 
     # ------------------------------------------------------------------ #
     # Cell types                                                          #
     # ------------------------------------------------------------------ #
 
-    def cell_type_probabilities(
-        self, station_id: int, hours_of_day: np.ndarray
+    def _type_probability_table(
+        self, station_ids: np.ndarray, hours_of_day: np.ndarray
     ) -> np.ndarray:
-        """(n, 3) probabilities a cell is [dead, price-sensitive, habitual]."""
-        profile = self._profile_for(station_id)
+        """``(stations, hours, 3)`` [dead, price-sensitive, habitual] table."""
         cfg = self.config
         hours = np.asarray(hours_of_day, dtype=float)
+        demand, incentive, always = self._profiles[station_ids].T[:, :, None]
         extra_inc, extra_alw = (
-            (1.0, 1.0)
+            np.ones((2, 1, 1))
             if self._strata_scales is None
-            else self._strata_scales[station_id]
+            else self._strata_scales[station_ids].T[:, :, None]
         )
 
         p_alw = (
             _circular_interp(hours, cfg.always_anchors)
-            * profile.always_scale
+            * always
             * extra_alw
-            * profile.demand_scale
+            * demand
             / cfg.cell_activity
         )
         p_inc = (
             _circular_interp(hours, cfg.incentive_anchors)
-            * profile.incentive_scale
+            * incentive
             * extra_inc
-            * profile.demand_scale
+            * demand
             / cfg.cell_activity
         )
         p_alw = np.clip(p_alw, 0.0, 0.95)
         p_inc = np.clip(p_inc, 0.0, 0.95)
         total = p_alw + p_inc
         overflow = total > 0.95
-        if np.any(overflow):
-            scale = np.where(overflow, 0.95 / total, 1.0)
-            p_alw = p_alw * scale
-            p_inc = p_inc * scale
-        return np.column_stack([1.0 - p_alw - p_inc, p_inc, p_alw])
+        scale = np.divide(0.95, total, out=np.ones_like(total), where=overflow)
+        p_alw = p_alw * scale
+        p_inc = p_inc * scale
+        return np.stack([1.0 - p_alw - p_inc, p_inc, p_alw], axis=-1)
+
+    def cell_type_probabilities(
+        self, station_id: int, hours_of_day: np.ndarray
+    ) -> np.ndarray:
+        """(n, 3) probabilities a cell is [dead, price-sensitive, habitual]."""
+        ids = self._check_station_ids([station_id])
+        return self._type_probability_table(ids, hours_of_day)[0]
 
     def _build_cell_types(self) -> np.ndarray:
-        """Persistent cell types: (n_stations, 48) for hour × weekend cells."""
+        """Persistent cell types: (n_stations, 48) for hour × weekend cells.
+
+        Each station draws its weekday half, then its weekend half, of
+        uniforms against the cumulative type probabilities; one
+        ``(n, 2, 24)`` draw keeps that order.
+        """
         rng = self._factory.stream("charging/cells")
-        hours = np.arange(HOURS_PER_DAY)
-        types = np.empty((self.config.n_stations, 2 * HOURS_PER_DAY), dtype=int)
-        for station_id in range(self.config.n_stations):
-            probs = self.cell_type_probabilities(station_id, hours)
-            # Independent draws for the weekday and weekend halves of the map.
-            types[station_id, :HOURS_PER_DAY] = _sample_categorical(probs, rng)
-            types[station_id, HOURS_PER_DAY:] = _sample_categorical(probs, rng)
-        return types
+        n = self.config.n_stations
+        cumulative = np.cumsum(
+            self._type_probability_table(np.arange(n), np.arange(HOURS_PER_DAY)),
+            axis=-1,
+        )
+        draws = rng.random((n, 2, HOURS_PER_DAY))
+        types = (draws[..., None] > cumulative[:, None, :, :-1]).sum(axis=-1)
+        return types.reshape(n, 2 * HOURS_PER_DAY).astype(int)
 
     def cell_type_map(self) -> np.ndarray:
         """Copy of the persistent (station, hour×weekend) cell types."""
@@ -385,7 +407,36 @@ class ChargingBehaviorModel:
         )
         return np.clip(base_activity * (1.0 + boost * u), 0.0, 1.0)
 
-    def realize_strata(
+    def strata_planes(
+        self,
+        station_ids: np.ndarray,
+        slots: np.ndarray,
+        rngs: Sequence[np.random.Generator],
+        *,
+        confounder: np.ndarray | float = 0.0,
+    ) -> np.ndarray:
+        """Realised strata under the typed-cell process, one row per station.
+
+        Returns ``(len(station_ids), len(slots))`` int. Row ``i`` draws one
+        block of ``len(slots)`` uniforms from ``rngs[i]``, so it equals a
+        one-row call with that stream whatever the other rows are.
+        """
+        ids = self._check_station_ids(station_ids).reshape(-1)
+        if len(rngs) != len(ids):
+            raise ConfigError(f"{len(rngs)} streams for {len(ids)} stations")
+        slots = np.asarray(slots)
+        hod = np.asarray(self.calendar.hour_of_day(slots))
+        weekend = np.asarray(self.calendar.is_weekend(slots)).astype(int)
+        cells = hod + HOURS_PER_DAY * weekend
+        draws = np.empty((len(ids), len(slots)))
+        for rng, row in zip(rngs, draws):
+            rng.random(out=row)
+        cell_types = self._cell_types[ids[:, None], cells]
+        base_activity = self._cell_activity[ids[:, None], cells]
+        active = draws < self._activity(cell_types, base_activity, confounder)
+        return np.where(active, cell_types, int(Stratum.NONE)).astype(int)
+
+    def sample_strata(
         self,
         station_id: int,
         slots: np.ndarray,
@@ -393,17 +444,8 @@ class ChargingBehaviorModel:
         *,
         confounder: np.ndarray | float = 0.0,
     ) -> np.ndarray:
-        """Realised strata for the given slots under the typed-cell process."""
-        slots = np.asarray(slots)
-        hod = np.asarray(self.calendar.hour_of_day(slots))
-        weekend = np.asarray(self.calendar.is_weekend(slots)).astype(int)
-        cells = hod + HOURS_PER_DAY * weekend
-        cell_types = self._cell_types[station_id, cells]
-        base_activity = self._cell_activity[station_id, cells]
-        active = rng.random(len(slots)) < self._activity(
-            cell_types, base_activity, confounder
-        )
-        return np.where(active, cell_types, int(Stratum.NONE)).astype(int)
+        """One station's realised strata: a one-row :meth:`strata_planes` call."""
+        return self.strata_planes([station_id], slots, [rng], confounder=confounder)[0]
 
     def stratum_probabilities(
         self,
@@ -416,7 +458,7 @@ class ChargingBehaviorModel:
 
         Marginalises over the cell-type draw, so it reports the population
         curves used in Figs. 11/12-style plots; the realised process is
-        :meth:`realize_strata`.
+        :meth:`strata_planes`.
         """
         cfg = self.config
         type_probs = self.cell_type_probabilities(station_id, hours_of_day)
@@ -499,9 +541,9 @@ class ChargingBehaviorModel:
         }
 
         for station_id in station_ids:
-            strata = self.realize_strata(
-                station_id, slots, rng, confounder=u_per_slot
-            )
+            strata = self.strata_planes(
+                [station_id], slots, [rng], confounder=u_per_slot
+            )[0]
             propensity = self.propensity(hod, confounder=u_per_slot)
             treated = (rng.random(n_slots) < propensity).astype(int)
             charged = np.where(
@@ -534,21 +576,3 @@ class ChargingBehaviorModel:
         return ChargingLog(
             **{name: np.concatenate(parts) if parts else np.empty(0) for name, parts in columns.items()}
         )
-
-    def sample_strata(
-        self,
-        station_id: int,
-        slots: np.ndarray,
-        rng: np.random.Generator,
-        *,
-        confounder: np.ndarray | float = 0.0,
-    ) -> np.ndarray:
-        """Alias of :meth:`realize_strata` (used by the RL environment)."""
-        return self.realize_strata(station_id, slots, rng, confounder=confounder)
-
-
-def _sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorised categorical sampling over rows of a probability matrix."""
-    cumulative = np.cumsum(probs, axis=1)
-    draws = rng.random(len(probs))[:, None]
-    return (draws > cumulative[:, :-1]).sum(axis=1).astype(int)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import config as config_mod
+from repro import rng as rng_mod
 from repro import timeutils, units
 from repro.errors import ConfigError, UnitsError
 from repro.rng import RngFactory
@@ -143,6 +146,120 @@ class TestRngFactory:
     def test_non_integer_seed_rejected(self):
         with pytest.raises(ConfigError):
             RngFactory(seed="abc")  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), -(2**70)])
+    def test_negative_seed_rejected_at_construction(self, seed):
+        with pytest.raises(ConfigError, match="non-negative"):
+            RngFactory(seed=seed)
+
+    @pytest.mark.parametrize("seed", [True, False, np.bool_(True)])
+    def test_bool_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match="integer"):
+            RngFactory(seed=seed)
+
+    @pytest.mark.parametrize("names", [[""], ["ok", ""], [None], ["ok", 3]])
+    def test_bad_names_rejected_in_bulk(self, names):
+        with pytest.raises(ConfigError):
+            RngFactory(seed=0).streams(names)
+
+
+# --------------------------------------------------------------------- #
+# Bulk stream derivation against numpy's SeedSequence                    #
+# --------------------------------------------------------------------- #
+
+#: One to five uint32 entropy words; 2**63 - 1 is the top of the range
+#: ``RngFactory.child`` derives.
+BULK_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5, 2**130)
+
+#: ASCII, non-ASCII and duplicate names.
+MIXED_NAMES = [
+    "weather",
+    "hub/0/traffic",
+    "hub/1999/weather/solar",
+    "fleet/outage/7",
+    "größe/Ω",
+    "站点/3",
+    "🔋",
+    "weather",
+    "hub/0/traffic",
+]
+
+
+def _numpy_stream(seed: int, name: str) -> np.random.Generator:
+    key = int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "little")
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+    )
+
+
+def _assert_streams_match_numpy(streams, seed, names):
+    assert len(streams) == len(names)
+    for got, name in zip(streams, names):
+        want = _numpy_stream(seed, name)
+        assert got.bit_generator.state == want.bit_generator.state, name
+        assert got.random(3).tobytes() == want.random(3).tobytes()
+        assert got.normal(size=3).tobytes() == want.normal(size=3).tobytes()
+        assert got.integers(0, 1000, size=3).tobytes() == (
+            want.integers(0, 1000, size=3).tobytes()
+        )
+        assert got.bit_generator.state == want.bit_generator.state
+
+
+class TestBulkStreams:
+    @pytest.mark.parametrize("seed", BULK_SEEDS)
+    def test_mixed_names_match_seed_sequence_children(self, seed):
+        _assert_streams_match_numpy(
+            RngFactory(seed).streams(MIXED_NAMES), seed, MIXED_NAMES
+        )
+
+    @pytest.mark.parametrize("seed", BULK_SEEDS)
+    def test_one_name_and_stream_match(self, seed):
+        factory = RngFactory(seed)
+        _assert_streams_match_numpy(factory.streams(["x"]), seed, ["x"])
+        _assert_streams_match_numpy([factory.stream("x")], seed, ["x"])
+
+    def test_no_names(self):
+        assert RngFactory(3).streams([]) == []
+        assert RngFactory(3).substreams("hub", 0) == []
+
+    @pytest.mark.parametrize("seed", [1, 2**130])
+    def test_four_thousand_names(self, seed):
+        names = [f"hub/{index}/weather/wind" for index in range(4000)]
+        _assert_streams_match_numpy(RngFactory(seed).streams(names), seed, names)
+
+    def test_duplicate_names_are_equal_but_independent(self):
+        first, second = RngFactory(5).streams(["a", "a"])
+        assert first is not second
+        assert first.random() == second.random()
+
+    def test_substreams(self):
+        names = [f"hub/{index}" for index in range(25)]
+        _assert_streams_match_numpy(RngFactory(9).substreams("hub", 25), 9, names)
+
+    @pytest.mark.parametrize("seed", [0, 2**63 - 1, 2**64 + 5])
+    def test_child_streams(self, seed):
+        child = RngFactory(seed).child("pricing")
+        assert 0 <= child.seed < 2**63
+        _assert_streams_match_numpy(
+            child.streams(MIXED_NAMES), child.seed, MIXED_NAMES
+        )
+
+    @pytest.mark.parametrize("seed", BULK_SEEDS)
+    def test_spawn_keys_below_two_to_the_32(self, seed):
+        """``SeedSequence`` mixes a key below 2**32 as one word; no name
+        hashes there in practice, so the keys go in directly."""
+        keys = [0, 5, 2**32 - 1, 2**32, 2**64 - 1]
+        words = np.array([[k & 0xFFFFFFFF, k >> 32] for k in keys], dtype=np.uint32)
+        got = rng_mod._pcg64_seed_words(seed, words)
+        for row, key in zip(got, keys):
+            want = np.random.SeedSequence(entropy=seed, spawn_key=(key,))
+            assert row.tobytes() == want.generate_state(4, np.uint64).tobytes(), key
+
+    def test_bulk_stream_survives_pickle(self):
+        stream = RngFactory(4).stream("weather")
+        stream.random(5)
+        clone = pickle.loads(pickle.dumps(stream))
+        assert clone.random(4).tobytes() == stream.random(4).tobytes()
 
 
 @dataclasses.dataclass(frozen=True)

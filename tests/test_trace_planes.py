@@ -2,15 +2,19 @@
 
 The ``oracle_*`` functions below are the per-slot generator loops the
 plane synthesizer replaced, kept verbatim as the reference: one scalar
-draw per slot, one hub at a time. Every plane row must equal its oracle
-exactly (``np.array_equal``), and every stream must be left in the same
-state, so exports stay byte-identical. The comparison runs on the host
+draw per slot, one hub at a time. The charging-model, strata and outage
+oracles are the per-station loops the hub-axis tables replaced; they
+draw from streams built with numpy's own ``SeedSequence``. Every plane
+row must equal its oracle exactly (``np.array_equal`` or ``tobytes``),
+and every stream must be left in the same state, so exports stay
+byte-identical. The comparison runs on the host
 executing the tests; no digests are stored.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -19,6 +23,7 @@ from scipy import special
 
 from repro import api, parallel
 from repro.energy.grid import BlackoutConfig, BlackoutModel
+from repro.errors import ConfigError
 from repro.hub import scenario as hub_scenario
 from repro.hub.scenario import (
     TRACE_FIELDS,
@@ -29,9 +34,23 @@ from repro.hub.scenario import (
     synthesize_traces,
 )
 from repro.rng import RngFactory
-from repro.spec import SweepSpec
-from repro.spec.compiler import spec_from_fleet_flags
+from repro.spec import (
+    BlackoutSpec,
+    FleetSpec,
+    HubGroupSpec,
+    RunSpec,
+    ScenarioSpec,
+    SweepSpec,
+)
+from repro.spec.compiler import _assemble_fleet, spec_from_fleet_flags
 from repro.synth.catalog import default_fleet
+from repro.synth.charging import (
+    ChargingBehaviorModel,
+    ChargingConfig,
+    StationProfile,
+    Stratum,
+    _circular_interp,
+)
 from repro.synth.rtp import RtpConfig, RtpGenerator
 from repro.synth.solar import (
     SolarConfig,
@@ -43,6 +62,7 @@ from repro.synth.solar import (
 from repro.synth.traffic import TrafficConfig, TrafficGenerator
 from repro.synth.wind import WindConfig, generate_wind_speed, wind_speed_planes
 from repro.timeutils import SlotCalendar, diurnal_harmonic
+from repro.units import HOURS_PER_DAY
 
 SEEDS = (0, 7, 1234)
 
@@ -148,6 +168,136 @@ def oracle_outages(n_hours, probability, recovery_time_h, rng):
         else:
             t += 1
     return down
+
+
+def oracle_stream(seed, name):
+    """A stream built the way numpy spells it: one SeedSequence child."""
+    key = int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "little")
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+    )
+
+
+def oracle_profiles(config, seed):
+    """``ChargingBehaviorModel._build_profiles``: three scalar draws a station."""
+    rng = oracle_stream(seed, "charging/profiles")
+    jitter = config.station_jitter
+    profiles = []
+    for station_id in range(config.n_stations):
+        profiles.append(
+            StationProfile(
+                station_id=station_id,
+                demand_scale=float(np.clip(rng.normal(1.0, jitter), 0.6, 1.4)),
+                incentive_scale=float(np.clip(rng.normal(1.0, jitter), 0.6, 1.4)),
+                always_scale=float(np.clip(rng.normal(1.0, jitter), 0.6, 1.4)),
+            )
+        )
+    return profiles
+
+
+def oracle_cell_type_probabilities(config, profiles, strata_scales, station_id, hours_of_day):
+    """``cell_type_probabilities``: one station's (n, 3) type probabilities."""
+    profile = profiles[station_id]
+    cfg = config
+    hours = np.asarray(hours_of_day, dtype=float)
+    extra_inc, extra_alw = (
+        (1.0, 1.0)
+        if strata_scales is None
+        else strata_scales[station_id]
+    )
+
+    p_alw = (
+        _circular_interp(hours, cfg.always_anchors)
+        * profile.always_scale
+        * extra_alw
+        * profile.demand_scale
+        / cfg.cell_activity
+    )
+    p_inc = (
+        _circular_interp(hours, cfg.incentive_anchors)
+        * profile.incentive_scale
+        * extra_inc
+        * profile.demand_scale
+        / cfg.cell_activity
+    )
+    p_alw = np.clip(p_alw, 0.0, 0.95)
+    p_inc = np.clip(p_inc, 0.0, 0.95)
+    total = p_alw + p_inc
+    overflow = total > 0.95
+    if np.any(overflow):
+        scale = np.where(overflow, 0.95 / total, 1.0)
+        p_alw = p_alw * scale
+        p_inc = p_inc * scale
+    return np.column_stack([1.0 - p_alw - p_inc, p_inc, p_alw])
+
+
+def oracle_sample_categorical(probs, rng):
+    cumulative = np.cumsum(probs, axis=1)
+    draws = rng.random(len(probs))[:, None]
+    return (draws > cumulative[:, :-1]).sum(axis=1).astype(int)
+
+
+def oracle_cell_types(config, profiles, strata_scales, seed):
+    """``_build_cell_types``: weekday then weekend half, station by station."""
+    rng = oracle_stream(seed, "charging/cells")
+    hours = np.arange(HOURS_PER_DAY)
+    types = np.empty((config.n_stations, 2 * HOURS_PER_DAY), dtype=int)
+    for station_id in range(config.n_stations):
+        probs = oracle_cell_type_probabilities(
+            config, profiles, strata_scales, station_id, hours
+        )
+        types[station_id, :HOURS_PER_DAY] = oracle_sample_categorical(probs, rng)
+        types[station_id, HOURS_PER_DAY:] = oracle_sample_categorical(probs, rng)
+    return types
+
+
+def oracle_realize_strata(model, station_id, slots, rng, confounder=0.0):
+    """``ChargingBehaviorModel.realize_strata``: one station's strata row."""
+    cell_type_map, cell_activity_map = model.cell_type_map(), model.cell_activity_map()
+    cfg = model.config
+    slots = np.asarray(slots)
+    hod = np.asarray(model.calendar.hour_of_day(slots))
+    weekend = np.asarray(model.calendar.is_weekend(slots)).astype(int)
+    cells = hod + HOURS_PER_DAY * weekend
+    cell_types = cell_type_map[station_id, cells]
+    base_activity = cell_activity_map[station_id, cells]
+    u = np.asarray(confounder, dtype=float)
+    boost = np.where(
+        cell_types == int(Stratum.ALWAYS),
+        cfg.confounder_always_weight,
+        cfg.confounder_incentive_weight,
+    )
+    activity = np.clip(base_activity * (1.0 + boost * u), 0.0, 1.0)
+    active = rng.random(len(slots)) < activity
+    return np.where(active, cell_types, int(Stratum.NONE)).astype(int)
+
+
+def oracle_fleet_strata(model, hub_ids, horizon, seed):
+    """``FleetAssembly.realize_strata``: the per-hub comprehension."""
+    slots = np.arange(horizon)
+    return np.stack(
+        [
+            oracle_realize_strata(
+                model, hub_id, slots, oracle_stream(seed, f"fleet/occupancy/{hub_id}")
+            )
+            for hub_id in hub_ids
+        ]
+    )
+
+
+def oracle_fleet_outages(probability, recovery_time_h, hub_ids, horizon, seed):
+    """The ``_assemble_fleet`` outage comprehension, one hub at a time."""
+    return np.stack(
+        [
+            oracle_outages(
+                horizon,
+                probability,
+                recovery_time_h,
+                oracle_stream(seed, f"fleet/outage/{hub_id}"),
+            )
+            for hub_id in hub_ids
+        ]
+    )
 
 
 def oracle_pv(rated_kw, ghi, performance_ratio=0.8, reference=1000.0):
@@ -418,6 +568,228 @@ def test_block_outage_sampler_matches_the_slot_loop(probability, recovery_time_h
             want = oracle_outages(n_hours, probability, recovery_time_h, oracle_rng)
             assert np.array_equal(got, want), (seed, n_hours)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_block_outage_sampler_restores_a_bulk_stream_with_a_buffered_word():
+    """A bulk-made stream that holds a buffered 32-bit word (``has_uint32``)
+    is rewound with it, and ends in the slot loop's state."""
+    model = BlackoutModel(
+        BlackoutConfig(outage_probability_per_hour=0.2, recovery_time_h=3)
+    )
+    rng = RngFactory(seed=11).streams(["other", "fleet/outage/0"])[1]
+    oracle_rng = oracle_stream(11, "fleet/outage/0")
+    for stream in (rng, oracle_rng):
+        stream.integers(0, 10)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    got = model.sample_outages(168, rng)
+    want = oracle_outages(168, 0.2, 3, oracle_rng)
+    assert got.any() and got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+# --------------------------------------------------------------------- #
+# The charging model, strata and outages over the hub axis               #
+# --------------------------------------------------------------------- #
+
+#: Per-station [incentive, always] multipliers (the group scale path).
+STRATA_SCALES = np.array(
+    [[1.0, 1.0], [3.0, 0.2], [0.5, 2.5], [1.0, 1.0], [2.0, 2.0], [0.1, 4.0], [1.5, 1.0]]
+)
+
+#: Anchors that scaled profiles push past the 0.95 cell-type cap.
+OVERFLOW_ANCHORS = dict(
+    always_anchors=(0.45, 0.5, 0.5, 0.45),
+    incentive_anchors=(0.45, 0.4, 0.4, 0.45),
+    cell_activity=1.0,
+)
+
+CHARGING_CASES = {
+    "default": (ChargingConfig(n_stations=7), None),
+    "group-scales": (ChargingConfig(n_stations=7), STRATA_SCALES),
+    "overflow": (ChargingConfig(n_stations=7, **OVERFLOW_ANCHORS), None),
+    "overflow-scales": (
+        ChargingConfig(n_stations=7, station_jitter=0.3, **OVERFLOW_ANCHORS),
+        STRATA_SCALES,
+    ),
+    "no-jitter": (ChargingConfig(n_stations=3, station_jitter=0.0), None),
+}
+
+
+def _charging_case(name, seed):
+    config, scales = CHARGING_CASES[name]
+    model = ChargingBehaviorModel(config, RngFactory(seed), strata_scales=scales)
+    return model, config, scales
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("case", sorted(CHARGING_CASES))
+class TestChargingTables:
+    def test_profiles(self, case, seed):
+        model, config, _ = _charging_case(case, seed)
+        want = oracle_profiles(config, seed)
+        got = model.station_profiles
+        assert got == want
+
+        def table(profiles):
+            return np.array(
+                [[p.demand_scale, p.incentive_scale, p.always_scale] for p in profiles]
+            )
+
+        assert table(got).tobytes() == table(want).tobytes()
+
+    def test_cell_types(self, case, seed):
+        model, config, scales = _charging_case(case, seed)
+        want = oracle_cell_types(config, oracle_profiles(config, seed), scales, seed)
+        got = model.cell_type_map()
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_hours", [0, 1, 168])
+    def test_cell_type_probabilities_read_back(self, case, seed, n_hours):
+        model, config, scales = _charging_case(case, seed)
+        profiles = oracle_profiles(config, seed)
+        hours = (np.arange(n_hours) * 0.37) % HOURS_PER_DAY
+        for station_id in range(config.n_stations):
+            got = model.cell_type_probabilities(station_id, hours)
+            want = oracle_cell_type_probabilities(
+                config, profiles, scales, station_id, hours
+            )
+            assert got.shape == want.shape == (n_hours, 3)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_hours", [0, 1, 168])
+    def test_strata_planes(self, case, seed, n_hours):
+        model, config, _ = _charging_case(case, seed)
+        hub_ids = [2, 0, 1] if config.n_stations == 3 else [3, 0, 6, 1, 5, 2, 4]
+        rngs = RngFactory(seed).streams([f"fleet/occupancy/{i}" for i in hub_ids])
+        got = model.strata_planes(hub_ids, np.arange(n_hours), rngs)
+        want = oracle_fleet_strata(model, hub_ids, n_hours, seed)
+        assert got.dtype == want.dtype and got.shape == (len(hub_ids), n_hours)
+        assert got.tobytes() == want.tobytes()
+        oracle_rngs = [oracle_stream(seed, f"fleet/occupancy/{i}") for i in hub_ids]
+        for rng in oracle_rngs:
+            rng.random(n_hours)
+        _assert_same_next_draw(rngs, oracle_rngs)
+
+    def test_strata_planes_with_a_daily_confounder(self, case, seed):
+        model, config, _ = _charging_case(case, seed)
+        slots = np.arange(72)
+        confounder = np.repeat(np.random.default_rng(seed).normal(0, 0.3, 3), 24)
+        hub_ids = list(range(config.n_stations))
+        names = [f"log/{i}" for i in hub_ids]
+        got = model.strata_planes(
+            hub_ids, slots, RngFactory(seed).streams(names), confounder=confounder
+        )
+        for row, (hub_id, name) in enumerate(zip(hub_ids, names)):
+            want = oracle_realize_strata(
+                model, hub_id, slots, oracle_stream(seed, name), confounder
+            )
+            assert got[row].tobytes() == want.tobytes()
+
+    def test_sample_strata_is_a_one_row_plane(self, case, seed):
+        model, config, _ = _charging_case(case, seed)
+        slots = np.arange(5, 53)
+        station = config.n_stations - 1
+        got = model.sample_strata(station, slots, RngFactory(seed).stream("one"))
+        want = oracle_realize_strata(model, station, slots, oracle_stream(seed, "one"))
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", ["overflow", "overflow-scales"])
+def test_overflow_cases_hit_the_cap(case):
+    model, config, _ = _charging_case(case, 0)
+    probs = np.stack(
+        [
+            model.cell_type_probabilities(i, np.arange(HOURS_PER_DAY))
+            for i in range(config.n_stations)
+        ]
+    )
+    capped = np.isclose(probs[..., 1] + probs[..., 2], 0.95)
+    assert capped.mean() > 0.25
+
+
+class TestStationIdRange:
+    @pytest.fixture()
+    def model(self):
+        return ChargingBehaviorModel(ChargingConfig(n_stations=3), RngFactory(0))
+
+    @pytest.mark.parametrize("station_id", [-1, 3, 10])
+    def test_sample_strata_rejects_ids_outside_the_fleet(self, model, station_id):
+        rng = RngFactory(0).stream("s")
+        with pytest.raises(ConfigError, match="outside fleet of 3"):
+            model.sample_strata(station_id, np.arange(24), rng)
+        assert rng.bit_generator.state == RngFactory(0).stream("s").bit_generator.state
+
+    def test_strata_planes_check_the_whole_id_array(self, model):
+        rngs = RngFactory(0).streams(["a", "b", "c"])
+        with pytest.raises(ConfigError, match="station_id 5 outside fleet of 3"):
+            model.strata_planes([0, 5, 1], np.arange(24), rngs)
+        with pytest.raises(ConfigError, match="station_id -2 outside fleet of 3"):
+            model.strata_planes([0, 1, -2], np.arange(24), rngs)
+
+    def test_cell_type_probabilities_share_the_check(self, model):
+        with pytest.raises(ConfigError, match="station_id -1 outside fleet of 3"):
+            model.cell_type_probabilities(-1, np.arange(24))
+
+    def test_non_integer_ids_rejected(self, model):
+        with pytest.raises(ConfigError, match="integers"):
+            model.strata_planes([0.0, 1.0], np.arange(24), RngFactory(0).streams(["a", "b"]))
+
+    def test_one_stream_per_station(self, model):
+        with pytest.raises(ConfigError, match="2 streams for 3 stations"):
+            model.strata_planes([0, 1, 2], np.arange(24), RngFactory(0).streams(["a", "b"]))
+
+    def test_no_stations(self, model):
+        assert model.strata_planes([], np.arange(24), []).shape == (0, 24)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("probability", [0.001, 0.2])
+@pytest.mark.parametrize("n_hours", [0, 1, 168])
+def test_outage_planes_match_the_per_hub_comprehension(seed, probability, n_hours):
+    model = BlackoutModel(
+        BlackoutConfig(outage_probability_per_hour=probability, recovery_time_h=4)
+    )
+    hub_ids = list(range(40))
+    rngs = RngFactory(seed).streams([f"fleet/outage/{i}" for i in hub_ids])
+    got = model.sample_outage_planes(n_hours, rngs)
+    want = oracle_fleet_outages(probability, 4, hub_ids, n_hours, seed)
+    assert got.shape == (40, n_hours) and got.dtype == bool
+    assert got.tobytes() == want.tobytes()
+    oracle_rngs = [oracle_stream(seed, f"fleet/outage/{i}") for i in hub_ids]
+    for rng in oracle_rngs:
+        oracle_outages(n_hours, probability, 4, rng)
+    for rng, oracle_rng in zip(rngs, oracle_rngs):
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_assembly_strata_and_outages_match_the_per_hub_loops(seed):
+    spec = ScenarioSpec(
+        name="planes",
+        fleet=FleetSpec(
+            groups=(
+                HubGroupSpec(count=3),
+                HubGroupSpec(count=2, incentive_scale=3.0, always_scale=0.2),
+                HubGroupSpec(count=2, always_scale=2.5),
+            )
+        ),
+        blackout=BlackoutSpec(outage_probability_per_hour=0.2, recovery_time_h=3),
+        run=RunSpec(days=7, seed=seed),
+    )
+    assembly = _assemble_fleet(spec)
+    hub_ids = [scenario.site.hub_id for scenario in assembly.scenarios]
+    scales = np.ones((7, 2))
+    scales[3:5] = [3.0, 0.2]
+    scales[5:, 1] = 2.5
+    config = assembly.behavior.config
+    want_types = oracle_cell_types(config, oracle_profiles(config, seed), scales, seed)
+    assert assembly.behavior.cell_type_map().tobytes() == want_types.tobytes()
+    want_strata = oracle_fleet_strata(assembly.behavior, hub_ids, 168, seed)
+    assert assembly.realize_strata().tobytes() == want_strata.tobytes()
+    want_outage = oracle_fleet_outages(0.2, 3, hub_ids, 168, seed)
+    assert assembly.outage.any()
+    assert assembly.outage.tobytes() == want_outage.tobytes()
 
 
 # --------------------------------------------------------------------- #
