@@ -28,6 +28,7 @@ deterministic ``data`` payload.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from .spec.compiler import (
     CompiledScenario,
     build as _compile,
     build_fleet_env as _compile_fleet_env,
+    execute_jobs,
     ppo_config_from_spec,
 )
 from .spec.presets import get_preset
@@ -86,35 +88,66 @@ def run(
     :class:`~repro.spec.compiler.FleetAssembly` — the sweep workers'
     seam.
     """
-    resolved = resolve_spec(spec)
-    if telemetry is None:
-        compiled = _compile(resolved, assembly=assembly)
-        simulation = compiled.simulation
-    else:
-        with telemetry.span("compile", scenario=resolved.name):
-            compiled = _compile(resolved, telemetry=telemetry, assembly=assembly)
-        simulation = compiled.simulation
-        simulation.attach_telemetry(telemetry)
-        with telemetry.span("reset"):
+    return _run_stack([resolve_spec(spec)], [telemetry], assembly=assembly)[0]
+
+
+def _run_stack(
+    specs: list[ScenarioSpec],
+    sessions: list[Telemetry | None],
+    *,
+    assembly=None,
+) -> list[ExperimentResult]:
+    """Compile and run specs as one engine — one result per spec.
+
+    One spec is a plain run. Several must share a
+    :func:`~repro.spec.compiler.stack_key`: they step as the jobs of one
+    stacked engine, and each result is byte-identical to the spec's
+    standalone :func:`run`. Each job's session (``sessions``, one per
+    spec, all set or all ``None``) records its own compile/reset/step
+    phases and counters; the stacked phases are timed once and booked to
+    every job, and each job is credited an equal share of the stepping
+    time.
+    """
+    traced = sessions[0] is not None
+
+    def spans(name: str, fields: list[dict]) -> contextlib.ExitStack:
+        """One ``name`` span per job session, opened and closed together."""
+        stack = contextlib.ExitStack()
+        if traced:
+            for session, job_fields in zip(sessions, fields):
+                stack.enter_context(session.span(name, **job_fields))
+        return stack
+
+    target = specs[0] if len(specs) == 1 else specs
+    with spans("compile", [{"scenario": spec.name} for spec in specs]):
+        compiled = _compile(target, telemetry=sessions[0], assembly=assembly)
+    if len(specs) == 1:
+        compiled = [compiled]
+    simulation = compiled[0].simulation
+    if traced:
+        simulation.attach_telemetry(sessions if len(specs) > 1 else sessions[0])
+        with spans("reset", [{}] * len(specs)):
             simulation.reset()
-    n_hubs, days = compiled.n_hubs, compiled.days
     log.debug(
         "compiled scenario",
-        scenario=resolved.name,
-        n_hubs=n_hubs,
-        days=days,
-        scheduler=compiled.scheduler.name,
+        scenario=specs[0].name,
+        n_hubs=compiled[0].n_hubs,
+        days=compiled[0].days,
+        scheduler=",".join(scenario.scheduler.name for scenario in compiled),
+        jobs=len(compiled),
     )
 
     start = time.perf_counter()
-    if telemetry is None:
-        book = compiled.execute()
-    else:
-        with telemetry.span("step", slots=simulation.horizon):
-            book = compiled.execute()
-    elapsed = time.perf_counter() - start
+    with spans("step", [{"slots": simulation.horizon}] * len(specs)):
+        books = (
+            [compiled[0].execute()] if len(specs) == 1 else execute_jobs(compiled)
+        )
+    elapsed = (time.perf_counter() - start) / len(specs)
 
-    return _fleet_result(compiled, book, elapsed=elapsed, telemetry=telemetry)
+    return [
+        _fleet_result(scenario, book, elapsed=elapsed, telemetry=session)
+        for scenario, book, session in zip(compiled, books, sessions)
+    ]
 
 
 def _fleet_result(
@@ -422,6 +455,17 @@ def run_sweep(
     (:func:`repro.parallel._cached_assembly`), so consecutive jobs over
     one fleet synthesize its hubs once.
 
+    Same-fleet jobs also *step* together. Consecutive jobs with one
+    :func:`~repro.spec.compiler.stack_key` — the same assembly
+    fingerprint and ``run.storage``, and ``pricing.policy == "none"`` —
+    run as the jobs of one stacked engine (serially, and within each
+    worker chunk): one engine step per slot for the whole group. The
+    scheduler (name, quantiles, ``congestion_aware``), ``grid.allocation``,
+    ``run.initial_soc_fraction`` and ``run.voll_per_kwh`` ride on the job
+    axis; params, inputs, slot planes and the exogenous book columns are
+    shared. Every job's result is byte-identical to its standalone
+    :func:`run`; priced jobs and seed sweeps run one engine per job.
+
     With a ``telemetry`` session, each job runs under its own
     job-local session (in-process for serial, in-worker for parallel —
     per-worker records flow back through the result payloads) and is
@@ -430,7 +474,12 @@ def run_sweep(
     byte-identical between executors; per-job records additionally stay
     on each ``result.telemetry``.
     """
-    from .parallel import _cached_assembly, resolve_jobs, run_jobs_parallel
+    from .parallel import (
+        _cached_assembly,
+        resolve_jobs,
+        run_jobs_parallel,
+        stack_groups,
+    )
 
     expanded = sweep.jobs()
     n_workers = resolve_jobs(jobs)
@@ -447,16 +496,16 @@ def run_sweep(
         if telemetry is not None:
             telemetry.set_workers(n_workers)
     else:
-        results = [
-            run(
-                job.spec,
-                telemetry=(
+        results = []
+        for group in stack_groups([job.spec for job in expanded]):
+            results += _run_stack(
+                group,
+                [
                     Telemetry(include_meta=False) if telemetry is not None else None
-                ),
-                assembly=_cached_assembly(job.spec),
+                    for _ in group
+                ],
+                assembly=_cached_assembly(group[0]),
             )
-            for job in expanded
-        ]
     for job, result in zip(expanded, results):
         result.experiment_id = f"fleet[{job.index}]"
         result.data["sweep"] = sweep.name

@@ -83,17 +83,19 @@ def fleet_simulation_from_scenarios(
     *,
     outage: np.ndarray | None = None,
     initial_soc_fraction: float | np.ndarray = 0.5,
-    feeders: FeederGroup | None = None,
-    voll_per_kwh: float = 0.0,
+    feeders: FeederGroup | Sequence[FeederGroup] | None = None,
+    voll_per_kwh: float | Sequence[float] = 0.0,
     storage: str = "dense",
     window: int | None = None,
+    n_jobs: int = 1,
 ) -> FleetSimulation:
     """Convenience: params + inputs + engine in one call.
 
     ``storage``/``window`` select the cost-book layout (see
     :class:`~repro.fleet.costs.FleetCostBook`): ``"windowed"`` folds
     slots into running aggregates over a bounded ring so book memory
-    stops scaling with the horizon.
+    stops scaling with the horizon. ``n_jobs`` stacks that many jobs over
+    the fleet (see :class:`FleetSimulation`).
     """
     return FleetSimulation(
         fleet_params_from_scenarios(scenarios),
@@ -103,6 +105,7 @@ def fleet_simulation_from_scenarios(
         voll_per_kwh=voll_per_kwh,
         storage=storage,
         window=window,
+        n_jobs=n_jobs,
     )
 
 

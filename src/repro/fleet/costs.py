@@ -31,6 +31,8 @@ consumers.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
 from ..errors import FleetError
@@ -49,8 +51,42 @@ DEFAULT_WINDOW = 24
 _SLOTS_PER_DAY = 24
 
 
+def column_dtype(name: str):
+    """Pinned storage dtype of one book column."""
+    if name == "action":
+        return np.int64
+    if name == "blackout":
+        return np.bool_
+    return np.float64
+
+
 class FleetCostBook:
     """Slot-by-slot records for a whole fleet, filled as the engine steps."""
+
+    #: Columns no battery action changes: a stacked engine's jobs share
+    #: one copy of each.
+    EXOGENOUS_COLUMNS = (
+        "blackout",
+        "p_bs_kw",
+        "p_cs_kw",
+        "p_pv_kw",
+        "p_wt_kw",
+        "rtp_kwh",
+        "srtp_kwh",
+        "revenue",
+    )
+    #: Columns the battery actions decide: one row block per stacked job.
+    ACTION_COLUMNS = (
+        "action",
+        "p_bp_kw",
+        "p_grid_kw",
+        "surplus_kw",
+        "soc_kwh",
+        "grid_cost",
+        "bp_cost",
+        "unserved_kwh",
+        "import_shortfall_kw",
+    )
 
     _FLOAT_COLUMNS = (
         "p_bs_kw",
@@ -79,7 +115,14 @@ class FleetCostBook:
         voll_per_kwh: float = 0.0,
         storage: str = "dense",
         window: int | None = None,
+        columns: Mapping[str, np.ndarray] | None = None,
     ) -> None:
+        """``columns`` optionally supplies the storage of some columns —
+        ``(n_hubs, slot_width)`` arrays of the column's dtype (see
+        :meth:`slot_width`); the rest start as zeros. A stacked engine
+        passes each job's row block of its job-axis arrays plus the
+        shared exogenous columns this way.
+        """
         if n_hubs <= 0 or horizon < 0:
             raise FleetError(
                 f"invalid fleet book shape ({n_hubs} hubs, {horizon} slots)"
@@ -104,30 +147,46 @@ class FleetCostBook:
         self.horizon = horizon
         self.storage = storage
         self._windowed = storage == "windowed"
+        width = self.slot_width(horizon, storage, window)
+        self.window: int | None = width if self._windowed else None
+        given = dict(columns or {})
+        unknown = set(given) - set(self.EXOGENOUS_COLUMNS + self.ACTION_COLUMNS)
+        if unknown:
+            raise FleetError(f"unknown fleet book columns {sorted(unknown)}")
+        # Hot-path columns carry pinned dtypes (float64 / int64 / bool_)
+        # so layouts match across platforms.
+        storage_columns: dict[str, np.ndarray] = {}
+        for name in ("action", "blackout", *self._FLOAT_COLUMNS):
+            dtype = column_dtype(name)
+            column = given.get(name)
+            if column is None:
+                column = np.zeros((n_hubs, width), dtype)
+            elif column.shape != (n_hubs, width) or column.dtype != dtype:
+                raise FleetError(
+                    f"column {name!r} must be a ({n_hubs}, {width}) "
+                    f"{np.dtype(dtype).name} array, got {column.shape} "
+                    f"{column.dtype.name}"
+                )
+            storage_columns[name] = column
         if self._windowed:
-            if window is None:
-                window = DEFAULT_WINDOW
-            window = int(window)
-            if window <= 0:
-                raise FleetError(f"window must be positive, got {window}")
-            self.window: int | None = min(window, max(horizon, 1))
-            shape = (n_hubs, self.window)
-            # Hot-path columns carry pinned dtypes (float64 / int64 /
-            # bool_) so layouts match across platforms.
-            self._ring: dict[str, np.ndarray] = {
-                "action": np.zeros(shape, np.int64),
-                "blackout": np.zeros(shape, np.bool_),
-            }
-            for name in self._FLOAT_COLUMNS:
-                self._ring[name] = np.zeros(shape, np.float64)
+            self._ring: dict[str, np.ndarray] = storage_columns
             self._init_accumulators()
         else:
-            self.window = None
-            self.action = np.zeros((n_hubs, horizon), np.int64)
-            self.blackout = np.zeros((n_hubs, horizon), np.bool_)
-            for name in self._FLOAT_COLUMNS:
-                setattr(self, name, np.zeros((n_hubs, horizon), np.float64))
+            for name, column in storage_columns.items():
+                setattr(self, name, column)
         self._n_recorded = 0
+
+    @staticmethod
+    def slot_width(horizon: int, storage: str, window: int | None) -> int:
+        """Slots each column stores: the horizon (dense) or the ring size."""
+        if storage != "windowed":
+            return horizon
+        if window is None:
+            window = DEFAULT_WINDOW
+        window = int(window)
+        if window <= 0:
+            raise FleetError(f"window must be positive, got {window}")
+        return min(window, max(horizon, 1))
 
     def _init_accumulators(self) -> None:
         n, n_feeders = self.n_hubs, self.feeders.n_feeders
@@ -195,12 +254,19 @@ class FleetCostBook:
 
     def record(self, t: int, **columns: np.ndarray) -> None:
         """Store one resolved slot (arrays of shape ``(n_hubs,)``)."""
-        dest = self.begin_slot(t)
+        self._check_slot(t)
         if self._windowed:
+            slot = t % self.window
+            dest = {name: ring[:, slot] for name, ring in self._ring.items()}
             # Dense columns start zeroed; the ring column may hold the
             # evicted slot's stale values — clear for identical semantics.
             for target in dest.values():
                 target[...] = 0
+        else:
+            dest = {
+                name: getattr(self, name)[:, t]
+                for name in ("action", "blackout", *self._FLOAT_COLUMNS)
+            }
         for name, values in columns.items():
             try:
                 target = dest[name]
@@ -217,37 +283,16 @@ class FleetCostBook:
         if t >= self.horizon:
             raise FleetError(f"slot {t} beyond book horizon {self.horizon}")
 
-    def begin_slot(self, t: int) -> dict[str, np.ndarray]:
-        """Writable column views of the *next* slot, for the fused kernel.
-
-        :meth:`FleetSimulation.step` resolves each slot directly into the
-        book's storage through these views instead of materialising
-        per-step temporaries and copying them in via :meth:`record`. The
-        slot only becomes visible to the aggregates once
-        :meth:`commit_slot` runs, so a step that raises mid-flight leaves
-        the book's recorded range untouched.
-
-        Windowed books hand out views into the ring column ``t % window``
-        — the kernel must (re)write every column it cares about, because
-        the slot evicted from the ring leaves stale values behind.
-        """
-        self._check_slot(t)
-        if self._windowed:
-            slot = t % self.window
-            return {name: ring[:, slot] for name, ring in self._ring.items()}
-        columns: dict[str, np.ndarray] = {
-            "action": self.action[:, t],
-            "blackout": self.blackout[:, t],
-        }
-        for name in self._FLOAT_COLUMNS:
-            columns[name] = getattr(self, name)[:, t]
-        return columns
-
     def commit_slot(self, t: int) -> None:
-        """Mark the slot handed out by :meth:`begin_slot` as recorded.
+        """Mark slot ``t`` as recorded once its columns hold it.
 
-        In windowed storage this is where the slot is folded into the
-        running aggregates, in slot order.
+        :meth:`record` writes the columns itself; :class:`~repro.fleet.
+        simulation.FleetSimulation` resolves each slot straight into the
+        storage it handed the book (``columns=``) and commits afterwards,
+        so a step that raises mid-flight leaves the recorded range
+        untouched. Windowed storage keeps slot ``t`` in ring column
+        ``t % window`` and folds it into the running aggregates here, in
+        slot order.
         """
         self._check_slot(t)
         if self._windowed:

@@ -24,6 +24,7 @@ identical to the uncoupled PR-1 engine (property-tested at atol 1e-9).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -33,12 +34,45 @@ from ..errors import FleetError
 ALLOCATION_POLICIES = ("proportional", "priority")
 
 
-def _segment_prefix_sum(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sums within ``[bounds[k], bounds[k+1])`` segments."""
-    ahead = np.zeros(values.shape[0])
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        ahead[lo + 1 : hi] = np.cumsum(values[lo : hi - 1])
-    return ahead
+class _PriorityPlan:
+    """The static half of the priority fill: everything that depends only
+    on the assignment, the priorities and which feeders fill by priority.
+
+    ``order`` sorts the priority-fed hubs by (feeder, -priority, hub
+    index); each feeder's members then form one segment. Every segment is
+    a row of a zero-padded ``(n_segments, width)`` matrix whose column 0
+    stays zero, so one ``cumsum`` along axis 1 yields each hub's
+    exclusive queue-ahead demand at ``reads``; ``writes`` (= ``reads + 1``)
+    are where the sorted demands go.
+    """
+
+    __slots__ = ("order", "feeder_sorted", "reads", "writes", "shape")
+
+    def __init__(
+        self, assignment: np.ndarray, priority: np.ndarray, hubs: np.ndarray
+    ) -> None:
+        order = hubs[np.lexsort((hubs, -priority[hubs], assignment[hubs]))]
+        feeder_sorted = assignment[order]
+        starts = np.flatnonzero(np.r_[True, np.diff(feeder_sorted) != 0])
+        lengths = np.diff(np.r_[starts, order.size])
+        segment = np.repeat(np.arange(starts.size), lengths)
+        column = np.arange(order.size) - starts[segment]
+        width = int(lengths.max()) + 1
+        self.order = order
+        self.feeder_sorted = feeder_sorted
+        self.reads = segment * width + column
+        self.writes = self.reads + 1
+        self.shape = (starts.size, width)
+
+    def queue_ahead(self, demand_sorted: np.ndarray) -> np.ndarray:
+        """Exclusive prefix sums of ``demand_sorted`` within each segment.
+
+        ``cumsum`` accumulates sequentially along a row, so each segment's
+        sums are bit-identical to a ``cumsum`` over that segment alone.
+        """
+        padded = np.zeros(self.shape)
+        padded.ravel()[self.writes] = demand_sorted
+        return np.cumsum(padded, axis=1).ravel()[self.reads]
 
 
 @dataclass(frozen=True)
@@ -59,7 +93,9 @@ class FeederGroup:
         ``"proportional"`` scales every member's import by the same factor
         when the group limit binds; ``"priority"`` serves members in
         descending :attr:`priority` order (ties broken by hub index) until
-        the capacity is exhausted.
+        the capacity is exhausted. A tuple gives one policy per feeder
+        (what :meth:`stack` builds for jobs with different policies); a
+        tuple of one repeated policy collapses to that string.
     priority:
         Optional ``(n_hubs,)`` positive weights for the priority policy
         (ignored by proportional). ``None`` means uniform priority, which
@@ -68,7 +104,7 @@ class FeederGroup:
 
     assignment: np.ndarray
     import_capacity_kw: np.ndarray
-    policy: str = "proportional"
+    policy: str | tuple[str, ...] = "proportional"
     priority: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -91,11 +127,22 @@ class FeederGroup:
                 f"feeder assignment must lie in [0, {capacity.shape[0]}), got "
                 f"range [{assignment.min()}, {assignment.max()}]"
             )
-        if self.policy not in ALLOCATION_POLICIES:
-            raise FleetError(
-                f"unknown allocation policy {self.policy!r}; "
-                f"available: {', '.join(ALLOCATION_POLICIES)}"
-            )
+        n_feeders = capacity.shape[0]
+        policy = self.policy
+        if isinstance(policy, (tuple, list)):
+            policy = tuple(policy)
+            if len(policy) != n_feeders:
+                raise FleetError(
+                    f"{len(policy)} feeder policies for {n_feeders} feeders"
+                )
+            if len(set(policy)) == 1:
+                policy = policy[0]
+        for name in (policy,) if isinstance(policy, str) else set(policy):
+            if name not in ALLOCATION_POLICIES:
+                raise FleetError(
+                    f"unknown allocation policy {name!r}; "
+                    f"available: {', '.join(ALLOCATION_POLICIES)}"
+                )
         priority = self.priority
         if priority is not None:
             priority = np.asarray(priority, dtype=float)
@@ -108,9 +155,28 @@ class FeederGroup:
                 raise FleetError("priority weights must be finite and positive")
         object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "import_capacity_kw", capacity)
+        object.__setattr__(self, "policy", policy)
         object.__setattr__(self, "priority", priority)
-        # Cached: schedulers consult this every slot on the hot path.
+        # Cached: schedulers consult these every slot on the hot path.
         object.__setattr__(self, "_is_unlimited", bool(np.isinf(capacity).all()))
+        members = np.bincount(assignment, minlength=n_feeders)
+        members.flags.writeable = False
+        object.__setattr__(self, "_members", members)
+        # The allocation's static data: which feeders fill by priority
+        # and, for those, the sort order and segment layout.
+        if isinstance(policy, str):
+            by_priority = np.full(n_feeders, policy == "priority")
+        else:
+            by_priority = np.array([name == "priority" for name in policy])
+        priority_hubs = np.flatnonzero(by_priority[assignment])
+        plan = None
+        if priority_hubs.size:
+            weights = np.ones(assignment.shape[0]) if priority is None else priority
+            plan = _PriorityPlan(assignment, weights, priority_hubs)
+        object.__setattr__(self, "_priority_plan", plan)
+        object.__setattr__(
+            self, "_any_proportional", priority_hubs.size < assignment.shape[0]
+        )
 
     # ------------------------------------------------------------------ #
     # Construction                                                         #
@@ -124,6 +190,50 @@ class FeederGroup:
         return cls(
             assignment=np.zeros(n_hubs, dtype=int),
             import_capacity_kw=np.array([np.inf]),
+        )
+
+    @classmethod
+    def stack(cls, groups: Sequence["FeederGroup"]) -> "FeederGroup":
+        """One group over several jobs' hubs, each job on its own feeders.
+
+        Job *j*'s hubs follow job *j-1*'s, and its feeder ids are offset
+        by the feeders before it, so one :meth:`allocate` call resolves
+        every job's contention: per-feeder sums are still ``bincount`` sums
+        in hub order, and each feeder keeps its own job's policy. The
+        groups must share a capacity horizon (or all be static).
+        """
+        if not groups:
+            raise FleetError("stack needs at least one feeder group")
+        horizons = {group.horizon for group in groups}
+        if len(horizons) != 1:
+            raise FleetError(
+                f"stacked feeder groups must share a capacity horizon, got "
+                f"{sorted(horizons, key=str)}"
+            )
+        offsets = np.cumsum([0] + [group.n_feeders for group in groups[:-1]])
+        policies: list[str] = []
+        for group in groups:
+            policy = group.policy
+            policies.extend(
+                [policy] * group.n_feeders if isinstance(policy, str) else policy
+            )
+        priority = None
+        if any(group.priority is not None for group in groups):
+            priority = np.concatenate(
+                [
+                    np.ones(group.n_hubs) if group.priority is None else group.priority
+                    for group in groups
+                ]
+            )
+        return cls(
+            assignment=np.concatenate(
+                [group.assignment + offset for group, offset in zip(groups, offsets)]
+            ),
+            import_capacity_kw=np.concatenate(
+                [group.import_capacity_kw for group in groups]
+            ),
+            policy=tuple(policies),
+            priority=priority,
         )
 
     @classmethod
@@ -183,7 +293,7 @@ class FeederGroup:
     @property
     def members(self) -> np.ndarray:
         """``(n_feeders,)`` hub counts per feeder."""
-        return np.bincount(self.assignment, minlength=self.n_feeders)
+        return self._members
 
     @property
     def is_unlimited(self) -> bool:
@@ -230,10 +340,17 @@ class FeederGroup:
         if self.is_unlimited:
             return demand, np.zeros_like(demand)
         capacity = self.capacity_at(t)
-        if self.policy == "proportional":
+        if self._priority_plan is None:
             granted = self._allocate_proportional(demand, capacity)
         else:
-            granted = self._allocate_priority(demand, capacity)
+            # Priority feeders overwrite their members' proportional
+            # grants; each grant only reads its own feeder's sums.
+            granted = (
+                self._allocate_proportional(demand, capacity).copy()
+                if self._any_proportional
+                else np.empty(demand.shape[0], np.float64)
+            )
+            self._allocate_priority(demand, capacity, granted)
         shortfall = np.maximum(demand - granted, 0.0)
         return granted, shortfall
 
@@ -252,31 +369,23 @@ class FeederGroup:
         return demand * scale[self.assignment]
 
     def _allocate_priority(
-        self, demand: np.ndarray, capacity: np.ndarray
-    ) -> np.ndarray:
-        """Greedy fill in descending priority order within each feeder."""
-        n = self.n_hubs
-        priority = (
-            np.ones(n) if self.priority is None else self.priority
+        self, demand: np.ndarray, capacity: np.ndarray, granted: np.ndarray
+    ) -> None:
+        """Greedy fill in descending priority order within each feeder.
+
+        Writes the grants of the priority-fed hubs into ``granted``. Each
+        hub's queue-ahead demand is an exclusive prefix sum within its
+        feeder segment, computed per segment, never globally: a global
+        cumsum minus the segment-start offset would leak other feeders'
+        rounding into this feeder's grants, so one feeder's grants would
+        depend on how much the feeders before it draw.
+        """
+        plan = self._priority_plan
+        demand_sorted = demand[plan.order]
+        ahead = plan.queue_ahead(demand_sorted)
+        granted[plan.order] = np.clip(
+            capacity[plan.feeder_sorted] - ahead, 0.0, demand_sorted
         )
-        # Sort by (feeder, -priority, hub index); each hub's queue-ahead
-        # demand is then an exclusive prefix sum within its feeder segment.
-        # _segment_prefix_sum computes it per segment, never globally: a
-        # global cumsum minus the segment-start offset would leak other
-        # feeders' rounding into this feeder's grants, so one feeder's
-        # grants would depend on how much the feeders before it draw.
-        order = np.lexsort((np.arange(n), -priority, self.assignment))
-        feeder_sorted = self.assignment[order]
-        demand_sorted = demand[order]
-        starts = np.r_[0, np.flatnonzero(np.diff(feeder_sorted)) + 1]
-        bounds = np.r_[starts, n]
-        ahead = _segment_prefix_sum(demand_sorted, bounds)
-        granted_sorted = np.clip(
-            capacity[feeder_sorted] - ahead, 0.0, demand_sorted
-        )
-        granted = np.empty(n, np.float64)
-        granted[order] = granted_sorted
-        return granted
 
     # ------------------------------------------------------------------ #
     # Scheduler signal                                                     #

@@ -28,18 +28,30 @@ energy is served from the Eq. 6 battery reserve (the same arithmetic as a
 blackout slot) and whatever the reserve cannot cover is booked as
 unserved. Under the default unlimited feeder the coupled step is
 bit-identical to the uncoupled one.
+
+Job axis: ``n_jobs > 1`` stacks several runs of one fleet — jobs that
+differ only in their feeder policy, initial SoC, VoLL and scheduler —
+into one engine, so a same-fleet sweep pays the per-step numpy overhead
+once per slot instead of once per job. Battery state and the
+action-dependent book columns gain a leading ``(n_jobs, n_hubs)`` axis;
+params, inputs, slot planes and the exogenous book columns are shared
+and broadcast. Every kernel expression is elementwise over hubs, feeder
+sums are ``bincount`` sums in hub order, and each job's book is a
+C-contiguous row block, so each job's book is bit-identical to its
+standalone run's.
 """
 
 from __future__ import annotations
 
 import time
 from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 
 from ..energy.battery import CHARGE, DISCHARGE, IDLE
 from ..errors import ConfigError, FleetError, GridError
-from .costs import FleetCostBook
+from .costs import FleetCostBook, column_dtype
 from .grid import FeederGroup
 from .inputs import FleetInputs
 from .params import FleetParams
@@ -56,7 +68,8 @@ def _resolve_battery(kernel, soc, actions, b, applied, p_bp) -> None:
     """The battery block of one fused slot step, for all hubs at once.
 
     ``kernel`` holds the engine's per-hub constants, ``soc``/``actions``
-    are read-only ``(n_hubs,)`` inputs and ``b`` is the reusable buffer
+    are read-only inputs of the engine's state shape (``(n_hubs,)``, or
+    ``(n_jobs, n_hubs)`` stacked) and ``b`` is the reusable buffer
     namespace. On return ``b.stored``, ``b.drawn``, ``b.bus_charge_kwh``,
     ``b.bus_discharge_kwh`` and ``b.new_soc`` hold the resolved energies,
     and ``applied`` / ``p_bp`` (cost-book column views) are fully written.
@@ -104,8 +117,20 @@ def _resolve_battery(kernel, soc, actions, b, applied, p_bp) -> None:
     np.subtract(b.new_soc, b.drawn, out=b.new_soc)
 
 
+
+
 class FleetSimulation:
-    """Advance a whole fleet through :class:`FleetInputs`, slot by slot."""
+    """Advance a whole fleet through :class:`FleetInputs`, slot by slot.
+
+    With ``n_jobs > 1`` the engine steps several jobs over the same fleet
+    at once (see the module docstring): ``feeders`` and ``voll_per_kwh``
+    then take one entry per job (a single value is shared),
+    ``initial_soc_fraction`` broadcasts to ``(n_jobs, n_hubs)``,
+    :meth:`step` takes ``(n_jobs, n_hubs)`` actions, :meth:`run_jobs`
+    drives one scheduler per job, and :attr:`books` holds one cost book
+    per job. :attr:`n_hubs` counts the hub columns stepped,
+    ``n_jobs x params.n_hubs``.
+    """
 
     def __init__(
         self,
@@ -113,41 +138,64 @@ class FleetSimulation:
         inputs: FleetInputs,
         *,
         initial_soc_fraction: float | np.ndarray = 0.5,
-        feeders: FeederGroup | None = None,
-        voll_per_kwh: float = 0.0,
+        feeders: FeederGroup | Sequence[FeederGroup] | None = None,
+        voll_per_kwh: float | Sequence[float] = 0.0,
         storage: str = "dense",
         window: int | None = None,
+        n_jobs: int = 1,
     ) -> None:
         if params.n_hubs != inputs.n_hubs:
             raise FleetError(
                 f"params describe {params.n_hubs} hubs but inputs carry "
                 f"{inputs.n_hubs}"
             )
+        if int(n_jobs) < 1:
+            raise FleetError(f"n_jobs must be positive, got {n_jobs}")
         self.params = params
         self.inputs = inputs
-        self.feeders = feeders or FeederGroup.unlimited(params.n_hubs)
-        if self.feeders.n_hubs != params.n_hubs:
-            raise FleetError(
-                f"feeder group assigns {self.feeders.n_hubs} hubs but the "
-                f"fleet has {params.n_hubs}"
-            )
-        if self.feeders.horizon is not None and self.feeders.horizon != inputs.horizon:
-            raise FleetError(
-                f"feeder capacity horizon {self.feeders.horizon} does not "
-                f"match the input horizon {inputs.horizon}"
-            )
+        self.n_jobs = int(n_jobs)
+        #: Shape of the battery state and of every per-job slot column.
+        self._shape = (
+            (params.n_hubs,) if self.n_jobs == 1 else (self.n_jobs, params.n_hubs)
+        )
+        #: Each job's own feeders (its policy, capacities and topology).
+        self.job_feeders = tuple(
+            group or FeederGroup.unlimited(params.n_hubs)
+            for group in self._per_job(feeders, "feeder groups")
+        )
+        for group in self.job_feeders:
+            if group.n_hubs != params.n_hubs:
+                raise FleetError(
+                    f"feeder group assigns {group.n_hubs} hubs but the "
+                    f"fleet has {params.n_hubs}"
+                )
+            if group.horizon is not None and group.horizon != inputs.horizon:
+                raise FleetError(
+                    f"feeder capacity horizon {group.horizon} does not "
+                    f"match the input horizon {inputs.horizon}"
+                )
+        #: The group one allocate call per slot resolves: the job's own
+        #: feeders, or every job's feeders stacked with offset ids.
+        self.feeders = (
+            self.job_feeders[0]
+            if self.n_jobs == 1
+            else FeederGroup.stack(self.job_feeders)
+        )
         # Skip the allocation step entirely when no limit can ever bind, so
         # the uncoupled default pays nothing for the coupling machinery.
         self._coupled = not self.feeders.is_unlimited
-        #: Action-independent slot planes, shared across resets.
+        #: Action-independent slot planes, shared across resets and jobs.
         self.planes = SlotPlanes(params, inputs)
         self._outage = self.planes.outage
         self._initial_soc = self._as_soc_fraction(initial_soc_fraction)
-        self.voll_per_kwh = float(voll_per_kwh)
+        self.job_voll_per_kwh = tuple(
+            float(voll) for voll in self._per_job(voll_per_kwh, "VoLL values")
+        )
+        self.voll_per_kwh = self.job_voll_per_kwh[0]
         self._horizon = inputs.horizon
-        #: Optional telemetry session (attach_telemetry). The hot step
-        #: guards every hook behind one ``is not None`` branch, so a run
-        #: without telemetry pays nothing for the instrumentation.
+        #: Optional telemetry sessions, one per job (attach_telemetry). The
+        #: hot step guards every hook behind one ``is not None`` branch, so
+        #: a run without telemetry pays nothing for the instrumentation.
         self._telemetry = None
         #: Book storage layout: "dense" keeps full (n_hubs, horizon)
         #: columns; "windowed" folds committed slots into running
@@ -159,44 +207,92 @@ class FleetSimulation:
         self._windowed_book = storage == "windowed"
         self._precompute_constants()
         self._allocate_buffers()
-        self.book = self._new_book()
+        self._books = self._new_books()
         self._t = 0
         self.soc_kwh = self._reset_soc(self._initial_soc)
-        self.throughput_kwh = np.zeros(params.n_hubs, np.float64)
+        self.throughput_kwh = np.zeros(self._shape, np.float64)
 
-    def _new_book(self) -> FleetCostBook:
-        """A fresh cost book with the exogenous columns pre-filled.
+    def _per_job(self, value, what: str) -> tuple:
+        """One entry per job: a sequence as given, anything else shared."""
+        if isinstance(value, (list, tuple)):
+            if len(value) != self.n_jobs:
+                raise FleetError(f"{len(value)} {what} for {self.n_jobs} jobs")
+            return tuple(value)
+        return (value,) * self.n_jobs
 
-        The BS draw, renewables, prices, blackout mask, and the
-        non-blackout CS draw/revenue never depend on actions, so they are
-        bulk-copied from the plane cache once per run instead of column
-        by column on every step; the kernel only *fixes up* blackout rows.
-        Unrecorded slots simply hold their (deterministic) future values —
-        every aggregate reads the recorded range only.
+    def _new_books(self) -> tuple[FleetCostBook, ...]:
+        """Fresh cost books, one per job, over the engine's own storage.
+
+        The exogenous columns (BS draw, renewables, prices, blackout mask,
+        non-blackout CS draw/revenue) never depend on actions: one copy
+        serves every job, and a dense book bulk-copies them from the plane
+        cache once per run instead of column by column on every step; the
+        kernel only *fixes up* blackout rows. Unrecorded slots simply hold
+        their (deterministic) future values — every aggregate reads the
+        recorded range only. The action columns are ``(n_jobs * n_hubs,
+        width)`` arrays whose job row blocks are each book's columns.
 
         A windowed book has no full columns to pre-fill: the kernel
         refreshes the exogenous ring columns slot by slot instead.
         """
-        book = FleetCostBook(
-            self.params.n_hubs,
-            self._horizon,
-            feeders=self.feeders,
-            voll_per_kwh=self.voll_per_kwh,
-            storage=self._book_storage,
-            window=self._book_window,
+        n_hubs, n_jobs, horizon = self.params.n_hubs, self.n_jobs, self._horizon
+        width = FleetCostBook.slot_width(
+            horizon, self._book_storage, self._book_window
         )
-        if self._windowed_book:
-            return book
-        planes = self.planes
-        book.blackout[:] = planes.outage
-        book.p_bs_kw[:] = planes.p_bs_kw
-        book.p_cs_kw[:] = planes.p_cs_kw
-        book.p_pv_kw[:] = self.inputs.pv_power_kw
-        book.p_wt_kw[:] = self.inputs.wt_power_kw
-        book.rtp_kwh[:] = self.inputs.rtp_kwh
-        book.srtp_kwh[:] = planes.srtp_kwh
-        book.revenue[:] = planes.revenue
-        return book
+        shared = {
+            name: np.zeros((n_hubs, width), column_dtype(name))
+            for name in FleetCostBook.EXOGENOUS_COLUMNS
+        }
+        stacked = {
+            name: np.zeros((n_jobs * n_hubs, width), column_dtype(name))
+            for name in FleetCostBook.ACTION_COLUMNS
+        }
+        if not self._windowed_book:
+            planes = self.planes
+            shared["blackout"][:] = planes.outage
+            shared["p_bs_kw"][:] = planes.p_bs_kw
+            shared["p_cs_kw"][:] = planes.p_cs_kw
+            shared["p_pv_kw"][:] = self.inputs.pv_power_kw
+            shared["p_wt_kw"][:] = self.inputs.wt_power_kw
+            shared["rtp_kwh"][:] = self.inputs.rtp_kwh
+            shared["srtp_kwh"][:] = planes.srtp_kwh
+            shared["revenue"][:] = planes.revenue
+        #: (name, storage) pairs the kernel slices each slot's views from.
+        self._slot_columns = (*shared.items(), *stacked.items())
+        self._slot_width = width
+        return tuple(
+            FleetCostBook(
+                n_hubs,
+                horizon,
+                feeders=self.job_feeders[job],
+                voll_per_kwh=self.job_voll_per_kwh[job],
+                storage=self._book_storage,
+                window=self._book_window,
+                columns={
+                    **shared,
+                    **{
+                        name: column[job * n_hubs : (job + 1) * n_hubs]
+                        for name, column in stacked.items()
+                    },
+                },
+            )
+            for job in range(n_jobs)
+        )
+
+    def _slot_views(self, t: int) -> dict[str, np.ndarray]:
+        """Writable views of slot ``t`` in the books' storage.
+
+        Shared columns come back ``(n_hubs,)``; action columns in the
+        state shape, ``(n_jobs, n_hubs)`` when stacked (a view: the job
+        row blocks are contiguous, so one slot column reshapes freely).
+        """
+        slot = t % self._slot_width if self._windowed_book else t
+        views = {name: column[:, slot] for name, column in self._slot_columns}
+        if self.n_jobs > 1:
+            shape = self._shape
+            for name in FleetCostBook.ACTION_COLUMNS:
+                views[name] = views[name].reshape(shape)
+        return views
 
     def _precompute_constants(self) -> None:
         """Action- and state-independent per-hub scalars of the battery step."""
@@ -233,10 +329,10 @@ class FleetSimulation:
 
     def _allocate_buffers(self) -> None:
         """Reusable ``out=`` buffers so the hot step allocates nothing."""
-        n = self.params.n_hubs
+        shape = self._shape
 
         def f():
-            return np.empty(n, np.float64)
+            return np.empty(shape, np.float64)
 
         self._buf = SimpleNamespace(
             headroom=f(),
@@ -249,15 +345,15 @@ class FleetSimulation:
             residual=f(),
             throughput=f(),
             tmp=f(),
-            mask=np.empty(n, np.bool_),
-            charging=np.empty(n, np.bool_),
-            discharging=np.empty(n, np.bool_),
-            idle_mask=np.empty(n, np.bool_),
+            mask=np.empty(shape, np.bool_),
+            charging=np.empty(shape, np.bool_),
+            discharging=np.empty(shape, np.bool_),
+            idle_mask=np.empty(shape, np.bool_),
         )
 
     def _as_soc_fraction(self, fraction: float | np.ndarray) -> np.ndarray:
         fractions = np.broadcast_to(
-            np.asarray(fraction, dtype=float), (self.params.n_hubs,)
+            np.asarray(fraction, dtype=float), self._shape
         ).copy()
         if fractions.min() < 0.0 or fractions.max() > 1.0:
             raise ConfigError(
@@ -278,8 +374,8 @@ class FleetSimulation:
 
     @property
     def n_hubs(self) -> int:
-        """Number of hubs stepped together."""
-        return self.params.n_hubs
+        """Number of hub columns stepped together (jobs x hubs)."""
+        return self.n_jobs * self.params.n_hubs
 
     @property
     def t(self) -> int:
@@ -301,35 +397,58 @@ class FleetSimulation:
         """Per-hub state of charge as a fraction of capacity."""
         return self.soc_kwh / self.params.capacity_kwh
 
+    @property
+    def book(self) -> FleetCostBook:
+        """The cost book of a single-job engine (stacked: :attr:`books`)."""
+        if self.n_jobs != 1:
+            raise FleetError(
+                f"a stacked engine keeps one book per job ({self.n_jobs}); "
+                f"use .books"
+            )
+        return self._books[0]
+
+    @property
+    def books(self) -> tuple[FleetCostBook, ...]:
+        """One cost book per job, in job order."""
+        return self._books
+
     def attach_telemetry(self, telemetry) -> None:
         """Attach (or detach with ``None``) a :class:`~repro.telemetry.
-        session.Telemetry` session.
+        session.Telemetry` session — on a stacked engine, one per job (a
+        single session books every job).
 
-        While attached, every step books engine counters (hub-slots,
-        blackout rows, feeder congestion, Eq. 6 reserve dispatches), a
-        per-step duration histogram, and a per-slot ``allocation`` timer
-        on coupled fleets. The booked numbers are observational only —
-        the simulated run is bit-identical with or without a session.
+        While attached, every step books each job's engine counters
+        (hub-slots, blackout rows, feeder congestion, Eq. 6 reserve
+        dispatches), a per-step duration histogram, and a per-slot
+        ``allocation`` timer on coupled fleets; a stacked step books each
+        job an equal share of its time. The booked numbers are
+        observational only — the simulated run is bit-identical with or
+        without a session.
         """
-        self._telemetry = telemetry
+        self._telemetry = (
+            None
+            if telemetry is None
+            else self._per_job(telemetry, "telemetry sessions")
+        )
 
     def reset(self, *, soc_fraction: float | np.ndarray | None = None) -> None:
-        """Rewind to slot 0 and reset batteries and the fleet cost book.
+        """Rewind to slot 0 and reset batteries and the fleet cost books.
 
         The :class:`SlotPlanes` cache and step buffers are retained — they
         depend only on the immutable params/inputs, not on the run.
         """
         self._t = 0
         if self._telemetry is not None:
-            self._telemetry.metrics.inc("engine.resets")
-        self.book = self._new_book()
+            for session in self._telemetry:
+                session.metrics.inc("engine.resets")
+        self._books = self._new_books()
         fractions = (
             self._initial_soc
             if soc_fraction is None
             else self._as_soc_fraction(soc_fraction)
         )
         self.soc_kwh = self._reset_soc(fractions)
-        self.throughput_kwh = np.zeros(self.params.n_hubs, np.float64)
+        self.throughput_kwh = np.zeros(self._shape, np.float64)
 
     # ------------------------------------------------------------------ #
     # Stepping                                                             #
@@ -358,16 +477,18 @@ class FleetSimulation:
     def step(self, actions: np.ndarray) -> dict[str, np.ndarray]:
         """Apply one battery action per hub to the current slot.
 
-        ``actions`` has shape ``(n_hubs,)`` with entries in {−1, 0, 1}.
+        ``actions`` has the state shape — ``(n_hubs,)``, or ``(n_jobs,
+        n_hubs)`` on a stacked engine — with entries in {−1, 0, 1}.
         Returns the recorded slot columns as read-side views into the
-        cost book (arrays of shape ``(n_hubs,)``).
+        cost books: the action columns in the state shape, the shared
+        exogenous columns ``(n_hubs,)``.
         """
         if self.done:
             raise FleetError(f"fleet horizon of {self.horizon} slots exhausted")
         actions = np.asarray(actions)
-        if actions.shape != (self.n_hubs,):
+        if actions.shape != self._shape:
             raise FleetError(
-                f"actions must have shape ({self.n_hubs},), got {actions.shape}"
+                f"actions must have shape {self._shape}, got {actions.shape}"
             )
         self._check_actions(actions)
 
@@ -380,11 +501,10 @@ class FleetSimulation:
         planes = self.planes
         b = self._buf
         soc = self.soc_kwh
-        book = self.book
-        # The slot is resolved directly into the book's storage through
+        # The slot is resolved directly into the books' storage through
         # these writable column views; it only becomes visible to the
         # aggregates at commit_slot, so a mid-step raise books nothing.
-        dest = book.begin_slot(t)
+        dest = self._slot_views(t)
         if self._windowed_book:
             # The ring column may hold an evicted slot's values; rewrite
             # the exogenous columns the dense path bulk-fills at reset
@@ -432,30 +552,33 @@ class FleetSimulation:
         # --- Blackout branch, only on the rows whose outage fires now
         # (HubSimulation._blackout_slot + BatteryPack.emergency_supply:
         # charging suspended, the action overridden, SoC allowed below
-        # SoC_min). Most slots skip this block entirely.
+        # SoC_min). Most slots skip this block entirely. The outage mask
+        # is shared, so every job goes dark on the same hub columns.
         if outage_now:
             dark = np.flatnonzero(planes.outage[:, t])
             dest["p_cs_kw"][dark] = 0.0
             dest["revenue"][dark] = 0.0
 
-            soc_pre = soc[dark]
+            soc_pre = soc[..., dark]
             deficit_kwh = planes.blackout_deficit_kwh[dark, t]
             eta = self._reserve_eta[dark]
             drawn_dark = np.minimum(deficit_kwh / eta, soc_pre)
             served_kwh = drawn_dark * eta
-            p_bp[dark] = np.where(served_kwh > 0.0, -served_kwh / dt, 0.0)
-            p_grid[dark] = 0.0
-            surplus[dark] = planes.blackout_surplus_kw[dark, t]
-            b.new_soc[dark] = soc_pre - drawn_dark
-            b.throughput[dark] = drawn_dark
-            unserved[dark] = deficit_kwh - served_kwh
-            applied[dark] = IDLE
+            p_bp[..., dark] = np.where(served_kwh > 0.0, -served_kwh / dt, 0.0)
+            p_grid[..., dark] = 0.0
+            surplus[..., dark] = planes.blackout_surplus_kw[dark, t]
+            b.new_soc[..., dark] = soc_pre - drawn_dark
+            b.throughput[..., dark] = drawn_dark
+            unserved[..., dark] = deficit_kwh - served_kwh
+            applied[..., dark] = IDLE
             if tele is not None:
-                tele.metrics.inc("engine.blackout_hub_slots", dark.size)
-                tele.metrics.inc(
-                    "engine.reserve_dispatches",
-                    int(np.count_nonzero(drawn_dark > 0.0)),
-                )
+                dispatches = drawn_dark.reshape(self.n_jobs, -1) > 0.0
+                for session, job_dispatches in zip(tele, dispatches):
+                    session.metrics.inc("engine.blackout_hub_slots", dark.size)
+                    session.metrics.inc(
+                        "engine.reserve_dispatches",
+                        int(np.count_nonzero(job_dispatches)),
+                    )
 
         # The per-hub interconnection limit applies to the *requested*
         # import, before any feeder-level curtailment (blackout rows
@@ -464,26 +587,31 @@ class FleetSimulation:
             np.greater(p_grid, params.import_limit_kw, out=b.mask)
             np.logical_and(b.mask, self._limit_active, out=b.mask)
             if b.mask.any():
-                hub = int(np.argmax(b.mask))
+                where = np.unravel_index(int(np.argmax(b.mask)), self._shape)
+                hub = int(where[-1])
+                job = f"job {int(where[0])}, " if self.n_jobs > 1 else ""
                 raise GridError(
-                    f"hub {hub}: import of {p_grid[hub]:.3f} kW exceeds the "
-                    f"interconnection limit of "
+                    f"{job}hub {hub}: import of {p_grid[where]:.3f} kW exceeds "
+                    f"the interconnection limit of "
                     f"{params.import_limit_kw[hub]:.3f} kW"
                 )
 
         if coupled:
             # Resolve feeder contention; the curtailed import is served
             # from the Eq. 6 reserve exactly like a blackout deficit
-            # (blackout hubs request 0 import, so they pass through).
+            # (blackout hubs request 0 import, so they pass through). A
+            # stacked engine resolves every job's feeders in one call.
+            request = p_grid.reshape(-1)
             if tele is None:
-                granted, shortfall_kw = self.feeders.allocate(p_grid, t)
+                granted, shortfall_kw = self.feeders.allocate(request, t)
             else:
                 alloc_start = time.perf_counter()
-                granted, shortfall_kw = self.feeders.allocate(p_grid, t)
-                tele.metrics.add_time(
-                    "allocation", time.perf_counter() - alloc_start
-                )
-            np.copyto(p_grid, granted)
+                granted, shortfall_kw = self.feeders.allocate(request, t)
+                share = (time.perf_counter() - alloc_start) / self.n_jobs
+                for session in tele:
+                    session.metrics.add_time("allocation", share)
+            shortfall_kw = shortfall_kw.reshape(self._shape)
+            np.copyto(p_grid, granted.reshape(self._shape))
             np.copyto(dest["import_shortfall_kw"], shortfall_kw)
             shortfall_kwh = shortfall_kw * dt
             eta = self._reserve_eta
@@ -495,16 +623,23 @@ class FleetSimulation:
             # (x/η)·η can exceed x by one ulp — never book negative unserved.
             unserved += np.maximum(shortfall_kwh - served_kwh, 0.0)
             if tele is not None:
-                congested = int(np.count_nonzero(shortfall_kw > 0.0))
-                if congested:
-                    tele.metrics.inc("engine.congested_hub_slots", congested)
-                    tele.metrics.inc(
-                        "engine.curtailed_kwh", float(shortfall_kwh.sum())
-                    )
-                    tele.metrics.inc(
-                        "engine.reserve_dispatches",
-                        int(np.count_nonzero(drawn_short > 0.0)),
-                    )
+                n_jobs = self.n_jobs
+                for session, job_short, job_short_kwh, job_drawn in zip(
+                    tele,
+                    shortfall_kw.reshape(n_jobs, -1),
+                    shortfall_kwh.reshape(n_jobs, -1),
+                    drawn_short.reshape(n_jobs, -1),
+                ):
+                    congested = int(np.count_nonzero(job_short > 0.0))
+                    if congested:
+                        session.metrics.inc("engine.congested_hub_slots", congested)
+                        session.metrics.inc(
+                            "engine.curtailed_kwh", float(job_short_kwh.sum())
+                        )
+                        session.metrics.inc(
+                            "engine.reserve_dispatches",
+                            int(np.count_nonzero(job_drawn > 0.0)),
+                        )
 
         # Eqs. 8, 9, 11 — identical expressions to compute_slot_ledger.
         np.multiply(p_grid, planes.rtp_dt[:, t], out=dest["grid_cost"])
@@ -518,14 +653,15 @@ class FleetSimulation:
         np.copyto(dest["soc_kwh"], self.soc_kwh)
         self.throughput_kwh = self.throughput_kwh + b.throughput
 
-        book.commit_slot(t)
+        for book in self._books:
+            book.commit_slot(t)
         self._t += 1
         if tele is not None:
-            tele.metrics.inc("engine.slots")
-            tele.metrics.inc("engine.hub_slots", self.params.n_hubs)
-            tele.metrics.observe(
-                "engine.step_seconds", time.perf_counter() - step_start
-            )
+            share = (time.perf_counter() - step_start) / self.n_jobs
+            for session in tele:
+                session.metrics.inc("engine.slots")
+                session.metrics.inc("engine.hub_slots", params.n_hubs)
+                session.metrics.observe("engine.step_seconds", share)
         # The views were the kernel's write targets; hand them out
         # read-only so a caller cannot silently corrupt the booked slot.
         for column in dest.values():
@@ -541,12 +677,17 @@ class FleetSimulation:
         remaining capacity is fair-shared over the feeder's members.
         Congestion-aware schedulers charge only when the battery's extra
         import fits this signal. Infinite under the unlimited default.
+        A stacked engine returns one row per job, each from its own
+        feeders.
         """
         if self.done:
             raise FleetError(f"fleet horizon of {self.horizon} slots exhausted")
         t = self._t
-        return self.feeders.available_import_kw(
-            self.planes.base_import_kw[:, t], t
+        base = self.planes.base_import_kw[:, t]
+        if self.n_jobs == 1:
+            return self.feeders.available_import_kw(base, t)
+        return np.stack(
+            [group.available_import_kw(base, t) for group in self.job_feeders]
         )
 
     def run(self, scheduler) -> FleetCostBook:
@@ -557,11 +698,84 @@ class FleetSimulation:
         batch still gets exact membership validation — the per-step check
         in :meth:`_check_actions` rejects everything ``np.isin`` would,
         just without its sort-based cost. Returns the completed
-        :class:`FleetCostBook`.
+        :class:`FleetCostBook`. Stacked engines run through
+        :meth:`run_jobs`.
         """
-        reset_hook = getattr(scheduler, "reset", None)
-        if callable(reset_hook):
-            reset_hook(self)
+        if self.n_jobs != 1:
+            raise FleetError(
+                "a stacked engine runs one scheduler per job; use run_jobs()"
+            )
+        return self.run_jobs([scheduler])[0]
+
+    def run_jobs(
+        self, schedulers: Sequence, *, lead: Sequence[int] | None = None
+    ) -> tuple[FleetCostBook, ...]:
+        """Run the remaining horizon with one scheduler per job.
+
+        Each scheduler's ``reset`` hook runs once, with its own job's
+        view: the engine itself when single, else a read-only lane that
+        looks like a standalone ``(n_hubs,)`` engine of that job.
+        ``lead[j]`` names the job whose scheduler decides job ``j``'s
+        actions (default: its own; a lead must lead itself). Jobs whose
+        schedulers emit the same actions share one call per slot — the
+        fleet schedulers are open-loop (traces, slot and feeder signal,
+        never the batteries), so equal configurations over one fleet and
+        feeder topology qualify. Returns the completed books, job order.
+        """
+        n_jobs = self.n_jobs
+        if len(schedulers) != n_jobs:
+            raise FleetError(f"{len(schedulers)} schedulers for {n_jobs} jobs")
+        lead = list(range(n_jobs)) if lead is None else [int(k) for k in lead]
+        if len(lead) != n_jobs or any(
+            not 0 <= k < n_jobs or lead[k] != k for k in lead
+        ):
+            raise FleetError(f"invalid scheduler leads {lead} for {n_jobs} jobs")
+        views = [self] if n_jobs == 1 else [_JobLane(self, j) for j in range(n_jobs)]
+        for scheduler, view in zip(schedulers, views):
+            reset_hook = getattr(scheduler, "reset", None)
+            if callable(reset_hook):
+                reset_hook(view)
+        if n_jobs == 1:
+            scheduler = schedulers[0]
+            while not self.done:
+                self.step(scheduler(self))
+            return self._books
+        leaders = sorted(set(lead))
+        rows = np.array([leaders.index(k) for k in lead])
+        calls = [(schedulers[k], views[k]) for k in leaders]
         while not self.done:
-            self.step(scheduler(self))
-        return self.book
+            try:
+                actions = np.stack([scheduler(view) for scheduler, view in calls])
+            except ValueError as error:
+                raise FleetError(f"scheduler actions do not stack: {error}") from None
+            self.step(actions[rows])
+        return self._books
+
+
+class _JobLane:
+    """One job of a stacked engine, as that job's scheduler sees it.
+
+    Carries the read side of a standalone ``(n_hubs,)`` engine that the
+    open-loop fleet schedulers use — sizes, the slot, traces, planes, the
+    job's own feeders and headroom signal — and steps nothing. It holds
+    no battery state: a scheduler that reads the batteries cannot share
+    its actions across jobs and must run on its own engine.
+    """
+
+    def __init__(self, sim: FleetSimulation, job: int) -> None:
+        self._sim = sim
+        self.params = sim.params
+        self.inputs = sim.inputs
+        self.planes = sim.planes
+        self.feeders = sim.job_feeders[job]
+        self.n_hubs = sim.params.n_hubs
+        self.horizon = sim.horizon
+
+    @property
+    def t(self) -> int:
+        return self._sim.t
+
+    def available_import_kw(self) -> np.ndarray:
+        """This job's :meth:`FleetSimulation.available_import_kw`."""
+        t = self._sim.t
+        return self.feeders.available_import_kw(self.planes.base_import_kw[:, t], t)

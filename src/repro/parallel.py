@@ -21,6 +21,14 @@ shape — vary scheduler or pricing knobs over one fleet) skip
 re-synthesising hub traces entirely. One scenario always runs in one
 process; parallelism is across jobs only.
 
+Within a chunk, jobs are grouped exactly as the serial loop groups them
+(:func:`stack_groups`): consecutive unpriced jobs with one assembly
+fingerprint and storage mode step as one stacked engine, with the
+scheduler, feeder allocation, initial SoC and VoLL on its job axis and
+everything else shared. A chunk boundary may split a group; each part
+still stacks, and every job's result stays byte-identical to its
+standalone run, so chunking never changes an export.
+
 Guarantees:
 
 * deterministic result ordering by job index, whatever finishes first;
@@ -43,11 +51,16 @@ Guarantees:
 When to parallelize: each worker pays a process fork plus a result
 pickle, so tiny grids (a handful of sub-second jobs) are usually faster
 serial. The sweet spot is many jobs x non-trivial horizons — see the
-``parallel-sweep`` benchmark for measured crossover numbers.
+``parallel-sweep`` benchmark for measured crossover numbers. Workers
+``gc.freeze()`` what they inherit on start, so their garbage
+collections do not walk, and copy on write, the parent's whole heap.
+Same-fleet grids stack serially already; on the 8-job ``sweep`` grid a
+pool gains nothing over the serial loop.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import pickle
@@ -130,50 +143,88 @@ def _cached_assembly(spec):
     return _WORKER_ASSEMBLY[1]
 
 
-def _run_payload(payload: str, with_telemetry: bool = False) -> ExperimentResult:
-    """Worker entry point: spec JSON in, completed result out.
+def stack_groups(specs: list) -> list[list]:
+    """Split specs into maximal runs of consecutive stackable specs.
 
-    ``with_telemetry`` runs the job under a worker-local telemetry
-    session; the record rides back on ``result.telemetry`` (metadata is
-    skipped — the parent stamps one fingerprint for the whole sweep).
+    Consecutive specs with one :func:`~repro.spec.compiler.stack_key`
+    form a group that steps as one stacked engine; a spec whose key is
+    ``None`` (priced) is a group of its own. Grid order is kept.
+    """
+    from .spec.compiler import stack_key
+
+    groups: list[list] = []
+    last = None
+    for spec in specs:
+        key = stack_key(spec)
+        if key is not None and groups and key == last:
+            groups[-1].append(spec)
+        else:
+            groups.append([spec])
+        last = key
+    return groups
+
+
+def _run_group(specs: list, with_telemetry: bool) -> list[ExperimentResult]:
+    """Run one stack group over this process's cached assembly.
+
+    ``with_telemetry`` runs each job under a job-local telemetry session;
+    the record rides back on ``result.telemetry`` (metadata is skipped —
+    the parent stamps one fingerprint for the whole sweep).
     """
     # Local imports keep the worker bootstrap light under spawn-style
     # start methods (under fork they are already-cached module lookups).
     from . import api
-    from .spec.scenario import ScenarioSpec
     from .telemetry import Telemetry
 
-    spec = ScenarioSpec.from_json(payload)
-    telemetry = Telemetry(include_meta=False) if with_telemetry else None
-    return api.run(spec, telemetry=telemetry, assembly=_cached_assembly(spec))
+    return api._run_stack(
+        specs,
+        [Telemetry(include_meta=False) if with_telemetry else None for _ in specs],
+        assembly=_cached_assembly(specs[0]),
+    )
 
 
 def _run_payload_chunk(
     payloads: list[str], with_telemetry: bool = False
 ) -> tuple[list[ExperimentResult], tuple[int, BaseException, str] | None]:
-    """Worker entry point for a chunk of jobs.
+    """Worker entry point for a chunk of jobs: spec JSON in, results out.
 
-    Returns ``(results, failure)`` where ``failure`` is ``None`` or
-    ``(offset_in_chunk, original_error, formatted_traceback)`` for the
-    first job that raised — jobs after it are not run. The error rides
-    back as a *value* (not a raise) so the parent can chain the genuine
-    exception instance as ``ParallelError.__cause__``; errors that don't
-    survive pickling are replaced by a ``RuntimeError`` carrying their
-    repr.
+    The chunk runs like a serial sweep: each :func:`stack_groups` group
+    steps as one stacked engine. Returns ``(results, failure)`` where
+    ``failure`` is ``None`` or ``(offset_in_chunk, original_error,
+    formatted_traceback)`` for the first job that raised — jobs after it
+    are not run. A failed group is re-run one job at a time to find that
+    job (a failure only the stacked run shows is blamed on the group's
+    first job). The error rides back as a *value* (not a raise) so the
+    parent can chain the genuine exception instance as
+    ``ParallelError.__cause__``; errors that don't survive pickling are
+    replaced by a ``RuntimeError`` carrying their repr.
     """
-    results: list[ExperimentResult] = []
-    for offset, payload in enumerate(payloads):
+    from .spec.scenario import ScenarioSpec
+
+    def failure(offset: int, error: Exception):
+        trace = "".join(
+            traceback.format_exception(type(error), error, error.__traceback__)
+        ).strip()
         try:
-            results.append(_run_payload(payload, with_telemetry))
+            pickle.dumps(error)
+        except Exception:
+            error = RuntimeError(repr(error))
+        return results, (offset, error, trace)
+
+    results: list[ExperimentResult] = []
+    for group in stack_groups([ScenarioSpec.from_json(p) for p in payloads]):
+        start = len(results)
+        try:
+            results += _run_group(group, with_telemetry)
         except Exception as error:
-            trace = "".join(
-                traceback.format_exception(type(error), error, error.__traceback__)
-            ).strip()
-            try:
-                pickle.dumps(error)
-            except Exception:
-                error = RuntimeError(repr(error))
-            return results, (offset, error, trace)
+            if len(group) > 1:
+                for spec in group:
+                    try:
+                        results += _run_group([spec], with_telemetry)
+                    except Exception as job_error:
+                        return failure(len(results), job_error)
+                del results[start:]
+            return failure(start, error)
     return results, None
 
 
@@ -208,7 +259,10 @@ def run_jobs_parallel(
         jobs=len(expanded),
         chunks=len(chunks),
     )
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # Each worker freezes what it inherited before it runs a job: forked
+    # from a large process, a worker's collections would otherwise walk
+    # (and so copy-on-write) every page of the parent's object heap.
+    with ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze) as pool:
         future_chunks = {
             pool.submit(
                 _run_payload_chunk,

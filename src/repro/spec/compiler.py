@@ -91,8 +91,29 @@ class CompiledScenario:
     pricing: object | None = None
 
     def execute(self):
-        """Run the remaining horizon under the spec'd scheduler."""
+        """Run the remaining horizon under the spec'd scheduler.
+
+        Single-job engines only; a stacked group runs through
+        :func:`execute_jobs`.
+        """
         return self.simulation.run(self.scheduler)
+
+
+def execute_jobs(compiled: list["CompiledScenario"]):
+    """Run a stacked group compiled by :func:`build` — one book per job.
+
+    Jobs whose :class:`SchedulerSpec` is equal share one scheduler call per
+    slot: the fleet schedulers are open-loop (they read the traces, the
+    slot and the feeder headroom signal, never the batteries) and every
+    job of a stack shares the seed, the fleet and the feeder topology, so
+    equal configurations emit equal actions. Each job still gets its own
+    scheduler object, reset once.
+    """
+    configs = [scenario.spec.scheduler for scenario in compiled]
+    return compiled[0].simulation.run_jobs(
+        [scenario.scheduler for scenario in compiled],
+        lead=[configs.index(config) for config in configs],
+    )
 
 
 def _group_table(fleet: FleetSpec, scale: float) -> tuple[int, list[HubGroupSpec | None]]:
@@ -331,6 +352,22 @@ def assembly_fingerprint(spec: ScenarioSpec) -> str:
     )
 
 
+def stack_key(spec: ScenarioSpec) -> tuple[str, str] | None:
+    """The key same-fleet jobs stack on, or ``None`` for a spec that runs
+    alone.
+
+    Specs with equal keys share one :class:`FleetAssembly` (the
+    :func:`assembly_fingerprint`) and one book storage mode, and differ at
+    most in what rides on a stacked engine's job axis: the scheduler, the
+    feeder allocation policy, the initial SoC and the VoLL. A compiled
+    pricing plane gives each job its own occupancy and discounts, so
+    priced specs never stack.
+    """
+    if spec.pricing.policy != "none":
+        return None
+    return assembly_fingerprint(spec), spec.run.storage
+
+
 def _assemble_fleet(spec: ScenarioSpec) -> FleetAssembly:
     """Resolve a spec into sites, traces, blackout masks, and feeders."""
     sites, per_hub, feeders, n_hubs, days, horizon = assemble_sites(spec)
@@ -411,13 +448,36 @@ def _assemble_fleet(spec: ScenarioSpec) -> FleetAssembly:
     )
 
 
+def _rebind(assembly: FleetAssembly | None, spec: ScenarioSpec) -> FleetAssembly:
+    """``spec``'s assembly: a fresh one, or a cached one rebound to it."""
+    if assembly is None:
+        return _assemble_fleet(spec)
+    if assembly.spec is spec:
+        return assembly
+    if assembly_fingerprint(assembly.spec) != assembly_fingerprint(spec):
+        raise ConfigError(
+            "cached assembly does not match this spec's "
+            "fleet/grid/blackout/run sections"
+        )
+    rebound = dataclasses.replace(
+        assembly,
+        spec=spec,
+        feeders=dataclasses.replace(assembly.feeders, policy=spec.grid.allocation),
+    )
+    # dataclasses.replace re-inits, resetting the init=False strata
+    # cache — carry it over; it's discount-independent by design.
+    # Realizing it on the reused assembly keeps it for the next job.
+    rebound._strata = assembly.realize_strata()
+    return rebound
+
+
 def build(
-    spec: ScenarioSpec,
+    spec: ScenarioSpec | list[ScenarioSpec],
     *,
     discount: np.ndarray | None = None,
     telemetry=None,
     assembly: FleetAssembly | None = None,
-) -> CompiledScenario:
+):
     """Compile a spec into scenarios + batched engine + scheduler.
 
     ``discount`` injects an explicit per-hub (or broadcast 1-D) discount
@@ -435,25 +495,17 @@ def build(
     and run days/seed/scale may not) or a :class:`ConfigError` is raised.
     The cached strata survive the rebind,
     so re-pricing sweeps skip both trace synthesis and the strata draw.
+
+    A *list* of specs sharing one :func:`stack_key` compiles onto one
+    engine with a leading job axis (a same-fleet sweep group): one set of
+    params, inputs and slot planes, each job with its own feeder policy,
+    initial SoC, VoLL and scheduler. The result is then one
+    :class:`CompiledScenario` per spec, in order, all sharing that engine
+    (run them with :func:`execute_jobs`); ``discount`` must be ``None``.
     """
-    if assembly is None:
-        assembly = _assemble_fleet(spec)
-    elif assembly.spec is not spec:
-        if assembly_fingerprint(assembly.spec) != assembly_fingerprint(spec):
-            raise ConfigError(
-                "cached assembly does not match this spec's "
-                "fleet/grid/blackout/run sections"
-            )
-        rebound = dataclasses.replace(
-            assembly,
-            spec=spec,
-            feeders=dataclasses.replace(assembly.feeders, policy=spec.grid.allocation),
-        )
-        # dataclasses.replace re-inits, resetting the init=False strata
-        # cache — carry it over; it's discount-independent by design.
-        # Realizing it on the reused assembly keeps it for the next job.
-        rebound._strata = assembly.realize_strata()
-        assembly = rebound
+    if isinstance(spec, (list, tuple)):
+        return _build_stack(list(spec), assembly=assembly, discount=discount)
+    assembly = _rebind(assembly, spec)
     run = spec.run
     scenarios = assembly.scenarios
 
@@ -493,6 +545,66 @@ def build(
         days=assembly.days,
         pricing=pricing_compiled,
     )
+
+
+def _build_stack(
+    specs: list[ScenarioSpec],
+    *,
+    assembly: FleetAssembly | None,
+    discount: np.ndarray | None,
+) -> list[CompiledScenario]:
+    """:func:`build` for a list of specs: one engine, one job per spec."""
+    if not specs:
+        raise ConfigError("a stacked build needs at least one spec")
+    if discount is not None:
+        raise ConfigError("a stacked build compiles no explicit discount")
+    keys = {stack_key(spec) for spec in specs}
+    if None in keys or len(keys) != 1:
+        raise ConfigError(
+            "stacked specs must share one stack_key: the same assembly "
+            "fingerprint and storage, and no pricing policy"
+        )
+    if len(specs) == 1:
+        return [build(specs[0], assembly=assembly)]
+    assembly = _rebind(assembly, specs[0])
+    # Equal stack keys leave only the feeder policy to differ between the
+    # jobs' assemblies.
+    feeders = [
+        dataclasses.replace(assembly.feeders, policy=spec.grid.allocation)
+        for spec in specs
+    ]
+    discount_rows = assembly.discount_rows(None)
+
+    from ..fleet.builder import fleet_simulation_from_scenarios
+
+    simulation = fleet_simulation_from_scenarios(
+        assembly.scenarios,
+        assembly.realize_occupancy(discount_rows),
+        discount_rows,
+        outage=assembly.outage,
+        initial_soc_fraction=np.array(
+            [spec.run.initial_soc_fraction for spec in specs]
+        )[:, None],
+        feeders=feeders,
+        voll_per_kwh=[spec.run.voll_per_kwh for spec in specs],
+        storage=specs[0].run.storage,
+        n_jobs=len(specs),
+    )
+    return [
+        CompiledScenario(
+            spec=spec,
+            scenarios=assembly.scenarios,
+            simulation=simulation,
+            scheduler=make_scheduler(
+                spec.scheduler,
+                n_hubs=assembly.n_hubs,
+                rng_factory=RngFactory(seed=spec.run.seed),
+            ),
+            n_hubs=assembly.n_hubs,
+            days=assembly.days,
+        )
+        for spec in specs
+    ]
 
 
 def build_fleet_env(spec: ScenarioSpec, *, rng=None):

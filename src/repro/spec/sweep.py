@@ -49,9 +49,10 @@ class SweepSpec:
     """A base scenario and the parameter grid to expand over it.
 
     ``parameters`` maps dotted override paths to the values each takes;
-    declaration order defines the loop nesting. Every path is validated
-    against the base spec at construction, so a typo'd key fails here —
-    not after half the grid has run.
+    declaration order defines the loop nesting. Every path and every
+    value is validated against the base spec at construction, so a
+    typo'd key or a bad value fails here — not after half the grid has
+    run (or after :meth:`save` has persisted it).
     """
 
     base: ScenarioSpec = field(default_factory=ScenarioSpec)
@@ -73,8 +74,10 @@ class SweepSpec:
             if len(values) == 0:
                 raise ConfigError(f"sweep parameter {key!r} has no values")
             normalized[key] = tuple(values)
-            # Validate the path (and the first value) against the base now.
-            apply_overrides(self.base, {key: normalized[key][0]})
+            # Validate the path and every value against the base now: the
+            # cost is the sum of the axis lengths, not the grid size.
+            for value in normalized[key]:
+                apply_overrides(self.base, {key: value})
         object.__setattr__(self, "parameters", normalized)
 
     @property

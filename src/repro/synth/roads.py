@@ -15,11 +15,14 @@ road point (Gaussian offset), otherwise uniformly over the region.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from ..errors import ConfigError, DataError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,10 @@ def build_road_network(
     rng: np.random.Generator,
 ) -> RoadNetwork:
     """Construct the jittered-grid road network."""
+    # Local import: only fig1 builds a road graph, so importing the
+    # package must not load networkx.
+    import networkx as nx
+
     n = config.grid_size
     spacing = config.region_km / (n - 1)
     graph = nx.grid_2d_graph(n, n)

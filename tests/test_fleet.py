@@ -20,6 +20,7 @@ from repro.energy.battery import BatteryConfig, CHARGE, DISCHARGE, IDLE
 from repro.errors import ConfigError, DataError, FleetError
 from repro.fleet import (
     FeederGroup,
+    FleetCostBook,
     FleetInputs,
     FleetParams,
     FleetSimulation,
@@ -602,6 +603,174 @@ class TestFeederGroup:
                     assignment=np.zeros(1, dtype=int),
                     import_capacity_kw=np.full((1, 3), 5.0),
                 ),
+            )
+
+
+def looped_priority_grants(feeders: FeederGroup, demand, capacity) -> np.ndarray:
+    """The priority fill as it was written before its static data was
+    cached: per-slot lexsort and one cumsum per feeder segment."""
+    n = feeders.n_hubs
+    priority = np.ones(n) if feeders.priority is None else feeders.priority
+    order = np.lexsort((np.arange(n), -priority, feeders.assignment))
+    feeder_sorted = feeders.assignment[order]
+    demand_sorted = demand[order]
+    starts = np.r_[0, np.flatnonzero(np.diff(feeder_sorted)) + 1]
+    bounds = np.r_[starts, n]
+    ahead = np.zeros(n)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        ahead[lo + 1 : hi] = np.cumsum(demand_sorted[lo : hi - 1])
+    granted = np.empty(n, np.float64)
+    granted[order] = np.clip(capacity[feeder_sorted] - ahead, 0.0, demand_sorted)
+    return granted
+
+
+class TestPriorityPlan:
+    """The cached priority layout and padded cumsum equal the per-feeder loop."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_grants_bit_identical_to_the_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n_hubs = int(rng.integers(1, 40))
+            # More feeders than hubs leaves some empty; few feeders give
+            # long segments, many give single-member ones.
+            n_feeders = int(rng.integers(1, 2 * n_hubs + 1))
+            assignment = rng.integers(0, n_feeders, n_hubs)
+            assignment[0] = n_feeders - 1
+            priority = (
+                None
+                if rng.random() < 0.3
+                else rng.integers(1, 4, n_hubs).astype(float)  # ties
+            )
+            capacity = rng.uniform(0.0, 60.0, n_feeders)
+            feeders = FeederGroup(assignment, capacity, "priority", priority)
+            demand = rng.exponential(10.0, n_hubs)
+            granted, shortfall = feeders.allocate(demand, 0)
+            want = looped_priority_grants(feeders, demand, capacity)
+            assert granted.tobytes() == want.tobytes()
+            assert shortfall.tobytes() == np.maximum(demand - want, 0.0).tobytes()
+
+    def test_stacked_groups_allocate_like_each_group(self):
+        rng = np.random.default_rng(7)
+        groups = [
+            FeederGroup(
+                rng.integers(0, 3, 12),
+                rng.uniform(5.0, 40.0, (3, 4)),
+                policy,
+                None if policy == "proportional" else rng.uniform(1, 3, 12),
+            )
+            for policy in ("priority", "proportional", "priority", "proportional")
+        ]
+        stacked = FeederGroup.stack(groups)
+        assert stacked.n_hubs == 48 and stacked.n_feeders == 12
+        assert stacked.policy == ("priority",) * 3 + ("proportional",) * 3 + (
+            "priority",
+        ) * 3 + ("proportional",) * 3
+        for t in range(4):
+            demands = [rng.exponential(12.0, 12) for _ in groups]
+            granted, shortfall = stacked.allocate(np.concatenate(demands), t)
+            for job, (group, demand) in enumerate(zip(groups, demands)):
+                rows = slice(12 * job, 12 * (job + 1))
+                want_granted, want_shortfall = group.allocate(demand, t)
+                assert granted[rows].tobytes() == want_granted.tobytes()
+                assert shortfall[rows].tobytes() == want_shortfall.tobytes()
+
+    def test_policy_tuple_validation(self):
+        with pytest.raises(FleetError, match="2 feeder policies for 3"):
+            FeederGroup(np.zeros(2, int), np.ones(3), ("priority", "priority"))
+        with pytest.raises(FleetError, match="auction"):
+            FeederGroup(np.zeros(2, int), np.ones(2), ("priority", "auction"))
+        same = FeederGroup(np.zeros(2, int), np.ones(2), ("priority", "priority"))
+        assert same.policy == "priority"
+        with pytest.raises(FleetError, match="capacity horizon"):
+            FeederGroup.stack(
+                [FeederGroup.unlimited(2), FeederGroup(np.zeros(2, int), np.ones((1, 3)))]
+            )
+
+
+class TestJobAxis:
+    """A stacked engine's jobs equal their standalone engines exactly."""
+
+    N_HUBS = 6
+
+    def engines(self, policies, socs, volls):
+        inputs = seeded_fleet_inputs(self.N_HUBS, 48, seed=3)
+        outage = np.zeros((self.N_HUBS, 48), bool)
+        outage[1, 5:9] = outage[4, 20:22] = True
+        inputs = FleetInputs(
+            load_rate=inputs.load_rate,
+            rtp_kwh=inputs.rtp_kwh,
+            pv_power_kw=inputs.pv_power_kw,
+            wt_power_kw=inputs.wt_power_kw,
+            occupied=inputs.occupied,
+            discount=inputs.discount,
+            outage=outage,
+        )
+        params = FleetParams.from_hub_configs(
+            [small_hub_config() for _ in range(self.N_HUBS)]
+        )
+
+        def feeders(policy):
+            return FeederGroup.uniform(self.N_HUBS, 2, 6.0, policy=policy)
+
+        stacked = FleetSimulation(
+            params,
+            inputs,
+            initial_soc_fraction=np.asarray(socs)[:, None],
+            feeders=[feeders(policy) for policy in policies],
+            voll_per_kwh=list(volls),
+            n_jobs=len(policies),
+        )
+        alone = [
+            FleetSimulation(
+                params,
+                inputs,
+                initial_soc_fraction=soc,
+                feeders=feeders(policy),
+                voll_per_kwh=voll,
+            )
+            for policy, soc, voll in zip(policies, socs, volls)
+        ]
+        return stacked, alone
+
+    def test_books_bit_identical_to_standalone_runs(self):
+        policies = ("proportional", "priority", "priority")
+        stacked, alone = self.engines(policies, (0.2, 0.5, 0.9), (0.0, 2.0, 5.0))
+        assert stacked.n_hubs == 3 * self.N_HUBS
+        names = ("rule-based", "greedy-renewable", "rule-based")
+        books = stacked.run_jobs(
+            [scheduler_by_name(name, self.N_HUBS) for name in names],
+            lead=[0, 1, 0],
+        )
+        for book, sim, name in zip(books, alone, names):
+            want = sim.run(scheduler_by_name(name, self.N_HUBS))
+            for column in FleetCostBook.EXOGENOUS_COLUMNS + FleetCostBook.ACTION_COLUMNS:
+                assert getattr(book, column).tobytes() == getattr(want, column).tobytes()
+                assert getattr(book, column).flags.c_contiguous
+            assert book.profit == want.profit
+            assert book.feeder_peak_import_kw.tobytes() == want.feeder_peak_import_kw.tobytes()
+
+    def test_shapes_and_single_job_accessors(self):
+        stacked, _ = self.engines(("priority", "priority"), (0.5, 0.5), (0.0, 0.0))
+        assert stacked.soc_kwh.shape == (2, self.N_HUBS)
+        assert stacked.available_import_kw().shape == (2, self.N_HUBS)
+        with pytest.raises(FleetError, match="shape"):
+            stacked.step(np.zeros(self.N_HUBS, int))
+        with pytest.raises(FleetError, match="books"):
+            stacked.book
+        with pytest.raises(FleetError, match="run_jobs"):
+            stacked.run(FleetIdleScheduler())
+        with pytest.raises(FleetError, match="leads"):
+            stacked.run_jobs([FleetIdleScheduler()] * 2, lead=[1, 0])
+        columns = stacked.step(np.zeros((2, self.N_HUBS), int))
+        assert columns["p_grid_kw"].shape == (2, self.N_HUBS)
+        assert columns["p_bs_kw"].shape == (self.N_HUBS,)
+        with pytest.raises(FleetError, match="2 feeder groups for 3 jobs"):
+            FleetSimulation(
+                stacked.params,
+                stacked.inputs,
+                feeders=[FeederGroup.unlimited(self.N_HUBS)] * 2,
+                n_jobs=3,
             )
 
 

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import config as config_mod
 from repro import rng as rng_mod
 from repro import timeutils, units
@@ -306,3 +311,23 @@ class TestConfigPlumbing:
         assert config_mod.replace(outer, name="y").name == "y"
         with pytest.raises(ConfigError):
             config_mod.replace(outer, bogus=1)
+
+
+class TestImportFootprint:
+    def test_api_import_leaves_networkx_unloaded(self):
+        """Only fig1 builds a road graph, so ``import repro.api`` must not
+        load networkx (a fresh interpreter, so other tests cannot mask it)."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        loaded = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.api; print('networkx' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        ).stdout.strip()
+        assert loaded == "False"

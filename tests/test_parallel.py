@@ -109,6 +109,29 @@ class TestSerialParallelEquivalence:
         write_results_json(chunked, chunked_path)
         assert serial_path.read_bytes() == chunked_path.read_bytes()
 
+    @pytest.mark.parametrize("chunk_size", [3, None])
+    def test_stacked_same_fleet_grid_byte_identical(self, tmp_path, chunk_size):
+        """A same-fleet grid steps as one stacked engine per chunk; a
+        chunk size of 3 splits the 8-job group across tasks and workers."""
+        base = spec_from_fleet_flags(
+            n_hubs=5, days=2, n_feeders=2, feeder_capacity_kw=20.0
+        )
+        sweep = SweepSpec(
+            base=base,
+            parameters={
+                "scheduler.name": ("rule-based", "greedy-renewable", "idle", "random"),
+                "grid.allocation": ("proportional", "priority"),
+            },
+            name="stacked",
+        )
+        serial = api.run_sweep(sweep)
+        chunked = api.run_sweep(sweep, jobs=2, chunk_size=chunk_size)
+        serial_path = tmp_path / "serial.json"
+        chunked_path = tmp_path / "chunked.json"
+        write_results_json(serial, serial_path)
+        write_results_json(chunked, chunked_path)
+        assert serial_path.read_bytes() == chunked_path.read_bytes()
+
     def test_cli_sweep_jobs_export_matches_serial(self, tmp_path):
         argv = [
             "sweep",
@@ -161,7 +184,8 @@ class TestWorkerFailure:
         sweep = SweepSpec(
             base=base,
             # 3 feeders compiles; 999 feeders for 5 hubs fails in the
-            # worker (SweepSpec's own validation only checks key paths).
+            # worker (999 is a valid GridSpec value on its own, so
+            # SweepSpec's validation lets it through).
             parameters={"grid.n_feeders": (3, 999)},
             name="doomed",
         )
@@ -188,6 +212,35 @@ class TestWorkerFailure:
         assert "grid.n_feeders=999" in message
         assert isinstance(excinfo.value.__cause__, ConfigError)
         assert excinfo.value.job_traceback
+
+
+    def test_failure_inside_a_stacked_group_names_the_right_job(self, monkeypatch):
+        """A stacked group that fails is re-run one job at a time, so the
+        job to blame is named and the jobs before it still return."""
+        from repro import parallel
+        from repro.spec import compiler
+
+        make_scheduler = compiler.make_scheduler
+
+        def no_random(scheduler, **kwargs):
+            if scheduler.name == "random":
+                raise ConfigError("no random scheduler here")
+            return make_scheduler(scheduler, **kwargs)
+
+        monkeypatch.setattr(compiler, "make_scheduler", no_random)
+        base = spec_from_fleet_flags(n_hubs=4, days=2)
+        specs = [
+            base.with_overrides({"scheduler.name": name})
+            for name in ("idle", "rule-based", "random", "greedy-renewable")
+        ]
+        assert len(parallel.stack_groups(specs)) == 1
+        results, failure = parallel._run_payload_chunk(
+            [spec.to_json() for spec in specs]
+        )
+        offset, error, trace = failure
+        assert offset == 2 and len(results) == 2
+        assert isinstance(error, ConfigError)
+        assert "no random scheduler here" in trace
 
 
 class TestWorkerAssemblyCache:
@@ -270,4 +323,19 @@ class TestSchedulerLifecycle:
         )
         api.run_sweep(small_sweep(3))
         assert len(counters) == 3
+        assert all(resets == [1] for resets in counters)
+
+        # A same-fleet grid stacks onto one engine; each job still gets
+        # its own scheduler, reset once.
+        counters.clear()
+        api.run_sweep(
+            SweepSpec(
+                base=small_sweep(1).base,
+                parameters={
+                    "grid.allocation": ("proportional", "priority"),
+                    "run.voll_per_kwh": (0.0, 2.0),
+                },
+            )
+        )
+        assert len(counters) == 4
         assert all(resets == [1] for resets in counters)

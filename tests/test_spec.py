@@ -406,6 +406,18 @@ class TestSweep:
         with pytest.raises(ConfigError, match="unknown key"):
             SweepSpec(base=ScenarioSpec(), parameters={"run.sed": (0, 1)})
 
+    @pytest.mark.parametrize(
+        "key, values",
+        [
+            ("scheduler.name", ("idle", "bogus")),
+            ("run.days", (1, -3)),
+            ("grid.allocation", ("priority", "nope")),
+        ],
+    )
+    def test_bad_value_after_the_first_fails_at_construction(self, key, values):
+        with pytest.raises(ConfigError):
+            SweepSpec(base=ScenarioSpec(), parameters={key: values})
+
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigError, match="no values"):
             SweepSpec(base=ScenarioSpec(), parameters={"run.seed": ()})

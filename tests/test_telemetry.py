@@ -355,6 +355,34 @@ class TestSweepAggregation:
         )
         assert parallel_record["workers"] == 3
 
+    def test_stacked_jobs_book_their_standalone_counters(self):
+        """A same-fleet sweep steps as one engine, yet each job's counters
+        and step-histogram count equal its standalone run's."""
+        sweep = SweepSpec(
+            base=fleet_spec(n_feeders=2, feeder_capacity_kw=20.0).with_overrides(
+                {"blackout.outage_probability_per_hour": 0.2}
+            ),
+            parameters={
+                "scheduler.name": ("rule-based", "random"),
+                "grid.allocation": ("proportional", "priority"),
+            },
+            name="stacked-telemetry",
+        )
+        telemetry = Telemetry()
+        results = api.run_sweep(sweep, telemetry=telemetry)
+        for result, job in zip(results, sweep.jobs()):
+            alone = api.run(job.spec, telemetry=Telemetry(include_meta=False))
+            got, want = result.telemetry, alone.telemetry
+            assert json.dumps(got["counters"], sort_keys=True) == json.dumps(
+                want["counters"], sort_keys=True
+            )
+            for name in ("engine.step_seconds",):
+                assert got["histograms"][name]["count"] == want["histograms"][name]["count"]
+            assert got["timers"]["allocation"]["count"] == 2 * 24
+            assert set(got["phases"]) == set(want["phases"])
+        assert telemetry.to_dict()["counters"]["engine.blackout_hub_slots"] > 0
+        assert telemetry.to_dict()["counters"]["engine.congested_hub_slots"] > 0
+
     def test_sweep_without_telemetry_attaches_nothing(self):
         results = api.run_sweep(small_sweep(2))
         assert all(r.telemetry is None for r in results)

@@ -810,26 +810,54 @@ def _counting_synthesis(monkeypatch):
     return calls
 
 
+def _standalone_export(result) -> str:
+    """A sweep result's export with the sweep tags taken back out."""
+    payload = result.to_json_dict()
+    payload["experiment_id"] = "fleet"
+    payload["data"].pop("sweep")
+    payload["data"].pop("sweep_overrides")
+    return json.dumps(payload, sort_keys=True)
+
+
 def test_serial_sweep_synthesizes_each_fleet_once(monkeypatch):
-    """Scheduler and allocation changes reuse one assembly, and every job
-    still matches its own cold compile exactly."""
+    """Scheduler, allocation, initial-SoC and VoLL changes reuse one
+    assembly and step as one stacked engine per storage mode, and every
+    job still matches its own cold compile byte for byte — blackouts and
+    congested feeders included."""
+    from repro.fleet.simulation import FleetSimulation
+
     calls = _counting_synthesis(monkeypatch)
-    base = spec_from_fleet_flags(n_hubs=5, days=2, n_feeders=2, feeder_capacity_kw=20.0)
+    steps = []
+    step = FleetSimulation.step
+
+    def counted_step(self, actions):
+        steps.append(self.n_jobs)
+        return step(self, actions)
+
+    monkeypatch.setattr(FleetSimulation, "step", counted_step)
+    base = spec_from_fleet_flags(
+        n_hubs=5, days=2, n_feeders=2, feeder_capacity_kw=20.0
+    ).with_overrides({"blackout.outage_probability_per_hour": 0.2})
     sweep = SweepSpec(
         base=base,
         parameters={
-            "scheduler.name": ("idle", "rule-based", "random"),
+            "run.storage": ("dense", "windowed"),
+            "scheduler.name": ("idle", "rule-based", "greedy-renewable", "random"),
             "grid.allocation": ("proportional", "priority"),
+            "run.initial_soc_fraction": (0.2, 0.9),
+            "run.voll_per_kwh": (0.0, 3.0),
         },
     )
     results = api.run_sweep(sweep)
     assert calls == [5]
+    # Two stacked groups of 32 jobs, 48 slots each.
+    assert steps == [32] * 96
+    assert sum(result.data["blackout_slots"] for result in results) > 0
+    assert sum(result.data["congested_feeder_slots"] for result in results) > 0
+    monkeypatch.setattr(FleetSimulation, "step", step)
     for result, job in zip(results, sweep.jobs()):
-        data = result.to_json_dict()["data"]
-        data.pop("sweep")
-        data.pop("sweep_overrides")
-        assert json.dumps(data, sort_keys=True) == json.dumps(
-            api.run(job.spec).to_json_dict()["data"], sort_keys=True
+        assert _standalone_export(result) == json.dumps(
+            api.run(job.spec).to_json_dict(), sort_keys=True
         )
 
 
