@@ -8,6 +8,7 @@ policies (:mod:`.policy`), and the verified Table II metric
 """
 
 from .baselines import (
+    MODELS_PER_METHOD,
     DoublyRobust,
     InversePropensityScoring,
     OutcomeRegression,
@@ -41,6 +42,7 @@ from .strata import (
 )
 
 __all__ = [
+    "MODELS_PER_METHOD",
     "DiscountDecision",
     "DiscountOutcome",
     "DiscountPolicy",

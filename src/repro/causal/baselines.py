@@ -33,6 +33,12 @@ from .ncf import NcfConfig, NcfRegressor
 #: Propensity estimates are clipped into this band before inverting.
 PROPENSITY_CLIP = (0.02, 0.98)
 
+#: NCF models per baseline under the equal-total-compute protocol: each of
+#: a method's models trains for ``epochs // MODELS_PER_METHOD[name]``
+#: epochs. IPS counts 3 though it fits 2 towers (propensity and effect);
+#: the count stays, as every pricing export depends on it.
+MODELS_PER_METHOD = {"OR": 2, "IPS": 3, "DR": 4}
+
 
 @dataclass(frozen=True)
 class UpliftPrediction:

@@ -36,7 +36,9 @@ Note on L4: the paper's Eq. 16/21 prints ``f00 + f11`` for the
 untreated *Incentive* item does not — the cell is reached by None and
 Incentive, i.e. ``f00 + f01`` (equivalently ``1 − f11``, the complement of
 Eq. 14). We default to the corrected identity; ``paper_eq16_compat=True``
-reproduces the printed loss for comparison.
+reproduces the printed loss (``loss_form="mse"``) for comparison. The NLL
+form always uses the corrected cell: only then do the four cells
+partition the outcomes.
 
 Architecture: one shared NCF (NeuMF) trunk with four heads — three strata
 plus the propensity. The paper states "the two tasks in ECT-Price use NCF
@@ -50,7 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -114,6 +115,19 @@ def _shared_network(
     return NcfNetwork(n_stations, n_time_ids, ncf_config, rng, n_outputs=4)
 
 
+#: The (charged, treated) values of the identification cells L1..L4.
+_CELL_CHARGED = np.array([0.0, 1.0, 1.0, 0.0])
+_CELL_TREATED = np.array([1.0, 0.0, 1.0, 0.0])
+
+
+def _cells(treated: np.ndarray, charged: np.ndarray) -> np.ndarray:
+    """``(n, 4)`` float indicators of each item's cell among L1..L4."""
+    charged = np.asarray(charged, dtype=float)
+    return (
+        (charged[:, None] == _CELL_CHARGED) & (treated[:, None] == _CELL_TREATED)
+    ).astype(float)
+
+
 class EctPriceModel:
     """The jointly-trained stratification + propensity model."""
 
@@ -153,68 +167,82 @@ class EctPriceModel:
         tape's).
 
         Columns 0–2 are the strata logits (a softmax gives f00, f01, f11),
-        column 3 the propensity logit (a sigmoid gives g). The gradient
-        contributions to g arrive in the order L1, L2, L3, L4 (and Lp).
+        column 3 the propensity logit (a sigmoid gives g). The four
+        identification cells L1..L4 are the columns of ``(batch, 4)``
+        blocks: each cell's strata factor, its propensity factor (g or
+        1 − g), their product (the prediction) and the cell's indicator.
+        Cross-cell sums keep the tape's order: L1, L2, L3, L4 (and Lp).
         """
         treated = np.asarray(treated, dtype=float)
-        charged = np.asarray(charged, dtype=float)
+        return self._cell_loss(logits, treated, _cells(treated, charged))
+
+    def _cell_loss(
+        self, logits: np.ndarray, treated: np.ndarray, cells: np.ndarray
+    ) -> tuple[float, np.ndarray]:
+        """:meth:`loss` from float ``treated`` and the ``(batch, 4)`` cell
+        indicators of :func:`_cells`."""
         batch = logits.shape[0]
         log_strata = nn.kernels.log_softmax(logits[:, :3])
         strata = np.exp(np.clip(log_strata, -nn.kernels.EXP_CLIP, nn.kernels.EXP_CLIP))
-        f00, f01, f11 = strata[:, 0], strata[:, 1], strata[:, 2]
         g = nn.kernels.sigmoid(logits[:, 3])
-        not_g = 1.0 - g
-        sum3 = f01 + f11
-        sum4 = f00 + f11 if self.config.paper_eq16_compat else f00 + f01
-        # Predictions of L1..L4, in the identification table's order.
-        preds = (f00 * g, f11 * not_g, sum3 * g, sum4 * not_g)
-        cells = (
-            ((charged == 0) & (treated == 1)).astype(float),
-            ((charged == 1) & (treated == 0)).astype(float),
-            ((charged == 1) & (treated == 1)).astype(float),
-            ((charged == 0) & (treated == 0)).astype(float),
-        )
-        w = nn.heads.mean_grad((batch,))
+        # The printed L4 applies to the printed Eq. 23 only: the NLL form
+        # needs cells that partition the outcomes.
+        compat = self.config.paper_eq16_compat and self.config.loss_form == "mse"
+        # Strata factors f00, f11, f01 + f11 and f00 + f01 (f00 + f11 as
+        # printed), propensity factors g, 1 - g, g, 1 - g.
+        factors = np.empty((batch, 4))
+        factors[:, :2] = strata[:, ::2]
+        np.add(strata[:, 1], strata[:, 2], out=factors[:, 2])
+        np.add(strata[:, 0], strata[:, 2 if compat else 1], out=factors[:, 3])
+        gates = np.empty((batch, 4))
+        gates[:, 0] = g
+        np.subtract(1.0, g, out=gates[:, 1])
+        gates[:, 2:] = gates[:, :2]
+        not_g = gates[:, 1]
+        preds = factors * gates
+        # Every entry of the mean's gradient, ``heads.mean_grad((batch,))``.
+        w = 1.0 / batch
 
         if self.config.loss_form == "nll":
-            terms, d_preds = [], []
-            for pred, cell in zip(preds, cells):
-                prob = np.clip(pred, 1e-9, 1.0)
-                safe = np.maximum(prob, 1e-12)
-                terms.append(cell * np.log(safe))
-                inside = (pred > 1e-9) & (pred < 1.0)
-                d_preds.append(((-w * cell) / safe) * inside)
-            nll = -(((terms[0] + terms[1]) + terms[2]) + terms[3])
+            safe = np.maximum(np.clip(preds, 1e-9, 1.0), 1e-12)
+            terms = cells * np.log(safe)
+            nll = -(((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3])
             loss = float(nll.sum() * (1.0 / batch))
+            inside = (preds > 1e-9) & (preds < 1.0)
+            d_preds = ((-w * cells) / safe) * inside
             d_propensity = None
         else:
-            losses, d_preds = [], []
-            for pred, target in (*zip(preds, cells), (g, treated)):
-                diff = pred - target
-                losses.append((diff * diff).sum() * (1.0 / batch))
-                half = w * diff
-                d_preds.append(half + half)
-            loss = float((((losses[0] + losses[1]) + losses[2]) + losses[3]) + losses[4])
-            d_propensity = d_preds.pop()
-        d1, d2, d3, d4 = d_preds
+            diff = preds - cells
+            squares = diff * diff
+            l1, l2, l3, l4 = (squares[:, k].sum() * (1.0 / batch) for k in range(4))
+            diff_propensity = g - treated
+            lp = (diff_propensity * diff_propensity).sum() * (1.0 / batch)
+            loss = float((((l1 + l2) + l3) + l4) + lp)
+            half = w * diff
+            d_preds = half + half
+            half_propensity = w * diff_propensity
+            d_propensity = half_propensity + half_propensity
 
-        d_g = ((d1 * f00 + -(d2 * f11)) + d3 * sum3) + -(d4 * sum4)
+        # d(g): L1 and L3 enter through g, L2 and L4 through 1 - g.
+        via_g = d_preds * factors
+        d_g = ((via_g[:, 0] - via_g[:, 1]) + via_g[:, 2]) - via_g[:, 3]
         if d_propensity is not None:
             d_g += d_propensity
-        d_sum3 = d3 * g
-        d_sum4 = d4 * not_g
+        # d(strata factor) per cell: d1·g, d2·(1-g), d(f01+f11), d(sum4).
+        via_f = d_preds * gates
         d_strata = np.empty((batch, 3))
-        d_strata[:, 0] = d1 * g + d_sum4
-        if self.config.paper_eq16_compat:
-            d_strata[:, 1] = d_sum3
-            d_strata[:, 2] = (d2 * not_g + d_sum3) + d_sum4
+        np.add(via_f[:, 0], via_f[:, 3], out=d_strata[:, 0])
+        if compat:
+            d_strata[:, 1] = via_f[:, 2]
+            np.add(via_f[:, 1], via_f[:, 2], out=d_strata[:, 2])
+            d_strata[:, 2] += via_f[:, 3]
         else:
-            d_strata[:, 1] = d_sum3 + d_sum4
-            d_strata[:, 2] = d2 * not_g + d_sum3
+            np.add(via_f[:, 2], via_f[:, 3], out=d_strata[:, 1])
+            np.add(via_f[:, 1], via_f[:, 2], out=d_strata[:, 2])
         d_log_strata = d_strata * strata
         d_logits = np.empty((batch, 4))
-        d_logits[:, :3] = d_log_strata - np.exp(log_strata) * d_log_strata.sum(
-            axis=-1, keepdims=True
+        d_logits[:, :3] = d_log_strata - np.exp(log_strata) * (
+            nn.kernels.row_sum(d_log_strata)[:, None]
         )
         d_logits[:, 3] = d_g * g * not_g
         d_logits += 0.0
@@ -226,23 +254,17 @@ class EctPriceModel:
 
     def fit(self, dataset: PricingDataset) -> list[float]:
         """Joint minimisation of Eq. 23; returns per-epoch mean losses."""
-        history: list[float] = []
-        for _ in range(self.config.epochs):
-            epoch_loss = 0.0
-            n_batches = 0
-            for idx in dataset.batches(self.config.batch_size, self._rng):
-                epoch_loss += self.network.fit_batch(
-                    self._optimizer,
-                    dataset.station_ids[idx],
-                    dataset.time_ids[idx],
-                    partial(
-                        self.loss,
-                        treated=dataset.treated[idx],
-                        charged=dataset.charged[idx],
-                    ),
-                )
-                n_batches += 1
-            history.append(epoch_loss / max(n_batches, 1))
+        treated = np.asarray(dataset.treated, dtype=float)
+        history = self.network.fit(
+            self._optimizer,
+            self._rng,
+            dataset.station_ids,
+            dataset.time_ids,
+            [treated, _cells(treated, dataset.charged)],
+            self._cell_loss,
+            batch_size=self.config.batch_size,
+            epochs=self.config.epochs,
+        )
         self._fitted = True
         return history
 

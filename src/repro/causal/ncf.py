@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .. import nn
-from ..errors import ConfigError, NotFittedError
+from ..errors import ConfigError, ModelError, NotFittedError
 from .dataset import PricingDataset
 
 
@@ -52,8 +51,30 @@ class NcfConfig:
             raise ConfigError("batch_size and epochs must be positive")
 
 
+def _checked_ids(ids: np.ndarray, n_rows: int) -> np.ndarray:
+    """``ids`` as a 1-D integer array; raises unless each is a row of a
+    table of ``n_rows`` rows."""
+    ids = np.asarray(ids, dtype=int)
+    if ids.ndim != 1:
+        raise ModelError(f"embedding ids must be 1-D, got shape {ids.shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
+        raise ModelError(
+            f"embedding ids out of range [0, {n_rows}): "
+            f"min={ids.min()}, max={ids.max()}"
+        )
+    return ids
+
+
 class NcfNetwork(nn.Module):
-    """The NeuMF network: GMF ⊕ MLP over (station, time) embeddings."""
+    """The NeuMF network: GMF ⊕ MLP over (station, time) embeddings.
+
+    The four embedding tables are the network's first four parameters and
+    all ``embedding_dim`` wide, so in parameter order they stack into one
+    table, which :class:`~repro.nn.Adam` lays out at the head of its flat
+    buffer. A batch reads its items' four rows each
+    (:meth:`embedding_rows`) with one gather from that stack and, in
+    :meth:`train_step`, returns their gradient with one scatter.
+    """
 
     def __init__(
         self,
@@ -72,76 +93,149 @@ class NcfNetwork(nn.Module):
         self.mlp = nn.MLP((2 * dim, *config.hidden_sizes), rng)
         fused = dim + config.hidden_sizes[-1]
         self.head = nn.Linear(fused, n_outputs, rng)
+        self._dim = dim
+        self._tables = [
+            self.station_gmf.weight,
+            self.time_gmf.weight,
+            self.station_mlp.weight,
+            self.time_mlp.weight,
+        ]
+        self._table_size = sum(table.size for table in self._tables)
+        #: Each table's first row in the stack.
+        self._first_rows = np.array(
+            [0, n_stations, n_stations + n_time_ids, 2 * n_stations + n_time_ids]
+        )
+        self._columns = np.arange(dim)
+
+    def embedding_rows(
+        self, station_ids: np.ndarray, time_ids: np.ndarray
+    ) -> np.ndarray:
+        """``(n, 4)``: each item's station-GMF, time-GMF, station-MLP and
+        time-MLP row in the stacked tables.
+
+        Raises :class:`ModelError` unless every id is a row of its table.
+        """
+        station_ids = _checked_ids(station_ids, self.station_gmf.num_embeddings)
+        time_ids = _checked_ids(time_ids, self.time_gmf.num_embeddings)
+        if station_ids.shape != time_ids.shape:
+            raise ModelError(
+                f"{len(station_ids)} station ids but {len(time_ids)} time ids"
+            )
+        rows = np.stack([station_ids, time_ids, station_ids, time_ids], axis=1)
+        return rows + self._first_rows
 
     def forward(self, station_ids: np.ndarray, time_ids: np.ndarray) -> np.ndarray:
         """Raw logits of shape (batch, n_outputs)."""
-        return self.forward_cached(station_ids, time_ids)[0]
+        tables = np.concatenate([table.data for table in self._tables])
+        rows = self.embedding_rows(station_ids, time_ids)
+        return self._forward(self._gather(tables, rows))[0]
 
-    def forward_cached(
-        self, station_ids: np.ndarray, time_ids: np.ndarray
-    ) -> tuple[np.ndarray, tuple]:
-        """Logits plus the cache :meth:`backward` consumes (fused numpy pass).
-
-        Each id array is range-checked once: the GMF and MLP tables of a
-        key have the same number of rows.
-        """
-        station_ids = self.station_gmf.check_ids(station_ids)
-        time_ids = self.time_gmf.check_ids(time_ids)
-        station_gmf = self.station_gmf.forward_array(station_ids)
-        time_gmf = self.time_gmf.forward_array(time_ids)
-        station_mlp = self.station_mlp.forward_array(station_ids)
-        time_mlp = self.time_mlp.forward_array(time_ids)
-        hidden, trace = self.mlp.forward_array(
-            np.concatenate([station_mlp, time_mlp], axis=1)
-        )
-        fused = np.concatenate(
-            [station_gmf * time_gmf, nn.kernels.relu(hidden)], axis=1
-        )
-        cache = (station_ids, time_ids, station_gmf, time_gmf, trace, fused)
-        return self.head.forward_array(fused), cache
-
-    def backward(self, cache: tuple, d_logits: np.ndarray) -> None:
-        """Add every parameter's gradient from d(logits).
-
-        The flat scatter positions of each id array are built once and
-        shared by its GMF and MLP tables (both ``embedding_dim`` wide).
-        """
-        station_ids, time_ids, station_gmf, time_gmf, trace, fused = cache
-        dim = station_gmf.shape[1]
-        station_positions = nn.kernels.scatter_positions(station_ids, dim)
-        time_positions = nn.kernels.scatter_positions(time_ids, dim)
-        d_fused = self.head.backward_array(fused, None, d_logits)
-        d_gmf = d_fused[:, :dim]
-        self.station_gmf.backward_array(
-            station_ids, d_gmf * time_gmf, station_positions
-        )
-        self.time_gmf.backward_array(time_ids, d_gmf * station_gmf, time_positions)
-        d_hidden = d_fused[:, dim:] * (trace[-1] > 0)
-        d_mlp_in = self.mlp.backward_array(trace, d_hidden)
-        self.station_mlp.backward_array(
-            station_ids, d_mlp_in[:, :dim], station_positions
-        )
-        self.time_mlp.backward_array(time_ids, d_mlp_in[:, dim:], time_positions)
-
-    def fit_batch(
+    def train_step(
         self,
         optimizer: nn.Adam,
+        rows: np.ndarray,
+        loss: Callable[..., tuple[float, np.ndarray]],
+        targets: Sequence[np.ndarray] = (),
+    ) -> float:
+        """One optimizer step on a batch of items; returns the batch loss.
+
+        ``rows`` are the items' rows of :meth:`embedding_rows`, ``optimizer``
+        the :class:`~repro.nn.Adam` over this network's parameters, in
+        order. ``loss(logits, *targets)`` is a numpy head returning
+        ``(loss, d_logits)`` (see :mod:`repro.nn.heads`); ``d_logits``
+        seeds the fused backward, which writes every gradient into the
+        optimizer's flat gradient buffer, so the step runs no autograd tape.
+        """
+        if optimizer.parameters[:4] != self._tables:
+            raise ModelError(
+                "the optimizer must hold this network's embedding tables as "
+                "its first four parameters"
+            )
+        size = self._table_size
+        tables = optimizer.flat[:size].reshape(-1, self._dim)
+        logits, cache = self._forward(self._gather(tables, rows))
+        value, d_logits = loss(logits, *targets)
+        # The flat positions of the gathered rows, in gather order.
+        positions = rows[:, :, None] * self._dim + self._columns
+        optimizer.flat_grad[:size] = nn.kernels.scatter_add(
+            positions, self._backward(cache, d_logits), size
+        )
+        optimizer.step()
+        return value
+
+    def fit(
+        self,
+        optimizer: nn.Adam,
+        rng: np.random.Generator,
         station_ids: np.ndarray,
         time_ids: np.ndarray,
-        loss_head: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    ) -> float:
-        """One optimizer step on one batch; returns the batch loss.
+        targets: Sequence[np.ndarray],
+        loss: Callable[..., tuple[float, np.ndarray]],
+        *,
+        batch_size: int,
+        epochs: int,
+    ) -> list[float]:
+        """Train for ``epochs``; returns the per-epoch mean batch loss.
 
-        ``loss_head(logits)`` returns ``(loss, d_logits)`` (see
-        :mod:`repro.nn.heads`); ``d_logits`` seeds the fused
-        :meth:`backward`, so the step runs no autograd tape.
+        The ids are checked once. Each epoch draws one
+        ``rng.permutation`` of the items and reorders their table rows and
+        the ``targets`` columns by it, so each batch of :meth:`train_step`
+        is a slice of consecutive items.
         """
-        logits, cache = self.forward_cached(station_ids, time_ids)
-        loss, d_logits = loss_head(logits)
-        optimizer.zero_grad()
-        self.backward(cache, d_logits)
-        optimizer.step()
-        return loss
+        rows = self.embedding_rows(station_ids, time_ids)
+        history: list[float] = []
+        n = len(rows)
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            epoch_rows = rows[order]
+            epoch_targets = [column[order] for column in targets]
+            epoch_loss = 0.0
+            n_batches = 0
+            for start in range(0, n, batch_size):
+                stop = start + batch_size
+                epoch_loss += self.train_step(
+                    optimizer,
+                    epoch_rows[start:stop],
+                    loss,
+                    [column[start:stop] for column in epoch_targets],
+                )
+                n_batches += 1
+            history.append(epoch_loss / max(n_batches, 1))
+        return history
+
+    @staticmethod
+    def _gather(tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``(batch, 4 * dim)``: each item's four table rows, side by side."""
+        return tables.take(rows, axis=0).reshape(len(rows), -1)
+
+    def _forward(self, packed: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Logits from the ``(batch, 4 * dim)`` gathered rows, plus the
+        cache :meth:`_backward` consumes."""
+        dim = self._dim
+        hidden, trace = self.mlp.forward_array(packed[:, 2 * dim :])
+        fused = np.empty((len(packed), dim + hidden.shape[1]))
+        np.multiply(packed[:, :dim], packed[:, dim : 2 * dim], out=fused[:, :dim])
+        active = hidden > 0
+        np.multiply(hidden, active, out=fused[:, dim:])  # kernels.relu
+        return self.head.forward_array(fused), (packed, trace, active, fused)
+
+    def _backward(self, cache: tuple, d_logits: np.ndarray) -> np.ndarray:
+        """Write the trunk's gradients from d(logits); return d(gathered rows)."""
+        packed, trace, active, fused = cache
+        dim = self._dim
+        d_fused = self.head.backward_array(fused, None, d_logits)
+        d_packed = np.empty_like(packed)
+        # d(station GMF row) = d(gmf) * time row and vice versa: one
+        # multiply against the two GMF rows in swapped order.
+        gmf_rows = packed[:, : 2 * dim].reshape(-1, 2, dim)
+        np.multiply(
+            d_fused[:, None, :dim],
+            gmf_rows[:, ::-1],
+            out=d_packed[:, : 2 * dim].reshape(-1, 2, dim),
+        )
+        d_hidden = d_fused[:, dim:] * active
+        d_packed[:, 2 * dim :] = self.mlp.backward_array(trace, d_hidden)
+        return d_packed
 
 
 class NcfRegressor:
@@ -176,27 +270,16 @@ class NcfRegressor:
         self, station_ids: np.ndarray, time_ids: np.ndarray, targets: np.ndarray
     ) -> list[float]:
         """Train; returns the per-epoch mean loss trajectory."""
-        station_ids = np.asarray(station_ids, dtype=int)
-        time_ids = np.asarray(time_ids, dtype=int)
-        targets = np.asarray(targets, dtype=float).reshape(-1, 1)
-        head = nn.heads.bce_with_logits if self.binary else nn.heads.mse
-
-        history: list[float] = []
-        n = len(station_ids)
-        for _ in range(self.config.epochs):
-            order = self._rng.permutation(n)
-            epoch_loss = 0.0
-            n_batches = 0
-            for start in range(0, n, self.config.batch_size):
-                idx = order[start : start + self.config.batch_size]
-                epoch_loss += self.network.fit_batch(
-                    self._optimizer,
-                    station_ids[idx],
-                    time_ids[idx],
-                    partial(head, targets=targets[idx]),
-                )
-                n_batches += 1
-            history.append(epoch_loss / max(n_batches, 1))
+        history = self.network.fit(
+            self._optimizer,
+            self._rng,
+            station_ids,
+            time_ids,
+            [np.asarray(targets, dtype=float).reshape(-1, 1)],
+            nn.heads.bce_with_logits if self.binary else nn.heads.mse,
+            batch_size=self.config.batch_size,
+            epochs=self.config.epochs,
+        )
         self._fitted = True
         return history
 

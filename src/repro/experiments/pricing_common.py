@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..causal import (
+    MODELS_PER_METHOD,
     EctPriceConfig,
     EctPriceModel,
     EctPricePolicy,
@@ -41,10 +42,6 @@ BUDGET_FRACTION = 0.195
 
 #: Total training epochs per method under the equal-compute protocol.
 TOTAL_EPOCHS = 30
-
-#: Constituent NCF models per baseline method.
-MODELS_PER_METHOD = {"OR": 2, "IPS": 3, "DR": 4}
-
 
 @dataclass
 class PricingStudy:

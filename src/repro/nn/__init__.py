@@ -7,10 +7,13 @@ parameters, layers, loss heads, and an optimizer.
 Training runs on plain numpy. Each layer of the two network architectures
 has a hand-written ``forward_array``/``backward_array`` (:mod:`.layers`)
 built on the shared :mod:`.kernels`; each loss head (:mod:`.heads`, and the
-model-specific heads next to their models) returns ``(loss, d_logits)``;
-Adam updates one flat buffer over every :class:`Parameter`
-(``.data``/``.grad``). There is no autograd tape here: the tests keep one,
-as the bitwise gradient oracle of the heads and the fused passes.
+model-specific heads next to their models) returns ``(loss, d_logits)``.
+:class:`Adam` packs every :class:`Parameter` into one flat value buffer
+and one flat gradient buffer: ``.data`` and ``.grad`` are views of them,
+a backward pass writes each gradient into its ``.grad`` view in place, and
+a step updates the whole buffer at once. There is no autograd tape here:
+the tests keep one, as the bitwise gradient oracle of the heads and the
+fused passes.
 """
 
 from . import heads, kernels

@@ -10,7 +10,8 @@ frozen oracle in ``tests/test_fused_steps.py``), so losses and gradients
 are bitwise the tape's:
 
 * a mean is ``sum() * (1.0 / count)``, and its backward is a full array
-  of that scale;
+  of that scale (:func:`mean_grad`; a scalar of it broadcasts to the
+  same bits);
 * where a node feeds several consumers, its gradient is summed in the
   order the tape's reverse topological sort delivers them;
 * a ``select_columns`` scatter adds onto zero (``0.0 + x``), which turns
@@ -36,17 +37,18 @@ def mean_grad(shape: tuple[int, ...], scale: float = 1.0) -> np.ndarray:
 
 def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean ``max(z, 0) - z*y + log(1 + exp(-|z|))`` and its d(logits)."""
-    zeros = np.zeros_like(logits)
     neg_logits = -logits
     take_abs = logits >= neg_logits
-    abs_logits = np.where(take_abs, logits, neg_logits)
-    take_pos = logits >= zeros
-    exp_neg_abs = np.exp(np.clip(-abs_logits, -kernels.EXP_CLIP, kernels.EXP_CLIP))
-    safe = np.maximum(exp_neg_abs + 1.0, 1e-12)
-    losses = (np.where(take_pos, logits, zeros) + -(logits * targets)) + np.log(safe)
+    # -|z|, the tape's max(z, -z) negated: negation is exact.
+    neg_abs_logits = np.where(take_abs, neg_logits, logits)
+    take_pos = logits >= 0.0
+    exp_neg_abs = np.exp(np.clip(neg_abs_logits, -kernels.EXP_CLIP, kernels.EXP_CLIP))
+    # The tape's log floors its input at 1e-12; ``1 + exp(...)`` is >= 1.
+    safe = exp_neg_abs + 1.0
+    losses = (np.where(take_pos, logits, 0.0) + -(logits * targets)) + np.log(safe)
     loss = float(losses.sum() * (1.0 / logits.size))
 
-    w = mean_grad(logits.shape)
+    w = 1.0 / logits.size  # every entry of mean_grad(logits.shape)
     d_abs = -((w / safe) * exp_neg_abs)
     # The four consumers of the logits, in tape order: max(z, 0), z * y,
     # max(z, -z) and the -z inside it.
@@ -61,5 +63,5 @@ def mse(prediction: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]
     """Mean ``(prediction - targets)**2`` and its d(prediction)."""
     diff = prediction - targets
     loss = float((diff * diff).sum() * (1.0 / diff.size))
-    half = mean_grad(diff.shape) * diff
+    half = (1.0 / diff.size) * diff  # mean_grad(diff.shape) * diff
     return loss, half + half

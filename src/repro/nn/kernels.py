@@ -8,8 +8,6 @@ gradients bitwise equal to the tape's.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 #: Inputs to exp/sigmoid are clipped to this magnitude to avoid overflow.
@@ -26,37 +24,55 @@ def sigmoid(values: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(values, -EXP_CLIP, EXP_CLIP)))
 
 
+#: Rows narrower than this are reduced column by column (:func:`row_sum`).
+NARROW_ROW = 8
+
+
+def row_sum(values: np.ndarray) -> np.ndarray:
+    """``values.sum(axis=-1)`` of a 2-D array with
+    ``1 <= width < NARROW_ROW`` columns, bitwise, as column adds.
+
+    numpy sums a row that short one element at a time onto a zero start,
+    ``((0.0 + x0) + x1) + ...``; a few column ufuncs cost less than its
+    reduction machinery on small batches.
+    """
+    total = values[:, 0] + 0.0
+    for k in range(1, values.shape[1]):
+        total += values[:, k]
+    return total
+
+
+def row_max(values: np.ndarray) -> np.ndarray:
+    """``values.max(axis=-1)`` of a 2-D array with at
+    least one column: ``np.maximum`` folded left to right, as numpy does."""
+    top = values[:, 0].copy()
+    for k in range(1, values.shape[1]):
+        np.maximum(top, values[:, k], out=top)
+    return top
+
+
 def log_softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable log-softmax along ``axis``."""
+    """Numerically stable log-softmax along ``axis``.
+
+    Narrow 2-D rows (the strata and action heads) reduce through
+    :func:`row_max`/:func:`row_sum`, bitwise equal to numpy's reductions.
+    """
+    if values.ndim == 2 and axis in (-1, 1) and 0 < values.shape[1] < NARROW_ROW:
+        shifted = values - row_max(values)[:, None]
+        return shifted - np.log(row_sum(np.exp(shifted)))[:, None]
     shifted = values - values.max(axis=axis, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def scatter_positions(indices: np.ndarray, width: int) -> np.ndarray:
-    """Flat ``(row, col)`` positions of a row scatter of ``width``-wide rows."""
-    return (indices[:, None] * width + np.arange(width)).ravel()
+def scatter_add(positions: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Sum ``weights`` into a zero ``(size,)`` float array at ``positions``.
 
-
-def scatter_rows(
-    indices: np.ndarray,
-    grad: np.ndarray,
-    n_rows: int,
-    positions: np.ndarray | None = None,
-) -> np.ndarray:
-    """Sum the rows of ``grad`` into an ``(n_rows, ...)`` array by ``indices``.
-
-    The backward of a row gather. One ``np.bincount`` over flattened
-    ``(row, col)`` positions adds each element in ascending input order
-    onto a zero start, so it is bitwise equal to ``np.add.at`` into zeros,
-    repeated indices and signed zeros included. ``indices`` must be
-    non-negative. ``positions``, when given, is
-    ``scatter_positions(indices, width)``, built once for several scatters
-    of the same ids.
+    The backward of a gather ``flat.take(positions)``. One ``np.bincount``
+    adds each element onto a zero start in ascending input order, so it is
+    bitwise equal to ``np.add.at`` into zeros, repeated positions and
+    signed zeros included, and each position's sum is independent of the
+    positions interleaved with it. ``positions`` must be non-negative.
     """
-    tail = grad.shape[1:]
-    width = math.prod(tail)
-    if positions is None:
-        positions = scatter_positions(indices, width)
-    summed = np.bincount(positions, weights=grad.ravel(), minlength=n_rows * width)
+    summed = np.bincount(positions.ravel(), weights=weights.ravel(), minlength=size)
     # An empty input makes bincount return integer zeros.
-    return np.asarray(summed, dtype=float).reshape((n_rows, *tail))
+    return np.asarray(summed, dtype=float)

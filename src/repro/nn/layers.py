@@ -3,9 +3,14 @@
 Every layer takes an explicit RNG for weight init so model construction is
 deterministic under :class:`repro.rng.RngFactory`.
 
-Each layer carries a fused numpy pass: ``forward_array(x)`` returns the
-output array, and ``backward_array(x, y, grad)`` takes d(output), adds
-every parameter's gradient into its ``.grad`` and returns d(input).
+Each layer with a fused numpy pass carries it as ``forward_array(x)``,
+which returns the output array, and ``backward_array(x, y, grad)``, which
+takes d(output), writes every parameter's gradient into its ``.grad`` and
+returns d(input). The write goes into the existing array (``out=``), so
+once :class:`~repro.nn.optim.Adam` has packed a parameter its gradient
+lands straight in the optimizer's flat buffer. An :class:`Embedding` is
+only a table: the network that owns it reads and trains it (see
+:class:`repro.causal.ncf.NcfNetwork`).
 """
 
 from __future__ import annotations
@@ -19,12 +24,11 @@ from . import init, kernels
 from .module import Module, Parameter
 
 
-def _add_grad(param: Parameter, grad: np.ndarray) -> None:
-    """Accumulate a freshly allocated ``grad`` into ``param.grad``."""
+def _grad_buffer(param: Parameter) -> np.ndarray:
+    """``param.grad``, the array a backward writes into (allocated once)."""
     if param.grad is None:
-        param.grad = grad
-    else:
-        param.grad += grad
+        param.grad = np.empty(param.shape)
+    return param.grad
 
 
 class Linear(Module):
@@ -50,19 +54,20 @@ class Linear(Module):
     def forward_array(self, x: np.ndarray) -> np.ndarray:
         """``x W + b`` on a 2-D batch."""
         out = x @ self.weight.data
-        return out + self.bias.data
+        out += self.bias.data
+        return out
 
     def backward_array(
         self, x: np.ndarray, y: np.ndarray | None, grad: np.ndarray
     ) -> np.ndarray:
-        """Add d(W), d(b) from ``grad`` = d(y); return d(x)."""
-        _add_grad(self.bias, grad.sum(axis=0))
-        _add_grad(self.weight, x.T @ grad)
+        """Write d(W), d(b) from ``grad`` = d(y); return d(x)."""
+        np.add.reduce(grad, axis=0, out=_grad_buffer(self.bias))
+        np.matmul(x.T, grad, out=_grad_buffer(self.weight))
         return grad @ self.weight.data.T
 
 
 class Embedding(Module):
-    """Lookup table mapping integer ids to dense vectors (normal init, std 0.05)."""
+    """A table of ``num_embeddings`` dense rows (normal init, std 0.05)."""
 
     def __init__(
         self,
@@ -77,34 +82,6 @@ class Embedding(Module):
         self.num_embeddings = num_embeddings
         self.embedding_dim = embedding_dim
         self.weight = Parameter(init.normal((num_embeddings, embedding_dim), rng, std=0.05))
-
-    def forward_array(self, ids: np.ndarray) -> np.ndarray:
-        """Rows of the table for ``ids``, a 1-D integer array that
-        :meth:`check_ids` has validated (once for all tables it indexes)."""
-        return self.weight.data[ids]
-
-    def backward_array(
-        self, ids: np.ndarray, grad: np.ndarray, positions: np.ndarray | None = None
-    ) -> None:
-        """Scatter-add ``grad`` = d(rows) into the table's gradient.
-
-        ``positions`` is ``kernels.scatter_positions(ids, embedding_dim)``
-        when the caller shares it between tables looked up by the same ids.
-        """
-        _add_grad(
-            self.weight,
-            kernels.scatter_rows(ids, grad, self.num_embeddings, positions),
-        )
-
-    def check_ids(self, ids: np.ndarray) -> np.ndarray:
-        """``ids`` as an integer array; raises unless each is a row of the table."""
-        ids = np.asarray(ids, dtype=int)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
-            raise ModelError(
-                f"embedding ids out of range [0, {self.num_embeddings}): "
-                f"min={ids.min()}, max={ids.max()}"
-            )
-        return ids
 
 
 class ReLU(Module):

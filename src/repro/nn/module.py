@@ -3,7 +3,8 @@
 Attributes that are :class:`Parameter` are parameters; attributes that are
 Modules (or lists of Modules) recurse. The discovery order is the
 attribute order, and it is load-bearing: :class:`~repro.nn.optim.Adam`
-lays out its flat buffer in it, and
+lays out its flat value and gradient buffers in it (the NCF network reads
+its four embedding tables as the head of that buffer), and
 :func:`~repro.nn.optim.clip_grad_norm` sums the squared gradients in it.
 """
 
@@ -15,7 +16,7 @@ import numpy as np
 
 
 class Parameter:
-    """A trainable array and its gradient (``None`` until a backward adds one)."""
+    """A trainable array and its gradient (``None`` until a backward writes one)."""
 
     __slots__ = ("data", "grad")
 
@@ -34,8 +35,10 @@ class Parameter:
         return self.data.size
 
     def zero_grad(self) -> None:
-        """Drop the accumulated gradient."""
-        self.grad = None
+        """Zero the gradient in place (``None`` stays ``None``), so a packed
+        parameter's ``.grad`` stays its view of the optimizer's buffer."""
+        if self.grad is not None:
+            self.grad[...] = 0.0
 
 
 class Module:

@@ -23,12 +23,19 @@ class Adam:
     """Adam with L2-coupled weight decay over one flat parameter buffer.
 
     On construction the parameters are copied into one contiguous float64
-    buffer and each ``param.data`` is rebound to its view of it, so a step
-    runs a handful of ufuncs over the whole buffer instead of a loop per
-    parameter. Elementwise updates are layout-independent, so results are
-    bitwise those of a per-parameter loop. Parameter values must therefore
-    only be changed in place (``param.data[...] = ...``); a rebound
-    ``param.data`` no longer trains and fails the next step.
+    buffer, :attr:`flat`, and each ``param.data`` is rebound to its view of
+    it; each ``param.grad`` likewise becomes its view of a gradient buffer
+    of the same layout, :attr:`flat_grad`. A backward pass writes its
+    gradients straight into those views, so a step runs a fixed handful of
+    ufuncs over the whole buffer, into preallocated scratch, instead of a
+    loop per parameter. Elementwise updates are layout-independent, so
+    results are bitwise those of a per-parameter loop.
+
+    Parameter values must only be changed in place
+    (``param.data[...] = ...``); a rebound ``param.data`` no longer trains
+    and fails the next step. A gradient may be assigned
+    (``param.grad = array``): the next step copies it into the buffer and
+    rebinds the view. ``None`` counts as a zero gradient.
     """
 
     def __init__(
@@ -46,50 +53,64 @@ class Adam:
         _check_distinct(self.parameters)
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
-        self._flat = np.concatenate([p.data.ravel() for p in self.parameters])
+        self.flat = np.concatenate([p.data.ravel() for p in self.parameters])
+        self.flat_grad = np.zeros_like(self.flat)
+        self._grads: list[np.ndarray] = []
         offset = 0
         for param in self.parameters:
-            size = param.data.size
-            param.data = self._flat[offset : offset + size].reshape(param.data.shape)
+            size, shape = param.data.size, param.data.shape
+            param.data = self.flat[offset : offset + size].reshape(shape)
+            grad = self.flat_grad[offset : offset + size].reshape(shape)
+            if param.grad is not None:
+                grad[...] = param.grad
+            param.grad = grad
+            self._grads.append(grad)
             offset += size
         self._step_count = 0
-        self._m = np.zeros_like(self._flat)
-        self._v = np.zeros_like(self._flat)
+        self._m = np.zeros_like(self.flat)
+        self._v = np.zeros_like(self.flat)
+        self._scratch = (np.empty_like(self.flat), np.empty_like(self.flat))
 
     def zero_grad(self) -> None:
-        """Clear gradient buffers on all managed parameters."""
-        for param in self.parameters:
-            param.zero_grad()
+        """Zero the gradient buffer and rebind every ``.grad`` to its view."""
+        self.flat_grad.fill(0.0)
+        for param, grad in zip(self.parameters, self._grads):
+            param.grad = grad
 
     def step(self) -> None:
-        """Apply one Adam update from the parameters' gradients."""
-        grad = self._flat_grad()
+        """Apply one Adam update from the gradient buffer."""
+        for param, grad in zip(self.parameters, self._grads):
+            if param.data.base is not self.flat:
+                raise ModelError(
+                    "a parameter's storage was rebound after the optimizer packed "
+                    "it; change parameter values in place"
+                )
+            if param.grad is not grad:
+                grad[...] = 0.0 if param.grad is None else param.grad
+                param.grad = grad
+        grad = self.flat_grad
+        first, second = self._scratch
         if self.weight_decay:
-            grad = grad + self.weight_decay * self._flat
+            grad = np.add(
+                grad, np.multiply(self.weight_decay, self.flat, out=first), out=first
+            )
         self._step_count += 1
         bias1 = 1.0 - BETA1**self._step_count
         bias2 = 1.0 - BETA2**self._step_count
         m, v = self._m, self._v
         m *= BETA1
-        m += (1.0 - BETA1) * grad
+        m += np.multiply(1.0 - BETA1, grad, out=second)
         v *= BETA2
-        v += (1.0 - BETA2) * grad**2
-        m_hat = m / bias1
-        v_hat = v / bias2
-        self._flat -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
-
-    def _flat_grad(self) -> np.ndarray:
-        """Every parameter's gradient (zeros where absent), concatenated."""
-        grads = []
-        for param in self.parameters:
-            if param.data.base is not self._flat:
-                raise ModelError(
-                    "a parameter's storage was rebound after the optimizer packed "
-                    "it; change parameter values in place"
-                )
-            grad = param.grad
-            grads.append(grad.ravel() if grad is not None else np.zeros(param.size))
-        return np.concatenate(grads)
+        squared = np.multiply(grad, grad, out=second)
+        squared *= 1.0 - BETA2
+        v += squared
+        # ``lr * (m / bias1) / (sqrt(v / bias2) + EPS)``, op for op.
+        denominator = np.sqrt(np.divide(v, bias2, out=first), out=first)
+        denominator += EPS
+        update = np.divide(m, bias1, out=second)
+        update *= self.lr
+        update /= denominator
+        self.flat -= update
 
 
 def _check_distinct(parameters: list[Parameter]) -> None:

@@ -25,9 +25,10 @@ Within a chunk, jobs are grouped exactly as the serial loop groups them
 (:func:`stack_groups`): consecutive unpriced jobs with one assembly
 fingerprint and storage mode step as one stacked engine, with the
 scheduler, feeder allocation, initial SoC and VoLL on its job axis and
-everything else shared. A chunk boundary may split a group; each part
-still stacks, and every job's result stays byte-identical to its
-standalone run, so chunking never changes an export.
+everything else shared. The auto chunk size cuts a group into at most one
+run per worker (:func:`chunk_jobs`); an explicit one may cut it anywhere.
+Each part still stacks, and every job's result stays byte-identical to
+its standalone run, so chunking never changes an export.
 
 Guarantees:
 
@@ -54,8 +55,9 @@ serial. The sweet spot is many jobs x non-trivial horizons — see the
 ``parallel-sweep`` benchmark for measured crossover numbers. Workers
 ``gc.freeze()`` what they inherit on start, so their garbage
 collections do not walk, and copy on write, the parent's whole heap.
-Same-fleet grids stack serially already; on the 8-job ``sweep`` grid a
-pool gains nothing over the serial loop.
+Same-fleet grids stack serially already; on the 8-job ``sweep`` grid two
+workers, each stepping half the group as one engine, about match the
+serial loop.
 """
 
 from __future__ import annotations
@@ -111,6 +113,7 @@ def resolve_chunk_size(
     The auto split keeps the pool load-balanced (stragglers only delay
     one small chunk) while amortising submit/result overhead and giving
     the per-worker assembly cache consecutive same-fleet jobs to hit on.
+    :func:`chunk_jobs` applies it, keeping stack groups together.
     """
     if chunk_size is not None:
         chunk_size = int(chunk_size)
@@ -162,6 +165,37 @@ def stack_groups(specs: list) -> list[list]:
             groups.append([spec])
         last = key
     return groups
+
+
+def chunk_jobs(
+    expanded: list[SweepJob], workers: int, chunk_size: int | None = None
+) -> list[list[SweepJob]]:
+    """Cut the grid into worker tasks of consecutive jobs, in grid order.
+
+    An explicit ``chunk_size`` cuts every ``chunk_size`` jobs. The auto
+    size (:func:`resolve_chunk_size`) would cut a :func:`stack_groups`
+    group into one engine per chunk, so instead each group is split into
+    at most ``workers`` near-equal runs, and consecutive runs are packed
+    into one chunk while it stays within the auto size. A seed grid (all
+    groups of one) thus chunks exactly as before, and a same-fleet grid
+    steps as at most ``workers`` stacked engines.
+    """
+    size = resolve_chunk_size(chunk_size, len(expanded), workers)
+    if chunk_size is not None:
+        return [expanded[i : i + size] for i in range(0, len(expanded), size)]
+    chunks: list[list[SweepJob]] = []
+    start = 0
+    for group in stack_groups([job.spec for job in expanded]):
+        jobs = expanded[start : start + len(group)]
+        start += len(group)
+        step = math.ceil(len(jobs) / min(workers, len(jobs)))
+        for i in range(0, len(jobs), step):
+            run = jobs[i : i + step]
+            if chunks and len(chunks[-1]) + len(run) <= size:
+                chunks[-1] += run
+            else:
+                chunks.append(run)
+    return chunks
 
 
 def _run_group(specs: list, with_telemetry: bool) -> list[ExperimentResult]:
@@ -241,7 +275,7 @@ def run_jobs_parallel(
     returned results, so serial and parallel sweeps share one code path
     for everything except the executor. At most one worker per available
     CPU is started, whatever ``n_workers`` asks for. Jobs are submitted
-    as contiguous chunks (:func:`resolve_chunk_size`); within a chunk
+    as contiguous chunks (:func:`chunk_jobs`); within a chunk
     they run in grid order, which is also what lets the worker-side
     assembly cache hit.
     """
@@ -251,8 +285,7 @@ def run_jobs_parallel(
     # More processes than CPUs only adds forks and time-slicing: the
     # jobs are CPU-bound, and the results do not depend on the count.
     workers = min(n_workers, len(expanded), _available_cpus())
-    size = resolve_chunk_size(chunk_size, len(expanded), workers)
-    chunks = [expanded[i : i + size] for i in range(0, len(expanded), size)]
+    chunks = chunk_jobs(expanded, workers, chunk_size)
     log.debug(
         "starting worker pool",
         workers=workers,

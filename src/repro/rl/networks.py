@@ -61,7 +61,7 @@ class ActorCritic(nn.Module):
     def backward(
         self, trace: list[np.ndarray], d_logits: np.ndarray, d_values: np.ndarray
     ) -> None:
-        """Add every parameter's gradient from d(logits) and d(values)."""
+        """Write every parameter's gradient from d(logits) and d(values)."""
         features = trace[-1]
         d_features = self.actor_head.backward_array(features, None, d_logits)
         d_features += self.critic_head.backward_array(features, None, d_values)

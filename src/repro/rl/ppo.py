@@ -252,7 +252,6 @@ class PpoAgent:
                     buffer.returns[idx],
                     cfg,
                 )
-                self._optimizer.zero_grad()
                 self.network.backward(trace, terms.d_logits, terms.d_values)
                 nn.clip_grad_norm(self._optimizer.parameters, cfg.max_grad_norm)
                 self._optimizer.step()

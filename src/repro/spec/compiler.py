@@ -246,6 +246,12 @@ class FleetAssembly:
     _strata: np.ndarray | None = dataclasses.field(
         default=None, init=False, repr=False
     )
+    #: Pricing training datasets by ``train_days``, filled by
+    #: :mod:`repro.spec.pricing`: every priced job of one fleet trains on
+    #: the same simulated charging log.
+    training_datasets: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def realize_strata(self) -> np.ndarray:
         """Latent strata per (hub, slot), cached — ``(n_hubs, horizon)`` int.
@@ -468,6 +474,9 @@ def _rebind(assembly: FleetAssembly | None, spec: ScenarioSpec) -> FleetAssembly
     # cache — carry it over; it's discount-independent by design.
     # Realizing it on the reused assembly keeps it for the next job.
     rebound._strata = assembly.realize_strata()
+    # The training datasets depend on the fleet only; sharing the dict
+    # lets a dataset one job builds serve the jobs after it.
+    rebound.training_datasets = assembly.training_datasets
     return rebound
 
 

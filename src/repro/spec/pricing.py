@@ -30,12 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..causal import (
+    MODELS_PER_METHOD,
     EctPriceConfig,
     EctPriceModel,
     EctPricePolicy,
     EveningHeuristicPolicy,
     NcfConfig,
     OraclePolicy,
+    PricingDataset,
     UpliftPolicy,
     dataset_from_log,
     discount_schedule_for_hub,
@@ -45,13 +47,6 @@ from ..causal import (
 from ..errors import ConfigError
 from ..rng import RngFactory
 from .compiler import FleetAssembly, _scaled
-
-#: Constituent NCF models per baseline method. This deliberately mirrors
-#: ``repro.experiments.pricing_common.MODELS_PER_METHOD`` (keep them in
-#: sync): the equal-total-compute protocol must hold here too, and the
-#: spec layer does not import the experiments package.
-MODELS_PER_METHOD = {"OR": 2, "IPS": 3, "DR": 4}
-
 
 @dataclass
 class CompiledPricing:
@@ -114,6 +109,23 @@ def congestion_signal(assembly: FleetAssembly) -> np.ndarray:
     return np.clip(1.0 - available / rate, 0.0, 1.0)
 
 
+def training_dataset(assembly: FleetAssembly, train_days: int) -> PricingDataset:
+    """The item dataset of ``train_days`` of the fleet's simulated
+    charging history, built once per assembly.
+
+    The log is drawn from the name-keyed ``charging/log`` stream, so a
+    rebuild would give the same items: the assembly keeps the dataset
+    (:attr:`~repro.spec.compiler.FleetAssembly.training_datasets`, shared
+    across its rebinds) and every priced job of the fleet reuses it.
+    """
+    dataset = assembly.training_datasets.get(train_days)
+    if dataset is None:
+        log = assembly.behavior.simulate_log(train_days)
+        dataset = dataset_from_log(log, n_stations=assembly.n_hubs)
+        assembly.training_datasets[train_days] = dataset
+    return dataset
+
+
 def compile_pricing(
     assembly: FleetAssembly, *, telemetry=None
 ) -> CompiledPricing:
@@ -168,8 +180,7 @@ def compile_pricing(
             train_days=train_days,
             epochs=epochs,
         ):
-            log = assembly.behavior.simulate_log(train_days)
-            train = dataset_from_log(log, n_stations=assembly.n_hubs)
+            train = training_dataset(assembly, train_days)
             n_train_items = len(train)
             if pricing.policy == "ours":
                 model = EctPriceModel(

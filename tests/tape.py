@@ -428,8 +428,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                n_rows = self.data.shape[0]
-                self._accumulate(kernels.scatter_rows(idx % n_rows, grad, n_rows))
+                summed = np.zeros_like(self.data)
+                np.add.at(summed, idx % self.data.shape[0], grad)
+                self._accumulate(summed)
 
         out._backward = backward if out.requires_grad else None
         return out
@@ -665,9 +666,10 @@ class Tape:
 
     ``tape(layer, x)`` is the layer's tape forward. Each
     :class:`~repro.nn.Parameter` it reads becomes a leaf sharing the
-    parameter's ``data``; :meth:`backward` runs the tape, then copies each
-    leaf's gradient into its parameter's ``.grad``, where the fused passes
-    put theirs and the optimizer reads it. Build one tape per forward.
+    parameter's ``data``; :meth:`backward` runs the tape, then writes each
+    leaf's gradient into its parameter's ``.grad`` (in place, as the fused
+    passes write theirs), where the optimizer reads it. Build one tape per
+    forward.
     """
 
     def __init__(self) -> None:
@@ -683,7 +685,7 @@ class Tape:
         if isinstance(layer, nn.Linear):
             return ensure_tensor(x) @ self.leaf(layer.weight) + self.leaf(layer.bias)
         if isinstance(layer, nn.Embedding):
-            return self.leaf(layer.weight).gather_rows(layer.check_ids(x))
+            return self.leaf(layer.weight).gather_rows(x)
         if isinstance(layer, nn.ReLU):
             return ensure_tensor(x).relu()
         if isinstance(layer, nn.Tanh):
@@ -702,4 +704,4 @@ class Tape:
                 if param.grad is None:
                     param.grad = leaf.grad
                 else:
-                    param.grad += leaf.grad
+                    param.grad[...] = leaf.grad

@@ -415,6 +415,31 @@ class TestRunPricing:
         write_results_json(parallel, parallel_path)
         assert serial_path.read_bytes() == parallel_path.read_bytes()
 
+    def test_trained_methods_share_one_training_dataset(self, monkeypatch):
+        """The priced jobs of one fleet simulate the training log once and
+        share its dataset; each method still matches its own cold run."""
+        from repro import parallel
+        from repro.synth.charging import ChargingBehaviorModel
+
+        simulate_log = ChargingBehaviorModel.simulate_log
+        calls = []
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return simulate_log(self, *args, **kwargs)
+
+        monkeypatch.setattr(ChargingBehaviorModel, "simulate_log", counting)
+        monkeypatch.setattr(parallel, "_WORKER_ASSEMBLY", None)
+        spec = price_spec("ours", n_hubs=3)
+        methods = ("ours", "or", "ips")
+        table = api.run_pricing(spec, methods=methods).data["per_method"]
+        assert len(calls) == 1
+        for name in methods:
+            cold = api.run(spec.with_overrides({"pricing.policy": name})).data
+            assert table[name]["network_profit"] == cold["network_profit"]
+            assert table[name]["discounted_hub_slots"] == cold["pricing_discounted_hub_slots"]
+        assert len(calls) == 1 + len(methods)
+
     def test_table_covers_every_method(self):
         result = api.run_pricing(price_spec("ours"), methods=self.CHEAP_METHODS)
         assert result.data["methods"] == list(self.CHEAP_METHODS)

@@ -169,23 +169,38 @@ def float_bytes(value) -> bytes:
     return np.float64(value.data if isinstance(value, Tensor) else value).tobytes()
 
 
-def fused_ncf_grads(net, stations, times, head):
-    """One fused step's logits, loss bytes and gradients (numpy head)."""
-    net.zero_grad()
-    logits, cache = net.forward_cached(stations, times)
-    loss, d_logits = head(logits)
-    net.backward(cache, d_logits)
-    return logits, float_bytes(loss), grad_bytes(net)
+def fused_ncf_step(net, stations, times, head):
+    """One fused ``train_step``: the logits its head saw, its loss bytes,
+    the gradients it wrote and the parameters after the Adam step."""
+    optimizer = nn.Adam(net.parameters(), lr=0.01)
+    seen = []
+
+    def capture(logits):
+        seen.append(logits.copy())
+        return head(logits)
+
+    loss = net.train_step(optimizer, net.embedding_rows(stations, times), capture)
+    return seen[0], float_bytes(loss), grad_bytes(net), param_bytes(net)
 
 
-def tape_ncf_grads(net, stations, times, oracle):
+def tape_ncf_step(net, stations, times, oracle):
     """The same step on the full tape (tape network and tape head)."""
-    net.zero_grad()
+    optimizer = nn.Adam(net.parameters(), lr=0.01)
     tape = Tape()
     logits = tape_ncf_logits(tape, net, stations, times)
     loss = oracle(logits)
+    optimizer.zero_grad()
     tape.backward(loss)
-    return logits.numpy(), float_bytes(loss), grad_bytes(net)
+    grads = grad_bytes(net)
+    optimizer.step()
+    return logits.numpy(), float_bytes(loss), grads, param_bytes(net)
+
+
+def assert_same_step(fused, tape):
+    assert fused[0].tobytes() == tape[0].tobytes()
+    assert fused[1] == tape[1]
+    assert fused[2] == tape[2]
+    assert fused[3] == tape[3]
 
 
 def ncf_batch(batch: int, n_outputs: int, seed: int = 0):
@@ -199,108 +214,153 @@ def ncf_batch(batch: int, n_outputs: int, seed: int = 0):
 
 ECT_FORMS = pytest.mark.parametrize(
     "loss_form, compat",
-    [("nll", False), ("mse", False), ("mse", True)],
-    ids=["nll", "mse", "mse-eq16-compat"],
+    [("nll", False), ("nll", True), ("mse", False), ("mse", True)],
+    ids=["nll", "nll-eq16-compat", "mse", "mse-eq16-compat"],
 )
+WEIGHT_DECAYS = pytest.mark.parametrize("weight_decay", [0.0, 1e-4], ids=["wd0", "wd1e-4"])
+
+
+def tape_fit(model, batches, step_loss, epochs: int) -> list[float]:
+    """Train ``model`` on the tape: per epoch, one permutation of the items
+    from the model's rng, then batches of consecutive permuted items.
+    ``step_loss(tape, idx)`` is one batch's tape loss."""
+    history = []
+    for _ in range(epochs):
+        losses = []
+        for idx in batches(model._rng):
+            tape = Tape()
+            loss = step_loss(tape, idx)
+            model._optimizer.zero_grad()
+            tape.backward(loss)
+            model._optimizer.step()
+            losses.append(loss.item())
+        history.append(sum(losses) / len(losses))
+    return history
 
 
 class TestNcfFusedMatchesTape:
+    """The fused ``NcfNetwork.train_step`` (one packed gather and scatter,
+    gradients written into Adam's flat buffer) against the full tape."""
+
     @pytest.mark.parametrize("batch", [1, 128])
     @pytest.mark.parametrize("n_outputs", [1, 4])
     # The ``unweighted-`` prefix dates from the removed per-sample-weight
     # heads; it keeps the test ids stable.
     @pytest.mark.parametrize("binary", [True, False], ids=["unweighted-bce", "unweighted-mse"])
     def test_regressor_heads(self, batch, n_outputs, binary):
-        rng = np.random.default_rng(3)
-        net = NcfNetwork(N_STATIONS, N_TIME_IDS, NcfConfig(), rng, n_outputs=n_outputs)
         stations, times, targets = ncf_batch(batch, n_outputs)
         head = nn.heads.bce_with_logits if binary else nn.heads.mse
 
-        fused = fused_ncf_grads(net, stations, times, lambda z: head(z, targets))
-        tape = tape_ncf_grads(
-            net, stations, times, lambda z: tape_regressor_loss(z, targets, binary)
+        def network():
+            return NcfNetwork(
+                N_STATIONS, N_TIME_IDS, NcfConfig(), np.random.default_rng(3), n_outputs=n_outputs
+            )
+
+        fused = fused_ncf_step(network(), stations, times, lambda z: head(z, targets))
+        tape = tape_ncf_step(
+            network(), stations, times, lambda z: tape_regressor_loss(z, targets, binary)
         )
-        assert fused[0].tobytes() == tape[0].tobytes()
-        assert fused[1] == tape[1]
-        assert fused[2] == tape[2]
+        assert_same_step(fused, tape)
 
     @pytest.mark.parametrize("batch", [1, 128])
     @ECT_FORMS
     def test_ect_price_heads(self, batch, loss_form, compat):
         config = EctPriceConfig(loss_form=loss_form, paper_eq16_compat=compat)
-        model = EctPriceModel(N_STATIONS, N_TIME_IDS, config, np.random.default_rng(4))
         stations, times, targets = ncf_batch(batch, 2, seed=1)
         treated, charged = targets[:, 0], targets[:, 1]
 
-        fused = fused_ncf_grads(
-            model.network, stations, times, lambda z: model.loss(z, treated, charged)
+        def model():
+            return EctPriceModel(N_STATIONS, N_TIME_IDS, config, np.random.default_rng(4))
+
+        fused_model = model()
+        fused = fused_ncf_step(
+            fused_model.network, stations, times, lambda z: fused_model.loss(z, treated, charged)
         )
-        tape = tape_ncf_grads(
-            model.network,
+        tape = tape_ncf_step(
+            model().network,
             stations,
             times,
             lambda z: tape_ect_price_loss(z, treated, charged, config),
         )
-        assert fused[0].tobytes() == tape[0].tobytes()
-        assert fused[1] == tape[1]
-        assert fused[2] == tape[2]
+        assert_same_step(fused, tape)
 
-    def test_fit_matches_tape_training(self):
-        """A whole fit on the fused steps equals a tape-trained twin bitwise."""
-        config = NcfConfig(batch_size=16, epochs=2)
+    @pytest.mark.parametrize("binary", [True, False], ids=["bce", "mse"])
+    @WEIGHT_DECAYS
+    def test_fit_matches_tape_training(self, binary, weight_decay):
+        """A whole fit on the fused steps equals a tape-trained twin bitwise:
+        80 items in batches of 24, so each epoch ends on a ragged batch."""
+        config = NcfConfig(batch_size=24, epochs=3, weight_decay=weight_decay)
         stations, times, targets = ncf_batch(80, 1, seed=2)
-        fused = NcfRegressor(N_STATIONS, N_TIME_IDS, config, np.random.default_rng(5))
-        twin = NcfRegressor(N_STATIONS, N_TIME_IDS, config, np.random.default_rng(5))
+        if not binary:
+            targets = np.random.default_rng(9).normal(size=targets.shape)
+
+        def regressor():
+            return NcfRegressor(
+                N_STATIONS, N_TIME_IDS, config, np.random.default_rng(5), binary=binary
+            )
+
+        fused, twin = regressor(), regressor()
         history = fused.fit(stations, times, targets)
 
-        rng = twin._rng
-        for _ in range(config.epochs):
+        def batches(rng):
             order = rng.permutation(len(stations))
-            epoch_loss = 0.0
-            for start in range(0, len(stations), config.batch_size):
-                idx = order[start : start + config.batch_size]
-                tape = Tape()
-                loss = tape_regressor_loss(
-                    tape_ncf_logits(tape, twin.network, stations[idx], times[idx]),
-                    targets[idx].reshape(-1, 1),
-                    True,
-                )
-                twin._optimizer.zero_grad()
-                tape.backward(loss)
-                twin._optimizer.step()
-                epoch_loss += loss.item()
+            return [order[i : i + config.batch_size] for i in range(0, len(order), config.batch_size)]
+
+        twin_history = tape_fit(
+            twin,
+            batches,
+            lambda tape, idx: tape_regressor_loss(
+                tape_ncf_logits(tape, twin.network, stations[idx], times[idx]),
+                targets[idx].reshape(-1, 1),
+                binary,
+            ),
+            config.epochs,
+        )
         assert param_bytes(fused.network) == param_bytes(twin.network)
-        assert float_bytes(history[-1]) == float_bytes(epoch_loss / 5)
+        assert [float_bytes(v) for v in history] == [float_bytes(v) for v in twin_history]
 
     @ECT_FORMS
-    def test_ect_price_fit_matches_tape_training(self, loss_form, compat):
-        """A 2-epoch ``EctPriceModel.fit`` equals a tape-trained twin bitwise."""
+    @WEIGHT_DECAYS
+    def test_ect_price_fit_matches_tape_training(self, loss_form, compat, weight_decay):
+        """A 2-epoch ``EctPriceModel.fit`` equals a tape-trained twin bitwise
+        (100 items in batches of 32: a ragged last batch)."""
         config = EctPriceConfig(
-            batch_size=32, epochs=2, loss_form=loss_form, paper_eq16_compat=compat
+            batch_size=32,
+            epochs=2,
+            loss_form=loss_form,
+            paper_eq16_compat=compat,
+            weight_decay=weight_decay,
         )
         dataset = pricing_dataset(100, seed=3)
         fused = EctPriceModel(N_STATIONS, N_TIME_IDS, config, np.random.default_rng(6))
         twin = EctPriceModel(N_STATIONS, N_TIME_IDS, config, np.random.default_rng(6))
         history = fused.fit(dataset)
 
-        twin_history = []
-        for _ in range(config.epochs):
-            losses = []
-            for idx in dataset.batches(config.batch_size, twin._rng):
-                tape = Tape()
-                logits = tape_ncf_logits(
+        twin_history = tape_fit(
+            twin,
+            lambda rng: dataset.batches(config.batch_size, rng),
+            lambda tape, idx: tape_ect_price_loss(
+                tape_ncf_logits(
                     tape, twin.network, dataset.station_ids[idx], dataset.time_ids[idx]
-                )
-                loss = tape_ect_price_loss(
-                    logits, dataset.treated[idx], dataset.charged[idx], config
-                )
-                twin._optimizer.zero_grad()
-                tape.backward(loss)
-                twin._optimizer.step()
-                losses.append(loss.item())
-            twin_history.append(sum(losses) / len(losses))
+                ),
+                dataset.treated[idx],
+                dataset.charged[idx],
+                config,
+            ),
+            config.epochs,
+        )
         assert param_bytes(fused.network) == param_bytes(twin.network)
         assert [float_bytes(v) for v in history] == [float_bytes(v) for v in twin_history]
+
+    def test_inference_matches_tape_forward(self):
+        """``forward`` (the stacked-table gather outside training) equals
+        the tape's per-table lookups; repeated ids read the same rows."""
+        net = NcfNetwork(N_STATIONS, N_TIME_IDS, NcfConfig(), np.random.default_rng(7), n_outputs=4)
+        stations, times, _ = ncf_batch(40, 1, seed=4)
+        logits = net.forward(stations, times)
+        assert logits.tobytes() == tape_ncf_logits(Tape(), net, stations, times).numpy().tobytes()
+        same = net.forward(np.array([2, 2]), np.array([4, 4]))
+        assert same[0].tobytes() == same[1].tobytes()
 
 
 def pricing_dataset(n: int, seed: int) -> PricingDataset:
@@ -632,12 +692,42 @@ class TestNoTapeInsideNetworks:
         assert "Tensor" not in nn.__all__
         assert importlib.util.find_spec("repro.nn.autograd") is None
 
-    def test_ncf_ids_checked_once_each(self):
+    def test_ncf_ids_checked(self):
         net = NcfNetwork(N_STATIONS, N_TIME_IDS, NcfConfig(), np.random.default_rng(12))
         with pytest.raises(ModelError, match="out of range"):
-            net.forward_cached(np.array([0, N_STATIONS]), np.array([0, 1]))
+            net.embedding_rows(np.array([0, N_STATIONS]), np.array([0, 1]))
         with pytest.raises(ModelError, match="out of range"):
-            net.forward_cached(np.array([0, 1]), np.array([-1, 1]))
+            net.forward(np.array([0, 1]), np.array([-1, 1]))
+        with pytest.raises(ModelError, match="2 station ids but 3 time ids"):
+            net.embedding_rows(np.array([0, 1]), np.array([0, 1, 2]))
+
+    @pytest.mark.parametrize("bad", ["station", "time"])
+    def test_out_of_range_id_raises_at_fit_start(self, bad):
+        """One id past its table fails the fit before any step runs."""
+        dataset = pricing_dataset(50, seed=6)
+        if bad == "station":
+            dataset.station_ids[-1] = N_STATIONS
+        else:
+            dataset.time_ids[-1] = N_TIME_IDS
+        regressor = NcfRegressor(N_STATIONS, N_TIME_IDS, NcfConfig(), np.random.default_rng(8))
+        ect_price = EctPriceModel(N_STATIONS, N_TIME_IDS, EctPriceConfig())
+        fits = [
+            (regressor, lambda: regressor.fit(dataset.station_ids, dataset.time_ids, dataset.charged)),
+            (ect_price, lambda: ect_price.fit(dataset)),
+        ]
+        for model, fit in fits:
+            before = param_bytes(model.network)
+            with pytest.raises(ModelError, match="out of range"):
+                fit()
+            assert param_bytes(model.network) == before
+
+    def test_train_step_needs_the_tables_first(self):
+        net = NcfNetwork(N_STATIONS, N_TIME_IDS, NcfConfig(), np.random.default_rng(12))
+        params = net.parameters()
+        optimizer = nn.Adam(params[4:] + params[:4], lr=0.01)
+        rows = net.embedding_rows(np.array([0, 1]), np.array([0, 1]))
+        with pytest.raises(ModelError, match="first four parameters"):
+            net.train_step(optimizer, rows, lambda z: nn.heads.mse(z, np.zeros_like(z)))
 
 
 # --------------------------------------------------------------------- #
@@ -646,7 +736,8 @@ class TestNoTapeInsideNetworks:
 
 
 def assert_matches_finite_differences(module, loss_fn, fused_backward):
-    """``fused_backward()`` grads vs central differences of ``loss_fn()``.
+    """``fused_backward()`` grads vs central differences of ``loss_fn()``,
+    taken first (a fused training step also moves the parameters).
 
     Parameters are jittered first: zero-initialised biases can leave a
     hidden unit exactly at the ReLU kink, where differences are one-sided.
@@ -654,11 +745,13 @@ def assert_matches_finite_differences(module, loss_fn, fused_backward):
     rng = np.random.default_rng(0)
     for param in module.parameters():
         param.data += rng.normal(0.0, 0.3, param.shape)
+    numeric = {
+        name: numerical_gradient(loss_fn, param) for name, param in module.named_parameters()
+    }
     module.zero_grad()
     fused_backward()
     for name, param in module.named_parameters():
-        numeric = numerical_gradient(loss_fn, param)
-        assert np.allclose(param.grad, numeric, atol=1e-6, rtol=1e-5), name
+        assert np.allclose(param.grad, numeric[name], atol=1e-6, rtol=1e-5), name
 
 
 class TestFiniteDifferences:
@@ -674,8 +767,9 @@ class TestFiniteDifferences:
             return (Tensor(net.forward(stations, times)) * Tensor(weights)).sum()
 
         def fused_backward():
-            _, cache = net.forward_cached(stations, times)
-            net.backward(cache, weights)
+            optimizer = nn.Adam(net.parameters(), lr=1e-3)
+            rows = net.embedding_rows(stations, times)
+            net.train_step(optimizer, rows, lambda z: (float((z * weights).sum()), weights))
 
         assert_matches_finite_differences(net, loss_fn, fused_backward)
 
@@ -702,28 +796,36 @@ class TestFiniteDifferences:
 
 
 class TestScatterKernels:
-    def test_scatter_rows_equals_add_at(self):
+    def test_scatter_add_equals_add_at(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            n_rows, batch, width = rng.integers(1, 6), rng.integers(0, 40), rng.integers(1, 5)
-            idx = rng.integers(0, n_rows, batch)
-            grad = rng.normal(size=(batch, width))
-            grad[rng.random(grad.shape) < 0.3] = -0.0
-            expected = np.zeros((n_rows, width))
-            np.add.at(expected, idx, grad)
-            got = nn.kernels.scatter_rows(idx, grad, n_rows)
+            size, batch = rng.integers(1, 20), rng.integers(0, 40)
+            positions = rng.integers(0, size, batch)
+            weights = rng.normal(size=batch)
+            weights[rng.random(batch) < 0.3] = -0.0
+            expected = np.zeros(size)
+            np.add.at(expected, positions, weights)
+            got = nn.kernels.scatter_add(positions, weights, size)
             assert got.dtype == np.float64
             assert got.tobytes() == expected.tobytes()
 
-    def test_shared_positions_equal_fresh_ones(self):
+    def test_stacked_scatter_equals_per_table_scatters(self):
+        """One scatter over four tables' interleaved row positions gives
+        each table the bits of its own scatter (the NCF step's layout)."""
         rng = np.random.default_rng(14)
-        idx = rng.integers(0, 5, 30)
-        positions = nn.kernels.scatter_positions(idx, 4)
-        for _ in range(3):
-            grad = rng.normal(size=(30, 4))
-            grad[rng.random(grad.shape) < 0.3] = -0.0
-            shared = nn.kernels.scatter_rows(idx, grad, 5, positions)
-            assert shared.tobytes() == nn.kernels.scatter_rows(idx, grad, 5).tobytes()
+        width, batch, n_rows = 3, 30, [5, 4, 5, 4]
+        first = np.cumsum([0] + n_rows[:-1])
+        ids = [rng.integers(0, n, batch) for n in n_rows]
+        rows = np.stack(ids, axis=1) + first
+        grad = rng.normal(size=(batch, 4 * width))
+        grad[rng.random(grad.shape) < 0.3] = -0.0
+        positions = rows[:, :, None] * width + np.arange(width)
+        stacked = nn.kernels.scatter_add(positions, grad, sum(n_rows) * width)
+        for k, n in enumerate(n_rows):
+            alone = np.zeros((n, width))
+            np.add.at(alone, ids[k], grad[:, k * width : (k + 1) * width])
+            start = first[k] * width
+            assert stacked[start : start + n * width].tobytes() == alone.tobytes()
 
     def test_tape_scatters_equal_add_at(self):
         rng = np.random.default_rng(12)
@@ -749,6 +851,29 @@ class TestScatterKernels:
         table = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
         table.gather_rows(np.array([-1, 0, -1])).sum().backward()
         assert table.grad.tolist() == [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]]
+
+
+class TestRowKernels:
+    """The column-wise row reductions equal numpy's reductions bitwise, so
+    ``log_softmax`` on the narrow strata/action heads keeps every export."""
+
+    EDGES = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 2.0**53, 1e-300, -5e-324, 700.0]
+
+    @pytest.mark.parametrize("width", range(1, nn.kernels.NARROW_ROW))
+    def test_match_numpy_reductions(self, width):
+        rng = np.random.default_rng(15)
+        edges = rng.choice(self.EDGES, size=(2000, width))
+        values = np.concatenate([edges, rng.normal(0.0, 50.0, (500, width))])
+        padded = np.zeros((len(values), width + 2))
+        padded[:, 1:-1] = values
+        with np.errstate(all="ignore"):
+            for x in (values, np.asfortranarray(values), padded[:, 1:-1]):
+                assert nn.kernels.row_sum(x).tobytes() == x.sum(axis=-1).tobytes()
+                top = x.max(axis=-1, keepdims=True)
+                assert nn.kernels.row_max(x).tobytes() == top.ravel().tobytes()
+                shifted = x - top
+                reference = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+                assert nn.kernels.log_softmax(x).tobytes() == reference.tobytes()
 
 
 # --------------------------------------------------------------------- #
@@ -807,7 +932,8 @@ class TestFlatOptimizers:
         for param, source in zip(net.parameters(), donor.parameters()):
             param.data[...] = source.data
         for (name, param), (_, source) in zip(net.named_parameters(), donor.named_parameters()):
-            assert param.data.base is optimizer._flat, name
+            assert param.data.base is optimizer.flat, name
+            assert param.grad.base is optimizer.flat_grad, name
             assert np.array_equal(param.data, source.data)
         for param in net.parameters():
             param.grad = np.ones_like(param.data)

@@ -20,16 +20,23 @@ class TestLayers:
         with pytest.raises(ModelError):
             nn.Linear(0, 3, rng)
 
-    def test_embedding_lookup(self, rng):
+    def test_embedding_table(self, rng):
+        """An Embedding is a table only; the NCF network reads and trains
+        it (its lookups and id checks are tested with the fused step)."""
         emb = nn.Embedding(10, 4, rng)
-        out = emb.forward_array(emb.check_ids(np.array([1, 1, 9])))
-        assert out.shape == (3, 4)
-        assert np.allclose(out[0], out[1])
-
-    def test_embedding_out_of_range(self, rng):
-        emb = nn.Embedding(10, 4, rng)
+        assert emb.weight.shape == (10, 4)
         with pytest.raises(ModelError):
-            emb.check_ids(np.array([10]))
+            nn.Embedding(0, 4, rng)
+
+    def test_linear_backward_writes_in_place(self, rng):
+        layer = nn.Linear(3, 2, rng)
+        optimizer = nn.Adam(layer.parameters(), lr=0.1)
+        x, grad = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+        for _ in range(2):  # a second pass overwrites, it does not add
+            layer.backward_array(x, None, grad)
+        assert layer.weight.grad.base is optimizer.flat_grad
+        assert np.array_equal(layer.weight.grad, x.T @ grad)
+        assert np.array_equal(layer.bias.grad, grad.sum(axis=0))
 
     def test_mlp_structure_and_forward(self, rng):
         mlp = nn.MLP((3, 8, 2), rng)

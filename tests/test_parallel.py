@@ -20,7 +20,7 @@ from repro.cli import main
 from repro.errors import ConfigError, ParallelError
 from repro.experiments.base import write_results_json
 from repro.fleet.schedulers import FleetIdleScheduler
-from repro.parallel import resolve_chunk_size, resolve_jobs
+from repro.parallel import chunk_jobs, resolve_chunk_size, resolve_jobs, stack_groups
 from repro.spec import SweepSpec
 from repro.spec.compiler import spec_from_fleet_flags
 
@@ -32,6 +32,24 @@ def small_sweep(n_jobs: int = 4, *, n_hubs: int = 5, days: int = 2) -> SweepSpec
         parameters={"run.seed": tuple(range(n_jobs))},
         name="parallel-test",
     )
+
+
+def stacked_sweep() -> SweepSpec:
+    """8 same-fleet jobs (4 schedulers x 2 allocations): one stack group."""
+    base = spec_from_fleet_flags(n_hubs=5, days=2, n_feeders=2, feeder_capacity_kw=20.0)
+    return SweepSpec(
+        base=base,
+        parameters={
+            "scheduler.name": ("rule-based", "greedy-renewable", "idle", "random"),
+            "grid.allocation": ("proportional", "priority"),
+        },
+        name="stacked",
+    )
+
+
+def engines_per_chunking(chunks) -> int:
+    """Stacked engines a chunking steps: one per stack group per chunk."""
+    return sum(len(stack_groups([job.spec for job in chunk])) for chunk in chunks)
 
 
 class TestResolveJobs:
@@ -81,6 +99,28 @@ class TestResolveChunkSize:
         with pytest.raises(ConfigError):
             resolve_chunk_size(0, n_jobs=4, workers=2)
 
+    def test_auto_chunks_of_a_seed_grid_use_the_auto_size(self):
+        jobs = small_sweep(10).jobs()
+        size = resolve_chunk_size(None, n_jobs=10, workers=2)
+        chunks = chunk_jobs(jobs, 2)
+        assert [[job.index for job in chunk] for chunk in chunks] == [
+            list(range(i, min(i + size, 10))) for i in range(0, 10, size)
+        ]
+
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    def test_auto_chunks_keep_a_stack_group_to_one_run_per_worker(self, workers):
+        jobs = stacked_sweep().jobs()
+        assert len(stack_groups([job.spec for job in jobs])) == 1
+        chunks = chunk_jobs(jobs, workers)
+        assert [job.index for chunk in chunks for job in chunk] == list(range(8))
+        assert engines_per_chunking(chunks) <= workers
+        # Cutting every auto-size jobs would step one engine per job.
+        assert engines_per_chunking(chunk_jobs(jobs, workers, 1)) == 8
+
+    def test_explicit_size_cuts_groups_anywhere(self):
+        chunks = chunk_jobs(stacked_sweep().jobs(), 2, chunk_size=3)
+        assert [len(chunk) for chunk in chunks] == [3, 3, 2]
+
 
 class TestSerialParallelEquivalence:
     def test_results_byte_identical_and_ordered(self, tmp_path):
@@ -112,18 +152,11 @@ class TestSerialParallelEquivalence:
     @pytest.mark.parametrize("chunk_size", [3, None])
     def test_stacked_same_fleet_grid_byte_identical(self, tmp_path, chunk_size):
         """A same-fleet grid steps as one stacked engine per chunk; a
-        chunk size of 3 splits the 8-job group across tasks and workers."""
-        base = spec_from_fleet_flags(
-            n_hubs=5, days=2, n_feeders=2, feeder_capacity_kw=20.0
-        )
-        sweep = SweepSpec(
-            base=base,
-            parameters={
-                "scheduler.name": ("rule-based", "greedy-renewable", "idle", "random"),
-                "grid.allocation": ("proportional", "priority"),
-            },
-            name="stacked",
-        )
+        chunk size of 3 splits the 8-job group across tasks and workers,
+        the auto size into one run per worker (at most 2 engines)."""
+        sweep = stacked_sweep()
+        if chunk_size is None:
+            assert engines_per_chunking(chunk_jobs(sweep.jobs(), 2)) <= 2
         serial = api.run_sweep(sweep)
         chunked = api.run_sweep(sweep, jobs=2, chunk_size=chunk_size)
         serial_path = tmp_path / "serial.json"
