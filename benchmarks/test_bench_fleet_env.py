@@ -1,18 +1,23 @@
 """Benchmark: batched FleetEnv stepping vs a loop of scalar RL envs.
 
 Steps the same action stream through one :class:`repro.rl.FleetEnv`
-episode (one fused-kernel step + one observation assembly per slot for
-all hubs) and through N independent :class:`~repro.rl.env.EctHubEnv`
-instances, reporting hub-slots/sec; a second section times the full PPO
-training loop (batched acting + per-hub GAE + minibatch updates) over
-the fleet environment. Reports persist to ``reports/fleet-env.{txt,json}``
-so the fleet-RL throughput trajectory is tracked across PRs. Guard: the
-batched environment is at least 3x the scalar loop (relaxed under
-``ECT_PERF_RELAXED`` / scaled runs).
+episode (one fused-kernel step + one observation per slot for all hubs)
+and through N independent :class:`~repro.rl.env.EctHubEnv` instances,
+reporting hub-slots/sec; a second section times the full PPO training
+loop (batched acting + per-hub GAE + minibatch updates) over the fleet
+environment, and a third times evaluation with its episodes stacked on
+the hub axis (one ``evaluate_fleet_agent`` call) against the same
+episodes evaluated one call each. Reports persist to
+``reports/fleet-env.{txt,json}`` so the fleet-RL throughput trajectory
+is tracked across PRs. Guard: the batched environment is at least 3x
+the scalar loop, as the median over alternating batched/looped pairs
+(so load on a shared host slows both sides of a pair instead of one
+side's whole timing); skipped under ``ECT_PERF_RELAXED`` / scaled runs.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
@@ -20,12 +25,51 @@ import numpy as np
 from conftest import bench_scale, perf_relaxed, write_perf_report
 from repro.config import replace
 from repro.hub import ScenarioConfig, build_fleet_scenarios, fleet_behavior_model
-from repro.rl import EctHubEnv, EnvConfig, FleetEnv, train_fleet_ppo
+from repro.rl import (
+    EctHubEnv,
+    EnvConfig,
+    FleetEnv,
+    PpoAgent,
+    evaluate_fleet_agent,
+    train_fleet_ppo,
+)
 from repro.rng import RngFactory
 from repro.synth.charging import ChargingConfig
 
 #: Fleet size pinned like the engine bench; the horizon scales instead.
 N_HUBS = 24
+
+#: Alternating pairs each speedup is the median of.
+N_PAIRS = 11
+
+#: Same-hardware floor of the batched env over the scalar-env loop.
+MIN_SPEEDUP = 3.0
+
+#: Episodes per evaluation pass (the ``train`` workload's count).
+EVAL_EPISODES = 5
+
+
+def _timed_pairs(first, second, pairs: int = N_PAIRS):
+    """Alternating pairs of ``first()`` and ``second()``, each of which
+    returns the seconds of its own timed region.
+
+    One untimed warm-up call of each first; the order flips every pair.
+    Returns both time lists and the per-pair ``second / first`` ratios.
+    """
+    first()
+    second()
+    times = {first: [], second: []}
+    for i in range(pairs):
+        for run in (first, second) if i % 2 == 0 else (second, first):
+            times[run].append(run())
+    ratios = [b / a for a, b in zip(times[first], times[second])]
+    return times[first], times[second], ratios
+
+
+def _timed(run) -> float:
+    start = time.perf_counter()
+    run()
+    return time.perf_counter() - start
 
 
 def test_bench_fleet_env_throughput():
@@ -56,12 +100,6 @@ def test_bench_fleet_env_throughput():
         config=env_config,
         rng=RngFactory(seed=1).stream("bench/fleet"),
     )
-    fleet_env.reset()
-    start = time.perf_counter()
-    for t in range(episode_h):
-        fleet_env.step(actions[t])
-    batched_s = time.perf_counter() - start
-
     scalar_envs = [
         EctHubEnv(
             scenario,
@@ -72,18 +110,37 @@ def test_bench_fleet_env_throughput():
         )
         for i, scenario in enumerate(scenarios)
     ]
-    for env in scalar_envs:
-        env.reset()
-    start = time.perf_counter()
-    for t in range(episode_h):
-        for i, env in enumerate(scalar_envs):
-            env.step(int(actions[t, i]))
-    looped_s = time.perf_counter() - start
 
+    # Resets stay outside the timed regions: only stepping is compared.
+    def batched_episode():
+        fleet_env.reset()
+
+        def steps():
+            for t in range(episode_h):
+                fleet_env.step(actions[t])
+
+        return _timed(steps)
+
+    def looped_episode():
+        for env in scalar_envs:
+            env.reset()
+
+        def steps():
+            for t in range(episode_h):
+                for i, env in enumerate(scalar_envs):
+                    env.step(int(actions[t, i]))
+
+        return _timed(steps)
+
+    batched_times, looped_times, speedups = _timed_pairs(
+        batched_episode, looped_episode
+    )
+    batched_s = statistics.median(batched_times)
+    looped_s = statistics.median(looped_times)
     hub_slots = N_HUBS * episode_h
     batched_rate = hub_slots / batched_s
     looped_rate = hub_slots / looped_s
-    speedup = batched_rate / looped_rate
+    speedup = statistics.median(speedups)
 
     # Full training loop: batched acting, env stepping, and PPO updates.
     train_env = FleetEnv(
@@ -101,6 +158,49 @@ def test_bench_fleet_env_throughput():
     train_s = time.perf_counter() - start
     train_rate = train_episodes * hub_slots / train_s
 
+    # Evaluation: the episodes stacked on the hub axis in one call, vs
+    # the same episodes one call each (same stream, same returns).
+    agent = PpoAgent(
+        fleet_env.state_dim(),
+        fleet_env.action_space.n,
+        rng=RngFactory(seed=3).stream("bench/agent"),
+    )
+    eval_returns = {}
+
+    def stacked_eval():
+        fleet_env.reseed(RngFactory(seed=4).stream("bench/eval"))
+
+        def run():
+            eval_returns["stacked"] = evaluate_fleet_agent(
+                fleet_env, agent, episodes=EVAL_EPISODES
+            )
+
+        seconds = _timed(run)
+        eval_returns["stacked_columns"] = fleet_env.simulation.n_hubs
+        return seconds
+
+    def looped_eval():
+        fleet_env.reseed(RngFactory(seed=4).stream("bench/eval"))
+
+        def run():
+            eval_returns["looped"] = np.concatenate(
+                [
+                    evaluate_fleet_agent(fleet_env, agent, episodes=1)
+                    for _ in range(EVAL_EPISODES)
+                ]
+            )
+
+        return _timed(run)
+
+    stacked_times, looped_eval_times, eval_speedups = _timed_pairs(
+        stacked_eval, looped_eval
+    )
+    eval_hub_slots = EVAL_EPISODES * hub_slots
+    stacked_eval_rate = eval_hub_slots / statistics.median(stacked_times)
+    looped_eval_rate = eval_hub_slots / statistics.median(looped_eval_times)
+    eval_speedup = statistics.median(eval_speedups)
+
+    relaxed = perf_relaxed()
     report = "\n".join(
         [
             "== fleet-env: batched RL environment throughput ==",
@@ -108,9 +208,15 @@ def test_bench_fleet_env_throughput():
             f"({hub_slots} hub-slots/episode), random actions",
             f"batched env  {batched_rate:>12,.0f} hub-slots/sec  ({batched_s:.3f}s)",
             f"scalar loop  {looped_rate:>12,.0f} hub-slots/sec  ({looped_s:.3f}s)",
-            f"speedup      {speedup:>12.1f}x",
+            f"speedup      {speedup:>12.1f}x  median of {N_PAIRS} pairs, range "
+            f"{min(speedups):.1f}-{max(speedups):.1f}x  (guard: >= "
+            f"{MIN_SPEEDUP:.0f}x{', skipped: relaxed' if relaxed else ''})",
             f"PPO training {train_rate:>12,.0f} hub-slots/sec  "
             f"({train_episodes} episodes incl. updates in {train_s:.3f}s)",
+            f"greedy evaluation, {EVAL_EPISODES} episodes: stacked "
+            f"{stacked_eval_rate:,.0f} vs one call each "
+            f"{looped_eval_rate:,.0f} hub-slots/sec "
+            f"({eval_speedup:.1f}x, median of {N_PAIRS} pairs)",
         ]
     )
     write_perf_report(
@@ -122,16 +228,24 @@ def test_bench_fleet_env_throughput():
                 "episode_slots": episode_h,
                 "hub_slots_per_episode": hub_slots,
                 "train_episodes": train_episodes,
+                "eval_episodes": EVAL_EPISODES,
+                "pairs": N_PAIRS,
             },
             "batched_hub_slots_per_sec": batched_rate,
             "looped_hub_slots_per_sec": looped_rate,
             "speedup": speedup,
             "training_hub_slots_per_sec": train_rate,
+            "stacked_eval_hub_slots_per_sec": stacked_eval_rate,
+            "looped_eval_hub_slots_per_sec": looped_eval_rate,
+            "eval_speedup": eval_speedup,
         },
     )
     print("\n" + report)
 
-    # The batched env must actually batch: one kernel step per slot.
+    # The batched env must actually batch: one kernel step per slot, and
+    # a stacked evaluation steps all its episodes at once.
     assert fleet_env.simulation.book.n_recorded == episode_h
-    if not perf_relaxed():
-        assert speedup >= 3.0, report
+    assert eval_returns["stacked_columns"] == EVAL_EPISODES * N_HUBS
+    assert eval_returns["stacked"].tobytes() == eval_returns["looped"].tobytes()
+    if not relaxed:
+        assert speedup >= MIN_SPEEDUP, report

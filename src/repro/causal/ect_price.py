@@ -200,7 +200,7 @@ class EctPriceModel:
         gates[:, 2:] = gates[:, :2]
         not_g = gates[:, 1]
         preds = factors * gates
-        # Every entry of the mean's gradient, ``heads.mean_grad((batch,))``.
+        # Every entry of the mean's gradient (a full array of 1 / batch).
         w = 1.0 / batch
 
         if self.config.loss_form == "nll":

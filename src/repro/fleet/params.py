@@ -68,6 +68,20 @@ class FleetParams:
         """Number of hubs in the fleet."""
         return int(self.capacity_kwh.shape[0])
 
+    def tile(self, copies: int) -> "FleetParams":
+        """The fleet repeated ``copies`` times along the hub axis (copy
+        ``k`` holds hubs ``k*n_hubs ... (k+1)*n_hubs - 1``)."""
+        if copies == 1:
+            return self
+        return FleetParams(
+            **{
+                spec.name: np.tile(getattr(self, spec.name), copies)
+                for spec in fields(self)
+                if spec.name != "dt_h"
+            },
+            dt_h=self.dt_h,
+        )
+
     def bs_power_kw(self, load_rate: np.ndarray) -> np.ndarray:
         """Eq. 1 cluster draw per hub for load fractions ``load_rate``.
 

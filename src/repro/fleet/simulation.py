@@ -11,8 +11,8 @@ once** over :class:`~repro.fleet.params.FleetParams` /
 The step is a **fused kernel**: every action-independent quantity (BS/CS
 draw, prices, blackout deficits, the feeder congestion signal) is read
 from the :class:`~repro.fleet.planes.SlotPlanes` cache computed once per
-engine, the per-step arithmetic runs through reusable ``out=`` buffers
-instead of fresh temporaries, and the Eq. 6 blackout branch is evaluated
+engine, the balance and book columns are written with ``out=`` straight
+into the cost books' storage, and the Eq. 6 blackout branch is evaluated
 only on the hub rows whose outage mask fires that slot. Every expression
 still mirrors the scalar engine's order of operations (``BatteryPack.
 _charge`` / ``_discharge`` / ``emergency_supply``, ``EctHub.
@@ -64,59 +64,51 @@ _SOC_EPS = 1e-12
 _ACTIONS = (DISCHARGE, IDLE, CHARGE)
 
 
-def _resolve_battery(kernel, soc, actions, b, applied, p_bp) -> None:
+def _read_only(column: np.ndarray) -> np.ndarray:
+    """A read-only alias of ``column``: every slice of it is read-only too."""
+    alias = column.view()
+    alias.flags.writeable = False
+    return alias
+
+
+def _resolve_battery(kernel, soc, actions, applied, p_bp):
     """The battery block of one fused slot step, for all hubs at once.
 
-    ``kernel`` holds the engine's per-hub constants, ``soc``/``actions``
+    ``kernel`` holds the engine's per-hub constants; ``soc``/``actions``
     are read-only inputs of the engine's state shape (``(n_hubs,)``, or
-    ``(n_jobs, n_hubs)`` stacked) and ``b`` is the reusable buffer
-    namespace. On return ``b.stored``, ``b.drawn``, ``b.bus_charge_kwh``,
-    ``b.bus_discharge_kwh`` and ``b.new_soc`` hold the resolved energies,
-    and ``applied`` / ``p_bp`` (cost-book column views) are fully written.
+    ``(n_jobs, n_hubs)`` stacked). Writes ``applied`` / ``p_bp`` (cost-book
+    column views) and returns fresh ``(stored, drawn, new_soc)`` arrays:
+    the energy stored and drawn, and the advanced SoC. On a fleet this
+    small every numpy call costs about the same, so the block is written
+    for the fewest calls: one ``np.where`` per clip, and the degrade to
+    IDLE as a product with the action mask (the energies are >= 0, so it
+    zeroes them to ``+0.0`` exactly like a select).
     """
     # --- Charge path (BatteryPack._charge): clip the stored energy to
     # the SoC_max headroom; a fully-clipped request degrades to IDLE.
-    np.subtract(kernel.soc_max_kwh, soc, out=b.headroom)
-    np.maximum(b.headroom, 0.0, out=b.headroom)
-    np.add(b.headroom, kernel.soc_eps, out=b.tmp)
-    np.greater(kernel.stored_requested, b.tmp, out=b.mask)
-    np.copyto(b.stored, kernel.stored_requested)
-    np.copyto(b.stored, b.headroom, where=b.mask)
-    np.equal(actions, CHARGE, out=b.charging)
-    np.greater(b.stored, 0.0, out=b.mask)
-    np.logical_and(b.charging, b.mask, out=b.charging)
-    np.logical_not(b.charging, out=b.idle_mask)
-    np.copyto(b.stored, 0.0, where=b.idle_mask)
-    # stored is zero wherever not charging, so the plain divide equals
-    # the old where(charging, stored/η, 0) select.
-    np.divide(b.stored, kernel.charge_efficiency, out=b.bus_charge_kwh)
+    headroom = np.maximum(kernel.soc_max_kwh - soc, 0.0)
+    requested = kernel.stored_requested
+    stored = np.where(requested > headroom + kernel.soc_eps, headroom, requested)
+    charging = (actions == CHARGE) & (stored > 0.0)
+    stored = stored * charging
 
     # --- Discharge path (BatteryPack._discharge), both conventions.
-    np.subtract(soc, kernel.soc_min_kwh, out=b.available)
-    np.maximum(b.available, 0.0, out=b.available)
-    np.add(b.available, kernel.soc_eps, out=b.tmp)
-    np.greater(kernel.drawn_requested, b.tmp, out=b.mask)
-    np.copyto(b.drawn, kernel.drawn_requested)
-    np.copyto(b.drawn, b.available, where=b.mask)
-    np.equal(actions, DISCHARGE, out=b.discharging)
-    np.greater(b.drawn, 0.0, out=b.mask)
-    np.logical_and(b.discharging, b.mask, out=b.discharging)
-    np.logical_not(b.discharging, out=b.idle_mask)
-    np.copyto(b.drawn, 0.0, where=b.idle_mask)
-    np.multiply(b.drawn, kernel.bus_per_drawn, out=b.bus_discharge_kwh)
+    available = np.maximum(soc - kernel.soc_min_kwh, 0.0)
+    requested = kernel.drawn_requested
+    drawn = np.where(requested > available + kernel.soc_eps, available, requested)
+    discharging = (actions == DISCHARGE) & (drawn > 0.0)
+    drawn = drawn * discharging
 
-    # Applied action: requested unless the clip degraded it to IDLE.
-    np.copyto(applied, IDLE)
-    np.copyto(applied, CHARGE, where=b.charging)
-    np.copyto(applied, DISCHARGE, where=b.discharging)
+    # Applied action: requested unless the clip degraded it to IDLE
+    # (CHARGE = 1, DISCHARGE = -1, IDLE = 0; at most one mask is set).
+    np.subtract(charging, discharging, out=applied, dtype=applied.dtype)
 
-    # Battery bus power and the SoC advance.
-    np.subtract(b.bus_charge_kwh, b.bus_discharge_kwh, out=p_bp)
-    np.divide(p_bp, kernel.dt_h, out=p_bp)
-    np.add(soc, b.stored, out=b.new_soc)
-    np.subtract(b.new_soc, b.drawn, out=b.new_soc)
-
-
+    # Battery bus power and the SoC advance. stored is zero wherever not
+    # charging, so the plain divide equals a where(charging, stored/η, 0).
+    p_bp[...] = (
+        stored / kernel.charge_efficiency - drawn * kernel.bus_per_drawn
+    ) / kernel.dt_h
+    return stored, drawn, (soc + stored) - drawn
 
 
 class FleetSimulation:
@@ -257,8 +249,22 @@ class FleetSimulation:
             shared["rtp_kwh"][:] = self.inputs.rtp_kwh
             shared["srtp_kwh"][:] = planes.srtp_kwh
             shared["revenue"][:] = planes.revenue
-        #: (name, storage) pairs the kernel slices each slot's views from.
-        self._slot_columns = (*shared.items(), *stacked.items())
+        #: (name, storage) pairs the kernel writes each slot through: the
+        #: action columns, plus the exogenous ring columns of a windowed
+        #: book (a dense book's exogenous columns are filled above and
+        #: only fixed up on blackout rows, through ``_exogenous``).
+        self._exogenous = shared
+        self._write_columns = (
+            (*shared.items(), *stacked.items())
+            if self._windowed_book
+            else tuple(stacked.items())
+        )
+        #: Read-only aliases of every column: a step hands out slices of
+        #: these, so a caller cannot corrupt a booked slot.
+        self._read_columns = tuple(
+            (name, _read_only(column))
+            for name, column in (*shared.items(), *stacked.items())
+        )
         self._slot_width = width
         return tuple(
             FleetCostBook(
@@ -279,15 +285,14 @@ class FleetSimulation:
             for job in range(n_jobs)
         )
 
-    def _slot_views(self, t: int) -> dict[str, np.ndarray]:
-        """Writable views of slot ``t`` in the books' storage.
+    def _slot_views(self, slot: int, columns) -> dict[str, np.ndarray]:
+        """Views of storage column ``slot`` of each ``(name, storage)``.
 
         Shared columns come back ``(n_hubs,)``; action columns in the
         state shape, ``(n_jobs, n_hubs)`` when stacked (a view: the job
         row blocks are contiguous, so one slot column reshapes freely).
         """
-        slot = t % self._slot_width if self._windowed_book else t
-        views = {name: column[:, slot] for name, column in self._slot_columns}
+        views = {name: column[:, slot] for name, column in columns}
         if self.n_jobs > 1:
             shape = self._shape
             for name in FleetCostBook.ACTION_COLUMNS:
@@ -328,27 +333,11 @@ class FleetSimulation:
         )
 
     def _allocate_buffers(self) -> None:
-        """Reusable ``out=`` buffers so the hot step allocates nothing."""
+        """Reusable ``out=`` scratch for the step's balance and book."""
         shape = self._shape
-
-        def f():
-            return np.empty(shape, np.float64)
-
         self._buf = SimpleNamespace(
-            headroom=f(),
-            available=f(),
-            stored=f(),
-            drawn=f(),
-            bus_charge_kwh=f(),
-            bus_discharge_kwh=f(),
-            new_soc=f(),
-            residual=f(),
-            throughput=f(),
-            tmp=f(),
+            residual=np.empty(shape, np.float64),
             mask=np.empty(shape, np.bool_),
-            charging=np.empty(shape, np.bool_),
-            discharging=np.empty(shape, np.bool_),
-            idle_mask=np.empty(shape, np.bool_),
         )
 
     def _as_soc_fraction(self, fraction: float | np.ndarray) -> np.ndarray:
@@ -504,7 +493,8 @@ class FleetSimulation:
         # The slot is resolved directly into the books' storage through
         # these writable column views; it only becomes visible to the
         # aggregates at commit_slot, so a mid-step raise books nothing.
-        dest = self._slot_views(t)
+        slot = t % self._slot_width if self._windowed_book else t
+        dest = self._slot_views(slot, self._write_columns)
         if self._windowed_book:
             # The ring column may hold an evicted slot's values; rewrite
             # the exogenous columns the dense path bulk-fills at reset
@@ -530,7 +520,9 @@ class FleetSimulation:
         # --- Battery block (BatteryPack._charge/_discharge fused):
         # resolves stored/drawn energy, the applied action, the battery
         # bus power, and the SoC advance.
-        _resolve_battery(self._kernel, soc, actions, b, applied, p_bp)
+        stored, drawn, new_soc = _resolve_battery(
+            self._kernel, soc, actions, applied, p_bp
+        )
 
         # --- Eq. 7 (EctHub.power_balance): import the residual, curtail
         # surplus. The action-independent part comes from the plane cache.
@@ -538,7 +530,7 @@ class FleetSimulation:
         np.maximum(b.residual, 0.0, out=p_grid)
         np.negative(b.residual, out=surplus)
         np.maximum(surplus, 0.0, out=surplus)
-        np.add(b.stored, b.drawn, out=b.throughput)
+        throughput = stored + drawn
 
         # The exogenous columns (BS/CS draw, renewables, prices, blackout
         # mask, non-blackout revenue) were bulk-filled at reset; the
@@ -556,8 +548,8 @@ class FleetSimulation:
         # is shared, so every job goes dark on the same hub columns.
         if outage_now:
             dark = np.flatnonzero(planes.outage[:, t])
-            dest["p_cs_kw"][dark] = 0.0
-            dest["revenue"][dark] = 0.0
+            self._exogenous["p_cs_kw"][dark, slot] = 0.0
+            self._exogenous["revenue"][dark, slot] = 0.0
 
             soc_pre = soc[..., dark]
             deficit_kwh = planes.blackout_deficit_kwh[dark, t]
@@ -567,8 +559,8 @@ class FleetSimulation:
             p_bp[..., dark] = np.where(served_kwh > 0.0, -served_kwh / dt, 0.0)
             p_grid[..., dark] = 0.0
             surplus[..., dark] = planes.blackout_surplus_kw[dark, t]
-            b.new_soc[..., dark] = soc_pre - drawn_dark
-            b.throughput[..., dark] = drawn_dark
+            new_soc[..., dark] = soc_pre - drawn_dark
+            throughput[..., dark] = drawn_dark
             unserved[..., dark] = deficit_kwh - served_kwh
             applied[..., dark] = IDLE
             if tele is not None:
@@ -615,11 +607,11 @@ class FleetSimulation:
             np.copyto(dest["import_shortfall_kw"], shortfall_kw)
             shortfall_kwh = shortfall_kw * dt
             eta = self._reserve_eta
-            drawn_short = np.minimum(shortfall_kwh / eta, b.new_soc)
+            drawn_short = np.minimum(shortfall_kwh / eta, new_soc)
             served_kwh = drawn_short * eta
             p_bp -= np.where(drawn_short > 0.0, served_kwh / dt, 0.0)
-            b.new_soc -= drawn_short
-            b.throughput += drawn_short
+            new_soc -= drawn_short
+            throughput += drawn_short
             # (x/η)·η can exceed x by one ulp — never book negative unserved.
             unserved += np.maximum(shortfall_kwh - served_kwh, 0.0)
             if tele is not None:
@@ -648,10 +640,10 @@ class FleetSimulation:
 
         # Commit the battery state as fresh arrays (like the PR-3 engine)
         # so caller-held `soc_kwh`/`throughput_kwh` snapshots stay valid
-        # forever; the scratch buffers are reused next step.
-        self.soc_kwh = b.new_soc.copy()
-        np.copyto(dest["soc_kwh"], self.soc_kwh)
-        self.throughput_kwh = self.throughput_kwh + b.throughput
+        # forever; the battery block made `new_soc` this step.
+        self.soc_kwh = new_soc
+        np.copyto(dest["soc_kwh"], new_soc)
+        self.throughput_kwh = self.throughput_kwh + throughput
 
         for book in self._books:
             book.commit_slot(t)
@@ -662,11 +654,9 @@ class FleetSimulation:
                 session.metrics.inc("engine.slots")
                 session.metrics.inc("engine.hub_slots", params.n_hubs)
                 session.metrics.observe("engine.step_seconds", share)
-        # The views were the kernel's write targets; hand them out
-        # read-only so a caller cannot silently corrupt the booked slot.
-        for column in dest.values():
-            column.flags.writeable = False
-        return dest
+        # The write views stay inside the kernel; callers get the slot
+        # through the read-only aliases.
+        return self._slot_views(slot, self._read_columns)
 
     def available_import_kw(self) -> np.ndarray:
         """Per-hub feeder headroom signal for the *current* slot.

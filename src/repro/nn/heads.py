@@ -10,8 +10,8 @@ frozen oracle in ``tests/test_fused_steps.py``), so losses and gradients
 are bitwise the tape's:
 
 * a mean is ``sum() * (1.0 / count)``, and its backward is a full array
-  of that scale (:func:`mean_grad`; a scalar of it broadcasts to the
-  same bits);
+  of that scale, written as the scalar ``1.0 / count`` (a scalar
+  broadcasts to the same bits);
 * where a node feeds several consumers, its gradient is summed in the
   order the tape's reverse topological sort delivers them;
 * a ``select_columns`` scatter adds onto zero (``0.0 + x``), which turns
@@ -23,16 +23,9 @@ their models and follow the same rules.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import kernels
-
-
-def mean_grad(shape: tuple[int, ...], scale: float = 1.0) -> np.ndarray:
-    """d(``scale * x.mean()``)/dx: the tape's ``sum() * (1 / count)``."""
-    return np.full(shape, scale * (1.0 / math.prod(shape)))
 
 
 def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -48,7 +41,7 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.
     losses = (np.where(take_pos, logits, 0.0) + -(logits * targets)) + np.log(safe)
     loss = float(losses.sum() * (1.0 / logits.size))
 
-    w = 1.0 / logits.size  # every entry of mean_grad(logits.shape)
+    w = 1.0 / logits.size  # every entry of the mean's gradient
     d_abs = -((w / safe) * exp_neg_abs)
     # The four consumers of the logits, in tape order: max(z, 0), z * y,
     # max(z, -z) and the -z inside it.
@@ -63,5 +56,5 @@ def mse(prediction: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]
     """Mean ``(prediction - targets)**2`` and its d(prediction)."""
     diff = prediction - targets
     loss = float((diff * diff).sum() * (1.0 / diff.size))
-    half = (1.0 / diff.size) * diff  # mean_grad(diff.shape) * diff
+    half = (1.0 / diff.size) * diff  # the mean's gradient times diff
     return loss, half + half

@@ -52,17 +52,21 @@ class Linear(Module):
         self.bias = Parameter(init.zeros((out_features,)))
 
     def forward_array(self, x: np.ndarray) -> np.ndarray:
-        """``x W + b`` on a 2-D batch."""
+        """``x W + b`` on a 2-D batch, or blockwise on a stack of them."""
         out = x @ self.weight.data
         out += self.bias.data
         return out
+
+    def backward_params(self, x: np.ndarray, grad: np.ndarray) -> None:
+        """Write d(W), d(b) from ``grad`` = d(y) of a 2-D batch."""
+        np.add.reduce(grad, axis=0, out=_grad_buffer(self.bias))
+        np.matmul(x.T, grad, out=_grad_buffer(self.weight))
 
     def backward_array(
         self, x: np.ndarray, y: np.ndarray | None, grad: np.ndarray
     ) -> np.ndarray:
         """Write d(W), d(b) from ``grad`` = d(y); return d(x)."""
-        np.add.reduce(grad, axis=0, out=_grad_buffer(self.bias))
-        np.matmul(x.T, grad, out=_grad_buffer(self.weight))
+        self.backward_params(x, grad)
         return grad @ self.weight.data.T
 
 
@@ -160,9 +164,19 @@ class MLP(Module):
             trace.append(x)
         return x, trace
 
-    def backward_array(self, trace: list[np.ndarray], grad: np.ndarray) -> np.ndarray:
-        """Backpropagate d(output) through ``trace``; return d(input)."""
+    def backward_array(
+        self, trace: list[np.ndarray], grad: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Backpropagate d(output) through ``trace``; return d(input).
+
+        With ``input_grad=False`` the first layer writes its parameter
+        gradients only and ``None`` comes back: a network whose input is
+        data, not a trained table, skips that matmul.
+        """
         steps = self.body.steps
-        for i in range(len(steps) - 1, -1, -1):
+        for i in range(len(steps) - 1, 0, -1):
             grad = steps[i].backward_array(trace[i], trace[i + 1], grad)
-        return grad
+        if not input_grad:
+            steps[0].backward_params(trace[0], grad)
+            return None
+        return steps[0].backward_array(trace[0], trace[1], grad)

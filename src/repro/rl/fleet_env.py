@@ -30,6 +30,15 @@ episode (rewards agree within the fleet engine's atol-1e-9 equivalence
 bound): one shared episode start is drawn, then per hub the charging
 strata are re-realised under that hub's discount schedule and an initial
 SoC is drawn — the exact draw order of ``EctHubEnv.reset``.
+
+``reset(episodes=E)`` draws E episodes in that order and steps them as
+one simulation whose hub axis holds the episode copies (parameters
+tiled, inputs and per-episode feeder windows stacked), so evaluation
+pays one engine step per slot for all its episodes; each episode's rows
+are bitwise those of the episode run alone. The observation windows do
+not depend on the actions: each reset gathers their edge-padded source
+rows once, and a step copies one slot of a sliding-window view and
+writes the SoC (and headroom) columns.
 """
 
 from __future__ import annotations
@@ -157,18 +166,27 @@ class FleetEnv:
             [s.hub_config for s in self.scenarios]
         )
         # Full-horizon trace blocks: raw rows feed episode FleetInputs;
-        # the Eq. 24 observation planes carry the scalar env's scalings.
+        # the Eq. 24 observation blocks carry the scalar env's scalings.
         traces = fleet_traces(self.scenarios)
         self._load_rate = traces.load_rate
         self._rtp_kwh = traces.rtp_kwh
         self._pv_kw = traces.pv_power_kw
         self._wt_kw = traces.wt_power_kw
-        self._obs_rtp = self._rtp_kwh / 0.1  # ≈$0.1/kWh scale
-        self._obs_irr = traces.irradiance_w_m2 / 1000.0
-        self._obs_wind = traces.wind_speed_m_s / 25.0
+        #: ``(4, n_hubs, n_hours)``: the RTP (≈$0.1/kWh scale), irradiance,
+        #: wind and traffic blocks the first four observation windows read.
+        self._obs_traces = np.stack(
+            [
+                self._rtp_kwh / 0.1,
+                traces.irradiance_w_m2 / 1000.0,
+                traces.wind_speed_m_s / 25.0,
+                self._load_rate,
+            ]
+        )
         self._sim: FleetSimulation | None = None
-        self._start = 0
-        self._obs_srtp: np.ndarray | None = None
+        #: Start slot of each live episode, in episode order.
+        self._starts: tuple[int, ...] = ()
+        #: Observation windows of the live episodes (:meth:`_window_view`).
+        self._windows: np.ndarray | None = None
 
         self.action_space = Discrete(N_ACTIONS)
         self.observation_space = Box(
@@ -207,26 +225,42 @@ class FleetEnv:
         # plus the optional feeder-headroom feature.
         return 5 * self.config.window_h + 1 + (1 if self.feeder_aware else 0)
 
-    def _windows(self, traces: np.ndarray, t: int) -> np.ndarray:
-        """Next ``window_h`` columns of a trace block, edge-padded."""
-        w = self.config.window_h
-        stop = min(t + w, traces.shape[1])
-        values = traces[:, t:stop]
-        if values.shape[1] < w:
-            pad = np.repeat(values[:, -1:], w - values.shape[1], axis=1)
-            values = np.concatenate([values, pad], axis=1)
-        return values
+    def _window_view(self, starts: Sequence[int]) -> np.ndarray:
+        """The observation windows of every slot of the live episodes.
+
+        A ``(rows, 5, episode_length, window_h)`` sliding-window view:
+        entry ``[:, k, t]`` is the next ``window_h`` values of block ``k``
+        at slot ``t`` — the RTP, irradiance, wind and traffic blocks from
+        the episode's absolute slot, the episode's SRTP plane from its
+        slot ``t`` — edge-padded where a window runs past the scenario (or
+        episode) end. The windows never depend on the actions, so their
+        padded source rows are gathered once per reset and a step copies
+        one slot of the view (:meth:`_observe`). A materialized
+        ``(T, rows, state_dim)`` plane would hold every window value
+        ``window_h`` times over.
+        """
+        w, length, n = self.config.window_h, self._episode_h, self.n_hubs
+        span = length + w - 1
+        source = np.empty((len(starts), n, 5, span))
+        columns = np.minimum(np.add.outer(starts, np.arange(span)), self._n_hours - 1)
+        for k, block in enumerate(self._obs_traces):
+            source[:, :, k] = block[:, columns].transpose(1, 0, 2)
+        source = source.reshape(len(starts) * n, 5, span)
+        # The discounted selling price straight off the engine's plane
+        # cache (bit-identical to base_price x (1 - discount)).
+        srtp = self._require_sim().planes.srtp_kwh / 0.5
+        source[:, 4, :length] = srtp
+        source[:, 4, length:] = srtp[:, -1:]
+        return np.lib.stride_tricks.sliding_window_view(source, w, axis=2)
 
     def _observe(self) -> np.ndarray:
+        """The live slot's ``(rows, state_dim)`` state: its windows copied
+        from the window view, then the SoC (and headroom) columns."""
         sim = self._require_sim()
-        t_abs = self._start + sim.t
         w = self.config.window_h
-        obs = np.empty((self.n_hubs, self.state_dim()))
-        obs[:, 0 * w : 1 * w] = self._windows(self._obs_rtp, t_abs)
-        obs[:, 1 * w : 2 * w] = self._windows(self._obs_irr, t_abs)
-        obs[:, 2 * w : 3 * w] = self._windows(self._obs_wind, t_abs)
-        obs[:, 3 * w : 4 * w] = self._windows(self._load_rate, t_abs)
-        obs[:, 4 * w : 5 * w] = self._windows(self._obs_srtp, sim.t)
+        obs = np.empty((sim.n_hubs, self.state_dim()))
+        # Splitting the contiguous window columns is a view, not a copy.
+        np.copyto(obs[:, : 5 * w].reshape(-1, 5, w), self._windows[:, :, sim.t])
         obs[:, 5 * w] = sim.soc_fraction
         if self.feeder_aware:
             obs[:, 5 * w + 1] = self._feeder_headroom(sim)
@@ -241,7 +275,7 @@ class FleetEnv:
         (uncoupled feeders) saturates at :data:`FEEDER_OBS_CLIP`.
         """
         available = sim.available_import_kw()
-        return np.minimum(available / self.params.charge_rate_kw, FEEDER_OBS_CLIP)
+        return np.minimum(available / sim.params.charge_rate_kw, FEEDER_OBS_CLIP)
 
     # ------------------------------------------------------------------ #
     # Episode lifecycle                                                    #
@@ -251,26 +285,32 @@ class FleetEnv:
         """Swap the episode-sampling stream (paired evaluation runs)."""
         self._rng = rng
 
-    def _episode_feeders(self, start: int) -> FeederGroup | None:
+    def _episode_feeders(self, starts: Sequence[int]) -> FeederGroup | None:
+        """The feeders of the live episodes: per-slot capacity sliced to
+        each episode's window, one group per episode, stacked."""
         feeders = self.feeders
-        if feeders is None or feeders.import_capacity_kw.ndim == 1:
-            return feeders
-        return dataclasses.replace(
-            feeders,
-            import_capacity_kw=feeders.import_capacity_kw[
-                :, start : start + self._episode_h
-            ],
-        )
+        if feeders is None:
+            return None
+        if feeders.import_capacity_kw.ndim == 1:
+            groups = [feeders] * len(starts)
+        else:
+            capacity = feeders.import_capacity_kw
+            groups = [
+                dataclasses.replace(
+                    feeders,
+                    import_capacity_kw=capacity[:, start : start + self._episode_h],
+                )
+                for start in starts
+            ]
+        return groups[0] if len(groups) == 1 else FeederGroup.stack(groups)
 
-    def reset(self) -> np.ndarray:
-        """Start a new episode; returns the ``(n_hubs, state_dim)`` state."""
+    def _draw_episode(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """Draw one episode: ``(start, occupied, initial_soc)``."""
         max_start = self._n_hours - self._episode_h
         start = int(self._rng.integers(0, max_start + 1))
-        self._start = start
         slots = np.arange(start, start + self._episode_h)
-
         occupied = np.empty((self.n_hubs, self._episode_h), dtype=int)
-        episode_discount = self.discount[:, slots]
+        episode_discount = self.discount[:, start : start + self._episode_h]
         initial_soc = np.empty(self.n_hubs)
         for i, scenario in enumerate(self.scenarios):
             # Per hub: strata then SoC — EctHubEnv.reset's draw order, so
@@ -284,26 +324,47 @@ class FleetEnv:
                 if self.config.random_initial_soc
                 else 0.5
             )
+        return start, occupied, initial_soc
+
+    def reset(self, episodes: int = 1) -> np.ndarray:
+        """Start ``episodes`` episodes, stacked on the hub axis.
+
+        The episodes are drawn in order, each exactly as a lone reset
+        draws it, and then step together as one simulation over
+        ``episodes x n_hubs`` hub columns, episode-major: episode ``e``
+        holds rows ``e*n_hubs`` to ``(e+1)*n_hubs - 1`` of every state,
+        action and reward. Every engine expression is elementwise over
+        hubs and each episode keeps its own feeders, so each episode's
+        rows are bitwise those of the episode run alone. Returns the
+        ``(episodes * n_hubs, state_dim)`` state.
+        """
+        if int(episodes) < 1:
+            raise EnvError(f"episodes must be positive, got {episodes}")
+        draws = [self._draw_episode() for _ in range(int(episodes))]
+        starts = tuple(start for start, _, _ in draws)
+        length = self._episode_h
+
+        def windows(block: np.ndarray) -> np.ndarray:
+            return np.concatenate([block[:, s : s + length] for s in starts])
 
         inputs = FleetInputs(
-            load_rate=self._load_rate[:, slots],
-            rtp_kwh=self._rtp_kwh[:, slots],
-            pv_power_kw=self._pv_kw[:, slots],
-            wt_power_kw=self._wt_kw[:, slots],
-            occupied=occupied,
-            discount=episode_discount,
-            outage=None if self.outage is None else self.outage[:, slots],
+            load_rate=windows(self._load_rate),
+            rtp_kwh=windows(self._rtp_kwh),
+            pv_power_kw=windows(self._pv_kw),
+            wt_power_kw=windows(self._wt_kw),
+            occupied=np.concatenate([occupied for _, occupied, _ in draws]),
+            discount=windows(self.discount),
+            outage=None if self.outage is None else windows(self.outage),
         )
         self._sim = FleetSimulation(
-            self.params,
+            self.params.tile(len(starts)),
             inputs,
-            initial_soc_fraction=initial_soc,
-            feeders=self._episode_feeders(start),
+            initial_soc_fraction=np.concatenate([soc for _, _, soc in draws]),
+            feeders=self._episode_feeders(starts),
             voll_per_kwh=self.voll_per_kwh,
         )
-        # The discounted selling price straight off the engine's plane
-        # cache (bit-identical to base_price x (1 - discount)).
-        self._obs_srtp = self._sim.planes.srtp_kwh / 0.5
+        self._starts = starts
+        self._windows = self._window_view(starts)
         return self._observe()
 
     def step(
@@ -312,16 +373,18 @@ class FleetEnv:
         """Apply one action per hub; returns (state, scaled_rewards, done, info).
 
         ``actions`` is an ``(n_hubs,)`` integer vector over the scalar
-        env's action codes {0: idle, 1: charge, 2: discharge}. Rewards are
-        the per-hub Eq. 12 slot profits (minus the VoLL penalty) divided
-        by ``reward_scale``; ``info["reward_raw"]`` carries the unscaled
-        values and ``info["columns"]`` the booked slot columns.
+        env's action codes {0: idle, 1: charge, 2: discharge} — one entry
+        per state row, ``(episodes * n_hubs,)`` after a stacked reset.
+        Rewards are the per-hub Eq. 12 slot profits (minus the VoLL
+        penalty) divided by ``reward_scale``; ``info["reward_raw"]``
+        carries the unscaled values and ``info["columns"]`` the booked
+        slot columns.
         """
         sim = self._require_sim()
         actions = np.asarray(actions)
-        if actions.shape != (self.n_hubs,):
+        if actions.shape != (sim.n_hubs,):
             raise EnvError(
-                f"actions must have shape ({self.n_hubs},), got {actions.shape}"
+                f"actions must have shape ({sim.n_hubs},), got {actions.shape}"
             )
         # Booleans are excluded: _SBP_LOOKUP[actions] would mask-index
         # the lookup table instead of mapping action codes.
@@ -343,7 +406,7 @@ class FleetEnv:
         state = (
             self._observe()
             if not done
-            else np.zeros((self.n_hubs, self.state_dim()))
+            else np.zeros((sim.n_hubs, self.state_dim()))
         )
         info = {"columns": columns, "reward_raw": reward_raw}
         return state, reward_raw / self.config.reward_scale, done, info

@@ -8,6 +8,14 @@ The network runs on fused numpy passes (:meth:`ActorCritic.forward_cached`
 and :meth:`ActorCritic.backward`), seeded by the numpy PPO loss head
 (:func:`repro.rl.ppo.ppo_loss`, Eqs. 25–27); training runs no autograd
 tape. The tests keep one, as the gradient oracle.
+
+Acting is block-stable: states may come as one ``(n, state_dim)`` batch
+or as a stack ``(E, n, state_dim)`` of E blocks, and a stack runs every
+matmul blockwise, one BLAS call per block. Each block's logits and
+values are then bitwise those of the block acting alone, which is what
+lets evaluation step E episodes together (one block per episode). A flat
+``(E·n, ...)`` batch would not be: the narrow heads' results depend on
+the number of rows, and a one-row block takes BLAS's vector path.
 """
 
 from __future__ import annotations
@@ -51,8 +59,9 @@ class ActorCritic(nn.Module):
     def forward_cached(
         self, states: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """Logits ``(n, n_actions)``, values ``(n, 1)`` and the cache
-        :meth:`backward` consumes (fused numpy pass)."""
+        """Logits ``(..., n, n_actions)``, values ``(..., n, 1)`` and the
+        cache :meth:`backward` consumes (fused numpy pass); a stack of
+        blocks runs blockwise (see the module docstring)."""
         x = np.atleast_2d(np.asarray(states, dtype=float))
         features, trace = self.trunk.forward_array(x)
         logits = self.actor_head.forward_array(features)
@@ -61,11 +70,12 @@ class ActorCritic(nn.Module):
     def backward(
         self, trace: list[np.ndarray], d_logits: np.ndarray, d_values: np.ndarray
     ) -> None:
-        """Write every parameter's gradient from d(logits) and d(values)."""
+        """Write every parameter's gradient from d(logits) and d(values) of
+        a 2-D batch. The states are data, so no d(states) is formed."""
         features = trace[-1]
         d_features = self.actor_head.backward_array(features, None, d_logits)
         d_features += self.critic_head.backward_array(features, None, d_values)
-        self.trunk.backward_array(trace, d_features)
+        self.trunk.backward_array(trace, d_features, input_grad=False)
 
     # ------------------------------------------------------------------ #
     # Acting                                                               #
@@ -88,18 +98,25 @@ class ActorCritic(nn.Module):
         return int(np.argmax(logits[0]))
 
     def act_batch(
-        self, states: np.ndarray, rng: np.random.Generator
+        self,
+        states: np.ndarray,
+        rng: np.random.Generator,
+        *,
+        draws: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sample one action per row of ``states`` in a single forward pass.
+        """Sample one action per state row in a single forward pass.
 
-        Returns ``(actions, log_probs, values)``, each shaped ``(n,)``.
+        ``states`` is ``(n, state_dim)`` or a stack ``(E, n, state_dim)``;
+        returns ``(actions, log_probs, values)``, each flat over the rows.
         Sampling is inverse-CDF over the row-wise softmax (one uniform
-        draw per row), so the whole fleet acts on one network evaluation.
+        draw per row, from ``rng`` unless ``draws`` of shape ``(rows, 1)``
+        are given), so the whole fleet acts on one network evaluation.
         """
         logits, values = self.forward(states)
-        log_probs = nn.kernels.log_softmax(logits)
+        log_probs = nn.kernels.log_softmax(logits.reshape(-1, self.n_actions))
         probs = np.exp(log_probs)
-        draws = rng.random((probs.shape[0], 1))
+        if draws is None:
+            draws = rng.random((probs.shape[0], 1))
         # Softmax rows sum to 1 up to float error; the clamp covers a
         # cumsum landing fractionally below a draw at the top edge.
         actions = np.minimum(
@@ -109,6 +126,6 @@ class ActorCritic(nn.Module):
         return actions, taken, values.reshape(-1)
 
     def greedy_actions(self, states: np.ndarray) -> np.ndarray:
-        """Row-wise argmax actions (batched evaluation mode)."""
+        """Row-wise argmax actions, flat over the rows (batched evaluation)."""
         logits, _ = self.forward(states)
-        return np.argmax(logits, axis=1).astype(int)
+        return np.argmax(logits.reshape(-1, self.n_actions), axis=1).astype(int)

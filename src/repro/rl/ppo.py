@@ -136,15 +136,17 @@ def ppo_loss(
         entropy * config.entropy_coef
     )
 
-    half = nn.heads.mean_grad((batch,), config.value_coef) * diff
+    # Each mean's backward is a full array of ``scale * (1 / batch)``; the
+    # scalar broadcasts to the same bits.
+    half = (config.value_coef * (1.0 / batch)) * diff
     d_values = (half + half).reshape(batch, 1)
-    d_surrogate = nn.heads.mean_grad((batch,), -1.0)
+    d_surrogate = -1.0 * (1.0 / batch)
     inside = (ratio > low) & (ratio < high)
     d_ratio = (d_surrogate * take_unclipped) * advantages
     d_ratio += ((d_surrogate * ~take_unclipped) * advantages) * inside
     d_log_probs = np.zeros_like(log_probs)
     d_log_probs[rows, actions] += d_ratio * ratio
-    d_entropy_terms = np.full(log_probs.shape, config.entropy_coef * (1.0 / batch))
+    d_entropy_terms = config.entropy_coef * (1.0 / batch)
     d_log_probs += d_entropy_terms * probs
     d_log_probs += (d_entropy_terms * log_probs) * probs
     d_logits = d_log_probs - np.exp(log_probs) * d_log_probs.sum(axis=-1, keepdims=True)
@@ -197,14 +199,24 @@ class PpoAgent:
         return self.network.greedy_action(state)
 
     def act_batch(
-        self, states: np.ndarray
+        self, states: np.ndarray, *, draws: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sample ``(actions, log_probs, values)`` for a batch of states.
 
         One forward pass serves the whole fleet — the hub axis is batch
-        parallelism through the shared policy.
+        parallelism through the shared policy. ``states`` may be a stack
+        of blocks and ``draws`` the rows' pre-drawn uniforms (see
+        :meth:`ActorCritic.act_batch` and :meth:`uniforms`).
         """
-        return self.network.act_batch(states, self._rng)
+        return self.network.act_batch(states, self._rng, draws=draws)
+
+    def uniforms(self, shape: tuple[int, ...]) -> np.ndarray:
+        """Draw ``shape`` uniforms off the acting stream in one call.
+
+        The stream fills in C order, so this equals the successive
+        ``act_batch`` draws it replaces and leaves the same stream state.
+        """
+        return self._rng.random(shape)
 
     def greedy_actions(self, states: np.ndarray) -> np.ndarray:
         """Deterministic actions for a batch of states (evaluation)."""

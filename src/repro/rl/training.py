@@ -4,6 +4,15 @@ The paper trains for 500 episodes and tests for 100 (§V-C); these loops
 take the episode counts as parameters so benches can run a reduced
 schedule (documented in EXPERIMENTS.md) while paper-scale remains one
 config away.
+
+Fleet evaluation episodes are independent given the policy, so
+:func:`evaluate_fleet_agent` steps them together: one stacked
+:meth:`~repro.rl.fleet_env.FleetEnv.reset` puts every episode's hubs on
+the hub axis, and one network forward over ``(episodes, n_hubs,
+state_dim)`` blocks acts for all of them. Training acts on the one-block
+case of the same path, ``(n_hubs, state_dim)``. The returns and the
+agent's and env's streams end bitwise where an episode-by-episode loop
+leaves them (``tests/test_fleet_env.py`` keeps that loop as the oracle).
 """
 
 from __future__ import annotations
@@ -186,21 +195,38 @@ def evaluate_fleet_agent(
     episodes: int,
     greedy: bool = True,
 ) -> np.ndarray:
-    """Raw Eq. 12 episode returns per hub, shape ``(episodes, n_hubs)``."""
+    """Raw Eq. 12 episode returns per hub, shape ``(episodes, n_hubs)``.
+
+    The episodes step together: one stacked :meth:`FleetEnv.reset` holds
+    them on the hub axis, so each slot is one engine step and one network
+    forward over ``(episodes, n_hubs, state_dim)`` blocks, each of which
+    acts bitwise as it would alone. Stochastic evaluation pre-draws every
+    episode's uniforms in one episode-major call: the same draws, in the
+    same order, that acting episode after episode would take, leaving the
+    agent's stream in the same state. The returns are bitwise those of
+    running the episodes one at a time.
+    """
     if episodes <= 0:
         raise ModelError(f"episodes must be positive, got {episodes}")
-    returns = np.zeros((episodes, env.n_hubs))
-    for e in range(episodes):
-        states = env.reset()
-        done = False
-        while not done:
-            actions = (
-                agent.greedy_actions(states)
-                if greedy
-                else agent.act_batch(states)[0]
-            )
-            states, _, done, info = env.step(actions)
-            returns[e] += info["reward_raw"]
+    n_hubs, length = env.n_hubs, env.episode_length
+    states = env.reset(episodes)
+    if not greedy:
+        # Row t holds every episode's draws for slot t.
+        draws = (
+            agent.uniforms((episodes, length, n_hubs, 1))
+            .transpose(1, 0, 2, 3)
+            .reshape(length, episodes * n_hubs, 1)
+        )
+    returns = np.zeros((episodes, n_hubs))
+    for t in range(length):
+        blocks = states.reshape(episodes, n_hubs, -1)
+        actions = (
+            agent.greedy_actions(blocks)
+            if greedy
+            else agent.act_batch(blocks, draws=draws[t])[0]
+        )
+        states, _, _, info = env.step(actions)
+        returns += info["reward_raw"].reshape(episodes, n_hubs)
     return returns
 
 

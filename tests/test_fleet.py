@@ -166,6 +166,14 @@ class TestContainers:
         assert params.capacity_kwh[0] == 10.0
         assert params.paper_exact.dtype == bool
 
+    def test_params_tile_repeats_the_fleet(self):
+        params = FleetParams.from_hub_configs([small_hub_config(), HubConfig()])
+        assert params.tile(1) is params
+        tiled = params.tile(3)
+        assert tiled.n_hubs == 6 and tiled.dt_h == params.dt_h
+        assert np.array_equal(tiled.capacity_kwh, np.tile(params.capacity_kwh, 3))
+        assert tiled.paper_exact.dtype == bool
+
     def test_params_reject_mixed_dt(self):
         with pytest.raises(FleetError, match="slot length"):
             FleetParams.from_hub_configs([HubConfig(), HubConfig(dt_h=0.5)])
@@ -414,6 +422,27 @@ class TestFleetBook:
         assert sim.done
         with pytest.raises(FleetError, match="exhausted"):
             sim.step(np.array([IDLE]))
+
+    @pytest.mark.parametrize("storage", ["dense", "windowed"])
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_step_hands_out_read_only_slot_columns(self, storage, n_jobs):
+        _, base = build_default_fleet(3, n_days=1, seed=4, outage_probability=0.3)
+        assert base.planes.outage.any()
+        sim = FleetSimulation(
+            base.params, base.inputs, storage=storage, window=48, n_jobs=n_jobs
+        )
+        shape = (3,) if n_jobs == 1 else (n_jobs, 3)
+        while not sim.done:
+            columns = sim.step(np.ones(shape, dtype=int))
+            assert set(columns) == set(
+                FleetCostBook.EXOGENOUS_COLUMNS + FleetCostBook.ACTION_COLUMNS
+            )
+            for name, column in columns.items():
+                assert not column.flags.writeable, name
+            with pytest.raises(ValueError):
+                columns["soc_kwh"][...] = 0.0
+            assert columns["soc_kwh"].shape == shape
+            assert np.array_equal(columns["soc_kwh"], sim.soc_kwh)
 
     def test_reset_restores_initial_state(self, fleet_case):
         _, sim = fleet_case

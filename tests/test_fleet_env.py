@@ -16,6 +16,7 @@ import pytest
 from repro import api
 from repro.errors import EnvError, ModelError
 from repro.hub import ScenarioConfig, build_fleet_scenarios, fleet_behavior_model
+from repro.hub.scenario import fleet_traces
 from repro.rng import RngFactory
 from repro.rl import (
     FEEDER_OBS_CLIP,
@@ -35,6 +36,7 @@ from repro.spec import (
     RlSpec,
     RunSpec,
     ScenarioSpec,
+    get_preset,
     spec_from_train_fleet_flags,
 )
 
@@ -51,13 +53,89 @@ def fleet_setup():
     return scenarios, behavior
 
 
-def make_fleet_env(scenarios, behavior, *, seed=5, n_hubs=None, **kwargs):
+# --------------------------------------------------------------------- #
+# Frozen oracle: the per-episode evaluation loop and its per-slot         #
+# observation assembly, as they ran before episodes were stacked          #
+# --------------------------------------------------------------------- #
+
+
+def oracle_windows(traces: np.ndarray, t: int, w: int) -> np.ndarray:
+    """Next ``w`` columns of a trace block, edge-padded."""
+    stop = min(t + w, traces.shape[1])
+    values = traces[:, t:stop]
+    if values.shape[1] < w:
+        pad = np.repeat(values[:, -1:], w - values.shape[1], axis=1)
+        values = np.concatenate([values, pad], axis=1)
+    return values
+
+
+def oracle_blocks(env: FleetEnv) -> list[np.ndarray]:
+    """The RTP, irradiance, wind and traffic observation blocks."""
+    traces = fleet_traces(env.scenarios)
+    return [
+        traces.rtp_kwh / 0.1,
+        traces.irradiance_w_m2 / 1000.0,
+        traces.wind_speed_m_s / 25.0,
+        traces.load_rate,
+    ]
+
+
+def oracle_observe(env: FleetEnv, blocks: list[np.ndarray]) -> np.ndarray:
+    """The Eq. 24 state of a one-episode env, assembled window by window."""
+    sim = env.simulation
+    (start,) = env._starts
+    t_abs = start + sim.t
+    w = env.config.window_h
+    obs = np.empty((env.n_hubs, env.state_dim()))
+    for k, block in enumerate(blocks):
+        obs[:, k * w : (k + 1) * w] = oracle_windows(block, t_abs, w)
+    obs[:, 4 * w : 5 * w] = oracle_windows(sim.planes.srtp_kwh / 0.5, sim.t, w)
+    obs[:, 5 * w] = sim.soc_fraction
+    if env.feeder_aware:
+        obs[:, 5 * w + 1] = np.minimum(
+            sim.available_import_kw() / env.params.charge_rate_kw, FEEDER_OBS_CLIP
+        )
+    return obs
+
+
+def oracle_evaluate(env, agent, *, episodes, greedy, record=None):
+    """Raw returns ``(episodes, n_hubs)``, one episode after another.
+
+    Every state is the oracle's assembly, checked against the env's own.
+    ``record`` (a list) collects one ``(states, actions, rewards,
+    columns)`` list per episode.
+    """
+    blocks = oracle_blocks(env)
+    returns = np.zeros((episodes, env.n_hubs))
+    for e in range(episodes):
+        got = env.reset()
+        trajectory = []
+        done = False
+        while not done:
+            states = oracle_observe(env, blocks)
+            assert got.tobytes() == states.tobytes()
+            actions = (
+                agent.greedy_actions(states)
+                if greedy
+                else agent.act_batch(states)[0]
+            )
+            got, _, done, info = env.step(actions)
+            returns[e] += info["reward_raw"]
+            trajectory.append((states, actions, info["reward_raw"], info["columns"]))
+        if record is not None:
+            record.append(trajectory)
+    return returns
+
+
+def make_fleet_env(
+    scenarios, behavior, *, seed=5, n_hubs=None, discount=None, **kwargs
+):
     subset = scenarios if n_hubs is None else scenarios[:n_hubs]
     kwargs.setdefault("config", EnvConfig(episode_days=EPISODE_DAYS))
     return FleetEnv(
         subset,
         behavior,
-        np.zeros(N_HOURS),
+        np.zeros(N_HOURS) if discount is None else discount,
         rng=RngFactory(seed=seed).stream("env"),
         **kwargs,
     )
@@ -84,7 +162,7 @@ class TestScalarEquivalence:
     def test_episode_rewards_and_observations_match(self, fleet_setup):
         scalar, fleet = self._pair(fleet_setup)
         s1, sN = scalar.reset(), fleet.reset()
-        assert scalar._start == fleet._start
+        assert fleet._starts == (scalar._start,)
         assert np.array_equal(s1, sN[0])
         action_rng = np.random.default_rng(2)
         done = False
@@ -167,7 +245,7 @@ class TestEpisodeSampling:
         for seed in range(8):
             env = make_fleet_env(scenarios, behavior, seed=seed)
             env.reset()
-            starts.add(env._start)
+            starts.update(env._starts)
         assert len(starts) > 1
 
     def test_reset_at_max_start_flushes_against_horizon(self, fleet_setup):
@@ -179,19 +257,21 @@ class TestEpisodeSampling:
             config=EnvConfig(episode_days=N_HOURS // 24),
         )
         state = env.reset()
-        assert env._start == 0
+        assert env._starts == (0,)
         assert state.shape == (env.n_hubs, env.state_dim())
+        blocks = oracle_blocks(env)
         steps = 0
         done = False
         while not done:
+            last = state
+            assert np.array_equal(state, oracle_observe(env, blocks))
             state, _, done, _ = env.step(np.zeros(env.n_hubs, dtype=int))
             steps += 1
         assert steps == env.episode_length == N_HOURS
-        # Final observed windows were edge-padded to exactly window_h.
+        # The last observed RTP window was edge-padded to exactly
+        # window_h: every entry repeats the horizon's last slot.
         w = env.config.window_h
-        tail = env._windows(env._obs_rtp, N_HOURS - 1)
-        assert tail.shape == (env.n_hubs, w)
-        assert np.all(tail == env._obs_rtp[:, -1:])
+        assert np.all(last[:, :w] == blocks[0][:, -1:])
 
     def test_episode_longer_than_scenario_rejected(self, fleet_setup):
         scenarios, behavior = fleet_setup
@@ -417,6 +497,131 @@ class TestFleetTraining:
         agent = PpoAgent(env.state_dim(), 3, rng=factory.stream("a"))
         with pytest.raises(ModelError):
             evaluate_fleet_agent(env, agent, episodes=0)
+
+
+def congested_spec() -> ScenarioSpec:
+    """Coupled per-slot feeder capacity that binds, feeder-aware
+    observations and 20%/h blackouts, on a fleet small enough to train."""
+    return get_preset("congested-city").with_overrides(
+        {
+            "fleet.n_hubs": 8,
+            "grid.feeder_capacity_kw": 120.0,
+            "blackout.outage_probability_per_hour": 0.2,
+            "run.days": 5,
+            "rl.episode_days": 2,
+        }
+    )
+
+
+def stream_states(agent, env) -> tuple:
+    return (agent._rng.bit_generator.state, env._rng.bit_generator.state)
+
+
+class TestStackedEvaluation:
+    """Stacked evaluation episodes == the frozen one-at-a-time loop."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        _, env = api.build_fleet_env(congested_spec())
+        assert env.feeder_aware
+        assert env.feeders.import_capacity_kw.ndim == 2
+        env.reseed(RngFactory(seed=1).stream("train"))
+        agent, _ = train_fleet_ppo(
+            env,
+            episodes=2,
+            config=PpoConfig(batch_size=32, update_epochs=2),
+            rng=RngFactory(seed=1).stream("agent"),
+        )
+        return env, agent
+
+    def _paired(self, env, agent, *, episodes, greedy, record=None):
+        """(stacked returns, streams after) and the oracle's, from one
+        agent/env stream state."""
+        start = agent._rng.bit_generator.state
+        env.reseed(RngFactory(seed=4).stream("eval"))
+        stacked = evaluate_fleet_agent(env, agent, episodes=episodes, greedy=greedy)
+        stacked_streams = stream_states(agent, env)
+        agent._rng.bit_generator.state = start
+        env.reseed(RngFactory(seed=4).stream("eval"))
+        looped = oracle_evaluate(
+            env, agent, episodes=episodes, greedy=greedy, record=record
+        )
+        return (stacked, stacked_streams), (looped, stream_states(agent, env))
+
+    @pytest.mark.parametrize("greedy", [True, False], ids=["greedy", "stochastic"])
+    @pytest.mark.parametrize("episodes", [1, 3, 5])
+    def test_returns_and_streams_match_the_episode_loop(
+        self, trained, episodes, greedy
+    ):
+        env, agent = trained
+        record = []
+        (stacked, streams), (looped, oracle_streams) = self._paired(
+            env, agent, episodes=episodes, greedy=greedy, record=record
+        )
+        assert stacked.shape == (episodes, env.n_hubs)
+        assert stacked.tobytes() == looped.tobytes()
+        assert streams == oracle_streams
+        # The episodes really exercise the coupled and blackout branches.
+        columns = [step[3] for trajectory in record for step in trajectory]
+        assert any(c["import_shortfall_kw"].any() for c in columns)
+        assert any(c["blackout"].any() for c in columns)
+
+    def test_stacked_states_match_the_loop_at_every_slot(self, trained):
+        env, agent = trained
+        episodes = 3
+        record = []
+        agent_start = agent._rng.bit_generator.state
+        env.reseed(RngFactory(seed=6).stream("eval"))
+        oracle_evaluate(env, agent, episodes=episodes, greedy=False, record=record)
+        agent._rng.bit_generator.state = agent_start
+        assert_stack_replays(env, record, RngFactory(seed=6).stream("eval"))
+
+    def test_episode_at_max_start_matches_the_loop(self, fleet_setup):
+        """Episode == horizon: every episode starts at max_start (0) and
+        its windows pad against the scenario end. A discount ramp makes
+        every SRTP window distinct, padding included."""
+        scenarios, behavior = fleet_setup
+        env = make_fleet_env(
+            scenarios,
+            behavior,
+            discount=np.linspace(0.0, 0.5, N_HOURS, endpoint=False),
+            config=EnvConfig(episode_days=N_HOURS // 24),
+        )
+        agent = PpoAgent(env.state_dim(), 3, rng=RngFactory(seed=2).stream("a"))
+        record = []
+        env.reseed(RngFactory(seed=3).stream("eval"))
+        oracle_evaluate(env, agent, episodes=2, greedy=False, record=record)
+        env.reset(2)
+        assert env._starts == (0, 0)
+        assert_stack_replays(env, record, RngFactory(seed=3).stream("eval"))
+
+    def test_invalid_stack_rejected(self, fleet_setup):
+        scenarios, behavior = fleet_setup
+        env = make_fleet_env(scenarios, behavior)
+        with pytest.raises(EnvError):
+            env.reset(0)
+        env.reset(2)
+        with pytest.raises(EnvError):
+            env.step(np.zeros(env.n_hubs, dtype=int))
+
+
+def assert_stack_replays(env, record, rng):
+    """Replay the oracle's recorded actions through one stacked reset:
+    every slot's states and rewards equal the oracle's, episode by
+    episode."""
+    episodes, n = len(record), env.n_hubs
+    env.reseed(rng)
+    states = env.reset(episodes)
+    for t in range(env.episode_length):
+        blocks = states.reshape(episodes, n, -1)
+        for e, trajectory in enumerate(record):
+            assert blocks[e].tobytes() == trajectory[t][0].tobytes(), (e, t)
+        actions = np.concatenate([trajectory[t][1] for trajectory in record])
+        states, _, done, info = env.step(actions)
+        rewards = info["reward_raw"].reshape(episodes, n)
+        for e, trajectory in enumerate(record):
+            assert rewards[e].tobytes() == trajectory[t][2].tobytes(), (e, t)
+    assert done
 
 
 class TestTrainFleetExperiment:

@@ -476,6 +476,94 @@ class TestActorCriticFusedMatchesTape:
         assert log_probs.tobytes() == picked.tobytes()
 
 
+class TestInputGradientSkipped:
+    """The states are data: the trunk's first layer forms no d(input)."""
+
+    def test_parameter_grads_match_tape_at_ect_drl_shapes(self):
+        rng = np.random.default_rng(14)
+        net = ActorCritic(121, 3, rng)
+        config = PpoConfig()
+        states = rng.normal(size=(64, 121))
+        minibatch = ppo_minibatch(rng, 64)
+
+        net.zero_grad()
+        logits, values, trace = net.forward_cached(states)
+        fused = ppo_loss(logits, values, *minibatch, config)
+        net.backward(trace, fused.d_logits, fused.d_values)
+        fused_grads = grad_bytes(net)
+
+        net.zero_grad()
+        tape = Tape()
+        tape_logits, tape_values = tape_actor_critic(tape, net, states)
+        tape.backward(tape_ppo_loss(tape_logits, tape_values, *minibatch, config).loss)
+        assert fused_grads == grad_bytes(net)
+
+    def test_mlp_skips_only_the_input_gradient(self):
+        rng = np.random.default_rng(15)
+        mlp = nn.MLP((5, 4, 3), rng, output_activation=nn.Tanh)
+        _, trace = mlp.forward_array(rng.normal(size=(7, 5)))
+        grad = rng.normal(size=(7, 3))
+        d_input = mlp.backward_array(trace, grad)
+        assert d_input.shape == (7, 5)
+        with_input = grad_bytes(mlp)
+        mlp.zero_grad()
+        assert mlp.backward_array(trace, grad, input_grad=False) is None
+        assert grad_bytes(mlp) == with_input
+
+
+class TestBlockStableActing:
+    """A stack of ``(E, n, state_dim)`` state blocks acts bitwise as each
+    block alone, at the ECT-DRL shapes (121 inputs, 64-wide trunk, 3
+    actions). Stacked evaluation episodes rest on this."""
+
+    STATE_DIM = 121
+
+    def _net(self) -> ActorCritic:
+        return ActorCritic(self.STATE_DIM, 3, np.random.default_rng(12))
+
+    @pytest.mark.parametrize("n", [1, 6, 48])
+    def test_trunk_rows_do_not_depend_on_the_stack(self, n):
+        net = self._net()
+        states = np.random.default_rng(13).normal(size=(20, n, self.STATE_DIM))
+        for blocks in (1, 3, 5, 20):
+            features, _ = net.trunk.forward_array(states[:blocks])
+            for e in range(blocks):
+                alone, _ = net.trunk.forward_array(states[e])
+                assert features[e].tobytes() == alone.tobytes(), (blocks, e)
+
+    @pytest.mark.parametrize("n", [1, 6, 48])
+    def test_stacked_heads_equal_per_block_heads(self, n):
+        net = self._net()
+        states = np.random.default_rng(16).normal(size=(5, n, self.STATE_DIM))
+        logits, values = net.forward(states)
+        assert logits.shape == (5, n, 3) and values.shape == (5, n, 1)
+        for e in range(5):
+            block_logits, block_values = net.forward(states[e])
+            assert logits[e].tobytes() == block_logits.tobytes()
+            assert values[e].tobytes() == block_values.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 6, 17, 30, 64, 128])
+    def test_one_block_stack_equals_the_2d_batch(self, rows):
+        net = self._net()
+        states = np.random.default_rng(17).normal(size=(rows, self.STATE_DIM))
+        stacked_logits, stacked_values = net.forward(states[None])
+        logits, values = net.forward(states)
+        assert stacked_logits[0].tobytes() == logits.tobytes()
+        assert stacked_values[0].tobytes() == values.tobytes()
+
+    def test_stacked_acting_equals_block_after_block(self):
+        net = self._net()
+        states = np.random.default_rng(18).normal(size=(4, 6, self.STATE_DIM))
+        stream = np.random.default_rng(3)
+        per_block = [net.act_batch(block, stream) for block in states]
+        draws = np.random.default_rng(3).random((4 * 6, 1))
+        stacked = net.act_batch(states, None, draws=draws)
+        for got, column in zip(stacked, zip(*per_block)):
+            assert got.tobytes() == np.concatenate(column).tobytes()
+        greedy = np.concatenate([net.greedy_actions(block) for block in states])
+        assert net.greedy_actions(states).tobytes() == greedy.tobytes()
+
+
 # --------------------------------------------------------------------- #
 # The numpy heads against their frozen tape oracles                      #
 # --------------------------------------------------------------------- #
@@ -585,7 +673,10 @@ class TestNumpyHeadsMatchTape:
                 )
                 assert got == want
 
-    @pytest.mark.parametrize("batch", [1, 128])
+    # 13 and 49: batch sizes where ``c * (1 / batch)`` and ``c / batch``
+    # round apart for the default entropy coefficient, so each mean's
+    # gradient scale must be formed exactly as the tape forms it.
+    @pytest.mark.parametrize("batch", [1, 13, 49, 128])
     @pytest.mark.parametrize(
         "config",
         [PpoConfig(), PpoConfig(entropy_coef=0.0, value_coef=0.0)],
