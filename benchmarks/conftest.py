@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -49,6 +50,39 @@ def perf_relaxed() -> bool:
     return os.environ.get("ECT_PERF_RELAXED", "") == "1" or (
         "ECT_BENCH_SCALE" in os.environ and bench_scale(1.0) != 1.0
     )
+
+
+def timed_pairs(
+    first: Callable[[], float],
+    second: Callable[[], float],
+    pairs: int,
+    *,
+    warmup: bool = True,
+) -> tuple[list[float], list[float], list[float]]:
+    """Time ``first()`` and ``second()`` in adjacent, order-alternating pairs.
+
+    Each callable runs its workload and returns the seconds of its own
+    timed region. With ``warmup``, one untimed call of each comes first:
+    the initial pass pays page faults, allocator growth and frequency ramp
+    that would otherwise skew whichever side happens to run first. The two
+    runs of a pair share the host's state at that moment, so their ratio
+    cancels slowdowns from other load on the host, and a median over the
+    pairs drops the pairs a load spike split. Returns both time lists and
+    the per-pair ``second / first`` ratios.
+    """
+    if warmup:
+        first()
+        second()
+    first_times, second_times = [], []
+    for i in range(pairs):
+        if i % 2 == 0:
+            first_times.append(first())
+            second_times.append(second())
+        else:
+            second_times.append(second())
+            first_times.append(first())
+    ratios = [b / a for a, b in zip(first_times, second_times)]
+    return first_times, second_times, ratios
 
 
 def write_perf_report(name: str, text: str, payload: dict) -> None:

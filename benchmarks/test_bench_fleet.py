@@ -9,18 +9,20 @@ in hub-slots/sec. A second case times the shared-grid coupled engine
 the uncoupled batched step: the guard is coupling < 2× the uncoupled
 cost. Reports are persisted to ``reports/fleet.txt`` so the perf
 trajectory is tracked across PRs; the PR-1 acceptance floor of a ≥5×
-batched speedup still applies.
+batched speedup still applies, to the median over alternating
+batched/looped pairs.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import time
 from pathlib import Path
 
 import numpy as np
 
-from conftest import write_perf_report
+from conftest import timed_pairs, write_perf_report
 from repro.fleet import FleetRuleBasedScheduler, build_default_fleet
 from repro.hub.simulation import HubSimulation
 from repro.rl.schedulers import RuleBasedScheduler
@@ -30,6 +32,12 @@ REPORT_DIR = Path(__file__).parent / "reports"
 #: Fleet size pinned by the acceptance criterion; horizon scales instead.
 N_HUBS = 100
 
+#: Alternating batched/looped pairs the speedup guard takes the median of.
+N_PAIRS = 3
+
+#: Same-hardware floor of the batched engine over the per-hub loop.
+MIN_SPEEDUP = 5.0
+
 
 def test_bench_fleet_throughput():
     scale = float(os.environ.get("ECT_BENCH_SCALE", 1.0))
@@ -38,22 +46,34 @@ def test_bench_fleet_throughput():
         N_HUBS, n_days=n_days, seed=0, outage_probability=0.001
     )
     hub_slots = N_HUBS * sim.horizon
+    results = {}
 
-    start = time.perf_counter()
-    batched_book = sim.run(FleetRuleBasedScheduler())
-    batched_s = time.perf_counter() - start
+    def batched():
+        sim.reset()
+        start = time.perf_counter()
+        results["batched"] = sim.run(FleetRuleBasedScheduler())
+        return time.perf_counter() - start
 
-    start = time.perf_counter()
-    looped_profit = 0.0
-    for index, scenario in enumerate(scenarios):
-        one = HubSimulation(scenario.build_hub(), sim.inputs.hub(index))
-        one.run(RuleBasedScheduler())
-        looped_profit += one.book.profit
-    looped_s = time.perf_counter() - start
+    def looped():
+        start = time.perf_counter()
+        profit = 0.0
+        for index, scenario in enumerate(scenarios):
+            one = HubSimulation(scenario.build_hub(), sim.inputs.hub(index))
+            one.run(RuleBasedScheduler())
+            profit += one.book.profit
+        results["looped"] = profit
+        return time.perf_counter() - start
 
+    # The looped side takes seconds a run, so a few pairs and no warm-up.
+    batched_times, looped_times, speedups = timed_pairs(
+        batched, looped, N_PAIRS, warmup=False
+    )
+    batched_book, looped_profit = results["batched"], results["looped"]
+    batched_s = statistics.median(batched_times)
+    looped_s = statistics.median(looped_times)
     batched_rate = hub_slots / batched_s
     looped_rate = hub_slots / looped_s
-    speedup = batched_rate / looped_rate
+    speedup = statistics.median(speedups)
 
     report = "\n".join(
         [
@@ -62,7 +82,9 @@ def test_bench_fleet_throughput():
             f"({hub_slots} hub-slots), rule-based scheduler",
             f"batched   {batched_rate:>12,.0f} hub-slots/sec  ({batched_s:.3f}s)",
             f"looped    {looped_rate:>12,.0f} hub-slots/sec  ({looped_s:.3f}s)",
-            f"speedup   {speedup:>12.1f}x",
+            f"speedup   {speedup:>12.1f}x  median of {N_PAIRS} pairs, range "
+            f"{min(speedups):.1f}-{max(speedups):.1f}x  (guard: >= "
+            f"{MIN_SPEEDUP:.0f}x)",
             f"network profit agreement: batched ${batched_book.profit:,.1f} "
             f"vs looped ${looped_profit:,.1f}",
         ]
@@ -86,8 +108,9 @@ def test_bench_fleet_throughput():
 
     # The engines must agree (the real equivalence suite lives in tests/).
     assert abs(batched_book.profit - looped_profit) < 1e-6
-    # Acceptance floor: the batched engine is at least 5x the Python loop.
-    assert speedup >= 5.0, report
+    # Acceptance floor: the batched engine is at least 5x the Python loop,
+    # as the median over alternating batched/looped pairs.
+    assert speedup >= MIN_SPEEDUP, report
 
 
 def test_bench_fleet_coupling_overhead():

@@ -7,9 +7,11 @@ reporting hub-slots/sec; a second section times the full PPO training
 loop (batched acting + per-hub GAE + minibatch updates) over the fleet
 environment, and a third times evaluation with its episodes stacked on
 the hub axis (one ``evaluate_fleet_agent`` call) against the same
-episodes evaluated one call each. Reports persist to
-``reports/fleet-env.{txt,json}`` so the fleet-RL throughput trajectory
-is tracked across PRs. Guard: the batched environment is at least 3x
+episodes evaluated one call each. The report also carries, with no
+floor, the PPO update's microseconds per minibatch and ``act_batch``'s
+per call. Reports persist to ``reports/fleet-env.{txt,json}`` so the
+fleet-RL throughput and per-call trajectories are tracked across PRs.
+Guard: the batched environment is at least 3x
 the scalar loop, as the median over alternating batched/looped pairs
 (so load on a shared host slows both sides of a pair instead of one
 side's whole timing); skipped under ``ECT_PERF_RELAXED`` / scaled runs.
@@ -22,13 +24,14 @@ import time
 
 import numpy as np
 
-from conftest import bench_scale, perf_relaxed, write_perf_report
+from conftest import bench_scale, perf_relaxed, timed_pairs, write_perf_report
 from repro.config import replace
 from repro.hub import ScenarioConfig, build_fleet_scenarios, fleet_behavior_model
 from repro.rl import (
     EctHubEnv,
     EnvConfig,
     FleetEnv,
+    FleetRolloutBuffer,
     PpoAgent,
     evaluate_fleet_agent,
     train_fleet_ppo,
@@ -48,28 +51,42 @@ MIN_SPEEDUP = 3.0
 #: Episodes per evaluation pass (the ``train`` workload's count).
 EVAL_EPISODES = 5
 
+#: Timings each report-only per-call figure is the median of.
+PER_CALL_REPEATS = 5
 
-def _timed_pairs(first, second, pairs: int = N_PAIRS):
-    """Alternating pairs of ``first()`` and ``second()``, each of which
-    returns the seconds of its own timed region.
-
-    One untimed warm-up call of each first; the order flips every pair.
-    Returns both time lists and the per-pair ``second / first`` ratios.
-    """
-    first()
-    second()
-    times = {first: [], second: []}
-    for i in range(pairs):
-        for run in (first, second) if i % 2 == 0 else (second, first):
-            times[run].append(run())
-    ratios = [b / a for a, b in zip(times[first], times[second])]
-    return times[first], times[second], ratios
+#: ``act_batch`` calls per timing.
+ACT_CALLS = 100
 
 
 def _timed(run) -> float:
     start = time.perf_counter()
     run()
     return time.perf_counter() - start
+
+
+def _per_call_us(agent: PpoAgent, env: FleetEnv) -> tuple[float, float]:
+    """Median microseconds of one PPO minibatch step and of one
+    ``act_batch`` call, each over :data:`PER_CALL_REPEATS` timings.
+
+    Each update trains on a fresh rollout of one episode; the rollouts
+    stay outside the timed region.
+    """
+    config = agent.config
+    buffer = FleetRolloutBuffer(env.episode_length, env.n_hubs, env.state_dim())
+    n = env.episode_length * env.n_hubs
+    minibatches = config.update_epochs * -(-n // config.batch_size)
+    update_us, act_us = [], []
+    for _ in range(PER_CALL_REPEATS):
+        states, done = env.reset(), False
+        while not done:
+            actions, log_probs, values = agent.act_batch(states)
+            next_states, rewards, done, _ = env.step(actions)
+            buffer.add(states, actions, log_probs, values, rewards, done)
+            states = next_states
+        update_us.append(_timed(lambda: agent.update(buffer)) / minibatches * 1e6)
+        act_s = _timed(lambda: [agent.act_batch(states) for _ in range(ACT_CALLS)])
+        act_us.append(act_s / ACT_CALLS * 1e6)
+    return statistics.median(update_us), statistics.median(act_us)
 
 
 def test_bench_fleet_env_throughput():
@@ -132,8 +149,8 @@ def test_bench_fleet_env_throughput():
 
         return _timed(steps)
 
-    batched_times, looped_times, speedups = _timed_pairs(
-        batched_episode, looped_episode
+    batched_times, looped_times, speedups = timed_pairs(
+        batched_episode, looped_episode, N_PAIRS
     )
     batched_s = statistics.median(batched_times)
     looped_s = statistics.median(looped_times)
@@ -152,11 +169,12 @@ def test_bench_fleet_env_throughput():
     )
     train_episodes = 3
     start = time.perf_counter()
-    train_fleet_ppo(
+    trained, _ = train_fleet_ppo(
         train_env, episodes=train_episodes, rng=RngFactory(seed=2).stream("a")
     )
     train_s = time.perf_counter() - start
     train_rate = train_episodes * hub_slots / train_s
+    update_us, act_us = _per_call_us(trained, train_env)
 
     # Evaluation: the episodes stacked on the hub axis in one call, vs
     # the same episodes one call each (same stream, same returns).
@@ -192,8 +210,8 @@ def test_bench_fleet_env_throughput():
 
         return _timed(run)
 
-    stacked_times, looped_eval_times, eval_speedups = _timed_pairs(
-        stacked_eval, looped_eval
+    stacked_times, looped_eval_times, eval_speedups = timed_pairs(
+        stacked_eval, looped_eval, N_PAIRS
     )
     eval_hub_slots = EVAL_EPISODES * hub_slots
     stacked_eval_rate = eval_hub_slots / statistics.median(stacked_times)
@@ -217,6 +235,9 @@ def test_bench_fleet_env_throughput():
             f"{stacked_eval_rate:,.0f} vs one call each "
             f"{looped_eval_rate:,.0f} hub-slots/sec "
             f"({eval_speedup:.1f}x, median of {N_PAIRS} pairs)",
+            f"per call (report only): PPO update {update_us:,.0f} us per "
+            f"minibatch, act_batch {act_us:,.1f} us ({N_HUBS} hubs), "
+            f"medians of {PER_CALL_REPEATS}",
         ]
     )
     write_perf_report(
@@ -238,6 +259,8 @@ def test_bench_fleet_env_throughput():
             "stacked_eval_hub_slots_per_sec": stacked_eval_rate,
             "looped_eval_hub_slots_per_sec": looped_eval_rate,
             "eval_speedup": eval_speedup,
+            "ppo_update_us_per_minibatch": update_us,
+            "act_batch_us_per_call": act_us,
         },
     )
     print("\n" + report)

@@ -25,7 +25,7 @@ import os
 import statistics
 import time
 
-from conftest import perf_relaxed, write_perf_report
+from conftest import perf_relaxed, timed_pairs, write_perf_report
 from repro import api
 from repro.parallel import _available_cpus
 from repro.spec import SweepSpec
@@ -63,30 +63,23 @@ def test_bench_parallel_sweep():
     # genuine parallel hardware.
     workers = POOL_SIZE
 
-    def run_serial():
-        return api.run_sweep(sweep)
+    results = {}
 
-    def run_parallel():
-        return api.run_sweep(sweep, jobs=workers, chunk_size=CHUNK_SIZE)
-
-    serial_times, parallel_times = [], []
-    for i in range(N_PAIRS):
-        order = (run_serial, run_parallel) if i % 2 == 0 else (
-            run_parallel,
-            run_serial,
-        )
-        for executor in order:
+    def timed(name, **options):
+        def run():
             start = time.perf_counter()
-            results = executor()
-            seconds = time.perf_counter() - start
-            if executor is run_serial:
-                serial = results
-                serial_times.append(seconds)
-            else:
-                parallel = results
-                parallel_times.append(seconds)
+            results[name] = api.run_sweep(sweep, **options)
+            return time.perf_counter() - start
 
-    speedups = [s / p for s, p in zip(serial_times, parallel_times)]
+        return run
+
+    parallel_times, serial_times, speedups = timed_pairs(
+        timed("parallel", jobs=workers, chunk_size=CHUNK_SIZE),
+        timed("serial"),
+        N_PAIRS,
+        warmup=False,
+    )
+    serial, parallel = results["serial"], results["parallel"]
     speedup = statistics.median(speedups)
     serial_s = statistics.median(serial_times)
     parallel_s = statistics.median(parallel_times)

@@ -31,7 +31,7 @@ import time
 
 import numpy as np
 
-from conftest import perf_relaxed, write_perf_report
+from conftest import perf_relaxed, timed_pairs, write_perf_report
 from repro.energy.battery import CHARGE, DISCHARGE, IDLE
 from repro.errors import FleetError, GridError
 from repro.fleet import FleetRuleBasedScheduler, FleetSimulation, build_default_fleet
@@ -219,39 +219,6 @@ def _timed_run(sim):
     return book, time.perf_counter() - start
 
 
-def _timed_pairs(fused, reference, pairs: int = N_PAIRS):
-    """Time both engines in adjacent, order-alternating pairs.
-
-    One untimed warm-up run of each engine first: the initial pass pays
-    page faults, allocator growth and frequency ramp that would otherwise
-    skew whichever engine happens to be timed first. The two runs of a
-    pair share the host's state at that moment, so their ratio cancels
-    slowdowns from other load on the host; the median over the pairs
-    drops the pairs a load spike split.
-    """
-    _timed_run(fused)
-    _timed_run(reference)
-    fused_times, reference_times = [], []
-    for i in range(pairs):
-        order = (fused, reference) if i % 2 == 0 else (reference, fused)
-        for sim in order:
-            book, seconds = _timed_run(sim)
-            if sim is fused:
-                fused_book = book
-                fused_times.append(seconds)
-            else:
-                reference_book = book
-                reference_times.append(seconds)
-    speedups = [r / f for f, r in zip(fused_times, reference_times)]
-    return (
-        fused_book,
-        reference_book,
-        statistics.median(fused_times),
-        statistics.median(reference_times),
-        speedups,
-    )
-
-
 def test_bench_step_kernel():
     scale = float(os.environ.get("ECT_BENCH_SCALE", 1.0))
     n_days = max(int(round(14 * scale)), 2)
@@ -266,9 +233,21 @@ def test_bench_step_kernel():
     )
     hub_slots = N_HUBS * fused.horizon
 
-    fused_book, reference_book, fused_s, reference_s, speedups = _timed_pairs(
-        fused, reference
+    books = {}
+
+    def timed(sim):
+        def run():
+            books[sim], seconds = _timed_run(sim)
+            return seconds
+
+        return run
+
+    fused_times, reference_times, speedups = timed_pairs(
+        timed(fused), timed(reference), N_PAIRS
     )
+    fused_book, reference_book = books[fused], books[reference]
+    fused_s = statistics.median(fused_times)
+    reference_s = statistics.median(reference_times)
 
     fused_rate = hub_slots / fused_s
     reference_rate = hub_slots / reference_s

@@ -26,7 +26,7 @@ import os
 import statistics
 import time
 
-from conftest import perf_relaxed, write_perf_report
+from conftest import perf_relaxed, timed_pairs, write_perf_report
 from repro.fleet import FleetRuleBasedScheduler, build_default_fleet
 from repro.telemetry import Telemetry
 
@@ -50,36 +50,6 @@ def _timed_run(sim, telemetry):
     return book, seconds
 
 
-def _timed_pairs(sim, telemetry, pairs: int = N_PAIRS):
-    """Time the engine without and with ``telemetry`` in adjacent pairs.
-
-    One untimed, session-less warm-up run first. The order inside a pair
-    alternates, and the two runs of a pair share the host's state at that
-    moment, so the median of the per-pair slowdowns is not moved by load
-    elsewhere on the host.
-    """
-    _timed_run(sim, None)
-    disabled_times, enabled_times = [], []
-    for i in range(pairs):
-        order = (None, telemetry) if i % 2 == 0 else (telemetry, None)
-        for session in order:
-            book, seconds = _timed_run(sim, session)
-            if session is None:
-                disabled_book = book
-                disabled_times.append(seconds)
-            else:
-                enabled_book = book
-                enabled_times.append(seconds)
-    overheads = [e / d - 1.0 for d, e in zip(disabled_times, enabled_times)]
-    return (
-        disabled_book,
-        enabled_book,
-        statistics.median(disabled_times),
-        statistics.median(enabled_times),
-        overheads,
-    )
-
-
 def test_bench_telemetry_overhead():
     scale = float(os.environ.get("ECT_BENCH_SCALE", 1.0))
     n_days = max(int(round(14 * scale)), 2)
@@ -89,9 +59,25 @@ def test_bench_telemetry_overhead():
     hub_slots = N_HUBS * sim.horizon
 
     telemetry = Telemetry()
-    disabled_book, enabled_book, disabled_s, enabled_s, overheads = (
-        _timed_pairs(sim, telemetry)
+    books = {}
+
+    def timed(session):
+        def run():
+            books[session], seconds = _timed_run(sim, session)
+            return seconds
+
+        return run
+
+    # One untimed, session-less warm-up run, so the session sees only the
+    # timed enabled runs.
+    _timed_run(sim, None)
+    disabled_times, enabled_times, ratios = timed_pairs(
+        timed(None), timed(telemetry), N_PAIRS, warmup=False
     )
+    disabled_book, enabled_book = books[None], books[telemetry]
+    disabled_s = statistics.median(disabled_times)
+    enabled_s = statistics.median(enabled_times)
+    overheads = [ratio - 1.0 for ratio in ratios]
 
     disabled_rate = hub_slots / disabled_s
     enabled_rate = hub_slots / enabled_s

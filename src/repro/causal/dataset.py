@@ -77,18 +77,6 @@ class PricingDataset:
             n_time_ids=self.n_time_ids,
         )
 
-    def batches(
-        self,
-        batch_size: int,
-        rng: np.random.Generator,
-    ):
-        """Yield shuffled index arrays of at most ``batch_size`` items."""
-        if batch_size <= 0:
-            raise DataError(f"batch_size must be positive, got {batch_size}")
-        order = rng.permutation(len(self))
-        for start in range(0, len(order), batch_size):
-            yield order[start : start + batch_size]
-
 
 def dataset_from_log(
     log: ChargingLog,

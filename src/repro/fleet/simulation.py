@@ -463,23 +463,29 @@ class FleetSimulation:
         elif not np.isin(actions, _ACTIONS).all():
             raise FleetError("battery actions must be -1, 0, or 1")
 
-    def step(self, actions: np.ndarray) -> dict[str, np.ndarray]:
+    def step(
+        self, actions: np.ndarray, *, validated: bool = False
+    ) -> dict[str, np.ndarray]:
         """Apply one battery action per hub to the current slot.
 
         ``actions`` has the state shape — ``(n_hubs,)``, or ``(n_jobs,
         n_hubs)`` on a stacked engine — with entries in {−1, 0, 1}.
         Returns the recorded slot columns as read-side views into the
         cost books: the action columns in the state shape, the shared
-        exogenous columns ``(n_hubs,)``.
+        exogenous columns ``(n_hubs,)``. ``validated=True`` skips the
+        shape and membership checks for a caller that has already made
+        them (:meth:`repro.rl.fleet_env.FleetEnv.step` checks its action
+        codes before mapping them to these).
         """
         if self.done:
             raise FleetError(f"fleet horizon of {self.horizon} slots exhausted")
-        actions = np.asarray(actions)
-        if actions.shape != self._shape:
-            raise FleetError(
-                f"actions must have shape {self._shape}, got {actions.shape}"
-            )
-        self._check_actions(actions)
+        if not validated:
+            actions = np.asarray(actions)
+            if actions.shape != self._shape:
+                raise FleetError(
+                    f"actions must have shape {self._shape}, got {actions.shape}"
+                )
+            self._check_actions(actions)
 
         tele = self._telemetry
         step_start = time.perf_counter() if tele is not None else 0.0

@@ -11,15 +11,15 @@ model-specific heads next to their models) returns ``(loss, d_logits)``.
 :class:`Adam` packs every :class:`Parameter` into one flat value buffer
 and one flat gradient buffer: ``.data`` and ``.grad`` are views of them,
 a backward pass writes each gradient into its ``.grad`` view in place, and
-a step updates the whole buffer at once. There is no autograd tape here:
-the tests keep one, as the bitwise gradient oracle of the heads and the
-fused passes.
+a step (optionally) clips the gradient norm and updates the whole buffer
+at once. There is no autograd tape here: the tests keep one, as the
+bitwise gradient oracle of the heads and the fused passes.
 """
 
 from . import heads, kernels
 from .layers import MLP, Embedding, Linear, ReLU, Sequential, Tanh
 from .module import Module, Parameter
-from .optim import Adam, clip_grad_norm
+from .optim import Adam
 
 __all__ = [
     "MLP",
@@ -31,7 +31,6 @@ __all__ = [
     "ReLU",
     "Sequential",
     "Tanh",
-    "clip_grad_norm",
     "heads",
     "kernels",
 ]

@@ -164,19 +164,9 @@ class MLP(Module):
             trace.append(x)
         return x, trace
 
-    def backward_array(
-        self, trace: list[np.ndarray], grad: np.ndarray, *, input_grad: bool = True
-    ) -> np.ndarray | None:
-        """Backpropagate d(output) through ``trace``; return d(input).
-
-        With ``input_grad=False`` the first layer writes its parameter
-        gradients only and ``None`` comes back: a network whose input is
-        data, not a trained table, skips that matmul.
-        """
+    def backward_array(self, trace: list[np.ndarray], grad: np.ndarray) -> np.ndarray:
+        """Backpropagate d(output) through ``trace``; return d(input)."""
         steps = self.body.steps
-        for i in range(len(steps) - 1, 0, -1):
+        for i in range(len(steps) - 1, -1, -1):
             grad = steps[i].backward_array(trace[i], trace[i + 1], grad)
-        if not input_grad:
-            steps[0].backward_params(trace[0], grad)
-            return None
-        return steps[0].backward_array(trace[0], trace[1], grad)
+        return grad

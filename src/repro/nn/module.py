@@ -4,8 +4,8 @@ Attributes that are :class:`Parameter` are parameters; attributes that are
 Modules (or lists of Modules) recurse. The discovery order is the
 attribute order, and it is load-bearing: :class:`~repro.nn.optim.Adam`
 lays out its flat value and gradient buffers in it (the NCF network reads
-its four embedding tables as the head of that buffer), and
-:func:`~repro.nn.optim.clip_grad_norm` sums the squared gradients in it.
+its four embedding tables as the head of that buffer), and its norm clip
+adds the parameters' squared gradients in it.
 """
 
 from __future__ import annotations
@@ -34,12 +34,6 @@ class Parameter:
         """Number of scalar entries."""
         return self.data.size
 
-    def zero_grad(self) -> None:
-        """Zero the gradient in place (``None`` stays ``None``), so a packed
-        parameter's ``.grad`` stays its view of the optimizer's buffer."""
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
 
 class Module:
     """Base class for all neural network modules."""
@@ -66,11 +60,6 @@ class Module:
     def num_parameters(self) -> int:
         """Total scalar parameter count."""
         return sum(param.size for param in self.parameters())
-
-    def zero_grad(self) -> None:
-        """Clear gradients on every parameter."""
-        for param in self.parameters():
-            param.zero_grad()
 
     def forward(self, *args, **kwargs):
         """Subclasses implement the computation here."""

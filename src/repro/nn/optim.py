@@ -1,4 +1,4 @@
-"""Adam over one flat parameter buffer, and global gradient-norm clipping.
+"""Adam over one flat parameter buffer, with optional global gradient-norm clipping.
 
 The paper trains every model with Adam plus weight decay 1e-4 (§V-A).
 :class:`Adam` implements classic L2-coupled decay: the decay term is added
@@ -29,7 +29,10 @@ class Adam:
     gradients straight into those views, so a step runs a fixed handful of
     ufuncs over the whole buffer, into preallocated scratch, instead of a
     loop per parameter. Elementwise updates are layout-independent, so
-    results are bitwise those of a per-parameter loop.
+    results are bitwise those of a per-parameter loop. The same holds for
+    the optional norm clip (``step(max_grad_norm=...)``): one square of
+    the buffer, one sum per parameter's segment, added in parameter order
+    as a per-parameter loop adds them, and one scale of the buffer.
 
     Parameter values must only be changed in place
     (``param.data[...] = ...``); a rebound ``param.data`` no longer trains
@@ -55,7 +58,11 @@ class Adam:
         self.weight_decay = float(weight_decay)
         self.flat = np.concatenate([p.data.ravel() for p in self.parameters])
         self.flat_grad = np.zeros_like(self.flat)
+        self._scratch = (np.empty_like(self.flat), np.empty_like(self.flat))
         self._grads: list[np.ndarray] = []
+        #: Each parameter's segment of the first scratch buffer, where the
+        #: norm clip squares the gradients.
+        self._squared: list[np.ndarray] = []
         offset = 0
         for param in self.parameters:
             size, shape = param.data.size, param.data.shape
@@ -65,20 +72,21 @@ class Adam:
                 grad[...] = param.grad
             param.grad = grad
             self._grads.append(grad)
+            self._squared.append(self._scratch[0][offset : offset + size])
             offset += size
         self._step_count = 0
         self._m = np.zeros_like(self.flat)
         self._v = np.zeros_like(self.flat)
-        self._scratch = (np.empty_like(self.flat), np.empty_like(self.flat))
 
-    def zero_grad(self) -> None:
-        """Zero the gradient buffer and rebind every ``.grad`` to its view."""
-        self.flat_grad.fill(0.0)
-        for param, grad in zip(self.parameters, self._grads):
-            param.grad = grad
+    def step(self, *, max_grad_norm: float | None = None) -> None:
+        """Apply one Adam update from the gradient buffer.
 
-    def step(self) -> None:
-        """Apply one Adam update from the gradient buffer."""
+        With ``max_grad_norm`` the gradients are first scaled in place so
+        that their global L2 norm is at most ``max_grad_norm``. Each
+        parameter's squared gradient is summed as ``(grad**2).sum()`` sums
+        it, and the sums are added in parameter order, so the clip is
+        bitwise that of a loop over the parameters.
+        """
         for param, grad in zip(self.parameters, self._grads):
             if param.data.base is not self.flat:
                 raise ModelError(
@@ -90,6 +98,8 @@ class Adam:
                 param.grad = grad
         grad = self.flat_grad
         first, second = self._scratch
+        if max_grad_norm is not None:
+            self._clip(max_grad_norm)
         if self.weight_decay:
             grad = np.add(
                 grad, np.multiply(self.weight_decay, self.flat, out=first), out=first
@@ -107,10 +117,27 @@ class Adam:
         # ``lr * (m / bias1) / (sqrt(v / bias2) + EPS)``, op for op.
         denominator = np.sqrt(np.divide(v, bias2, out=first), out=first)
         denominator += EPS
-        update = np.divide(m, bias1, out=second)
-        update *= self.lr
+        if bias1 == 1.0:
+            # BETA1**t has fallen below half an ulp of 1 (from t = 356 on),
+            # and m / 1.0 is m: skip that pass.
+            update = np.multiply(m, self.lr, out=second)
+        else:
+            update = np.divide(m, bias1, out=second)
+            update *= self.lr
         update /= denominator
         self.flat -= update
+
+    def _clip(self, max_norm: float) -> None:
+        """Scale the gradient buffer so its global L2 norm is at most ``max_norm``."""
+        if not math.isfinite(max_norm) or max_norm <= 0:
+            raise ModelError(f"max_norm must be positive and finite, got {max_norm}")
+        np.multiply(self.flat_grad, self.flat_grad, out=self._scratch[0])
+        total = 0.0
+        for squared in self._squared:
+            total += float(np.add.reduce(squared))
+        norm = math.sqrt(total)
+        if norm > max_norm and norm > 0:
+            self.flat_grad *= max_norm / norm
 
 
 def _check_distinct(parameters: list[Parameter]) -> None:
@@ -126,22 +153,3 @@ def _check_distinct(parameters: list[Parameter]) -> None:
                     f"parameter #{i} (shape {param.shape}) aliases the memory of "
                     f"another parameter (shape {other.shape})"
                 )
-
-
-def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
-    """Scale gradients in-place so their global L2 norm is at most ``max_norm``.
-
-    Returns the pre-clip norm (useful for training diagnostics).
-    """
-    if not math.isfinite(max_norm) or max_norm <= 0:
-        raise ModelError(f"max_norm must be positive and finite, got {max_norm}")
-    total = 0.0
-    grads = [p.grad for p in parameters if p.grad is not None]
-    for grad in grads:
-        total += float((grad**2).sum())
-    norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for grad in grads:
-            grad *= scale
-    return norm

@@ -6,7 +6,7 @@ batched fleet environment, runs GAE(λ) **per hub** (vectorized over the
 hub axis), and exposes the flattened ``(T·n_envs, …)`` views the PPO
 update consumes — so one parameter-shared policy trains on every hub's
 transitions with a single optimiser. Both buffers present the same
-``compute_advantages`` / ``minibatches`` / column-attribute interface, so
+``compute_advantages`` / column-attribute interface, so
 :meth:`~repro.rl.ppo.PpoAgent.update` works with either unchanged.
 """
 
@@ -122,10 +122,6 @@ class RolloutBuffer:
         """Stored done flags."""
         return self._fleet.dones
 
-    def minibatches(self, batch_size: int, rng: np.random.Generator):
-        """Yield shuffled index arrays over the stored transitions."""
-        return self._fleet.minibatches(batch_size, rng)
-
     def clear(self) -> None:
         """Reset for the next rollout."""
         self._fleet.clear()
@@ -139,7 +135,7 @@ class FleetRolloutBuffer:
     every hub's advantage stream is computed exactly as a scalar
     :class:`RolloutBuffer` would, just vectorized across the hub axis —
     and normalisation spans the full ``T·n_envs`` pool, which is also the
-    pool :meth:`minibatches` shuffles over. The flat column properties
+    pool the PPO update shuffles over. The flat column properties
     (``states``, ``actions``, …) order transitions time-major
     (slot 0's hubs first), matching the ``(T, n_envs)`` storage reshape.
     """
@@ -157,8 +153,9 @@ class FleetRolloutBuffer:
         self._dones = np.zeros((capacity, n_envs), dtype=bool)
         self._advantages = np.zeros((capacity, n_envs))
         self._returns = np.zeros((capacity, n_envs))
+        #: The expected shapes of one :meth:`add`'s columns.
+        self._shapes = ((n_envs, state_dim),) + ((n_envs,),) * 4
         self._size = 0
-        self._finalized = False
 
     def __len__(self) -> int:
         """Number of stored transitions across all hubs."""
@@ -183,22 +180,24 @@ class FleetRolloutBuffer:
             raise ModelError(
                 f"fleet rollout buffer capacity {self.capacity} exceeded"
             )
-        if np.shape(states) != self._states.shape[1:]:
-            raise ModelError(
-                f"states must have shape {self._states.shape[1:]}, "
-                f"got {np.shape(states)}"
+        columns = (states, actions, log_probs, values, rewards)
+        try:
+            shapes = (
+                states.shape,
+                actions.shape,
+                log_probs.shape,
+                values.shape,
+                rewards.shape,
             )
-        for name, column in (
-            ("actions", actions),
-            ("log_probs", log_probs),
-            ("values", values),
-            ("rewards", rewards),
-        ):
-            if np.shape(column) != (self.n_envs,):
-                raise ModelError(
-                    f"{name} must have shape ({self.n_envs},), "
-                    f"got {np.shape(column)}"
-                )
+        except AttributeError:  # a sequence, not an array
+            shapes = tuple(map(np.shape, columns))
+        if shapes != self._shapes:
+            names = ("states", "actions", "log_probs", "values", "rewards")
+            for name, shape, expected in zip(names, shapes, self._shapes):
+                if shape != expected:
+                    raise ModelError(
+                        f"{name} must have shape {expected}, got {shape}"
+                    )
         if np.shape(dones) not in ((), (self.n_envs,)):
             raise ModelError(
                 f"dones must be a scalar or have shape ({self.n_envs},), "
@@ -212,7 +211,6 @@ class FleetRolloutBuffer:
         self._rewards[i] = rewards
         self._dones[i] = dones
         self._size += 1
-        self._finalized = False
 
     def compute_advantages(
         self,
@@ -233,27 +231,26 @@ class FleetRolloutBuffer:
         n = self._size
         if n == 0:
             raise ModelError("compute_advantages on an empty buffer")
-        last = np.broadcast_to(
-            np.asarray(last_value, dtype=float), (self.n_envs,)
-        )
-
+        values = self._values[:n]
+        live = ~self._dones[:n]
+        # Every slot's TD residual at once (elementwise, so bitwise the
+        # per-slot expression); only the recursion runs slot by slot.
+        next_values = np.empty_like(values)
+        next_values[:-1] = values[1:]
+        next_values[-1] = last_value
+        next_values = np.where(live, next_values, 0.0)
+        delta = self._rewards[:n] + gamma * next_values - values
+        coef = gamma * gae_lambda
         gae = np.zeros(self.n_envs)
-        for t in reversed(range(n)):
-            live = ~self._dones[t]
-            next_value = (
-                np.where(live, last, 0.0)
-                if t == n - 1
-                else np.where(live, self._values[t + 1], 0.0)
-            )
-            delta = self._rewards[t] + gamma * next_value - self._values[t]
-            gae = delta + gamma * gae_lambda * np.where(live, gae, 0.0)
-            self._advantages[t] = gae
-        self._returns[:n] = self._advantages[:n] + self._values[:n]
+        for delta_t, live_t, out in zip(
+            delta[::-1], live[::-1], self._advantages[n - 1 :: -1]
+        ):
+            gae = np.add(delta_t, coef * np.where(live_t, gae, 0.0), out=out)
+        self._returns[:n] = self._advantages[:n] + values
 
         if normalize and n * self.n_envs > 1:
             adv = self._advantages[:n]
             self._advantages[:n] = (adv - adv.mean()) / (adv.std() + 1e-8)
-        self._finalized = True
 
     # Flat (T·n_envs, …) views consumed by the PPO minibatch update.
     @property
@@ -296,17 +293,6 @@ class FleetRolloutBuffer:
         """Stored done flags, flattened time-major."""
         return self._dones[: self._size].reshape(-1)
 
-    def minibatches(self, batch_size: int, rng: np.random.Generator):
-        """Yield shuffled index arrays over the flattened transition pool."""
-        if not self._finalized:
-            raise ModelError("call compute_advantages before minibatches")
-        if batch_size <= 0:
-            raise ModelError(f"batch_size must be positive, got {batch_size}")
-        order = rng.permutation(len(self))
-        for start in range(0, len(self), batch_size):
-            yield order[start : start + batch_size]
-
     def clear(self) -> None:
         """Reset for the next rollout."""
         self._size = 0
-        self._finalized = False

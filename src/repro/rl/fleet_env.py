@@ -261,7 +261,8 @@ class FleetEnv:
         obs = np.empty((sim.n_hubs, self.state_dim()))
         # Splitting the contiguous window columns is a view, not a copy.
         np.copyto(obs[:, : 5 * w].reshape(-1, 5, w), self._windows[:, :, sim.t])
-        obs[:, 5 * w] = sim.soc_fraction
+        # ``sim.soc_fraction``, written straight into its column.
+        np.divide(sim.soc_kwh, sim.params.capacity_kwh, out=obs[:, 5 * w])
         if self.feeder_aware:
             obs[:, 5 * w + 1] = self._feeder_headroom(sim)
         return obs
@@ -390,12 +391,15 @@ class FleetEnv:
         # the lookup table instead of mapping action codes.
         if actions.dtype.kind not in "iu":
             raise EnvError(f"actions must be integers, got dtype {actions.dtype}")
-        if actions.size and (actions.min() < 0 or actions.max() >= N_ACTIONS):
+        if actions.size and (
+            np.minimum.reduce(actions) < 0 or np.maximum.reduce(actions) >= N_ACTIONS
+        ):
             raise EnvError(
                 f"invalid action in {actions!r}; expected values in "
                 f"[0, {N_ACTIONS})"
             )
-        columns = sim.step(_SBP_LOOKUP[actions])
+        # The codes are checked, so the engine need not check the S_BP.
+        columns = sim.step(_SBP_LOOKUP[actions], validated=True)
         reward_raw = (
             columns["revenue"]
             - columns["grid_cost"]

@@ -7,6 +7,14 @@ Implements the clipped surrogate objective
 with ``r_t`` the new/old policy probability ratio (Eq. 26), plus the value
 MSE term with coefficient ``c`` (Eq. 27). Parameters follow the paper's
 §V-A training setup (Adam, lr 1e-3, weight decay 1e-4, batch 64).
+
+Every minibatch of an update is one fused
+:meth:`~repro.rl.networks.ActorCritic.train_step`: the forward, the numpy
+loss head :func:`ppo_loss`, the backward into Adam's flat gradient
+buffer, and one Adam step with the gradient-norm clip. The step's cost is
+numpy's per-call overhead far more than arithmetic, so each piece is
+written for few calls; each keeps the bits of the per-layer, per-view
+loop it replaced (kept in ``tests/ppo_oracle.py`` as the oracle).
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import numpy as np
 
 from .. import nn
 from ..errors import ModelError
-from .buffer import RolloutBuffer
+from .buffer import FleetRolloutBuffer, RolloutBuffer
 from .networks import ActorCritic
 
 
@@ -106,60 +114,69 @@ def ppo_loss(
     ``logits`` ``(n, n_actions)`` and ``values`` ``(n, 1)`` are the
     actor-critic's outputs. A numpy head (see :mod:`repro.nn.heads`):
     the loss terms come back as floats with d(logits) and d(values) for
-    the fused backward. The log-probabilities feed three consumers; their
-    gradients are summed in tape order: the taken-action select, the
-    entropy product, then the ``exp`` to probabilities.
+    the fused backward, bitwise those of the tape expression for finite
+    advantages (the update normalises them). The log-probabilities feed
+    three consumers; their gradients are summed in tape order: the
+    taken-action select, the entropy product, then the ``exp`` to
+    probabilities. Each is formed with as few numpy calls as keep the
+    tape's bits (the comments say why a shorter form is exact).
     """
     batch = logits.shape[0]
+    scale = 1.0 / batch
+    clip, bound = nn.kernels.clip, nn.kernels.EXP_CLIP
     rows = np.arange(batch)
     actions = np.asarray(actions, dtype=int)
     advantages = np.asarray(advantages, dtype=float)
     log_probs = nn.kernels.log_softmax(logits)
-    probs = np.exp(np.clip(log_probs, -nn.kernels.EXP_CLIP, nn.kernels.EXP_CLIP))
-    entropy = -((probs * log_probs).sum(axis=-1).sum() * (1.0 / batch))
-    ratio = np.exp(
-        np.clip(
-            log_probs[rows, actions] - old_log_probs,
-            -nn.kernels.EXP_CLIP,
-            nn.kernels.EXP_CLIP,
-        )
-    )
+    probs = np.exp(clip(log_probs, -bound, bound))
+    plogp = nn.kernels.row_sum(probs * log_probs)
+    entropy = -(float(np.add.reduce(plogp)) * scale)
+    ratio = np.exp(clip(log_probs[rows, actions] - old_log_probs, -bound, bound))
     low, high = 1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon
     unclipped = ratio * advantages
-    clipped = np.clip(ratio, low, high) * advantages
+    clipped = clip(ratio, low, high) * advantages
     take_unclipped = unclipped <= clipped
     surrogate = np.where(take_unclipped, unclipped, clipped)
-    policy_loss = -(surrogate.sum() * (1.0 / batch))
+    policy_loss = -(float(np.add.reduce(surrogate)) * scale)
     diff = values.reshape(batch) - returns
-    value_loss = (diff * diff).sum() * (1.0 / batch)
+    value_loss = float(np.add.reduce(diff * diff)) * scale
     loss = (policy_loss + value_loss * config.value_coef) + -(
         entropy * config.entropy_coef
     )
 
     # Each mean's backward is a full array of ``scale * (1 / batch)``; the
     # scalar broadcasts to the same bits.
-    half = (config.value_coef * (1.0 / batch)) * diff
+    half = (config.value_coef * scale) * diff
     d_values = (half + half).reshape(batch, 1)
-    d_surrogate = -1.0 * (1.0 / batch)
-    inside = (ratio > low) & (ratio < high)
-    d_ratio = (d_surrogate * take_unclipped) * advantages
-    d_ratio += ((d_surrogate * ~take_unclipped) * advantages) * inside
-    d_log_probs = np.zeros_like(log_probs)
+    # The tape sums d(ratio) over the two branches of the min:
+    # ``(d * take) * A + ((d * ~take) * A) * inside``. Where the clip is
+    # inactive both branches are equal, so ``take`` holds; the clipped
+    # branch therefore only ever adds a zero of the sign the unclipped
+    # branch's term already has, and the sum is ``(d * A) * take`` bit
+    # for bit (finite A).
+    d_surrogate = -1.0 * scale
+    d_ratio = (d_surrogate * advantages) * take_unclipped
+    d_entropy_terms = config.entropy_coef * scale
+    # ``0.0 + select`` then ``+ c * p``, reordered: c * p is never -0.0,
+    # so adding the select onto it gives the same bits.
+    d_log_probs = d_entropy_terms * probs
     d_log_probs[rows, actions] += d_ratio * ratio
-    d_entropy_terms = config.entropy_coef * (1.0 / batch)
-    d_log_probs += d_entropy_terms * probs
     d_log_probs += (d_entropy_terms * log_probs) * probs
-    d_logits = d_log_probs - np.exp(log_probs) * d_log_probs.sum(axis=-1, keepdims=True)
+    d_sum = nn.kernels.row_sum(d_log_probs)
+    d_logits = d_log_probs - np.exp(log_probs) * d_sum[:, None]
     return PpoLoss(
-        loss=float(loss),
-        policy_loss=float(policy_loss),
-        value_loss=float(value_loss),
-        entropy=float(entropy),
+        loss=loss,
+        policy_loss=policy_loss,
+        value_loss=value_loss,
+        entropy=entropy,
         ratio=ratio,
-        clip_fraction=float((np.abs(ratio - 1.0) > config.clip_epsilon).mean()),
+        # The means of a bool mask and of the log-ratios, as count / n and
+        # sum / n: the quotients numpy's ``mean`` forms.
+        clip_fraction=np.count_nonzero(np.abs(ratio - 1.0) > config.clip_epsilon)
+        / batch,
         # E[log π_old − log π_new] = E[−log r]; ratios are exp(new − old)
         # so positive by construction.
-        approx_kl=float(-np.log(ratio).mean()),
+        approx_kl=-(float(np.add.reduce(np.log(ratio))) / batch),
         d_logits=d_logits,
         d_values=d_values,
     )
@@ -185,6 +202,8 @@ class PpoAgent:
             lr=self.config.learning_rate,
             weight_decay=self.config.weight_decay,
         )
+        #: The update's per-epoch shuffled columns, kept for the rollout size.
+        self._shuffled: tuple[np.ndarray, ...] | None = None
 
     # ------------------------------------------------------------------ #
     # Acting                                                               #
@@ -233,7 +252,7 @@ class PpoAgent:
 
     def update(
         self,
-        buffer: RolloutBuffer,
+        buffer: RolloutBuffer | FleetRolloutBuffer,
         *,
         last_value: float | np.ndarray = 0.0,
     ) -> UpdateStats:
@@ -241,33 +260,55 @@ class PpoAgent:
 
         ``buffer`` is a :class:`RolloutBuffer` or a
         :class:`~repro.rl.buffer.FleetRolloutBuffer` — both expose the
-        same advantage/minibatch interface; for the fleet buffer
+        same advantage and column interface; for the fleet buffer
         ``last_value`` may be an ``(n_envs,)`` per-hub bootstrap array.
+
+        Each epoch draws one permutation of the transitions, gathers the
+        five columns in that order into arrays kept for the rollout size,
+        and trains on consecutive slices of them, one fused
+        :meth:`ActorCritic.train_step` per minibatch.
         """
         cfg = self.config
         buffer.compute_advantages(
             last_value, gamma=cfg.gamma, gae_lambda=cfg.gae_lambda
         )
+        columns = (
+            buffer.states,
+            buffer.actions,
+            buffer.log_probs,
+            buffer.advantages,
+            buffer.returns,
+        )
+        n = len(columns[1])
+        shuffled = self._shuffled
+        if shuffled is None or shuffled[0].shape != columns[0].shape:
+            shuffled = self._shuffled = tuple(np.empty_like(c) for c in columns)
+        states, actions, log_probs, advantages, returns = shuffled
         total_policy, total_value, total_entropy, total_clipped = 0.0, 0.0, 0.0, 0.0
         total_kl = 0.0
         n_batches = 0
 
         for _ in range(cfg.update_epochs):
-            for idx in buffer.minibatches(cfg.batch_size, self._rng):
-                logits, values, trace = self.network.forward_cached(buffer.states[idx])
-                terms = ppo_loss(
-                    logits,
-                    values,
-                    buffer.actions[idx],
-                    buffer.log_probs[idx],
-                    buffer.advantages[idx],
-                    buffer.returns[idx],
-                    cfg,
+            order = self._rng.permutation(n)
+            for column, out in zip(columns, shuffled):
+                # Every index is in range; "clip" skips the bounds-checked
+                # copy through a temporary that "raise" makes with ``out``.
+                column.take(order, axis=0, out=out, mode="clip")
+            for start in range(0, n, cfg.batch_size):
+                stop = start + cfg.batch_size
+                terms = self.network.train_step(
+                    self._optimizer,
+                    states[start:stop],
+                    ppo_loss,
+                    (
+                        actions[start:stop],
+                        log_probs[start:stop],
+                        advantages[start:stop],
+                        returns[start:stop],
+                        cfg,
+                    ),
+                    max_grad_norm=cfg.max_grad_norm,
                 )
-                self.network.backward(trace, terms.d_logits, terms.d_values)
-                nn.clip_grad_norm(self._optimizer.parameters, cfg.max_grad_norm)
-                self._optimizer.step()
-
                 total_clipped += terms.clip_fraction
                 total_kl += terms.approx_kl
                 total_policy += terms.policy_loss

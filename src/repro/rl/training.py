@@ -13,6 +13,8 @@ state_dim)`` blocks acts for all of them. Training acts on the one-block
 case of the same path, ``(n_hubs, state_dim)``. The returns and the
 agent's and env's streams end bitwise where an episode-by-episode loop
 leaves them (``tests/test_fleet_env.py`` keeps that loop as the oracle).
+Both loops draw an episode's acting uniforms in one call, the numbers a
+draw per slot would take, in the same order.
 """
 
 from __future__ import annotations
@@ -158,10 +160,12 @@ def train_fleet_ppo(
     for episode in range(episodes):
         rollout_start = time.perf_counter() if telemetry is not None else 0.0
         states = env.reset()
+        # The episode's uniforms in one draw: the stream fills in C order,
+        # so slot t's rows get the numbers a draw per slot would take.
+        draws = agent.uniforms((env.episode_length, env.n_hubs, 1))
         episode_returns = np.zeros(env.n_hubs)
-        done = False
-        while not done:
-            actions, log_probs, values = agent.act_batch(states)
+        for slot_draws in draws:
+            actions, log_probs, values = agent.act_batch(states, draws=slot_draws)
             next_states, rewards, done, info = env.step(actions)
             buffer.add(states, actions, log_probs, values, rewards, done)
             episode_returns += info["reward_raw"]

@@ -69,12 +69,11 @@ class TestDataset:
         with pytest.raises(DataError):
             train_test_split_by_day(log, n_stations=12, boundary_day=0)
 
-    def test_subset_and_batches(self, small_split):
+    def test_subset(self, small_split):
         train, _ = small_split
         subset = train.subset(train.treated == 1)
         assert (subset.treated == 1).all()
-        batches = list(subset.batches(64, np.random.default_rng(0)))
-        assert sum(len(b) for b in batches) == len(subset)
+        assert 0 < len(subset) < len(train)
 
     def test_invalid_ids_rejected(self):
         with pytest.raises(DataError):

@@ -451,11 +451,8 @@ class TestFleetRolloutBuffer:
         with pytest.raises(ModelError):
             fleet.add(np.zeros((2, 1)), np.zeros(2, dtype=int), np.zeros(2),
                       np.zeros(2), np.zeros(2), True)
-        with pytest.raises(ModelError):
-            list(fleet.minibatches(2, rng))
         fleet.compute_advantages(0.0)
-        batches = list(fleet.minibatches(3, rng))
-        assert sorted(np.concatenate(batches).tolist()) == [0, 1]
+        assert len(fleet.advantages) == len(fleet.returns) == 2
         fleet.clear()
         assert len(fleet) == 0
 

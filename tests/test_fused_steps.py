@@ -11,10 +11,12 @@ only here; the tape code of every loss head is frozen below as the oracle.
 from __future__ import annotations
 
 import importlib.util
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from ppo_oracle import clip_grad_norm
 from tape import Tape, Tensor, bce_with_logits, concat, mse_loss, numerical_gradient
 
 from repro import nn
@@ -169,6 +171,20 @@ def float_bytes(value) -> bytes:
     return np.float64(value.data if isinstance(value, Tensor) else value).tobytes()
 
 
+def zero_grads(module: nn.Module) -> None:
+    """Zero every gradient a module holds, in place."""
+    for param in module.parameters():
+        if param.grad is not None:
+            param.grad[...] = 0.0
+
+
+def permuted_batches(n: int, batch_size: int, rng: np.random.Generator) -> list:
+    """One permutation of ``n`` items from ``rng``, cut into index batches
+    of consecutive permuted items (the fused fits' epoch order)."""
+    order = rng.permutation(n)
+    return [order[i : i + batch_size] for i in range(0, n, batch_size)]
+
+
 def fused_ncf_step(net, stations, times, head):
     """One fused ``train_step``: the logits its head saw, its loss bytes,
     the gradients it wrote and the parameters after the Adam step."""
@@ -189,7 +205,7 @@ def tape_ncf_step(net, stations, times, oracle):
     tape = Tape()
     logits = tape_ncf_logits(tape, net, stations, times)
     loss = oracle(logits)
-    optimizer.zero_grad()
+    optimizer.flat_grad.fill(0.0)
     tape.backward(loss)
     grads = grad_bytes(net)
     optimizer.step()
@@ -230,7 +246,7 @@ def tape_fit(model, batches, step_loss, epochs: int) -> list[float]:
         for idx in batches(model._rng):
             tape = Tape()
             loss = step_loss(tape, idx)
-            model._optimizer.zero_grad()
+            model._optimizer.flat_grad.fill(0.0)
             tape.backward(loss)
             model._optimizer.step()
             losses.append(loss.item())
@@ -302,13 +318,9 @@ class TestNcfFusedMatchesTape:
         fused, twin = regressor(), regressor()
         history = fused.fit(stations, times, targets)
 
-        def batches(rng):
-            order = rng.permutation(len(stations))
-            return [order[i : i + config.batch_size] for i in range(0, len(order), config.batch_size)]
-
         twin_history = tape_fit(
             twin,
-            batches,
+            lambda rng: permuted_batches(len(stations), config.batch_size, rng),
             lambda tape, idx: tape_regressor_loss(
                 tape_ncf_logits(tape, twin.network, stations[idx], times[idx]),
                 targets[idx].reshape(-1, 1),
@@ -338,7 +350,7 @@ class TestNcfFusedMatchesTape:
 
         twin_history = tape_fit(
             twin,
-            lambda rng: dataset.batches(config.batch_size, rng),
+            lambda rng: permuted_batches(len(dataset), config.batch_size, rng),
             lambda tape, idx: tape_ect_price_loss(
                 tape_ncf_logits(
                     tape, twin.network, dataset.station_ids[idx], dataset.time_ids[idx]
@@ -383,31 +395,46 @@ def ppo_minibatch(rng: np.random.Generator, batch: int, n_actions: int = 3):
     return actions, old_log_probs, rng.normal(size=batch), rng.normal(size=batch)
 
 
+def fused_ppo_step(net: ActorCritic, states: np.ndarray, targets: tuple):
+    """One fused ``train_step`` on the PPO head: the logits and values the
+    head saw, its loss record and the gradients the step wrote."""
+    optimizer = nn.Adam(net.parameters(), lr=1e-3)
+    seen = []
+
+    def capture(logits, values, *targets):
+        seen.append((logits.copy(), values.copy()))
+        return ppo_loss(logits, values, *targets)
+
+    record = net.train_step(optimizer, states, capture, targets)
+    return (*seen[0], record, grad_bytes(net))
+
+
+def tape_ppo_step(net: ActorCritic, states: np.ndarray, targets: tuple):
+    """The same step's forward and gradients on the full tape."""
+    tape = Tape()
+    logits, values = tape_actor_critic(tape, net, states)
+    oracle = tape_ppo_loss(logits, values, *targets)
+    tape.backward(oracle.loss)
+    return logits.numpy(), values.numpy(), oracle, grad_bytes(net)
+
+
 class TestActorCriticFusedMatchesTape:
     @pytest.mark.parametrize("batch", [1, 128])
     def test_ppo_grads_match_tape(self, batch):
         rng = np.random.default_rng(6)
-        net = ActorCritic(6, 3, rng)
-        config = PpoConfig()
         states = rng.normal(size=(batch, 6))
-        minibatch = ppo_minibatch(rng, batch)
+        targets = (*ppo_minibatch(rng, batch), PpoConfig())
 
-        net.zero_grad()
-        logits, values, trace = net.forward_cached(states)
-        fused = ppo_loss(logits, values, *minibatch, config)
-        net.backward(trace, fused.d_logits, fused.d_values)
-        fused_grads = grad_bytes(net)
-
-        net.zero_grad()
-        tape = Tape()
-        tape_logits, tape_values = tape_actor_critic(tape, net, states)
-        oracle = tape_ppo_loss(tape_logits, tape_values, *minibatch, config)
-        tape.backward(oracle.loss)
-
-        assert logits.tobytes() == tape_logits.numpy().tobytes()
-        assert values.tobytes() == tape_values.numpy().tobytes()
+        logits, values, fused, fused_grads = fused_ppo_step(
+            ActorCritic(6, 3, np.random.default_rng(16)), states, targets
+        )
+        tape_logits, tape_values, oracle, tape_grads = tape_ppo_step(
+            ActorCritic(6, 3, np.random.default_rng(16)), states, targets
+        )
+        assert logits.tobytes() == tape_logits.tobytes()
+        assert values.tobytes() == tape_values.tobytes()
         assert float_bytes(fused.loss) == float_bytes(oracle.loss)
-        assert fused_grads == grad_bytes(net)
+        assert fused_grads == tape_grads
 
     def test_update_matches_tape_training(self):
         """One ``PpoAgent.update`` equals a tape-trained twin bitwise."""
@@ -434,7 +461,7 @@ class TestActorCriticFusedMatchesTape:
         sums = np.zeros(5)
         n_batches = 0
         for _ in range(config.update_epochs):
-            for idx in buffer.minibatches(config.batch_size, twin._rng):
+            for idx in permuted_batches(len(buffer), config.batch_size, twin._rng):
                 tape = Tape()
                 logits, values = tape_actor_critic(tape, twin.network, buffer.states[idx])
                 terms = tape_ppo_loss(
@@ -446,9 +473,9 @@ class TestActorCriticFusedMatchesTape:
                     buffer.returns[idx],
                     config,
                 )
-                twin._optimizer.zero_grad()
+                twin._optimizer.flat_grad.fill(0.0)
                 tape.backward(terms.loss)
-                nn.clip_grad_norm(twin._optimizer.parameters, config.max_grad_norm)
+                clip_grad_norm(twin._optimizer.parameters, config.max_grad_norm)
                 twin._optimizer.step()
                 ratios = terms.ratio.numpy()
                 sums += [
@@ -481,34 +508,15 @@ class TestInputGradientSkipped:
 
     def test_parameter_grads_match_tape_at_ect_drl_shapes(self):
         rng = np.random.default_rng(14)
-        net = ActorCritic(121, 3, rng)
-        config = PpoConfig()
         states = rng.normal(size=(64, 121))
-        minibatch = ppo_minibatch(rng, 64)
-
-        net.zero_grad()
-        logits, values, trace = net.forward_cached(states)
-        fused = ppo_loss(logits, values, *minibatch, config)
-        net.backward(trace, fused.d_logits, fused.d_values)
-        fused_grads = grad_bytes(net)
-
-        net.zero_grad()
-        tape = Tape()
-        tape_logits, tape_values = tape_actor_critic(tape, net, states)
-        tape.backward(tape_ppo_loss(tape_logits, tape_values, *minibatch, config).loss)
-        assert fused_grads == grad_bytes(net)
-
-    def test_mlp_skips_only_the_input_gradient(self):
-        rng = np.random.default_rng(15)
-        mlp = nn.MLP((5, 4, 3), rng, output_activation=nn.Tanh)
-        _, trace = mlp.forward_array(rng.normal(size=(7, 5)))
-        grad = rng.normal(size=(7, 3))
-        d_input = mlp.backward_array(trace, grad)
-        assert d_input.shape == (7, 5)
-        with_input = grad_bytes(mlp)
-        mlp.zero_grad()
-        assert mlp.backward_array(trace, grad, input_grad=False) is None
-        assert grad_bytes(mlp) == with_input
+        targets = (*ppo_minibatch(rng, 64), PpoConfig())
+        *_, fused_grads = fused_ppo_step(
+            ActorCritic(121, 3, np.random.default_rng(24)), states, targets
+        )
+        *_, tape_grads = tape_ppo_step(
+            ActorCritic(121, 3, np.random.default_rng(24)), states, targets
+        )
+        assert fused_grads == tape_grads
 
 
 class TestBlockStableActing:
@@ -839,7 +847,7 @@ def assert_matches_finite_differences(module, loss_fn, fused_backward):
     numeric = {
         name: numerical_gradient(loss_fn, param) for name, param in module.named_parameters()
     }
-    module.zero_grad()
+    zero_grads(module)
     fused_backward()
     for name, param in module.named_parameters():
         assert np.allclose(param.grad, numeric[name], atol=1e-6, rtol=1e-5), name
@@ -875,8 +883,9 @@ class TestFiniteDifferences:
             return Tensor((logits * w_logits).sum() + (values * w_values).sum())
 
         def fused_backward():
-            _, _, trace = net.forward_cached(states)
-            net.backward(trace, w_logits, w_values)
+            optimizer = nn.Adam(net.parameters(), lr=1e-3)
+            seeds = SimpleNamespace(d_logits=w_logits, d_values=w_values)
+            net.train_step(optimizer, states, lambda logits, values: seeds)
 
         assert_matches_finite_differences(net, loss_fn, fused_backward)
 
@@ -1007,10 +1016,9 @@ class TestFlatOptimizers:
             grads = [rng.normal(size=shape) for shape in SHAPES]
             if step % 7 == 0:
                 grads[1] = np.zeros(SHAPES[1])  # an absent gradient counts as zero
-            optimizer.zero_grad()
             for i, (param, grad) in enumerate(zip(params, grads)):
-                if not (step % 7 == 0 and i == 1):
-                    param.grad = grad.copy()
+                # ``None`` is an absent gradient.
+                param.grad = None if step % 7 == 0 and i == 1 else grad.copy()
             optimizer.step()
             reference_step(reference, grads, state, step, lr=lr, weight_decay=decay)
             for param, expected in zip(params, reference):
@@ -1070,7 +1078,7 @@ NCF_TRUNK = [
 
 class TestParameterOrder:
     """The order ``named_parameters`` yields is the flat buffer's layout and
-    the summation order of ``clip_grad_norm``; it must not drift."""
+    the summation order of the norm clip; it must not drift."""
 
     @pytest.mark.parametrize(
         "build, expected",

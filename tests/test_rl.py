@@ -254,12 +254,6 @@ class TestBuffer:
         buffer.compute_advantages(last_value=100.0, normalize=False)
         assert buffer.advantages[0] == pytest.approx(1.0)
 
-    def test_minibatches_require_finalize(self, rng):
-        buffer = RolloutBuffer(4, 1)
-        buffer.add(np.zeros(1), 0, 0.0, 0.0, 1.0, False)
-        with pytest.raises(ModelError):
-            list(buffer.minibatches(2, rng))
-
     def test_normalized_advantages(self, rng):
         buffer = RolloutBuffer(8, 1)
         for i in range(8):
