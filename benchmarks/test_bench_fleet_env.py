@@ -267,7 +267,7 @@ def test_bench_fleet_env_throughput():
 
     # The batched env must actually batch: one kernel step per slot, and
     # a stacked evaluation steps all its episodes at once.
-    assert fleet_env.simulation.book.n_recorded == episode_h
+    assert len(fleet_env.simulation.book) == episode_h
     assert eval_returns["stacked_columns"] == EVAL_EPISODES * N_HUBS
     assert eval_returns["stacked"].tobytes() == eval_returns["looped"].tobytes()
     if not relaxed:

@@ -14,6 +14,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy", "networkx"],
+    install_requires=["numpy", "scipy"],
     entry_points={"console_scripts": ["ect-hub = repro.cli:main"]},
 )

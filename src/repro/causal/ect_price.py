@@ -281,17 +281,3 @@ class EctPriceModel:
         strata = self.network(station_ids, time_ids)[:, :3]
         shifted = np.exp(strata - strata.max(axis=1, keepdims=True))
         return shifted / shifted.sum(axis=1, keepdims=True)
-
-    def predict_stratum(
-        self, station_ids: np.ndarray, time_ids: np.ndarray
-    ) -> np.ndarray:
-        """Argmax stratum per item, as :class:`Stratum` integer codes."""
-        return self.predict_strata(station_ids, time_ids).argmax(axis=1)
-
-    def predict_propensity(
-        self, station_ids: np.ndarray, time_ids: np.ndarray
-    ) -> np.ndarray:
-        """Estimated ``P(T=1 | X)`` per item."""
-        if not self._fitted:
-            raise NotFittedError("EctPriceModel.predict_propensity called before fit")
-        return nn.kernels.sigmoid(self.network(station_ids, time_ids)[:, 3])

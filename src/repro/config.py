@@ -148,11 +148,6 @@ def _wants_tuple(field: dataclasses.Field) -> bool:
     return type_repr.startswith(("tuple", "Tuple", "typing.Tuple"))
 
 
-def save_json(config: Any, path: str | Path) -> None:
-    """Serialize a dataclass config to a JSON file."""
-    Path(path).write_text(json.dumps(to_dict(config), indent=2, sort_keys=True))
-
-
 def read_json(path: str | Path) -> Any:
     """Parse a JSON config file; I/O and syntax errors raise ConfigError."""
     try:
@@ -161,11 +156,6 @@ def read_json(path: str | Path) -> Any:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-
-
-def load_json(cls: Type[C], path: str | Path) -> C:
-    """Load a dataclass config from a JSON file written by :func:`save_json`."""
-    return from_dict(cls, read_json(path))
 
 
 def replace(config: C, **changes: Any) -> C:

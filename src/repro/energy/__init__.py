@@ -3,7 +3,7 @@
 Implements the paper's system model (§III-B): the base station (Eq. 1),
 the charging station (Eq. 2), the battery point (Eqs. 3–5), renewable
 plants (the ``P_WT``/``P_PV`` terms of Eq. 7), grid billing (Eq. 9), and
-the degradation process behind Fig. 4 and the ``c_BP`` cost.
+the degradation process behind Fig. 4.
 """
 
 from .base_station import BaseStation, BaseStationCluster, BaseStationConfig
@@ -18,9 +18,7 @@ from .battery import (
 from .charging_station import ChargingStation, ChargingStationConfig
 from .degradation import (
     DegradationConfig,
-    capacity_fade,
     cell_voltage,
-    operation_cost_per_slot,
     simulate_voltage_traces,
 )
 from .grid import (
@@ -53,8 +51,6 @@ __all__ = [
     "PvConfig",
     "WindTurbine",
     "WindTurbineConfig",
-    "capacity_fade",
     "cell_voltage",
-    "operation_cost_per_slot",
     "simulate_voltage_traces",
 ]

@@ -17,9 +17,8 @@ Two efficiency conventions are supported (DESIGN.md §6):
   cells.
 
 Actions that would overshoot a SoC bound are *partially executed* (rate is
-clipped to the available headroom) unless ``strict=True``, in which case
-:class:`~repro.errors.BatteryError` is raised. Partial execution is what the
-RL environment relies on: an infeasible action degrades gracefully to the
+clipped to the available headroom). Partial execution is what the RL
+environment relies on: an infeasible action degrades gracefully to the
 feasible fraction, and the true applied state is reported back.
 """
 
@@ -149,8 +148,6 @@ class BatteryPack:
         self._soc_kwh = float(
             min(max(initial, self.config.soc_min_kwh), self.config.soc_max_kwh)
         )
-        self._throughput_kwh = 0.0
-        self._cycles = 0.0
 
     # ------------------------------------------------------------------ #
     # State inspection                                                    #
@@ -165,16 +162,6 @@ class BatteryPack:
     def soc_fraction(self) -> float:
         """Current state of charge as a fraction of capacity."""
         return self._soc_kwh / self.config.capacity_kwh
-
-    @property
-    def throughput_kwh(self) -> float:
-        """Cumulative absolute SoC movement (degradation driver)."""
-        return self._throughput_kwh
-
-    @property
-    def equivalent_full_cycles(self) -> float:
-        """Cumulative throughput expressed in full charge/discharge cycles."""
-        return self._throughput_kwh / (2.0 * self.config.capacity_kwh)
 
     def headroom_kwh(self) -> float:
         """Energy the pack can still absorb before hitting ``SoC_max``."""
@@ -192,13 +179,12 @@ class BatteryPack:
         self._soc_kwh = float(
             min(max(target, self.config.soc_min_kwh), self.config.soc_max_kwh)
         )
-        self._throughput_kwh = 0.0
 
     # ------------------------------------------------------------------ #
     # Dynamics                                                            #
     # ------------------------------------------------------------------ #
 
-    def step(self, action: int, dt_h: float = 1.0, *, strict: bool = False) -> BatteryStepResult:
+    def step(self, action: int, dt_h: float = 1.0) -> BatteryStepResult:
         """Advance one slot with the paper's ``S_BP`` action.
 
         Parameters
@@ -207,9 +193,6 @@ class BatteryPack:
             :data:`CHARGE`, :data:`IDLE`, or :data:`DISCHARGE`.
         dt_h:
             Slot length in hours.
-        strict:
-            Raise :class:`BatteryError` instead of clipping when the action
-            cannot be executed at full rate.
         """
         if action not in _VALID_ACTIONS:
             raise BatteryError(f"invalid battery action {action}; expected -1, 0, or 1")
@@ -219,21 +202,16 @@ class BatteryPack:
         if action == IDLE:
             return BatteryStepResult(IDLE, 0.0, 0.0, 0.0, curtailed=False)
         if action == CHARGE:
-            return self._charge(dt_h, strict)
-        return self._discharge(dt_h, strict)
+            return self._charge(dt_h)
+        return self._discharge(dt_h)
 
-    def _charge(self, dt_h: float, strict: bool) -> BatteryStepResult:
+    def _charge(self, dt_h: float) -> BatteryStepResult:
         cfg = self.config
         eta = cfg.charge_efficiency
         requested_bus_kwh = cfg.charge_rate_kw * dt_h
         stored_requested = requested_bus_kwh * eta
         headroom = self.headroom_kwh()
         if stored_requested > headroom + 1e-12:
-            if strict:
-                raise BatteryError(
-                    f"charge of {stored_requested:.3f} kWh exceeds headroom "
-                    f"{headroom:.3f} kWh (SoC {self._soc_kwh:.3f}/{cfg.soc_max_kwh:.3f})"
-                )
             stored = headroom
             curtailed = True
         else:
@@ -243,7 +221,6 @@ class BatteryPack:
             return BatteryStepResult(IDLE, 0.0, 0.0, 0.0, curtailed=True)
         bus_kwh = stored / eta
         self._soc_kwh += stored
-        self._throughput_kwh += stored
         return BatteryStepResult(
             action=CHARGE,
             bus_power_kw=bus_kwh / dt_h,
@@ -252,7 +229,7 @@ class BatteryPack:
             curtailed=curtailed,
         )
 
-    def _discharge(self, dt_h: float, strict: bool) -> BatteryStepResult:
+    def _discharge(self, dt_h: float) -> BatteryStepResult:
         cfg = self.config
         eta = cfg.discharge_efficiency
         requested_bus_kwh = cfg.discharge_rate_kw * dt_h
@@ -268,11 +245,6 @@ class BatteryPack:
 
         available = self.available_kwh()
         if drawn_requested > available + 1e-12:
-            if strict:
-                raise BatteryError(
-                    f"discharge of {drawn_requested:.3f} kWh exceeds available "
-                    f"{available:.3f} kWh (SoC {self._soc_kwh:.3f}/{cfg.soc_min_kwh:.3f} min)"
-                )
             drawn = available
             curtailed = True
         else:
@@ -282,7 +254,6 @@ class BatteryPack:
             return BatteryStepResult(IDLE, 0.0, 0.0, 0.0, curtailed=True)
         bus_kwh = drawn * bus_per_drawn
         self._soc_kwh -= drawn
-        self._throughput_kwh += drawn
         return BatteryStepResult(
             action=DISCHARGE,
             bus_power_kw=-bus_kwh / dt_h,
@@ -308,5 +279,4 @@ class BatteryPack:
         drawn_needed = demand_kwh / eta
         drawn = min(drawn_needed, self._soc_kwh)
         self._soc_kwh -= drawn
-        self._throughput_kwh += drawn
         return drawn * eta

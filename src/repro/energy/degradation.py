@@ -3,8 +3,7 @@
 The paper motivates EV charging partly by battery self-degradation: backup
 batteries fade even when idle (Fig. 4 shows the float voltage of two
 lead-acid cells declining from ≈2.29 V to ≈2.10 V over 350 days, and a
-~54 V battery group declining in step). Degradation also prices the
-``c_BP`` per-slot operating cost in Eq. 8.
+~54 V battery group declining in step).
 
 Model
 -----
@@ -24,6 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
+
+#: Equivalent full cycles a backup pack runs per day (float service).
+_DAILY_CYCLES = 0.05
 
 
 @dataclass(frozen=True)
@@ -64,22 +66,6 @@ class DegradationConfig:
             raise ConfigError("voltage_noise_v must be non-negative")
 
 
-def capacity_fade(
-    config: DegradationConfig,
-    *,
-    days: float,
-    equivalent_full_cycles: float = 0.0,
-) -> float:
-    """Fractional capacity fade after ``days`` and the given cycling."""
-    if days < 0 or equivalent_full_cycles < 0:
-        raise ConfigError("days and cycles must be non-negative")
-    fade = (
-        config.calendar_fade_per_day * days
-        + config.cycle_fade_per_efc * equivalent_full_cycles
-    )
-    return float(min(fade, 1.0))
-
-
 def cell_voltage(
     config: DegradationConfig,
     fade: np.ndarray | float,
@@ -94,7 +80,6 @@ def simulate_voltage_traces(
     config: DegradationConfig | None = None,
     *,
     n_cells: int = 2,
-    daily_cycles: float = 0.05,
 ) -> dict[str, np.ndarray]:
     """Daily voltage traces for individual cells and the series group (Fig. 4).
 
@@ -109,8 +94,6 @@ def simulate_voltage_traces(
         raise ConfigError(f"n_days must be positive, got {n_days}")
     if n_cells <= 0:
         raise ConfigError(f"n_cells must be positive, got {n_cells}")
-    if daily_cycles < 0:
-        raise ConfigError("daily_cycles must be non-negative")
     config = config or DegradationConfig()
 
     days = np.arange(n_days, dtype=float)
@@ -119,7 +102,7 @@ def simulate_voltage_traces(
         rate_scale = rng.uniform(0.85, 1.15)
         fade = np.minimum(
             config.calendar_fade_per_day * rate_scale * days
-            + config.cycle_fade_per_efc * daily_cycles * days,
+            + config.cycle_fade_per_efc * _DAILY_CYCLES * days,
             1.0,
         )
         noise = rng.normal(0.0, config.voltage_noise_v, size=n_days)
@@ -127,7 +110,7 @@ def simulate_voltage_traces(
 
     group_fade = np.minimum(
         config.calendar_fade_per_day * days
-        + config.cycle_fade_per_efc * daily_cycles * days,
+        + config.cycle_fade_per_efc * _DAILY_CYCLES * days,
         1.0,
     )
     group_noise = rng.normal(
@@ -136,24 +119,3 @@ def simulate_voltage_traces(
     group_voltage = config.cells_in_group * cell_voltage(config, group_fade) + group_noise
 
     return {"days": days, "cell_voltages": cell_voltages, "group_voltage": group_voltage}
-
-
-def operation_cost_per_slot(
-    *,
-    pack_capital_cost: float,
-    capacity_kwh: float,
-    config: DegradationConfig | None = None,
-    dt_h: float = 1.0,
-) -> float:
-    """Derive the paper's ``c_BP`` (Eq. 8) from amortised cycle wear.
-
-    One active slot at full rate moves roughly ``rate·dt`` kWh, costing
-    ``pack_capital_cost · cycle_fade_per_efc · (rate·dt) / (2·capacity)``.
-    The paper simply sets ``c_BP = 0.01``; this helper shows one defensible
-    calibration and is exercised by the ablation benches.
-    """
-    if pack_capital_cost <= 0 or capacity_kwh <= 0 or dt_h <= 0:
-        raise ConfigError("cost inputs must be positive")
-    config = config or DegradationConfig()
-    efc_per_slot = dt_h / 2.0  # full-rate slot relative to a full cycle, order-of-magnitude
-    return pack_capital_cost * config.cycle_fade_per_efc * efc_per_slot / capacity_kwh

@@ -3,8 +3,7 @@
 The grid supplies whatever residual power the hub needs (Eq. 7) at the
 real-time price. Feeding power *back* is explicitly ruled out by the paper
 (§I: grid-integration fluctuations make feed-in uneconomical), so a
-negative residual is curtailed, never exported — attempting an export in
-strict mode raises :class:`~repro.errors.GridError`.
+negative residual is curtailed, never exported.
 
 Blackouts motivate the backup batteries: :class:`BlackoutModel` samples
 rare outage windows whose duration matches the paper's grid recovery time
@@ -49,22 +48,16 @@ class GridConnection:
     def __init__(self, config: GridConfig | None = None) -> None:
         self.config = config or GridConfig()
 
-    def draw_power(self, residual_kw: float, *, strict: bool = False) -> float:
+    def draw_power(self, residual_kw: float) -> float:
         """Resolve a residual bus power into a grid import (``P_grid``).
 
         Positive residual → import from the grid (capped by the import
         limit). Negative residual → surplus; returns 0 (curtailment) unless
-        exports are enabled. ``strict`` raises on surplus instead, for
-        callers that must account for every kWh explicitly.
+        exports are enabled.
         """
         if residual_kw < 0:
             if self.config.allow_export:
                 return float(residual_kw)
-            if strict:
-                raise GridError(
-                    f"surplus of {-residual_kw:.3f} kW cannot be exported "
-                    "(feed-in disabled per the paper)"
-                )
             return 0.0
         limit = self.config.import_limit_kw
         if limit and residual_kw > limit:

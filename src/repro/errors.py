@@ -16,10 +16,6 @@ class ConfigError(ReproError):
     """A configuration value is missing, malformed, or inconsistent."""
 
 
-class UnitsError(ReproError):
-    """A quantity was supplied in the wrong unit or with an invalid value."""
-
-
 class DataError(ReproError):
     """A synthetic dataset or trace is malformed or internally inconsistent."""
 
@@ -29,7 +25,7 @@ class EnergyModelError(ReproError):
 
 
 class BatteryError(EnergyModelError):
-    """Battery operated outside SoC / rate limits in strict mode."""
+    """Battery driven with an invalid action, slot length or demand."""
 
 
 class GridError(EnergyModelError):

@@ -29,7 +29,7 @@ def run(*, scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     ratio = frac_biased / max(frac_uniform, 1e-9)
 
     lines = [
-        f"road network: {network.graph.number_of_edges()} segments, "
+        f"road network: {len(network.edges)} segments, "
         f"{network.total_length_km:.0f} km over a "
         f"{network.region_km:.0f} km square",
         f"stations within 2 km of a road (road-biased placement): {frac_biased:.1%}",

@@ -2,10 +2,8 @@
 
 :class:`FleetCostBook` is the batched counterpart of
 :class:`~repro.hub.costs.CostBook`: it stores every resolved slot quantity
-column-wise, exposes the paper's aggregates both **per hub** (arrays) and
-for the whole **network** (scalars), and can reconstruct any single hub's
-:class:`~repro.hub.costs.CostBook` of :class:`~repro.hub.costs.SlotLedger`
-rows for interop with scalar-engine tooling.
+column-wise and exposes the paper's aggregates both **per hub** (arrays)
+and for the whole **network** (scalars).
 
 With shared-grid coupling the book also tracks the feeder dimension:
 ``import_shortfall_kw`` records each hub's curtailed import, and the
@@ -16,8 +14,8 @@ Storage modes
 -------------
 ``storage="dense"`` (default) keeps every column at full
 ``(n_hubs, horizon)`` resolution — memory grows with the horizon, but any
-slot can be inspected after the fact (``hub_book``, the per-feeder slot
-matrices). ``storage="windowed"`` keeps only a bounded ring of the most
+slot can be inspected after the fact (the slot columns, the per-feeder
+slot matrices). ``storage="windowed"`` keeps only a bounded ring of the most
 recent ``window`` slots and folds each committed slot into running
 aggregates (per-hub totals, the daily Eq. 12 matrix, per-feeder
 import/shortfall/peak/congestion, blackout counts), so memory stops
@@ -36,7 +34,6 @@ from typing import Mapping
 import numpy as np
 
 from ..errors import FleetError
-from ..hub.costs import CostBook, SlotLedger
 from .grid import FeederGroup
 
 #: Supported per-slot storage layouts.
@@ -216,11 +213,6 @@ class FleetCostBook:
         raise AttributeError(name)
 
     def __len__(self) -> int:
-        return self._n_recorded
-
-    @property
-    def n_recorded(self) -> int:
-        """Number of slots recorded so far."""
         return self._n_recorded
 
     @property
@@ -404,20 +396,6 @@ class FleetCostBook:
         )
 
     @property
-    def grid_energy_per_hub_kwh(self) -> np.ndarray:
-        """Imported energy per hub (uniform 1 h slots, like the scalar book)."""
-        if self._windowed:
-            return self._acc_grid_energy.copy()
-        return self._recorded("p_grid_kw").sum(axis=1)
-
-    @property
-    def curtailed_per_hub_kwh(self) -> np.ndarray:
-        """Curtailed renewable energy per hub."""
-        if self._windowed:
-            return self._acc_surplus.copy()
-        return self._recorded("surplus_kw").sum(axis=1)
-
-    @property
     def unserved_per_hub_kwh(self) -> np.ndarray:
         """Energy that could not be served (blackouts + feeder shortfalls)."""
         if self._windowed:
@@ -551,37 +529,3 @@ class FleetCostBook:
             return np.zeros((self.n_hubs, 0))
         starts = np.arange(0, rewards.shape[1], slots_per_day)
         return np.add.reduceat(rewards, starts, axis=1)
-
-    # ------------------------------------------------------------------ #
-    # Scalar-engine interop                                                #
-    # ------------------------------------------------------------------ #
-
-    def hub_book(self, index: int) -> CostBook:
-        """Reconstruct one hub's scalar :class:`CostBook` from the columns."""
-        self._require_dense("hub_book()")
-        if not 0 <= index < self.n_hubs:
-            raise FleetError(f"hub index {index} out of range for {self.n_hubs} hubs")
-        book = CostBook(voll_per_kwh=self.voll_per_kwh)
-        for t in range(self._n_recorded):
-            book.add(
-                SlotLedger(
-                    slot=t,
-                    action=int(self.action[index, t]),
-                    p_bs_kw=float(self.p_bs_kw[index, t]),
-                    p_cs_kw=float(self.p_cs_kw[index, t]),
-                    p_bp_kw=float(self.p_bp_kw[index, t]),
-                    p_pv_kw=float(self.p_pv_kw[index, t]),
-                    p_wt_kw=float(self.p_wt_kw[index, t]),
-                    p_grid_kw=float(self.p_grid_kw[index, t]),
-                    surplus_kw=float(self.surplus_kw[index, t]),
-                    rtp_kwh=float(self.rtp_kwh[index, t]),
-                    srtp_kwh=float(self.srtp_kwh[index, t]),
-                    soc_kwh=float(self.soc_kwh[index, t]),
-                    grid_cost=float(self.grid_cost[index, t]),
-                    bp_cost=float(self.bp_cost[index, t]),
-                    revenue=float(self.revenue[index, t]),
-                    blackout=bool(self.blackout[index, t]),
-                    unserved_kwh=float(self.unserved_kwh[index, t]),
-                )
-            )
-        return book

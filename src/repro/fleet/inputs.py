@@ -5,13 +5,13 @@
 slot, validated by the same :func:`~repro.hub.simulation.
 validate_exogenous_traces` checks (including NaN/inf rejection). Rows can
 be re-extracted as plain :class:`HubInputs` for interop with the scalar
-engine — the equivalence tests lean on that round trip.
+engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,73 +114,6 @@ class FleetInputs:
                 cached = np.asarray(self.outage, dtype=bool)
             object.__setattr__(self, "_outage_mask", cached)
         return cached
-
-    @classmethod
-    def from_hub_inputs(cls, inputs: Sequence[HubInputs]) -> "FleetInputs":
-        """Stack per-hub :class:`HubInputs` rows into one fleet block."""
-        if not inputs:
-            raise FleetError("a fleet needs at least one HubInputs row")
-        horizons = {len(one) for one in inputs}
-        if len(horizons) != 1:
-            raise FleetError(
-                f"all hubs must share one horizon, got lengths {sorted(horizons)}"
-            )
-        horizon = horizons.pop()
-        outage: np.ndarray | None = None
-        if any(one.outage is not None for one in inputs):
-            outage = np.stack(
-                [
-                    np.zeros(horizon, dtype=bool)
-                    if one.outage is None
-                    else np.asarray(one.outage, dtype=bool)
-                    for one in inputs
-                ]
-            )
-        return cls(
-            load_rate=np.stack([np.asarray(one.load_rate, dtype=float) for one in inputs]),
-            rtp_kwh=np.stack([np.asarray(one.rtp_kwh, dtype=float) for one in inputs]),
-            pv_power_kw=np.stack(
-                [np.asarray(one.pv_power_kw, dtype=float) for one in inputs]
-            ),
-            wt_power_kw=np.stack(
-                [np.asarray(one.wt_power_kw, dtype=float) for one in inputs]
-            ),
-            occupied=np.stack([np.asarray(one.occupied, dtype=int) for one in inputs]),
-            discount=np.stack([np.asarray(one.discount, dtype=float) for one in inputs]),
-            outage=outage,
-        )
-
-    def with_occupancy(
-        self, occupied: np.ndarray, discount: np.ndarray
-    ) -> "FleetInputs":
-        """New inputs with the occupancy/discount planes swapped in.
-
-        The four exogenous trace planes (load, tariff, PV, wind) and the
-        outage mask are shared with ``self`` — this is the pricing loop's
-        injection seam: a discount schedule re-realises occupancy without
-        re-stacking the per-hub traces. 1-D rows broadcast across hubs.
-        """
-        shape = (self.n_hubs, self.horizon)
-        occupied = np.asarray(occupied, dtype=int)
-        discount = np.asarray(discount, dtype=float)
-        if occupied.ndim == 1:
-            occupied = np.broadcast_to(occupied, shape).copy()
-        if discount.ndim == 1:
-            discount = np.broadcast_to(discount, shape).copy()
-        if occupied.shape != shape or discount.shape != shape:
-            raise FleetError(
-                f"occupancy/discount planes must have shape {shape}, got "
-                f"{occupied.shape} and {discount.shape}"
-            )
-        return FleetInputs(
-            load_rate=self.load_rate,
-            rtp_kwh=self.rtp_kwh,
-            pv_power_kw=self.pv_power_kw,
-            wt_power_kw=self.wt_power_kw,
-            occupied=occupied,
-            discount=discount,
-            outage=self.outage,
-        )
 
     def hub(self, index: int) -> HubInputs:
         """Row ``index`` as scalar-engine :class:`HubInputs`."""

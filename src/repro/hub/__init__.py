@@ -1,20 +1,15 @@
 """``repro.hub`` — the ECT-Hub core: composition, accounting, simulation.
 
 Implements the paper's §III system model end to end: Eq. 7 power balance
-(:mod:`.hub`), Eqs. 8–12 cost accounting (:mod:`.costs`), Eqs. 5–6
-constraints (:mod:`.constraints`), the slot-stepping engine
+(:mod:`.hub`), Eqs. 8–12 cost accounting (:mod:`.costs`), Eq. 6 reserve
+sizing (:mod:`.constraints`), the slot-stepping engine
 (:mod:`.simulation`), and scenario assembly for the 12-hub fleet
 (:mod:`.scenario`).
 """
 
 from .constraints import (
-    check_soc_bounds,
-    forecast_reserve_satisfied,
     required_reserve_kwh,
-    reserve_satisfied,
-    rolling_bs_energy_kwh,
     sized_battery_config,
-    validate_reserve,
 )
 from .costs import CostBook, SlotLedger, compute_slot_ledger
 from .hub import EctHub, HubConfig, PowerBalance
@@ -40,14 +35,9 @@ __all__ = [
     "SlotLedger",
     "build_fleet_scenarios",
     "build_scenario",
-    "check_soc_bounds",
     "compute_slot_ledger",
     "fleet_behavior_model",
-    "forecast_reserve_satisfied",
     "required_reserve_kwh",
-    "reserve_satisfied",
     "resolve_occupancy",
-    "rolling_bs_energy_kwh",
     "sized_battery_config",
-    "validate_reserve",
 ]

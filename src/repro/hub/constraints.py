@@ -7,13 +7,10 @@ through a blackout until the grid recovers (``T_r`` slots):
 ``Σ_{t..t+T_r} P_BS(t) ≤ SoC_min``
 
 Since ``P_BS ≤ P_max`` always, sizing against the worst case
-``SoC_min ≥ T_r · P_max · dt`` guarantees Eq. 6 for every window; a
-forecast-aware variant checks the actual rolling sum.
+``SoC_min ≥ T_r · P_max · dt`` guarantees Eq. 6 for every window.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..errors import ConfigError, ConstraintViolation
 from ..energy.base_station import BaseStationCluster
@@ -32,80 +29,6 @@ def required_reserve_kwh(
     if dt_h <= 0:
         raise ConfigError(f"dt_h must be positive, got {dt_h}")
     return cluster.max_power_kw * recovery_time_h * dt_h
-
-
-def reserve_satisfied(
-    battery: BatteryConfig,
-    cluster: BaseStationCluster,
-    recovery_time_h: int,
-    *,
-    dt_h: float = 1.0,
-) -> bool:
-    """Whether the configured ``SoC_min`` meets the worst-case Eq. 6 reserve."""
-    return battery.soc_min_kwh >= required_reserve_kwh(
-        cluster, recovery_time_h, dt_h=dt_h
-    ) - 1e-9
-
-
-def validate_reserve(
-    battery: BatteryConfig,
-    cluster: BaseStationCluster,
-    recovery_time_h: int,
-    *,
-    dt_h: float = 1.0,
-) -> None:
-    """Raise :class:`ConstraintViolation` when Eq. 6 cannot be guaranteed."""
-    needed = required_reserve_kwh(cluster, recovery_time_h, dt_h=dt_h)
-    if battery.soc_min_kwh < needed - 1e-9:
-        raise ConstraintViolation(
-            f"SoC_min of {battery.soc_min_kwh:.1f} kWh cannot cover the "
-            f"Eq. 6 blackout reserve of {needed:.1f} kWh "
-            f"({cluster.n_stations} BS × {cluster.config.p_max_kw:.1f} kW × "
-            f"{recovery_time_h} h)"
-        )
-
-
-def rolling_bs_energy_kwh(
-    bs_power_kw: np.ndarray,
-    recovery_time_h: int,
-    *,
-    dt_h: float = 1.0,
-) -> np.ndarray:
-    """Rolling ``Σ_{t..t+T_r} P_BS`` for a forecast trace (Eq. 6 LHS).
-
-    The window is truncated at the end of the trace, matching an outage
-    that begins near the horizon boundary.
-    """
-    power = np.asarray(bs_power_kw, dtype=float)
-    if recovery_time_h <= 0:
-        raise ConfigError(f"recovery_time_h must be positive, got {recovery_time_h}")
-    if dt_h <= 0:
-        raise ConfigError(f"dt_h must be positive, got {dt_h}")
-    n = len(power)
-    cumulative = np.concatenate([[0.0], np.cumsum(power * dt_h)])
-    ends = np.minimum(np.arange(n) + recovery_time_h, n)
-    return cumulative[ends] - cumulative[:n]
-
-
-def forecast_reserve_satisfied(
-    battery: BatteryConfig,
-    bs_power_kw: np.ndarray,
-    recovery_time_h: int,
-    *,
-    dt_h: float = 1.0,
-) -> bool:
-    """Eq. 6 against an actual BS power forecast instead of the worst case."""
-    rolling = rolling_bs_energy_kwh(bs_power_kw, recovery_time_h, dt_h=dt_h)
-    return bool(len(rolling) == 0 or rolling.max() <= battery.soc_min_kwh + 1e-9)
-
-
-def check_soc_bounds(soc_kwh: float, battery: BatteryConfig) -> None:
-    """Assert Eq. 5 for a single SoC observation."""
-    if not battery.soc_min_kwh - 1e-9 <= soc_kwh <= battery.soc_max_kwh + 1e-9:
-        raise ConstraintViolation(
-            f"SoC {soc_kwh:.3f} kWh outside Eq. 5 bounds "
-            f"[{battery.soc_min_kwh:.3f}, {battery.soc_max_kwh:.3f}]"
-        )
 
 
 def sized_battery_config(

@@ -54,17 +54,6 @@ class SlotLedger:
         """Eq. 12 summand: revenue − grid cost − battery cost."""
         return self.revenue - self.grid_cost - self.bp_cost
 
-    def energy_balance_error_kwh(self, dt_h: float = 1.0) -> float:
-        """Residual of the Eq. 7 bus balance (should be ~0 off-blackout)."""
-        supply = self.p_grid_kw + self.p_pv_kw + self.p_wt_kw + max(-self.p_bp_kw, 0.0)
-        demand = (
-            self.p_bs_kw
-            + self.p_cs_kw
-            + max(self.p_bp_kw, 0.0)
-            + self.surplus_kw
-        )
-        return (supply - demand) * dt_h
-
 
 def compute_slot_ledger(
     *,

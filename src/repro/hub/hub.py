@@ -96,22 +96,6 @@ class EctHub:
         self.grid = GridConnection(self.config.grid)
 
     # ------------------------------------------------------------------ #
-    # Renewable generation                                                 #
-    # ------------------------------------------------------------------ #
-
-    def renewable_power_kw(
-        self, irradiance_w_m2: float, wind_speed_m_s: float
-    ) -> tuple[float, float]:
-        """(``P_PV``, ``P_WT``) for the given weather observation."""
-        p_pv = float(self.pv.power_kw(irradiance_w_m2)) if self.pv is not None else 0.0
-        p_wt = (
-            float(self.wind_turbine.power_kw(wind_speed_m_s))
-            if self.wind_turbine is not None
-            else 0.0
-        )
-        return p_pv, p_wt
-
-    # ------------------------------------------------------------------ #
     # Power balance (Eq. 7)                                                #
     # ------------------------------------------------------------------ #
 

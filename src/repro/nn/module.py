@@ -57,10 +57,6 @@ class Module:
         """All trainable parameters of this module tree."""
         return [param for _, param in self.named_parameters()]
 
-    def num_parameters(self) -> int:
-        """Total scalar parameter count."""
-        return sum(param.size for param in self.parameters())
-
     def forward(self, *args, **kwargs):
         """Subclasses implement the computation here."""
         raise NotImplementedError

@@ -23,10 +23,6 @@ class Discrete:
         """Whether ``action`` is a legal element."""
         return isinstance(action, (int, np.integer)) and 0 <= int(action) < self.n
 
-    def sample(self, rng: np.random.Generator) -> int:
-        """Uniform random action."""
-        return int(rng.integers(self.n))
-
 
 @dataclass(frozen=True)
 class Box:

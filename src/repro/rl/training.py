@@ -39,13 +39,6 @@ class TrainingHistory:
     episode_returns: list[float] = field(default_factory=list)
     update_stats: list[UpdateStats] = field(default_factory=list)
 
-    @property
-    def best_return(self) -> float:
-        """Highest raw episode return seen during training."""
-        if not self.episode_returns:
-            raise ModelError("no episodes recorded")
-        return max(self.episode_returns)
-
 
 def train_ppo(
     env: EctHubEnv,
@@ -123,11 +116,6 @@ class FleetTrainingHistory:
         if not self.episode_returns:
             raise ModelError("no episodes recorded")
         return [float(returns.mean()) for returns in self.episode_returns]
-
-    @property
-    def best_mean_return(self) -> float:
-        """Highest hub-averaged episode return seen during training."""
-        return max(self.mean_episode_returns)
 
 
 def train_fleet_ppo(

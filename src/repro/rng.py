@@ -191,8 +191,3 @@ class RngFactory:
         """A derived factory whose streams are disjoint from the parent's."""
         key = int.from_bytes(_name_key(name), "little")
         return RngFactory(seed=(key ^ self._seed) & 0x7FFFFFFFFFFFFFFF)
-
-
-def default_rng(seed: int | None = None) -> np.random.Generator:
-    """Convenience wrapper mirroring :func:`numpy.random.default_rng`."""
-    return np.random.default_rng(seed)

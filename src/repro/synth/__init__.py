@@ -12,7 +12,6 @@ from .charging import (
     ChargingBehaviorModel,
     ChargingConfig,
     ChargingLog,
-    StationProfile,
     Stratum,
 )
 from .roads import (
@@ -27,7 +26,7 @@ from .rtp import PriceTrace, RtpConfig, RtpGenerator
 from .solar import SolarConfig, clear_sky_ghi, generate_irradiance
 from .traffic import TrafficConfig, TrafficGenerator, TrafficTrace
 from .weather import WeatherConfig, WeatherGenerator, WeatherTrace
-from .wind import WindConfig, generate_wind_speed, weibull_mean
+from .wind import WindConfig, generate_wind_speed
 
 __all__ = [
     "DEFAULT_FLEET_SIZE",
@@ -41,7 +40,6 @@ __all__ = [
     "RtpConfig",
     "RtpGenerator",
     "SolarConfig",
-    "StationProfile",
     "Stratum",
     "TrafficConfig",
     "TrafficGenerator",
@@ -58,5 +56,4 @@ __all__ = [
     "near_road_fraction",
     "place_stations",
     "point_segment_distance",
-    "weibull_mean",
 ]

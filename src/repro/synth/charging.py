@@ -64,23 +64,6 @@ _ANCHOR_HOURS = np.array([3.0, 9.0, 15.0, 21.0])
 
 
 @dataclass(frozen=True)
-class StationProfile:
-    """Per-station personality applied on top of the global hourly curves."""
-
-    station_id: int
-    demand_scale: float = 1.0
-    incentive_scale: float = 1.0
-    always_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.station_id < 0:
-            raise ConfigError(f"station_id must be non-negative, got {self.station_id}")
-        for name in ("demand_scale", "incentive_scale", "always_scale"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-
-
-@dataclass(frozen=True)
 class ChargingConfig:
     """Parameters of the charging behaviour model.
 
@@ -186,10 +169,6 @@ class ChargingLog:
         np.add.at(counts, hours, 1)
         return counts
 
-    def filter_station(self, station_id: int) -> "ChargingLog":
-        """Items belonging to one station."""
-        return self._mask(self.station_id == station_id)
-
     def split_by_day(self, boundary_day: int) -> tuple["ChargingLog", "ChargingLog"]:
         """Chronological train/test split at ``boundary_day`` (by slot)."""
         day = self.slot // HOURS_PER_DAY
@@ -273,21 +252,6 @@ class ChargingBehaviorModel:
         raw = rng.normal(1.0, cfg.station_jitter, size=(cfg.n_stations, 3))
         return np.clip(raw, 0.6, 1.4)
 
-    @property
-    def station_profiles(self) -> list[StationProfile]:
-        """The fleet's station personalities (deterministic under the seed)."""
-        return [
-            StationProfile(
-                station_id=station_id,
-                demand_scale=demand,
-                incentive_scale=incentive,
-                always_scale=always,
-            )
-            for station_id, (demand, incentive, always) in enumerate(
-                self._profiles.tolist()
-            )
-        ]
-
     def _check_station_ids(self, station_ids) -> np.ndarray:
         """``station_ids`` as an int array, every id inside the fleet."""
         ids = np.asarray(station_ids)
@@ -339,13 +303,6 @@ class ChargingBehaviorModel:
         p_inc = p_inc * scale
         return np.stack([1.0 - p_alw - p_inc, p_inc, p_alw], axis=-1)
 
-    def cell_type_probabilities(
-        self, station_id: int, hours_of_day: np.ndarray
-    ) -> np.ndarray:
-        """(n, 3) probabilities a cell is [dead, price-sensitive, habitual]."""
-        ids = self._check_station_ids([station_id])
-        return self._type_probability_table(ids, hours_of_day)[0]
-
     def _build_cell_types(self) -> np.ndarray:
         """Persistent cell types: (n_stations, 48) for hour × weekend cells.
 
@@ -363,10 +320,6 @@ class ChargingBehaviorModel:
         types = (draws[..., None] > cumulative[:, None, :, :-1]).sum(axis=-1)
         return types.reshape(n, 2 * HOURS_PER_DAY).astype(int)
 
-    def cell_type_map(self) -> np.ndarray:
-        """Copy of the persistent (station, hour×weekend) cell types."""
-        return self._cell_types.copy()
-
     def _build_cell_activity(self) -> np.ndarray:
         """Persistent per-cell activity levels (heterogeneous demand depth).
 
@@ -382,10 +335,6 @@ class ChargingBehaviorModel:
             size=(cfg.n_stations, 2 * HOURS_PER_DAY),
         )
         return np.clip(raw, 0.15, 0.98)
-
-    def cell_activity_map(self) -> np.ndarray:
-        """Copy of the persistent per-cell activity levels."""
-        return self._cell_activity.copy()
 
     # ------------------------------------------------------------------ #
     # Activity and realised strata                                        #
@@ -446,32 +395,6 @@ class ChargingBehaviorModel:
     ) -> np.ndarray:
         """One station's realised strata: a one-row :meth:`strata_planes` call."""
         return self.strata_planes([station_id], slots, [rng], confounder=confounder)[0]
-
-    def stratum_probabilities(
-        self,
-        station_id: int,
-        hours_of_day: np.ndarray,
-        *,
-        confounder: np.ndarray | float = 0.0,
-    ) -> np.ndarray:
-        """(n, 3) *marginal* [P(None), P(Incentive), P(Always)] per hour.
-
-        Marginalises over the cell-type draw, so it reports the population
-        curves used in Figs. 11/12-style plots; the realised process is
-        :meth:`strata_planes`.
-        """
-        cfg = self.config
-        type_probs = self.cell_type_probabilities(station_id, hours_of_day)
-        u = np.asarray(confounder, dtype=float)
-        act_inc = np.clip(
-            cfg.cell_activity * (1.0 + cfg.confounder_incentive_weight * u), 0.0, 1.0
-        )
-        act_alw = np.clip(
-            cfg.cell_activity * (1.0 + cfg.confounder_always_weight * u), 0.0, 1.0
-        )
-        p_inc = type_probs[:, int(Stratum.INCENTIVE)] * act_inc
-        p_alw = type_probs[:, int(Stratum.ALWAYS)] * act_alw
-        return np.column_stack([1.0 - p_inc - p_alw, p_inc, p_alw])
 
     def propensity(
         self,

@@ -6,23 +6,23 @@ reproduce the *measurable claim*: when BS sites are placed with a
 road-biased density, the fraction of stations within a given distance of a
 road far exceeds the uniform-placement baseline.
 
-The road network is a jittered grid graph (networkx) over a square region;
-roads are the graph's edges as line segments. Station placement draws from
-a mixture: with probability ``road_bias`` a station is sampled near a random
-road point (Gaussian offset), otherwise uniformly over the region.
+The road network is a jittered grid over a square region plus a few
+random "highway" edges; roads are its edges as line segments, held as an
+``(m, 2)`` array of node indices. Station placement draws from a mixture:
+with probability ``road_bias`` a station is sampled near a random road
+point (Gaussian offset), otherwise uniformly over the region.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ConfigError, DataError
 
-if TYPE_CHECKING:
-    import networkx as nx
+#: Std-dev (km) of a road-biased station's offset from its road point.
+_ROADSIDE_SPREAD_KM = 1.5
 
 
 @dataclass(frozen=True)
@@ -60,21 +60,20 @@ class RoadNetworkConfig:
 
 @dataclass(frozen=True)
 class RoadNetwork:
-    """A road network: a graph plus the geometry of its segments."""
+    """A road network: node coordinates and the edges joining them.
 
-    graph: nx.Graph
-    node_xy: dict[int, tuple[float, float]]
+    ``node_xy`` is ``(n_nodes, 2)`` in km; ``edges`` is ``(m, 2)`` node
+    indices, lower node first.
+    """
+
+    edges: np.ndarray
+    node_xy: np.ndarray
     region_km: float
 
     @property
     def segments(self) -> np.ndarray:
         """(n_edges, 4) array of segment endpoints [x1, y1, x2, y2]."""
-        rows = []
-        for u, v in self.graph.edges():
-            x1, y1 = self.node_xy[u]
-            x2, y2 = self.node_xy[v]
-            rows.append((x1, y1, x2, y2))
-        return np.asarray(rows, dtype=float)
+        return self.node_xy[self.edges].reshape(-1, 4)
 
     @property
     def total_length_km(self) -> float:
@@ -87,32 +86,42 @@ def build_road_network(
     config: RoadNetworkConfig,
     rng: np.random.Generator,
 ) -> RoadNetwork:
-    """Construct the jittered-grid road network."""
-    # Local import: only fig1 builds a road graph, so importing the
-    # package must not load networkx.
-    import networkx as nx
+    """Construct the jittered-grid road network.
 
+    Node ``i * n + j`` sits at grid row ``i``, column ``j``. Edges are
+    listed node by node from their lower node: the grid edge down, the
+    grid edge right, then the extra edges in the order they were drawn; an
+    extra edge that repeats an existing one is dropped. The order fixes
+    which segment :func:`place_stations` samples for a given draw.
+    """
     n = config.grid_size
+    n_nodes = n * n
     spacing = config.region_km / (n - 1)
-    graph = nx.grid_2d_graph(n, n)
-    graph = nx.convert_node_labels_to_integers(graph, ordering="sorted")
+    row, col = np.divmod(np.arange(n_nodes), n)
+    offset = rng.normal(0.0, config.jitter_km, size=(n_nodes, 2))
+    node_xy = np.clip(
+        np.column_stack([col * spacing, row * spacing]) + offset,
+        0.0,
+        config.region_km,
+    )
 
-    node_xy: dict[int, tuple[float, float]] = {}
-    for node, (i, j) in enumerate(sorted((i, j) for i in range(n) for j in range(n))):
-        x = j * spacing + rng.normal(0.0, config.jitter_km)
-        y = i * spacing + rng.normal(0.0, config.jitter_km)
-        node_xy[node] = (
-            float(np.clip(x, 0.0, config.region_km)),
-            float(np.clip(y, 0.0, config.region_km)),
-        )
-
-    n_extra = int(config.extra_edge_fraction * graph.number_of_edges())
-    nodes = list(graph.nodes())
-    for _ in range(n_extra):
-        u, v = rng.choice(nodes, size=2, replace=False)
-        graph.add_edge(int(u), int(v))
-
-    return RoadNetwork(graph=graph, node_xy=node_xy, region_km=config.region_km)
+    node = np.arange(n_nodes).reshape(n, n)
+    grid = np.concatenate(
+        [
+            np.column_stack([node[:-1].ravel(), node[1:].ravel()]),
+            np.column_stack([node[:, :-1].ravel(), node[:, 1:].ravel()]),
+        ]
+    )
+    n_extra = int(config.extra_edge_fraction * len(grid))
+    extra = np.array(
+        [rng.choice(n_nodes, size=2, replace=False) for _ in range(n_extra)],
+        dtype=int,
+    ).reshape(n_extra, 2)
+    edges = np.sort(np.concatenate([grid, extra]), axis=1)
+    _, first = np.unique(edges[:, 0] * n_nodes + edges[:, 1], return_index=True)
+    edges = edges[np.sort(first)]
+    edges = edges[np.argsort(edges[:, 0], kind="stable")]
+    return RoadNetwork(edges=edges, node_xy=node_xy, region_km=config.region_km)
 
 
 def point_segment_distance(
@@ -149,7 +158,6 @@ def place_stations(
     rng: np.random.Generator,
     *,
     road_bias: float = 0.85,
-    roadside_spread_km: float = 1.5,
 ) -> np.ndarray:
     """Sample ``n_stations`` BS coordinates, road-biased with prob ``road_bias``.
 
@@ -160,8 +168,6 @@ def place_stations(
         raise ConfigError(f"n_stations must be non-negative, got {n_stations}")
     if not 0.0 <= road_bias <= 1.0:
         raise ConfigError(f"road_bias must be in [0, 1], got {road_bias}")
-    if roadside_spread_km < 0:
-        raise ConfigError("roadside_spread_km must be non-negative")
 
     segments = network.segments
     lengths = np.hypot(segments[:, 2] - segments[:, 0], segments[:, 3] - segments[:, 1])
@@ -174,7 +180,7 @@ def place_stations(
             seg = segments[rng.choice(len(segments), p=weights)]
             t = rng.random()
             base = seg[:2] + t * (seg[2:] - seg[:2])
-            offset = rng.normal(0.0, roadside_spread_km, size=2)
+            offset = rng.normal(0.0, _ROADSIDE_SPREAD_KM, size=2)
             points[index] = np.clip(base + offset, 0.0, network.region_km)
         else:
             points[index] = rng.uniform(0.0, network.region_km, size=2)

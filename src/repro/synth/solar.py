@@ -24,7 +24,6 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..timeutils import DAYS_PER_YEAR, SlotCalendar
-from ..units import HOURS_PER_DAY
 from .noise import normal_rows
 
 
@@ -157,22 +156,3 @@ def generate_irradiance(
     """
     ghi, cover = irradiance_planes(n_hours, config, [rng], calendar=calendar)
     return ghi[0], cover[0]
-
-
-def daylight_hours_mask(
-    n_hours: int,
-    config: SolarConfig,
-    calendar: SlotCalendar | None = None,
-) -> np.ndarray:
-    """Boolean mask of slots where the sun is above the horizon."""
-    calendar = calendar or SlotCalendar()
-    slots = np.arange(n_hours)
-    sin_el = solar_elevation_sin(
-        calendar.day_of_year(slots), calendar.hour_of_day(slots), config.latitude_deg
-    )
-    return sin_el > 0.0
-
-
-def peak_sun_hour(config: SolarConfig) -> int:
-    """The hour of day at which clear-sky output peaks (solar noon)."""
-    return HOURS_PER_DAY // 2

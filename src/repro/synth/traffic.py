@@ -128,10 +128,6 @@ class TrafficGenerator:
         weekend = np.asarray(self.calendar.is_weekend(slots))
         return np.where(weekend, profile * cfg.weekend_factor, profile)
 
-    def expected_profile(self, n_hours: int) -> np.ndarray:
-        """Noise-free expected traffic (GB/h) — the deterministic backbone."""
-        return self._profile_rows(n_hours, np.ones(1))[0]
-
     def generate_planes(
         self,
         n_hours: int,

@@ -73,12 +73,6 @@ class WeatherTrace:
             cloud_cover=self.cloud_cover[start:stop],
         )
 
-    def normalized_features(self) -> np.ndarray:
-        """(n, 2) array of [irradiance/1000, wind/25] features for NN input."""
-        return np.column_stack(
-            [self.irradiance_w_m2 / 1000.0, self.wind_speed_m_s / 25.0]
-        )
-
 
 class WeatherGenerator:
     """Generates :class:`WeatherTrace` objects from a seeded factory.

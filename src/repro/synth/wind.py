@@ -115,10 +115,3 @@ def generate_wind_speed(
 ) -> np.ndarray:
     """Hourly wind-speed trace in m/s of length ``n_hours``."""
     return wind_speed_planes(n_hours, config, [rng], calendar=calendar)[0]
-
-
-def weibull_mean(config: WindConfig) -> float:
-    """Analytic mean of the configured Weibull marginal (m/s)."""
-    return float(
-        config.weibull_scale_m_s * special.gamma(1.0 + 1.0 / config.weibull_shape)
-    )

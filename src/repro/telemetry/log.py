@@ -56,11 +56,6 @@ def level() -> int:
     return _threshold
 
 
-def is_enabled(message_level: int) -> bool:
-    """Whether a message at ``message_level`` would be emitted."""
-    return message_level >= _threshold
-
-
 def format_fields(fields: dict) -> str:
     """Render structured fields as a ``key=value`` suffix."""
     if not fields:

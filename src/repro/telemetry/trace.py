@@ -123,13 +123,11 @@ class Tracer:
             stack.extend(node.get("children", ()))
         return {name: totals[name] for name in sorted(totals)}
 
-    def summary_lines(self, *, min_wall_s: float = 0.0) -> list[str]:
+    def summary_lines(self) -> list[str]:
         """Human-readable indented tree of span durations."""
         lines: list[str] = []
 
         def render(node: dict, depth: int) -> None:
-            if node.get("wall_s", 0.0) < min_wall_s and depth > 0:
-                return
             fields = node.get("fields")
             suffix = (
                 " [" + " ".join(f"{k}={v}" for k, v in fields.items()) + "]"

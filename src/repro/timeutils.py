@@ -80,24 +80,12 @@ class SlotCalendar:
             return np.asarray(dow) >= 5
         return dow >= 5
 
-    def period_6h(self, slot: np.ndarray | int) -> np.ndarray | int:
-        """Index (0..3) of the paper's Fig. 12 six-hour period for each slot."""
-        hod = self.hour_of_day(slot)
-        if np.ndim(hod):
-            return np.asarray(hod) // 6
-        return hod // 6
-
 
 def hours(n_days: int) -> int:
     """Number of hourly slots in ``n_days`` days."""
     if n_days < 0:
         raise ConfigError(f"n_days must be non-negative, got {n_days}")
     return int(n_days) * HOURS_PER_DAY
-
-
-def hour_angle_fraction(hour_of_day: np.ndarray) -> np.ndarray:
-    """Fraction of the day elapsed at each hour, in [0, 1)."""
-    return np.asarray(hour_of_day, dtype=float) / HOURS_PER_DAY
 
 
 def diurnal_harmonic(

@@ -30,6 +30,7 @@ from repro.causal import (
 from repro.causal.baselines import PROPENSITY_CLIP
 from repro.causal.policy import expected_discount_reward, select_with_budget
 from repro.errors import ConfigError, DataError, NotFittedError
+from repro.nn import kernels
 from repro.rng import RngFactory
 from repro.synth.charging import ChargingBehaviorModel, ChargingConfig, Stratum
 
@@ -141,8 +142,10 @@ class TestEctPrice:
             2, 2, EctPriceConfig(epochs=10, batch_size=128), np.random.default_rng(1)
         )
         model.fit(ds)
-        probs = model.predict_strata(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
-        g_est = model.predict_propensity(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
+        stations, times = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+        probs = model.predict_strata(stations, times)
+        # The propensity head P(T=1 | X) is the network's fourth logit.
+        g_est = kernels.sigmoid(model.network(stations, times)[:, 3])
         for i, key in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
             assert probs[i] == pytest.approx(truth[key][:3], abs=0.12)
             assert g_est[i] == pytest.approx(truth[key][3], abs=0.08)

@@ -12,7 +12,7 @@ from repro.errors import ConfigError, ModelError
 from repro.hub import CostBook, ScenarioConfig, build_fleet_scenarios, fleet_behavior_model
 from repro.rl import EctHubEnv, EnvConfig
 from repro.rng import RngFactory
-from repro.synth.charging import ChargingBehaviorModel, ChargingConfig
+from repro.synth.charging import ChargingBehaviorModel, ChargingConfig, Stratum
 from repro.causal.dataset import dataset_from_log
 
 
@@ -149,12 +149,13 @@ class TestBehaviorModelEdges:
 
     def test_activity_map_in_bounds(self, factory):
         model = ChargingBehaviorModel(ChargingConfig(), factory)
-        act = model.cell_activity_map()
+        act = model._cell_activity
         assert act.min() >= 0.15 and act.max() <= 0.98
 
     def test_confounder_raises_always_activity(self, factory):
         model = ChargingBehaviorModel(ChargingConfig(), factory)
-        hours = np.arange(24)
-        low = model.stratum_probabilities(0, hours, confounder=-0.2)
-        high = model.stratum_probabilities(0, hours, confounder=0.2)
-        assert high[:, 2].sum() > low[:, 2].sum()
+        always = np.full(24, int(Stratum.ALWAYS))
+        base = model._cell_activity[0, :24]
+        low = model._activity(always, base, -0.2)
+        high = model._activity(always, base, 0.2)
+        assert high.sum() > low.sum()

@@ -27,9 +27,7 @@ from repro.energy import (
     PvConfig,
     WindTurbine,
     WindTurbineConfig,
-    capacity_fade,
     cell_voltage,
-    operation_cost_per_slot,
     simulate_voltage_traces,
 )
 from repro.errors import BatteryError, ConfigError, GridError
@@ -74,11 +72,6 @@ class TestBattery:
         assert result.action == IDLE or result.curtailed
         assert pack.soc_kwh >= BatteryConfig().soc_min_kwh - 1e-9
 
-    def test_strict_mode_raises(self):
-        pack = BatteryPack(BatteryConfig(), initial_soc_fraction=0.95)
-        with pytest.raises(BatteryError):
-            pack.step(CHARGE, strict=True)
-
     def test_invalid_action(self):
         with pytest.raises(BatteryError):
             BatteryPack().step(5)
@@ -87,13 +80,6 @@ class TestBattery:
         pack = BatteryPack()
         pack.reset(0.0)
         assert pack.soc_kwh == pytest.approx(BatteryConfig().soc_min_kwh)
-
-    def test_throughput_and_cycles_accumulate(self):
-        pack = BatteryPack(BatteryConfig(), initial_soc_fraction=0.5)
-        pack.step(CHARGE)
-        pack.step(DISCHARGE)
-        assert pack.throughput_kwh > 0
-        assert pack.equivalent_full_cycles > 0
 
     def test_emergency_supply_uses_reserve(self):
         pack = BatteryPack(BatteryConfig(), initial_soc_fraction=0.10)
@@ -142,19 +128,6 @@ class TestBattery:
 
 
 class TestDegradation:
-    def test_capacity_fade_monotone(self):
-        config = DegradationConfig()
-        assert capacity_fade(config, days=100) < capacity_fade(config, days=300)
-
-    def test_cycle_fade_adds(self):
-        config = DegradationConfig()
-        idle = capacity_fade(config, days=100)
-        cycled = capacity_fade(config, days=100, equivalent_full_cycles=100)
-        assert cycled > idle
-
-    def test_fade_capped_at_one(self):
-        assert capacity_fade(DegradationConfig(), days=1e9) == 1.0
-
     def test_cell_voltage_declines(self):
         config = DegradationConfig()
         assert cell_voltage(config, 0.2) < cell_voltage(config, 0.0)
@@ -167,15 +140,9 @@ class TestDegradation:
             assert slope < 0
         assert 50.0 < traces["group_voltage"][0] < 58.0
 
-    def test_operation_cost_positive(self):
-        cost = operation_cost_per_slot(pack_capital_cost=20000.0, capacity_kwh=200.0)
-        assert cost > 0
-
     def test_invalid_inputs(self, rng):
         with pytest.raises(ConfigError):
             simulate_voltage_traces(0, rng)
-        with pytest.raises(ConfigError):
-            capacity_fade(DegradationConfig(), days=-1)
 
 
 class TestPlants:
@@ -262,10 +229,6 @@ class TestGrid:
 
     def test_surplus_curtailed(self):
         assert GridConnection().draw_power(-5.0) == 0.0
-
-    def test_surplus_strict_raises(self):
-        with pytest.raises(GridError):
-            GridConnection().draw_power(-5.0, strict=True)
 
     def test_export_allowed_when_enabled(self):
         grid = GridConnection(GridConfig(allow_export=True))

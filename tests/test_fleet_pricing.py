@@ -28,7 +28,7 @@ from repro.causal import (
     time_ids_for_slots,
 )
 from repro.cli import main
-from repro.errors import ConfigError, FleetError
+from repro.errors import ConfigError
 from repro.experiments.base import write_results_json
 from repro.hub.scenario import resolve_occupancy
 from repro.rl.schedulers import RuleBasedScheduler
@@ -217,34 +217,6 @@ class TestCompilerRefactorRegression:
         # Re-realising with another plane is pure: no rng state involved.
         assert assembly.realize_occupancy(None).tobytes() == baseline.tobytes()
         assert assembly.realize_occupancy(schedule).tobytes() == discounted.tobytes()
-
-    def test_fleet_inputs_with_occupancy_swaps_only_the_demand_planes(self):
-        compiled = build(price_spec("none"))
-        inputs = compiled.simulation.inputs
-        occupied = 1 - inputs.occupied
-        swapped = inputs.with_occupancy(occupied, np.full_like(inputs.discount, 0.1))
-        assert swapped.occupied.tobytes() == occupied.tobytes()
-        assert (swapped.discount == 0.1).all()
-        for name in ("load_rate", "rtp_kwh", "pv_power_kw", "wt_power_kw"):
-            assert np.shares_memory(
-                getattr(swapped, name), getattr(inputs, name)
-            ), name
-
-    def test_fleet_inputs_with_occupancy_broadcasts_1d_discount(self):
-        inputs = build(price_spec("none")).simulation.inputs
-        horizon = inputs.occupied.shape[1]
-        swapped = inputs.with_occupancy(
-            inputs.occupied, np.linspace(0.0, 0.3, horizon)
-        )
-        assert swapped.discount.shape == inputs.discount.shape
-        assert (swapped.discount == swapped.discount[0]).all()
-
-    def test_fleet_inputs_with_occupancy_rejects_bad_shapes(self):
-        inputs = build(price_spec("none")).simulation.inputs
-        with pytest.raises(FleetError):
-            inputs.with_occupancy(inputs.occupied[:, :-1], inputs.discount)
-        with pytest.raises(FleetError):
-            inputs.with_occupancy(inputs.occupied, inputs.discount[:, :-1])
 
     def test_discount_rows_validates_shape(self):
         assembly = _assemble_fleet(price_spec("none"))

@@ -18,20 +18,27 @@ from repro.hub import (
     ScenarioConfig,
     build_fleet_scenarios,
     build_scenario,
-    check_soc_bounds,
     compute_slot_ledger,
     fleet_behavior_model,
-    forecast_reserve_satisfied,
     required_reserve_kwh,
-    reserve_satisfied,
     resolve_occupancy,
-    rolling_bs_energy_kwh,
     sized_battery_config,
-    validate_reserve,
 )
 from repro.rng import RngFactory
 from repro.synth.catalog import default_fleet
 from repro.synth.charging import Stratum
+
+
+def _reserve_met(battery, cluster, recovery_time_h):
+    """Whether ``SoC_min`` meets the worst-case Eq. 6 reserve."""
+    return battery.soc_min_kwh >= required_reserve_kwh(cluster, recovery_time_h) - 1e-9
+
+
+def _balance_error_kwh(ledger):
+    """Residual of the Eq. 7 bus balance of one 1 h slot."""
+    supply = ledger.p_grid_kw + ledger.p_pv_kw + ledger.p_wt_kw + max(-ledger.p_bp_kw, 0.0)
+    demand = ledger.p_bs_kw + ledger.p_cs_kw + max(ledger.p_bp_kw, 0.0) + ledger.surplus_kw
+    return supply - demand
 
 
 def _inputs(n=24, occupied=None, outage=None, rng=None):
@@ -147,42 +154,17 @@ class TestConstraints:
         cluster = BaseStationCluster(2)
         assert required_reserve_kwh(cluster, 4) == pytest.approx(2 * 4.0 * 4)
 
-    def test_reserve_satisfied_and_violated(self):
-        cluster = BaseStationCluster(2)
-        ok = BatteryConfig(capacity_kwh=200.0, soc_min_fraction=0.2)
-        bad = BatteryConfig(capacity_kwh=200.0, soc_min_fraction=0.05)
-        assert reserve_satisfied(ok, cluster, 4)
-        assert not reserve_satisfied(bad, cluster, 4)
-        with pytest.raises(ConstraintViolation):
-            validate_reserve(bad, cluster, 4)
-
     def test_sized_battery_config_raises_min(self):
         cluster = BaseStationCluster(2)
         base = BatteryConfig(capacity_kwh=200.0, soc_min_fraction=0.01)
         sized = sized_battery_config(base, cluster, 4)
-        assert reserve_satisfied(sized, cluster, 4)
+        assert _reserve_met(sized, cluster, 4)
 
     def test_sized_battery_impossible(self):
         cluster = BaseStationCluster(10)
         tiny = BatteryConfig(capacity_kwh=20.0)
         with pytest.raises(ConstraintViolation):
             sized_battery_config(tiny, cluster, 8)
-
-    def test_rolling_bs_energy(self):
-        power = np.array([1.0, 2.0, 3.0, 4.0])
-        rolling = rolling_bs_energy_kwh(power, 2)
-        assert rolling.tolist() == [3.0, 5.0, 7.0, 4.0]
-
-    def test_forecast_reserve(self):
-        config = BatteryConfig(capacity_kwh=200.0, soc_min_fraction=0.10)
-        assert forecast_reserve_satisfied(config, np.full(48, 4.0), 4)
-        assert not forecast_reserve_satisfied(config, np.full(48, 8.0), 4)
-
-    def test_check_soc_bounds(self):
-        config = BatteryConfig()
-        check_soc_bounds(100.0, config)
-        with pytest.raises(ConstraintViolation):
-            check_soc_bounds(1.0, config)
 
 
 class TestSimulation:
@@ -203,7 +185,7 @@ class TestSimulation:
         sim = HubSimulation(EctHub(HubConfig()), _inputs(72))
         book = sim.run(lambda s: [1, 0, -1][s.t % 3])
         for ledger in book.ledgers:
-            assert abs(ledger.energy_balance_error_kwh()) < 1e-9
+            assert abs(_balance_error_kwh(ledger)) < 1e-9
 
     def test_blackout_suspends_charging_and_grid(self):
         outage = np.zeros(24, dtype=bool)
@@ -271,7 +253,7 @@ class TestScenario:
             cluster = BaseStationCluster(
                 scenario.site.n_base_stations, config.base_station
             )
-            assert reserve_satisfied(
+            assert _reserve_met(
                 scenario.hub_config.battery, cluster, config.recovery_time_h
             )
 

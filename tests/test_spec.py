@@ -43,6 +43,8 @@ from repro.spec import (
 )
 from repro.spec.scenario import SCHEMA_VERSION
 
+from fleet_oracle import hub_book
+
 #: A tiny heterogeneous scenario reused across tests (fast to run).
 HETERO_SPEC = ScenarioSpec(
     name="hetero-test",
@@ -551,7 +553,7 @@ class TestVoll:
             run=RunSpec(days=3, voll_per_kwh=2.0),
         )
         book = build(spec).execute()
-        scalar = book.hub_book(0)
+        scalar = hub_book(book, 0)
         assert scalar.voll_per_kwh == 2.0
         assert scalar.profit == pytest.approx(float(book.profit_per_hub[0]))
 

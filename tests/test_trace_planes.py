@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -47,7 +48,6 @@ from repro.synth.catalog import default_fleet
 from repro.synth.charging import (
     ChargingBehaviorModel,
     ChargingConfig,
-    StationProfile,
     Stratum,
     _circular_interp,
 )
@@ -178,6 +178,15 @@ def oracle_stream(seed, name):
     )
 
 
+class StationProfile(NamedTuple):
+    """One station's personality scales, as the per-station loop kept them."""
+
+    station_id: int
+    demand_scale: float
+    incentive_scale: float
+    always_scale: float
+
+
 def oracle_profiles(config, seed):
     """``ChargingBehaviorModel._build_profiles``: three scalar draws a station."""
     rng = oracle_stream(seed, "charging/profiles")
@@ -196,7 +205,7 @@ def oracle_profiles(config, seed):
 
 
 def oracle_cell_type_probabilities(config, profiles, strata_scales, station_id, hours_of_day):
-    """``cell_type_probabilities``: one station's (n, 3) type probabilities."""
+    """``_type_probability_table``: one station's (n, 3) type probabilities."""
     profile = profiles[station_id]
     cfg = config
     hours = np.asarray(hours_of_day, dtype=float)
@@ -253,7 +262,7 @@ def oracle_cell_types(config, profiles, strata_scales, seed):
 
 def oracle_realize_strata(model, station_id, slots, rng, confounder=0.0):
     """``ChargingBehaviorModel.realize_strata``: one station's strata row."""
-    cell_type_map, cell_activity_map = model.cell_type_map(), model.cell_activity_map()
+    cell_type_map, cell_activity_map = model._cell_types, model._cell_activity
     cfg = model.config
     slots = np.asarray(slots)
     hod = np.asarray(model.calendar.hour_of_day(slots))
@@ -626,21 +635,20 @@ def _charging_case(name, seed):
 class TestChargingTables:
     def test_profiles(self, case, seed):
         model, config, _ = _charging_case(case, seed)
-        want = oracle_profiles(config, seed)
-        got = model.station_profiles
-        assert got == want
-
-        def table(profiles):
-            return np.array(
-                [[p.demand_scale, p.incentive_scale, p.always_scale] for p in profiles]
-            )
-
-        assert table(got).tobytes() == table(want).tobytes()
+        want = np.array(
+            [
+                [p.demand_scale, p.incentive_scale, p.always_scale]
+                for p in oracle_profiles(config, seed)
+            ]
+        )
+        got = model._profiles
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_cell_types(self, case, seed):
         model, config, scales = _charging_case(case, seed)
         want = oracle_cell_types(config, oracle_profiles(config, seed), scales, seed)
-        got = model.cell_type_map()
+        got = model._cell_types
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -650,7 +658,7 @@ class TestChargingTables:
         profiles = oracle_profiles(config, seed)
         hours = (np.arange(n_hours) * 0.37) % HOURS_PER_DAY
         for station_id in range(config.n_stations):
-            got = model.cell_type_probabilities(station_id, hours)
+            got = model._type_probability_table(np.array([station_id]), hours)[0]
             want = oracle_cell_type_probabilities(
                 config, profiles, scales, station_id, hours
             )
@@ -698,11 +706,8 @@ class TestChargingTables:
 @pytest.mark.parametrize("case", ["overflow", "overflow-scales"])
 def test_overflow_cases_hit_the_cap(case):
     model, config, _ = _charging_case(case, 0)
-    probs = np.stack(
-        [
-            model.cell_type_probabilities(i, np.arange(HOURS_PER_DAY))
-            for i in range(config.n_stations)
-        ]
+    probs = model._type_probability_table(
+        np.arange(config.n_stations), np.arange(HOURS_PER_DAY)
     )
     capped = np.isclose(probs[..., 1] + probs[..., 2], 0.95)
     assert capped.mean() > 0.25
@@ -726,10 +731,6 @@ class TestStationIdRange:
             model.strata_planes([0, 5, 1], np.arange(24), rngs)
         with pytest.raises(ConfigError, match="station_id -2 outside fleet of 3"):
             model.strata_planes([0, 1, -2], np.arange(24), rngs)
-
-    def test_cell_type_probabilities_share_the_check(self, model):
-        with pytest.raises(ConfigError, match="station_id -1 outside fleet of 3"):
-            model.cell_type_probabilities(-1, np.arange(24))
 
     def test_non_integer_ids_rejected(self, model):
         with pytest.raises(ConfigError, match="integers"):
@@ -784,7 +785,7 @@ def test_assembly_strata_and_outages_match_the_per_hub_loops(seed):
     scales[5:, 1] = 2.5
     config = assembly.behavior.config
     want_types = oracle_cell_types(config, oracle_profiles(config, seed), scales, seed)
-    assert assembly.behavior.cell_type_map().tobytes() == want_types.tobytes()
+    assert assembly.behavior._cell_types.tobytes() == want_types.tobytes()
     want_strata = oracle_fleet_strata(assembly.behavior, hub_ids, 168, seed)
     assert assembly.realize_strata().tobytes() == want_strata.tobytes()
     want_outage = oracle_fleet_outages(0.2, 3, hub_ids, 168, seed)

@@ -81,8 +81,6 @@ class TestWindowedBook:
     def test_per_slot_surfaces_refused(self):
         _, windowed = run_pair()
         with pytest.raises(FleetError, match="dense"):
-            windowed.hub_book(0)
-        with pytest.raises(FleetError, match="dense"):
             windowed.feeder_import_kw()
         with pytest.raises(FleetError, match="dense"):
             _ = windowed.grid_cost
