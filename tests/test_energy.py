@@ -132,6 +132,32 @@ class TestDegradation:
         config = DegradationConfig()
         assert cell_voltage(config, 0.2) < cell_voltage(config, 0.0)
 
+    def test_capacity_fade_monotone(self, rng):
+        quiet = DegradationConfig(voltage_noise_v=0.0)
+        traces = simulate_voltage_traces(300, rng, quiet)
+        assert (np.diff(traces["cell_voltages"], axis=1) < 0).all()
+        assert (np.diff(traces["group_voltage"]) < 0).all()
+
+    def test_cycle_fade_adds(self, rng):
+        """With no calendar fade, the float-service cycles alone still age the pack."""
+        cycle_only = DegradationConfig(calendar_fade_per_day=0.0, voltage_noise_v=0.0)
+        group = simulate_voltage_traces(100, rng, cycle_only)["group_voltage"]
+        assert group[-1] < group[0]
+        no_fade = DegradationConfig(
+            calendar_fade_per_day=0.0, cycle_fade_per_efc=0.0, voltage_noise_v=0.0
+        )
+        flat = simulate_voltage_traces(100, rng, no_fade)["group_voltage"]
+        assert (flat == flat[0]).all()
+
+    def test_fade_capped_at_one(self, rng):
+        config = DegradationConfig(calendar_fade_per_day=0.5, voltage_noise_v=0.0)
+        traces = simulate_voltage_traces(10, rng, config)
+        floor_v = config.cell_nominal_v - config.cell_voltage_span_v
+        np.testing.assert_allclose(traces["cell_voltages"][:, 5:], floor_v)
+        np.testing.assert_allclose(
+            traces["group_voltage"][5:], config.cells_in_group * floor_v
+        )
+
     def test_voltage_traces_shape_and_trend(self, rng):
         traces = simulate_voltage_traces(350, rng, n_cells=2)
         assert traces["cell_voltages"].shape == (2, 350)

@@ -158,6 +158,18 @@ class TestContainers:
         np.testing.assert_array_equal(back.outage, rows[1].outage)
         np.testing.assert_array_equal(fleet.outage_mask()[0], np.zeros(5, dtype=bool))
 
+    def test_stack_rejects_mixed_horizons(self):
+        fleet = stack_hub_inputs([flat_inputs(5), flat_inputs(5)])
+        with pytest.raises(FleetError, match="inconsistent shape"):
+            FleetInputs(
+                load_rate=fleet.load_rate,
+                rtp_kwh=fleet.rtp_kwh[:, :4],
+                pv_power_kw=fleet.pv_power_kw,
+                wt_power_kw=fleet.wt_power_kw,
+                occupied=fleet.occupied,
+                discount=fleet.discount,
+            )
+
     def test_params_from_configs(self):
         params = FleetParams.from_hub_configs([small_hub_config(), HubConfig()])
         assert params.n_hubs == 2

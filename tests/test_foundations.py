@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import config as config_mod
 from repro import rng as rng_mod
 from repro import timeutils, units
@@ -42,6 +48,13 @@ class TestSlotCalendar:
         assert cal.day_of_week(0) == 4
         assert not cal.is_weekend(0)
         assert cal.is_weekend(24)  # Saturday
+
+    def test_period_6h(self):
+        """The Fig. 12 periods tile the day in order, one label each."""
+        bounds = [hour for period in timeutils.PERIODS_6H for hour in period]
+        assert bounds == [0, 6, 6, 12, 12, 18, 18, 24]
+        assert len(timeutils.PERIOD_LABELS) == len(timeutils.PERIODS_6H)
+        assert timeutils.PERIOD_LABELS[-1] == "18:00-24:00"
 
     def test_invalid_start_day_rejected(self):
         with pytest.raises(ConfigError):
@@ -248,6 +261,12 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigError):
             config_mod.to_dict(42)
 
+    def test_json_round_trip(self, tmp_path):
+        outer = _Outer(name="io", inner=_Inner(value=0.5), sizes=(5, 6))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_mod.to_dict(outer)))
+        assert config_mod.from_dict(_Outer, config_mod.read_json(path)) == outer
+
     def test_invalid_json_raises(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
@@ -259,3 +278,25 @@ class TestConfigPlumbing:
         assert config_mod.replace(outer, name="y").name == "y"
         with pytest.raises(ConfigError):
             config_mod.replace(outer, bogus=1)
+
+
+class TestImportFootprint:
+    def test_api_import_leaves_networkx_unloaded(self):
+        """The road network is a plain edge array, so neither ``repro.api``
+        nor the fig1 experiment may load networkx (a fresh interpreter, so
+        other tests cannot mask it)."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        loaded = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.api, repro.experiments.fig1_overlap; "
+                "print('networkx' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        ).stdout.strip()
+        assert loaded == "False"

@@ -154,6 +154,15 @@ class TestConstraints:
         cluster = BaseStationCluster(2)
         assert required_reserve_kwh(cluster, 4) == pytest.approx(2 * 4.0 * 4)
 
+    def test_reserve_satisfied_and_violated(self):
+        cluster = BaseStationCluster(2)
+        ok = BatteryConfig(capacity_kwh=200.0, soc_min_fraction=0.2)
+        bad = BatteryConfig(capacity_kwh=200.0, soc_min_fraction=0.05)
+        assert _reserve_met(ok, cluster, 4)
+        assert not _reserve_met(bad, cluster, 4)
+        assert sized_battery_config(ok, cluster, 4) is ok
+        assert sized_battery_config(bad, cluster, 4).soc_min_fraction > bad.soc_min_fraction
+
     def test_sized_battery_config_raises_min(self):
         cluster = BaseStationCluster(2)
         base = BatteryConfig(capacity_kwh=200.0, soc_min_fraction=0.01)

@@ -109,6 +109,10 @@ class TestModuleAndSerialization:
         names = [name for name, _ in mlp.named_parameters()]
         assert len(names) == len(set(names)) == 4  # 2 layers x (W, b)
 
+    def test_num_parameters(self, rng):
+        mlp = nn.MLP((2, 4, 1), rng)
+        assert sum(param.data.size for param in mlp.parameters()) == 2 * 4 + 4 + 4 * 1 + 1
+
     def test_xor_training_end_to_end(self, rng):
         """Adam trains an MLP on the tape, through the leaves' copied gradients."""
         X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], float)

@@ -195,6 +195,20 @@ class TestCharging:
         daytime_rate = daytime.sum() / (log.hour_of_day < 18).sum()
         assert evening_rate > 2 * daytime_rate
 
+    def test_cell_types_persistent(self, factory):
+        """Each (station, hour, weekend) cell keeps one type: every active
+        slot of a cell realises that same stratum, week after week."""
+        model = ChargingBehaviorModel(ChargingConfig(), factory)
+        slots = np.arange(24 * 7 * 8)
+        strata = model.sample_strata(0, slots, factory.stream("persist"))
+        cells = model.calendar.hour_of_day(slots) + 24 * model.calendar.is_weekend(
+            slots
+        ).astype(int)
+        active = strata != int(Stratum.NONE)
+        assert active.any()
+        for cell in np.unique(cells[active]):
+            assert len(set(strata[active & (cells == cell)].tolist())) == 1
+
     def test_split_by_day(self, factory):
         log = ChargingBehaviorModel(ChargingConfig(), factory).simulate_log(20)
         train, test = log.split_by_day(15)
@@ -206,6 +220,13 @@ class TestCharging:
         counts = log.counts_by_hour()
         assert counts.shape == (24,)
         assert counts.sum() == log.n_sessions
+
+    def test_stratum_probabilities_simplex(self, factory):
+        model = ChargingBehaviorModel(ChargingConfig(), factory)
+        probs = model._type_probability_table(np.arange(3), np.arange(24))
+        assert probs.shape == (3, 24, 3)
+        assert np.allclose(probs.sum(axis=-1), 1.0)
+        assert probs.min() >= 0.0
 
     def test_propensity_bounds(self, factory):
         model = ChargingBehaviorModel(ChargingConfig(), factory)

@@ -732,6 +732,13 @@ class TestStationIdRange:
         with pytest.raises(ConfigError, match="station_id -2 outside fleet of 3"):
             model.strata_planes([0, 1, -2], np.arange(24), rngs)
 
+    def test_cell_type_probabilities_share_the_check(self, model):
+        """The one-row path and the plane path reject an id the same way."""
+        with pytest.raises(ConfigError, match="station_id -1 outside fleet of 3"):
+            model.sample_strata(-1, np.arange(24), RngFactory(0).stream("s"))
+        with pytest.raises(ConfigError, match="station_id -1 outside fleet of 3"):
+            model.strata_planes([-1], np.arange(24), [RngFactory(0).stream("s")])
+
     def test_non_integer_ids_rejected(self, model):
         with pytest.raises(ConfigError, match="integers"):
             model.strata_planes([0.0, 1.0], np.arange(24), RngFactory(0).streams(["a", "b"]))
