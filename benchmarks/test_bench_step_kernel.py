@@ -54,9 +54,15 @@ class ReferenceStepSimulation(FleetSimulation):
 
     Kept as the benchmark's reference so the speedup ratio is measured on
     the hardware running the bench instead of against a recorded number
-    from other silicon. Only ``step`` differs; construction, the book,
-    feeders, and schedulers are shared with the fused engine.
+    from other silicon. Only ``step`` differs, plus the cumulative
+    battery throughput it keeps (the fused engine books none);
+    construction, the book, feeders, and schedulers are shared with the
+    fused engine.
     """
+
+    def reset(self, **kwargs) -> None:
+        super().reset(**kwargs)
+        self.throughput_kwh = np.zeros(self.n_hubs)
 
     def step(self, actions: np.ndarray) -> dict[str, np.ndarray]:
         if self.done:

@@ -311,12 +311,6 @@ class FeederGroup:
             return self.import_capacity_kw[:, t]
         return self.import_capacity_kw
 
-    def feeder_demand_kw(self, import_kw: np.ndarray) -> np.ndarray:
-        """Aggregate per-hub imports into ``(n_feeders,)`` feeder draw."""
-        return np.bincount(
-            self.assignment, weights=import_kw, minlength=self.n_feeders
-        )
-
     # ------------------------------------------------------------------ #
     # Allocation                                                           #
     # ------------------------------------------------------------------ #
@@ -396,22 +390,42 @@ class FeederGroup:
     ) -> np.ndarray:
         """Per-hub fair share of feeder headroom beyond the base load.
 
-        ``base_import_kw`` is each hub's action-independent grid draw for
-        the slot (BS + CS load net of renewables, zero for blackout hubs).
-        The remaining feeder headroom is split evenly over the feeder's
-        members — the congestion signal the vectorized schedulers consult
-        before committing to a charge. Infinite while unconstrained, so
-        uncoupled fleets see an always-permissive signal.
+        ``base_import_kw`` is each hub's action-independent grid draw (BS +
+        CS load net of renewables, zero for blackout hubs): ``(n_hubs,)``
+        for slot ``t``, or an ``(n_hubs, width)`` block for slots ``t`` to
+        ``t + width - 1``, which returns the block of per-slot signals in
+        one pass. The remaining feeder headroom is split evenly over the
+        feeder's members — the congestion signal the vectorized schedulers
+        consult before committing to a charge. Infinite while
+        unconstrained, so uncoupled fleets see an always-permissive signal.
         """
         base = np.asarray(base_import_kw, dtype=float)
-        if base.shape != self.assignment.shape:
+        if base.ndim not in (1, 2) or base.shape[0] != self.n_hubs:
             raise FleetError(
-                f"base_import_kw must have shape {self.assignment.shape}, "
-                f"got {base.shape}"
+                f"base_import_kw must be ({self.n_hubs},) or ({self.n_hubs}, "
+                f"width), got {base.shape}"
             )
         if self.is_unlimited:
-            return np.full(self.n_hubs, np.inf)
-        headroom = np.maximum(
-            self.capacity_at(t) - self.feeder_demand_kw(base), 0.0
-        )
-        return (headroom / np.maximum(self.members, 1))[self.assignment]
+            return np.full(base.shape, np.inf)
+        if base.ndim == 1:
+            return self.available_import_kw(base[:, None], t)[:, 0]
+        width = base.shape[1]
+        capacity = self.import_capacity_kw
+        if capacity.ndim == 2:
+            if t < 0 or t + width > capacity.shape[1]:
+                raise FleetError(
+                    f"slots [{t}, {t + width}) outside the feeder capacity "
+                    f"horizon {capacity.shape[1]}"
+                )
+            capacity = capacity[:, t : t + width]
+        else:
+            capacity = capacity[:, None]
+        # One bincount over (feeder, slot) bins: the flattened weights run
+        # hub-major, so every bin accumulates its hubs in hub order from
+        # 0.0, exactly like a bincount of that column alone.
+        bins = (self.assignment[:, None] * width + np.arange(width)).ravel()
+        demand = np.bincount(
+            bins, weights=base.ravel(), minlength=self.n_feeders * width
+        ).reshape(self.n_feeders, width)
+        headroom = np.maximum(capacity - demand, 0.0)
+        return (headroom / np.maximum(self.members, 1)[:, None])[self.assignment]

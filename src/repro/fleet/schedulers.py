@@ -1,4 +1,4 @@
-"""Vectorized battery schedulers over :class:`FleetSimulation` states.
+"""Vectorized battery schedulers: open-loop block planners over a fleet.
 
 Each scheduler is the batched twin of one scalar baseline in
 :mod:`repro.rl.schedulers` and produces **identical per-hub actions** given
@@ -11,14 +11,20 @@ whole scheduled runs between the two engines:
 * :class:`FleetRuleBasedScheduler` ↔ ``RuleBasedScheduler``
 * :class:`FleetGreedyRenewableScheduler` ↔ ``GreedyRenewableScheduler``
 
-The protocol is ``scheduler(sim) -> (n_hubs,) actions`` plus an optional
-``reset(sim)`` hook that :meth:`FleetSimulation.run` invokes once.
+The protocol is ``scheduler(view, start, stop) -> (n_hubs, stop - start)``
+actions for slots ``start`` to ``stop - 1``, plus an optional
+``reset(view)`` hook that :meth:`FleetSimulation.run_jobs` invokes once.
+The view exposes a fleet's sizes, params, traces, slot planes and feeders
+— never its batteries — so the schedulers are open-loop by construction:
+every decision is an elementwise test over ``[:, start:stop]`` slices of
+the traces and planes, and a block plans exactly what the slots would
+one at a time.
 
 Rule-based and greedy are **congestion-aware**: before committing to a
-charge they consult :meth:`FleetSimulation.available_import_kw` — the
-per-hub fair share of remaining feeder capacity — and fall back to IDLE
-where the battery's extra import would not fit. On an uncoupled fleet the
-signal is infinite, so the actions stay identical to the scalar twins.
+charge they consult :meth:`FeederGroup.available_import_kw` — the per-hub
+fair share of remaining feeder capacity — and fall back to IDLE where the
+battery's extra import would not fit. On an uncoupled fleet the signal is
+infinite, so the actions stay identical to the scalar twins.
 """
 
 from __future__ import annotations
@@ -30,40 +36,45 @@ import numpy as np
 from ..energy.battery import CHARGE, DISCHARGE, IDLE
 from ..errors import ConfigError, FleetError
 from ..rng import RngFactory
-from .simulation import FleetSimulation
 
 
 class FleetScheduler:
-    """Base class: a batched policy over :class:`FleetSimulation` states."""
+    """Base class: a batched open-loop planner over blocks of slots."""
 
     name: str = "fleet-scheduler"
 
-    def __call__(self, sim: FleetSimulation) -> np.ndarray:
+    def __call__(self, view, start: int, stop: int) -> np.ndarray:
         raise NotImplementedError
 
-    def reset(self, sim: FleetSimulation) -> None:
+    def reset(self, view) -> None:
         """Hook for per-run state (thresholds, pre-drawn actions)."""
 
 
 def suppress_infeasible_charges(
-    sim: FleetSimulation, actions: np.ndarray
+    view, actions: np.ndarray, start: int, stop: int
 ) -> np.ndarray:
     """Turn CHARGE into IDLE where the feeder headroom cannot carry it.
 
-    A hub's charge adds ``charge_rate_kw`` of bus load; what on-site
-    renewable surplus cannot cover must be imported. Where that extra
-    import exceeds the hub's fair share of remaining feeder capacity
-    (:meth:`FleetSimulation.available_import_kw`), the charge is dropped.
-    Free no-op on uncoupled fleets, so the PR-1 scheduler throughput and
-    action streams are untouched there.
+    ``actions`` is the ``(n_hubs, stop - start)`` block planned for slots
+    ``start`` to ``stop - 1``. A hub's charge adds ``charge_rate_kw`` of
+    bus load; what on-site renewable surplus cannot cover must be
+    imported. Where that extra import exceeds the hub's fair share of
+    remaining feeder capacity (:meth:`FeederGroup.available_import_kw`),
+    the charge is dropped. Free no-op on uncoupled fleets.
     """
-    if sim.feeders.is_unlimited:
+    feeders = view.feeders
+    if feeders.is_unlimited:
         return actions
-    available = sim.available_import_kw()
-    # Both the headroom signal and the on-site surplus come from the
-    # engine's SlotPlanes cache — nothing is rebuilt per step.
-    onsite_surplus = sim.planes.onsite_surplus_kw[:, sim.t]
-    extra_import = np.maximum(sim.params.charge_rate_kw - onsite_surplus, 0.0)
+    # Both the headroom signal's base load and the on-site surplus come
+    # from the engine's SlotPlanes cache — nothing is rebuilt per block.
+    planes = view.planes
+    available = feeders.available_import_kw(
+        planes.base_import_kw[:, start:stop], start
+    )
+    onsite_surplus = planes.onsite_surplus_kw[:, start:stop]
+    extra_import = np.maximum(
+        view.params.charge_rate_kw[:, None] - onsite_surplus, 0.0
+    )
     return np.where(
         (actions == CHARGE) & (extra_import > available), IDLE, actions
     )
@@ -74,8 +85,8 @@ class FleetIdleScheduler(FleetScheduler):
 
     name = "idle"
 
-    def __call__(self, sim: FleetSimulation) -> np.ndarray:
-        return np.zeros(sim.n_hubs, dtype=int)
+    def __call__(self, view, start: int, stop: int) -> np.ndarray:
+        return np.zeros((view.n_hubs, stop - start), dtype=int)
 
 
 class FleetRandomScheduler(FleetScheduler):
@@ -109,19 +120,19 @@ class FleetRandomScheduler(FleetScheduler):
         """
         return cls(factory.substreams(prefix, n_hubs))
 
-    def reset(self, sim: FleetSimulation) -> None:
-        if len(self._rngs) != sim.n_hubs:
+    def reset(self, view) -> None:
+        if len(self._rngs) != view.n_hubs:
             raise FleetError(
-                f"{len(self._rngs)} random streams for {sim.n_hubs} hubs"
+                f"{len(self._rngs)} random streams for {view.n_hubs} hubs"
             )
         self._actions = np.stack(
-            [rng.integers(-1, 2, size=sim.horizon) for rng in self._rngs]
+            [rng.integers(-1, 2, size=view.horizon) for rng in self._rngs]
         )
 
-    def __call__(self, sim: FleetSimulation) -> np.ndarray:
+    def __call__(self, view, start: int, stop: int) -> np.ndarray:
         if self._actions is None:
-            self.reset(sim)
-        return self._actions[:, sim.t]
+            self.reset(view)
+        return self._actions[:, start:stop]
 
 
 class FleetRuleBasedScheduler(FleetScheduler):
@@ -153,26 +164,28 @@ class FleetRuleBasedScheduler(FleetScheduler):
         self._cheap: np.ndarray | None = None
         self._expensive: np.ndarray | None = None
 
-    def reset(self, sim: FleetSimulation) -> None:
+    def reset(self, view) -> None:
         # One axis-vectorized quantile per threshold; numpy's per-row
         # results are bit-identical to N separate np.quantile(row)
         # calls, so thresholds still match the scalar scheduler's exactly
         # (the engine equivalence suite compares whole scheduled runs).
-        prices = sim.inputs.rtp_kwh
-        self._cheap = np.quantile(prices, self.cheap_quantile, axis=1)
-        self._expensive = np.quantile(prices, self.expensive_quantile, axis=1)
+        prices = view.inputs.rtp_kwh
+        self._cheap = np.quantile(prices, self.cheap_quantile, axis=1)[:, None]
+        self._expensive = np.quantile(
+            prices, self.expensive_quantile, axis=1
+        )[:, None]
 
-    def __call__(self, sim: FleetSimulation) -> np.ndarray:
+    def __call__(self, view, start: int, stop: int) -> np.ndarray:
         if self._cheap is None or self._expensive is None:
-            self.reset(sim)
-        price = sim.inputs.rtp_kwh[:, sim.t]
+            self.reset(view)
+        price = view.inputs.rtp_kwh[:, start:stop]
         actions = np.where(
             price <= self._cheap,
             CHARGE,
             np.where(price >= self._expensive, DISCHARGE, IDLE),
         )
         if self.congestion_aware:
-            actions = suppress_infeasible_charges(sim, actions)
+            actions = suppress_infeasible_charges(view, actions, start, stop)
         return actions
 
 
@@ -192,26 +205,30 @@ class FleetGreedyRenewableScheduler(FleetScheduler):
         self.congestion_aware = congestion_aware
         self._threshold: np.ndarray | None = None
 
-    def reset(self, sim: FleetSimulation) -> None:
+    def reset(self, view) -> None:
         # Axis-vectorized like the rule-based thresholds (bit-identical
         # per row to separate np.quantile calls).
         self._threshold = np.quantile(
-            sim.inputs.rtp_kwh, self.expensive_quantile, axis=1
-        )
+            view.inputs.rtp_kwh, self.expensive_quantile, axis=1
+        )[:, None]
 
-    def __call__(self, sim: FleetSimulation) -> np.ndarray:
+    def __call__(self, view, start: int, stop: int) -> np.ndarray:
         if self._threshold is None:
-            self.reset(sim)
-        t = sim.t
-        renewables = sim.inputs.pv_power_kw[:, t] + sim.inputs.wt_power_kw[:, t]
-        bs_load = sim.planes.p_bs_kw[:, t]
+            self.reset(view)
+        inputs = view.inputs
+        renewables = (
+            inputs.pv_power_kw[:, start:stop] + inputs.wt_power_kw[:, start:stop]
+        )
+        bs_load = view.planes.p_bs_kw[:, start:stop]
         actions = np.where(
             renewables > bs_load,
             CHARGE,
-            np.where(sim.inputs.rtp_kwh[:, t] >= self._threshold, DISCHARGE, IDLE),
+            np.where(
+                inputs.rtp_kwh[:, start:stop] >= self._threshold, DISCHARGE, IDLE
+            ),
         )
         if self.congestion_aware:
-            actions = suppress_infeasible_charges(sim, actions)
+            actions = suppress_infeasible_charges(view, actions, start, stop)
         return actions
 
 

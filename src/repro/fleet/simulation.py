@@ -63,6 +63,12 @@ _SOC_EPS = 1e-12
 #: The legal action set, used by the full (non-hot-path) validation.
 _ACTIONS = (DISCHARGE, IDLE, CHARGE)
 
+#: Hub-slots of actions one block of :meth:`FleetSimulation.run_jobs`
+#: plans at once: enough slots to amortise the scheduler calls, few
+#: enough that a city-size fleet's block stays a small fraction of its
+#: book (2000 hubs plan 32-slot blocks).
+_BLOCK_HUB_SLOTS = 2**16
+
 
 def _read_only(column: np.ndarray) -> np.ndarray:
     """A read-only alias of ``column``: every slice of it is read-only too."""
@@ -77,12 +83,11 @@ def _resolve_battery(kernel, soc, actions, applied, p_bp):
     ``kernel`` holds the engine's per-hub constants; ``soc``/``actions``
     are read-only inputs of the engine's state shape (``(n_hubs,)``, or
     ``(n_jobs, n_hubs)`` stacked). Writes ``applied`` / ``p_bp`` (cost-book
-    column views) and returns fresh ``(stored, drawn, new_soc)`` arrays:
-    the energy stored and drawn, and the advanced SoC. On a fleet this
-    small every numpy call costs about the same, so the block is written
-    for the fewest calls: one ``np.where`` per clip, and the degrade to
-    IDLE as a product with the action mask (the energies are >= 0, so it
-    zeroes them to ``+0.0`` exactly like a select).
+    column views) and returns the advanced SoC as a fresh array. On a
+    fleet this small every numpy call costs about the same, so the block
+    is written for the fewest calls: one ``np.where`` per clip, and the
+    degrade to IDLE as a product with the action mask (the energies are
+    >= 0, so it zeroes them to ``+0.0`` exactly like a select).
     """
     # --- Charge path (BatteryPack._charge): clip the stored energy to
     # the SoC_max headroom; a fully-clipped request degrades to IDLE.
@@ -108,7 +113,7 @@ def _resolve_battery(kernel, soc, actions, applied, p_bp):
     p_bp[...] = (
         stored / kernel.charge_efficiency - drawn * kernel.bus_per_drawn
     ) / kernel.dt_h
-    return stored, drawn, (soc + stored) - drawn
+    return (soc + stored) - drawn
 
 
 class FleetSimulation:
@@ -202,7 +207,6 @@ class FleetSimulation:
         self._books = self._new_books()
         self._t = 0
         self.soc_kwh = self._reset_soc(self._initial_soc)
-        self.throughput_kwh = np.zeros(self._shape, np.float64)
 
     def _per_job(self, value, what: str) -> tuple:
         """One entry per job: a sequence as given, anything else shared."""
@@ -249,21 +253,29 @@ class FleetSimulation:
             shared["rtp_kwh"][:] = self.inputs.rtp_kwh
             shared["srtp_kwh"][:] = planes.srtp_kwh
             shared["revenue"][:] = planes.revenue
-        #: (name, storage) pairs the kernel writes each slot through: the
-        #: action columns, plus the exogenous ring columns of a windowed
-        #: book (a dense book's exogenous columns are filled above and
-        #: only fixed up on blackout rows, through ``_exogenous``).
+        #: The exogenous columns: a dense book's are filled above and only
+        #: fixed up on blackout rows; a windowed book's ring is rewritten
+        #: slot by slot.
         self._exogenous = shared
-        self._write_columns = (
-            (*shared.items(), *stacked.items())
-            if self._windowed_book
-            else tuple(stacked.items())
+        # The action columns are kept as views in the state shape plus the
+        # slot axis (the job row blocks are contiguous, so this reshapes
+        # freely): ``column[..., slot]`` is then one slot in the shape a
+        # step reads and writes, as the shared ``(n_hubs, width)`` columns'.
+        state_shape = (*self._shape, width)
+        #: The action-column views the kernel writes, in
+        #: ``FleetCostBook.ACTION_COLUMNS`` order.
+        self._kernel_columns = tuple(
+            stacked[name].reshape(state_shape)
+            for name in FleetCostBook.ACTION_COLUMNS
         )
         #: Read-only aliases of every column: a step hands out slices of
         #: these, so a caller cannot corrupt a booked slot.
-        self._read_columns = tuple(
-            (name, _read_only(column))
-            for name, column in (*shared.items(), *stacked.items())
+        self._read_columns = (
+            *((name, _read_only(column)) for name, column in shared.items()),
+            *(
+                (name, _read_only(column).reshape(state_shape))
+                for name, column in stacked.items()
+            ),
         )
         self._slot_width = width
         return tuple(
@@ -284,20 +296,6 @@ class FleetSimulation:
             )
             for job in range(n_jobs)
         )
-
-    def _slot_views(self, slot: int, columns) -> dict[str, np.ndarray]:
-        """Views of storage column ``slot`` of each ``(name, storage)``.
-
-        Shared columns come back ``(n_hubs,)``; action columns in the
-        state shape, ``(n_jobs, n_hubs)`` when stacked (a view: the job
-        row blocks are contiguous, so one slot column reshapes freely).
-        """
-        views = {name: column[:, slot] for name, column in columns}
-        if self.n_jobs > 1:
-            shape = self._shape
-            for name in FleetCostBook.ACTION_COLUMNS:
-                views[name] = views[name].reshape(shape)
-        return views
 
     def _precompute_constants(self) -> None:
         """Action- and state-independent per-hub scalars of the battery step."""
@@ -437,7 +435,6 @@ class FleetSimulation:
             else self._as_soc_fraction(soc_fraction)
         )
         self.soc_kwh = self._reset_soc(fractions)
-        self.throughput_kwh = np.zeros(self._shape, np.float64)
 
     # ------------------------------------------------------------------ #
     # Stepping                                                             #
@@ -500,33 +497,39 @@ class FleetSimulation:
         # these writable column views; it only becomes visible to the
         # aggregates at commit_slot, so a mid-step raise books nothing.
         slot = t % self._slot_width if self._windowed_book else t
-        dest = self._slot_views(slot, self._write_columns)
+        (  # FleetCostBook.ACTION_COLUMNS order
+            applied,
+            p_bp,
+            p_grid,
+            surplus,
+            booked_soc,
+            grid_cost,
+            bp_cost,
+            unserved,
+            shortfall,
+        ) = [column[..., slot] for column in self._kernel_columns]
         if self._windowed_book:
             # The ring column may hold an evicted slot's values; rewrite
             # the exogenous columns the dense path bulk-fills at reset
             # and zero the branch-written ones (every other column is
             # overwritten unconditionally below).
             inputs = self.inputs
-            np.copyto(dest["blackout"], planes.outage[:, t])
-            np.copyto(dest["p_bs_kw"], planes.p_bs_kw[:, t])
-            np.copyto(dest["p_cs_kw"], planes.p_cs_kw[:, t])
-            np.copyto(dest["p_pv_kw"], inputs.pv_power_kw[:, t])
-            np.copyto(dest["p_wt_kw"], inputs.wt_power_kw[:, t])
-            np.copyto(dest["rtp_kwh"], inputs.rtp_kwh[:, t])
-            np.copyto(dest["srtp_kwh"], planes.srtp_kwh[:, t])
-            np.copyto(dest["revenue"], planes.revenue[:, t])
-            np.copyto(dest["unserved_kwh"], 0.0)
-            np.copyto(dest["import_shortfall_kw"], 0.0)
-        applied = dest["action"]
-        p_bp = dest["p_bp_kw"]
-        p_grid = dest["p_grid_kw"]
-        surplus = dest["surplus_kw"]
-        unserved = dest["unserved_kwh"]
+            ring = self._exogenous
+            np.copyto(ring["blackout"][:, slot], planes.outage[:, t])
+            np.copyto(ring["p_bs_kw"][:, slot], planes.p_bs_kw[:, t])
+            np.copyto(ring["p_cs_kw"][:, slot], planes.p_cs_kw[:, t])
+            np.copyto(ring["p_pv_kw"][:, slot], inputs.pv_power_kw[:, t])
+            np.copyto(ring["p_wt_kw"][:, slot], inputs.wt_power_kw[:, t])
+            np.copyto(ring["rtp_kwh"][:, slot], inputs.rtp_kwh[:, t])
+            np.copyto(ring["srtp_kwh"][:, slot], planes.srtp_kwh[:, t])
+            np.copyto(ring["revenue"][:, slot], planes.revenue[:, t])
+            np.copyto(unserved, 0.0)
+            np.copyto(shortfall, 0.0)
 
         # --- Battery block (BatteryPack._charge/_discharge fused):
         # resolves stored/drawn energy, the applied action, the battery
         # bus power, and the SoC advance.
-        stored, drawn, new_soc = _resolve_battery(
+        new_soc = _resolve_battery(
             self._kernel, soc, actions, applied, p_bp
         )
 
@@ -536,7 +539,6 @@ class FleetSimulation:
         np.maximum(b.residual, 0.0, out=p_grid)
         np.negative(b.residual, out=surplus)
         np.maximum(surplus, 0.0, out=surplus)
-        throughput = stored + drawn
 
         # The exogenous columns (BS/CS draw, renewables, prices, blackout
         # mask, non-blackout revenue) were bulk-filled at reset; the
@@ -566,7 +568,6 @@ class FleetSimulation:
             p_grid[..., dark] = 0.0
             surplus[..., dark] = planes.blackout_surplus_kw[dark, t]
             new_soc[..., dark] = soc_pre - drawn_dark
-            throughput[..., dark] = drawn_dark
             unserved[..., dark] = deficit_kwh - served_kwh
             applied[..., dark] = IDLE
             if tele is not None:
@@ -610,14 +611,13 @@ class FleetSimulation:
                     session.metrics.add_time("allocation", share)
             shortfall_kw = shortfall_kw.reshape(self._shape)
             np.copyto(p_grid, granted.reshape(self._shape))
-            np.copyto(dest["import_shortfall_kw"], shortfall_kw)
+            np.copyto(shortfall, shortfall_kw)
             shortfall_kwh = shortfall_kw * dt
             eta = self._reserve_eta
             drawn_short = np.minimum(shortfall_kwh / eta, new_soc)
             served_kwh = drawn_short * eta
             p_bp -= np.where(drawn_short > 0.0, served_kwh / dt, 0.0)
             new_soc -= drawn_short
-            throughput += drawn_short
             # (x/η)·η can exceed x by one ulp — never book negative unserved.
             unserved += np.maximum(shortfall_kwh - served_kwh, 0.0)
             if tele is not None:
@@ -640,16 +640,15 @@ class FleetSimulation:
                         )
 
         # Eqs. 8, 9, 11 — identical expressions to compute_slot_ledger.
-        np.multiply(p_grid, planes.rtp_dt[:, t], out=dest["grid_cost"])
+        np.multiply(p_grid, planes.rtp_dt[:, t], out=grid_cost)
         np.not_equal(applied, IDLE, out=b.mask)
-        np.multiply(b.mask, params.c_bp_per_slot, out=dest["bp_cost"])
+        np.multiply(b.mask, params.c_bp_per_slot, out=bp_cost)
 
-        # Commit the battery state as fresh arrays (like the PR-3 engine)
-        # so caller-held `soc_kwh`/`throughput_kwh` snapshots stay valid
-        # forever; the battery block made `new_soc` this step.
+        # Commit the battery state as a fresh array (like the PR-3 engine)
+        # so a caller-held `soc_kwh` snapshot stays valid forever; the
+        # battery block made `new_soc` this step.
         self.soc_kwh = new_soc
-        np.copyto(dest["soc_kwh"], new_soc)
-        self.throughput_kwh = self.throughput_kwh + throughput
+        np.copyto(booked_soc, new_soc)
 
         for book in self._books:
             book.commit_slot(t)
@@ -662,7 +661,7 @@ class FleetSimulation:
                 session.metrics.observe("engine.step_seconds", share)
         # The write views stay inside the kernel; callers get the slot
         # through the read-only aliases.
-        return self._slot_views(slot, self._read_columns)
+        return {name: column[..., slot] for name, column in self._read_columns}
 
     def available_import_kw(self) -> np.ndarray:
         """Per-hub feeder headroom signal for the *current* slot.
@@ -687,15 +686,13 @@ class FleetSimulation:
         )
 
     def run(self, scheduler) -> FleetCostBook:
-        """Run the remaining horizon under ``scheduler(simulation) -> actions``.
+        """Run the remaining horizon under one open-loop block planner.
 
-        ``scheduler`` may expose a ``reset(simulation)`` hook (the fleet
-        schedulers do); it is invoked once before stepping. Every action
-        batch still gets exact membership validation — the per-step check
-        in :meth:`_check_actions` rejects everything ``np.isin`` would,
-        just without its sort-based cost. Returns the completed
-        :class:`FleetCostBook`. Stacked engines run through
-        :meth:`run_jobs`.
+        ``scheduler(view, start, stop)`` returns the ``(n_hubs, stop -
+        start)`` actions of a block of slots (see :mod:`repro.fleet.
+        schedulers`); an optional ``reset(view)`` hook runs once before
+        stepping. Returns the completed :class:`FleetCostBook`. Stacked
+        engines run through :meth:`run_jobs`.
         """
         if self.n_jobs != 1:
             raise FleetError(
@@ -706,17 +703,21 @@ class FleetSimulation:
     def run_jobs(
         self, schedulers: Sequence, *, lead: Sequence[int] | None = None
     ) -> tuple[FleetCostBook, ...]:
-        """Run the remaining horizon with one scheduler per job.
+        """Run the remaining horizon with one open-loop planner per job.
 
         Each scheduler's ``reset`` hook runs once, with its own job's
-        view: the engine itself when single, else a read-only lane that
-        looks like a standalone ``(n_hubs,)`` engine of that job.
-        ``lead[j]`` names the job whose scheduler decides job ``j``'s
-        actions (default: its own; a lead must lead itself). Jobs whose
-        schedulers emit the same actions share one call per slot — the
-        fleet schedulers are open-loop (traces, slot and feeder signal,
-        never the batteries), so equal configurations over one fleet and
-        feeder topology qualify. Returns the completed books, job order.
+        view: the engine itself when single, else a lane that looks like
+        a standalone ``(n_hubs,)`` engine of that job. The view carries
+        the traces, planes and feeders but no battery state, so a plan
+        cannot depend on the run: the horizon is cut into blocks of
+        ``_BLOCK_HUB_SLOTS // n_hubs`` slots (at least one), each leader
+        plans a whole block in one ``scheduler(view, start, stop)`` call,
+        and the engine then steps the block slot by slot, every action
+        batch validated by :meth:`step`. ``lead[j]`` names the job whose
+        scheduler plans job ``j``'s actions (default: its own; a lead must
+        lead itself): equal configurations over one fleet and feeder
+        topology emit equal actions, so they share one call per block.
+        Returns the completed books, in job order.
         """
         n_jobs = self.n_jobs
         if len(schedulers) != n_jobs:
@@ -731,20 +732,28 @@ class FleetSimulation:
             reset_hook = getattr(scheduler, "reset", None)
             if callable(reset_hook):
                 reset_hook(view)
-        if n_jobs == 1:
-            scheduler = schedulers[0]
-            while not self.done:
-                self.step(scheduler(self))
-            return self._books
         leaders = sorted(set(lead))
-        rows = np.array([leaders.index(k) for k in lead])
+        rows = [leaders.index(k) for k in lead]
         calls = [(schedulers[k], views[k]) for k in leaders]
+        block = max(1, _BLOCK_HUB_SLOTS // self.n_hubs)
+        n_hubs = self.params.n_hubs
         while not self.done:
-            try:
-                actions = np.stack([scheduler(view) for scheduler, view in calls])
-            except ValueError as error:
-                raise FleetError(f"scheduler actions do not stack: {error}") from None
-            self.step(actions[rows])
+            start = self._t
+            stop = min(start + block, self._horizon)
+            plans = [scheduler(view, start, stop) for scheduler, view in calls]
+            for plan in plans:
+                if np.shape(plan) != (n_hubs, stop - start):
+                    raise FleetError(
+                        f"a scheduler planned actions of shape {np.shape(plan)} "
+                        f"for the {stop - start} slots from {start}; expected "
+                        f"{(n_hubs, stop - start)}"
+                    )
+            # Slot-major, so each step reads one contiguous action batch.
+            actions = np.stack([np.transpose(plans[r]) for r in rows], axis=1)
+            if n_jobs == 1:
+                actions = actions[:, 0]
+            for slot_actions in actions:
+                self.step(slot_actions)
         return self._books
 
 
@@ -752,26 +761,16 @@ class _JobLane:
     """One job of a stacked engine, as that job's scheduler sees it.
 
     Carries the read side of a standalone ``(n_hubs,)`` engine that the
-    open-loop fleet schedulers use — sizes, the slot, traces, planes, the
-    job's own feeders and headroom signal — and steps nothing. It holds
-    no battery state: a scheduler that reads the batteries cannot share
-    its actions across jobs and must run on its own engine.
+    open-loop fleet schedulers plan from — sizes, params, traces, planes
+    and the job's own feeders — and steps nothing. It holds no battery
+    state and no clock: a scheduler that reads the batteries cannot
+    share its actions across jobs and must run on its own engine.
     """
 
     def __init__(self, sim: FleetSimulation, job: int) -> None:
-        self._sim = sim
         self.params = sim.params
         self.inputs = sim.inputs
         self.planes = sim.planes
         self.feeders = sim.job_feeders[job]
         self.n_hubs = sim.params.n_hubs
         self.horizon = sim.horizon
-
-    @property
-    def t(self) -> int:
-        return self._sim.t
-
-    def available_import_kw(self) -> np.ndarray:
-        """This job's :meth:`FleetSimulation.available_import_kw`."""
-        t = self._sim.t
-        return self.feeders.available_import_kw(self.planes.base_import_kw[:, t], t)

@@ -103,8 +103,8 @@ def execute_jobs(compiled: list["CompiledScenario"]):
     """Run a stacked group compiled by :func:`build` — one book per job.
 
     Jobs whose :class:`SchedulerSpec` is equal share one scheduler call per
-    slot: the fleet schedulers are open-loop (they read the traces, the
-    slot and the feeder headroom signal, never the batteries) and every
+    block of slots: the fleet schedulers are open-loop planners (they read
+    the traces and the feeder headroom signal, never the batteries) and every
     job of a stack shares the seed, the fleet and the feeder topology, so
     equal configurations emit equal actions. Each job still gets its own
     scheduler object, reset once.

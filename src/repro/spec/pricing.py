@@ -84,9 +84,8 @@ def congestion_signal(assembly: FleetAssembly) -> np.ndarray:
     the congestion-aware schedulers and the RL observation feature use.
     """
     feeders = assembly.feeders
-    shape = (assembly.n_hubs, assembly.horizon)
     if feeders.is_unlimited:
-        return np.zeros(shape)
+        return np.zeros((assembly.n_hubs, assembly.horizon))
 
     from ..fleet.builder import fleet_simulation_from_scenarios
 
@@ -100,10 +99,7 @@ def congestion_signal(assembly: FleetAssembly) -> np.ndarray:
         feeders=feeders,
         voll_per_kwh=run.voll_per_kwh,
     )
-    base = simulation.planes.base_import_kw
-    available = np.empty(shape)
-    for t in range(assembly.horizon):
-        available[:, t] = feeders.available_import_kw(base[:, t], t)
+    available = feeders.available_import_kw(simulation.planes.base_import_kw, 0)
     rate = np.maximum(simulation.params.cs_rate_kw, 1e-9)[:, None]
     # Unlimited slots give available=inf -> 1 - inf = -inf -> clipped to 0.
     return np.clip(1.0 - available / rate, 0.0, 1.0)

@@ -1,9 +1,15 @@
-"""Bridges between the scalar hub engine and the fleet engine.
+"""Bridges between the scalar hub engine and the fleet engine, and the
+fleet schedulers' per-slot oracle.
 
 The equivalence tests run N scalar :class:`~repro.hub.simulation.HubSimulation`
 hubs against one :class:`~repro.fleet.simulation.FleetSimulation`: these
 helpers stack scalar inputs into a fleet block and read one hub's scalar
 :class:`~repro.hub.costs.CostBook` back out of a dense fleet book.
+
+:func:`per_slot_schedule` freezes how the fleet schedulers decided one
+slot at a time, with one feeder headroom ``bincount`` per slot
+(:func:`per_slot_available_import_kw`), before they became block
+planners; the block plans must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.fleet import FleetCostBook, FleetInputs
+from repro.energy.battery import CHARGE, DISCHARGE, IDLE
+from repro.fleet import FeederGroup, FleetCostBook, FleetInputs
 from repro.hub.costs import CostBook, SlotLedger
 from repro.hub.simulation import HubInputs
 
@@ -67,3 +74,74 @@ def hub_book(book: FleetCostBook, index: int) -> CostBook:
             )
         )
     return scalar
+
+
+def per_slot_available_import_kw(
+    feeders: FeederGroup, base_import_kw: np.ndarray, t: int
+) -> np.ndarray:
+    """Slot ``t``'s fair-share feeder headroom, one ``bincount`` per slot."""
+    if feeders.is_unlimited:
+        return np.full(feeders.n_hubs, np.inf)
+    demand = np.bincount(
+        feeders.assignment, weights=base_import_kw, minlength=feeders.n_feeders
+    )
+    headroom = np.maximum(feeders.capacity_at(t) - demand, 0.0)
+    return (headroom / np.maximum(feeders.members, 1))[feeders.assignment]
+
+
+def per_slot_schedule(scheduler, view) -> np.ndarray:
+    """``(n_hubs, horizon)`` actions of a fleet scheduler, decided slot by slot.
+
+    Reads the scheduler's configuration (name, quantiles, congestion
+    flag; a random scheduler's own streams, which this draws from) and
+    the view's traces, planes and feeders. Give it its own scheduler
+    instance: drawing consumes a random scheduler's streams.
+    """
+    name = scheduler.name
+    n_hubs, horizon = view.n_hubs, view.horizon
+    inputs, planes = view.inputs, view.planes
+    prices = inputs.rtp_kwh
+    if name == "random":
+        drawn = np.stack(
+            [rng.integers(-1, 2, size=horizon) for rng in scheduler._rngs]
+        )
+    elif name == "rule-based":
+        cheap = np.quantile(prices, scheduler.cheap_quantile, axis=1)
+        expensive = np.quantile(prices, scheduler.expensive_quantile, axis=1)
+    elif name == "greedy-renewable":
+        threshold = np.quantile(prices, scheduler.expensive_quantile, axis=1)
+    slots = []
+    for t in range(horizon):
+        if name == "idle":
+            actions = np.zeros(n_hubs, dtype=int)
+        elif name == "random":
+            actions = drawn[:, t]
+        elif name == "rule-based":
+            price = prices[:, t]
+            actions = np.where(
+                price <= cheap,
+                CHARGE,
+                np.where(price >= expensive, DISCHARGE, IDLE),
+            )
+        else:
+            renewables = inputs.pv_power_kw[:, t] + inputs.wt_power_kw[:, t]
+            actions = np.where(
+                renewables > planes.p_bs_kw[:, t],
+                CHARGE,
+                np.where(prices[:, t] >= threshold, DISCHARGE, IDLE),
+            )
+        if name in ("rule-based", "greedy-renewable") and scheduler.congestion_aware:
+            feeders = view.feeders
+            if not feeders.is_unlimited:
+                available = per_slot_available_import_kw(
+                    feeders, planes.base_import_kw[:, t], t
+                )
+                extra_import = np.maximum(
+                    view.params.charge_rate_kw - planes.onsite_surplus_kw[:, t],
+                    0.0,
+                )
+                actions = np.where(
+                    (actions == CHARGE) & (extra_import > available), IDLE, actions
+                )
+        slots.append(actions)
+    return np.stack(slots, axis=1)

@@ -30,6 +30,7 @@ from repro.causal import (
 from repro.cli import main
 from repro.errors import ConfigError
 from repro.experiments.base import write_results_json
+from repro.fleet import FeederGroup
 from repro.hub.scenario import resolve_occupancy
 from repro.rl.schedulers import RuleBasedScheduler
 from repro.rng import RngFactory
@@ -45,6 +46,8 @@ from repro.spec import (
 )
 from repro.spec.compiler import _assemble_fleet, spec_from_price_flags
 from repro.spec.pricing import compile_pricing, congestion_signal
+
+from fleet_oracle import per_slot_available_import_kw
 
 ATOL = 1e-9
 BALANCE_ATOL = 1e-8
@@ -352,6 +355,27 @@ class TestFeederAware:
         assert signal.shape == (assembly.n_hubs, assembly.horizon)
         assert (signal >= 0.0).all() and (signal <= 1.0).all()
         assert signal.max() > 0.0  # 40 kW per feeder really binds
+
+    @pytest.mark.parametrize("profile", [None, (1.0,) * 18 + (0.5,) * 6])
+    def test_congestion_signal_matches_per_slot_headroom(self, monkeypatch, profile):
+        """One block headroom call equals the per-slot loop it replaced."""
+        spec = self.congested_spec()
+        if profile is not None:
+            spec = spec.with_overrides({"grid.capacity_profile": profile})
+        assembly = _assemble_fleet(spec)
+        signal = congestion_signal(assembly)
+
+        def per_slot(group, base, t):
+            return np.stack(
+                [
+                    per_slot_available_import_kw(group, base[:, k], t + k)
+                    for k in range(base.shape[1])
+                ],
+                axis=1,
+            )
+
+        monkeypatch.setattr(FeederGroup, "available_import_kw", per_slot)
+        assert congestion_signal(assembly).tobytes() == signal.tobytes()
 
     def test_congestion_penalty_never_adds_discounts(self):
         aware = build(self.congested_spec(feeder_aware=True))
