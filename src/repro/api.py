@@ -118,14 +118,11 @@ def _run_stack(
                 stack.enter_context(session.span(name, **job_fields))
         return stack
 
-    target = specs[0] if len(specs) == 1 else specs
     with spans("compile", [{"scenario": spec.name} for spec in specs]):
-        compiled = _compile(target, telemetry=sessions[0], assembly=assembly)
-    if len(specs) == 1:
-        compiled = [compiled]
+        compiled = _compile(specs, telemetry=sessions[0], assembly=assembly)
     simulation = compiled[0].simulation
     if traced:
-        simulation.attach_telemetry(sessions if len(specs) > 1 else sessions[0])
+        simulation.attach_telemetry(sessions)
         with spans("reset", [{}] * len(specs)):
             simulation.reset()
     log.debug(
@@ -139,9 +136,7 @@ def _run_stack(
 
     start = time.perf_counter()
     with spans("step", [{"slots": simulation.horizon}] * len(specs)):
-        books = (
-            [compiled[0].execute()] if len(specs) == 1 else execute_jobs(compiled)
-        )
+        books = execute_jobs(compiled)
     elapsed = (time.perf_counter() - start) / len(specs)
 
     return [

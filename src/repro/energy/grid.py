@@ -28,14 +28,11 @@ class GridConfig:
     Attributes
     ----------
     import_limit_kw:
-        Maximum simultaneous draw (0 disables the check).
-    allow_export:
-        Paper-false: surplus is curtailed. Kept as a flag so the no-feed-in
-        design decision is explicit and testable.
+        Maximum simultaneous draw (0 disables the check). Surplus is never
+        exported: the paper's no-feed-in rule curtails it.
     """
 
     import_limit_kw: float = 0.0
-    allow_export: bool = False
 
     def __post_init__(self) -> None:
         if self.import_limit_kw < 0:
@@ -52,12 +49,9 @@ class GridConnection:
         """Resolve a residual bus power into a grid import (``P_grid``).
 
         Positive residual → import from the grid (capped by the import
-        limit). Negative residual → surplus; returns 0 (curtailment) unless
-        exports are enabled.
+        limit). Negative residual → surplus; returns 0 (curtailment).
         """
         if residual_kw < 0:
-            if self.config.allow_export:
-                return float(residual_kw)
             return 0.0
         limit = self.config.import_limit_kw
         if limit and residual_kw > limit:

@@ -24,37 +24,23 @@ def run(
     *,
     scale: float = 1.0,
     seed: int = 0,
-    n_hubs: int | None = None,
-    days: int | None = None,
-    train_days: int | None = None,
-    epochs: int | None = None,
-    methods: tuple[str, ...] | None = None,
     jobs: int | None = None,
     telemetry=None,
 ) -> ExperimentResult:
-    """Compare discount pricing policies over one batched fleet.
+    """Compare the default discount pricing policies over one batched fleet.
 
     ``scale`` shrinks the fleet, the horizon, and the training protocol
-    together (floors keep a scaled-down run trainable); the explicit
-    keywords pin individual knobs. ``jobs`` fans the methods out over
-    worker processes (byte-identical to serial). ``telemetry`` forwards
-    a :class:`~repro.telemetry.session.Telemetry` session to
-    ``api.run_pricing``.
+    together (floors keep a scaled-down run trainable). ``jobs`` fans the
+    methods out over worker processes (byte-identical to serial).
+    ``telemetry`` forwards a :class:`~repro.telemetry.session.Telemetry`
+    session to ``api.run_pricing``.
     """
     # Local import: repro.api pulls experiments.base, so importing it at
     # module level would cycle through the experiment registry.
     from .. import api
 
     return api.run_pricing(
-        spec_from_price_flags(
-            scale=scale,
-            seed=seed,
-            n_hubs=n_hubs,
-            days=days,
-            train_days=train_days,
-            epochs=epochs,
-        ),
-        methods=methods,
+        spec_from_price_flags(scale=scale, seed=seed),
         jobs=jobs,
         telemetry=telemetry,
     )

@@ -28,39 +28,16 @@ __all__ = [
 ]
 
 
-def run(
-    *,
-    scale: float = 1.0,
-    seed: int = 0,
-    n_hubs: int | None = None,
-    days: int | None = None,
-    scheduler: str = "rule-based",
-    n_feeders: int = 1,
-    feeder_capacity_kw: float | None = None,
-    allocation: str = "proportional",
-    telemetry=None,
-) -> ExperimentResult:
-    """Batch-simulate a fleet and aggregate per-hub + network economics.
+def run(*, scale: float = 1.0, seed: int = 0, telemetry=None) -> ExperimentResult:
+    """Batch-simulate the flag-default fleet and aggregate per-hub +
+    network economics.
 
-    ``feeder_capacity_kw`` enables shared-grid coupling (see
-    :class:`~repro.fleet.FeederGroup`); the default is the uncoupled
-    one-infinite-feeder fleet. ``telemetry`` forwards a
-    :class:`~repro.telemetry.session.Telemetry` session to ``api.run``.
+    ``telemetry`` forwards a :class:`~repro.telemetry.session.Telemetry`
+    session to ``api.run``. ``ect-hub fleet`` sets the fleet size,
+    scheduler and feeders through :func:`spec_from_fleet_flags`.
     """
     # Local import: repro.api pulls experiments.base, so importing it at
     # module level would cycle through the experiment registry.
     from .. import api
 
-    return api.run(
-        spec_from_fleet_flags(
-            scale=scale,
-            seed=seed,
-            n_hubs=n_hubs,
-            days=days,
-            scheduler=scheduler,
-            n_feeders=n_feeders,
-            feeder_capacity_kw=feeder_capacity_kw,
-            allocation=allocation,
-        ),
-        telemetry=telemetry,
-    )
+    return api.run(spec_from_fleet_flags(scale=scale, seed=seed), telemetry=telemetry)

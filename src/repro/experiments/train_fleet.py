@@ -21,22 +21,12 @@ from ..spec.compiler import spec_from_train_fleet_flags
 from .base import ExperimentResult
 
 
-def run(
-    *,
-    scale: float = 1.0,
-    seed: int = 0,
-    n_hubs: int | None = None,
-    days: int | None = None,
-    train_episodes: int | None = None,
-    eval_episodes: int | None = None,
-    telemetry=None,
-) -> ExperimentResult:
+def run(*, scale: float = 1.0, seed: int = 0, telemetry=None) -> ExperimentResult:
     """Train and evaluate fleet PPO on the default training scenario.
 
     ``scale`` shrinks the fleet, the horizon, and the episode schedule
-    together (floors keep a scaled-down run trainable); the explicit
-    keyword overrides pin individual knobs. ``telemetry`` forwards a
-    :class:`~repro.telemetry.session.Telemetry` session to
+    together (floors keep a scaled-down run trainable). ``telemetry``
+    forwards a :class:`~repro.telemetry.session.Telemetry` session to
     ``api.train_fleet``.
     """
     # Local import: repro.api pulls experiments.base, so importing it at
@@ -44,13 +34,5 @@ def run(
     from .. import api
 
     return api.train_fleet(
-        spec_from_train_fleet_flags(
-            scale=scale,
-            seed=seed,
-            n_hubs=n_hubs,
-            days=days,
-            train_episodes=train_episodes,
-            eval_episodes=eval_episodes,
-        ),
-        telemetry=telemetry,
+        spec_from_train_fleet_flags(scale=scale, seed=seed), telemetry=telemetry
     )

@@ -86,12 +86,11 @@ def fleet_simulation_from_scenarios(
     feeders: FeederGroup | Sequence[FeederGroup] | None = None,
     voll_per_kwh: float | Sequence[float] = 0.0,
     storage: str = "dense",
-    window: int | None = None,
     n_jobs: int = 1,
 ) -> FleetSimulation:
     """Convenience: params + inputs + engine in one call.
 
-    ``storage``/``window`` select the cost-book layout (see
+    ``storage`` selects the cost-book layout (see
     :class:`~repro.fleet.costs.FleetCostBook`): ``"windowed"`` folds
     slots into running aggregates over a bounded ring so book memory
     stops scaling with the horizon. ``n_jobs`` stacks that many jobs over
@@ -104,7 +103,6 @@ def fleet_simulation_from_scenarios(
         feeders=feeders,
         voll_per_kwh=voll_per_kwh,
         storage=storage,
-        window=window,
         n_jobs=n_jobs,
     )
 

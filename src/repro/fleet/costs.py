@@ -16,15 +16,14 @@ Storage modes
 ``(n_hubs, horizon)`` resolution — memory grows with the horizon, but any
 slot can be inspected after the fact (the slot columns, the per-feeder
 slot matrices). ``storage="windowed"`` keeps only a bounded ring of the most
-recent ``window`` slots and folds each committed slot into running
+recent :data:`DEFAULT_WINDOW` slots and folds each committed slot into running
 aggregates (per-hub totals, the daily Eq. 12 matrix, per-feeder
 import/shortfall/peak/congestion, blackout counts), so memory stops
 scaling with the horizon — a 10k-hub × 1-year run fits in RAM. All
 aggregate properties work identically in both modes (the windowed fold
 accumulates in slot order; agreement with dense is equivalence-tested at
 atol 1e-9); full-column accessors raise :class:`FleetError` in windowed
-mode, and :meth:`recent` exposes the trailing window for trace-dependent
-consumers.
+mode.
 """
 
 from __future__ import annotations
@@ -39,12 +38,11 @@ from .grid import FeederGroup
 #: Supported per-slot storage layouts.
 STORAGE_MODES = ("dense", "windowed")
 
-#: Ring size when ``storage="windowed"`` and no window is given: one day
-#: of hourly slots, enough for every trailing-window consumer in-tree.
+#: Ring size when ``storage="windowed"``: one day of hourly slots.
 DEFAULT_WINDOW = 24
 
-#: Day length used by the windowed daily-reward fold (the engine's hourly
-#: slot contract; ``daily_rewards`` accepts other values in dense mode only).
+#: Day length of the daily Eq. 12 rewards (the engine's hourly slot
+#: contract).
 _SLOTS_PER_DAY = 24
 
 
@@ -111,7 +109,6 @@ class FleetCostBook:
         feeders: FeederGroup | None = None,
         voll_per_kwh: float = 0.0,
         storage: str = "dense",
-        window: int | None = None,
         columns: Mapping[str, np.ndarray] | None = None,
     ) -> None:
         """``columns`` optionally supplies the storage of some columns —
@@ -144,7 +141,7 @@ class FleetCostBook:
         self.horizon = horizon
         self.storage = storage
         self._windowed = storage == "windowed"
-        width = self.slot_width(horizon, storage, window)
+        width = self.slot_width(horizon, storage)
         self.window: int | None = width if self._windowed else None
         given = dict(columns or {})
         unknown = set(given) - set(self.EXOGENOUS_COLUMNS + self.ACTION_COLUMNS)
@@ -174,16 +171,11 @@ class FleetCostBook:
         self._n_recorded = 0
 
     @staticmethod
-    def slot_width(horizon: int, storage: str, window: int | None) -> int:
+    def slot_width(horizon: int, storage: str) -> int:
         """Slots each column stores: the horizon (dense) or the ring size."""
         if storage != "windowed":
             return horizon
-        if window is None:
-            window = DEFAULT_WINDOW
-        window = int(window)
-        if window <= 0:
-            raise FleetError(f"window must be positive, got {window}")
-        return min(window, max(horizon, 1))
+        return min(DEFAULT_WINDOW, max(horizon, 1))
 
     def _init_accumulators(self) -> None:
         n, n_feeders = self.n_hubs, self.feeders.n_feeders
@@ -191,8 +183,6 @@ class FleetCostBook:
         self._acc_op_cost = np.zeros(n, np.float64)
         self._acc_revenue = np.zeros(n, np.float64)
         self._acc_unserved = np.zeros(n, np.float64)
-        self._acc_surplus = np.zeros(n, np.float64)
-        self._acc_grid_energy = np.zeros(n, np.float64)
         self._acc_import_shortfall = np.zeros(n, np.float64)
         self._acc_daily = np.zeros((n, n_days), np.float64)
         self._acc_feeder_import = np.zeros(n_feeders, np.float64)
@@ -207,8 +197,7 @@ class FleetCostBook:
         if name in FleetCostBook._FLOAT_COLUMNS or name in ("action", "blackout"):
             raise FleetError(
                 f"per-slot column {name!r} needs storage='dense'; the "
-                f"windowed book folds slots into running aggregates "
-                f"(use recent({name!r}) for the trailing window)"
+                f"windowed book folds slots into running aggregates"
             )
         raise AttributeError(name)
 
@@ -230,8 +219,6 @@ class FleetCostBook:
                     self._acc_op_cost,
                     self._acc_revenue,
                     self._acc_unserved,
-                    self._acc_surplus,
-                    self._acc_grid_energy,
                     self._acc_import_shortfall,
                     self._acc_daily,
                     self._acc_feeder_import,
@@ -303,8 +290,6 @@ class FleetCostBook:
         self._acc_op_cost += bp_cost
         self._acc_revenue += revenue
         self._acc_unserved += unserved
-        self._acc_surplus += ring["surplus_kw"][:, slot]
-        self._acc_grid_energy += p_grid
         self._acc_import_shortfall += shortfall
         self._acc_daily[:, t // _SLOTS_PER_DAY] += (
             revenue - grid_cost - bp_cost - self.voll_per_kwh * unserved
@@ -332,33 +317,6 @@ class FleetCostBook:
                 f"{what} needs storage='dense'; the windowed book keeps "
                 f"only running aggregates plus a {self.window}-slot ring"
             )
-
-    def recent(self, name: str, n: int | None = None) -> np.ndarray:
-        """The trailing ``n`` recorded slots of one column, oldest first.
-
-        Works in both storage modes; windowed books can serve at most
-        their ring size (``window``) and raise beyond it. Returns a fresh
-        ``(n_hubs, n)`` array.
-        """
-        if name not in self._FLOAT_COLUMNS and name not in ("action", "blackout"):
-            raise FleetError(f"unknown fleet book column {name!r}")
-        limit = self._n_recorded if not self._windowed else min(
-            self._n_recorded, self.window
-        )
-        if n is None:
-            n = limit
-        if n < 0 or n > limit:
-            raise FleetError(
-                f"cannot serve {n} trailing slots; {limit} available"
-                + (" in the ring window" if self._windowed else "")
-            )
-        if not self._windowed:
-            column = getattr(self, name)
-            return column[:, self._n_recorded - n : self._n_recorded].copy()
-        if n == 0:
-            return np.zeros((self.n_hubs, 0), dtype=self._ring[name].dtype)
-        slots = (np.arange(self._n_recorded - n, self._n_recorded)) % self.window
-        return self._ring[name][:, slots].copy()
 
     # ------------------------------------------------------------------ #
     # Per-hub aggregates (arrays of shape (n_hubs,))                       #
@@ -506,17 +464,9 @@ class FleetCostBook:
         """Network grid import curtailed by feeder limits."""
         return float(self.import_shortfall_per_hub_kwh.sum())
 
-    def daily_rewards(self, slots_per_day: int = 24) -> np.ndarray:
+    def daily_rewards(self) -> np.ndarray:
         """Eq. 12 profit per (hub, day) — shape ``(n_hubs, n_days)``."""
-        if slots_per_day <= 0:
-            raise FleetError(f"slots_per_day must be positive, got {slots_per_day}")
         if self._windowed:
-            if slots_per_day != _SLOTS_PER_DAY:
-                raise FleetError(
-                    f"windowed books fold daily rewards at "
-                    f"{_SLOTS_PER_DAY} slots/day; got {slots_per_day} "
-                    f"(use storage='dense' for other day lengths)"
-                )
             n_days = -(-self._n_recorded // _SLOTS_PER_DAY)
             return self._acc_daily[:, :n_days].copy()
         rewards = (
@@ -527,5 +477,5 @@ class FleetCostBook:
         )
         if rewards.shape[1] == 0:
             return np.zeros((self.n_hubs, 0))
-        starts = np.arange(0, rewards.shape[1], slots_per_day)
+        starts = np.arange(0, rewards.shape[1], _SLOTS_PER_DAY)
         return np.add.reduceat(rewards, starts, axis=1)

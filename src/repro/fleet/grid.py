@@ -11,9 +11,8 @@ descending **priority** order, and the per-hub shortfall is returned for
 the engine to route through the battery-reserve / unserved-energy
 accounting.
 
-Export capacity is not modelled: the batched engine enforces the paper's
-no-feed-in rule (``FleetParams.from_hub_configs`` rejects
-``allow_export``), so feeder export is identically zero and on-site
+Export capacity is not modelled: the engine enforces the paper's
+no-feed-in rule, so feeder export is identically zero and on-site
 surplus is curtailed at the hub.
 
 The default coupling is :meth:`FeederGroup.unlimited` — one feeder of
@@ -233,39 +232,6 @@ class FeederGroup:
                 [group.import_capacity_kw for group in groups]
             ),
             policy=tuple(policies),
-            priority=priority,
-        )
-
-    @classmethod
-    def uniform(
-        cls,
-        n_hubs: int,
-        n_feeders: int,
-        capacity_kw: float | np.ndarray,
-        *,
-        policy: str = "proportional",
-        priority: np.ndarray | None = None,
-    ) -> "FeederGroup":
-        """Round-robin hubs over ``n_feeders`` equal-capacity feeders.
-
-        ``capacity_kw`` may be a scalar (every feeder, every slot), a
-        ``(n_feeders,)`` array, or a full ``(n_feeders, horizon)`` block.
-        """
-        if n_hubs <= 0:
-            raise FleetError(f"n_hubs must be positive, got {n_hubs}")
-        if n_feeders <= 0:
-            raise FleetError(f"n_feeders must be positive, got {n_feeders}")
-        if n_feeders > n_hubs:
-            raise FleetError(
-                f"{n_feeders} feeders for {n_hubs} hubs leaves feeders empty"
-            )
-        capacity = np.asarray(capacity_kw, dtype=float)
-        if capacity.ndim == 0:
-            capacity = np.full(n_feeders, float(capacity))
-        return cls(
-            assignment=np.arange(n_hubs) % n_feeders,
-            import_capacity_kw=capacity,
-            policy=policy,
             priority=priority,
         )
 

@@ -118,16 +118,13 @@ class FleetParams:
         """Stack validated :class:`HubConfig` objects into parameter arrays.
 
         Raises :class:`FleetError` for fleet-incompatible configs: mixed
-        slot lengths or grid export enabled (the batched balance implements
-        the paper's no-feed-in rule only).
+        slot lengths.
         """
         if not configs:
             raise FleetError("a fleet needs at least one HubConfig")
         dts = {config.dt_h for config in configs}
         if len(dts) != 1:
             raise FleetError(f"all hubs must share one slot length, got {sorted(dts)}")
-        if any(config.grid.allow_export for config in configs):
-            raise FleetError("the batched engine does not support grid export")
 
         def column(getter, dtype=float) -> np.ndarray:
             return np.array([getter(config) for config in configs], dtype=dtype)

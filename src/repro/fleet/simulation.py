@@ -138,7 +138,6 @@ class FleetSimulation:
         feeders: FeederGroup | Sequence[FeederGroup] | None = None,
         voll_per_kwh: float | Sequence[float] = 0.0,
         storage: str = "dense",
-        window: int | None = None,
         n_jobs: int = 1,
     ) -> None:
         if params.n_hubs != inputs.n_hubs:
@@ -200,7 +199,6 @@ class FleetSimulation:
         #: horizon). The kernel branches once per step to refresh the
         #: exogenous ring columns the dense path pre-fills at reset.
         self._book_storage = storage
-        self._book_window = window
         self._windowed_book = storage == "windowed"
         self._precompute_constants()
         self._allocate_buffers()
@@ -232,9 +230,7 @@ class FleetSimulation:
         refreshes the exogenous ring columns slot by slot instead.
         """
         n_hubs, n_jobs, horizon = self.params.n_hubs, self.n_jobs, self._horizon
-        width = FleetCostBook.slot_width(
-            horizon, self._book_storage, self._book_window
-        )
+        width = FleetCostBook.slot_width(horizon, self._book_storage)
         shared = {
             name: np.zeros((n_hubs, width), column_dtype(name))
             for name in FleetCostBook.EXOGENOUS_COLUMNS
@@ -285,7 +281,6 @@ class FleetSimulation:
                 feeders=self.job_feeders[job],
                 voll_per_kwh=self.job_voll_per_kwh[job],
                 storage=self._book_storage,
-                window=self._book_window,
                 columns={
                     **shared,
                     **{

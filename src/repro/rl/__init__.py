@@ -9,7 +9,7 @@ including hub-axis batch parallelism, rule-based scheduler baselines
 (:mod:`.dp_oracle`).
 """
 
-from .buffer import FleetRolloutBuffer, RolloutBuffer
+from .buffer import FleetRolloutBuffer
 from .dp_oracle import OracleResult, optimal_schedule
 from .env import ACTION_TO_SBP, N_ACTIONS, EctHubEnv, EnvConfig
 from .fleet_env import FEEDER_OBS_CLIP, FleetEnv
@@ -51,7 +51,6 @@ __all__ = [
     "PpoAgent",
     "PpoConfig",
     "RandomScheduler",
-    "RolloutBuffer",
     "RuleBasedScheduler",
     "Scheduler",
     "TrainingHistory",

@@ -27,7 +27,7 @@ import numpy as np
 
 from .. import nn
 from ..errors import ModelError
-from .buffer import FleetRolloutBuffer, RolloutBuffer
+from .buffer import FleetRolloutBuffer
 from .networks import ActorCritic
 
 
@@ -252,16 +252,14 @@ class PpoAgent:
 
     def update(
         self,
-        buffer: RolloutBuffer | FleetRolloutBuffer,
+        buffer: FleetRolloutBuffer,
         *,
         last_value: float | np.ndarray = 0.0,
     ) -> UpdateStats:
         """One PPO update over a filled rollout buffer.
 
-        ``buffer`` is a :class:`RolloutBuffer` or a
-        :class:`~repro.rl.buffer.FleetRolloutBuffer` — both expose the
-        same advantage and column interface; for the fleet buffer
-        ``last_value`` may be an ``(n_envs,)`` per-hub bootstrap array.
+        ``last_value`` bootstraps beyond the final stored slot: a scalar,
+        or an ``(n_envs,)`` per-hub array.
 
         Each epoch draws one permutation of the transitions, gathers the
         five columns in that order into arrays kept for the rollout size,

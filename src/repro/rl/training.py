@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ModelError
-from .buffer import FleetRolloutBuffer, RolloutBuffer
+from .buffer import FleetRolloutBuffer
 from .env import EctHubEnv
 from .fleet_env import FleetEnv
 from .ppo import PpoAgent, PpoConfig, UpdateStats
@@ -59,7 +59,8 @@ def train_ppo(
     agent = agent or PpoAgent(
         env.state_dim(), env.action_space.n, config, rng
     )
-    buffer = RolloutBuffer(env.episode_length, env.state_dim())
+    # One environment is the one-hub fleet buffer, filled with (1, ·) rows.
+    buffer = FleetRolloutBuffer(env.episode_length, 1, env.state_dim())
     history = TrainingHistory()
 
     for _ in range(episodes):
@@ -69,7 +70,14 @@ def train_ppo(
         while not done:
             action, log_prob, value = agent.act(state)
             next_state, reward, done, info = env.step(action)
-            buffer.add(state, action, log_prob, value, reward, done)
+            buffer.add(
+                state.reshape(1, -1),
+                np.array([action]),
+                np.array([log_prob]),
+                np.array([value]),
+                np.array([reward]),
+                done,
+            )
             episode_return += info["reward_raw"]
             state = next_state
         stats = agent.update(buffer, last_value=0.0)

@@ -12,7 +12,8 @@ Layout
     overrides (``apply_overrides`` — the ``--set key=value`` language).
 ``compiler``
     ``build(spec)`` → :class:`~repro.spec.compiler.CompiledScenario`
-    (scenarios, batched engine, scheduler) and the legacy flag shim.
+    (scenarios, batched engine, scheduler), ``build([spec, ...])`` → one
+    per spec over one stacked engine, and the legacy flag shim.
 ``presets``
     Named curated specs (``paper-default``, ``congested-city``, …).
 ``sweep``

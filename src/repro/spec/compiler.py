@@ -75,9 +75,9 @@ class CompiledScenario:
 
     ``scenarios`` keeps the per-hub scenario objects for inspection and
     scalar-engine cross-checks; ``simulation`` is the batched engine with
-    feeders, blackouts, and the VoLL penalty wired in; ``scheduler`` is
-    the spec'd policy. :meth:`execute` runs the horizon and returns the
-    completed :class:`~repro.fleet.costs.FleetCostBook`.
+    feeders, blackouts, and the VoLL penalty wired in (shared by every
+    job of a stacked build); ``scheduler`` is the spec'd policy.
+    :func:`execute_jobs` runs the horizon.
     """
 
     spec: ScenarioSpec
@@ -90,17 +90,10 @@ class CompiledScenario:
     #: schedule (:class:`~repro.spec.pricing.CompiledPricing`).
     pricing: object | None = None
 
-    def execute(self):
-        """Run the remaining horizon under the spec'd scheduler.
-
-        Single-job engines only; a stacked group runs through
-        :func:`execute_jobs`.
-        """
-        return self.simulation.run(self.scheduler)
-
 
 def execute_jobs(compiled: list["CompiledScenario"]):
-    """Run a stacked group compiled by :func:`build` — one book per job.
+    """Run the jobs :func:`build` compiled onto one engine — one book per
+    job, in order.
 
     Jobs whose :class:`SchedulerSpec` is equal share one scheduler call per
     block of slots: the fleet schedulers are open-loop planners (they read
@@ -487,14 +480,23 @@ def build(
     telemetry=None,
     assembly: FleetAssembly | None = None,
 ):
-    """Compile a spec into scenarios + batched engine + scheduler.
+    """Compile a spec, or a list of same-fleet specs, onto one engine.
+
+    A single spec is the one-job case and returns one
+    :class:`CompiledScenario`. A *list* returns one
+    :class:`CompiledScenario` per spec, in order, over one shared engine
+    that :func:`execute_jobs` runs: a one-spec list is again the one-job
+    case, and a longer list must share one :func:`stack_key` (a same-fleet
+    sweep group, unpriced) and steps with a leading job axis. The jobs
+    share one set of params, inputs and slot planes; each has its own
+    feeder policy, initial SoC, VoLL and scheduler.
 
     ``discount`` injects an explicit per-hub (or broadcast 1-D) discount
-    schedule, bypassing the spec's ``pricing`` section; ``None`` compiles
-    the section instead — the zero-discount baseline when the policy is
-    ``"none"``, a trained policy's schedule otherwise. Either way the
-    latent strata, traces, outages, and feeders are identical; only the
-    occupancy/discount planes differ.
+    schedule into a single spec, bypassing its ``pricing`` section;
+    ``None`` compiles the section instead — the zero-discount baseline
+    when the policy is ``"none"``, a trained policy's schedule otherwise.
+    Either way the latent strata, traces, outages, and feeders are
+    identical; only the occupancy/discount planes differ.
 
     ``assembly`` reuses a previously built :class:`FleetAssembly` instead
     of re-synthesising traces — the sweep workers' cache seam. The
@@ -504,116 +506,72 @@ def build(
     and run days/seed/scale may not) or a :class:`ConfigError` is raised.
     The cached strata survive the rebind,
     so re-pricing sweeps skip both trace synthesis and the strata draw.
-
-    A *list* of specs sharing one :func:`stack_key` compiles onto one
-    engine with a leading job axis (a same-fleet sweep group): one set of
-    params, inputs and slot planes, each job with its own feeder policy,
-    initial SoC, VoLL and scheduler. The result is then one
-    :class:`CompiledScenario` per spec, in order, all sharing that engine
-    (run them with :func:`execute_jobs`); ``discount`` must be ``None``.
     """
-    if isinstance(spec, (list, tuple)):
-        return _build_stack(list(spec), assembly=assembly, discount=discount)
-    assembly = _rebind(assembly, spec)
-    run = spec.run
-    scenarios = assembly.scenarios
+    stacked = isinstance(spec, (list, tuple))
+    specs = list(spec) if stacked else [spec]
+    if stacked:
+        if not specs:
+            raise ConfigError("a stacked build needs at least one spec")
+        if discount is not None:
+            raise ConfigError("a stacked build compiles no explicit discount")
+        if len(specs) > 1:
+            keys = {stack_key(job) for job in specs}
+            if None in keys or len(keys) != 1:
+                raise ConfigError(
+                    "stacked specs must share one stack_key: the same assembly "
+                    "fingerprint and storage, and no pricing policy"
+                )
+    first = specs[0]
+    assembly = _rebind(assembly, first)
 
     pricing_compiled = None
-    if discount is None and spec.pricing.policy != "none":
+    if discount is None and first.pricing.policy != "none":
         # Local import: the pricing compiler pulls the causal/NCF stack,
         # which plain (unpriced) builds must not load.
         from .pricing import compile_pricing
 
         pricing_compiled = compile_pricing(assembly, telemetry=telemetry)
         discount = pricing_compiled.discount
-
     discount_rows = assembly.discount_rows(discount)
-    occupied = assembly.realize_occupancy(discount_rows)
 
     from ..fleet.builder import fleet_simulation_from_scenarios
 
-    simulation = fleet_simulation_from_scenarios(
-        scenarios,
-        occupied,
-        discount_rows,
-        outage=assembly.outage,
-        initial_soc_fraction=run.initial_soc_fraction,
-        feeders=assembly.feeders,
-        voll_per_kwh=run.voll_per_kwh,
-        storage=run.storage,
-    )
-    scheduler = make_scheduler(
-        spec.scheduler, n_hubs=assembly.n_hubs, rng_factory=RngFactory(seed=run.seed)
-    )
-    return CompiledScenario(
-        spec=spec,
-        scenarios=scenarios,
-        simulation=simulation,
-        scheduler=scheduler,
-        n_hubs=assembly.n_hubs,
-        days=assembly.days,
-        pricing=pricing_compiled,
-    )
-
-
-def _build_stack(
-    specs: list[ScenarioSpec],
-    *,
-    assembly: FleetAssembly | None,
-    discount: np.ndarray | None,
-) -> list[CompiledScenario]:
-    """:func:`build` for a list of specs: one engine, one job per spec."""
-    if not specs:
-        raise ConfigError("a stacked build needs at least one spec")
-    if discount is not None:
-        raise ConfigError("a stacked build compiles no explicit discount")
-    keys = {stack_key(spec) for spec in specs}
-    if None in keys or len(keys) != 1:
-        raise ConfigError(
-            "stacked specs must share one stack_key: the same assembly "
-            "fingerprint and storage, and no pricing policy"
-        )
-    if len(specs) == 1:
-        return [build(specs[0], assembly=assembly)]
-    assembly = _rebind(assembly, specs[0])
-    # Equal stack keys leave only the feeder policy to differ between the
-    # jobs' assemblies.
-    feeders = [
-        dataclasses.replace(assembly.feeders, policy=spec.grid.allocation)
-        for spec in specs
-    ]
-    discount_rows = assembly.discount_rows(None)
-
-    from ..fleet.builder import fleet_simulation_from_scenarios
-
+    # One job keeps the engine state (n_hubs,); a stack broadcasts each
+    # job's initial SoC over its hubs.
+    soc = [job.run.initial_soc_fraction for job in specs]
     simulation = fleet_simulation_from_scenarios(
         assembly.scenarios,
         assembly.realize_occupancy(discount_rows),
         discount_rows,
         outage=assembly.outage,
-        initial_soc_fraction=np.array(
-            [spec.run.initial_soc_fraction for spec in specs]
-        )[:, None],
-        feeders=feeders,
-        voll_per_kwh=[spec.run.voll_per_kwh for spec in specs],
-        storage=specs[0].run.storage,
+        initial_soc_fraction=soc[0] if len(specs) == 1 else np.array(soc)[:, None],
+        # Equal stack keys leave only the feeder policy to differ between
+        # the jobs' assemblies.
+        feeders=[
+            dataclasses.replace(assembly.feeders, policy=job.grid.allocation)
+            for job in specs
+        ],
+        voll_per_kwh=[job.run.voll_per_kwh for job in specs],
+        storage=first.run.storage,
         n_jobs=len(specs),
     )
-    return [
+    compiled = [
         CompiledScenario(
-            spec=spec,
+            spec=job,
             scenarios=assembly.scenarios,
             simulation=simulation,
             scheduler=make_scheduler(
-                spec.scheduler,
+                job.scheduler,
                 n_hubs=assembly.n_hubs,
-                rng_factory=RngFactory(seed=spec.run.seed),
+                rng_factory=RngFactory(seed=job.run.seed),
             ),
             n_hubs=assembly.n_hubs,
             days=assembly.days,
+            pricing=pricing_compiled,
         )
-        for spec in specs
+        for job in specs
     ]
+    return compiled if stacked else compiled[0]
 
 
 def build_fleet_env(spec: ScenarioSpec, *, rng=None):

@@ -1,5 +1,5 @@
-"""Bridges between the scalar hub engine and the fleet engine, and the
-fleet schedulers' per-slot oracle.
+"""Bridges between the scalar hub engine and the fleet engine, the
+fleet schedulers' per-slot oracle, and a round-robin feeder builder.
 
 The equivalence tests run N scalar :class:`~repro.hub.simulation.HubSimulation`
 hubs against one :class:`~repro.fleet.simulation.FleetSimulation`: these
@@ -45,6 +45,30 @@ def stack_hub_inputs(inputs: Sequence[HubInputs]) -> FleetInputs:
         occupied=np.stack([np.asarray(one.occupied, dtype=int) for one in inputs]),
         discount=np.stack([np.asarray(one.discount, dtype=float) for one in inputs]),
         outage=outage,
+    )
+
+
+def uniform_feeders(
+    n_hubs: int,
+    n_feeders: int,
+    capacity_kw: float | np.ndarray,
+    *,
+    policy: str = "proportional",
+    priority: np.ndarray | None = None,
+) -> FeederGroup:
+    """Round-robin hubs over ``n_feeders`` feeders of ``capacity_kw``.
+
+    ``capacity_kw`` may be a scalar (every feeder, every slot), a
+    ``(n_feeders,)`` array, or a full ``(n_feeders, horizon)`` block.
+    """
+    capacity = np.asarray(capacity_kw, dtype=float)
+    if capacity.ndim == 0:
+        capacity = np.full(n_feeders, float(capacity))
+    return FeederGroup(
+        assignment=np.arange(n_hubs) % n_feeders,
+        import_capacity_kw=capacity,
+        policy=policy,
+        priority=priority,
     )
 
 

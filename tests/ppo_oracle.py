@@ -19,7 +19,7 @@ import numpy as np
 
 from repro import nn
 from repro.errors import ModelError
-from repro.rl.buffer import FleetRolloutBuffer, RolloutBuffer
+from repro.rl.buffer import FleetRolloutBuffer
 from repro.rl.ppo import PpoAgent, PpoConfig, UpdateStats
 
 
@@ -116,34 +116,33 @@ def ppo_loss(logits, values, actions, old_log_probs, advantages, returns, config
 
 def update(
     agent: PpoAgent,
-    buffer: RolloutBuffer | FleetRolloutBuffer,
+    buffer: FleetRolloutBuffer,
     *,
     last_value: float | np.ndarray = 0.0,
 ) -> tuple[UpdateStats, list[float]]:
     """The pre-fused ``PpoAgent.update``; also returns every minibatch's
     pre-clip gradient norm."""
     cfg: PpoConfig = agent.config
-    fleet = buffer._fleet if isinstance(buffer, RolloutBuffer) else buffer
-    compute_advantages(fleet, last_value, gamma=cfg.gamma, gae_lambda=cfg.gae_lambda)
+    compute_advantages(buffer, last_value, gamma=cfg.gamma, gae_lambda=cfg.gae_lambda)
     network, optimizer = agent.network, agent._optimizer
     steps = network.trunk.body.steps
     totals = [0.0] * 5
     norms = []
     n_batches = 0
     for _ in range(cfg.update_epochs):
-        order = agent._rng.permutation(len(fleet))
-        for start in range(0, len(fleet), cfg.batch_size):
+        order = agent._rng.permutation(len(buffer))
+        for start in range(0, len(buffer), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            features, trace = network.trunk.forward_array(fleet.states[idx])
+            features, trace = network.trunk.forward_array(buffer.states[idx])
             logits = network.actor_head.forward_array(features)
             values = network.critic_head.forward_array(features)
             policy, value, entropy, ratio, d_logits, d_values = ppo_loss(
                 logits,
                 values,
-                fleet.actions[idx],
-                fleet.log_probs[idx],
-                fleet.advantages[idx],
-                fleet.returns[idx],
+                buffer.actions[idx],
+                buffer.log_probs[idx],
+                buffer.advantages[idx],
+                buffer.returns[idx],
                 cfg,
             )
             grad = network.actor_head.backward_array(features, None, d_logits)

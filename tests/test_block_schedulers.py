@@ -25,7 +25,11 @@ from repro.fleet import (
 from repro.fleet import simulation
 from repro.rng import RngFactory
 
-from fleet_oracle import per_slot_available_import_kw, per_slot_schedule
+from fleet_oracle import (
+    per_slot_available_import_kw,
+    per_slot_schedule,
+    uniform_feeders,
+)
 
 N_HUBS = 9
 N_FEEDERS = 3
@@ -67,11 +71,11 @@ def feeder_groups(planes, params) -> dict[str, FeederGroup | None]:
     priority = rng.uniform(0.5, 2.0, N_HUBS)
     return {
         "uncoupled": None,
-        "static": FeederGroup.uniform(
+        "static": uniform_feeders(
             N_HUBS, N_FEEDERS, float(per_slot.mean()), policy="proportional"
         ),
-        "proportional": FeederGroup.uniform(N_HUBS, N_FEEDERS, per_slot),
-        "priority": FeederGroup.uniform(
+        "proportional": uniform_feeders(N_HUBS, N_FEEDERS, per_slot),
+        "priority": uniform_feeders(
             N_HUBS, N_FEEDERS, per_slot, policy="priority", priority=priority
         ),
     }

@@ -256,10 +256,6 @@ class TestGrid:
     def test_surplus_curtailed(self):
         assert GridConnection().draw_power(-5.0) == 0.0
 
-    def test_export_allowed_when_enabled(self):
-        grid = GridConnection(GridConfig(allow_export=True))
-        assert grid.draw_power(-5.0) == pytest.approx(-5.0)
-
     def test_import_limit(self):
         grid = GridConnection(GridConfig(import_limit_kw=10.0))
         with pytest.raises(GridError):

@@ -41,8 +41,10 @@ from repro.rl.schedulers import (
     RuleBasedScheduler,
 )
 from repro.rng import RngFactory
+from repro.spec import FleetSpec, GridSpec, ScenarioSpec
+from repro.spec.compiler import assemble_sites
 
-from fleet_oracle import hub_book, stack_hub_inputs
+from fleet_oracle import hub_book, stack_hub_inputs, uniform_feeders
 
 ATOL = 1e-9
 
@@ -459,7 +461,7 @@ class TestFleetBook:
         _, base = build_default_fleet(3, n_days=1, seed=4, outage_probability=0.3)
         assert base.planes.outage.any()
         sim = FleetSimulation(
-            base.params, base.inputs, storage=storage, window=48, n_jobs=n_jobs
+            base.params, base.inputs, storage=storage, n_jobs=n_jobs
         )
         shape = (3,) if n_jobs == 1 else (n_jobs, 3)
         while not sim.done:
@@ -563,7 +565,7 @@ class TestFeederGroup:
         assert np.isinf(feeders.available_import_kw(demand, 0)).all()
 
     def test_uniform_round_robin(self):
-        feeders = FeederGroup.uniform(5, 2, 100.0)
+        feeders = uniform_feeders(5, 2, 100.0)
         np.testing.assert_array_equal(feeders.assignment, [0, 1, 0, 1, 0])
         np.testing.assert_array_equal(feeders.members, [3, 2])
         assert not feeders.is_unlimited
@@ -646,8 +648,11 @@ class TestFeederGroup:
                 policy="priority",
                 priority=np.array([1.0, -2.0]),
             )
-        with pytest.raises(FleetError, match="empty"):
-            FeederGroup.uniform(2, 3, 10.0)
+        # More feeders than hubs is refused where specs compile feeders.
+        with pytest.raises(ConfigError, match="empty"):
+            assemble_sites(
+                ScenarioSpec(fleet=FleetSpec(n_hubs=2), grid=GridSpec(n_feeders=3))
+            )
 
     def test_simulation_rejects_mismatched_feeders(self):
         params = FleetParams.from_hub_configs([small_hub_config()])
@@ -770,7 +775,7 @@ class TestJobAxis:
         )
 
         def feeders(policy):
-            return FeederGroup.uniform(self.N_HUBS, 2, 6.0, policy=policy)
+            return uniform_feeders(self.N_HUBS, 2, 6.0, policy=policy)
 
         stacked = FleetSimulation(
             params,
@@ -893,7 +898,7 @@ class TestCoupledUnlimitedEquivalence:
             coupled = FleetSimulation(
                 params,
                 inputs,
-                feeders=FeederGroup.uniform(self.N_HUBS, 3, capacity),
+                feeders=uniform_feeders(self.N_HUBS, 3, capacity),
             )
             book = coupled.run(scheduler_by_name(scheduler_name, self.N_HUBS))
             assert_fleet_books_identical(baseline, book)

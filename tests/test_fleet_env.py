@@ -26,7 +26,6 @@ from repro.rl import (
     FleetRolloutBuffer,
     PpoAgent,
     PpoConfig,
-    RolloutBuffer,
     evaluate_fleet_agent,
     train_fleet_ppo,
 )
@@ -380,7 +379,7 @@ class TestFleetRolloutBuffer:
     def test_per_hub_gae_matches_scalar_buffer(self, rng):
         n_steps, n_envs = 6, 3
         fleet = FleetRolloutBuffer(n_steps, n_envs, 2)
-        scalars = [RolloutBuffer(n_steps, 2) for _ in range(n_envs)]
+        scalars = [FleetRolloutBuffer(n_steps, 1, 2) for _ in range(n_envs)]
         data_rng = np.random.default_rng(0)
         for t in range(n_steps):
             rewards = data_rng.normal(size=n_envs)
@@ -391,7 +390,8 @@ class TestFleetRolloutBuffer:
             fleet.add(np.zeros((n_envs, 2)), np.zeros(n_envs, dtype=int),
                       np.zeros(n_envs), values, rewards, dones)
             for i, buf in enumerate(scalars):
-                buf.add(np.zeros(2), 0, 0.0, values[i], rewards[i], bool(dones[i]))
+                buf.add(np.zeros((1, 2)), np.zeros(1, dtype=int), np.zeros(1),
+                        values[i : i + 1], rewards[i : i + 1], dones[i])
         fleet.compute_advantages(0.0, gamma=0.9, gae_lambda=0.8, normalize=False)
         for i, buf in enumerate(scalars):
             buf.compute_advantages(0.0, gamma=0.9, gae_lambda=0.8, normalize=False)

@@ -44,7 +44,11 @@ from repro.spec import (
     build,
     get_preset,
 )
-from repro.spec.compiler import _assemble_fleet, spec_from_price_flags
+from repro.spec.compiler import (
+    _assemble_fleet,
+    execute_jobs,
+    spec_from_price_flags,
+)
 from repro.spec.pricing import compile_pricing, congestion_signal
 
 from fleet_oracle import per_slot_available_import_kw
@@ -88,7 +92,7 @@ class TestScalarEquivalence:
     def test_schedule_occupancy_and_profit_match_scalar(self, policy):
         spec = price_spec(policy, n_hubs=1)
         compiled = build(spec)
-        fleet_book = compiled.execute()
+        (fleet_book,) = execute_jobs([compiled])
 
         # Scalar mirror: same behaviour model, same name-keyed streams,
         # same training protocol — built outside the fleet compiler.
@@ -269,7 +273,7 @@ class TestPricingProperties:
             0.0,
         )
         compiled = build(spec, discount=schedule)
-        book = compiled.execute()
+        (book,) = execute_jobs([compiled])
         assert_energy_balance(book, compiled.simulation.params)
         # The injected plane is what the engine actually priced with.
         assert compiled.simulation.inputs.discount.tobytes() == schedule.tobytes()

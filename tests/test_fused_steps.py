@@ -24,7 +24,7 @@ from repro.causal.dataset import PricingDataset
 from repro.causal.ect_price import EctPriceConfig, EctPriceModel
 from repro.causal.ncf import NcfConfig, NcfNetwork, NcfRegressor
 from repro.errors import ModelError
-from repro.rl.buffer import RolloutBuffer
+from repro.rl.buffer import FleetRolloutBuffer
 from repro.rl.networks import ActorCritic
 from repro.rl.ppo import PpoAgent, PpoConfig, UpdateStats, ppo_loss
 
@@ -441,15 +441,15 @@ class TestActorCriticFusedMatchesTape:
         config = PpoConfig(batch_size=16, update_epochs=2)
         agent = PpoAgent(4, 3, config, np.random.default_rng(7))
         twin = PpoAgent(4, 3, config, np.random.default_rng(7))
-        buffers = [RolloutBuffer(40, 4), RolloutBuffer(40, 4)]
+        buffers = [FleetRolloutBuffer(40, 1, 4), FleetRolloutBuffer(40, 1, 4)]
         rng = np.random.default_rng(8)
         for step in range(40):
             row = (
-                rng.normal(size=4),
-                int(rng.integers(0, 3)),
-                float(np.log(rng.uniform(0.1, 0.9))),
-                float(rng.normal()),
-                float(rng.normal()),
+                rng.normal(size=(1, 4)),
+                np.array([rng.integers(0, 3)]),
+                np.array([np.log(rng.uniform(0.1, 0.9))]),
+                np.array([rng.normal()]),
+                np.array([rng.normal()]),
                 step % 13 == 12,
             )
             for buffer in buffers:

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.fleet import (
-    FeederGroup,
     FleetInputs,
     FleetParams,
     FleetRuleBasedScheduler,
@@ -23,6 +22,8 @@ from repro.fleet import (
 )
 from repro.hub.hub import HubConfig
 from repro.energy.battery import BatteryConfig
+
+from fleet_oracle import uniform_feeders
 
 
 def build_case(seed: int = 3, n_hubs: int = 6, horizon: int = 48):
@@ -121,7 +122,7 @@ class TestPlaneFormulas:
 class TestEngineUsesPlanes:
     def test_available_import_kw_matches_rebuilt_signal(self):
         params, inputs = build_case(seed=9)
-        feeders = FeederGroup.uniform(params.n_hubs, 2, 30.0)
+        feeders = uniform_feeders(params.n_hubs, 2, 30.0)
         sim = FleetSimulation(params, inputs, feeders=feeders)
         for t in range(inputs.horizon):
             slot = inputs.slot(t)

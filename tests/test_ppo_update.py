@@ -18,7 +18,7 @@ import pytest
 import ppo_oracle
 from repro import nn
 from repro.errors import ModelError
-from repro.rl.buffer import FleetRolloutBuffer, RolloutBuffer
+from repro.rl.buffer import FleetRolloutBuffer
 from repro.rl.networks import ActorCritic
 from repro.rl.ppo import PpoAgent, PpoConfig
 
@@ -37,12 +37,7 @@ def fill(buffers, rng: np.random.Generator, *, slots: int, n_envs: int, state_di
         rewards = rng.normal(size=n_envs)
         dones = (t + np.arange(n_envs)) % 17 == 16
         for buffer in buffers:
-            if isinstance(buffer, RolloutBuffer):
-                buffer.add(
-                    states[0], int(actions[0]), log_probs[0], values[0], rewards[0], dones[0]
-                )
-            else:
-                buffer.add(states, actions, log_probs, values, rewards, dones)
+            buffer.add(states, actions, log_probs, values, rewards, dones)
 
 
 def agent_bytes(agent: PpoAgent) -> tuple:
@@ -68,8 +63,9 @@ def stats_bytes(stats) -> list[bytes]:
     ]
 
 
-#: (buffer kind, slots, n_envs, state_dim, batch): every rollout ends on
-#: a ragged minibatch (300 = 4 x 64 + 44, 100 = 3 x 32 + 4).
+#: (bootstrap kind, slots, n_envs, state_dim, batch): every rollout ends on
+#: a ragged minibatch (300 = 4 x 64 + 44, 100 = 3 x 32 + 4). The one-hub
+#: "scalar" rollout is what ``train_ppo`` fills, with a scalar bootstrap.
 ROLLOUTS = {
     "fleet-6-hubs": ("fleet", 50, 6, 11, 64),
     "scalar": ("scalar", 100, 1, 7, 32),
@@ -92,15 +88,10 @@ class TestFusedUpdateMatchesFrozenLoop:
         frozen = PpoAgent(state_dim, 3, config, np.random.default_rng(31))
         assert agent_bytes(fused) == agent_bytes(frozen)
 
-        def buffer():
-            if kind == "scalar":
-                return RolloutBuffer(slots, state_dim)
-            return FleetRolloutBuffer(slots, n_envs, state_dim)
-
         rng = np.random.default_rng(32)
         norms = []
         for update in range(2):
-            buffers = [buffer(), buffer()]
+            buffers = [FleetRolloutBuffer(slots, n_envs, state_dim) for _ in range(2)]
             fill(buffers, rng, slots=slots, n_envs=n_envs, state_dim=state_dim)
             last = 0.3 if kind == "scalar" else rng.normal(size=n_envs)
             stats = fused.update(buffers[0], last_value=last)

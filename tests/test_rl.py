@@ -14,12 +14,12 @@ from repro.rl import (
     Discrete,
     EctHubEnv,
     EnvConfig,
+    FleetRolloutBuffer,
     GreedyRenewableScheduler,
     IdleScheduler,
     PpoAgent,
     PpoConfig,
     RandomScheduler,
-    RolloutBuffer,
     RuleBasedScheduler,
     evaluate_agent,
     evaluate_scheduler,
@@ -214,21 +214,33 @@ class TestEnv:
         assert occupancies["evening"] > occupancies["none"]
 
 
+def add_row(buffer, state, action, log_prob, value, reward, done):
+    """One transition as the one-environment ``(1, ·)`` row ``train_ppo`` adds."""
+    buffer.add(
+        np.reshape(state, (1, -1)),
+        np.array([action]),
+        np.array([log_prob]),
+        np.array([value]),
+        np.array([reward]),
+        done,
+    )
+
+
 class TestBuffer:
     def test_add_and_capacity(self):
-        buffer = RolloutBuffer(2, 3)
-        buffer.add(np.zeros(3), 0, 0.0, 0.0, 1.0, False)
-        buffer.add(np.zeros(3), 1, 0.0, 0.0, 1.0, True)
+        buffer = FleetRolloutBuffer(2, 1, 3)
+        add_row(buffer, np.zeros(3), 0, 0.0, 0.0, 1.0, False)
+        add_row(buffer, np.zeros(3), 1, 0.0, 0.0, 1.0, True)
         assert buffer.full
         with pytest.raises(ModelError):
-            buffer.add(np.zeros(3), 0, 0.0, 0.0, 1.0, False)
+            add_row(buffer, np.zeros(3), 0, 0.0, 0.0, 1.0, False)
 
     def test_gae_matches_hand_computation(self):
-        buffer = RolloutBuffer(3, 1)
+        buffer = FleetRolloutBuffer(3, 1, 1)
         rewards = [1.0, 0.0, 2.0]
         values = [0.5, 0.4, 0.3]
         for r, v in zip(rewards, values):
-            buffer.add(np.zeros(1), 0, 0.0, v, r, False)
+            add_row(buffer, np.zeros(1), 0, 0.0, v, r, False)
         gamma, lam = 0.9, 0.8
         buffer.compute_advantages(
             last_value=0.2, gamma=gamma, gae_lambda=lam, normalize=False
@@ -247,16 +259,16 @@ class TestBuffer:
         )
 
     def test_done_cuts_bootstrap(self):
-        buffer = RolloutBuffer(2, 1)
-        buffer.add(np.zeros(1), 0, 0.0, 0.0, 1.0, True)
-        buffer.add(np.zeros(1), 0, 0.0, 0.0, 1.0, True)
+        buffer = FleetRolloutBuffer(2, 1, 1)
+        add_row(buffer, np.zeros(1), 0, 0.0, 0.0, 1.0, True)
+        add_row(buffer, np.zeros(1), 0, 0.0, 0.0, 1.0, True)
         buffer.compute_advantages(last_value=100.0, normalize=False)
         assert buffer.advantages[0] == pytest.approx(1.0)
 
     def test_normalized_advantages(self, rng):
-        buffer = RolloutBuffer(8, 1)
+        buffer = FleetRolloutBuffer(8, 1, 1)
         for i in range(8):
-            buffer.add(np.zeros(1), 0, 0.0, 0.0, float(i), i == 7)
+            add_row(buffer, np.zeros(1), 0, 0.0, 0.0, float(i), i == 7)
         buffer.compute_advantages(0.0)
         adv = buffer.advantages[:8]
         assert abs(adv.mean()) < 1e-9
@@ -279,13 +291,13 @@ class TestActorCriticAndPpo:
     def test_ppo_learns_bandit(self, rng):
         """PPO should learn to pick the rewarded action in a trivial bandit."""
         agent = PpoAgent(2, 3, PpoConfig(learning_rate=0.01), rng)
-        buffer = RolloutBuffer(64, 2)
+        buffer = FleetRolloutBuffer(64, 1, 2)
         state = np.ones(2)
         for _ in range(30):
             for _ in range(64):
                 action, log_prob, value = agent.act(state)
                 reward = 1.0 if action == 2 else 0.0
-                buffer.add(state, action, log_prob, value, reward, True)
+                add_row(buffer, state, action, log_prob, value, reward, True)
             agent.update(buffer)
         counts = np.bincount(
             [agent.act(state)[0] for _ in range(100)], minlength=3
@@ -294,10 +306,10 @@ class TestActorCriticAndPpo:
 
     def test_update_stats_fields(self, rng):
         agent = PpoAgent(2, 3, PpoConfig(), rng)
-        buffer = RolloutBuffer(8, 2)
+        buffer = FleetRolloutBuffer(8, 1, 2)
         for i in range(8):
             action, lp, v = agent.act(np.zeros(2))
-            buffer.add(np.zeros(2), action, lp, v, 1.0, i == 7)
+            add_row(buffer, np.zeros(2), action, lp, v, 1.0, i == 7)
         stats = agent.update(buffer)
         assert np.isfinite(stats.policy_loss)
         assert np.isfinite(stats.value_loss)

@@ -41,6 +41,7 @@ from repro.spec import (
     spec_from_fleet_flags,
     verify_roundtrips,
 )
+from repro.spec.compiler import execute_jobs
 from repro.spec.scenario import SCHEMA_VERSION
 
 from fleet_oracle import hub_book
@@ -440,13 +441,10 @@ class TestSweep:
 class TestCompiler:
     def test_default_spec_matches_flag_shim_fleet(self):
         """A spec-built fleet and the legacy flag path are the same run."""
-        from repro.experiments.fleet_sim import run as run_fleet
+        from repro.experiments import run_experiment
 
-        flag_result = run_fleet(n_hubs=6, days=3, seed=5, scheduler="greedy-renewable")
-        spec = spec_from_fleet_flags(
-            n_hubs=6, days=3, seed=5, scheduler="greedy-renewable"
-        )
-        spec_result = api.run(spec)
+        flag_result = run_experiment("fleet", scale=0.25, seed=5)
+        spec_result = api.run(spec_from_fleet_flags(scale=0.25, seed=5))
         assert jsonable(flag_result.data) == jsonable(spec_result.data)
 
     def test_flag_shim_scale_defaults(self):
@@ -512,6 +510,28 @@ class TestCompiler:
         assert scheduler.cheap_quantile == 0.1
         assert scheduler.expensive_quantile == 0.9
 
+    @pytest.mark.parametrize(
+        "case", ["empty-list", "priced-in-list", "different-fleets", "discount-with-list"]
+    )
+    def test_list_build_refusals(self, case):
+        spec = ScenarioSpec(fleet=FleetSpec(n_hubs=4), run=RunSpec(days=1))
+        specs, kwargs, message = {
+            "empty-list": ([], {}, "at least one spec"),
+            "priced-in-list": (
+                [spec, spec.with_overrides({"pricing.policy": "ours"})],
+                {},
+                "stack_key",
+            ),
+            "different-fleets": (
+                [spec, spec.with_overrides({"fleet.n_hubs": 5})],
+                {},
+                "stack_key",
+            ),
+            "discount-with-list": ([spec], {"discount": np.zeros(24)}, "discount"),
+        }[case]
+        with pytest.raises(ConfigError, match=message):
+            build(specs, **kwargs)
+
 
 class TestVoll:
     def test_voll_charges_unserved_energy(self):
@@ -520,8 +540,10 @@ class TestVoll:
             blackout=BlackoutSpec(outage_probability_per_hour=0.05),
             run=RunSpec(days=3),
         )
-        free = build(base).execute()
-        priced = build(base.with_overrides({"run.voll_per_kwh": 2.0})).execute()
+        (free,) = execute_jobs(build([base]))
+        (priced,) = execute_jobs(
+            build([base.with_overrides({"run.voll_per_kwh": 2.0})])
+        )
         assert free.total_unserved_kwh > 0.0
         assert priced.voll_cost == pytest.approx(2.0 * priced.total_unserved_kwh)
         assert priced.profit == pytest.approx(
@@ -529,9 +551,9 @@ class TestVoll:
         )
 
     def test_voll_zero_is_the_paper_objective(self):
-        book = build(
-            ScenarioSpec(fleet=FleetSpec(n_hubs=4), run=RunSpec(days=2))
-        ).execute()
+        (book,) = execute_jobs(
+            build([ScenarioSpec(fleet=FleetSpec(n_hubs=4), run=RunSpec(days=2))])
+        )
         assert book.voll_cost == 0.0
         assert book.profit == pytest.approx(
             book.charging_revenue - book.operating_cost
@@ -543,7 +565,7 @@ class TestVoll:
             blackout=BlackoutSpec(outage_probability_per_hour=0.05),
             run=RunSpec(days=3, voll_per_kwh=2.0),
         )
-        book = build(spec).execute()
+        (book,) = execute_jobs(build([spec]))
         assert book.daily_rewards().sum() == pytest.approx(book.profit)
 
     def test_hub_book_carries_voll(self):
@@ -552,7 +574,7 @@ class TestVoll:
             blackout=BlackoutSpec(outage_probability_per_hour=0.05),
             run=RunSpec(days=3, voll_per_kwh=2.0),
         )
-        book = build(spec).execute()
+        (book,) = execute_jobs(build([spec]))
         scalar = hub_book(book, 0)
         assert scalar.voll_per_kwh == 2.0
         assert scalar.profit == pytest.approx(float(book.profit_per_hub[0]))

@@ -16,7 +16,7 @@ import pytest
 
 from repro import api
 from repro.errors import ConfigError, FleetError
-from repro.spec.compiler import spec_from_fleet_flags
+from repro.spec.compiler import build, execute_jobs, spec_from_fleet_flags
 from repro.spec.scenario import RunSpec, ScenarioSpec
 
 
@@ -34,8 +34,10 @@ def run_pair(**overrides):
     spec = base_spec(
         **{"grid.n_feeders": 2, "grid.feeder_capacity_kw": 220.0, **overrides}
     )
-    dense = api.build(spec).execute()
-    windowed = api.build(spec.with_overrides({"run.storage": "windowed"})).execute()
+    (dense,) = execute_jobs(build([spec]))
+    (windowed,) = execute_jobs(
+        build([spec.with_overrides({"run.storage": "windowed"})])
+    )
     return dense, windowed
 
 
@@ -84,22 +86,10 @@ class TestWindowedBook:
             windowed.feeder_import_kw()
         with pytest.raises(FleetError, match="dense"):
             _ = windowed.grid_cost
-        with pytest.raises(FleetError):
-            windowed.daily_rewards(slots_per_day=12)
-
-    def test_recent_serves_the_window(self):
-        dense, windowed = run_pair()
-        np.testing.assert_array_equal(
-            windowed.recent("grid_cost", 12), dense.recent("grid_cost", 12)
-        )
-        np.testing.assert_array_equal(
-            windowed.recent("action", 5), dense.recent("action", 5)
-        )
-        assert windowed.recent("grid_cost").shape[1] == windowed.window
 
     def test_executed_book_survives_pickle(self):
         """A round-tripped book must report the same daily rewards."""
-        book = api.build(base_spec()).execute()
+        (book,) = execute_jobs(build([base_spec()]))
         clone = pickle.loads(pickle.dumps(book))
         np.testing.assert_array_equal(clone.daily_rewards(), book.daily_rewards())
 
