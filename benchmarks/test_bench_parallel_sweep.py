@@ -32,11 +32,16 @@ from repro.spec import SweepSpec
 from repro.spec.compiler import spec_from_fleet_flags
 
 N_JOBS = 8
-N_HUBS = 24
+#: Sized so the pool's fixed cost (worker start and IPC, about 0.05 s on
+#: a 2-core host) stays a small share of the serial sweep (0.4-0.8 s
+#: there): the floor then measures the executor, not how fast a job steps.
+N_HUBS = 48
+DAYS = 28
 POOL_SIZE = 4
 CHUNK_SIZE = 2
-#: Alternating serial/parallel pairs the speedup guard takes the median of.
-N_PAIRS = 15
+#: Alternating serial/parallel pairs the speedup guard takes the median
+#: of (the whole bench stays under 10 s).
+N_PAIRS = 9
 
 # Tightened with the chunked executor: batching jobs per worker task
 # cut the IPC overhead the old floors priced in.
@@ -45,7 +50,7 @@ MIN_SPEEDUP_RELAXED = 0.9
 
 
 def _sweep(scale: float) -> SweepSpec:
-    days = max(int(round(7 * scale)), 2)
+    days = max(int(round(DAYS * scale)), 2)
     base = spec_from_fleet_flags(n_hubs=N_HUBS, days=days)
     return SweepSpec(
         base=base,

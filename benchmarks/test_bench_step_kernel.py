@@ -55,14 +55,29 @@ class ReferenceStepSimulation(FleetSimulation):
     Kept as the benchmark's reference so the speedup ratio is measured on
     the hardware running the bench instead of against a recorded number
     from other silicon. Only ``step`` differs, plus the cumulative
-    battery throughput it keeps (the fused engine books none);
-    construction, the book, feeders, and schedulers are shared with the
-    fused engine.
+    battery throughput it keeps (the fused engine books none), the
+    slot-by-slot ``run`` and the book write it needs; construction, the
+    book, feeders, and schedulers are shared with the fused engine.
     """
 
     def reset(self, **kwargs) -> None:
         super().reset(**kwargs)
         self.throughput_kwh = np.zeros(self.n_hubs)
+
+    def run(self, scheduler):
+        """The per-slot loop: plan the remaining horizon, step each slot."""
+        reset_hook = getattr(scheduler, "reset", None)
+        if callable(reset_hook):
+            reset_hook(self)
+        for slot_actions in np.transpose(scheduler(self, self.t, self.horizon)):
+            self.step(slot_actions)
+        return self.book
+
+    def _record(self, t: int, columns: dict[str, np.ndarray]) -> None:
+        """Write one resolved slot into the (dense) book and commit it."""
+        for name, values in columns.items():
+            getattr(self.book, name)[:, t] = values
+        self.book.commit_slots(t, t + 1)
 
     def step(self, actions: np.ndarray) -> dict[str, np.ndarray]:
         if self.done:
@@ -145,7 +160,7 @@ class ReferenceStepSimulation(FleetSimulation):
             "unserved_kwh": unserved,
             "import_shortfall_kw": shortfall_kw,
         }
-        self.book.record(t, **columns)
+        self._record(t, columns)
         self._t += 1
         return columns
 

@@ -45,6 +45,10 @@ DEFAULT_WINDOW = 24
 #: contract).
 _SLOTS_PER_DAY = 24
 
+#: Hub-slots per block of the per-feeder roll-up: the flat bin array of a
+#: 2000-hub fleet stays at 32 slots (512 KB) however long the horizon.
+_ROLLUP_HUB_SLOTS = 2**16
+
 
 def column_dtype(name: str):
     """Pinned storage dtype of one book column."""
@@ -231,85 +235,70 @@ class FleetCostBook:
         total += sum(getattr(self, name).nbytes for name in self._FLOAT_COLUMNS)
         return int(total)
 
-    def record(self, t: int, **columns: np.ndarray) -> None:
-        """Store one resolved slot (arrays of shape ``(n_hubs,)``)."""
-        self._check_slot(t)
-        if self._windowed:
-            slot = t % self.window
-            dest = {name: ring[:, slot] for name, ring in self._ring.items()}
-            # Dense columns start zeroed; the ring column may hold the
-            # evicted slot's stale values — clear for identical semantics.
-            for target in dest.values():
-                target[...] = 0
-        else:
-            dest = {
-                name: getattr(self, name)[:, t]
-                for name in ("action", "blackout", *self._FLOAT_COLUMNS)
-            }
-        for name, values in columns.items():
-            try:
-                target = dest[name]
-            except KeyError:
-                raise FleetError(f"unknown fleet book column {name!r}") from None
-            target[:] = values
-        self.commit_slot(t)
+    def commit_slots(self, start: int, stop: int) -> None:
+        """Mark slots ``[start, stop)`` as recorded once their columns hold them.
 
-    def _check_slot(self, t: int) -> None:
-        if t != self._n_recorded:
-            raise FleetError(
-                f"slots must be recorded in order; expected {self._n_recorded}, got {t}"
-            )
-        if t >= self.horizon:
-            raise FleetError(f"slot {t} beyond book horizon {self.horizon}")
-
-    def commit_slot(self, t: int) -> None:
-        """Mark slot ``t`` as recorded once its columns hold it.
-
-        :meth:`record` writes the columns itself; :class:`~repro.fleet.
-        simulation.FleetSimulation` resolves each slot straight into the
-        storage it handed the book (``columns=``) and commits afterwards,
-        so a step that raises mid-flight leaves the recorded range
-        untouched. Windowed storage keeps slot ``t`` in ring column
-        ``t % window`` and folds it into the running aggregates here, in
-        slot order.
+        The book has no write path of its own: :class:`~repro.fleet.
+        simulation.FleetSimulation` resolves slots straight into the
+        storage it handed the book (``columns=``) and commits them
+        afterwards — one slot per public ``step``, a whole block per
+        open-loop block — so a step that raises mid-flight leaves the
+        recorded range untouched. Windowed storage keeps slot ``t`` in ring
+        column ``t % window``, so a committed block must not wrap the
+        ring; its slots fold into the running aggregates here, in slot
+        order.
         """
-        self._check_slot(t)
+        if start != self._n_recorded:
+            raise FleetError(
+                f"slots must be recorded in order; expected {self._n_recorded}, "
+                f"got {start}"
+            )
+        if not start < stop <= self.horizon:
+            raise FleetError(
+                f"slots [{start}, {stop}) outside the book horizon {self.horizon}"
+            )
         if self._windowed:
-            self._fold_slot(t)
-        self._n_recorded += 1
+            self._fold(start, stop)
+        self._n_recorded = stop
 
-    def _fold_slot(self, t: int) -> None:
-        ring, slot = self._ring, t % self.window
-        grid_cost = ring["grid_cost"][:, slot]
-        bp_cost = ring["bp_cost"][:, slot]
-        revenue = ring["revenue"][:, slot]
-        unserved = ring["unserved_kwh"][:, slot]
-        p_grid = ring["p_grid_kw"][:, slot]
-        shortfall = ring["import_shortfall_kw"][:, slot]
-        self._acc_op_cost += grid_cost
-        self._acc_op_cost += bp_cost
-        self._acc_revenue += revenue
-        self._acc_unserved += unserved
-        self._acc_import_shortfall += shortfall
-        self._acc_daily[:, t // _SLOTS_PER_DAY] += (
-            revenue - grid_cost - bp_cost - self.voll_per_kwh * unserved
+    def _fold(self, start: int, stop: int) -> None:
+        ring, first = self._ring, start % self.window
+        ring_slots = slice(first, first + stop - start)
+        if ring_slots.stop > self.window:
+            raise FleetError(
+                f"slots [{start}, {stop}) wrap the {self.window}-slot ring"
+            )
+        feeder_import = self.feeders.feeder_sums(ring["p_grid_kw"][:, ring_slots])
+        feeder_shortfall = self.feeders.feeder_sums(
+            ring["import_shortfall_kw"][:, ring_slots]
         )
-        assignment, n_feeders = self.feeders.assignment, self.feeders.n_feeders
-        feeder_import = np.bincount(
-            assignment, weights=p_grid, minlength=n_feeders
-        )
-        feeder_shortfall = np.bincount(
-            assignment, weights=shortfall, minlength=n_feeders
-        )
-        self._acc_feeder_import += feeder_import
-        self._acc_feeder_shortfall += feeder_shortfall
-        np.maximum(
-            self._acc_feeder_peak, feeder_import, out=self._acc_feeder_peak
-        )
+        for offset in range(stop - start):
+            column = first + offset
+            grid_cost = ring["grid_cost"][:, column]
+            bp_cost = ring["bp_cost"][:, column]
+            revenue = ring["revenue"][:, column]
+            unserved = ring["unserved_kwh"][:, column]
+            self._acc_op_cost += grid_cost
+            self._acc_op_cost += bp_cost
+            self._acc_revenue += revenue
+            self._acc_unserved += unserved
+            self._acc_import_shortfall += ring["import_shortfall_kw"][:, column]
+            self._acc_daily[:, (start + offset) // _SLOTS_PER_DAY] += (
+                revenue - grid_cost - bp_cost - self.voll_per_kwh * unserved
+            )
+            self._acc_feeder_import += feeder_import[:, offset]
+            self._acc_feeder_shortfall += feeder_shortfall[:, offset]
+            np.maximum(
+                self._acc_feeder_peak,
+                feeder_import[:, offset],
+                out=self._acc_feeder_peak,
+            )
         # Shortfalls are non-negative, so a feeder sum is positive exactly
         # when any member was curtailed — the count matches dense exactly.
         self._congested_slots += int(np.count_nonzero(feeder_shortfall > 0.0))
-        self._blackout_hub_slots += int(np.count_nonzero(ring["blackout"][:, slot]))
+        self._blackout_hub_slots += int(
+            np.count_nonzero(ring["blackout"][:, ring_slots])
+        )
 
     def _require_dense(self, what: str) -> None:
         if self._windowed:
@@ -384,9 +373,17 @@ class FleetCostBook:
         return self.feeders.n_feeders
 
     def _per_feeder_slots(self, name: str) -> np.ndarray:
-        """Roll a hub column up to ``(n_feeders, n_recorded)``."""
-        rolled = np.zeros((self.feeders.n_feeders, self._n_recorded), np.float64)
-        np.add.at(rolled, self.feeders.assignment, self._recorded(name))
+        """Roll a hub column up to ``(n_feeders, n_recorded)``.
+
+        The flat-bin sums run over blocks of :data:`_ROLLUP_HUB_SLOTS`
+        hub-slots, so the bin array stays small on a city-size fleet.
+        """
+        column = self._recorded(name)
+        rolled = np.empty((self.feeders.n_feeders, self._n_recorded), np.float64)
+        width = max(1, _ROLLUP_HUB_SLOTS // self.n_hubs)
+        for start in range(0, self._n_recorded, width):
+            block = slice(start, start + width)
+            rolled[:, block] = self.feeders.feeder_sums(column[:, block])
         return rolled
 
     def feeder_import_kw(self) -> np.ndarray:

@@ -347,6 +347,20 @@ class FeederGroup:
             capacity[plan.feeder_sorted] - ahead, 0.0, demand_sorted
         )
 
+    def feeder_sums(self, block: np.ndarray) -> np.ndarray:
+        """Roll an ``(n_hubs, width)`` block of hub values up to feeders.
+
+        One ``bincount`` over ``(feeder, slot)`` bins: the flattened
+        weights run hub-major, so every bin accumulates its hubs in hub
+        order from 0.0, exactly like a bincount of that column alone (and
+        like ``np.add.at`` into zeros). Returns ``(n_feeders, width)``.
+        """
+        width = block.shape[1]
+        bins = (self.assignment[:, None] * width + np.arange(width)).ravel()
+        return np.bincount(
+            bins, weights=block.ravel(), minlength=self.n_feeders * width
+        ).reshape(self.n_feeders, width)
+
     # ------------------------------------------------------------------ #
     # Scheduler signal                                                     #
     # ------------------------------------------------------------------ #
@@ -386,12 +400,5 @@ class FeederGroup:
             capacity = capacity[:, t : t + width]
         else:
             capacity = capacity[:, None]
-        # One bincount over (feeder, slot) bins: the flattened weights run
-        # hub-major, so every bin accumulates its hubs in hub order from
-        # 0.0, exactly like a bincount of that column alone.
-        bins = (self.assignment[:, None] * width + np.arange(width)).ravel()
-        demand = np.bincount(
-            bins, weights=base.ravel(), minlength=self.n_feeders * width
-        ).reshape(self.n_feeders, width)
-        headroom = np.maximum(capacity - demand, 0.0)
+        headroom = np.maximum(capacity - self.feeder_sums(base), 0.0)
         return (headroom / np.maximum(self.members, 1)[:, None])[self.assignment]

@@ -20,6 +20,20 @@ power_balance``, ``compute_slot_ledger``), so a batched run stays
 numerically equivalent to N independent scalar runs; the property-style
 test in ``tests/test_fleet.py`` enforces agreement within atol 1e-9.
 
+Core and finish: Eqs. 7–11 split into a sequential part and an
+elementwise one. The **core** — the battery block, the Eq. 7 import, the
+blackout rows, the import-limit check, the feeder allocation with its
+Eq. 6 reserve draw, and the SoC — reads the previous slot's SoC, so it
+runs once per slot; it leaves the Eq. 7 residual in the surplus column.
+The **finish** — the curtailed surplus ``max(-residual, 0)``, ``C_grid``,
+``C_BP`` and every book's commit — is elementwise over slots. The public
+:meth:`FleetSimulation.step` runs the core and then a one-slot finish
+over the slot views the core holds. An open-loop
+:meth:`FleetSimulation.run_jobs` knows a whole block's actions before it
+steps them: it validates them once, runs the core slot by slot and
+finishes the block at once, booking every slot bit for bit as the
+per-slot path does.
+
 Shared-grid coupling: hubs may be grouped onto common feeders with finite
 import capacity (:class:`~repro.fleet.grid.FeederGroup`). After the
 per-hub balance is resolved, the feeder allocation step curtails imports
@@ -201,7 +215,8 @@ class FleetSimulation:
         self._book_storage = storage
         self._windowed_book = storage == "windowed"
         self._precompute_constants()
-        self._allocate_buffers()
+        #: Reusable ``out=`` scratch of the import-limit check.
+        self._limit_mask = np.empty(self._shape, np.bool_)
         self._books = self._new_books()
         self._t = 0
         self.soc_kwh = self._reset_soc(self._initial_soc)
@@ -323,14 +338,6 @@ class FleetSimulation:
             bus_per_drawn=self._bus_per_drawn,
             dt_h=dt,
             soc_eps=_SOC_EPS,
-        )
-
-    def _allocate_buffers(self) -> None:
-        """Reusable ``out=`` scratch for the step's balance and book."""
-        shape = self._shape
-        self._buf = SimpleNamespace(
-            residual=np.empty(shape, np.float64),
-            mask=np.empty(shape, np.bool_),
         )
 
     def _as_soc_fraction(self, fraction: float | np.ndarray) -> np.ndarray:
@@ -456,8 +463,12 @@ class FleetSimulation:
             raise FleetError("battery actions must be -1, 0, or 1")
 
     def step(
-        self, actions: np.ndarray, *, validated: bool = False
-    ) -> dict[str, np.ndarray]:
+        self,
+        actions: np.ndarray,
+        *,
+        validated: bool = False,
+        finish: bool = True,
+    ) -> dict[str, np.ndarray] | None:
         """Apply one battery action per hub to the current slot.
 
         ``actions`` has the state shape — ``(n_hubs,)``, or ``(n_jobs,
@@ -468,6 +479,15 @@ class FleetSimulation:
         shape and membership checks for a caller that has already made
         them (:meth:`repro.rl.fleet_env.FleetEnv.step` checks its action
         codes before mapping them to these).
+
+        The step is the sequential core of the slot (battery, Eq. 7
+        import, blackout rows, import limit, feeder allocation with its
+        reserve draw, the SoC) followed by a one-slot finish (the
+        elementwise surplus and Eqs. 8–9 columns, then the commit).
+        ``finish=False`` runs the core only and returns ``None``: the
+        open-loop :meth:`run_jobs` steps a whole block that way and then
+        finishes and commits the block at once. The slot stays out of the
+        books until that finish, so only a block run may pass it.
         """
         if self.done:
             raise FleetError(f"fleet horizon of {self.horizon} slots exhausted")
@@ -486,40 +506,29 @@ class FleetSimulation:
         params = self.params
         dt = params.dt_h
         planes = self.planes
-        b = self._buf
         soc = self.soc_kwh
         # The slot is resolved directly into the books' storage through
         # these writable column views; it only becomes visible to the
-        # aggregates at commit_slot, so a mid-step raise books nothing.
+        # aggregates at the commit, so a mid-step raise books nothing.
+        # Dense columns start zeroed at reset and every write below is an
+        # assignment except the coupled unserved ``+=``, which follows the
+        # last raise, so a slot stepped again after a raise books the
+        # same values.
         slot = t % self._slot_width if self._windowed_book else t
+        columns = [column[..., slot] for column in self._kernel_columns]
         (  # FleetCostBook.ACTION_COLUMNS order
             applied,
             p_bp,
             p_grid,
             surplus,
             booked_soc,
-            grid_cost,
-            bp_cost,
+            _,
+            _,
             unserved,
             shortfall,
-        ) = [column[..., slot] for column in self._kernel_columns]
-        if self._windowed_book:
-            # The ring column may hold an evicted slot's values; rewrite
-            # the exogenous columns the dense path bulk-fills at reset
-            # and zero the branch-written ones (every other column is
-            # overwritten unconditionally below).
-            inputs = self.inputs
-            ring = self._exogenous
-            np.copyto(ring["blackout"][:, slot], planes.outage[:, t])
-            np.copyto(ring["p_bs_kw"][:, slot], planes.p_bs_kw[:, t])
-            np.copyto(ring["p_cs_kw"][:, slot], planes.p_cs_kw[:, t])
-            np.copyto(ring["p_pv_kw"][:, slot], inputs.pv_power_kw[:, t])
-            np.copyto(ring["p_wt_kw"][:, slot], inputs.wt_power_kw[:, t])
-            np.copyto(ring["rtp_kwh"][:, slot], inputs.rtp_kwh[:, t])
-            np.copyto(ring["srtp_kwh"][:, slot], planes.srtp_kwh[:, t])
-            np.copyto(ring["revenue"][:, slot], planes.revenue[:, t])
-            np.copyto(unserved, 0.0)
-            np.copyto(shortfall, 0.0)
+        ) = columns
+        if finish and self._windowed_book:
+            self._refresh_ring(t, t + 1)
 
         # --- Battery block (BatteryPack._charge/_discharge fused):
         # resolves stored/drawn energy, the applied action, the battery
@@ -528,28 +537,21 @@ class FleetSimulation:
             self._kernel, soc, actions, applied, p_bp
         )
 
-        # --- Eq. 7 (EctHub.power_balance): import the residual, curtail
-        # surplus. The action-independent part comes from the plane cache.
-        np.add(planes.residual_static_kw[:, t], p_bp, out=b.residual)
-        np.maximum(b.residual, 0.0, out=p_grid)
-        np.negative(b.residual, out=surplus)
-        np.maximum(surplus, 0.0, out=surplus)
-
-        # The exogenous columns (BS/CS draw, renewables, prices, blackout
-        # mask, non-blackout revenue) were bulk-filled at reset; the
-        # unserved/shortfall columns start zeroed and are only re-zeroed
-        # when a branch below may write them.
-        outage_now = bool(planes.outage_any[t])
-        coupled = self._coupled
-        if outage_now or coupled:
-            np.copyto(unserved, 0.0)
+        # --- Eq. 7 (EctHub.power_balance): import the residual. The
+        # action-independent part comes from the plane cache; the residual
+        # itself waits in the surplus column for the finish to curtail.
+        np.add(planes.residual_static_kw[:, t], p_bp, out=surplus)
+        np.maximum(surplus, 0.0, out=p_grid)
 
         # --- Blackout branch, only on the rows whose outage fires now
         # (HubSimulation._blackout_slot + BatteryPack.emergency_supply:
         # charging suspended, the action overridden, SoC allowed below
         # SoC_min). Most slots skip this block entirely. The outage mask
-        # is shared, so every job goes dark on the same hub columns.
-        if outage_now:
+        # is shared, so every job goes dark on the same hub columns. The
+        # exogenous columns (BS/CS draw, renewables, prices, blackout
+        # mask, non-blackout revenue) were bulk-filled at reset or by the
+        # ring refresh; only the dark rows' CS columns change.
+        if planes.outage_any[t]:
             dark = np.flatnonzero(planes.outage[:, t])
             self._exogenous["p_cs_kw"][dark, slot] = 0.0
             self._exogenous["revenue"][dark, slot] = 0.0
@@ -561,7 +563,9 @@ class FleetSimulation:
             served_kwh = drawn_dark * eta
             p_bp[..., dark] = np.where(served_kwh > 0.0, -served_kwh / dt, 0.0)
             p_grid[..., dark] = 0.0
-            surplus[..., dark] = planes.blackout_surplus_kw[dark, t]
+            # The negated surplus, which the finish's max(-residual, 0)
+            # turns back into it exactly (the plane is >= +0.0).
+            surplus[..., dark] = -planes.blackout_surplus_kw[dark, t]
             new_soc[..., dark] = soc_pre - drawn_dark
             unserved[..., dark] = deficit_kwh - served_kwh
             applied[..., dark] = IDLE
@@ -578,10 +582,11 @@ class FleetSimulation:
         # import, before any feeder-level curtailment (blackout rows
         # request 0 kW, so a positive limit can never fire there).
         if self._any_import_limit:
-            np.greater(p_grid, params.import_limit_kw, out=b.mask)
-            np.logical_and(b.mask, self._limit_active, out=b.mask)
-            if b.mask.any():
-                where = np.unravel_index(int(np.argmax(b.mask)), self._shape)
+            mask = self._limit_mask
+            np.greater(p_grid, params.import_limit_kw, out=mask)
+            np.logical_and(mask, self._limit_active, out=mask)
+            if mask.any():
+                where = np.unravel_index(int(np.argmax(mask)), self._shape)
                 hub = int(where[-1])
                 job = f"job {int(where[0])}, " if self.n_jobs > 1 else ""
                 raise GridError(
@@ -590,7 +595,7 @@ class FleetSimulation:
                     f"{params.import_limit_kw[hub]:.3f} kW"
                 )
 
-        if coupled:
+        if self._coupled:
             # Resolve feeder contention; the curtailed import is served
             # from the Eq. 6 reserve exactly like a blackout deficit
             # (blackout hubs request 0 import, so they pass through). A
@@ -634,29 +639,72 @@ class FleetSimulation:
                             int(np.count_nonzero(job_drawn > 0.0)),
                         )
 
-        # Eqs. 8, 9, 11 — identical expressions to compute_slot_ledger.
-        np.multiply(p_grid, planes.rtp_dt[:, t], out=grid_cost)
-        np.not_equal(applied, IDLE, out=b.mask)
-        np.multiply(b.mask, params.c_bp_per_slot, out=bp_cost)
-
         # Commit the battery state as a fresh array (like the PR-3 engine)
         # so a caller-held `soc_kwh` snapshot stays valid forever; the
         # battery block made `new_soc` this step.
         self.soc_kwh = new_soc
         np.copyto(booked_soc, new_soc)
-
-        for book in self._books:
-            book.commit_slot(t)
         self._t += 1
+        if finish:
+            self._finish(t, t + 1, columns, t, params.c_bp_per_slot)
         if tele is not None:
             share = (time.perf_counter() - step_start) / self.n_jobs
             for session in tele:
                 session.metrics.inc("engine.slots")
                 session.metrics.inc("engine.hub_slots", params.n_hubs)
                 session.metrics.observe("engine.step_seconds", share)
+        if not finish:
+            return None
         # The write views stay inside the kernel; callers get the slot
         # through the read-only aliases.
         return {name: column[..., slot] for name, column in self._read_columns}
+
+    def _refresh_ring(self, start: int, stop: int) -> None:
+        """Ready a windowed ring's columns for slots ``[start, stop)``.
+
+        The ring columns may hold evicted slots' values: take the
+        exogenous columns a dense book bulk-fills at reset from the plane
+        cache, and zero the columns the core writes only on blackout
+        rows or coupled fleets. The slots must not wrap the ring.
+        """
+        first = start % self._slot_width
+        ring_slots = slice(first, first + stop - start)
+        slots = slice(start, stop)
+        planes, inputs = self.planes, self.inputs
+        for name, plane in (
+            ("blackout", planes.outage),
+            ("p_bs_kw", planes.p_bs_kw),
+            ("p_cs_kw", planes.p_cs_kw),
+            ("p_pv_kw", inputs.pv_power_kw),
+            ("p_wt_kw", inputs.wt_power_kw),
+            ("rtp_kwh", inputs.rtp_kwh),
+            ("srtp_kwh", planes.srtp_kwh),
+            ("revenue", planes.revenue),
+        ):
+            self._exogenous[name][:, ring_slots] = plane[:, slots]
+        for column in self._kernel_columns[-2:]:  # unserved, shortfall
+            column[..., ring_slots] = 0.0
+
+    def _finish(self, start: int, stop: int, columns, at, c_bp) -> None:
+        """Book slots ``[start, stop)`` once the core has stepped them.
+
+        The elementwise half of Eqs. 7–11: ``columns`` are the nine
+        action-column views of those slots (one slot's, as the core holds
+        them, or a block's ``[..., first:last]`` slices), ``at`` indexes
+        the same slots of the planes and ``c_bp`` is the per-hub battery
+        wear cost shaped to broadcast against them. Every expression is
+        elementwise, so a block finish books each slot bit for bit as a
+        one-slot finish would.
+        """
+        applied, _, p_grid, surplus, _, grid_cost, bp_cost, _, _ = columns
+        # Eq. 7 curtailment: the core left the residual in the column.
+        np.negative(surplus, out=surplus)
+        np.maximum(surplus, 0.0, out=surplus)
+        # Eqs. 8, 9, 11 — identical expressions to compute_slot_ledger.
+        np.multiply(p_grid, self.planes.rtp_dt[:, at], out=grid_cost)
+        np.multiply(applied != IDLE, c_bp, out=bp_cost)
+        for book in self._books:
+            book.commit_slots(start, stop)
 
     def available_import_kw(self) -> np.ndarray:
         """Per-hub feeder headroom signal for the *current* slot.
@@ -707,11 +755,13 @@ class FleetSimulation:
         cannot depend on the run: the horizon is cut into blocks of
         ``_BLOCK_HUB_SLOTS // n_hubs`` slots (at least one), each leader
         plans a whole block in one ``scheduler(view, start, stop)`` call,
-        and the engine then steps the block slot by slot, every action
-        batch validated by :meth:`step`. ``lead[j]`` names the job whose
-        scheduler plans job ``j``'s actions (default: its own; a lead must
-        lead itself): equal configurations over one fleet and feeder
-        topology emit equal actions, so they share one call per block.
+        the engine validates the block's actions once, steps the SoC chain
+        slot by slot and then finishes and commits the block at once
+        (blocks of a windowed book end at the ring's edge). ``lead[j]``
+        names the job whose scheduler plans job ``j``'s actions (default:
+        its own; a lead must lead itself): equal configurations over one
+        fleet and feeder topology emit equal actions, so they share one
+        call per block.
         Returns the completed books, in job order.
         """
         n_jobs = self.n_jobs
@@ -735,6 +785,11 @@ class FleetSimulation:
         while not self.done:
             start = self._t
             stop = min(start + block, self._horizon)
+            if self._windowed_book:
+                # A block never wraps the ring, so its slots are one slice
+                # of every ring column (also when the run starts mid-ring).
+                width = self._slot_width
+                stop = min(stop, start - start % width + width)
             plans = [scheduler(view, start, stop) for scheduler, view in calls]
             for plan in plans:
                 if np.shape(plan) != (n_hubs, stop - start):
@@ -747,9 +802,37 @@ class FleetSimulation:
             actions = np.stack([np.transpose(plans[r]) for r in rows], axis=1)
             if n_jobs == 1:
                 actions = actions[:, 0]
-            for slot_actions in actions:
-                self.step(slot_actions)
+            self._check_actions(actions)
+            self._step_block(actions)
         return self._books
+
+    def _step_block(self, actions: np.ndarray) -> None:
+        """Step one block of validated, slot-major actions from slot ``t``.
+
+        Only the SoC chain runs per slot (:meth:`step` with
+        ``finish=False``); the block's elementwise columns and every
+        book's commit follow once for the whole block. A step that raises
+        leaves the slots before it finished and committed, as a
+        slot-by-slot run would.
+        """
+        start = self._t
+        if self._windowed_book:
+            self._refresh_ring(start, start + len(actions))
+        try:
+            for slot_actions in actions:
+                self.step(slot_actions, validated=True, finish=False)
+        finally:
+            stop = self._t
+            if stop > start:
+                first = start % self._slot_width if self._windowed_book else start
+                block = slice(first, first + stop - start)
+                self._finish(
+                    start,
+                    stop,
+                    [column[..., block] for column in self._kernel_columns],
+                    slice(start, stop),
+                    self.params.c_bp_per_slot[:, None],
+                )
 
 
 class _JobLane:

@@ -9,7 +9,11 @@ helpers stack scalar inputs into a fleet block and read one hub's scalar
 :func:`per_slot_schedule` freezes how the fleet schedulers decided one
 slot at a time, with one feeder headroom ``bincount`` per slot
 (:func:`per_slot_available_import_kw`), before they became block
-planners; the block plans must equal it bit for bit.
+planners; the block plans must equal it bit for bit. :func:`per_slot_run`
+books a plan one finished and committed slot at a time, the path an
+open-loop block run (SoC chain per slot, one finish and commit per
+block) must equal bit for bit, and :func:`per_slot_fold` freezes the
+windowed book's fold of one slot at a time, in slot order.
 """
 
 from __future__ import annotations
@@ -169,3 +173,63 @@ def per_slot_schedule(scheduler, view) -> np.ndarray:
                 )
         slots.append(actions)
     return np.stack(slots, axis=1)
+
+
+def per_slot_run(sim, plan: np.ndarray) -> tuple[FleetCostBook, ...]:
+    """Step ``sim`` from its current slot to the horizon, one public
+    ``step`` per slot: each slot is finished and committed before the next.
+
+    ``plan`` holds the whole horizon's actions with the slot axis last —
+    ``(n_hubs, horizon)``, or ``(n_jobs, n_hubs, horizon)`` stacked.
+    """
+    for t in range(sim.t, sim.horizon):
+        sim.step(plan[..., t])
+    return sim.books
+
+
+def per_slot_fold(book: FleetCostBook) -> dict[str, np.ndarray | int]:
+    """The windowed book's running aggregates, folded from a dense book's
+    columns one slot at a time in slot order, with one feeder
+    ``bincount`` per slot. Keys name the windowed book's public
+    aggregates."""
+    n_hubs, feeders = book.n_hubs, book.feeders
+    assignment, n_feeders = feeders.assignment, feeders.n_feeders
+    op_cost, revenue_total = np.zeros(n_hubs), np.zeros(n_hubs)
+    unserved_total, shortfall_total = np.zeros(n_hubs), np.zeros(n_hubs)
+    daily = np.zeros((n_hubs, -(-len(book) // 24)))
+    feeder_import, feeder_shortfall = np.zeros(n_feeders), np.zeros(n_feeders)
+    feeder_peak = np.zeros(n_feeders)
+    congested = blackout = 0
+    for t in range(len(book)):
+        grid_cost, bp_cost = book.grid_cost[:, t], book.bp_cost[:, t]
+        revenue, unserved = book.revenue[:, t], book.unserved_kwh[:, t]
+        shortfall = book.import_shortfall_kw[:, t]
+        op_cost += grid_cost
+        op_cost += bp_cost
+        revenue_total += revenue
+        unserved_total += unserved
+        shortfall_total += shortfall
+        daily[:, t // 24] += (
+            revenue - grid_cost - bp_cost - book.voll_per_kwh * unserved
+        )
+        slot_import = np.bincount(
+            assignment, weights=book.p_grid_kw[:, t], minlength=n_feeders
+        )
+        slot_shortfall = np.bincount(assignment, weights=shortfall, minlength=n_feeders)
+        feeder_import += slot_import
+        feeder_shortfall += slot_shortfall
+        np.maximum(feeder_peak, slot_import, out=feeder_peak)
+        congested += int(np.count_nonzero(slot_shortfall > 0.0))
+        blackout += int(np.count_nonzero(book.blackout[:, t]))
+    return {
+        "operating_cost_per_hub": op_cost,
+        "charging_revenue_per_hub": revenue_total,
+        "unserved_per_hub_kwh": unserved_total,
+        "import_shortfall_per_hub_kwh": shortfall_total,
+        "daily_rewards": daily,
+        "feeder_import_kwh": feeder_import,
+        "feeder_shortfall_kwh": feeder_shortfall,
+        "feeder_peak_import_kw": feeder_peak,
+        "congested_feeder_slots": congested,
+        "blackout_hub_slots": blackout,
+    }

@@ -82,11 +82,12 @@ def feeder_groups(planes, params) -> dict[str, FeederGroup | None]:
 
 
 class Recording(FleetSimulation):
-    """Records every action batch ``run_jobs`` hands to ``step``."""
+    """Records every action batch ``run_jobs`` hands the per-slot core
+    (``step`` with ``finish=False``)."""
 
-    def step(self, actions, *, validated=False):
+    def step(self, actions, **kwargs):
         self.requested.append(np.array(actions))
-        return super().step(actions, validated=validated)
+        return super().step(actions, **kwargs)
 
 
 def recording(params, inputs, **kwargs) -> Recording:

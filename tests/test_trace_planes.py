@@ -838,9 +838,9 @@ def test_serial_sweep_synthesizes_each_fleet_once(monkeypatch):
     steps = []
     step = FleetSimulation.step
 
-    def counted_step(self, actions):
+    def counted_step(self, actions, **kwargs):
         steps.append(self.n_jobs)
-        return step(self, actions)
+        return step(self, actions, **kwargs)
 
     monkeypatch.setattr(FleetSimulation, "step", counted_step)
     base = spec_from_fleet_flags(
