@@ -34,7 +34,12 @@ import numpy as np
 from conftest import perf_relaxed, timed_pairs, write_perf_report
 from repro.energy.battery import CHARGE, DISCHARGE, IDLE
 from repro.errors import FleetError, GridError
-from repro.fleet import FleetRuleBasedScheduler, FleetSimulation, build_default_fleet
+from repro.fleet import (
+    FleetCostBook,
+    FleetRuleBasedScheduler,
+    FleetSimulation,
+    build_default_fleet,
+)
 
 N_HUBS = 100
 
@@ -56,13 +61,27 @@ class ReferenceStepSimulation(FleetSimulation):
     the hardware running the bench instead of against a recorded number
     from other silicon. Only ``step`` differs, plus the cumulative
     battery throughput it keeps (the fused engine books none), the
-    slot-by-slot ``run`` and the book write it needs; construction, the
-    book, feeders, and schedulers are shared with the fused engine.
+    slot-by-slot ``run``, and the book write it needs into a book of its
+    own; construction, feeders, and schedulers are shared with the fused
+    engine.
     """
 
     def reset(self, **kwargs) -> None:
         super().reset(**kwargs)
         self.throughput_kwh = np.zeros(self.n_hubs)
+
+    def _new_books(self):
+        """A book over storage of its own: the reference step writes
+        every column, the exogenous ones the fused engine's book only
+        views."""
+        return (
+            FleetCostBook(
+                self.n_hubs,
+                self.horizon,
+                feeders=self.feeders,
+                voll_per_kwh=self.voll_per_kwh,
+            ),
+        )
 
     def run(self, scheduler):
         """The per-slot loop: plan the remaining horizon, step each slot."""

@@ -166,9 +166,17 @@ def _fleet_result(
     hub_slots = n_hubs * horizon
     throughput = hub_slots / elapsed if elapsed > 0 else float("inf")
 
+    # Each aggregate is read from the book once; the lines reuse them.
     profit = book.profit_per_hub
     daily = book.daily_rewards()
     blackout_slots = book.blackout_hub_slots
+    network_profit = book.profit
+    revenue = book.charging_revenue
+    operating = book.operating_cost
+    voll_cost = book.voll_cost
+    unserved = book.total_unserved_kwh
+    shortfall = book.total_import_shortfall_kwh
+    congested = book.congested_feeder_slots
     coupled = resolved.grid.feeder_capacity_kw is not None
     voll = resolved.run.voll_per_kwh
     feeders = book.feeders
@@ -179,11 +187,11 @@ def _fleet_result(
         "n_hubs": n_hubs,
         "days": days,
         "scheduler": scheduler_name,
-        "network_profit": book.profit,
-        "network_operating_cost": book.operating_cost,
-        "network_charging_revenue": book.charging_revenue,
-        "network_voll_cost": book.voll_cost,
-        "network_unserved_kwh": book.total_unserved_kwh,
+        "network_profit": network_profit,
+        "network_operating_cost": operating,
+        "network_charging_revenue": revenue,
+        "network_voll_cost": voll_cost,
+        "network_unserved_kwh": unserved,
         "blackout_slots": blackout_slots,
         "profit_per_hub": profit,
         "avg_daily_reward_per_hub": daily.mean(axis=1),
@@ -192,8 +200,8 @@ def _fleet_result(
         "n_feeders": feeders.n_feeders,
         "feeder_capacity_kw": resolved.grid.feeder_capacity_kw,
         "allocation": feeders.policy,
-        "import_shortfall_kwh": book.total_import_shortfall_kwh,
-        "congested_feeder_slots": book.congested_feeder_slots,
+        "import_shortfall_kwh": shortfall,
+        "congested_feeder_slots": congested,
         "feeder_import_kwh": book.feeder_import_kwh,
         "feeder_shortfall_kwh": book.feeder_shortfall_kwh,
         "feeder_peak_import_kw": book.feeder_peak_import_kw,
@@ -214,12 +222,11 @@ def _fleet_result(
         + (f", scenario={resolved.name}" if resolved.name != "fleet" else ""),
         f"batched throughput {throughput:,.0f} hub-slots/sec "
         f"({hub_slots} hub-slots in {elapsed:.3f}s)",
-        f"network profit ${book.profit:,.0f}  (revenue ${book.charging_revenue:,.0f}"
-        f" - operating ${book.operating_cost:,.0f}"
-        + (f" - lost-load ${book.voll_cost:,.0f}" if voll > 0 else "")
+        f"network profit ${network_profit:,.0f}  (revenue ${revenue:,.0f}"
+        f" - operating ${operating:,.0f}"
+        + (f" - lost-load ${voll_cost:,.0f}" if voll > 0 else "")
         + ")",
-        f"blackout slots {blackout_slots}, unserved "
-        f"{book.total_unserved_kwh:.1f} kWh",
+        f"blackout slots {blackout_slots}, unserved {unserved:.1f} kWh",
         f"per-hub daily reward: min {daily.mean(axis=1).min():.1f}  "
         f"median {np.median(daily.mean(axis=1)):.1f}  "
         f"max {daily.mean(axis=1).max():.1f}",
@@ -238,8 +245,8 @@ def _fleet_result(
         lines.append(
             f"shared grid: {feeders.n_feeders} feeders x "
             f"{capacity:,.0f} kW{profile} ({feeders.policy}); "
-            f"curtailed {book.total_import_shortfall_kwh:,.1f} kWh over "
-            f"{book.congested_feeder_slots} congested feeder-slots"
+            f"curtailed {shortfall:,.1f} kWh over "
+            f"{congested} congested feeder-slots"
         )
     show = min(n_hubs, 12)
     for i in range(show):
@@ -264,8 +271,8 @@ def _fleet_result(
         # deterministic; only the timings/gauges vary run to run.
         metrics = telemetry.metrics
         metrics.set_gauge("engine.hub_slots_per_sec", throughput)
-        metrics.inc("engine.congested_feeder_slots", book.congested_feeder_slots)
-        metrics.inc("engine.unserved_kwh", book.total_unserved_kwh)
+        metrics.inc("engine.congested_feeder_slots", congested)
+        metrics.inc("engine.unserved_kwh", unserved)
         metrics.inc("runs")
         result.telemetry = telemetry.to_dict()
     return result

@@ -314,12 +314,25 @@ class FleetCostBook:
     def _recorded(self, name: str) -> np.ndarray:
         return getattr(self, name)[:, : self._n_recorded]
 
+    def _row_blocks(self) -> list[slice]:
+        """Hub-row blocks of about :data:`_ROLLUP_HUB_SLOTS` recorded
+        hub-slots each, which the dense aggregates combine columns over so
+        a combined block stays small on a city-size fleet. Every per-hub
+        aggregate is a row-wise reduction, so a block's rows come out bit
+        for bit as the whole book's would."""
+        rows = max(1, _ROLLUP_HUB_SLOTS // max(self._n_recorded, 1))
+        return [slice(start, start + rows) for start in range(0, self.n_hubs, rows)]
+
     @property
     def operating_cost_per_hub(self) -> np.ndarray:
         """Eq. 10 per hub: ``OC_i = Σ_t [C_grid + C_BP]``."""
         if self._windowed:
             return self._acc_op_cost.copy()
-        return (self._recorded("grid_cost") + self._recorded("bp_cost")).sum(axis=1)
+        grid_cost, bp_cost = self._recorded("grid_cost"), self._recorded("bp_cost")
+        total = np.empty(self.n_hubs, np.float64)
+        for block in self._row_blocks():
+            total[block] = (grid_cost[block] + bp_cost[block]).sum(axis=1)
+        return total
 
     @property
     def charging_revenue_per_hub(self) -> np.ndarray:
@@ -466,13 +479,18 @@ class FleetCostBook:
         if self._windowed:
             n_days = -(-self._n_recorded // _SLOTS_PER_DAY)
             return self._acc_daily[:, :n_days].copy()
-        rewards = (
-            self._recorded("revenue")
-            - self._recorded("grid_cost")
-            - self._recorded("bp_cost")
-            - self.voll_per_kwh * self._recorded("unserved_kwh")
-        )
-        if rewards.shape[1] == 0:
+        if self._n_recorded == 0:
             return np.zeros((self.n_hubs, 0))
-        starts = np.arange(0, rewards.shape[1], _SLOTS_PER_DAY)
-        return np.add.reduceat(rewards, starts, axis=1)
+        revenue, grid_cost, bp_cost, unserved = (
+            self._recorded(name)
+            for name in ("revenue", "grid_cost", "bp_cost", "unserved_kwh")
+        )
+        starts = np.arange(0, self._n_recorded, _SLOTS_PER_DAY)
+        daily = np.empty((self.n_hubs, starts.size), np.float64)
+        for block in self._row_blocks():
+            rewards = np.subtract(revenue[block], grid_cost[block])
+            np.subtract(rewards, bp_cost[block], out=rewards)
+            lost = np.multiply(unserved[block], self.voll_per_kwh)
+            np.subtract(rewards, lost, out=rewards)
+            daily[block] = np.add.reduceat(rewards, starts, axis=1)
+        return daily

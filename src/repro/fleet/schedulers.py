@@ -65,13 +65,11 @@ def suppress_infeasible_charges(
     feeders = view.feeders
     if feeders.is_unlimited:
         return actions
-    # Both the headroom signal's base load and the on-site surplus come
-    # from the engine's SlotPlanes cache — nothing is rebuilt per block.
-    planes = view.planes
-    available = feeders.available_import_kw(
-        planes.base_import_kw[:, start:stop], start
-    )
-    onsite_surplus = planes.onsite_surplus_kw[:, start:stop]
+    # Both the headroom signal's base load and the on-site surplus are
+    # formed from the engine's SlotPlanes for this block's slots only.
+    planes, block = view.planes, slice(start, stop)
+    available = feeders.available_import_kw(planes.base_import_kw(block), start)
+    onsite_surplus = planes.onsite_surplus_kw(block)
     extra_import = np.maximum(
         view.params.charge_rate_kw[:, None] - onsite_surplus, 0.0
     )

@@ -8,12 +8,14 @@ Eq. 6 emergency reserve carrying the base stations) — for **all hubs at
 once** over :class:`~repro.fleet.params.FleetParams` /
 :class:`~repro.fleet.inputs.FleetInputs` struct-of-arrays state.
 
-The step is a **fused kernel**: every action-independent quantity (BS/CS
-draw, prices, blackout deficits, the feeder congestion signal) is read
-from the :class:`~repro.fleet.planes.SlotPlanes` cache computed once per
-engine, the balance and book columns are written with ``out=`` straight
-into the cost books' storage, and the Eq. 6 blackout branch is evaluated
-only on the hub rows whose outage mask fires that slot. Every expression
+The step is a **fused kernel**: the action-independent draws, prices,
+revenue and static residual are read from the
+:class:`~repro.fleet.planes.SlotPlanes` cache computed once per engine
+(which a dense book's exogenous columns view, copying nothing), the
+balance and book columns are written with ``out=`` straight into the cost
+books' storage, and the Eq. 6 blackout branch — deficit and surplus
+included — is evaluated only on the hub rows whose outage mask fires that
+slot. Every expression
 still mirrors the scalar engine's order of operations (``BatteryPack.
 _charge`` / ``_discharge`` / ``emergency_supply``, ``EctHub.
 power_balance``, ``compute_slot_ledger``), so a batched run stays
@@ -233,40 +235,37 @@ class FleetSimulation:
         """Fresh cost books, one per job, over the engine's own storage.
 
         The exogenous columns (BS draw, renewables, prices, blackout mask,
-        non-blackout CS draw/revenue) never depend on actions: one copy
-        serves every job, and a dense book bulk-copies them from the plane
-        cache once per run instead of column by column on every step; the
-        kernel only *fixes up* blackout rows. Unrecorded slots simply hold
-        their (deterministic) future values — every aggregate reads the
+        CS draw and revenue) never depend on actions: every job shares
+        them, and a dense book's are read-only views of the plane cache
+        and the input traces, which already hold the booked values (the
+        planes zero the CS draw and revenue on outage cells), so a run
+        copies none of them. Unrecorded slots simply hold their
+        (deterministic) future values — every aggregate reads the
         recorded range only. The action columns are ``(n_jobs * n_hubs,
         width)`` arrays whose job row blocks are each book's columns.
 
-        A windowed book has no full columns to pre-fill: the kernel
-        refreshes the exogenous ring columns slot by slot instead.
+        A windowed book's exogenous columns are rings of its own, which
+        the kernel refreshes from the same planes block by block.
         """
         n_hubs, n_jobs, horizon = self.params.n_hubs, self.n_jobs, self._horizon
         width = FleetCostBook.slot_width(horizon, self._book_storage)
-        shared = {
-            name: np.zeros((n_hubs, width), column_dtype(name))
-            for name in FleetCostBook.EXOGENOUS_COLUMNS
-        }
+        if self._windowed_book:
+            shared = {
+                name: np.zeros((n_hubs, width), column_dtype(name))
+                for name in FleetCostBook.EXOGENOUS_COLUMNS
+            }
+        else:
+            planes = self._exogenous_planes()
+            shared = {
+                name: _read_only(np.asarray(planes[name], column_dtype(name)))
+                for name in FleetCostBook.EXOGENOUS_COLUMNS
+            }
         stacked = {
             name: np.zeros((n_jobs * n_hubs, width), column_dtype(name))
             for name in FleetCostBook.ACTION_COLUMNS
         }
-        if not self._windowed_book:
-            planes = self.planes
-            shared["blackout"][:] = planes.outage
-            shared["p_bs_kw"][:] = planes.p_bs_kw
-            shared["p_cs_kw"][:] = planes.p_cs_kw
-            shared["p_pv_kw"][:] = self.inputs.pv_power_kw
-            shared["p_wt_kw"][:] = self.inputs.wt_power_kw
-            shared["rtp_kwh"][:] = self.inputs.rtp_kwh
-            shared["srtp_kwh"][:] = planes.srtp_kwh
-            shared["revenue"][:] = planes.revenue
-        #: The exogenous columns: a dense book's are filled above and only
-        #: fixed up on blackout rows; a windowed book's ring is rewritten
-        #: slot by slot.
+        #: The exogenous columns: plane views (dense) or the rings the
+        #: kernel rewrites (windowed).
         self._exogenous = shared
         # The action columns are kept as views in the state shape plus the
         # slot axis (the job row blocks are contiguous, so this reshapes
@@ -306,6 +305,20 @@ class FleetSimulation:
             )
             for job in range(n_jobs)
         )
+
+    def _exogenous_planes(self) -> dict[str, np.ndarray]:
+        """The plane or input trace each exogenous book column books."""
+        planes, inputs = self.planes, self.inputs
+        return {
+            "blackout": planes.outage,
+            "p_bs_kw": planes.p_bs_kw,
+            "p_cs_kw": planes.p_cs_kw,
+            "p_pv_kw": inputs.pv_power_kw,
+            "p_wt_kw": inputs.wt_power_kw,
+            "rtp_kwh": inputs.rtp_kwh,
+            "srtp_kwh": planes.srtp_kwh,
+            "revenue": planes.revenue,
+        }
 
     def _precompute_constants(self) -> None:
         """Action- and state-independent per-hub scalars of the battery step."""
@@ -548,24 +561,25 @@ class FleetSimulation:
         # charging suspended, the action overridden, SoC allowed below
         # SoC_min). Most slots skip this block entirely. The outage mask
         # is shared, so every job goes dark on the same hub columns. The
-        # exogenous columns (BS/CS draw, renewables, prices, blackout
-        # mask, non-blackout revenue) were bulk-filled at reset or by the
-        # ring refresh; only the dark rows' CS columns change.
+        # exogenous columns already book the dark rows (the planes zero
+        # their CS draw and revenue); the BS deficit after renewables and
+        # the surplus when renewables over-supply are formed here, on the
+        # dark rows only.
         if planes.outage_any[t]:
             dark = np.flatnonzero(planes.outage[:, t])
-            self._exogenous["p_cs_kw"][dark, slot] = 0.0
-            self._exogenous["revenue"][dark, slot] = 0.0
-
+            inputs = self.inputs
+            p_bs = planes.p_bs_kw[dark, t]
+            renewable = inputs.pv_power_kw[dark, t] + inputs.wt_power_kw[dark, t]
             soc_pre = soc[..., dark]
-            deficit_kwh = planes.blackout_deficit_kwh[dark, t]
+            deficit_kwh = np.maximum(p_bs - renewable, 0.0) * dt
             eta = self._reserve_eta[dark]
             drawn_dark = np.minimum(deficit_kwh / eta, soc_pre)
             served_kwh = drawn_dark * eta
             p_bp[..., dark] = np.where(served_kwh > 0.0, -served_kwh / dt, 0.0)
             p_grid[..., dark] = 0.0
             # The negated surplus, which the finish's max(-residual, 0)
-            # turns back into it exactly (the plane is >= +0.0).
-            surplus[..., dark] = -planes.blackout_surplus_kw[dark, t]
+            # turns back into it exactly (the surplus is >= +0.0).
+            surplus[..., dark] = -np.maximum(renewable - p_bs, 0.0)
             new_soc[..., dark] = soc_pre - drawn_dark
             unserved[..., dark] = deficit_kwh - served_kwh
             applied[..., dark] = IDLE
@@ -612,32 +626,10 @@ class FleetSimulation:
             shortfall_kw = shortfall_kw.reshape(self._shape)
             np.copyto(p_grid, granted.reshape(self._shape))
             np.copyto(shortfall, shortfall_kw)
-            shortfall_kwh = shortfall_kw * dt
-            eta = self._reserve_eta
-            drawn_short = np.minimum(shortfall_kwh / eta, new_soc)
-            served_kwh = drawn_short * eta
-            p_bp -= np.where(drawn_short > 0.0, served_kwh / dt, 0.0)
-            new_soc -= drawn_short
-            # (x/η)·η can exceed x by one ulp — never book negative unserved.
-            unserved += np.maximum(shortfall_kwh - served_kwh, 0.0)
-            if tele is not None:
-                n_jobs = self.n_jobs
-                for session, job_short, job_short_kwh, job_drawn in zip(
-                    tele,
-                    shortfall_kw.reshape(n_jobs, -1),
-                    shortfall_kwh.reshape(n_jobs, -1),
-                    drawn_short.reshape(n_jobs, -1),
-                ):
-                    congested = int(np.count_nonzero(job_short > 0.0))
-                    if congested:
-                        session.metrics.inc("engine.congested_hub_slots", congested)
-                        session.metrics.inc(
-                            "engine.curtailed_kwh", float(job_short_kwh.sum())
-                        )
-                        session.metrics.inc(
-                            "engine.reserve_dispatches",
-                            int(np.count_nonzero(job_drawn > 0.0)),
-                        )
+            # Where no feeder curtailed anybody every term of the draw is
+            # +0.0 (the booked unserved is never -0.0), so it is skipped.
+            if shortfall_kw.any():
+                self._draw_reserve(shortfall_kw, new_soc, p_bp, unserved)
 
         # Commit the battery state as a fresh array (like the PR-3 engine)
         # so a caller-held `soc_kwh` snapshot stays valid forever; the
@@ -659,29 +651,55 @@ class FleetSimulation:
         # through the read-only aliases.
         return {name: column[..., slot] for name, column in self._read_columns}
 
+    def _draw_reserve(self, shortfall_kw, new_soc, p_bp, unserved) -> None:
+        """Serve a slot's feeder shortfall from the Eq. 6 battery reserve.
+
+        The curtailed import is drawn from the reserve exactly like a
+        blackout deficit; ``new_soc``, ``p_bp`` and ``unserved`` (the
+        slot's views) are updated in place, and what the reserve cannot
+        cover is booked as unserved.
+        """
+        dt = self.params.dt_h
+        shortfall_kwh = shortfall_kw * dt
+        eta = self._reserve_eta
+        drawn_short = np.minimum(shortfall_kwh / eta, new_soc)
+        served_kwh = drawn_short * eta
+        p_bp -= np.where(drawn_short > 0.0, served_kwh / dt, 0.0)
+        new_soc -= drawn_short
+        # (x/η)·η can exceed x by one ulp — never book negative unserved.
+        unserved += np.maximum(shortfall_kwh - served_kwh, 0.0)
+        tele = self._telemetry
+        if tele is not None:
+            n_jobs = self.n_jobs
+            for session, job_short, job_short_kwh, job_drawn in zip(
+                tele,
+                shortfall_kw.reshape(n_jobs, -1),
+                shortfall_kwh.reshape(n_jobs, -1),
+                drawn_short.reshape(n_jobs, -1),
+            ):
+                congested = int(np.count_nonzero(job_short > 0.0))
+                if congested:
+                    session.metrics.inc("engine.congested_hub_slots", congested)
+                    session.metrics.inc(
+                        "engine.curtailed_kwh", float(job_short_kwh.sum())
+                    )
+                    session.metrics.inc(
+                        "engine.reserve_dispatches",
+                        int(np.count_nonzero(job_drawn > 0.0)),
+                    )
+
     def _refresh_ring(self, start: int, stop: int) -> None:
         """Ready a windowed ring's columns for slots ``[start, stop)``.
 
-        The ring columns may hold evicted slots' values: take the
-        exogenous columns a dense book bulk-fills at reset from the plane
-        cache, and zero the columns the core writes only on blackout
-        rows or coupled fleets. The slots must not wrap the ring.
+        The ring columns may hold evicted slots' values: copy in the
+        exogenous columns a dense book views in the plane cache, and zero
+        the columns the core writes only on blackout rows or curtailed
+        coupled slots. The slots must not wrap the ring.
         """
         first = start % self._slot_width
         ring_slots = slice(first, first + stop - start)
-        slots = slice(start, stop)
-        planes, inputs = self.planes, self.inputs
-        for name, plane in (
-            ("blackout", planes.outage),
-            ("p_bs_kw", planes.p_bs_kw),
-            ("p_cs_kw", planes.p_cs_kw),
-            ("p_pv_kw", inputs.pv_power_kw),
-            ("p_wt_kw", inputs.wt_power_kw),
-            ("rtp_kwh", inputs.rtp_kwh),
-            ("srtp_kwh", planes.srtp_kwh),
-            ("revenue", planes.revenue),
-        ):
-            self._exogenous[name][:, ring_slots] = plane[:, slots]
+        for name, plane in self._exogenous_planes().items():
+            self._exogenous[name][:, ring_slots] = plane[:, start:stop]
         for column in self._kernel_columns[-2:]:  # unserved, shortfall
             column[..., ring_slots] = 0.0
 
@@ -701,7 +719,8 @@ class FleetSimulation:
         np.negative(surplus, out=surplus)
         np.maximum(surplus, 0.0, out=surplus)
         # Eqs. 8, 9, 11 — identical expressions to compute_slot_ledger.
-        np.multiply(p_grid, self.planes.rtp_dt[:, at], out=grid_cost)
+        rtp_dt = self.inputs.rtp_kwh[:, at] * self.params.dt_h
+        np.multiply(p_grid, rtp_dt, out=grid_cost)
         np.multiply(applied != IDLE, c_bp, out=bp_cost)
         for book in self._books:
             book.commit_slots(start, stop)
@@ -721,7 +740,7 @@ class FleetSimulation:
         if self.done:
             raise FleetError(f"fleet horizon of {self.horizon} slots exhausted")
         t = self._t
-        base = self.planes.base_import_kw[:, t]
+        base = self.planes.base_import_kw(t)
         if self.n_jobs == 1:
             return self.feeders.available_import_kw(base, t)
         return np.stack(

@@ -67,7 +67,6 @@ import math
 import os
 import pickle
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
 
 from .errors import ConfigError, ParallelError
 from .experiments.base import ExperimentResult
@@ -281,6 +280,10 @@ def run_jobs_parallel(
     """
     if not expanded:
         return []
+    # Imported here: the process-pool machinery (multiprocessing and its
+    # helpers) is only worth loading when a pool is about to start.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     results: list[ExperimentResult | None] = [None] * len(expanded)
     # More processes than CPUs only adds forks and time-slicing: the
     # jobs are CPU-bound, and the results do not depend on the count.

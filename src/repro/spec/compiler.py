@@ -336,19 +336,31 @@ def assembly_fingerprint(spec: ScenarioSpec) -> str:
     re-assemble, and neither does ``grid.allocation``, which
     :func:`build` sets on the feeders of a reused assembly. The sweep
     executor keys its per-process assembly cache on this.
+
+    Specs are frozen, so the fingerprint is computed once per spec and
+    kept on it: a sweep asks for each job's several times (stack keys,
+    the assembly cache, the stacked build).
     """
-    payload = spec.to_dict()
-    run = payload["run"]
-    grid = {key: value for key, value in payload["grid"].items() if key != "allocation"}
-    return json.dumps(
+    cached = spec.__dict__.get("_assembly_fingerprint")
+    if cached is not None:
+        return cached
+    run = spec.run
+    grid = {
+        key: value
+        for key, value in dataclasses.asdict(spec.grid).items()
+        if key != "allocation"
+    }
+    fingerprint = json.dumps(
         {
-            "fleet": payload["fleet"],
+            "fleet": dataclasses.asdict(spec.fleet),
             "grid": grid,
-            "blackout": payload["blackout"],
-            "run": {key: run[key] for key in ("days", "seed", "scale")},
+            "blackout": dataclasses.asdict(spec.blackout),
+            "run": {key: getattr(run, key) for key in ("days", "seed", "scale")},
         },
         sort_keys=True,
     )
+    object.__setattr__(spec, "_assembly_fingerprint", fingerprint)
+    return fingerprint
 
 
 def stack_key(spec: ScenarioSpec) -> tuple[str, str] | None:

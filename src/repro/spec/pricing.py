@@ -87,20 +87,24 @@ def congestion_signal(assembly: FleetAssembly) -> np.ndarray:
     if feeders.is_unlimited:
         return np.zeros((assembly.n_hubs, assembly.horizon))
 
-    from ..fleet.builder import fleet_simulation_from_scenarios
-
-    run = assembly.spec.run
-    simulation = fleet_simulation_from_scenarios(
-        assembly.scenarios,
-        assembly.realize_occupancy(None),
-        np.zeros(assembly.horizon),
-        outage=assembly.outage,
-        initial_soc_fraction=run.initial_soc_fraction,
-        feeders=feeders,
-        voll_per_kwh=run.voll_per_kwh,
+    from ..fleet.builder import (
+        fleet_inputs_from_scenarios,
+        fleet_params_from_scenarios,
     )
-    available = feeders.available_import_kw(simulation.planes.base_import_kw, 0)
-    rate = np.maximum(simulation.params.cs_rate_kw, 1e-9)[:, None]
+    from ..fleet.planes import SlotPlanes
+
+    params = fleet_params_from_scenarios(assembly.scenarios)
+    planes = SlotPlanes(
+        params,
+        fleet_inputs_from_scenarios(
+            assembly.scenarios,
+            assembly.realize_occupancy(None),
+            np.zeros(assembly.horizon),
+            outage=assembly.outage,
+        ),
+    )
+    available = feeders.available_import_kw(planes.base_import_kw(), 0)
+    rate = np.maximum(params.cs_rate_kw, 1e-9)[:, None]
     # Unlimited slots give available=inf -> 1 - inf = -inf -> clipped to 0.
     return np.clip(1.0 - available / rate, 0.0, 1.0)
 

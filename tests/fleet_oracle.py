@@ -117,6 +117,19 @@ def per_slot_available_import_kw(
     return (headroom / np.maximum(feeders.members, 1))[feeders.assignment]
 
 
+def per_slot_congestion_loads(params, inputs: FleetInputs, t: int):
+    """Slot ``t``'s base import (zero while dark) and on-site renewable
+    surplus, rebuilt from the traces as the per-slot engine formed them:
+    ``(base_import_kw, onsite_surplus_kw)``, each ``(n_hubs,)``."""
+    p_bs = params.bs_power_kw(inputs.load_rate[:, t])
+    p_cs = params.cs_power_kw(inputs.occupied[:, t])
+    pv, wt = inputs.pv_power_kw[:, t], inputs.wt_power_kw[:, t]
+    base = np.where(
+        inputs.outage_mask()[:, t], 0.0, np.maximum(p_bs + p_cs - pv - wt, 0.0)
+    )
+    return base, np.maximum(pv + wt - p_bs - p_cs, 0.0)
+
+
 def per_slot_schedule(scheduler, view) -> np.ndarray:
     """``(n_hubs, horizon)`` actions of a fleet scheduler, decided slot by slot.
 
@@ -161,12 +174,12 @@ def per_slot_schedule(scheduler, view) -> np.ndarray:
         if name in ("rule-based", "greedy-renewable") and scheduler.congestion_aware:
             feeders = view.feeders
             if not feeders.is_unlimited:
-                available = per_slot_available_import_kw(
-                    feeders, planes.base_import_kw[:, t], t
+                base, onsite_surplus = per_slot_congestion_loads(
+                    view.params, inputs, t
                 )
+                available = per_slot_available_import_kw(feeders, base, t)
                 extra_import = np.maximum(
-                    view.params.charge_rate_kw - planes.onsite_surplus_kw[:, t],
-                    0.0,
+                    view.params.charge_rate_kw - onsite_surplus, 0.0
                 )
                 actions = np.where(
                     (actions == CHARGE) & (extra_import > available), IDLE, actions

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FleetError, GridError
-from repro.fleet import FleetCostBook, FleetSimulation, build_default_fleet
+from repro.fleet import FeederGroup, FleetCostBook, FleetSimulation, build_default_fleet
 from repro.fleet import costs, simulation
 from repro.telemetry import Telemetry
 
@@ -52,7 +52,7 @@ def feeder_groups(planes) -> dict:
     """Round-robin feeders whose per-slot capacity sometimes binds."""
     assignment = np.arange(N_HUBS) % 3
     base = np.stack(
-        [planes.base_import_kw[assignment == f].sum(axis=0) for f in range(3)]
+        [planes.base_import_kw()[assignment == f].sum(axis=0) for f in range(3)]
     )
     scale = np.random.default_rng(4).uniform(0.6, 1.6, base.shape)
     capacity = np.maximum(base * scale, 0.0)
@@ -173,6 +173,71 @@ def test_block_run_equals_per_slot_path(fleet, monkeypatch, storage, jobs, block
         # No block wraps the ring.
         blocks = planners[0].blocks
         assert all(start // 24 == (stop - 1) // 24 for start, stop in blocks)
+
+
+class CurtailedEverywhere(np.ndarray):
+    """A shortfall array that reports a curtailment on every slot, so the
+    engine runs the Eq. 6 reserve draw also where nobody was curtailed."""
+
+    def any(self, *args, **kwargs):
+        return True
+
+
+@pytest.mark.parametrize("jobs", ["single", "stacked"])
+@pytest.mark.parametrize("storage", STORAGES)
+def test_skipped_reserve_draw_books_the_drawn_bits(fleet, monkeypatch, storage, jobs):
+    """Coupled slots where the allocation curtailed nobody skip the Eq. 6
+    reserve draw. The per-slot path with the draw run on every slot must
+    book the same bits — p_bp_kw and unserved_kwh included — over a run
+    that mixes curtailed and uncurtailed slots, blackouts among them."""
+    if jobs == "single":
+        sim, oracle = engine(fleet, storage), engine(fleet, storage)
+        plan = random_plan(1, seed=2)
+    else:
+        # On the tight feeders some job is curtailed on nearly every slot:
+        # stack three loose ones under a mostly idle plan instead.
+        params, inputs, planes = fleet
+        groups = feeder_groups(planes)
+        loose = groups["loose"]
+        feeders = [loose, dataclasses.replace(loose, policy="priority"), loose]
+        sim, oracle = (
+            FleetSimulation(
+                params,
+                inputs,
+                feeders=feeders,
+                voll_per_kwh=[0.0, 2.5, 7.0],
+                initial_soc_fraction=np.array([[0.2], [0.5], [0.9]]),
+                storage=storage,
+                n_jobs=3,
+            )
+            for _ in range(2)
+        )
+        plan = np.random.default_rng(2).choice(
+            [-1, 0, 1], size=(3, N_HUBS, HORIZON), p=[0.1, 0.8, 0.1]
+        )
+    run_blocks(sim, plan)
+    allocate = FeederGroup.allocate
+    curtailed = []
+
+    def draw_everywhere(group, import_kw, t):
+        granted, shortfall = allocate(group, import_kw, t)
+        curtailed.append(bool(shortfall.any()))
+        return granted, shortfall.view(CurtailedEverywhere)
+
+    monkeypatch.setattr(FeederGroup, "allocate", draw_everywhere)
+    per_slot_run(oracle, plan)
+    assert len(curtailed) == HORIZON
+    assert any(curtailed) and not all(curtailed)
+    assert_same_books(sim, oracle)
+    if storage == "dense":
+        for got, want in zip(sim.books, oracle.books):
+            assert got.p_bp_kw.tobytes() == want.p_bp_kw.tobytes()
+            assert got.unserved_kwh.tobytes() == want.unserved_kwh.tobytes()
+            # The reserve served curtailed import off the dark rows.
+            lit = ~got.blackout & (got.import_shortfall_kw > 0.0)
+            assert (got.unserved_kwh[lit] > 0.0).any() or (
+                got.p_bp_kw[lit] < 0.0
+            ).any()
 
 
 @pytest.mark.parametrize("storage", STORAGES)
@@ -335,6 +400,39 @@ def test_feeder_rollup_equals_add_at(monkeypatch, rollup_slots):
         want = np.zeros((n_feeders, horizon - 1))
         np.add.at(want, assignment, column[:, : horizon - 1])
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [1, 4, 100])
+def test_row_blocked_aggregates_equal_whole_book_expressions(monkeypatch, block_rows):
+    """Operating cost and daily rewards combine their columns over hub-row
+    blocks (1-row, uneven 4-row and whole-book blocks here) and reduce
+    each row as the whole-book expressions do, on a partly recorded book
+    of values whose sums depend on the order."""
+    n_hubs, horizon, recorded = 9, 80, 61
+    rng = np.random.default_rng(7)
+
+    def column():
+        return rng.uniform(0.0, 1.0, (n_hubs, horizon)) * 10.0 ** rng.integers(
+            -8, 9, (n_hubs, horizon)
+        )
+
+    columns = {
+        name: column() for name in ("revenue", "grid_cost", "bp_cost", "unserved_kwh")
+    }
+    book = FleetCostBook(n_hubs, horizon, voll_per_kwh=3.7, columns=columns)
+    book.commit_slots(0, recorded)
+    monkeypatch.setattr(costs, "_ROLLUP_HUB_SLOTS", block_rows * recorded)
+    kept = {name: values[:, :recorded] for name, values in columns.items()}
+    want_cost = (kept["grid_cost"] + kept["bp_cost"]).sum(axis=1)
+    rewards = (
+        kept["revenue"]
+        - kept["grid_cost"]
+        - kept["bp_cost"]
+        - 3.7 * kept["unserved_kwh"]
+    )
+    want_daily = np.add.reduceat(rewards, np.arange(0, recorded, 24), axis=1)
+    assert book.operating_cost_per_hub.tobytes() == want_cost.tobytes()
+    assert book.daily_rewards().tobytes() == want_daily.tobytes()
 
 
 def test_commit_slots_checks_its_block():

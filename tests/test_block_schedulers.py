@@ -63,7 +63,7 @@ def feeder_groups(planes, params) -> dict[str, FeederGroup | None]:
     assignment = np.arange(N_HUBS) % N_FEEDERS
     members = np.bincount(assignment)
     base = np.stack(
-        [planes.base_import_kw[assignment == f].sum(axis=0) for f in range(N_FEEDERS)]
+        [planes.base_import_kw()[assignment == f].sum(axis=0) for f in range(N_FEEDERS)]
     )
     rng = np.random.default_rng(3)
     spare = rng.uniform(-0.3, 1.2, base.shape) * members[:, None]
@@ -254,7 +254,7 @@ def headroom_groups(planes, params) -> dict[str, FeederGroup]:
 def test_block_headroom_equals_per_slot_signal(fleet, kind):
     params, inputs, planes = fleet
     group = headroom_groups(planes, params)[kind]
-    base = planes.base_import_kw
+    base = planes.base_import_kw()
     if group.n_hubs != N_HUBS:
         base = np.concatenate([base, base[::-1]])
     base = base.copy()
@@ -274,7 +274,7 @@ def test_block_headroom_equals_per_slot_signal(fleet, kind):
 def test_block_headroom_checks_its_block(fleet):
     params, _, planes = fleet
     group = feeder_groups(planes, params)["proportional"]
-    base = planes.base_import_kw
+    base = planes.base_import_kw()
     with pytest.raises(FleetError, match="outside the feeder capacity horizon"):
         group.available_import_kw(base[:, :10], HORIZON - 5)
     with pytest.raises(FleetError, match="base_import_kw must be"):

@@ -280,23 +280,41 @@ class TestConfigPlumbing:
             config_mod.replace(outer, bogus=1)
 
 
+def _fresh_interpreter(code: str) -> str:
+    """Run ``code`` in a fresh interpreter (so other tests cannot mask an
+    import) over this checkout's ``repro``; returns its stripped stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    ).stdout.strip()
+
+
 class TestImportFootprint:
     def test_api_import_leaves_networkx_unloaded(self):
         """The road network is a plain edge array, so neither ``repro.api``
-        nor the fig1 experiment may load networkx (a fresh interpreter, so
-        other tests cannot mask it)."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
-        loaded = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, repro.api, repro.experiments.fig1_overlap; "
-                "print('networkx' in sys.modules)",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        ).stdout.strip()
+        nor the fig1 experiment may load networkx."""
+        loaded = _fresh_interpreter(
+            "import sys, repro.api, repro.experiments.fig1_overlap; "
+            "print('networkx' in sys.modules)"
+        )
+        assert loaded == "False"
+
+    def test_serial_sweep_leaves_the_process_pool_unloaded(self):
+        """A ``jobs=1`` sweep runs in-process, so it must not import the
+        process-pool machinery (multiprocessing and its helpers)."""
+        loaded = _fresh_interpreter(
+            "import sys\n"
+            "from repro import api\n"
+            "from repro.spec import SweepSpec\n"
+            "from repro.spec.compiler import spec_from_fleet_flags\n"
+            "sweep = SweepSpec(base=spec_from_fleet_flags(n_hubs=3, days=1), "
+            "parameters={'scheduler.name': ('idle', 'rule-based')})\n"
+            "assert len(api.run_sweep(sweep, jobs=1)) == 2\n"
+            "print('concurrent.futures.process' in sys.modules)"
+        )
         assert loaded == "False"

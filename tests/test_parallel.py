@@ -321,6 +321,32 @@ class TestWorkerAssemblyCache:
         assert cold_path.read_bytes() == warm_path.read_bytes()
         parallel._WORKER_ASSEMBLY = None
 
+    def test_serial_sweep_fingerprints_each_spec_once(self, monkeypatch):
+        """Stack keys, the assembly cache and the stacked build all ask for
+        a job's fingerprint; it is computed once per spec and kept."""
+        from types import SimpleNamespace
+
+        from repro import parallel
+        from repro.spec import compiler
+
+        computed = []
+
+        def dumps(payload, **kwargs):
+            computed.append(payload)
+            return json.dumps(payload, **kwargs)
+
+        monkeypatch.setattr(compiler, "json", SimpleNamespace(dumps=dumps))
+        parallel._WORKER_ASSEMBLY = None
+        sweep = stacked_sweep()
+        results = api.run_sweep(sweep)
+        parallel._WORKER_ASSEMBLY = None
+        assert len(results) == len(sweep.jobs()) == 8
+        assert len(computed) == 8
+        spec = sweep.base
+        assert compiler.assembly_fingerprint(spec) is compiler.assembly_fingerprint(
+            spec
+        )
+
     def test_mismatched_assembly_rejected(self):
         from repro.spec.compiler import _assemble_fleet, build
 
