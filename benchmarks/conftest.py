@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 from typing import Callable
 
@@ -22,6 +23,11 @@ from repro.telemetry import run_metadata
 
 #: Rendered artifact reports are also persisted here.
 REPORT_DIR = Path(__file__).parent / "reports"
+
+# The throughput benches time the fleet engine against the scalar engine
+# frozen in tests/scalar_oracle; put tests/ on the path so they import it
+# also when ``pytest benchmarks`` runs alone.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 #: Reports collected this session, replayed in the terminal summary.
 _SESSION_REPORTS: list[str] = []

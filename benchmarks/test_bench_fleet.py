@@ -2,8 +2,8 @@
 
 Simulates the same 100-hub scenario set under the rule-based scheduler
 twice — once through :class:`repro.fleet.FleetSimulation` (one vectorized
-step per slot) and once as 100 independent
-:class:`~repro.hub.simulation.HubSimulation` runs — and reports throughput
+step per slot) and once as 100 independent runs of the scalar
+:class:`HubSimulation` frozen in ``tests/scalar_oracle`` — and reports throughput
 in hub-slots/sec. A second case times the shared-grid coupled engine
 (binding feeders, allocation + reserve routing live every slot) against
 the uncoupled batched step: the guard is coupling < 2× the uncoupled
@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from conftest import timed_pairs, write_perf_report
+from fleet_oracle import hub_inputs
 from repro.fleet import FleetRuleBasedScheduler, build_default_fleet
-from repro.hub.simulation import HubSimulation
-from repro.rl.schedulers import RuleBasedScheduler
+from scalar_oracle import HubSimulation, RuleBasedScheduler, build_hub
 
 REPORT_DIR = Path(__file__).parent / "reports"
 
@@ -61,7 +61,7 @@ def test_bench_fleet_throughput():
         start = time.perf_counter()
         profit = 0.0
         for index, scenario in enumerate(scenarios):
-            one = HubSimulation(scenario.build_hub(), sim.inputs.hub(index))
+            one = HubSimulation(build_hub(scenario), hub_inputs(sim.inputs, index))
             one.run(RuleBasedScheduler())
             profit += one.book.profit
         results["looped"] = profit

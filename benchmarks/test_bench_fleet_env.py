@@ -2,7 +2,8 @@
 
 Steps the same action stream through one :class:`repro.rl.FleetEnv`
 episode (one fused-kernel step + one observation per slot for all hubs)
-and through N independent :class:`~repro.rl.env.EctHubEnv` instances,
+and through N independent instances of the scalar :class:`EctHubEnv`
+frozen in ``tests/scalar_oracle``,
 reporting hub-slots/sec; a second section times the full PPO training
 loop (batched acting + per-hub GAE + minibatch updates) over the fleet
 environment, and a third times evaluation with its episodes stacked on
@@ -28,7 +29,6 @@ from conftest import bench_scale, perf_relaxed, timed_pairs, write_perf_report
 from repro.config import replace
 from repro.hub import ScenarioConfig, build_fleet_scenarios, fleet_behavior_model
 from repro.rl import (
-    EctHubEnv,
     EnvConfig,
     FleetEnv,
     FleetRolloutBuffer,
@@ -38,6 +38,7 @@ from repro.rl import (
 )
 from repro.rng import RngFactory
 from repro.synth.charging import ChargingConfig
+from scalar_oracle import EctHubEnv
 
 #: Fleet size pinned like the engine bench; the horizon scales instead.
 N_HUBS = 24

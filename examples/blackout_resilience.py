@@ -15,14 +15,9 @@ import numpy as np
 
 from repro.config import replace
 from repro.energy import BatteryConfig
-from repro.hub import (
-    HubConfig,
-    EctHub,
-    HubInputs,
-    HubSimulation,
-    required_reserve_kwh,
-)
 from repro.energy.base_station import BaseStationCluster
+from repro.fleet import FleetIdleScheduler, FleetInputs, FleetParams, FleetSimulation
+from repro.hub import HubConfig, required_reserve_kwh
 from repro.rng import RngFactory
 from repro.synth.rtp import RtpGenerator
 from repro.synth.traffic import TrafficGenerator
@@ -39,17 +34,22 @@ def run_case(soc_min_fraction: float, label: str) -> None:
     outage = np.zeros(n, dtype=bool)
     outage[20:26] = True  # six-hour outage
 
-    inputs = HubInputs(
-        load_rate=traffic.load_rate,
-        rtp_kwh=prices.price_kwh,
-        pv_power_kw=np.zeros(n),
-        wt_power_kw=np.zeros(n),
-        occupied=np.zeros(n, dtype=int),
-        discount=np.zeros(n),
-        outage=outage,
+    # A fleet of one hub: every trace is one (1, n) row.
+    inputs = FleetInputs(
+        load_rate=traffic.load_rate[None],
+        rtp_kwh=prices.price_kwh[None],
+        pv_power_kw=np.zeros((1, n)),
+        wt_power_kw=np.zeros((1, n)),
+        occupied=np.zeros((1, n), dtype=int),
+        discount=np.zeros((1, n)),
+        outage=outage[None],
     )
-    sim = HubSimulation(EctHub(hub_config), inputs, initial_soc_fraction=soc_min_fraction)
-    book = sim.run(lambda s: 0)
+    sim = FleetSimulation(
+        FleetParams.from_hub_configs([hub_config]),
+        inputs,
+        initial_soc_fraction=soc_min_fraction,
+    )
+    book = sim.run(FleetIdleScheduler())
 
     cluster = BaseStationCluster(2)
     needed = required_reserve_kwh(cluster, 6)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.fleet import FleetRuleBasedScheduler, fleet_simulation_from_scenarios
 from repro.hub import ScenarioConfig, build_fleet_scenarios, fleet_behavior_model
 from repro.hub.scenario import resolve_occupancy
-from repro.rl.schedulers import RuleBasedScheduler
 from repro.rng import RngFactory
 
 
@@ -35,18 +35,20 @@ def main() -> None:
     )
     occupied = resolve_occupancy(strata, np.zeros(scenario.n_hours, dtype=int))
 
-    # Simulate a week under the classic peak/off-peak battery rule.
-    sim = scenario.simulation(occupied, np.zeros(scenario.n_hours))
-    scheduler = RuleBasedScheduler()
-    book = sim.run(scheduler)
+    # Simulate a week under the classic peak/off-peak battery rule, as a
+    # fleet of one hub.
+    sim = fleet_simulation_from_scenarios(
+        [scenario], occupied, np.zeros(scenario.n_hours)
+    )
+    book = sim.run(FleetRuleBasedScheduler())
 
     print(f"\nweek summary (Eqs. 8-12):")
     print(f"  charging revenue  CR = ${book.charging_revenue:9.2f}")
     print(f"  operating cost    OC = ${book.operating_cost:9.2f}")
     print(f"  profit            Ψ  = ${book.profit:9.2f}")
-    print(f"  grid energy          = {book.total_grid_energy_kwh:9.1f} kWh")
-    print(f"  curtailed renewables = {book.total_curtailed_kwh:9.1f} kWh")
-    print("\ndaily profit:", [round(r, 1) for r in book.daily_rewards()])
+    print(f"  grid energy          = {book.p_grid_kw.sum():9.1f} kWh")
+    print(f"  curtailed renewables = {book.surplus_kw.sum():9.1f} kWh")
+    print("\ndaily profit:", [round(r, 1) for r in book.daily_rewards()[0].tolist()])
 
 
 if __name__ == "__main__":

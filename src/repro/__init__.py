@@ -11,17 +11,19 @@ Subpackages
     Synthetic replacements for the paper's datasets (weather, RTP,
     cellular traffic, EV charging sessions, road/BS geography).
 ``repro.energy``
-    Physical models: batteries + degradation, PV, wind turbines, base
-    stations, charging stations, grid connection.
+    Physical models: battery parameters + degradation, PV, wind turbines,
+    base stations, charging stations, grid connection and blackouts.
 ``repro.hub``
-    The ECT-Hub composition, power balance, cost model, and simulator.
+    One ECT-Hub's configuration, Eq. 6 reserve sizing, and scenario
+    assembly with synthesized traces.
 ``repro.fleet``
-    Vectorized fleet engine: batch-step N hubs per slot (struct-of-arrays
-    state), numerically equivalent to N independent hub simulations.
+    The simulation engine: batch-step N hubs per slot (struct-of-arrays
+    state) through Eq. 7 and the Eqs. 8–12 accounting; one hub is the
+    one-hub fleet.
 ``repro.causal``
     ECT-Price (CF-MTL causal pricing) and the OR/IPS/DR uplift baselines.
 ``repro.rl``
-    ECT-DRL (PPO battery scheduling), baseline schedulers, DP oracle.
+    ECT-DRL (PPO battery scheduling on the fleet engine), DP oracle.
 ``repro.spec``
     Declarative scenario layer: serializable ``ScenarioSpec`` trees,
     named presets, sweep grids, and the compiler down to the engines.

@@ -254,7 +254,8 @@ def discount_schedule_for_hub(
     """Per-slot discount fractions for one hub under a trained policy.
 
     ``time_ids_by_slot`` maps each simulation slot to its time-feature id;
-    the returned array feeds :class:`~repro.hub.simulation.HubInputs`.
+    the returned array is the hub's :class:`~repro.fleet.inputs.FleetInputs`
+    discount row.
     ``budget_fraction`` optionally caps the share of slots discounted.
     ``score_offset`` (per slot) penalizes slots before selection — the
     feeder-congestion signal of the fleet pricing loop.

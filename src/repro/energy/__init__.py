@@ -7,26 +7,14 @@ the degradation process behind Fig. 4.
 """
 
 from .base_station import BaseStation, BaseStationCluster, BaseStationConfig
-from .battery import (
-    CHARGE,
-    DISCHARGE,
-    IDLE,
-    BatteryConfig,
-    BatteryPack,
-    BatteryStepResult,
-)
-from .charging_station import ChargingStation, ChargingStationConfig
+from .battery import CHARGE, DISCHARGE, IDLE, BatteryConfig
+from .charging_station import ChargingStationConfig
 from .degradation import (
     DegradationConfig,
     cell_voltage,
     simulate_voltage_traces,
 )
-from .grid import (
-    BlackoutConfig,
-    BlackoutModel,
-    GridConfig,
-    GridConnection,
-)
+from .grid import BlackoutConfig, BlackoutModel, GridConfig
 from .pv import PvArray, PvConfig
 from .wind_turbine import WindTurbine, WindTurbineConfig
 
@@ -38,15 +26,11 @@ __all__ = [
     "BaseStationCluster",
     "BaseStationConfig",
     "BatteryConfig",
-    "BatteryPack",
-    "BatteryStepResult",
     "BlackoutConfig",
     "BlackoutModel",
-    "ChargingStation",
     "ChargingStationConfig",
     "DegradationConfig",
     "GridConfig",
-    "GridConnection",
     "PvArray",
     "PvConfig",
     "WindTurbine",

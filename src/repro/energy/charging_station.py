@@ -1,4 +1,4 @@
-"""EV charging station (EVSE) model — Eq. 2 of the paper.
+"""EV charging station (EVSE) parameters — Eq. 2 of the paper.
 
 The paper models the charging station as a binary occupancy process:
 ``P_CS(t) = S_CS(t) · R_CS`` where ``S_CS ∈ {0, 1}`` and ``R_CS`` is the
@@ -14,8 +14,6 @@ AC path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..errors import ConfigError
 
@@ -53,39 +51,3 @@ class ChargingStationConfig:
             eta = getattr(self, name)
             if not 0.0 < eta <= 1.0:
                 raise ConfigError(f"{name} must be in (0, 1], got {eta}")
-
-
-class ChargingStation:
-    """One EVSE implementing Eq. 2 power and Eq. 11 revenue."""
-
-    def __init__(self, config: ChargingStationConfig | None = None) -> None:
-        self.config = config or ChargingStationConfig()
-
-    def power_kw(self, occupied: np.ndarray | bool | int) -> np.ndarray | float:
-        """``P_CS = S_CS · R_CS`` (array-friendly)."""
-        state = np.asarray(occupied, dtype=float)
-        if state.size and not np.isin(np.unique(state), (0.0, 1.0)).all():
-            raise ConfigError("occupancy must be binary (0/1)")
-        power = state * self.config.rate_kw
-        return power if np.ndim(occupied) else float(power)
-
-    def selling_price_kwh(self, discount_fraction: float = 0.0) -> float:
-        """``SRTP`` after an optional ECT-Price discount."""
-        if not 0.0 <= discount_fraction < 1.0:
-            raise ConfigError(
-                f"discount_fraction must be in [0, 1), got {discount_fraction}"
-            )
-        return self.config.base_price_kwh * (1.0 - discount_fraction)
-
-    def revenue(
-        self,
-        occupied: bool | int,
-        dt_h: float,
-        *,
-        discount_fraction: float = 0.0,
-    ) -> float:
-        """Revenue for one slot: ``P_CS · SRTP · dt`` (Eq. 11 summand)."""
-        if dt_h <= 0:
-            raise ConfigError(f"dt_h must be positive, got {dt_h}")
-        power = self.power_kw(1 if occupied else 0)
-        return power * dt_h * self.selling_price_kwh(discount_fraction)

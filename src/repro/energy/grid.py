@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, GridError
+from ..errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -37,39 +37,6 @@ class GridConfig:
     def __post_init__(self) -> None:
         if self.import_limit_kw < 0:
             raise ConfigError("import_limit_kw must be non-negative")
-
-
-class GridConnection:
-    """Stateless billing and limit checks for grid imports."""
-
-    def __init__(self, config: GridConfig | None = None) -> None:
-        self.config = config or GridConfig()
-
-    def draw_power(self, residual_kw: float) -> float:
-        """Resolve a residual bus power into a grid import (``P_grid``).
-
-        Positive residual → import from the grid (capped by the import
-        limit). Negative residual → surplus; returns 0 (curtailment).
-        """
-        if residual_kw < 0:
-            return 0.0
-        limit = self.config.import_limit_kw
-        if limit and residual_kw > limit:
-            raise GridError(
-                f"import of {residual_kw:.3f} kW exceeds the interconnection "
-                f"limit of {limit:.3f} kW"
-            )
-        return float(residual_kw)
-
-    def cost(self, power_kw: float, price_kwh: float, dt_h: float = 1.0) -> float:
-        """Eq. 9: ``C_grid = P_grid · RTP`` over one slot."""
-        if power_kw < 0:
-            raise GridError(f"grid cost requires non-negative power, got {power_kw}")
-        if price_kwh < 0:
-            raise GridError(f"price must be non-negative, got {price_kwh}")
-        if dt_h <= 0:
-            raise GridError(f"dt_h must be positive, got {dt_h}")
-        return power_kw * dt_h * price_kwh
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,6 @@ class EnergyModelError(ReproError):
     """A physical energy model was driven outside its valid envelope."""
 
 
-class BatteryError(EnergyModelError):
-    """Battery driven with an invalid action, slot length or demand."""
-
-
 class GridError(EnergyModelError):
     """Grid interaction violated an operating rule (e.g. feed-in attempt)."""
 

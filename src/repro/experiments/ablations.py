@@ -14,18 +14,21 @@ import numpy as np
 
 from ..causal import EctPriceConfig, EctPriceModel, EctPricePolicy, score_decision
 from ..config import replace
+from ..fleet.inputs import FleetInputs
+from ..fleet.params import FleetParams
+from ..fleet.schedulers import (
+    FleetGreedyRenewableScheduler,
+    FleetIdleScheduler,
+    FleetRandomScheduler,
+    FleetRuleBasedScheduler,
+)
+from ..fleet.simulation import FleetSimulation
 from ..hub.scenario import ScenarioConfig, build_fleet_scenarios, resolve_occupancy
 from ..rl.dp_oracle import optimal_schedule
-from ..rl.env import EctHubEnv, EnvConfig
-from ..rl.schedulers import (
-    GreedyRenewableScheduler,
-    IdleScheduler,
-    RandomScheduler,
-    RuleBasedScheduler,
-)
-from ..rl.training import evaluate_agent, evaluate_scheduler, train_ppo
+from ..rl.fleet_env import EnvConfig, FleetEnv
+from ..rl.training import evaluate_fleet_agent, train_fleet_ppo
 from ..rng import RngFactory
-from ..synth.charging import ChargingBehaviorModel, ChargingConfig
+from ..synth.charging import ChargingBehaviorModel
 from ..units import HOURS_PER_DAY
 from .base import ExperimentResult, scaled
 from .pricing_common import run_pricing_study
@@ -38,32 +41,34 @@ def run_schedulers(*, scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     scenario = build_fleet_scenarios(config, factory)[0]
     behavior = ChargingBehaviorModel(config.charging, factory)
     discount = np.zeros(scenario.n_hours)
-    env = EctHubEnv(
-        scenario, behavior, discount, config=EnvConfig(), rng=factory.stream("abl/env")
+    env = FleetEnv(
+        [scenario], behavior, discount, config=EnvConfig(), rng=factory.stream("abl/env")
     )
     episodes = scaled(3, scale, minimum=1)
 
+    def evaluated(scheduler) -> float:
+        """Mean daily reward of a heuristic over ``episodes`` episodes,
+        stepped as one stack (row e of the book is episode e)."""
+        env.reset(episodes)
+        (book,) = env.simulation.run_jobs([scheduler])
+        return float(book.daily_rewards().mean())
+
     rows: dict[str, float] = {}
-    agent, _ = train_ppo(
+    agent, _ = train_fleet_ppo(
         env,
         episodes=scaled(24, scale, minimum=2),
         rng=factory.stream("abl/ppo"),
     )
-    rows["ppo (ECT-DRL)"] = float(evaluate_agent(env, agent, episodes=episodes).mean())
-    rows["rule-based"] = float(
-        evaluate_scheduler(env, RuleBasedScheduler(), episodes=episodes).mean()
+    evaluate_fleet_agent(env, agent, episodes=episodes)
+    rows["ppo (ECT-DRL)"] = float(env.simulation.book.daily_rewards().mean())
+    rows["rule-based"] = evaluated(FleetRuleBasedScheduler())
+    rows["greedy-renewable"] = evaluated(FleetGreedyRenewableScheduler())
+    # One stream for every episode row: the rows draw in order, so the
+    # episodes take successive actions off the one stream.
+    rows["random"] = evaluated(
+        FleetRandomScheduler([factory.stream("abl/rand")] * episodes)
     )
-    rows["greedy-renewable"] = float(
-        evaluate_scheduler(env, GreedyRenewableScheduler(), episodes=episodes).mean()
-    )
-    rows["random"] = float(
-        evaluate_scheduler(
-            env, RandomScheduler(factory.stream("abl/rand")), episodes=episodes
-        ).mean()
-    )
-    rows["idle"] = float(
-        evaluate_scheduler(env, IdleScheduler(), episodes=episodes).mean()
-    )
+    rows["idle"] = evaluated(FleetIdleScheduler())
 
     # Clairvoyant bound on a fixed 30-day window with deterministic strata.
     rng = factory.stream("abl/oracle")
@@ -71,11 +76,18 @@ def run_schedulers(*, scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     slots = np.arange(window)
     strata = behavior.sample_strata(scenario.site.hub_id, slots, rng)
     occupied = resolve_occupancy(strata, np.zeros(window, dtype=int))
-    inputs = scenario.inputs_with_occupancy(
-        np.concatenate([occupied, np.zeros(scenario.n_hours - window, dtype=int)]),
-        np.zeros(scenario.n_hours),
-    ).slice(0, window)
-    oracle = optimal_schedule(scenario.build_hub(), inputs, n_soc_levels=31)
+    inputs = FleetInputs(
+        load_rate=scenario.load_rate[None, :window],
+        rtp_kwh=scenario.rtp_kwh[None, :window],
+        pv_power_kw=scenario.pv_power_kw[None, :window],
+        wt_power_kw=scenario.wt_power_kw[None, :window],
+        occupied=occupied[None],
+        discount=np.zeros((1, window)),
+    )
+    simulation = FleetSimulation(
+        FleetParams.from_hub_configs([scenario.hub_config]), inputs
+    )
+    oracle = optimal_schedule(simulation, 0, n_soc_levels=31)
     rows["dp-oracle (bound)"] = oracle.total_reward / 30.0
 
     lines = [
@@ -104,21 +116,21 @@ def run_cbp_sweep(*, scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     for c_bp in levels:
         config = replace(base, c_bp_per_slot=c_bp)
         scenario = build_fleet_scenarios(config, factory)[0]
-        env = EctHubEnv(
-            scenario,
+        env = FleetEnv(
+            [scenario],
             behavior,
             np.zeros(scenario.n_hours),
             config=EnvConfig(),
             rng=factory.stream(f"cbp/{c_bp}/env"),
         )
-        daily = evaluate_scheduler(
-            env, RuleBasedScheduler(), episodes=scaled(2, scale, minimum=1)
-        )
-        # Count battery activity from the last evaluated episode's ledger.
-        active = np.mean(
-            [1.0 if l.action != 0 else 0.0 for l in env.simulation.book.ledgers]
-        )
-        rows[c_bp] = {"daily_reward": float(daily.mean()), "battery_duty": float(active)}
+        env.reset(scaled(2, scale, minimum=1))
+        (book,) = env.simulation.run_jobs([FleetRuleBasedScheduler()])
+        # Battery activity of the last evaluated episode (the last row).
+        active = np.mean(book.action[-1] != 0)
+        rows[c_bp] = {
+            "daily_reward": float(book.daily_rewards().mean()),
+            "battery_duty": float(active),
+        }
 
     lines = [
         f"c_BP={c_bp:<6} daily reward {row['daily_reward']:8.1f}  "

@@ -2,9 +2,10 @@
 
 Fig. 13 and Table III share this pipeline: train the four pricing methods
 once (the Table II study), turn each into a per-hub discount schedule, and
-train/evaluate one ECT-DRL agent per (hub, method) pair. All four agents
-of one hub see identical traces; only the charging-price input differs —
-exactly the paper's §V-C protocol.
+train/evaluate one ECT-DRL agent per (hub, method) pair on a one-hub
+:class:`~repro.rl.fleet_env.FleetEnv`. All four agents of one hub see
+identical traces; only the charging-price input differs — exactly the
+paper's §V-C protocol.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..causal.dataset import time_ids_for_slots
 from ..causal.policy import DiscountPolicy, discount_schedule_for_hub
 from ..hub.scenario import HubScenario, ScenarioConfig, build_fleet_scenarios
 from ..rng import RngFactory
-from ..rl.env import EctHubEnv, EnvConfig
+from ..rl.fleet_env import EnvConfig, FleetEnv
 from ..rl.ppo import PpoConfig
-from ..rl.training import evaluate_agent, train_ppo
-from ..timeutils import SlotCalendar
+from ..rl.training import evaluate_fleet_agent, train_fleet_ppo
 from ..units import HOURS_PER_DAY
 from .base import scaled
 from .pricing_common import BUDGET_FRACTION, PricingStudy, run_pricing_study
@@ -52,15 +53,6 @@ class HubMethodResult:
     def reward_series(self) -> np.ndarray:
         """Mean daily-reward curve across evaluation episodes (Fig. 13)."""
         return self.daily_rewards.mean(axis=0)
-
-
-def time_ids_for_slots(n_hours: int, calendar: SlotCalendar | None = None) -> np.ndarray:
-    """Map simulation slots to the pricing models' time-feature ids."""
-    calendar = calendar or SlotCalendar()
-    slots = np.arange(n_hours)
-    hod = np.asarray(calendar.hour_of_day(slots))
-    weekend = np.asarray(calendar.is_weekend(slots)).astype(int)
-    return hod + HOURS_PER_DAY * weekend
 
 
 def run_scheduling_study(
@@ -121,22 +113,24 @@ def _one_pair(
         budget_fraction=BUDGET_FRACTION,
     )
     stream = f"drl/{scenario.site.hub_id}/{policy.name}"
-    env = EctHubEnv(
-        scenario,
+    env = FleetEnv(
+        [scenario],
         pricing.behavior,
         schedule,
         config=EnvConfig(),
         rng=factory.stream(f"{stream}/env"),
     )
-    agent, _ = train_ppo(
+    agent, _ = train_fleet_ppo(
         env,
         episodes=train_episodes,
         config=PpoConfig(),
         rng=factory.stream(f"{stream}/ppo"),
     )
-    daily = evaluate_agent(env, agent, episodes=test_episodes)
+    # The evaluation episodes step as one stack: row e of the book is
+    # episode e.
+    evaluate_fleet_agent(env, agent, episodes=test_episodes)
     return HubMethodResult(
         hub_id=scenario.site.hub_id,
         method=policy.name,
-        daily_rewards=daily,
+        daily_rewards=env.simulation.book.daily_rewards(),
     )

@@ -1,12 +1,13 @@
-"""``repro.fleet`` — batch-step hundreds of ECT-Hubs at once.
+"""``repro.fleet`` — the simulation engine: batch-step ECT-Hubs at once.
 
 The paper's Fig. 6 vision is a *network* of base-station-centric hubs;
 this subsystem simulates that network as struct-of-arrays state instead of
-N Python objects. :class:`FleetSimulation` advances all hubs per slot with
-vectorized power-balance / ledger / blackout arithmetic that is
-numerically equivalent (atol ≤ 1e-9, enforced by tests) to N independent
-:class:`~repro.hub.simulation.HubSimulation` runs, and
-:class:`FleetCostBook` aggregates Eqs. 8–12 per hub and network-wide.
+N Python objects, and a single hub as a fleet of one.
+:class:`FleetSimulation` advances all hubs per slot with vectorized
+power-balance / ledger / blackout arithmetic, and :class:`FleetCostBook`
+aggregates Eqs. 8–12 per hub and network-wide. The tests hold it within
+atol 1e-9 of a one-hub-at-a-time scalar engine kept under
+``tests/scalar_oracle`` as the equivalence oracle.
 
 Layout
 ------
@@ -22,9 +23,8 @@ Layout
     Fleet-level cost book (per-hub arrays + network totals).
 ``schedulers``
     Vectorized idle / random / rule-based / greedy-renewable baselines,
-    action-equivalent to their scalar twins in :mod:`repro.rl.schedulers`
-    (rule-based/greedy additionally back off charges under feeder
-    congestion).
+    open-loop block planners (rule-based/greedy additionally back off
+    charges under feeder congestion).
 ``grid``
     Shared-grid coupling: :class:`FeederGroup` assigns hubs to feeders
     with finite per-slot import capacity; contention is resolved by

@@ -124,7 +124,7 @@ def build_default_fleet(
     charging occupancy from each hub's latent strata (no discounts — the
     undiscounted baseline used by the scheduler studies), optionally
     samples per-hub blackout windows, and returns both the scenario list
-    (for inspection / scalar-engine cross-checks) and the batched engine.
+    (for inspection and cross-checks) and the batched engine.
 
     ``feeder_capacity_kw`` switches on shared-grid coupling: hubs are
     round-robined over ``n_feeders`` feeders of that per-slot import

@@ -1,9 +1,8 @@
 """Fleet-level Eq. 8–12 accounting over ``(n_hubs, horizon)`` arrays.
 
-:class:`FleetCostBook` is the batched counterpart of
-:class:`~repro.hub.costs.CostBook`: it stores every resolved slot quantity
-column-wise and exposes the paper's aggregates both **per hub** (arrays)
-and for the whole **network** (scalars).
+:class:`FleetCostBook` stores every resolved slot quantity column-wise and
+exposes the paper's aggregates both **per hub** (arrays) and for the whole
+**network** (scalars).
 
 With shared-grid coupling the book also tracks the feeder dimension:
 ``import_shortfall_kw`` records each hub's curtailed import, and the

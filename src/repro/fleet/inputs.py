@@ -1,11 +1,8 @@
 """Stacked exogenous traces: ``(n_hubs, horizon)`` struct-of-arrays inputs.
 
-:class:`FleetInputs` is the batched counterpart of
-:class:`~repro.hub.simulation.HubInputs`: one row per hub, one column per
-slot, validated by the same :func:`~repro.hub.simulation.
-validate_exogenous_traces` checks (including NaN/inf rejection). Rows can
-be re-extracted as plain :class:`HubInputs` for interop with the scalar
-engine.
+:class:`FleetInputs` holds one row per hub and one column per slot of
+every exogenous trace the engine reads, validated by
+:func:`validate_exogenous_traces` (range checks and NaN/inf rejection).
 """
 
 from __future__ import annotations
@@ -15,8 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import FleetError
-from ..hub.simulation import HubInputs, validate_exogenous_traces
+from ..errors import DataError, FleetError
 
 _TRACE_NAMES = (
     "load_rate",
@@ -26,6 +22,48 @@ _TRACE_NAMES = (
     "occupied",
     "discount",
 )
+
+
+def validate_exogenous_traces(
+    *,
+    load_rate: np.ndarray,
+    rtp_kwh: np.ndarray,
+    pv_power_kw: np.ndarray,
+    wt_power_kw: np.ndarray,
+    occupied: np.ndarray,
+    discount: np.ndarray,
+    context: str = "hub input",
+) -> None:
+    """Range- and finiteness-check exogenous traces of any shape.
+
+    :class:`FleetInputs` checks its ``(n_hubs, horizon)`` planes with it.
+    NaN traces would otherwise slip through pure range checks because
+    every NaN comparison is False.
+    """
+    traces = {
+        "load_rate": load_rate,
+        "rtp_kwh": rtp_kwh,
+        "pv_power_kw": pv_power_kw,
+        "wt_power_kw": wt_power_kw,
+        "occupied": occupied,
+        "discount": discount,
+    }
+    for name, trace in traces.items():
+        arr = np.asarray(trace)
+        if arr.size and not np.isfinite(arr).all():
+            raise DataError(f"{context} column {name} contains NaN or inf")
+    if not np.asarray(load_rate).size:
+        return
+    if load_rate.min() < 0 or load_rate.max() > 1:
+        raise DataError("load_rate must lie in [0, 1]")
+    if rtp_kwh.min() < 0:
+        raise DataError("rtp_kwh must be non-negative")
+    if pv_power_kw.min() < 0 or wt_power_kw.min() < 0:
+        raise DataError("renewable power must be non-negative")
+    if not np.isin(np.unique(occupied), (0, 1)).all():
+        raise DataError("occupied must be binary")
+    if discount.min() < 0 or discount.max() >= 1:
+        raise DataError("discount must lie in [0, 1)")
 
 
 class SlotTraces(NamedTuple):
@@ -43,8 +81,8 @@ class SlotTraces(NamedTuple):
 class FleetInputs:
     """Exogenous traces for a whole fleet, all shaped ``(n_hubs, horizon)``.
 
-    ``outage`` is optional like the scalar engine's mask; ``None`` means no
-    blackout anywhere.
+    ``outage`` is an optional blackout mask; ``None`` means no blackout
+    anywhere.
     """
 
     load_rate: np.ndarray
@@ -114,17 +152,3 @@ class FleetInputs:
                 cached = np.asarray(self.outage, dtype=bool)
             object.__setattr__(self, "_outage_mask", cached)
         return cached
-
-    def hub(self, index: int) -> HubInputs:
-        """Row ``index`` as scalar-engine :class:`HubInputs`."""
-        if not 0 <= index < self.n_hubs:
-            raise FleetError(f"hub index {index} out of range for {self.n_hubs} hubs")
-        return HubInputs(
-            load_rate=self.load_rate[index],
-            rtp_kwh=self.rtp_kwh[index],
-            pv_power_kw=self.pv_power_kw[index],
-            wt_power_kw=self.wt_power_kw[index],
-            occupied=self.occupied[index],
-            discount=self.discount[index],
-            outage=None if self.outage is None else self.outage[index],
-        )

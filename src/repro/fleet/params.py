@@ -3,9 +3,9 @@
 :class:`FleetParams` flattens N :class:`~repro.hub.hub.HubConfig` objects
 into ``(n_hubs,)`` NumPy arrays so :class:`~repro.fleet.simulation.
 FleetSimulation` can advance every hub with one vectorized expression per
-slot. Each array mirrors one scalar used by the per-hub engine (battery
-Eqs. 3–5, BS Eq. 1, CS Eq. 2, the Eq. 8 battery operating cost), so the
-batched arithmetic can reproduce the scalar arithmetic term for term.
+slot. Each array holds one config value per hub (battery Eqs. 3–5, BS
+Eq. 1, CS Eq. 2, the Eq. 8 battery operating cost), so the batched
+arithmetic reproduces a one-hub-at-a-time step term for term.
 """
 
 from __future__ import annotations

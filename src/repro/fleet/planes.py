@@ -28,8 +28,9 @@ arithmetic identical (term for term, in the same order) to the per-slot
 expressions they replace — ``tests/test_planes.py`` pins them
 bit-for-bit. ``residual_static_kw`` deliberately hoists the battery term
 out of Eq. 7, which can move the affected columns by an ulp relative to
-the per-slot expression; the scalar-equivalence suite in ``tests/test_fleet.py``
-bounds the whole kernel at atol 1e-9.
+the per-slot expression; the equivalence suite in ``tests/test_fleet.py``
+bounds the whole kernel at atol 1e-9 against the scalar engine frozen in
+``tests/scalar_oracle``.
 
 Memory: five float64 planes plus the boolean outage mask, about 41 bytes
 per hub-slot — at the 2000-hub x 168-slot ``fleet-city`` size about

@@ -1,15 +1,21 @@
 """Vectorized battery schedulers: open-loop block planners over a fleet.
 
-Each scheduler is the batched twin of one scalar baseline in
-:mod:`repro.rl.schedulers` and produces **identical per-hub actions** given
-identical inputs/seeds, which is what lets the equivalence tests compare
-whole scheduled runs between the two engines:
+The four baselines of the scheduler studies (the ECT-DRL comparison
+points and the ``abl-sched`` ablation):
 
-* :class:`FleetIdleScheduler` ↔ ``IdleScheduler``
-* :class:`FleetRandomScheduler` ↔ ``RandomScheduler`` (per-hub streams;
-  NumPy bulk draws reproduce repeated single draws bit-for-bit)
-* :class:`FleetRuleBasedScheduler` ↔ ``RuleBasedScheduler``
-* :class:`FleetGreedyRenewableScheduler` ↔ ``GreedyRenewableScheduler``
+* :class:`FleetIdleScheduler` — never touch the battery (the "no BESS
+  scheduling" reference);
+* :class:`FleetRandomScheduler` — uniform random actions, one stream per
+  hub row (NumPy bulk draws reproduce repeated single draws bit-for-bit);
+* :class:`FleetRuleBasedScheduler` — the classic peak/off-peak rule:
+  charge in the cheap price quantile, discharge in the expensive one;
+* :class:`FleetGreedyRenewableScheduler` — charge whenever renewables
+  exceed the base-station load, discharge at peak price.
+
+Each produces, hub for hub, the actions of the one-hub-at-a-time
+schedulers frozen in ``tests/scalar_oracle`` given identical inputs and
+seeds, which is what lets the equivalence tests compare whole scheduled
+runs between the two engines.
 
 The protocol is ``scheduler(view, start, stop) -> (n_hubs, stop - start)``
 actions for slots ``start`` to ``stop - 1``, plus an optional
@@ -24,7 +30,7 @@ Rule-based and greedy are **congestion-aware**: before committing to a
 charge they consult :meth:`FeederGroup.available_import_kw` — the per-hub
 fair share of remaining feeder capacity — and fall back to IDLE where the
 battery's extra import would not fit. On an uncoupled fleet the signal is
-infinite, so the actions stay identical to the scalar twins.
+infinite, so the actions stay identical to the one-hub rules.
 """
 
 from __future__ import annotations
@@ -90,10 +96,11 @@ class FleetIdleScheduler(FleetScheduler):
 class FleetRandomScheduler(FleetScheduler):
     """Uniform random action per hub per slot, one RNG stream per hub.
 
-    Sequences are pre-drawn per hub at :meth:`reset`; because NumPy's
-    ``Generator.integers`` yields the same values whether drawn in bulk or
-    one at a time, hub *i* receives exactly the actions the scalar
-    ``RandomScheduler`` would draw from the same stream.
+    Sequences are pre-drawn per hub at :meth:`reset`, row after row;
+    because NumPy's ``Generator.integers`` yields the same values whether
+    drawn in bulk or one at a time, hub *i* receives exactly the actions
+    a slot-by-slot draw from the same stream would. One stream given for
+    several rows (stacked episodes) continues from row to row.
     """
 
     name = "random"
@@ -137,9 +144,8 @@ class FleetRuleBasedScheduler(FleetScheduler):
     """Charge below each hub's cheap-price quantile, discharge above the
     expensive one — the batched peak/off-peak heuristic.
 
-    Thresholds are computed per hub over that hub's own full price trace
-    (exactly like the scalar rule), so every hub adapts to its own price
-    level.
+    Thresholds are computed per hub over that hub's own full price trace,
+    so every hub adapts to its own price level.
     """
 
     name = "rule-based"
@@ -165,7 +171,7 @@ class FleetRuleBasedScheduler(FleetScheduler):
     def reset(self, view) -> None:
         # One axis-vectorized quantile per threshold; numpy's per-row
         # results are bit-identical to N separate np.quantile(row)
-        # calls, so thresholds still match the scalar scheduler's exactly
+        # calls, so thresholds still match a one-hub rule's exactly
         # (the engine equivalence suite compares whole scheduled runs).
         prices = view.inputs.rtp_kwh
         self._cheap = np.quantile(prices, self.cheap_quantile, axis=1)[:, None]

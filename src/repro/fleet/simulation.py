@@ -1,8 +1,7 @@
 """Batch-stepping engine: advance N ECT-Hubs per slot with NumPy.
 
-:class:`FleetSimulation` is the vectorized counterpart of
-:class:`~repro.hub.simulation.HubSimulation`. Per slot it applies one
-battery action per hub, resolves the Eq. 7 power balance, books Eqs. 8–11,
+:class:`FleetSimulation` is the program's simulation engine (one hub is a
+fleet of one). Per slot it applies one battery action per hub, resolves the Eq. 7 power balance, books Eqs. 8–11,
 and overrides blackout slots (grid import zeroed, charging suspended, the
 Eq. 6 emergency reserve carrying the base stations) — for **all hubs at
 once** over :class:`~repro.fleet.params.FleetParams` /
@@ -15,12 +14,13 @@ revenue and static residual are read from the
 balance and book columns are written with ``out=`` straight into the cost
 books' storage, and the Eq. 6 blackout branch — deficit and surplus
 included — is evaluated only on the hub rows whose outage mask fires that
-slot. Every expression
-still mirrors the scalar engine's order of operations (``BatteryPack.
-_charge`` / ``_discharge`` / ``emergency_supply``, ``EctHub.
-power_balance``, ``compute_slot_ledger``), so a batched run stays
-numerically equivalent to N independent scalar runs; the property-style
-test in ``tests/test_fleet.py`` enforces agreement within atol 1e-9.
+slot. Every expression still mirrors the order of operations of the
+one-hub-at-a-time scalar engine frozen in ``tests/scalar_oracle``
+(``BatteryPack._charge`` / ``_discharge`` / ``emergency_supply``,
+``EctHub.power_balance``, ``compute_slot_ledger``), so a batched run
+stays numerically equivalent to N independent scalar runs; the
+property-style test in ``tests/test_fleet.py`` enforces agreement within
+atol 1e-9.
 
 Core and finish: Eqs. 7–11 split into a sequential part and an
 elementwise one. The **core** — the battery block, the Eq. 7 import, the

@@ -1,18 +1,17 @@
-"""``repro.hub`` — the ECT-Hub core: composition, accounting, simulation.
+"""``repro.hub`` — one ECT-Hub's configuration and scenario assembly.
 
-Implements the paper's §III system model end to end: Eq. 7 power balance
-(:mod:`.hub`), Eqs. 8–12 cost accounting (:mod:`.costs`), Eq. 6 reserve
-sizing (:mod:`.constraints`), the slot-stepping engine
-(:mod:`.simulation`), and scenario assembly for the 12-hub fleet
-(:mod:`.scenario`).
+Holds the paper's §III hub description: the equipment configuration
+(:mod:`.hub`), Eq. 6 reserve sizing (:mod:`.constraints`), and scenario
+assembly for the 12-hub fleet with its synthesized exogenous traces
+(:mod:`.scenario`). The fleet engine (:mod:`repro.fleet`) steps these
+hubs; Eq. 7 and the Eqs. 8–12 accounting live there.
 """
 
 from .constraints import (
     required_reserve_kwh,
     sized_battery_config,
 )
-from .costs import CostBook, SlotLedger, compute_slot_ledger
-from .hub import EctHub, HubConfig, PowerBalance
+from .hub import HubConfig
 from .scenario import (
     HubScenario,
     ScenarioConfig,
@@ -21,21 +20,13 @@ from .scenario import (
     fleet_behavior_model,
     resolve_occupancy,
 )
-from .simulation import HubInputs, HubSimulation
 
 __all__ = [
-    "CostBook",
-    "EctHub",
     "HubConfig",
-    "HubInputs",
     "HubScenario",
-    "HubSimulation",
-    "PowerBalance",
     "ScenarioConfig",
-    "SlotLedger",
     "build_fleet_scenarios",
     "build_scenario",
-    "compute_slot_ledger",
     "fleet_behavior_model",
     "required_reserve_kwh",
     "resolve_occupancy",

@@ -4,8 +4,9 @@ A :class:`HubScenario` wires one :class:`~repro.synth.catalog.HubSite` to
 its generated exogenous traces (weather → PV/WT power, traffic → load rate,
 RTP) plus an Eq. 6-sized battery. Charging-station occupancy is *not* fixed
 here — it depends on the pricing method's discount decisions and the latent
-strata — so scenarios expose :meth:`inputs_with_occupancy` to close the
-loop, and :func:`resolve_occupancy` implements the strata semantics.
+strata — so the fleet engine's inputs
+(:func:`~repro.fleet.builder.fleet_inputs_from_scenarios`) close the loop,
+and :func:`resolve_occupancy` implements the strata semantics.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from ..synth.traffic import TrafficConfig, TrafficGenerator
 from ..synth.weather import WeatherConfig
 from ..synth.wind import wind_speed_planes
 from .constraints import sized_battery_config
-from .hub import EctHub, HubConfig
-from .simulation import HubInputs, HubSimulation
+from .hub import HubConfig
 
 
 @dataclass(frozen=True)
@@ -123,43 +123,6 @@ class HubScenario:
         """Scenario horizon in slots."""
         return len(self.load_rate)
 
-    def build_hub(self, *, initial_soc_fraction: float = 0.5) -> EctHub:
-        """A fresh hub instance for this scenario."""
-        return EctHub(self.hub_config, initial_soc_fraction=initial_soc_fraction)
-
-    def inputs_with_occupancy(
-        self,
-        occupied: np.ndarray,
-        discount: np.ndarray,
-        *,
-        outage: np.ndarray | None = None,
-    ) -> HubInputs:
-        """Full :class:`HubInputs` once occupancy/discounts are decided."""
-        return HubInputs(
-            load_rate=self.load_rate,
-            rtp_kwh=self.rtp_kwh,
-            pv_power_kw=self.pv_power_kw,
-            wt_power_kw=self.wt_power_kw,
-            occupied=np.asarray(occupied, dtype=int),
-            discount=np.asarray(discount, dtype=float),
-            outage=outage,
-        )
-
-    def simulation(
-        self,
-        occupied: np.ndarray,
-        discount: np.ndarray,
-        *,
-        initial_soc_fraction: float = 0.5,
-        outage: np.ndarray | None = None,
-    ) -> HubSimulation:
-        """Convenience: hub + inputs + engine in one call."""
-        return HubSimulation(
-            self.build_hub(initial_soc_fraction=initial_soc_fraction),
-            self.inputs_with_occupancy(occupied, discount, outage=outage),
-            initial_soc_fraction=initial_soc_fraction,
-        )
-
 
 def resolve_occupancy(strata: np.ndarray, discounted: np.ndarray) -> np.ndarray:
     """Strata semantics → occupancy: Always ⇒ 1; Incentive ⇒ discounted; else 0."""
@@ -214,7 +177,7 @@ def synthesize_traces(
         n_hours, rtp, load_rate=load_rate
     )
 
-    # A hub without a plant produces exactly zero, like the scalar hub.
+    # A hub without a plant produces exactly zero.
     pv_kw = np.array([site.pv_kw for site in sites])[:, None]
     wt_kw = np.array([site.wt_kw for site in sites])[:, None]
     pv_power = np.where(pv_kw > 0, pv_power_kw(pv_kw, irradiance, PvConfig()), 0.0)

@@ -1,36 +1,25 @@
-"""``repro.rl`` — ECT-DRL: PPO battery scheduling plus baselines.
+"""``repro.rl`` — ECT-DRL: PPO battery scheduling on the fleet engine.
 
-Implements §IV-B of the paper: the Eq. 24 state, the 3-action battery
-environment (:mod:`.env`) and its batched fleet-scale counterpart
-(:mod:`.fleet_env`, stepping N hubs per action batch over the vectorized
-engine), the PPO learner with the Eq. 25 clipped surrogate (:mod:`.ppo`)
-including hub-axis batch parallelism, rule-based scheduler baselines
-(:mod:`.schedulers`), and a clairvoyant DP oracle used by the ablations
-(:mod:`.dp_oracle`).
+Implements §IV-B of the paper: the Eq. 24 state and 3-action battery
+environment over the vectorized engine (:mod:`.fleet_env`; the paper's
+one agent per hub is its one-hub case, and N hubs step per action
+batch), the PPO learner with the Eq. 25 clipped surrogate (:mod:`.ppo`)
+including hub-axis batch parallelism, the training and evaluation loops
+(:mod:`.training`), and a clairvoyant DP oracle used by the ablations
+(:mod:`.dp_oracle`). The heuristic baselines are the fleet schedulers
+of :mod:`repro.fleet.schedulers`.
 """
 
 from .buffer import FleetRolloutBuffer
 from .dp_oracle import OracleResult, optimal_schedule
-from .env import ACTION_TO_SBP, N_ACTIONS, EctHubEnv, EnvConfig
-from .fleet_env import FEEDER_OBS_CLIP, FleetEnv
+from .fleet_env import ACTION_TO_SBP, FEEDER_OBS_CLIP, N_ACTIONS, EnvConfig, FleetEnv
 from .networks import ActorCritic
 from .ppo import PpoAgent, PpoConfig, UpdateStats
-from .schedulers import (
-    GreedyRenewableScheduler,
-    IdleScheduler,
-    RandomScheduler,
-    RuleBasedScheduler,
-    Scheduler,
-)
 from .spaces import Box, Discrete
 from .training import (
     FleetTrainingHistory,
-    TrainingHistory,
-    evaluate_agent,
     evaluate_fleet_agent,
-    evaluate_scheduler,
     train_fleet_ppo,
-    train_ppo,
 )
 
 __all__ = [
@@ -38,27 +27,17 @@ __all__ = [
     "ActorCritic",
     "Box",
     "Discrete",
-    "EctHubEnv",
     "EnvConfig",
     "FEEDER_OBS_CLIP",
     "FleetEnv",
     "FleetRolloutBuffer",
     "FleetTrainingHistory",
-    "GreedyRenewableScheduler",
-    "IdleScheduler",
     "N_ACTIONS",
     "OracleResult",
     "PpoAgent",
     "PpoConfig",
-    "RandomScheduler",
-    "RuleBasedScheduler",
-    "Scheduler",
-    "TrainingHistory",
     "UpdateStats",
-    "evaluate_agent",
     "evaluate_fleet_agent",
-    "evaluate_scheduler",
     "optimal_schedule",
     "train_fleet_ppo",
-    "train_ppo",
 ]

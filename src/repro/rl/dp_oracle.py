@@ -7,9 +7,12 @@ schedule** — an upper bound no online policy (including ECT-DRL) can beat.
 Used by the ablation benches to report how much of the attainable profit
 each scheduler captures.
 
-The oracle mirrors :class:`~repro.hub.simulation.HubSimulation` dynamics
-(efficiencies, rate limits, SoC bounds, Eq. 7 balance, Eqs. 8–12 rewards)
-up to the SoC discretisation error, which shrinks with ``n_soc_levels``.
+The oracle reads one hub of a :class:`~repro.fleet.simulation.
+FleetSimulation` — its parameter row, its slot planes' revenue and
+static Eq. 7 residual, and its price trace — and mirrors the engine's
+dynamics (efficiencies, rate limits, SoC bounds, Eq. 7 balance, Eqs.
+8–12 rewards) up to the SoC discretisation error, which shrinks with
+``n_soc_levels``.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ import numpy as np
 
 from ..energy.battery import CHARGE, DISCHARGE, IDLE
 from ..errors import ConfigError
-from ..hub.hub import EctHub
-from ..hub.simulation import HubInputs
+from ..fleet.simulation import FleetSimulation
 
 
 @dataclass(frozen=True)
@@ -33,78 +35,70 @@ class OracleResult:
     soc_trajectory_kwh: np.ndarray
 
 
-def _slot_reward(
-    hub: EctHub,
-    inputs: HubInputs,
-    t: int,
-    bus_power_kw: float,
-    active: bool,
-) -> float:
-    """Eq. 12 summand for one slot given the battery's bus power."""
-    cfg = hub.config
-    dt = cfg.dt_h
-    p_bs = float(hub.base_stations.power_kw(float(inputs.load_rate[t])))
-    p_cs = float(hub.charging_station.power_kw(int(inputs.occupied[t])))
-    srtp = hub.charging_station.selling_price_kwh(float(inputs.discount[t]))
-    residual = (
-        p_bs
-        + p_cs
-        + bus_power_kw
-        - float(inputs.pv_power_kw[t])
-        - float(inputs.wt_power_kw[t])
-    )
-    p_grid = max(residual, 0.0)
-    revenue = p_cs * dt * srtp
-    grid_cost = p_grid * dt * float(inputs.rtp_kwh[t])
-    bp_cost = cfg.c_bp_per_slot if active else 0.0
-    return revenue - grid_cost - bp_cost
-
-
 def optimal_schedule(
-    hub: EctHub,
-    inputs: HubInputs,
+    simulation: FleetSimulation,
+    hub: int,
     *,
     initial_soc_fraction: float = 0.5,
     n_soc_levels: int = 41,
 ) -> OracleResult:
-    """Backward value iteration over the (slot, SoC) grid.
+    """Backward value iteration over the (slot, SoC) grid of hub ``hub``.
 
-    Blackout slots are not supported by the oracle (the emergency path is
-    event-driven); pass outage-free inputs.
+    The schedule spans the simulation's whole horizon. Blackout slots are
+    not supported by the oracle (the emergency path is event-driven);
+    pass outage-free inputs.
     """
     if n_soc_levels < 2:
         raise ConfigError(f"n_soc_levels must be at least 2, got {n_soc_levels}")
-    if inputs.outage is not None and inputs.outage.any():
+    planes = simulation.planes
+    if planes.outage[hub].any():
         raise ConfigError("the DP oracle requires outage-free inputs")
 
-    cfg = hub.config.battery
-    dt = hub.config.dt_h
-    horizon = len(inputs)
-    grid = np.linspace(cfg.soc_min_kwh, cfg.soc_max_kwh, n_soc_levels)
+    params = simulation.params
+    capacity = float(params.capacity_kwh[hub])
+    soc_min, soc_max = float(params.soc_min_kwh[hub]), float(params.soc_max_kwh[hub])
+    charge_efficiency = float(params.charge_efficiency[hub])
+    discharge_efficiency = float(params.discharge_efficiency[hub])
+    discharge_rate = float(params.discharge_rate_kw[hub])
+    dt = params.dt_h
+    horizon = simulation.horizon
+    grid = np.linspace(soc_min, soc_max, n_soc_levels)
 
     # Pre-compute action transitions on the SoC grid.
-    charge_stored = cfg.charge_rate_kw * dt * cfg.charge_efficiency
-    if cfg.paper_exact:
-        discharge_drawn = cfg.discharge_rate_kw * dt * cfg.discharge_efficiency
+    charge_stored = float(params.charge_rate_kw[hub]) * dt * charge_efficiency
+    if params.paper_exact[hub]:
+        discharge_drawn = discharge_rate * dt * discharge_efficiency
         discharge_bus = discharge_drawn
     else:
-        discharge_drawn = cfg.discharge_rate_kw * dt / cfg.discharge_efficiency
-        discharge_bus = cfg.discharge_rate_kw * dt
+        discharge_drawn = discharge_rate * dt / discharge_efficiency
+        discharge_bus = discharge_rate * dt
 
     def transition(soc: float, action: int) -> tuple[float, float, bool]:
-        """(new_soc, bus_power_kw, active) mirroring BatteryPack.step."""
+        """(new_soc, bus_power_kw, active) of one battery slot, clipped
+        at the SoC bounds like the engine's battery block."""
         if action == IDLE:
             return soc, 0.0, False
         if action == CHARGE:
-            stored = min(charge_stored, cfg.soc_max_kwh - soc)
+            stored = min(charge_stored, soc_max - soc)
             if stored <= 1e-12:
                 return soc, 0.0, False
-            return soc + stored, stored / cfg.charge_efficiency / dt, True
-        drawn = min(discharge_drawn, soc - cfg.soc_min_kwh)
+            return soc + stored, stored / charge_efficiency / dt, True
+        drawn = min(discharge_drawn, soc - soc_min)
         if drawn <= 1e-12:
             return soc, 0.0, False
         bus = drawn * (discharge_bus / discharge_drawn)
         return soc - drawn, -bus / dt, True
+
+    # The action-independent halves of Eqs. 7–12, read off the planes.
+    residual_static = planes.residual_static_kw[hub].tolist()
+    revenue = planes.revenue[hub].tolist()
+    rtp = simulation.inputs.rtp_kwh[hub].tolist()
+    c_bp = float(params.c_bp_per_slot[hub])
+
+    def slot_reward(t: int, bus_kw: float, active: bool) -> float:
+        """Eq. 12 summand for one slot given the battery's bus power."""
+        grid_cost = max(residual_static[t] + bus_kw, 0.0) * dt * rtp[t]
+        return revenue[t] - grid_cost - (c_bp if active else 0.0)
 
     def snap(soc: float) -> int:
         return int(np.argmin(np.abs(grid - soc)))
@@ -117,7 +111,7 @@ def optimal_schedule(
             chosen = IDLE
             for action in (IDLE, CHARGE, DISCHARGE):
                 new_soc, bus_kw, active = transition(float(soc), action)
-                reward = _slot_reward(hub, inputs, t, bus_kw, active)
+                reward = slot_reward(t, bus_kw, active)
                 candidate = reward + value[t + 1, snap(new_soc)]
                 if candidate > best + 1e-12:
                     best = candidate
@@ -126,20 +120,14 @@ def optimal_schedule(
             best_action[t, k] = chosen
 
     # Forward pass: follow the greedy table with continuous SoC.
-    soc = float(
-        np.clip(
-            initial_soc_fraction * cfg.capacity_kwh,
-            cfg.soc_min_kwh,
-            cfg.soc_max_kwh,
-        )
-    )
+    soc = float(np.clip(initial_soc_fraction * capacity, soc_min, soc_max))
     actions = np.zeros(horizon, dtype=int)
     trajectory = np.zeros(horizon)
     total = 0.0
     for t in range(horizon):
         action = int(best_action[t, snap(soc)])
         new_soc, bus_kw, active = transition(soc, action)
-        total += _slot_reward(hub, inputs, t, bus_kw, active)
+        total += slot_reward(t, bus_kw, active)
         actions[t] = action if active or action == IDLE else IDLE
         soc = new_soc
         trajectory[t] = soc

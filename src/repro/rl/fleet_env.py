@@ -1,18 +1,19 @@
-"""Batched ECT-DRL environment: one step advances the whole fleet.
+"""The ECT-DRL environment (paper §IV-B), batched over hubs.
 
-:class:`FleetEnv` is the fleet-scale counterpart of
-:class:`~repro.rl.env.EctHubEnv`: one episode is an ``episode_days``
-window over N hubs stepped **together** through the PR-4 fused
-:class:`~repro.fleet.simulation.FleetSimulation` kernel. Per slot the
-environment consumes an ``(n_hubs,)`` integer action vector (the same
-0 → idle / 1 → charge / 2 → discharge coding as the scalar env, mapped to
-the paper's ``S_BP``), and returns
+One episode is an ``episode_days`` window (paper: 30 days of hourly
+slots, §V-C) over N hubs stepped **together** through the fused
+:class:`~repro.fleet.simulation.FleetSimulation` kernel; the paper's
+one-agent-per-hub protocol is the ``n_hubs=1`` case. Per slot the
+environment consumes an ``(n_hubs,)`` integer action vector (0 → idle,
+1 → charge, 2 → discharge, mapped to the paper's ``S_BP`` by
+:data:`ACTION_TO_SBP`), and returns
 
 * observations of shape ``(n_hubs, state_dim)`` — the Eq. 24 state per
-  hub: forecast windows of RTP, weather (irradiance + wind), traffic
-  load, and the discounted selling price (read off the engine's
+  hub, ``s_t = (RTP⃗, weather⃗, traffic⃗, SRTP⃗, SoC)``: forecast windows
+  of the next ``window_h`` hours of RTP, weather (irradiance + wind),
+  traffic load and the discounted selling price (read off the engine's
   :class:`~repro.fleet.planes.SlotPlanes` SRTP plane), plus the battery
-  SoC, all with the scalar env's normalisations;
+  SoC;
 * rewards of shape ``(n_hubs,)`` — the vectorized Eq. 12 slot profit
   (revenue − grid cost − battery cost − VoLL·unserved) computed straight
   from the fused step kernel's booked columns, so per-hub rewards match
@@ -24,12 +25,11 @@ each hub's ``available_import_kw()`` headroom normalised by its battery
 charge rate (clipped; infinite headroom saturates at the clip), giving a
 learned policy the congestion signal the fair-share heuristic acts on.
 
-Episode sampling mirrors the scalar env so that at ``n_hubs=1`` with the
-same RNG an episode is **trace-identical** to an :class:`EctHubEnv`
-episode (rewards agree within the fleet engine's atol-1e-9 equivalence
-bound): one shared episode start is drawn, then per hub the charging
-strata are re-realised under that hub's discount schedule and an initial
-SoC is drawn — the exact draw order of ``EctHubEnv.reset``.
+Episode sampling (§V-C): one shared episode start is drawn, then per hub
+the charging strata are re-realised under that hub's discount schedule
+and an initial SoC is drawn, in that order. At ``n_hubs=1`` an episode
+is trace-identical to the scalar env frozen under ``tests/`` as the
+equivalence oracle (observations bit for bit, rewards within atol 1e-9).
 
 ``reset(episodes=E)`` draws E episodes in that order and steps them as
 one simulation whose hub axis holds the episode copies (parameters
@@ -44,6 +44,7 @@ writes the SoC (and headroom) columns.
 from __future__ import annotations
 
 import dataclasses
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -56,8 +57,46 @@ from ..fleet.simulation import FleetSimulation
 from ..hub.scenario import HubScenario, fleet_traces, resolve_occupancy
 from ..synth.charging import ChargingBehaviorModel
 from ..units import HOURS_PER_DAY
-from .env import ACTION_TO_SBP, N_ACTIONS, EnvConfig
 from .spaces import Box, Discrete
+
+#: Environment action codes (indices into this tuple give the paper S_BP).
+ACTION_TO_SBP = (0, 1, -1)
+
+#: Number of discrete actions.
+N_ACTIONS = 3
+
+
+@dataclass(frozen=True)
+class EnvConfig:
+    """Environment knobs.
+
+    Attributes
+    ----------
+    episode_days:
+        Episode length (paper: 30 days).
+    window_h:
+        Forecast window length for each state feature vector.
+    reward_scale:
+        Rewards are divided by this for PPO numeric stability; evaluation
+        helpers report unscaled Eq. 12 values.
+    random_initial_soc:
+        Draw SoC uniformly at episode start (paper §V-C); fixed 0.5 when
+        False.
+    """
+
+    episode_days: int = 30
+    window_h: int = 24
+    reward_scale: float = 10.0
+    random_initial_soc: bool = True
+
+    def __post_init__(self) -> None:
+        if self.episode_days <= 0:
+            raise EnvError(f"episode_days must be positive, got {self.episode_days}")
+        if self.window_h <= 0:
+            raise EnvError(f"window_h must be positive, got {self.window_h}")
+        if self.reward_scale <= 0:
+            raise EnvError(f"reward_scale must be positive, got {self.reward_scale}")
+
 
 #: Feeder headroom is reported in units of the hub's charge rate and
 #: clipped here; an uncoupled (infinite) feeder saturates at the clip.
@@ -81,8 +120,8 @@ class FleetEnv:
         Discount fraction per (hub, slot) — ``(n_hubs, n_hours)``, or one
         shared ``(n_hours,)`` trace broadcast to every hub.
     config:
-        :class:`~repro.rl.env.EnvConfig` (episode length, window,
-        reward scale, SoC sampling) — shared with the scalar env.
+        :class:`EnvConfig` (episode length, window, reward scale, SoC
+        sampling).
     rng:
         Episode-sampling generator (start slot, strata, initial SoC).
     outage:
@@ -166,7 +205,7 @@ class FleetEnv:
             [s.hub_config for s in self.scenarios]
         )
         # Full-horizon trace blocks: raw rows feed episode FleetInputs;
-        # the Eq. 24 observation blocks carry the scalar env's scalings.
+        # the Eq. 24 observation blocks carry their normalisations.
         traces = fleet_traces(self.scenarios)
         self._load_rate = traces.load_rate
         self._rtp_kwh = traces.rtp_kwh
@@ -314,7 +353,7 @@ class FleetEnv:
         episode_discount = self.discount[:, start : start + self._episode_h]
         initial_soc = np.empty(self.n_hubs)
         for i, scenario in enumerate(self.scenarios):
-            # Per hub: strata then SoC — EctHubEnv.reset's draw order, so
+            # Per hub: strata then SoC — the scalar env's draw order, so
             # an n_hubs=1 episode consumes the RNG identically.
             strata = self.behavior.sample_strata(
                 scenario.site.hub_id, slots, self._rng
@@ -373,8 +412,8 @@ class FleetEnv:
     ) -> tuple[np.ndarray, np.ndarray, bool, dict]:
         """Apply one action per hub; returns (state, scaled_rewards, done, info).
 
-        ``actions`` is an ``(n_hubs,)`` integer vector over the scalar
-        env's action codes {0: idle, 1: charge, 2: discharge} — one entry
+        ``actions`` is an ``(n_hubs,)`` integer vector over the action
+        codes {0: idle, 1: charge, 2: discharge} — one entry
         per state row, ``(episodes * n_hubs,)`` after a stacked reset.
         Rewards are the per-hub Eq. 12 slot profits (minus the VoLL
         penalty) divided by ``reward_scale``; ``info["reward_raw"]``

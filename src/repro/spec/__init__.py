@@ -3,7 +3,7 @@
 Scenarios are *data*: a :class:`ScenarioSpec` tree of frozen dataclasses
 (fleet composition with per-group overrides, feeder topology, scheduler,
 blackout process, run shape) that round-trips through JSON bit-for-bit
-and compiles deterministically into the scalar or batched engines.
+and compiles deterministically into the batched fleet engine.
 
 Layout
 ------

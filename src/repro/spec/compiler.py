@@ -74,7 +74,7 @@ class CompiledScenario:
     """A spec resolved into runnable engines.
 
     ``scenarios`` keeps the per-hub scenario objects for inspection and
-    scalar-engine cross-checks; ``simulation`` is the batched engine with
+    cross-checks; ``simulation`` is the batched engine with
     feeders, blackouts, and the VoLL penalty wired in (shared by every
     job of a stacked build); ``scheduler`` is the spec'd policy.
     :func:`execute_jobs` runs the horizon.
@@ -600,8 +600,7 @@ def build_fleet_env(spec: ScenarioSpec, *, rng=None):
     """
     # Local import: repro.rl pulls the nn stack, which the spec layer
     # must not load for plain (non-RL) builds.
-    from ..rl.env import EnvConfig
-    from ..rl.fleet_env import FleetEnv
+    from ..rl.fleet_env import EnvConfig, FleetEnv
 
     assembly = _assemble_fleet(spec)
     rl = spec.rl

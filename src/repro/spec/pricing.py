@@ -131,7 +131,7 @@ def compile_pricing(
 ) -> CompiledPricing:
     """Train the spec'd policy and price every hub of the assembly.
 
-    The protocol mirrors the scalar Table III path
+    The protocol mirrors the Table III path
     (:mod:`repro.experiments.scheduling_common`): one policy trained on the
     behaviour model's historical log prices all hubs, each hub's slots are
     scored through :func:`~repro.causal.policy.discount_schedule_for_hub`

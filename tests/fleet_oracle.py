@@ -1,10 +1,12 @@
 """Bridges between the scalar hub engine and the fleet engine, the
 fleet schedulers' per-slot oracle, and a round-robin feeder builder.
 
-The equivalence tests run N scalar :class:`~repro.hub.simulation.HubSimulation`
-hubs against one :class:`~repro.fleet.simulation.FleetSimulation`: these
-helpers stack scalar inputs into a fleet block and read one hub's scalar
-:class:`~repro.hub.costs.CostBook` back out of a dense fleet book.
+The equivalence tests run N scalar :class:`~scalar_oracle.HubSimulation`
+hubs (the frozen oracle in ``tests/scalar_oracle``) against one
+:class:`~repro.fleet.simulation.FleetSimulation`: these helpers stack
+scalar inputs into a fleet block, cut one hub's :class:`HubInputs` out of
+a fleet block, and read one hub's scalar :class:`CostBook` back out of a
+dense fleet book.
 
 :func:`per_slot_schedule` freezes how the fleet schedulers decided one
 slot at a time, with one feeder headroom ``bincount`` per slot
@@ -23,9 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.energy.battery import CHARGE, DISCHARGE, IDLE
+from repro.errors import FleetError
 from repro.fleet import FeederGroup, FleetCostBook, FleetInputs
-from repro.hub.costs import CostBook, SlotLedger
-from repro.hub.simulation import HubInputs
+from scalar_oracle import CostBook, HubInputs, SlotLedger
 
 
 def stack_hub_inputs(inputs: Sequence[HubInputs]) -> FleetInputs:
@@ -49,6 +51,21 @@ def stack_hub_inputs(inputs: Sequence[HubInputs]) -> FleetInputs:
         occupied=np.stack([np.asarray(one.occupied, dtype=int) for one in inputs]),
         discount=np.stack([np.asarray(one.discount, dtype=float) for one in inputs]),
         outage=outage,
+    )
+
+
+def hub_inputs(inputs: FleetInputs, index: int) -> HubInputs:
+    """Row ``index`` of a fleet block as scalar-engine :class:`HubInputs`."""
+    if not 0 <= index < inputs.n_hubs:
+        raise FleetError(f"hub index {index} out of range for {inputs.n_hubs} hubs")
+    return HubInputs(
+        load_rate=inputs.load_rate[index],
+        rtp_kwh=inputs.rtp_kwh[index],
+        pv_power_kw=inputs.pv_power_kw[index],
+        wt_power_kw=inputs.wt_power_kw[index],
+        occupied=inputs.occupied[index],
+        discount=inputs.discount[index],
+        outage=None if inputs.outage is None else inputs.outage[index],
     )
 
 

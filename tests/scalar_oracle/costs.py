@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..errors import HubError
+from repro.errors import HubError
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ One episode is 30 days of hourly slots at one hub (§V-C). The state
 weather (irradiance + wind), traffic load, and the charging price set by
 the pricing method, plus the battery's state of charge. The three actions
 map to the paper's ``S_BP``: 0 → idle, 1 → charge, 2 → discharge. The
-reward is the Eq. 12 slot profit, delegated to the shared
-:class:`~repro.hub.simulation.HubSimulation` engine so every scheduler is
-scored identically.
+reward is the Eq. 12 slot profit, delegated to the
+:class:`~.simulation.HubSimulation` engine so every scheduler is scored
+identically.
 
 Episodes sample a random 30-day window from the scenario traces and a
 random initial SoC (as in §V-C), and re-realise the charging strata under
@@ -23,54 +23,18 @@ trained on.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EnvError
-from ..hub.scenario import HubScenario, resolve_occupancy
-from ..hub.simulation import HubSimulation
-from ..synth.charging import ChargingBehaviorModel
-from ..units import HOURS_PER_DAY
-from .spaces import Box, Discrete
+from repro.errors import EnvError
+from repro.hub.scenario import HubScenario, resolve_occupancy
+from repro.rl.fleet_env import ACTION_TO_SBP, N_ACTIONS, EnvConfig
+from repro.rl.spaces import Box, Discrete
+from repro.synth.charging import ChargingBehaviorModel
+from repro.units import HOURS_PER_DAY
 
-#: Environment action codes (indices into this tuple give the paper S_BP).
-ACTION_TO_SBP = (0, 1, -1)
-
-#: Number of discrete actions.
-N_ACTIONS = 3
-
-
-@dataclass(frozen=True)
-class EnvConfig:
-    """Environment knobs.
-
-    Attributes
-    ----------
-    episode_days:
-        Episode length (paper: 30 days).
-    window_h:
-        Forecast window length for each state feature vector.
-    reward_scale:
-        Rewards are divided by this for PPO numeric stability; evaluation
-        helpers report unscaled Eq. 12 values.
-    random_initial_soc:
-        Draw SoC uniformly at episode start (paper §V-C); fixed 0.5 when
-        False.
-    """
-
-    episode_days: int = 30
-    window_h: int = 24
-    reward_scale: float = 10.0
-    random_initial_soc: bool = True
-
-    def __post_init__(self) -> None:
-        if self.episode_days <= 0:
-            raise EnvError(f"episode_days must be positive, got {self.episode_days}")
-        if self.window_h <= 0:
-            raise EnvError(f"window_h must be positive, got {self.window_h}")
-        if self.reward_scale <= 0:
-            raise EnvError(f"reward_scale must be positive, got {self.reward_scale}")
+from .scenario import build_hub, inputs_with_occupancy
+from .simulation import HubSimulation
 
 
 class EctHubEnv:
@@ -177,7 +141,8 @@ class EctHubEnv:
             if self.config.random_initial_soc
             else 0.5
         )
-        inputs = self.scenario.inputs_with_occupancy(
+        inputs = inputs_with_occupancy(
+            self.scenario,
             occupied=np.zeros(self.scenario.n_hours, dtype=int),
             discount=np.zeros(self.scenario.n_hours),
             outage=self.outage,
@@ -188,7 +153,7 @@ class EctHubEnv:
             inputs, occupied=occupied, discount=episode_discount
         )
         self._sim = HubSimulation(
-            self.scenario.build_hub(initial_soc_fraction=initial_soc),
+            build_hub(self.scenario, initial_soc_fraction=initial_soc),
             inputs,
             initial_soc_fraction=initial_soc,
         )

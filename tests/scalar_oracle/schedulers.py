@@ -12,7 +12,7 @@ These provide comparison points and ablations for ECT-DRL:
   hub load (store surplus instead of curtailing), discharge at peak price.
 
 Every scheduler implements the same callable protocol as
-:meth:`repro.hub.simulation.HubSimulation.run` policies: it receives the
+:meth:`.simulation.HubSimulation.run` policies: it receives the
 live simulation and returns a battery action (−1 / 0 / 1).
 """
 
@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..energy.battery import CHARGE, DISCHARGE, IDLE
-from ..errors import ConfigError
-from ..hub.simulation import HubSimulation
+from repro.energy.battery import CHARGE, DISCHARGE, IDLE
+from repro.errors import ConfigError
+
+from .simulation import HubSimulation
 
 
 class Scheduler:

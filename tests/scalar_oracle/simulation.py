@@ -6,8 +6,8 @@ Eq. 7 power balance, books Eqs. 8–11 into a :class:`SlotLedger`, and
 handles blackout slots (grid import forced to zero, charging suspended,
 the battery's emergency reserve carries the base stations).
 
-This engine is shared by the rule-based schedulers, the DP oracle, and the
-RL environment, so every method is scored by the exact same accounting.
+The oracle's schedulers and RL environment share this engine, so every
+method is scored by the exact same accounting.
 """
 
 from __future__ import annotations
@@ -16,53 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DataError, HubError
-from ..energy.battery import IDLE
+from repro.energy.battery import IDLE
+from repro.errors import DataError, HubError
+from repro.fleet.inputs import validate_exogenous_traces
+
 from .costs import CostBook, SlotLedger, compute_slot_ledger
 from .hub import EctHub
-
-
-def validate_exogenous_traces(
-    *,
-    load_rate: np.ndarray,
-    rtp_kwh: np.ndarray,
-    pv_power_kw: np.ndarray,
-    wt_power_kw: np.ndarray,
-    occupied: np.ndarray,
-    discount: np.ndarray,
-    context: str = "hub input",
-) -> None:
-    """Range- and finiteness-check exogenous traces of any shape.
-
-    Shared by :class:`HubInputs` (1-D, one hub) and
-    :class:`repro.fleet.FleetInputs` (2-D, ``(n_hubs, horizon)``) so both
-    engines reject the same malformed data. NaN traces would otherwise slip
-    through pure range checks because every NaN comparison is False.
-    """
-    traces = {
-        "load_rate": load_rate,
-        "rtp_kwh": rtp_kwh,
-        "pv_power_kw": pv_power_kw,
-        "wt_power_kw": wt_power_kw,
-        "occupied": occupied,
-        "discount": discount,
-    }
-    for name, trace in traces.items():
-        arr = np.asarray(trace)
-        if arr.size and not np.isfinite(arr).all():
-            raise DataError(f"{context} column {name} contains NaN or inf")
-    if not np.asarray(load_rate).size:
-        return
-    if load_rate.min() < 0 or load_rate.max() > 1:
-        raise DataError("load_rate must lie in [0, 1]")
-    if rtp_kwh.min() < 0:
-        raise DataError("rtp_kwh must be non-negative")
-    if pv_power_kw.min() < 0 or wt_power_kw.min() < 0:
-        raise DataError("renewable power must be non-negative")
-    if not np.isin(np.unique(occupied), (0, 1)).all():
-        raise DataError("occupied must be binary")
-    if discount.min() < 0 or discount.max() >= 1:
-        raise DataError("discount must lie in [0, 1)")
 
 
 @dataclass(frozen=True)

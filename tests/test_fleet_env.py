@@ -1,26 +1,40 @@
 """Tests for the batched fleet RL stack: FleetEnv, fleet buffer, fleet PPO.
 
 The anchor is the equivalence chain: a ``FleetEnv`` at ``n_hubs=1`` must
-reproduce ``EctHubEnv`` episodes (observations bit-for-bit, rewards within
-the engines' atol-1e-9 bound), and per-hub fleet rewards must match the
-``FleetCostBook`` slot for slot. On top sit episode-sampling edges
+reproduce episodes of the frozen scalar ``EctHubEnv`` (observations
+bit-for-bit, rewards within the engines' atol-1e-9 bound), per-hub fleet
+rewards must match the ``FleetCostBook`` slot for slot, and the paper
+artifacts' fleet path (one agent per (hub, method), stacked evaluation,
+baselines through ``run_jobs``) must match the scalar loops it replaced. On top sit episode-sampling edges
 (max-start flush, seeded determinism, invalid actions), the feeder-aware
 observation block, per-hub GAE, and the train-fleet schedule.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro import api
+from repro.causal import EveningHeuristicPolicy
+from repro.causal.dataset import time_ids_for_slots
+from repro.causal.policy import discount_schedule_for_hub
 from repro.errors import EnvError, ModelError
+from repro.experiments import scheduling_common
+from repro.experiments.pricing_common import BUDGET_FRACTION
+from repro.fleet import (
+    FleetGreedyRenewableScheduler,
+    FleetIdleScheduler,
+    FleetRandomScheduler,
+    FleetRuleBasedScheduler,
+)
 from repro.hub import ScenarioConfig, build_fleet_scenarios, fleet_behavior_model
 from repro.hub.scenario import fleet_traces
 from repro.rng import RngFactory
 from repro.rl import (
     FEEDER_OBS_CLIP,
-    EctHubEnv,
     EnvConfig,
     FleetEnv,
     FleetRolloutBuffer,
@@ -37,6 +51,16 @@ from repro.spec import (
     ScenarioSpec,
     get_preset,
     spec_from_train_fleet_flags,
+)
+from scalar_oracle import (
+    EctHubEnv,
+    GreedyRenewableScheduler,
+    IdleScheduler,
+    RandomScheduler,
+    RuleBasedScheduler,
+    evaluate_agent,
+    evaluate_scheduler,
+    train_ppo,
 )
 
 N_HOURS = 24 * 12
@@ -215,6 +239,98 @@ class TestScalarEquivalence:
         assert np.allclose(
             rewards.sum(axis=1), book.daily_rewards().sum(axis=1), atol=1e-9
         )
+
+
+class TestExperimentPath:
+    """The paper artifacts' fleet path == the frozen scalar loops."""
+
+    def test_one_pair_matches_scalar_loop(self):
+        """One (hub, pricing method) pair of the Fig. 13 / Table III study:
+        ``scheduling_common._one_pair`` (one-hub FleetEnv, fleet PPO,
+        stacked evaluation) against EctHubEnv + train_ppo +
+        evaluate_agent on the same streams."""
+        factory = RngFactory(seed=3)
+        config = ScenarioConfig(n_hours=24 * 32)
+        scenario = build_fleet_scenarios(config, factory, n_hubs=2)[1]
+        behavior = fleet_behavior_model(config, factory)
+        policy = EveningHeuristicPolicy()
+        time_ids = time_ids_for_slots(config.n_hours)
+        result = scheduling_common._one_pair(
+            scenario,
+            SimpleNamespace(behavior=behavior),
+            policy,
+            time_ids,
+            factory,
+            train_episodes=2,
+            test_episodes=2,
+        )
+
+        schedule = discount_schedule_for_hub(
+            policy,
+            scenario.site.hub_id,
+            time_ids,
+            discount_level=scheduling_common.DISCOUNT_LEVEL,
+            budget_fraction=BUDGET_FRACTION,
+        )
+        assert (schedule > 0).any()
+        stream = f"drl/{scenario.site.hub_id}/{policy.name}"
+        env = EctHubEnv(
+            scenario,
+            behavior,
+            schedule,
+            config=EnvConfig(),
+            rng=factory.stream(f"{stream}/env"),
+        )
+        agent, _ = train_ppo(
+            env, episodes=2, config=PpoConfig(), rng=factory.stream(f"{stream}/ppo")
+        )
+        expected = evaluate_agent(env, agent, episodes=2)
+        assert result.daily_rewards.shape == expected.shape == (2, 30)
+        np.testing.assert_allclose(
+            result.daily_rewards, expected, rtol=0, atol=1e-9
+        )
+
+    @pytest.mark.parametrize(
+        "scalar, fleet",
+        [
+            (RuleBasedScheduler, FleetRuleBasedScheduler),
+            (GreedyRenewableScheduler, FleetGreedyRenewableScheduler),
+            (IdleScheduler, FleetIdleScheduler),
+            ("random", "random"),
+        ],
+        ids=["rule-based", "greedy-renewable", "idle", "random"],
+    )
+    def test_baseline_matches_evaluate_scheduler(self, fleet_setup, scalar, fleet):
+        """A heuristic over stacked episodes (one ``run_jobs`` call) books
+        what ``evaluate_scheduler`` books episode after episode; random
+        shares one stream over the episode rows."""
+        scenarios, behavior = fleet_setup
+        episodes = 3
+        discount = np.where(np.arange(N_HOURS) % 24 >= 18, 0.2, 0.0)
+        outage = np.zeros(N_HOURS, dtype=bool)
+        outage[5::29] = True
+        scalar_env = EctHubEnv(
+            scenarios[0],
+            behavior,
+            discount,
+            config=EnvConfig(episode_days=EPISODE_DAYS),
+            rng=RngFactory(seed=5).stream("env"),
+            outage=outage,
+        )
+        fleet_env = make_fleet_env(
+            scenarios, behavior, n_hubs=1, discount=discount, outage=outage
+        )
+        if scalar == "random":
+            scalar = RandomScheduler(RngFactory(seed=9).stream("rand"))
+            fleet = FleetRandomScheduler([RngFactory(seed=9).stream("rand")] * episodes)
+        else:
+            scalar, fleet = scalar(), fleet()
+        expected = evaluate_scheduler(scalar_env, scalar, episodes=episodes)
+
+        fleet_env.reset(episodes)
+        (book,) = fleet_env.simulation.run_jobs([fleet])
+        assert book.blackout.any()
+        np.testing.assert_allclose(book.daily_rewards(), expected, rtol=0, atol=1e-9)
 
 
 class TestEpisodeSampling:

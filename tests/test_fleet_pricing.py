@@ -32,7 +32,6 @@ from repro.errors import ConfigError
 from repro.experiments.base import write_results_json
 from repro.fleet import FeederGroup
 from repro.hub.scenario import resolve_occupancy
-from repro.rl.schedulers import RuleBasedScheduler
 from repro.rng import RngFactory
 from repro.spec import (
     FleetSpec,
@@ -52,6 +51,7 @@ from repro.spec.compiler import (
 from repro.spec.pricing import compile_pricing, congestion_signal
 
 from fleet_oracle import per_slot_available_import_kw
+from scalar_oracle import RuleBasedScheduler, scenario_simulation
 
 ATOL = 1e-9
 BALANCE_ATOL = 1e-8
@@ -150,7 +150,7 @@ class TestScalarEquivalence:
         )
 
         # Profit within atol 1e-9 of the scalar engine on the same inputs.
-        scalar = scenario.simulation(occupied, schedule)
+        scalar = scenario_simulation(scenario, occupied, schedule)
         scalar.run(RuleBasedScheduler())
         np.testing.assert_allclose(
             fleet_book.profit_per_hub[0], scalar.book.profit, rtol=0, atol=ATOL

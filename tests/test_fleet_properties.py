@@ -27,9 +27,11 @@ from repro.fleet import (
     FleetSimulation,
     build_default_fleet,
 )
-from repro.hub.hub import EctHub, HubConfig
-from repro.hub.simulation import HubSimulation
+from repro.hub.hub import HubConfig
 from repro.rng import RngFactory
+
+from fleet_oracle import hub_inputs
+from scalar_oracle import EctHub, HubSimulation
 
 #: Conservation tolerance — loose enough for kW-scale float accumulation.
 BALANCE_ATOL = 1e-8
@@ -228,7 +230,7 @@ class TestRandomizedInvariants:
     def test_scalar_engine_under_random_actions(self, seed):
         configs, _, inputs, _, actions = random_case(seed)
         for index, config in enumerate(configs):
-            sim = HubSimulation(EctHub(config), inputs.hub(index))
+            sim = HubSimulation(EctHub(config), hub_inputs(inputs, index))
             for t in range(inputs.horizon):
                 sim.step(int(actions[t, index]))
             assert_scalar_invariants(sim)

@@ -1,4 +1,9 @@
-"""Tests for the ECT-Hub core: balance, costs, constraints, simulation."""
+"""Tests for the ECT-Hub core: balance, costs, constraints, simulation.
+
+The balance, ledger and simulation tests pin the scalar engine frozen in
+``tests/scalar_oracle``, the reference the fleet equivalence suites
+compare against.
+"""
 
 from __future__ import annotations
 
@@ -9,16 +14,12 @@ from hypothesis import strategies as st
 
 from repro.energy import BaseStationCluster, BatteryConfig
 from repro.errors import ConstraintViolation, DataError, HubError
+from repro.fleet import FleetIdleScheduler, fleet_simulation_from_scenarios
 from repro.hub import (
-    CostBook,
-    EctHub,
     HubConfig,
-    HubInputs,
-    HubSimulation,
     ScenarioConfig,
     build_fleet_scenarios,
     build_scenario,
-    compute_slot_ledger,
     fleet_behavior_model,
     required_reserve_kwh,
     resolve_occupancy,
@@ -27,6 +28,7 @@ from repro.hub import (
 from repro.rng import RngFactory
 from repro.synth.catalog import default_fleet
 from repro.synth.charging import Stratum
+from scalar_oracle import CostBook, EctHub, HubInputs, HubSimulation, compute_slot_ledger
 
 
 def _reserve_met(battery, cluster, recovery_time_h):
@@ -282,8 +284,8 @@ class TestScenario:
             0, np.arange(48), factory.stream("occ")
         )
         occupied = resolve_occupancy(strata, np.zeros(48, dtype=int))
-        sim = scenario.simulation(occupied, np.zeros(48))
-        book = sim.run(lambda s: 0)
+        sim = fleet_simulation_from_scenarios([scenario], occupied, np.zeros(48))
+        book = sim.run(FleetIdleScheduler())
         assert len(book) == 48
         assert np.isfinite(book.profit)
 

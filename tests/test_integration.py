@@ -14,9 +14,10 @@ from repro.causal import (
 )
 from repro.causal.policy import discount_schedule_for_hub
 from repro.experiments.pricing_common import run_pricing_study
-from repro.experiments.scheduling_common import time_ids_for_slots
+from repro.causal.dataset import time_ids_for_slots
+from repro.fleet import FleetIdleScheduler, fleet_simulation_from_scenarios
 from repro.hub import ScenarioConfig, build_fleet_scenarios, fleet_behavior_model
-from repro.rl import EctHubEnv, EnvConfig, evaluate_agent, train_ppo
+from repro.rl import EnvConfig, FleetEnv, evaluate_fleet_agent, train_fleet_ppo
 from repro.rng import RngFactory
 from repro.synth.charging import ChargingBehaviorModel, ChargingConfig
 
@@ -83,15 +84,19 @@ class TestFullLoop:
         assert schedule.shape == (config.n_hours,)
         assert set(np.unique(schedule)) <= {0.0, 0.2}
 
-        env = EctHubEnv(
-            scenario,
+        env = FleetEnv(
+            [scenario],
             study.behavior,
             schedule,
             config=EnvConfig(episode_days=5),
             rng=factory.stream("loop/env"),
         )
-        agent, history = train_ppo(env, episodes=2, rng=factory.stream("loop/ppo"))
-        daily = evaluate_agent(env, agent, episodes=1)
+        agent, history = train_fleet_ppo(
+            env, episodes=2, rng=factory.stream("loop/ppo")
+        )
+        evaluate_fleet_agent(env, agent, episodes=1)
+        daily = env.simulation.book.daily_rewards()
+        assert daily.shape == (1, 5)
         assert np.all(np.isfinite(daily))
         assert daily.mean() > 0  # the hub is profitable
 
@@ -107,10 +112,9 @@ class TestFullLoop:
         from repro.hub.scenario import resolve_occupancy
 
         occupied = resolve_occupancy(strata, np.zeros(n, dtype=int))
-        sim = scenario.simulation(
-            occupied, np.zeros(n), initial_soc_fraction=0.15, outage=outage
+        sim = fleet_simulation_from_scenarios(
+            [scenario], occupied, np.zeros(n), initial_soc_fraction=0.15, outage=outage
         )
-        book = sim.run(lambda s: 0)
+        book = sim.run(FleetIdleScheduler())
         assert book.total_unserved_kwh == pytest.approx(0.0)
-        blackout_slots = [l for l in book.ledgers if l.blackout]
-        assert len(blackout_slots) == config.recovery_time_h
+        assert int(book.blackout.sum()) == config.recovery_time_h

@@ -1,4 +1,9 @@
-"""Tests for the ECT-DRL stack: env, buffer, PPO, schedulers, oracle."""
+"""Tests for the ECT-DRL stack: env, buffer, PPO, schedulers, oracle.
+
+The env, scheduler and training tests pin the scalar copies frozen in
+``tests/scalar_oracle``; the DP oracle's schedules replay through a
+one-hub :class:`~repro.fleet.simulation.FleetSimulation`.
+"""
 
 from __future__ import annotations
 
@@ -6,27 +11,30 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, EnvError, ModelError
+from repro.fleet import FleetInputs, FleetParams, FleetSimulation
 from repro.hub import ScenarioConfig, build_fleet_scenarios, fleet_behavior_model
 from repro.hub.scenario import resolve_occupancy
 from repro.rl import (
     ActorCritic,
     Box,
     Discrete,
-    EctHubEnv,
     EnvConfig,
     FleetRolloutBuffer,
-    GreedyRenewableScheduler,
-    IdleScheduler,
     PpoAgent,
     PpoConfig,
+    optimal_schedule,
+)
+from repro.rng import RngFactory
+from scalar_oracle import (
+    EctHubEnv,
+    GreedyRenewableScheduler,
+    IdleScheduler,
     RandomScheduler,
     RuleBasedScheduler,
     evaluate_agent,
     evaluate_scheduler,
-    optimal_schedule,
     train_ppo,
 )
-from repro.rng import RngFactory
 
 
 @pytest.fixture(scope="module")
@@ -369,49 +377,48 @@ class TestSchedulersAndTraining:
             evaluate_agent(env, agent, episodes=0)
 
 
+def replay(simulation: FleetSimulation, plan: np.ndarray):
+    """Book a fixed ``(1, horizon)`` S_BP plan from slot 0."""
+    simulation.reset()
+    return simulation.run(lambda view, start, stop: plan[:, start:stop])
+
+
 class TestDpOracle:
-    def _inputs(self, env_setup, n=48):
+    def _simulation(self, env_setup, n=48, outage=None):
+        """One hub's first ``n`` slots as a one-hub fleet engine."""
         factory, scenario, behavior = env_setup
         strata = behavior.sample_strata(0, np.arange(n), factory.stream("or"))
         occupied = resolve_occupancy(strata, np.zeros(n, dtype=int))
-        full_occ = np.concatenate(
-            [occupied, np.zeros(scenario.n_hours - n, dtype=int)]
+        inputs = FleetInputs(
+            load_rate=scenario.load_rate[None, :n],
+            rtp_kwh=scenario.rtp_kwh[None, :n],
+            pv_power_kw=scenario.pv_power_kw[None, :n],
+            wt_power_kw=scenario.wt_power_kw[None, :n],
+            occupied=occupied[None],
+            discount=np.zeros((1, n)),
+            outage=outage,
         )
-        return scenario, scenario.inputs_with_occupancy(
-            full_occ, np.zeros(scenario.n_hours)
-        ).slice(0, n)
+        return FleetSimulation(
+            FleetParams.from_hub_configs([scenario.hub_config]), inputs
+        )
 
     def test_oracle_beats_every_heuristic(self, env_setup):
-        scenario, inputs = self._inputs(env_setup)
-        oracle = optimal_schedule(scenario.build_hub(), inputs, n_soc_levels=21)
-        from repro.hub.simulation import HubSimulation
-
-        for policy in (lambda s: 0, lambda s: 1, lambda s: -1, lambda s: [1, -1][s.t % 2]):
-            sim = HubSimulation(scenario.build_hub(), inputs, initial_soc_fraction=0.5)
-            book = sim.run(policy)
+        sim = self._simulation(env_setup)
+        oracle = optimal_schedule(sim, 0, n_soc_levels=21)
+        alternating = np.where(np.arange(sim.horizon) % 2 == 0, 1, -1)
+        for plan in (0, 1, -1, alternating):
+            book = replay(sim, np.broadcast_to(plan, (1, sim.horizon)))
             assert oracle.total_reward >= book.profit - 1e-6
 
     def test_oracle_schedule_is_feasible(self, env_setup):
-        scenario, inputs = self._inputs(env_setup)
-        oracle = optimal_schedule(scenario.build_hub(), inputs, n_soc_levels=21)
-        from repro.hub.simulation import HubSimulation
-
-        sim = HubSimulation(scenario.build_hub(), inputs, initial_soc_fraction=0.5)
-        book = sim.run(lambda s: int(oracle.actions[s.t]))
+        sim = self._simulation(env_setup)
+        oracle = optimal_schedule(sim, 0, n_soc_levels=21)
+        book = replay(sim, oracle.actions[None])
         # Executing the oracle schedule in the real engine lands close to
         # the oracle value (exact up to SoC-grid snapping).
         assert book.profit == pytest.approx(oracle.total_reward, rel=0.05, abs=5.0)
 
     def test_oracle_rejects_outages(self, env_setup):
-        scenario, inputs = self._inputs(env_setup, n=24)
-        bad = type(inputs)(
-            load_rate=inputs.load_rate,
-            rtp_kwh=inputs.rtp_kwh,
-            pv_power_kw=inputs.pv_power_kw,
-            wt_power_kw=inputs.wt_power_kw,
-            occupied=inputs.occupied,
-            discount=inputs.discount,
-            outage=np.ones(24, dtype=bool),
-        )
+        sim = self._simulation(env_setup, n=24, outage=np.ones((1, 24), dtype=bool))
         with pytest.raises(ConfigError):
-            optimal_schedule(scenario.build_hub(), bad)
+            optimal_schedule(sim, 0)

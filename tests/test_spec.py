@@ -308,7 +308,7 @@ class TestValidation:
 
     def test_scalar_costbook_rejects_non_finite_voll(self):
         from repro.errors import ReproError
-        from repro.hub.costs import CostBook
+        from scalar_oracle import CostBook
 
         with pytest.raises(ReproError, match="voll_per_kwh"):
             CostBook(voll_per_kwh=float("nan"))
