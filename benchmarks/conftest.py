@@ -23,6 +23,9 @@ from repro.telemetry import run_metadata
 
 #: Rendered artifact reports are also persisted here.
 REPORT_DIR = Path(__file__).parent / "reports"
+#: Where the timing reports (:func:`write_perf_report`) land: a
+#: git-ignored directory, so a test run leaves the tracked tree clean.
+TIMING_DIR = Path(__file__).parent / "timing"
 
 # The throughput benches time the fleet engine against the scalar engine
 # frozen in tests/scalar_oracle; put tests/ on the path so they import it
@@ -92,7 +95,7 @@ def timed_pairs(
 
 
 def write_perf_report(name: str, text: str, payload: dict) -> None:
-    """Persist one perf benchmark as twin ``reports/<name>.{txt,json}``.
+    """Persist one perf benchmark as twin ``<name>.{txt,json}`` reports.
 
     The txt file is the human-readable trend the repo has always kept;
     the JSON carries the same numbers machine-readably (workload,
@@ -100,12 +103,12 @@ def write_perf_report(name: str, text: str, payload: dict) -> None:
     PRs without parsing prose. Every JSON report is stamped with the
     environment fingerprint (host, python/numpy versions, git commit,
     ECT_PERF_RELAXED) so numbers from different machines never get
-    compared as like-for-like.
+    compared as like-for-like. They land in :data:`TIMING_DIR`.
     """
-    REPORT_DIR.mkdir(exist_ok=True)
-    (REPORT_DIR / f"{name}.txt").write_text(text + "\n")
+    TIMING_DIR.mkdir(exist_ok=True)
+    (TIMING_DIR / f"{name}.txt").write_text(text + "\n")
     payload = dict(payload, meta=run_metadata())
-    (REPORT_DIR / f"{name}.json").write_text(
+    (TIMING_DIR / f"{name}.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
 

@@ -7,10 +7,10 @@ step per slot) and once as 100 independent runs of the scalar
 in hub-slots/sec. A second case times the shared-grid coupled engine
 (binding feeders, allocation + reserve routing live every slot) against
 the uncoupled batched step: the guard is coupling < 2× the uncoupled
-cost. Reports are persisted to ``reports/fleet.txt`` so the perf
-trajectory is tracked across PRs; the PR-1 acceptance floor of a ≥5×
-batched speedup still applies, to the median over alternating
-batched/looped pairs.
+cost. Reports are persisted as ``fleet.{txt,json}`` (see
+``conftest.write_perf_report``) so the perf trajectory is tracked across
+PRs; the PR-1 acceptance floor of a ≥5× batched speedup still applies,
+to the median over alternating batched/looped pairs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import os
 import statistics
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -26,8 +25,6 @@ from conftest import timed_pairs, write_perf_report
 from fleet_oracle import hub_inputs
 from repro.fleet import FleetRuleBasedScheduler, build_default_fleet
 from scalar_oracle import HubSimulation, RuleBasedScheduler, build_hub
-
-REPORT_DIR = Path(__file__).parent / "reports"
 
 #: Fleet size pinned by the acceptance criterion; horizon scales instead.
 N_HUBS = 100

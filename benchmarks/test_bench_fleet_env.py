@@ -10,7 +10,7 @@ environment, and a third times evaluation with its episodes stacked on
 the hub axis (one ``evaluate_fleet_agent`` call) against the same
 episodes evaluated one call each. The report also carries, with no
 floor, the PPO update's microseconds per minibatch and ``act_batch``'s
-per call. Reports persist to ``reports/fleet-env.{txt,json}`` so the
+per call. Reports persist as ``fleet-env.{txt,json}`` so the
 fleet-RL throughput and per-call trajectories are tracked across PRs.
 Guard: the batched environment is at least 3x
 the scalar loop, as the median over alternating batched/looped pairs

@@ -7,7 +7,7 @@ horizon)`` discount plane must run at numpy speed — this is what lets a
 pricing study re-price the same fleet per method without re-drawing
 anything. Second, the end-to-end ``run_pricing`` comparison at a scaled
 fleet size, so the wall-clock of a Table III reproduction is tracked
-across PRs. Reports land in ``reports/pricing.{txt,json}``.
+across PRs. Reports land in ``pricing.{txt,json}``.
 """
 
 from __future__ import annotations

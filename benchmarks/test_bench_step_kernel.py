@@ -14,8 +14,8 @@ check. This bench measures the payoff two ways on the canonical
   hardware-independent speedup the guard asserts on (the median over
   alternating fused/reference pairs, so load on a shared host slows
   both sides of a pair instead of one engine's whole timing); and
-* against the absolute PR-3 rate recorded in ``reports/fleet.txt``
-  (582,104 hub-slots/sec), reported for the cross-PR trend.
+* against the absolute rate the fleet bench recorded before the step
+  kernel's overhaul (582,104 hub-slots/sec), reported for the trend.
 
 Both engines must also agree numerically (profit within 1e-6, columns
 within atol 1e-9 — the same tolerance as the scalar-equivalence suite).
@@ -43,7 +43,7 @@ from repro.fleet import (
 
 N_HUBS = 100
 
-#: PR-3 batched rate recorded in reports/fleet.txt before the overhaul.
+#: Batched rate the fleet bench recorded before the step kernel's overhaul.
 PR3_BASELINE_RATE = 582_104.0
 
 #: Alternating fused/reference pairs the speedup guard takes the median of.

@@ -176,7 +176,8 @@ def _fleet_result(
     voll_cost = book.voll_cost
     unserved = book.total_unserved_kwh
     shortfall = book.total_import_shortfall_kwh
-    congested = book.congested_feeder_slots
+    feeder_aggregates = book.feeder_aggregates()
+    congested = feeder_aggregates["congested_feeder_slots"]
     coupled = resolved.grid.feeder_capacity_kw is not None
     voll = resolved.run.voll_per_kwh
     feeders = book.feeders
@@ -201,10 +202,7 @@ def _fleet_result(
         "feeder_capacity_kw": resolved.grid.feeder_capacity_kw,
         "allocation": feeders.policy,
         "import_shortfall_kwh": shortfall,
-        "congested_feeder_slots": congested,
-        "feeder_import_kwh": book.feeder_import_kwh,
-        "feeder_shortfall_kwh": book.feeder_shortfall_kwh,
-        "feeder_peak_import_kw": book.feeder_peak_import_kw,
+        **feeder_aggregates,
     }
     if pricing is not None:
         # Deterministic pricing provenance: how the discount plane was

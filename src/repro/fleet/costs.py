@@ -408,36 +408,52 @@ class FleetCostBook:
         self._require_dense("feeder_shortfall_kw()")
         return self._per_feeder_slots("import_shortfall_kw")
 
+    def _import_aggregates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Imported energy and worst-slot draw per feeder, one roll-up."""
+        if self._windowed:
+            return self._acc_feeder_import.copy(), self._acc_feeder_peak.copy()
+        imports = self.feeder_import_kw()
+        if imports.shape[1] == 0:
+            return imports.sum(axis=1), np.zeros(self.feeders.n_feeders)
+        return imports.sum(axis=1), imports.max(axis=1)
+
+    def _shortfall_aggregates(self) -> tuple[np.ndarray, int]:
+        """Curtailed energy per feeder and congested feeder-slots, one roll-up."""
+        if self._windowed:
+            return self._acc_feeder_shortfall.copy(), self._congested_slots
+        shortfall = self.feeder_shortfall_kw()
+        return shortfall.sum(axis=1), int((shortfall > 0.0).sum())
+
+    def feeder_aggregates(self) -> dict:
+        """The four per-feeder aggregates below, each column rolled up once."""
+        import_kwh, peak_import_kw = self._import_aggregates()
+        shortfall_kwh, congested = self._shortfall_aggregates()
+        return {
+            "congested_feeder_slots": congested,
+            "feeder_import_kwh": import_kwh,
+            "feeder_shortfall_kwh": shortfall_kwh,
+            "feeder_peak_import_kw": peak_import_kw,
+        }
+
     @property
     def feeder_import_kwh(self) -> np.ndarray:
         """Imported energy per feeder (uniform 1 h slots)."""
-        if self._windowed:
-            return self._acc_feeder_import.copy()
-        return self.feeder_import_kw().sum(axis=1)
+        return self._import_aggregates()[0]
 
     @property
     def feeder_shortfall_kwh(self) -> np.ndarray:
         """Curtailed import energy per feeder (uniform 1 h slots)."""
-        if self._windowed:
-            return self._acc_feeder_shortfall.copy()
-        return self.feeder_shortfall_kw().sum(axis=1)
+        return self._shortfall_aggregates()[0]
 
     @property
     def feeder_peak_import_kw(self) -> np.ndarray:
         """Worst-slot granted draw per feeder."""
-        if self._windowed:
-            return self._acc_feeder_peak.copy()
-        imports = self.feeder_import_kw()
-        if imports.shape[1] == 0:
-            return np.zeros(self.feeders.n_feeders)
-        return imports.max(axis=1)
+        return self._import_aggregates()[1]
 
     @property
     def congested_feeder_slots(self) -> int:
         """Feeder-slots where the import limit curtailed somebody."""
-        if self._windowed:
-            return self._congested_slots
-        return int((self.feeder_shortfall_kw() > 0.0).sum())
+        return self._shortfall_aggregates()[1]
 
     # ------------------------------------------------------------------ #
     # Network totals                                                       #

@@ -11,6 +11,7 @@ and :func:`resolve_occupancy` implements the strata semantics.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -221,6 +222,23 @@ def fleet_traces(scenarios: Sequence[HubScenario]) -> FleetTraces:
     )
 
 
+@functools.lru_cache(maxsize=128)
+def _sized_battery(
+    battery: BatteryConfig,
+    base_station: BaseStationConfig,
+    n_base_stations: int,
+    recovery_time_h: int,
+) -> BatteryConfig:
+    """The Eq. 6-sized battery, once per distinct key: a fleet's hubs
+    share a few (battery, BS config, BS count, ``T_r``) combinations. A
+    key that violates Eq. 6 is not cached, so it raises on every call."""
+    return sized_battery_config(
+        battery,
+        BaseStationCluster(n_base_stations, base_station),
+        recovery_time_h,
+    )
+
+
 def build_scenario(
     site: HubSite,
     config: ScenarioConfig,
@@ -242,9 +260,11 @@ def build_scenario(
     wt_config = (
         WindTurbineConfig(rated_kw=site.wt_kw) if site.wt_kw > 0 else None
     )
-    cluster = BaseStationCluster(site.n_base_stations, config.base_station)
-    battery = sized_battery_config(
-        config.battery, cluster, config.recovery_time_h
+    battery = _sized_battery(
+        config.battery,
+        config.base_station,
+        site.n_base_stations,
+        config.recovery_time_h,
     )
 
     hub_config = HubConfig(

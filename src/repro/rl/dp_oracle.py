@@ -35,6 +35,26 @@ class OracleResult:
     soc_trajectory_kwh: np.ndarray
 
 
+def _nearest_level(levels: list[float], step: float, value: float) -> int:
+    """``int(np.argmin(np.abs(np.asarray(levels) - value)))`` for the
+    ``np.linspace`` grid ``levels`` of spacing ``step``, without the scan.
+
+    The nearest level is within one of the level ``value`` falls on, so
+    only the levels from one below it to two above are compared, each
+    with the same ``abs(level - value)``; the first of equal distances
+    wins, as in ``argmin``. ``value`` must be finite.
+    """
+    last = len(levels) - 1
+    below = int((value - levels[0]) / step)
+    nearest = first = min(max(below - 1, 0), last)
+    distance = abs(levels[first] - value)
+    for k in range(first + 1, min(max(below + 2, 0), last) + 1):
+        candidate = abs(levels[k] - value)
+        if candidate < distance:
+            nearest, distance = k, candidate
+    return nearest
+
+
 def optimal_schedule(
     simulation: FleetSimulation,
     hub: int,
@@ -100,8 +120,11 @@ def optimal_schedule(
         grid_cost = max(residual_static[t] + bus_kw, 0.0) * dt * rtp[t]
         return revenue[t] - grid_cost - (c_bp if active else 0.0)
 
+    levels = grid.tolist()
+    step = (soc_max - soc_min) / (n_soc_levels - 1)
+
     def snap(soc: float) -> int:
-        return int(np.argmin(np.abs(grid - soc)))
+        return _nearest_level(levels, step, soc)
 
     value = np.zeros((horizon + 1, n_soc_levels))
     best_action = np.zeros((horizon, n_soc_levels), dtype=int)

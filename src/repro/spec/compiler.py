@@ -13,7 +13,9 @@ layer too.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
 import json
 from dataclasses import dataclass
 
@@ -379,6 +381,26 @@ def stack_key(spec: ScenarioSpec) -> tuple[str, str] | None:
     return assembly_fingerprint(spec), spec.run.storage
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic GC, and restore the caller's GC state on the way out.
+
+    A compile allocates tens of thousands of long-lived, acyclic objects
+    on a city fleet (two per rng stream, a few records per hub), and
+    each gen-0 threshold they pass would have the collector traverse them
+    again, up to a full collection. Nested pauses leave the outer one in
+    charge, and a caller that already disabled the GC keeps it disabled.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def _assemble_fleet(spec: ScenarioSpec) -> FleetAssembly:
     """Resolve a spec into sites, traces, blackout masks, and feeders."""
     sites, per_hub, feeders, n_hubs, days, horizon = assemble_sites(spec)
@@ -548,41 +570,47 @@ def build(
 
     from ..fleet.builder import fleet_simulation_from_scenarios
 
-    # One job keeps the engine state (n_hubs,); a stack broadcasts each
-    # job's initial SoC over its hubs.
-    soc = [job.run.initial_soc_fraction for job in specs]
-    simulation = fleet_simulation_from_scenarios(
-        assembly.scenarios,
-        assembly.realize_occupancy(discount_rows),
-        discount_rows,
-        outage=assembly.outage,
-        initial_soc_fraction=soc[0] if len(specs) == 1 else np.array(soc)[:, None],
-        # Equal stack keys leave only the feeder policy to differ between
-        # the jobs' assemblies.
-        feeders=[
-            dataclasses.replace(assembly.feeders, policy=job.grid.allocation)
-            for job in specs
-        ],
-        voll_per_kwh=[job.run.voll_per_kwh for job in specs],
-        storage=first.run.storage,
-        n_jobs=len(specs),
-    )
-    compiled = [
-        CompiledScenario(
-            spec=job,
-            scenarios=assembly.scenarios,
-            simulation=simulation,
-            scheduler=make_scheduler(
-                job.scheduler,
-                n_hubs=assembly.n_hubs,
-                rng_factory=RngFactory(seed=job.run.seed),
+    # The assembly paused the GC for its own objects; the engine's are
+    # built under a pause too. A pricing compile trains between the two
+    # with the GC running.
+    with _gc_paused():
+        # One job keeps the engine state (n_hubs,); a stack broadcasts each
+        # job's initial SoC over its hubs.
+        soc = [job.run.initial_soc_fraction for job in specs]
+        simulation = fleet_simulation_from_scenarios(
+            assembly.scenarios,
+            assembly.realize_occupancy(discount_rows),
+            discount_rows,
+            outage=assembly.outage,
+            initial_soc_fraction=(
+                soc[0] if len(specs) == 1 else np.array(soc)[:, None]
             ),
-            n_hubs=assembly.n_hubs,
-            days=assembly.days,
-            pricing=pricing_compiled,
+            # Equal stack keys leave only the feeder policy to differ between
+            # the jobs' assemblies.
+            feeders=[
+                dataclasses.replace(assembly.feeders, policy=job.grid.allocation)
+                for job in specs
+            ],
+            voll_per_kwh=[job.run.voll_per_kwh for job in specs],
+            storage=first.run.storage,
+            n_jobs=len(specs),
         )
-        for job in specs
-    ]
+        compiled = [
+            CompiledScenario(
+                spec=job,
+                scenarios=assembly.scenarios,
+                simulation=simulation,
+                scheduler=make_scheduler(
+                    job.scheduler,
+                    n_hubs=assembly.n_hubs,
+                    rng_factory=RngFactory(seed=job.run.seed),
+                ),
+                n_hubs=assembly.n_hubs,
+                days=assembly.days,
+                pricing=pricing_compiled,
+            )
+            for job in specs
+        ]
     return compiled if stacked else compiled[0]
 
 

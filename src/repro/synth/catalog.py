@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import ConfigError
 from ..rng import RngFactory
 
@@ -85,6 +83,11 @@ def default_fleet(
     rng = factory.stream("catalog/fleet")
     n_urban = int(round(urban_fraction * n_hubs))
 
+    # Each jitter draw is a Python float clipped with min/max: bit for bit
+    # what ``float(np.clip(draw, lo, hi))`` gives a finite draw, at a
+    # tenth of the cost per draw. The normal and integer draws interleave
+    # on one stream, so they stay one at a time.
+    normal, integers = rng.normal, rng.integers
     sites: list[HubSite] = []
     for hub_id in range(n_hubs):
         urban = hub_id < n_urban if n_urban else False
@@ -95,10 +98,10 @@ def default_fleet(
                 HubSite(
                     hub_id=hub_id,
                     kind="urban",
-                    pv_kw=float(np.clip(rng.normal(20.0, 4.0), 8.0, 35.0)),
+                    pv_kw=min(max(normal(20.0, 4.0), 8.0), 35.0),
                     wt_kw=0.0,
-                    traffic_scale=float(np.clip(rng.normal(1.2, 0.15), 0.8, 1.6)),
-                    n_base_stations=int(rng.integers(2, 4)),
+                    traffic_scale=min(max(normal(1.2, 0.15), 0.8), 1.6),
+                    n_base_stations=int(integers(2, 4)),
                 )
             )
         else:
@@ -106,10 +109,10 @@ def default_fleet(
                 HubSite(
                     hub_id=hub_id,
                     kind="rural",
-                    pv_kw=float(np.clip(rng.normal(30.0, 6.0), 10.0, 50.0)),
-                    wt_kw=float(np.clip(rng.normal(25.0, 6.0), 8.0, 45.0)),
-                    traffic_scale=float(np.clip(rng.normal(0.7, 0.1), 0.4, 1.0)),
-                    n_base_stations=int(rng.integers(1, 3)),
+                    pv_kw=min(max(normal(30.0, 6.0), 10.0), 50.0),
+                    wt_kw=min(max(normal(25.0, 6.0), 8.0), 45.0),
+                    traffic_scale=min(max(normal(0.7, 0.1), 0.4), 1.0),
+                    n_base_stations=int(integers(1, 3)),
                 )
             )
     return sites

@@ -17,10 +17,21 @@ import numpy as np
 def normal_rows(
     rngs: Sequence[np.random.Generator], scale: float, n: int
 ) -> np.ndarray:
-    """``(len(rngs), n)`` plane: one ``normal(0, scale, size=n)`` per stream."""
-    return np.array([rng.normal(0.0, scale, size=n) for rng in rngs]).reshape(
-        len(rngs), n
-    )
+    """``(len(rngs), n)`` plane: one ``normal(0, scale, size=n)`` per stream.
+
+    Each stream fills its row with standard normals in place, and the
+    plane is scaled once: ``normal`` computes ``0.0 + scale * z`` per draw,
+    and ``*= scale`` then ``+= 0.0`` is that expression bit for bit, with
+    each stream left in the same state.
+    """
+    if scale < 0:
+        raise ValueError("scale < 0")
+    plane = np.empty((len(rngs), n))
+    for rng, row in zip(rngs, plane):
+        rng.standard_normal(out=row)
+    plane *= scale
+    plane += 0.0
+    return plane
 
 
 def ar1_rows(noise: np.ndarray, phi: float, state: np.ndarray) -> np.ndarray:

@@ -484,6 +484,57 @@ class TestFleetBook:
         second = sim.run(FleetRuleBasedScheduler()).profit
         assert first == second
 
+    def test_dense_feeder_aggregates_roll_each_column_up_once(self, monkeypatch):
+        # A small roll-up block gives a 6-hub book several slot blocks.
+        from repro.fleet import costs
+
+        monkeypatch.setattr(costs, "_ROLLUP_HUB_SLOTS", 6 * 5)
+        _, sim = build_default_fleet(
+            6, n_days=1, seed=2, n_feeders=2, feeder_capacity_kw=20.0
+        )
+        feeder_sums = FeederGroup.feeder_sums
+        calls = []
+
+        def counting(self, block):
+            calls.append(block.shape)
+            return feeder_sums(self, block)
+
+        def old_path(book, name):
+            """A fresh roll-up per aggregate, as each used to make."""
+            column = getattr(book, name)[:, : len(book)]
+            return np.concatenate(
+                [
+                    feeder_sums(book.feeders, column[:, start : start + 5])
+                    for start in range(0, len(book), 5)
+                ],
+                axis=1,
+            ).reshape(book.n_feeders, len(book))
+
+        monkeypatch.setattr(FeederGroup, "feeder_sums", counting)
+        sim.reset()
+        # Part of the day, then the whole day.
+        for stop in (7, sim.horizon):
+            while sim.t < stop:
+                sim.step(np.ones(sim.n_hubs, dtype=int) * (1 - sim.t % 3))
+            book = sim.book
+            del calls[:]
+            aggregates = book.feeder_aggregates()
+            assert len(calls) == 2 * -(-len(book) // 5)
+            imports = old_path(book, "p_grid_kw")
+            shortfall = old_path(book, "import_shortfall_kw")
+            expected = {
+                "feeder_import_kwh": imports.sum(axis=1),
+                "feeder_peak_import_kw": imports.max(axis=1),
+                "feeder_shortfall_kwh": shortfall.sum(axis=1),
+            }
+            for name, reference in expected.items():
+                assert aggregates[name].tobytes() == reference.tobytes(), name
+                assert getattr(book, name).tobytes() == reference.tobytes(), name
+            congested = int((shortfall > 0.0).sum())
+            assert aggregates["congested_feeder_slots"] == congested
+            assert book.congested_feeder_slots == congested
+        assert congested > 0
+
 
 class TestSchedulerFactory:
     def test_names(self):

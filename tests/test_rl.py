@@ -24,6 +24,7 @@ from repro.rl import (
     PpoConfig,
     optimal_schedule,
 )
+from repro.rl.dp_oracle import _nearest_level
 from repro.rng import RngFactory
 from scalar_oracle import (
     EctHubEnv,
@@ -417,6 +418,40 @@ class TestDpOracle:
         # Executing the oracle schedule in the real engine lands close to
         # the oracle value (exact up to SoC-grid snapping).
         assert book.profit == pytest.approx(oracle.total_reward, rel=0.05, abs=5.0)
+
+    @pytest.mark.parametrize(
+        "soc_min, soc_max, n_levels",
+        [(20.0, 190.0, 41), (0.1, 0.95, 21), (37.5, 38.125, 2), (12.3, 456.7, 101)],
+    )
+    def test_nearest_level_is_argmin(self, soc_min, soc_max, n_levels):
+        grid = np.linspace(soc_min, soc_max, n_levels)
+        step = (soc_max - soc_min) / (n_levels - 1)
+        levels = grid.tolist()
+        rng = np.random.default_rng(n_levels)
+        span = soc_max - soc_min
+        values = [
+            *rng.uniform(soc_min, soc_max, 2000),
+            *levels,
+            *((grid[:-1] + grid[1:]) / 2),
+            *np.nextafter(grid, np.inf),
+            *np.nextafter(grid, -np.inf),
+            soc_min - 1e-12,
+            soc_min - span,
+            soc_max + 1e-12,
+            soc_max + span,
+            *rng.uniform(soc_min - span, soc_max + span, 500),
+        ]
+        for value in values:
+            value = float(value)
+            expected = int(np.argmin(np.abs(grid - value)))
+            assert _nearest_level(levels, step, value) == expected, value
+
+    def test_nearest_level_breaks_ties_low_like_argmin(self):
+        # Levels 0, 1, 2, 3: 0.5, 1.5 and 2.5 are exact midpoints.
+        levels = np.linspace(0.0, 3.0, 4).tolist()
+        for value, expected in ((0.5, 0), (1.5, 1), (2.5, 2)):
+            assert int(np.argmin(np.abs(np.array(levels) - value))) == expected
+            assert _nearest_level(levels, 1.0, value) == expected
 
     def test_oracle_rejects_outages(self, env_setup):
         sim = self._simulation(env_setup, n=24, outage=np.ones((1, 24), dtype=bool))
