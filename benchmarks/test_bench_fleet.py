@@ -51,7 +51,7 @@ def test_bench_fleet_throughput():
     def batched():
         sim.reset()
         start = time.perf_counter()
-        results["batched"] = sim.run(FleetRuleBasedScheduler())
+        results["batched"] = sim.run_jobs([FleetRuleBasedScheduler()])[0]
         return time.perf_counter() - start
 
     def looped():
@@ -147,7 +147,9 @@ def test_bench_fleet_coupling_overhead():
         def run():
             sim.reset()
             start = time.perf_counter()
-            books[name] = sim.run(FleetRuleBasedScheduler(congestion_aware=False))
+            (books[name],) = sim.run_jobs(
+                [FleetRuleBasedScheduler(congestion_aware=False)]
+            )
             return time.perf_counter() - start
 
         return run
@@ -156,7 +158,9 @@ def test_bench_fleet_coupling_overhead():
     # engine's fast path), peaks read off the book's feeder rollup.
     run_uncoupled = timed("uncoupled", build(np.inf))
     run_uncoupled()
-    capacity = 0.7 * float(books["uncoupled"].feeder_peak_import_kw.max())
+    capacity = 0.7 * float(
+        books["uncoupled"].feeder_aggregates()["feeder_peak_import_kw"].max()
+    )
     uncoupled_times, coupled_times, overheads = timed_pairs(
         run_uncoupled, timed("coupled", build(capacity)), N_PAIRS_COUPLING
     )
@@ -166,6 +170,7 @@ def test_bench_fleet_coupling_overhead():
 
     hub_slots = N_HUBS * reference_book.horizon
     overhead = statistics.median(overheads)
+    congested = coupled_book.feeder_aggregates()["congested_feeder_slots"]
     report = "\n".join(
         [
             "== fleet: shared-grid coupling overhead ==",
@@ -179,7 +184,7 @@ def test_bench_fleet_coupling_overhead():
             f"overhead  {overhead:>12.2f}x  median of {N_PAIRS_COUPLING} pairs, "
             f"range {min(overheads):.2f}-{max(overheads):.2f}x  (guard: < 2x)",
             f"congestion: {coupled_book.total_import_shortfall_kwh:,.1f} kWh "
-            f"curtailed over {coupled_book.congested_feeder_slots} "
+            f"curtailed over {congested} "
             "congested feeder-slots",
         ]
     )
@@ -199,13 +204,13 @@ def test_bench_fleet_coupling_overhead():
             "uncoupled_hub_slots_per_sec": hub_slots / uncoupled_s,
             "coupled_hub_slots_per_sec": hub_slots / coupled_s,
             "overhead": overhead,
-            "congested_feeder_slots": coupled_book.congested_feeder_slots,
+            "congested_feeder_slots": congested,
             "curtailed_kwh": coupled_book.total_import_shortfall_kwh,
         },
     )
     print("\n" + report)
 
     # The congested run must actually exercise the coupling path.
-    assert coupled_book.congested_feeder_slots > 0
+    assert congested > 0
     # Guard: the allocation step costs less than the batched step itself.
     assert overhead < 2.0, report

@@ -55,10 +55,10 @@ def test_bench_fleet_city():
     # horizon-independent, so shrinking the days under ECT_BENCH_SCALE
     # would shrink only the dense side and make the fraction meaningless.
     mem_spec = spec.with_overrides({"run.days": DAYS})
-    dense_book = api.build(mem_spec).simulation.book
+    dense_book = api.build(mem_spec).simulation.books[0]
     windowed_book = api.build(
         mem_spec.with_overrides({"run.storage": "windowed"})
-    ).simulation.book
+    ).simulation.books[0]
     fraction = windowed_book.nbytes / dense_book.nbytes
 
     n_hubs = single.data["n_hubs"]

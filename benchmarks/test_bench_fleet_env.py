@@ -268,7 +268,7 @@ def test_bench_fleet_env_throughput():
 
     # The batched env must actually batch: one kernel step per slot, and
     # a stacked evaluation steps all its episodes at once.
-    assert len(fleet_env.simulation.book) == episode_h
+    assert fleet_env.simulation.books[0]._n_recorded == episode_h
     assert eval_returns["stacked_columns"] == EVAL_EPISODES * N_HUBS
     assert eval_returns["stacked"].tobytes() == eval_returns["looped"].tobytes()
     if not relaxed:

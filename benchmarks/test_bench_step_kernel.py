@@ -32,6 +32,7 @@ import time
 import numpy as np
 
 from conftest import perf_relaxed, timed_pairs, write_perf_report
+from fleet_oracle import slot_traces
 from repro.energy.battery import CHARGE, DISCHARGE, IDLE
 from repro.errors import FleetError, GridError
 from repro.fleet import (
@@ -61,7 +62,7 @@ class ReferenceStepSimulation(FleetSimulation):
     the hardware running the bench instead of against a recorded number
     from other silicon. Only ``step`` differs, plus the cumulative
     battery throughput it keeps (the fused engine books none), the
-    slot-by-slot ``run``, and the book write it needs into a book of its
+    slot-by-slot ``run_jobs``, and the book write it needs into a book of its
     own; construction, feeders, and schedulers are shared with the fused
     engine.
     """
@@ -83,20 +84,22 @@ class ReferenceStepSimulation(FleetSimulation):
             ),
         )
 
-    def run(self, scheduler):
+    def run_jobs(self, schedulers, *, lead=None):
         """The per-slot loop: plan the remaining horizon, step each slot."""
+        (scheduler,) = schedulers
         reset_hook = getattr(scheduler, "reset", None)
         if callable(reset_hook):
             reset_hook(self)
         for slot_actions in np.transpose(scheduler(self, self.t, self.horizon)):
             self.step(slot_actions)
-        return self.book
+        return self.books
 
     def _record(self, t: int, columns: dict[str, np.ndarray]) -> None:
         """Write one resolved slot into the (dense) book and commit it."""
+        (book,) = self.books
         for name, values in columns.items():
-            getattr(self.book, name)[:, t] = values
-        self.book.commit_slots(t, t + 1)
+            getattr(book, name)[:, t] = values
+        book.commit_slots(t, t + 1)
 
     def step(self, actions: np.ndarray) -> dict[str, np.ndarray]:
         if self.done:
@@ -114,7 +117,7 @@ class ReferenceStepSimulation(FleetSimulation):
         dt = params.dt_h
         blackout = self._outage[:, t]
 
-        slot = self.inputs.slot(t)
+        slot = slot_traces(self.inputs, t)
         p_bs = params.bs_power_kw(slot.load_rate)
         rtp = slot.rtp_kwh
         srtp = params.cs_base_price_kwh * (1.0 - slot.discount)
@@ -255,7 +258,7 @@ class ReferenceStepSimulation(FleetSimulation):
 def _timed_run(sim):
     sim.reset()
     start = time.perf_counter()
-    book = sim.run(FleetRuleBasedScheduler())
+    (book,) = sim.run_jobs([FleetRuleBasedScheduler()])
     return book, time.perf_counter() - start
 
 

@@ -44,7 +44,7 @@ def _timed_run(sim, telemetry):
     sim.attach_telemetry(telemetry)
     sim.reset()
     start = time.perf_counter()
-    book = sim.run(FleetRuleBasedScheduler())
+    book = sim.run_jobs([FleetRuleBasedScheduler()])[0]
     seconds = time.perf_counter() - start
     sim.attach_telemetry(None)
     return book, seconds

@@ -49,7 +49,7 @@ def run_case(soc_min_fraction: float, label: str) -> None:
         inputs,
         initial_soc_fraction=soc_min_fraction,
     )
-    book = sim.run(FleetIdleScheduler())
+    (book,) = sim.run_jobs([FleetIdleScheduler()])
 
     cluster = BaseStationCluster(2)
     needed = required_reserve_kwh(cluster, 6)

@@ -55,7 +55,7 @@ def main() -> None:
 
     # Five evaluation episodes step as one stack: book row e is episode e.
     evaluate_fleet_agent(env, agent, episodes=5)
-    ppo_daily = env.simulation.book.daily_rewards().mean()
+    ppo_daily = env.simulation.books[0].daily_rewards().mean()
 
     def heuristic_daily(scheduler) -> float:
         env.reset(5)

@@ -40,7 +40,7 @@ def main() -> None:
     sim = fleet_simulation_from_scenarios(
         [scenario], occupied, np.zeros(scenario.n_hours)
     )
-    book = sim.run(FleetRuleBasedScheduler())
+    (book,) = sim.run_jobs([FleetRuleBasedScheduler()])
 
     print(f"\nweek summary (Eqs. 8-12):")
     print(f"  charging revenue  CR = ${book.charging_revenue:9.2f}")

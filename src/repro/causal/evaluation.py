@@ -42,11 +42,6 @@ class DiscountOutcome:
             raise ConfigError("counts must be non-negative")
 
     @property
-    def n_discounted(self) -> int:
-        """Total items given the discount."""
-        return self.n_none + self.n_incentive + self.n_always
-
-    @property
     def reward(self) -> float:
         """The verified Table II reward formula."""
         return self.n_incentive - self.discount_level * (self.n_none + self.n_always)

@@ -41,11 +41,6 @@ class DiscountDecision:
         if self.discounted.shape != self.score.shape:
             raise ConfigError("discounted and score must share a shape")
 
-    @property
-    def n_discounted(self) -> int:
-        """How many items receive a discount."""
-        return int(self.discounted.sum())
-
 
 def expected_discount_reward(
     incentive_probability: np.ndarray, discount_level: float
@@ -153,12 +148,6 @@ class EctPricePolicy(DiscountPolicy):
             )
         self.model = model
         self.always_avoidance_threshold = float(always_avoidance_threshold)
-
-    def incentive_probability(
-        self, station_ids: np.ndarray, time_ids: np.ndarray
-    ) -> np.ndarray:
-        probs = self.model.predict_strata(station_ids, time_ids)
-        return probs[:, int(Stratum.INCENTIVE)]
 
     def decide(
         self,

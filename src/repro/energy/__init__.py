@@ -6,7 +6,7 @@ plants (the ``P_WT``/``P_PV`` terms of Eq. 7), grid billing (Eq. 9), and
 the degradation process behind Fig. 4.
 """
 
-from .base_station import BaseStation, BaseStationCluster, BaseStationConfig
+from .base_station import BaseStationCluster, BaseStationConfig
 from .battery import CHARGE, DISCHARGE, IDLE, BatteryConfig
 from .charging_station import ChargingStationConfig
 from .degradation import (
@@ -22,7 +22,6 @@ __all__ = [
     "CHARGE",
     "DISCHARGE",
     "IDLE",
-    "BaseStation",
     "BaseStationCluster",
     "BaseStationConfig",
     "BatteryConfig",

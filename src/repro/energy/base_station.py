@@ -8,15 +8,16 @@ with traffic (§II-B). Eq. 1 captures this as a linear ramp in the load rate
 
 (The paper's prose swaps the ``P_max``/``P_min`` labels; we follow the
 formula, so ``P_min`` is the idle draw.) Defaults use the paper's 2–4 kW
-single-BS range. A hub may aggregate several co-located BSs sharing one
-battery point; :class:`BaseStationCluster` scales the ramp accordingly.
+single-BS range. The fleet engine evaluates the ramp for every hub at once
+(:meth:`~repro.fleet.params.FleetParams.bs_power_kw`). A hub may aggregate
+several co-located BSs sharing one battery point;
+:class:`BaseStationCluster` carries their count and envelope for the Eq. 6
+reserve sizing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..errors import ConfigError
 
@@ -37,22 +38,6 @@ class BaseStationConfig:
             )
 
 
-class BaseStation:
-    """One base station; power is Eq. 1 in the load rate."""
-
-    def __init__(self, config: BaseStationConfig | None = None) -> None:
-        self.config = config or BaseStationConfig()
-
-    def power_kw(self, load_rate: np.ndarray | float) -> np.ndarray | float:
-        """``P_BS`` for load rate(s) ``α`` in [0, 1]."""
-        alpha = np.asarray(load_rate, dtype=float)
-        if alpha.size and (alpha.min() < 0.0 or alpha.max() > 1.0):
-            raise ConfigError("load_rate must lie in [0, 1]")
-        cfg = self.config
-        power = cfg.p_min_kw + alpha * (cfg.p_max_kw - cfg.p_min_kw)
-        return power if np.ndim(load_rate) else float(power)
-
-
 class BaseStationCluster:
     """Several co-located BSs sharing one hub battery point (Fig. 6)."""
 
@@ -60,18 +45,10 @@ class BaseStationCluster:
         if n_stations <= 0:
             raise ConfigError(f"n_stations must be positive, got {n_stations}")
         self.n_stations = int(n_stations)
-        self.station = BaseStation(config)
-
-    @property
-    def config(self) -> BaseStationConfig:
-        """The per-station power envelope."""
-        return self.station.config
-
-    def power_kw(self, load_rate: np.ndarray | float) -> np.ndarray | float:
-        """Aggregate ``P_BS`` assuming the cluster shares the load rate."""
-        return self.n_stations * self.station.power_kw(load_rate)
+        #: The per-station power envelope.
+        self.config = config or BaseStationConfig()
 
     @property
     def max_power_kw(self) -> float:
         """Worst-case aggregate draw (used for reserve sizing, Eq. 6)."""
-        return self.n_stations * self.station.config.p_max_kw
+        return self.n_stations * self.config.p_max_kw

@@ -60,7 +60,7 @@ def run_schedulers(*, scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         rng=factory.stream("abl/ppo"),
     )
     evaluate_fleet_agent(env, agent, episodes=episodes)
-    rows["ppo (ECT-DRL)"] = float(env.simulation.book.daily_rewards().mean())
+    rows["ppo (ECT-DRL)"] = float(env.simulation.books[0].daily_rewards().mean())
     rows["rule-based"] = evaluated(FleetRuleBasedScheduler())
     rows["greedy-renewable"] = evaluated(FleetGreedyRenewableScheduler())
     # One stream for every episode row: the rows draw in order, so the

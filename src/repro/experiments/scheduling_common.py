@@ -132,5 +132,5 @@ def _one_pair(
     return HubMethodResult(
         hub_id=scenario.site.hub_id,
         method=policy.name,
-        daily_rewards=env.simulation.book.daily_rewards(),
+        daily_rewards=env.simulation.books[0].daily_rewards(),
     )

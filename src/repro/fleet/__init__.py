@@ -41,7 +41,7 @@ from .builder import (
 )
 from .costs import FleetCostBook
 from .grid import ALLOCATION_POLICIES, FeederGroup
-from .inputs import FleetInputs, SlotTraces
+from .inputs import FleetInputs
 from .params import FleetParams
 from .planes import SlotPlanes
 from .schedulers import (
@@ -69,7 +69,6 @@ __all__ = [
     "FleetScheduler",
     "FleetSimulation",
     "SlotPlanes",
-    "SlotTraces",
     "build_default_fleet",
     "fleet_inputs_from_scenarios",
     "fleet_params_from_scenarios",

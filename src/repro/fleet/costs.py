@@ -17,8 +17,12 @@ slot can be inspected after the fact (the slot columns, the per-feeder
 slot matrices). ``storage="windowed"`` keeps only a bounded ring of the most
 recent :data:`DEFAULT_WINDOW` slots and folds each committed slot into running
 aggregates (per-hub totals, the daily Eq. 12 matrix, per-feeder
-import/shortfall/peak/congestion, blackout counts), so memory stops
-scaling with the horizon — a 10k-hub × 1-year run fits in RAM. All
+import/shortfall/peak/congestion, blackout counts), so the *book's* memory
+stops scaling with the horizon. Only the book: the engine's
+:class:`~repro.fleet.planes.SlotPlanes` and
+:class:`~repro.fleet.inputs.FleetInputs` still span the full horizon (at
+10k hubs × 8,760 slots the five float64 planes alone are 3.5 GB, and the
+six input traces as much again). All
 aggregate properties work identically in both modes (the windowed fold
 accumulates in slot order; agreement with dense is equivalence-tested at
 atol 1e-9); full-column accessors raise :class:`FleetError` in windowed
@@ -204,9 +208,6 @@ class FleetCostBook:
             )
         raise AttributeError(name)
 
-    def __len__(self) -> int:
-        return self._n_recorded
-
     @property
     def nbytes(self) -> int:
         """Bytes held by the per-slot storage (plus windowed accumulators).
@@ -379,11 +380,6 @@ class FleetCostBook:
     # Per-feeder congestion aggregates                                     #
     # ------------------------------------------------------------------ #
 
-    @property
-    def n_feeders(self) -> int:
-        """Number of feeders the fleet hangs off."""
-        return self.feeders.n_feeders
-
     def _per_feeder_slots(self, name: str) -> np.ndarray:
         """Roll a hub column up to ``(n_feeders, n_recorded)``.
 
@@ -408,52 +404,29 @@ class FleetCostBook:
         self._require_dense("feeder_shortfall_kw()")
         return self._per_feeder_slots("import_shortfall_kw")
 
-    def _import_aggregates(self) -> tuple[np.ndarray, np.ndarray]:
-        """Imported energy and worst-slot draw per feeder, one roll-up."""
-        if self._windowed:
-            return self._acc_feeder_import.copy(), self._acc_feeder_peak.copy()
-        imports = self.feeder_import_kw()
-        if imports.shape[1] == 0:
-            return imports.sum(axis=1), np.zeros(self.feeders.n_feeders)
-        return imports.sum(axis=1), imports.max(axis=1)
-
-    def _shortfall_aggregates(self) -> tuple[np.ndarray, int]:
-        """Curtailed energy per feeder and congested feeder-slots, one roll-up."""
-        if self._windowed:
-            return self._acc_feeder_shortfall.copy(), self._congested_slots
-        shortfall = self.feeder_shortfall_kw()
-        return shortfall.sum(axis=1), int((shortfall > 0.0).sum())
-
     def feeder_aggregates(self) -> dict:
-        """The four per-feeder aggregates below, each column rolled up once."""
-        import_kwh, peak_import_kw = self._import_aggregates()
-        shortfall_kwh, congested = self._shortfall_aggregates()
+        """Per-feeder imported energy, curtailed energy and worst-slot
+        draw (uniform 1 h slots), and the feeder-slots where the import
+        limit curtailed somebody; each column is rolled up once."""
+        if self._windowed:
+            return {
+                "congested_feeder_slots": self._congested_slots,
+                "feeder_import_kwh": self._acc_feeder_import.copy(),
+                "feeder_shortfall_kwh": self._acc_feeder_shortfall.copy(),
+                "feeder_peak_import_kw": self._acc_feeder_peak.copy(),
+            }
+        imports = self.feeder_import_kw()
+        shortfall = self.feeder_shortfall_kw()
         return {
-            "congested_feeder_slots": congested,
-            "feeder_import_kwh": import_kwh,
-            "feeder_shortfall_kwh": shortfall_kwh,
-            "feeder_peak_import_kw": peak_import_kw,
+            "congested_feeder_slots": int((shortfall > 0.0).sum()),
+            "feeder_import_kwh": imports.sum(axis=1),
+            "feeder_shortfall_kwh": shortfall.sum(axis=1),
+            "feeder_peak_import_kw": (
+                imports.max(axis=1)
+                if imports.shape[1]
+                else np.zeros(self.feeders.n_feeders)
+            ),
         }
-
-    @property
-    def feeder_import_kwh(self) -> np.ndarray:
-        """Imported energy per feeder (uniform 1 h slots)."""
-        return self._import_aggregates()[0]
-
-    @property
-    def feeder_shortfall_kwh(self) -> np.ndarray:
-        """Curtailed import energy per feeder (uniform 1 h slots)."""
-        return self._shortfall_aggregates()[0]
-
-    @property
-    def feeder_peak_import_kw(self) -> np.ndarray:
-        """Worst-slot granted draw per feeder."""
-        return self._import_aggregates()[1]
-
-    @property
-    def congested_feeder_slots(self) -> int:
-        """Feeder-slots where the import limit curtailed somebody."""
-        return self._shortfall_aggregates()[1]
 
     # ------------------------------------------------------------------ #
     # Network totals                                                       #

@@ -8,7 +8,6 @@ every exogenous trace the engine reads, validated by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,17 +65,6 @@ def validate_exogenous_traces(
         raise DataError("discount must lie in [0, 1)")
 
 
-class SlotTraces(NamedTuple):
-    """One slot's exogenous columns, each shaped ``(n_hubs,)``."""
-
-    load_rate: np.ndarray
-    rtp_kwh: np.ndarray
-    pv_power_kw: np.ndarray
-    wt_power_kw: np.ndarray
-    occupied: np.ndarray
-    discount: np.ndarray
-
-
 @dataclass(frozen=True)
 class FleetInputs:
     """Exogenous traces for a whole fleet, all shaped ``(n_hubs, horizon)``.
@@ -123,19 +111,6 @@ class FleetInputs:
     def horizon(self) -> int:
         """Number of slots per hub."""
         return int(self.load_rate.shape[1])
-
-    def slot(self, t: int) -> SlotTraces:
-        """All six trace columns at slot ``t`` — the engine's per-step view."""
-        if not 0 <= t < self.horizon:
-            raise FleetError(f"slot {t} out of range for horizon {self.horizon}")
-        return SlotTraces(
-            load_rate=self.load_rate[:, t],
-            rtp_kwh=self.rtp_kwh[:, t],
-            pv_power_kw=self.pv_power_kw[:, t],
-            wt_power_kw=self.wt_power_kw[:, t],
-            occupied=self.occupied[:, t],
-            discount=self.discount[:, t],
-        )
 
     def outage_mask(self) -> np.ndarray:
         """Boolean ``(n_hubs, horizon)`` blackout mask (all-False when None).

@@ -4,7 +4,7 @@ Per slot, :meth:`FleetSimulation.step` needs the base-station draw
 (Eq. 1), the charging-station draw (Eq. 2), the discounted selling price,
 the revenue and the action-independent part of the Eq. 7 residual — none
 of which depend on the battery actions being applied. A per-slot step
-would rebuild them from ``inputs.slot(t)`` tuples on every step;
+would rebuild them from the slot's trace columns on every step;
 :class:`SlotPlanes` computes each one **once** as an ``(n_hubs,
 horizon)`` plane so the fused kernel only reads column views.
 
@@ -132,23 +132,4 @@ class SlotPlanes:
             - self.p_bs_kw[:, at]
             - p_cs,
             0.0,
-        )
-
-    @property
-    def n_hubs(self) -> int:
-        """Number of hub rows."""
-        return int(self.p_bs_kw.shape[0])
-
-    @property
-    def horizon(self) -> int:
-        """Number of slots per hub."""
-        return int(self.p_bs_kw.shape[1])
-
-    @property
-    def nbytes(self) -> int:
-        """Total plane memory in bytes."""
-        return sum(
-            getattr(self, name).nbytes
-            for name in self.__slots__
-            if not name.startswith("_")
         )

@@ -211,9 +211,10 @@ class FleetSimulation:
         self._telemetry = None
         #: Book storage layout: "dense" keeps full (n_hubs, horizon)
         #: columns; "windowed" folds committed slots into running
-        #: aggregates over a bounded ring (memory stops scaling with the
-        #: horizon). The kernel branches once per step to refresh the
-        #: exogenous ring columns the dense path pre-fills at reset.
+        #: aggregates over a bounded ring (the book's memory stops scaling
+        #: with the horizon; the planes and inputs still span it). The
+        #: kernel branches once per step to refresh the exogenous ring
+        #: columns the dense path pre-fills at reset.
         self._book_storage = storage
         self._windowed_book = storage == "windowed"
         self._precompute_constants()
@@ -393,21 +394,6 @@ class FleetSimulation:
     def done(self) -> bool:
         """Whether the horizon has been exhausted."""
         return self._t >= self._horizon
-
-    @property
-    def soc_fraction(self) -> np.ndarray:
-        """Per-hub state of charge as a fraction of capacity."""
-        return self.soc_kwh / self.params.capacity_kwh
-
-    @property
-    def book(self) -> FleetCostBook:
-        """The cost book of a single-job engine (stacked: :attr:`books`)."""
-        if self.n_jobs != 1:
-            raise FleetError(
-                f"a stacked engine keeps one book per job ({self.n_jobs}); "
-                f"use .books"
-            )
-        return self._books[0]
 
     @property
     def books(self) -> tuple[FleetCostBook, ...]:
@@ -746,21 +732,6 @@ class FleetSimulation:
         return np.stack(
             [group.available_import_kw(base, t) for group in self.job_feeders]
         )
-
-    def run(self, scheduler) -> FleetCostBook:
-        """Run the remaining horizon under one open-loop block planner.
-
-        ``scheduler(view, start, stop)`` returns the ``(n_hubs, stop -
-        start)`` actions of a block of slots (see :mod:`repro.fleet.
-        schedulers`); an optional ``reset(view)`` hook runs once before
-        stepping. Returns the completed :class:`FleetCostBook`. Stacked
-        engines run through :meth:`run_jobs`.
-        """
-        if self.n_jobs != 1:
-            raise FleetError(
-                "a stacked engine runs one scheduler per job; use run_jobs()"
-            )
-        return self.run_jobs([scheduler])[0]
 
     def run_jobs(
         self, schedulers: Sequence, *, lead: Sequence[int] | None = None

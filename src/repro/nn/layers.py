@@ -118,12 +118,6 @@ class Sequential(Module):
     def __init__(self, *modules: Module) -> None:
         self.steps = list(modules)
 
-    def __getitem__(self, index: int) -> Module:
-        return self.steps[index]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
 
 class MLP(Module):
     """Multi-layer perceptron with ReLU hidden activations.

@@ -25,11 +25,6 @@ class Parameter:
         self.grad: np.ndarray | None = None
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        """Shape of the value array."""
-        return self.data.shape
-
-    @property
     def size(self) -> int:
         """Number of scalar entries."""
         return self.data.size

@@ -146,10 +146,10 @@ def _check_distinct(parameters: list[Parameter]) -> None:
         for other in parameters[:i]:
             if other is param:
                 raise ModelError(
-                    f"parameter #{i} (shape {param.shape}) is listed twice"
+                    f"parameter #{i} (shape {param.data.shape}) is listed twice"
                 )
             if np.shares_memory(other.data, param.data):
                 raise ModelError(
-                    f"parameter #{i} (shape {param.shape}) aliases the memory of "
-                    f"another parameter (shape {other.shape})"
+                    f"parameter #{i} (shape {param.data.shape}) aliases the memory of "
+                    f"another parameter (shape {other.data.shape})"
                 )

@@ -166,21 +166,6 @@ class FleetRolloutBuffer:
         """Discounted returns, flattened time-major."""
         return self._returns[: self._size].reshape(-1)
 
-    @property
-    def values(self) -> np.ndarray:
-        """Stored critic values, flattened time-major."""
-        return self._values[: self._size].reshape(-1)
-
-    @property
-    def rewards(self) -> np.ndarray:
-        """Stored rewards, flattened time-major."""
-        return self._rewards[: self._size].reshape(-1)
-
-    @property
-    def dones(self) -> np.ndarray:
-        """Stored done flags, flattened time-major."""
-        return self._dones[: self._size].reshape(-1)
-
     def clear(self) -> None:
         """Reset for the next rollout."""
         self._size = 0

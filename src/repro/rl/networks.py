@@ -185,22 +185,6 @@ class ActorCritic(nn.Module):
     # Acting                                                               #
     # ------------------------------------------------------------------ #
 
-    def act(
-        self, state: np.ndarray, rng: np.random.Generator
-    ) -> tuple[int, float, float]:
-        """Sample an action; returns (action, log_prob, value)."""
-        logits, value = self.forward(state)
-        log_probs = nn.kernels.log_softmax(logits)[0]
-        probs = np.exp(log_probs)
-        probs = probs / probs.sum()
-        action = int(rng.choice(self.n_actions, p=probs))
-        return action, float(log_probs[action]), float(value[0, 0])
-
-    def greedy_action(self, state: np.ndarray) -> int:
-        """Deterministic argmax action (evaluation mode)."""
-        logits, _ = self.forward(state)
-        return int(np.argmax(logits[0]))
-
     def act_batch(
         self,
         states: np.ndarray,

@@ -209,14 +209,6 @@ class PpoAgent:
     # Acting                                                               #
     # ------------------------------------------------------------------ #
 
-    def act(self, state: np.ndarray) -> tuple[int, float, float]:
-        """Sample (action, log_prob, value) from the current policy."""
-        return self.network.act(state, self._rng)
-
-    def greedy_action(self, state: np.ndarray) -> int:
-        """Deterministic action for evaluation."""
-        return self.network.greedy_action(state)
-
     def act_batch(
         self, states: np.ndarray, *, draws: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -240,11 +232,6 @@ class PpoAgent:
     def greedy_actions(self, states: np.ndarray) -> np.ndarray:
         """Deterministic actions for a batch of states (evaluation)."""
         return self.network.greedy_actions(states)
-
-    def value(self, state: np.ndarray) -> float:
-        """Critic value of a state (for bootstrap at rollout truncation)."""
-        _, value = self.network.forward(state)
-        return float(value[0, 0])
 
     # ------------------------------------------------------------------ #
     # Learning (Eqs. 25–28)                                                #

@@ -152,11 +152,6 @@ class RngFactory:
             raise ConfigError(f"seed must be non-negative, got {seed}")
         self._seed = int(seed)
 
-    @property
-    def seed(self) -> int:
-        """The root seed this factory was created with."""
-        return self._seed
-
     def streams(self, names: Sequence[str]) -> list[np.random.Generator]:
         """One fresh generator per name, derived in one vectorized pass.
 
@@ -186,8 +181,3 @@ class RngFactory:
         if count < 0:
             raise ConfigError(f"count must be non-negative, got {count}")
         return self.streams([f"{name}/{index}" for index in range(count)])
-
-    def child(self, name: str) -> "RngFactory":
-        """A derived factory whose streams are disjoint from the parent's."""
-        key = int.from_bytes(_name_key(name), "little")
-        return RngFactory(seed=(key ^ self._seed) & 0x7FFFFFFFFFFFFFFF)

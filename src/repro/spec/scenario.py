@@ -594,14 +594,22 @@ class ScenarioSpec:
 # --------------------------------------------------------------------- #
 
 #: The saved-spec format :meth:`ScenarioSpec.to_dict` writes.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
-#: Spec fields each schema version removed, as ``(section, field)``
-#: paths keyed by that version. Loading an older payload drops them with
-#: one deprecation warning. Version 2 removed ``RunSpec.backend``, the
-#: array-backend knob (numpy is the only engine); version 3 removed
-#: ``RunSpec.shards`` (one scenario always runs in one process).
-_REMOVED_FIELDS = {2: (("run", "backend"),), 3: (("run", "shards"),)}
+#: Spec fields each schema version removed, as dotted paths keyed by that
+#: version. Loading an older payload drops them with one deprecation
+#: warning. Version 2 removed ``RunSpec.backend``, the array-backend knob
+#: (numpy is the only engine); version 3 removed ``RunSpec.shards`` (one
+#: scenario always runs in one process); version 4 removed the charging
+#: station's two delivery efficiencies, which no equation read.
+_REMOVED_FIELDS = {
+    2: ("run.backend",),
+    3: ("run.shards",),
+    4: (
+        "fleet.charging_station.dc_path_efficiency",
+        "fleet.charging_station.ac_path_efficiency",
+    ),
+}
 
 
 def _pop_schema_version(payload: dict[str, Any]) -> int:
@@ -619,7 +627,7 @@ def _pop_schema_version(payload: dict[str, Any]) -> int:
     return version
 
 
-def _removed_since(version: int) -> list[tuple[str, str]]:
+def _removed_since(version: int) -> list[str]:
     """The field paths a payload saved at ``version`` may still carry."""
     return [
         path
@@ -630,15 +638,28 @@ def _removed_since(version: int) -> list[tuple[str, str]]:
 
 
 def _drop_removed_fields(
-    spec_payload: dict[str, Any], removed: list[tuple[str, str]]
+    spec_payload: dict[str, Any], removed: list[str]
 ) -> list[str]:
-    """Drop removed fields from a spec payload in place; returns their paths."""
+    """Drop removed fields from a spec payload in place; returns their paths.
+
+    Every nested dict on a removed field's path is replaced by a copy, so
+    the dicts the payload shares with the caller's input stay untouched.
+    """
     dropped = []
-    for section, name in removed:
-        node = spec_payload.get(section)
-        if isinstance(node, dict) and name in node:
-            spec_payload[section] = {k: v for k, v in node.items() if k != name}
-            dropped.append(f"{section}.{name}")
+    for path in removed:
+        *sections, name = path.split(".")
+        node = spec_payload
+        for section in sections:
+            child = node.get(section)
+            if not isinstance(child, dict):
+                break
+            child = dict(child)
+            node[section] = child
+            node = child
+        else:
+            if name in node:
+                del node[name]
+                dropped.append(path)
     return dropped
 
 

@@ -151,10 +151,9 @@ def _migrate(payload: Any) -> Any:
         dropped += _drop_removed_fields(payload["base"], removed)
     parameters = payload.get("parameters")
     if isinstance(parameters, dict):
-        keys = {".".join(path) for path in removed}
-        dropped += [key for key in parameters if key in keys]
+        dropped += [key for key in parameters if key in removed]
         payload["parameters"] = {
-            k: v for k, v in parameters.items() if k not in keys
+            k: v for k, v in parameters.items() if k not in removed
         }
     _warn_dropped(version, dropped)
     return payload

@@ -1,8 +1,9 @@
 """Noise draws and AR(1) recursions shared by the trace generators.
 
-Every generator keeps one named stream per hub. :func:`normal_rows`
-draws each stream's whole noise row in one call — the same numbers, and
-the same stream state afterwards, as one scalar draw per slot — and
+Every generator keeps one named stream per hub. :func:`normal_rows` and
+:func:`exponential_rows` draw each stream's whole row in one call — the
+same numbers, and the same stream state afterwards, as one scalar draw
+per slot — and
 :func:`ar1_rows` runs the time recursion once for all rows together, over
 an ``(n_rows,)`` state vector.
 """
@@ -31,6 +32,25 @@ def normal_rows(
         rng.standard_normal(out=row)
     plane *= scale
     plane += 0.0
+    return plane
+
+
+def exponential_rows(
+    rngs: Sequence[np.random.Generator], scale: float, n: int
+) -> np.ndarray:
+    """``(len(rngs), n)`` plane: one ``exponential(scale, size=n)`` per stream.
+
+    Each stream fills its row with standard exponentials in place, and the
+    plane is scaled once: ``exponential`` computes ``scale * e`` per draw,
+    so ``*= scale`` is that expression bit for bit, with each stream left
+    in the same state.
+    """
+    if scale < 0:
+        raise ValueError("scale < 0")
+    plane = np.empty((len(rngs), n))
+    for rng, row in zip(rngs, plane):
+        rng.standard_exponential(out=row)
+    plane *= scale
     return plane
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import ConfigError, DataError
 from ..timeutils import SlotCalendar, diurnal_harmonic
-from .noise import ar1_rows, normal_rows
+from .noise import ar1_rows, exponential_rows, normal_rows
 
 
 @dataclass(frozen=True)
@@ -83,21 +83,10 @@ class PriceTrace:
         if len(self.price_mwh) and self.price_mwh.min() <= 0:
             raise DataError("prices must be strictly positive")
 
-    def __len__(self) -> int:
-        return len(self.price_mwh)
-
     @property
     def price_kwh(self) -> np.ndarray:
         """Prices converted to the library's $/kWh convention."""
         return self.price_mwh / 1000.0
-
-    def slice(self, start: int, stop: int) -> "PriceTrace":
-        """A sub-trace covering slots [start, stop)."""
-        if not 0 <= start <= stop <= len(self):
-            raise DataError(
-                f"invalid slice [{start}, {stop}) for trace of length {len(self)}"
-            )
-        return PriceTrace(price_mwh=self.price_mwh[start:stop])
 
 
 class RtpGenerator:
@@ -154,15 +143,13 @@ class RtpGenerator:
         )
         price = price + noise
 
-        # Each stream draws its spike mask before its spike sizes.
-        spikes = (
-            np.array([rng.random(n_hours) for rng in rngs]).reshape(n_rows, n_hours)
-            < cfg.spike_probability
-        )
-        sizes = np.array(
-            [rng.exponential(cfg.spike_scale_mwh, size=n_hours) for rng in rngs]
-        ).reshape(n_rows, n_hours)
-        price = price + spikes * sizes
+        # Each stream draws its spike mask before its spike sizes, each
+        # into its own row in place.
+        uniforms = np.empty((n_rows, n_hours))
+        for rng, row in zip(rngs, uniforms):
+            rng.random(out=row)
+        sizes = exponential_rows(rngs, cfg.spike_scale_mwh, n_hours)
+        price = price + (uniforms < cfg.spike_probability) * sizes
 
         return np.clip(price, cfg.price_floor_mwh, cfg.price_cap_mwh)
 

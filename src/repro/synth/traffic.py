@@ -85,20 +85,6 @@ class TrafficTrace:
         ):
             raise DataError("load_rate must lie in [0, 1]")
 
-    def __len__(self) -> int:
-        return len(self.volume_gb)
-
-    def slice(self, start: int, stop: int) -> "TrafficTrace":
-        """A sub-trace covering slots [start, stop)."""
-        if not 0 <= start <= stop <= len(self):
-            raise DataError(
-                f"invalid slice [{start}, {stop}) for trace of length {len(self)}"
-            )
-        return TrafficTrace(
-            volume_gb=self.volume_gb[start:stop],
-            load_rate=self.load_rate[start:stop],
-        )
-
 
 class TrafficGenerator:
     """Generates :class:`TrafficTrace` series."""

@@ -58,29 +58,14 @@ class WeatherTrace:
         if len(self.wind_speed_m_s) and self.wind_speed_m_s.min() < 0:
             raise DataError("wind speed must be non-negative")
 
-    def __len__(self) -> int:
-        return len(self.irradiance_w_m2)
-
-    def slice(self, start: int, stop: int) -> "WeatherTrace":
-        """A sub-trace covering slots [start, stop)."""
-        if not 0 <= start <= stop <= len(self):
-            raise DataError(
-                f"invalid slice [{start}, {stop}) for trace of length {len(self)}"
-            )
-        return WeatherTrace(
-            irradiance_w_m2=self.irradiance_w_m2[start:stop],
-            wind_speed_m_s=self.wind_speed_m_s[start:stop],
-            cloud_cover=self.cloud_cover[start:stop],
-        )
-
 
 class WeatherGenerator:
     """Generates :class:`WeatherTrace` objects from a seeded factory.
 
     >>> gen = WeatherGenerator(WeatherConfig(), RngFactory(seed=1))
     >>> trace = gen.generate(48)
-    >>> len(trace)
-    48
+    >>> trace.irradiance_w_m2.shape
+    (48,)
     """
 
     def __init__(

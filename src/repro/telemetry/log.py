@@ -51,11 +51,6 @@ def configure(*, verbose: bool = False, quiet: bool = False) -> int:
     return _threshold
 
 
-def level() -> int:
-    """The current global threshold."""
-    return _threshold
-
-
 def format_fields(fields: dict) -> str:
     """Render structured fields as a ``key=value`` suffix."""
     if not fields:

@@ -17,8 +17,6 @@ aggregated counters (test-enforced).
 from __future__ import annotations
 
 import math
-import time
-from contextlib import contextmanager
 
 from ..errors import ConfigError
 
@@ -94,9 +92,9 @@ class MetricsRegistry:
     * **Gauges** hold the latest value (``set_gauge``) — rates, sizes.
     * **Histograms** summarize observations (``observe``) — durations,
       per-update statistics.
-    * **Timers** accumulate wall seconds + a call count (``add_time`` or
-      the ``time()`` context manager) — sub-phase costs too fine-grained
-      for a trace span, e.g. per-slot feeder allocation.
+    * **Timers** accumulate wall seconds + a call count (``add_time``) —
+      sub-phase costs too fine-grained for a trace span, e.g. per-slot
+      feeder allocation.
     """
 
     def __init__(self) -> None:
@@ -134,15 +132,6 @@ class MetricsRegistry:
         else:
             cell[0] += seconds
             cell[1] += 1
-
-    @contextmanager
-    def time(self, name: str):
-        """Time a ``with`` block into timer ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_time(name, time.perf_counter() - start)
 
     # ------------------------------------------------------------------ #
     # Export & aggregation                                                 #

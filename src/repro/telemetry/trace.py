@@ -10,10 +10,8 @@ tree. The canonical phase names used across the codebase are ``compile``,
 timers instead).
 
 Exports: :meth:`Tracer.to_list` is the JSON trace (round-trippable —
-plain dicts and floats, nesting preserved), :meth:`Tracer.phase_totals`
-aggregates spans by name for the RunTelemetry phase table, and
-:meth:`Tracer.summary_lines` renders the human-readable indented tree.
-Start offsets are relative to the tracer's construction epoch, so traces
+plain dicts and floats, nesting preserved), and :meth:`Tracer.phase_totals`
+aggregates spans by name for the RunTelemetry phase table. Start offsets are relative to the tracer's construction epoch, so traces
 shipped back from worker processes stay meaningful without a shared
 clock.
 """
@@ -122,26 +120,3 @@ class Tracer:
             entry["count"] += 1
             stack.extend(node.get("children", ()))
         return {name: totals[name] for name in sorted(totals)}
-
-    def summary_lines(self) -> list[str]:
-        """Human-readable indented tree of span durations."""
-        lines: list[str] = []
-
-        def render(node: dict, depth: int) -> None:
-            fields = node.get("fields")
-            suffix = (
-                " [" + " ".join(f"{k}={v}" for k, v in fields.items()) + "]"
-                if fields
-                else ""
-            )
-            lines.append(
-                f"{'  ' * depth}{node['name']}{suffix}: "
-                f"{node.get('wall_s', 0.0) * 1e3:,.1f} ms wall, "
-                f"{node.get('cpu_s', 0.0) * 1e3:,.1f} ms cpu"
-            )
-            for child in node.get("children", ()):
-                render(child, depth + 1)
-
-        for span in self.to_list():
-            render(span, 0)
-        return lines

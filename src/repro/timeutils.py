@@ -81,13 +81,6 @@ class SlotCalendar:
         return dow >= 5
 
 
-def hours(n_days: int) -> int:
-    """Number of hourly slots in ``n_days`` days."""
-    if n_days < 0:
-        raise ConfigError(f"n_days must be non-negative, got {n_days}")
-    return int(n_days) * HOURS_PER_DAY
-
-
 def diurnal_harmonic(
     hour_of_day: np.ndarray,
     peak_hour: float,

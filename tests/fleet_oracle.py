@@ -20,7 +20,7 @@ windowed book's fold of one slot at a time, in slot order.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,6 +28,32 @@ from repro.energy.battery import CHARGE, DISCHARGE, IDLE
 from repro.errors import FleetError
 from repro.fleet import FeederGroup, FleetCostBook, FleetInputs
 from scalar_oracle import CostBook, HubInputs, SlotLedger
+
+
+class SlotTraces(NamedTuple):
+    """One slot's exogenous columns, each shaped ``(n_hubs,)``."""
+
+    load_rate: np.ndarray
+    rtp_kwh: np.ndarray
+    pv_power_kw: np.ndarray
+    wt_power_kw: np.ndarray
+    occupied: np.ndarray
+    discount: np.ndarray
+
+
+def slot_traces(inputs: FleetInputs, t: int) -> SlotTraces:
+    """All six trace columns at slot ``t``: the per-step view the engine
+    read before the slot planes."""
+    if not 0 <= t < inputs.horizon:
+        raise FleetError(f"slot {t} out of range for horizon {inputs.horizon}")
+    return SlotTraces(
+        load_rate=inputs.load_rate[:, t],
+        rtp_kwh=inputs.rtp_kwh[:, t],
+        pv_power_kw=inputs.pv_power_kw[:, t],
+        wt_power_kw=inputs.wt_power_kw[:, t],
+        occupied=inputs.occupied[:, t],
+        discount=inputs.discount[:, t],
+    )
 
 
 def stack_hub_inputs(inputs: Sequence[HubInputs]) -> FleetInputs:
@@ -96,7 +122,7 @@ def uniform_feeders(
 def hub_book(book: FleetCostBook, index: int) -> CostBook:
     """Hub ``index``'s scalar :class:`CostBook`, rebuilt from a dense fleet book."""
     scalar = CostBook(voll_per_kwh=book.voll_per_kwh)
-    for t in range(len(book)):
+    for t in range(book._n_recorded):
         scalar.add(
             SlotLedger(
                 slot=t,
@@ -221,16 +247,16 @@ def per_slot_fold(book: FleetCostBook) -> dict[str, np.ndarray | int]:
     """The windowed book's running aggregates, folded from a dense book's
     columns one slot at a time in slot order, with one feeder
     ``bincount`` per slot. Keys name the windowed book's public
-    aggregates."""
+    aggregates (the per-feeder ones as its ``feeder_aggregates()`` keys)."""
     n_hubs, feeders = book.n_hubs, book.feeders
     assignment, n_feeders = feeders.assignment, feeders.n_feeders
     op_cost, revenue_total = np.zeros(n_hubs), np.zeros(n_hubs)
     unserved_total, shortfall_total = np.zeros(n_hubs), np.zeros(n_hubs)
-    daily = np.zeros((n_hubs, -(-len(book) // 24)))
+    daily = np.zeros((n_hubs, -(-book._n_recorded // 24)))
     feeder_import, feeder_shortfall = np.zeros(n_feeders), np.zeros(n_feeders)
     feeder_peak = np.zeros(n_feeders)
     congested = blackout = 0
-    for t in range(len(book)):
+    for t in range(book._n_recorded):
         grid_cost, bp_cost = book.grid_cost[:, t], book.bp_cost[:, t]
         revenue, unserved = book.revenue[:, t], book.unserved_kwh[:, t]
         shortfall = book.import_shortfall_kw[:, t]

@@ -12,13 +12,15 @@ hold it to this copy within atol 1e-9.
 
 from .costs import CostBook, SlotLedger, compute_slot_ledger
 from .devices import (
+    BaseStation,
+    BaseStationCluster,
     BatteryError,
     BatteryPack,
     BatteryStepResult,
     ChargingStation,
     GridConnection,
 )
-from .env import EctHubEnv
+from .env import EctHubEnv, space_contains
 from .hub import EctHub, PowerBalance
 from .scenario import build_hub, inputs_with_occupancy, scenario_simulation
 from .schedulers import (
@@ -29,9 +31,18 @@ from .schedulers import (
     Scheduler,
 )
 from .simulation import HubInputs, HubSimulation
-from .training import TrainingHistory, evaluate_agent, evaluate_scheduler, train_ppo
+from .training import (
+    TrainingHistory,
+    act,
+    evaluate_agent,
+    evaluate_scheduler,
+    greedy_action,
+    train_ppo,
+)
 
 __all__ = [
+    "BaseStation",
+    "BaseStationCluster",
     "BatteryError",
     "BatteryPack",
     "BatteryStepResult",
@@ -50,11 +61,14 @@ __all__ = [
     "Scheduler",
     "SlotLedger",
     "TrainingHistory",
+    "act",
     "build_hub",
     "compute_slot_ledger",
     "evaluate_agent",
     "evaluate_scheduler",
+    "greedy_action",
     "inputs_with_occupancy",
     "scenario_simulation",
+    "space_contains",
     "train_ppo",
 ]

@@ -1,7 +1,9 @@
 """Stateful per-hub device objects of the scalar engine.
 
-:class:`BatteryPack` steps Eqs. 3–5 one slot at a time (partial execution
-at the SoC bounds, the Eq. 6 emergency supply in a blackout),
+:class:`BaseStation` and :class:`BaseStationCluster` draw Eq. 1 power one
+load rate at a time, :class:`BatteryPack` steps Eqs. 3–5 one slot at a
+time (partial execution at the SoC bounds, the Eq. 6 emergency supply in
+a blackout),
 :class:`ChargingStation` prices Eq. 2 power and Eq. 11 revenue, and
 :class:`GridConnection` resolves the Eq. 7 residual into a grid import
 and bills it (Eq. 9). Their configs live in :mod:`repro.energy`.
@@ -13,12 +15,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.energy import base_station
 from repro.energy.battery import CHARGE, DISCHARGE, IDLE, BatteryConfig
 from repro.energy.charging_station import ChargingStationConfig
 from repro.energy.grid import GridConfig
 from repro.errors import ConfigError, EnergyModelError, GridError
 
 _VALID_ACTIONS = (DISCHARGE, IDLE, CHARGE)
+
+
+class BaseStation:
+    """One base station; power is Eq. 1 in the load rate."""
+
+    def __init__(self, config: base_station.BaseStationConfig | None = None) -> None:
+        self.config = config or base_station.BaseStationConfig()
+
+    def power_kw(self, load_rate: np.ndarray | float) -> np.ndarray | float:
+        """``P_BS`` for load rate(s) ``α`` in [0, 1]."""
+        alpha = np.asarray(load_rate, dtype=float)
+        if alpha.size and (alpha.min() < 0.0 or alpha.max() > 1.0):
+            raise ConfigError("load_rate must lie in [0, 1]")
+        cfg = self.config
+        power = cfg.p_min_kw + alpha * (cfg.p_max_kw - cfg.p_min_kw)
+        return power if np.ndim(load_rate) else float(power)
+
+
+class BaseStationCluster(base_station.BaseStationCluster):
+    """A hub's co-located BSs, drawing Eq. 1 power at a shared load rate."""
+
+    def __init__(
+        self, n_stations: int, config: base_station.BaseStationConfig | None = None
+    ) -> None:
+        super().__init__(n_stations, config)
+        self.station = BaseStation(self.config)
+
+    def power_kw(self, load_rate: np.ndarray | float) -> np.ndarray | float:
+        """Aggregate ``P_BS`` assuming the cluster shares the load rate."""
+        return self.n_stations * self.station.power_kw(load_rate)
 
 
 class BatteryError(EnergyModelError):

@@ -37,6 +37,16 @@ from .scenario import build_hub, inputs_with_occupancy
 from .simulation import HubSimulation
 
 
+def space_contains(space: Discrete | Box, value) -> bool:
+    """Whether ``value`` is a legal element of a gym-style ``space``."""
+    if isinstance(space, Discrete):
+        return isinstance(value, (int, np.integer)) and 0 <= int(value) < space.n
+    arr = np.asarray(value)
+    return arr.shape == space.shape and bool(
+        (arr >= space.low).all() and (arr <= space.high).all()
+    )
+
+
 class EctHubEnv:
     """Gym-style environment over one hub scenario + a discount schedule."""
 
@@ -161,7 +171,7 @@ class EctHubEnv:
 
     def step(self, action: int) -> tuple[np.ndarray, float, bool, dict]:
         """Apply one action; returns (state, scaled_reward, done, info)."""
-        if not self.action_space.contains(action):
+        if not space_contains(self.action_space, action):
             raise EnvError(f"invalid action {action!r}; expected 0, 1, or 2")
         sim = self._require_sim()
         ledger = sim.step(ACTION_TO_SBP[int(action)])

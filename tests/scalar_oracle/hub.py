@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.energy.base_station import BaseStationCluster
 from repro.energy.pv import PvArray
 from repro.energy.wind_turbine import WindTurbine
 from repro.errors import HubError
 from repro.hub.hub import HubConfig
 
-from .devices import BatteryPack, ChargingStation, GridConnection
+from .devices import BaseStationCluster, BatteryPack, ChargingStation, GridConnection
 
 
 @dataclass(frozen=True)

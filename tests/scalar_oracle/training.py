@@ -1,6 +1,6 @@
 """Training and evaluation loops over one scalar :class:`EctHubEnv`.
 
-:func:`train_ppo` acts one slot at a time through ``PpoAgent.act`` and
+:func:`train_ppo` acts one slot at a time through :func:`act` and
 fills a one-hub :class:`~repro.rl.buffer.FleetRolloutBuffer`;
 :func:`evaluate_agent` and :func:`evaluate_scheduler` run the evaluation
 episodes one after another and read each episode's daily rewards off the
@@ -13,12 +13,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import nn
 from repro.errors import ModelError
 from repro.rl.buffer import FleetRolloutBuffer
+from repro.rl.networks import ActorCritic
 from repro.rl.ppo import PpoAgent, PpoConfig, UpdateStats
 
 from .env import EctHubEnv
 from .schedulers import Scheduler
+
+
+def act(
+    network: ActorCritic, state: np.ndarray, rng: np.random.Generator
+) -> tuple[int, float, float]:
+    """Sample one state's action; returns ``(action, log_prob, value)``.
+
+    One forward pass, then one ``rng.choice`` draw over the renormalised
+    softmax (the batched path draws inverse-CDF uniforms instead).
+    """
+    logits, value = network.forward(state)
+    log_probs = nn.kernels.log_softmax(logits)[0]
+    probs = np.exp(log_probs)
+    probs = probs / probs.sum()
+    action = int(rng.choice(network.n_actions, p=probs))
+    return action, float(log_probs[action]), float(value[0, 0])
+
+
+def greedy_action(network: ActorCritic, state: np.ndarray) -> int:
+    """Deterministic argmax action of one state (evaluation mode)."""
+    logits, _ = network.forward(state)
+    return int(np.argmax(logits[0]))
 
 
 @dataclass
@@ -57,7 +81,7 @@ def train_ppo(
         episode_return = 0.0
         done = False
         while not done:
-            action, log_prob, value = agent.act(state)
+            action, log_prob, value = act(agent.network, state, agent._rng)
             next_state, reward, done, info = env.step(action)
             buffer.add(
                 state.reshape(1, -1),
@@ -92,7 +116,9 @@ def evaluate_agent(
         done = False
         while not done:
             action = (
-                agent.greedy_action(state) if greedy else agent.act(state)[0]
+                greedy_action(agent.network, state)
+                if greedy
+                else act(agent.network, state, agent._rng)[0]
             )
             state, _, done, _ = env.step(action)
         daily = env.simulation.book.daily_rewards()

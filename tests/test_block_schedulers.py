@@ -130,7 +130,7 @@ def test_single_engine_plans_equal_per_slot_oracle(
     feeders = feeder_groups(planes, params)[coupling]
     set_block(monkeypatch, block, N_HUBS)
     sim = recording(params, inputs, feeders=feeders)
-    sim.run(scheduler(name))
+    sim.run_jobs([scheduler(name)])
     planned = np.stack(sim.requested, axis=1)
     want = per_slot_schedule(scheduler(name), sim)
     assert planned.dtype == want.dtype
@@ -176,7 +176,7 @@ def test_wrong_plan_shape_is_rejected(fleet):
 
     sim = FleetSimulation(params, inputs)
     with pytest.raises(FleetError, match="planned actions of shape"):
-        sim.run(one_slot_only)
+        sim.run_jobs([one_slot_only])
 
 
 # --------------------------------------------------------------------- #
@@ -231,7 +231,7 @@ def test_one_call_per_leader_per_block(fleet, monkeypatch):
 def test_default_budget_plans_a_small_fleet_in_one_block(fleet):
     params, inputs, _ = fleet
     counted = Counted(scheduler("rule-based"))
-    FleetSimulation(params, inputs).run(counted)
+    FleetSimulation(params, inputs).run_jobs([counted])
     assert counted.blocks == [(0, HORIZON)]
 
 

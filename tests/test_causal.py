@@ -255,7 +255,7 @@ class TestPolicy:
         d_lax = lax.decide(
             test.station_ids[:n], test.time_ids[:n], discount_level=0.1
         )
-        assert d_strict.n_discounted <= d_lax.n_discounted
+        assert d_strict.discounted.sum() <= d_lax.discounted.sum()
 
     def test_uplift_policy_name(self, small_split, factory):
         train, _ = small_split

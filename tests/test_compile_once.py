@@ -26,7 +26,8 @@ from repro.rng import RngFactory
 from repro.spec import compiler
 from repro.spec.compiler import build, spec_from_fleet_flags
 from repro.synth.catalog import HubSite, default_fleet
-from repro.synth.noise import normal_rows
+from repro.synth.noise import exponential_rows, normal_rows
+from repro.synth.rtp import RtpConfig, RtpGenerator
 
 
 def clip_default_fleet(
@@ -97,6 +98,54 @@ class TestNormalRows:
     def test_rejects_a_negative_scale_like_normal(self):
         with pytest.raises(ValueError):
             normal_rows(RngFactory(seed=0).streams(["a"]), -1.0, 3)
+
+
+class TestExponentialRows:
+    @pytest.mark.parametrize("scale", [60.0, 0.5, np.float64(7.5), 0.0])
+    @pytest.mark.parametrize("n", [0, 1, 168, 1001])
+    def test_rows_and_stream_states_match_per_stream_exponential(self, scale, n):
+        names = [f"hub/{i}/rtp" for i in range(5)]
+        streams = RngFactory(seed=3).streams(names)
+        plane = exponential_rows(streams, scale, n)
+        references = RngFactory(seed=3).streams(names)
+        expected = np.array([rng.exponential(scale, size=n) for rng in references])
+        assert plane.shape == (len(names), n)
+        assert plane.dtype == np.float64 and plane.flags.c_contiguous
+        assert bits(plane) == bits(expected.reshape(len(names), n))
+        for rng, reference in zip(streams, references):
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert rng.random() == reference.random()
+
+    def test_rejects_a_negative_scale_like_exponential(self):
+        with pytest.raises(ValueError):
+            exponential_rows(RngFactory(seed=0).streams(["a"]), -1.0, 3)
+
+    def test_rtp_planes_equal_the_per_stream_draws(self):
+        """The in-place spike draws give the prices and stream states of
+        one ``random`` then one ``exponential`` call per stream."""
+        names = [f"hub/{i}/rtp" for i in range(6)]
+        # A floor and cap that never bind, so no clip hides a spike.
+        bounds = {"price_floor_mwh": 1e-300, "price_cap_mwh": 1e300}
+        cfg = RtpConfig(spike_probability=0.2, **bounds)
+        streams = RngFactory(seed=8).streams(names)
+        planes = RtpGenerator(cfg).generate_planes(200, streams)
+        references = RngFactory(seed=8).streams(names)
+        for rng in references:
+            rng.standard_normal(200)  # the AR(1) innovations come first
+        spikes = np.array([rng.random(200) for rng in references])
+        sizes = np.array(
+            [rng.exponential(cfg.spike_scale_mwh, size=200) for rng in references]
+        )
+        for rng, reference in zip(streams, references):
+            assert rng.bit_generator.state == reference.bit_generator.state
+        # The same draws with no spike fired: the spike-free prices.
+        base = RtpGenerator(
+            RtpConfig(spike_probability=0.0, **bounds)
+        ).generate_planes(200, RngFactory(seed=8).streams(names))
+        assert (base > 0.0).all()
+        mask = spikes < cfg.spike_probability
+        assert mask.any()
+        assert bits(planes) == bits(base + mask * sizes)
 
 
 class TestDefaultFleet:

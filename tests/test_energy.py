@@ -11,8 +11,6 @@ from repro.energy import (
     CHARGE,
     DISCHARGE,
     IDLE,
-    BaseStation,
-    BaseStationCluster,
     BaseStationConfig,
     BatteryConfig,
     BlackoutConfig,
@@ -28,7 +26,14 @@ from repro.energy import (
     simulate_voltage_traces,
 )
 from repro.errors import ConfigError, GridError
-from scalar_oracle import BatteryError, BatteryPack, ChargingStation, GridConnection
+from scalar_oracle import (
+    BaseStation,
+    BaseStationCluster,
+    BatteryError,
+    BatteryPack,
+    ChargingStation,
+    GridConnection,
+)
 
 
 class TestBattery:

@@ -286,14 +286,14 @@ class TestEquivalence:
     def test_idle(self, fleet_case):
         scenarios, sim = fleet_case
         sim.reset()
-        fleet_book = sim.run(FleetIdleScheduler())
+        fleet_book = sim.run_jobs([FleetIdleScheduler()])[0]
         scalar = run_scalar_fleet(scenarios, sim.inputs, lambda i: IdleScheduler())
         assert_books_match(fleet_book, scalar)
 
     def test_rule_based(self, fleet_case):
         scenarios, sim = fleet_case
         sim.reset()
-        fleet_book = sim.run(FleetRuleBasedScheduler())
+        fleet_book = sim.run_jobs([FleetRuleBasedScheduler()])[0]
         scalar = run_scalar_fleet(scenarios, sim.inputs, lambda i: RuleBasedScheduler())
         assert_books_match(fleet_book, scalar)
         # Both branches of the rule fired somewhere in the fleet.
@@ -303,8 +303,8 @@ class TestEquivalence:
     def test_random_shared_seeds(self, fleet_case):
         scenarios, sim = fleet_case
         sim.reset()
-        fleet_book = sim.run(
-            FleetRandomScheduler.from_factory(RngFactory(seed=11), sim.n_hubs)
+        (fleet_book,) = sim.run_jobs(
+            [FleetRandomScheduler.from_factory(RngFactory(seed=11), sim.n_hubs)]
         )
         scalar = run_scalar_fleet(
             scenarios,
@@ -316,7 +316,7 @@ class TestEquivalence:
     def test_greedy_renewable(self, fleet_case):
         scenarios, sim = fleet_case
         sim.reset()
-        fleet_book = sim.run(FleetGreedyRenewableScheduler())
+        fleet_book = sim.run_jobs([FleetGreedyRenewableScheduler()])[0]
         scalar = run_scalar_fleet(
             scenarios, sim.inputs, lambda i: GreedyRenewableScheduler()
         )
@@ -332,7 +332,7 @@ class TestEquivalence:
         rows = [flat_inputs(24, outage=outage), flat_inputs(24)]
         fleet = stack_hub_inputs(rows)
         sim = FleetSimulation(FleetParams.from_hub_configs(configs), fleet)
-        fleet_book = sim.run(FleetRuleBasedScheduler())
+        fleet_book = sim.run_jobs([FleetRuleBasedScheduler()])[0]
         scalar = []
         for index, config in enumerate(configs):
             one = HubSimulation(EctHub(config), hub_inputs(fleet, index))
@@ -383,7 +383,7 @@ class TestBlackoutEdges:
         inputs = flat_inputs(6, outage=outage, occupied=np.ones(6, dtype=int))
         scalar, fleet = engines_for(config, inputs, soc=1.0)
         scalar.run(IdleScheduler())
-        fleet_book = fleet.run(FleetIdleScheduler())
+        fleet_book = fleet.run_jobs([FleetIdleScheduler()])[0]
 
         socs = [l.soc_kwh for l in scalar.book.ledgers]
         assert socs[0] > socs[1] > socs[2] > socs[3]  # monotone drain when dark
@@ -404,7 +404,7 @@ class TestBlackoutEdges:
         outage = np.ones(8, dtype=bool)
         scalar, fleet = engines_for(config, flat_inputs(8, outage=outage), soc=0.2)
         scalar.run(IdleScheduler())
-        fleet_book = fleet.run(FleetIdleScheduler())
+        fleet_book = fleet.run_jobs([FleetIdleScheduler()])[0]
 
         assert scalar.book.total_unserved_kwh > 0.0
         assert scalar.book.ledgers[-1].soc_kwh == pytest.approx(0.0, abs=1e-12)
@@ -429,7 +429,7 @@ class TestFleetBook:
     def test_network_totals_are_hub_sums(self, fleet_case):
         _, sim = fleet_case
         sim.reset()
-        book = sim.run(FleetRuleBasedScheduler())
+        book = sim.run_jobs([FleetRuleBasedScheduler()])[0]
         assert book.profit == pytest.approx(book.profit_per_hub.sum())
         assert book.operating_cost == pytest.approx(book.operating_cost_per_hub.sum())
         assert book.daily_rewards().shape == (sim.n_hubs, 7)
@@ -437,7 +437,7 @@ class TestFleetBook:
     def test_hub_book_reconstruction(self, fleet_case):
         _, sim = fleet_case
         sim.reset()
-        book = sim.run(FleetIdleScheduler())
+        book = sim.run_jobs([FleetIdleScheduler()])[0]
         hub0 = hub_book(book, 0)
         assert len(hub0) == sim.horizon
         assert hub0.profit == pytest.approx(book.profit_per_hub[0])
@@ -479,9 +479,9 @@ class TestFleetBook:
     def test_reset_restores_initial_state(self, fleet_case):
         _, sim = fleet_case
         sim.reset()
-        first = sim.run(FleetRuleBasedScheduler()).profit
+        first = sim.run_jobs([FleetRuleBasedScheduler()])[0].profit
         sim.reset()
-        second = sim.run(FleetRuleBasedScheduler()).profit
+        second = sim.run_jobs([FleetRuleBasedScheduler()])[0].profit
         assert first == second
 
     def test_dense_feeder_aggregates_roll_each_column_up_once(self, monkeypatch):
@@ -501,14 +501,14 @@ class TestFleetBook:
 
         def old_path(book, name):
             """A fresh roll-up per aggregate, as each used to make."""
-            column = getattr(book, name)[:, : len(book)]
+            column = getattr(book, name)[:, : book._n_recorded]
             return np.concatenate(
                 [
                     feeder_sums(book.feeders, column[:, start : start + 5])
-                    for start in range(0, len(book), 5)
+                    for start in range(0, book._n_recorded, 5)
                 ],
                 axis=1,
-            ).reshape(book.n_feeders, len(book))
+            ).reshape(book.feeders.n_feeders, book._n_recorded)
 
         monkeypatch.setattr(FeederGroup, "feeder_sums", counting)
         sim.reset()
@@ -516,10 +516,10 @@ class TestFleetBook:
         for stop in (7, sim.horizon):
             while sim.t < stop:
                 sim.step(np.ones(sim.n_hubs, dtype=int) * (1 - sim.t % 3))
-            book = sim.book
+            book = sim.books[0]
             del calls[:]
             aggregates = book.feeder_aggregates()
-            assert len(calls) == 2 * -(-len(book) // 5)
+            assert len(calls) == 2 * -(-book._n_recorded // 5)
             imports = old_path(book, "p_grid_kw")
             shortfall = old_path(book, "import_shortfall_kw")
             expected = {
@@ -529,10 +529,8 @@ class TestFleetBook:
             }
             for name, reference in expected.items():
                 assert aggregates[name].tobytes() == reference.tobytes(), name
-                assert getattr(book, name).tobytes() == reference.tobytes(), name
             congested = int((shortfall > 0.0).sum())
             assert aggregates["congested_feeder_slots"] == congested
-            assert book.congested_feeder_slots == congested
         assert congested > 0
 
 
@@ -858,12 +856,15 @@ class TestJobAxis:
             lead=[0, 1, 0],
         )
         for book, sim, name in zip(books, alone, names):
-            want = sim.run(scheduler_by_name(name, self.N_HUBS))
+            want = sim.run_jobs([scheduler_by_name(name, self.N_HUBS)])[0]
             for column in FleetCostBook.EXOGENOUS_COLUMNS + FleetCostBook.ACTION_COLUMNS:
                 assert getattr(book, column).tobytes() == getattr(want, column).tobytes()
                 assert getattr(book, column).flags.c_contiguous
             assert book.profit == want.profit
-            assert book.feeder_peak_import_kw.tobytes() == want.feeder_peak_import_kw.tobytes()
+            peak, want_peak = (
+                b.feeder_aggregates()["feeder_peak_import_kw"] for b in (book, want)
+            )
+            assert peak.tobytes() == want_peak.tobytes()
 
     def test_shapes_and_single_job_accessors(self):
         stacked, _ = self.engines(("priority", "priority"), (0.5, 0.5), (0.0, 0.0))
@@ -871,10 +872,8 @@ class TestJobAxis:
         assert stacked.available_import_kw().shape == (2, self.N_HUBS)
         with pytest.raises(FleetError, match="shape"):
             stacked.step(np.zeros(self.N_HUBS, int))
-        with pytest.raises(FleetError, match="books"):
-            stacked.book
-        with pytest.raises(FleetError, match="run_jobs"):
-            stacked.run(FleetIdleScheduler())
+        with pytest.raises(FleetError, match="1 schedulers for 2 jobs"):
+            stacked.run_jobs([FleetIdleScheduler()])
         with pytest.raises(FleetError, match="leads"):
             stacked.run_jobs([FleetIdleScheduler()] * 2, lead=[1, 0])
         columns = stacked.step(np.zeros((2, self.N_HUBS), int))
@@ -942,7 +941,9 @@ class TestCoupledUnlimitedEquivalence:
         inputs = seeded_fleet_inputs(self.N_HUBS, self.HORIZON, seed=5)
 
         uncoupled = FleetSimulation(params, inputs)
-        baseline = uncoupled.run(scheduler_by_name(scheduler_name, self.N_HUBS))
+        (baseline,) = uncoupled.run_jobs(
+            [scheduler_by_name(scheduler_name, self.N_HUBS)]
+        )
 
         # Finite-but-huge capacity exercises the full allocation path.
         for capacity in (np.inf, 1e12):
@@ -951,10 +952,10 @@ class TestCoupledUnlimitedEquivalence:
                 inputs,
                 feeders=uniform_feeders(self.N_HUBS, 3, capacity),
             )
-            book = coupled.run(scheduler_by_name(scheduler_name, self.N_HUBS))
+            book = coupled.run_jobs([scheduler_by_name(scheduler_name, self.N_HUBS)])[0]
             assert_fleet_books_identical(baseline, book)
             assert book.total_import_shortfall_kwh == 0.0
-            assert book.congested_feeder_slots == 0
+            assert book.feeder_aggregates()["congested_feeder_slots"] == 0
 
 
 # --------------------------------------------------------------------- #
@@ -967,7 +968,7 @@ class TestCongestion:
     def congested_case(self):
         """A fleet whose 3 feeders are capped at half the uncongested peak."""
         _, free = build_default_fleet(12, n_days=7, seed=3, outage_probability=0.01)
-        free_book = free.run(FleetRuleBasedScheduler())
+        free_book = free.run_jobs([FleetRuleBasedScheduler()])[0]
         peak = float(free_book.feeder_import_kw().max())
         capacity = peak / 3 * 0.5
         _, sim = build_default_fleet(
@@ -978,23 +979,24 @@ class TestCongestion:
             n_feeders=3,
             feeder_capacity_kw=capacity,
         )
-        book = sim.run(FleetRuleBasedScheduler())
+        book = sim.run_jobs([FleetRuleBasedScheduler()])[0]
         return free_book, sim, book, capacity
 
     def test_congestion_is_booked(self, congested_case):
         free_book, sim, book, capacity = congested_case
         assert book.total_import_shortfall_kwh > 0.0
         assert book.total_unserved_kwh > 0.0
-        assert book.congested_feeder_slots > 0
-        assert (book.feeder_shortfall_kwh > 0.0).any()
+        assert book.feeder_aggregates()["congested_feeder_slots"] > 0
+        assert (book.feeder_aggregates()["feeder_shortfall_kwh"] > 0.0).any()
         # The unlimited run records no congestion anywhere.
         assert free_book.total_import_shortfall_kwh == 0.0
-        assert free_book.congested_feeder_slots == 0
+        assert free_book.feeder_aggregates()["congested_feeder_slots"] == 0
 
     def test_feeder_imports_respect_capacity(self, congested_case):
         _, sim, book, capacity = congested_case
         assert (book.feeder_import_kw() <= capacity + 1e-9).all()
-        assert (book.feeder_peak_import_kw <= capacity + 1e-9).all()
+        peak = book.feeder_aggregates()["feeder_peak_import_kw"]
+        assert (peak <= capacity + 1e-9).all()
 
     def test_energy_balance_closes_under_curtailment(self, congested_case):
         _, sim, book, _ = congested_case
@@ -1011,14 +1013,15 @@ class TestCongestion:
 
     def test_congestion_aware_scheduler_sheds_charges(self):
         _, free = build_default_fleet(12, n_days=7, seed=3)
-        peak = float(free.run(FleetRuleBasedScheduler()).feeder_import_kw().max())
+        (free_book,) = free.run_jobs([FleetRuleBasedScheduler()])
+        peak = float(free_book.feeder_import_kw().max())
         builds = {}
         for aware in (True, False):
             _, sim = build_default_fleet(
                 12, n_days=7, seed=3, n_feeders=3, feeder_capacity_kw=peak / 3 * 0.8
             )
-            builds[aware] = sim.run(
-                FleetRuleBasedScheduler(congestion_aware=aware)
+            (builds[aware],) = sim.run_jobs(
+                [FleetRuleBasedScheduler(congestion_aware=aware)]
             )
         aware_book, naive_book = builds[True], builds[False]
         assert (aware_book.action == CHARGE).sum() < (naive_book.action == CHARGE).sum()
@@ -1041,7 +1044,7 @@ class TestCongestion:
             priority=np.array([1.0, 10.0]),
         )
         sim = FleetSimulation(params, inputs, feeders=feeders)
-        book = sim.run(FleetIdleScheduler())
+        book = sim.run_jobs([FleetIdleScheduler()])[0]
         np.testing.assert_allclose(book.p_grid_kw[1], np.full(6, p_bs))
         np.testing.assert_allclose(book.p_grid_kw[0], np.full(6, 0.5 * p_bs))
 

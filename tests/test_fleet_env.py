@@ -113,7 +113,7 @@ def oracle_observe(env: FleetEnv, blocks: list[np.ndarray]) -> np.ndarray:
     for k, block in enumerate(blocks):
         obs[:, k * w : (k + 1) * w] = oracle_windows(block, t_abs, w)
     obs[:, 4 * w : 5 * w] = oracle_windows(sim.planes.srtp_kwh / 0.5, sim.t, w)
-    obs[:, 5 * w] = sim.soc_fraction
+    obs[:, 5 * w] = sim.soc_kwh / sim.params.capacity_kwh
     if env.feeder_aware:
         obs[:, 5 * w + 1] = np.minimum(
             sim.available_import_kw() / env.params.charge_rate_kw, FEEDER_OBS_CLIP
@@ -211,7 +211,7 @@ class TestScalarEquivalence:
             _, rN, _, iN = fleet.step(np.array([1]))
             total_scalar += i1["reward_raw"]
             total_fleet += float(iN["reward_raw"][0])
-        assert fleet.simulation.book.blackout[:, : fleet.episode_length].any()
+        assert fleet.simulation.books[0].blackout[:, : fleet.episode_length].any()
         assert total_fleet == pytest.approx(total_scalar, abs=1e-9)
 
     def test_rewards_match_cost_book_slot_for_slot(self, fleet_setup):
@@ -225,8 +225,8 @@ class TestScalarEquivalence:
             _, _, done, info = env.step(rng.integers(0, 3, size=env.n_hubs))
             collected.append(info["reward_raw"])
         rewards = np.stack(collected, axis=1)
-        book = env.simulation.book
-        n = len(book)
+        book = env.simulation.books[0]
+        n = book._n_recorded
         expected = (
             book.revenue[:, :n]
             - book.grid_cost[:, :n]

@@ -110,7 +110,7 @@ def random_case(seed: int):
 
 
 def assert_fleet_invariants(sim: FleetSimulation) -> None:
-    book = sim.book
+    book = sim.books[0]
     params = sim.params
     dt = params.dt_h
     feeders = sim.feeders
@@ -168,7 +168,7 @@ def assert_fleet_invariants(sim: FleetSimulation) -> None:
 
     if feeders.is_unlimited:
         assert book.total_import_shortfall_kwh == 0.0
-        assert book.congested_feeder_slots == 0
+        assert book.feeder_aggregates()["congested_feeder_slots"] == 0
 
 
 def assert_scalar_invariants(sim: HubSimulation) -> None:
@@ -220,10 +220,12 @@ class TestRandomizedInvariants:
     def test_coupled_fleet_under_schedulers(self, seed):
         _, params, inputs, feeders, _ = random_case(seed)
         sim = FleetSimulation(params, inputs, feeders=feeders)
-        sim.run(FleetRuleBasedScheduler())
+        sim.run_jobs([FleetRuleBasedScheduler()])
         assert_fleet_invariants(sim)
         sim.reset()
-        sim.run(FleetRandomScheduler.from_factory(RngFactory(seed=seed), sim.n_hubs))
+        sim.run_jobs(
+            [FleetRandomScheduler.from_factory(RngFactory(seed=seed), sim.n_hubs)]
+        )
         assert_fleet_invariants(sim)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -246,8 +248,8 @@ class TestRandomizedInvariants:
             n_feeders=3,
             feeder_capacity_kw=120.0,
         )
-        sim.run(FleetRuleBasedScheduler())
-        assert sim.book.total_import_shortfall_kwh > 0.0  # capacity binds
+        sim.run_jobs([FleetRuleBasedScheduler()])
+        assert sim.books[0].total_import_shortfall_kwh > 0.0  # capacity binds
         assert_fleet_invariants(sim)
 
 
@@ -272,12 +274,14 @@ class TestDeterminism:
             n_feeders=2,
             feeder_capacity_kw=150.0,
         )
-        sim.run(
-            FleetRandomScheduler.from_factory(
-                RngFactory(seed=scheduler_seed), sim.n_hubs
-            )
+        sim.run_jobs(
+            [
+                FleetRandomScheduler.from_factory(
+                    RngFactory(seed=scheduler_seed), sim.n_hubs
+                )
+            ]
         )
-        return sim.book
+        return sim.books[0]
 
     def test_fleet_runs_are_byte_identical(self):
         first = self._run_once(5)
@@ -290,7 +294,7 @@ class TestDeterminism:
             _, sim = build_default_fleet(
                 8, n_days=5, seed=11, n_feeders=2, feeder_capacity_kw=150.0
             )
-            books.append(sim.run(FleetRuleBasedScheduler()))
+            books.append(sim.run_jobs([FleetRuleBasedScheduler()])[0])
         assert book_bytes(books[0]) == book_bytes(books[1])
 
     @pytest.mark.parametrize(

@@ -60,11 +60,6 @@ class TestSlotCalendar:
         with pytest.raises(ConfigError):
             timeutils.SlotCalendar(start_day_of_year=365)
 
-    def test_hours_helper(self):
-        assert timeutils.hours(3) == 72
-        with pytest.raises(ConfigError):
-            timeutils.hours(-1)
-
     def test_diurnal_harmonic_peaks_at_peak_hour(self):
         hours = np.arange(24)
         values = timeutils.diurnal_harmonic(hours, peak_hour=15.0)
@@ -103,13 +98,6 @@ class TestRngFactory:
         values = [s.normal(size=5) for s in streams]
         assert not np.allclose(values[0], values[1])
         assert not np.allclose(values[1], values[2])
-
-    def test_child_factory_disjoint(self):
-        f = RngFactory(seed=5)
-        child = f.child("pricing")
-        assert not np.allclose(
-            f.stream("x").normal(size=5), child.stream("x").normal(size=5)
-        )
 
     def test_empty_name_rejected(self):
         with pytest.raises(ConfigError):
@@ -207,14 +195,6 @@ class TestBulkStreams:
     def test_substreams(self):
         names = [f"hub/{index}" for index in range(25)]
         _assert_streams_match_numpy(RngFactory(9).substreams("hub", 25), 9, names)
-
-    @pytest.mark.parametrize("seed", [0, 2**63 - 1, 2**64 + 5])
-    def test_child_streams(self, seed):
-        child = RngFactory(seed).child("pricing")
-        assert 0 <= child.seed < 2**63
-        _assert_streams_match_numpy(
-            child.streams(MIXED_NAMES), child.seed, MIXED_NAMES
-        )
 
     @pytest.mark.parametrize("seed", BULK_SEEDS)
     def test_spawn_keys_below_two_to_the_32(self, seed):

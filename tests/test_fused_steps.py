@@ -843,7 +843,7 @@ def assert_matches_finite_differences(module, loss_fn, fused_backward):
     """
     rng = np.random.default_rng(0)
     for param in module.parameters():
-        param.data += rng.normal(0.0, 0.3, param.shape)
+        param.data += rng.normal(0.0, 0.3, param.data.shape)
     numeric = {
         name: numerical_gradient(loss_fn, param) for name, param in module.named_parameters()
     }
@@ -1110,7 +1110,7 @@ class TestParameterOrder:
     def test_named_parameters_order(self, build, expected):
         model = build()
         named = list(model.network.named_parameters())
-        assert [(name, param.shape) for name, param in named] == expected
+        assert [(name, param.data.shape) for name, param in named] == expected
         packed = model._optimizer.parameters
         assert len(packed) == len(named)
         assert all(a is b for a, b in zip(packed, (param for _, param in named)))

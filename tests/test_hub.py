@@ -285,8 +285,8 @@ class TestScenario:
         )
         occupied = resolve_occupancy(strata, np.zeros(48, dtype=int))
         sim = fleet_simulation_from_scenarios([scenario], occupied, np.zeros(48))
-        book = sim.run(FleetIdleScheduler())
-        assert len(book) == 48
+        book = sim.run_jobs([FleetIdleScheduler()])[0]
+        assert book._n_recorded == 48
         assert np.isfinite(book.profit)
 
     def test_deterministic_scenarios(self):

@@ -36,11 +36,15 @@ class TestPricingPipeline:
                 discount_level=0.2,
                 budget=study.budget,
             )
-            assert decision.n_discounted <= study.budget
+            n_discounted = int(decision.discounted.sum())
+            assert n_discounted <= study.budget
             outcome = score_decision(
                 decision, study.test.stratum, method=policy.name, discount_level=0.2
             )
-            assert outcome.n_discounted == decision.n_discounted
+            assert (
+                outcome.n_none + outcome.n_incentive + outcome.n_always
+                == n_discounted
+            )
 
     def test_trained_model_beats_random_selection(self, factory):
         """ECT-Price's selection must beat a random same-size selection."""
@@ -95,7 +99,7 @@ class TestFullLoop:
             env, episodes=2, rng=factory.stream("loop/ppo")
         )
         evaluate_fleet_agent(env, agent, episodes=1)
-        daily = env.simulation.book.daily_rewards()
+        daily = env.simulation.books[0].daily_rewards()
         assert daily.shape == (1, 5)
         assert np.all(np.isfinite(daily))
         assert daily.mean() > 0  # the hub is profitable
@@ -115,6 +119,6 @@ class TestFullLoop:
         sim = fleet_simulation_from_scenarios(
             [scenario], occupied, np.zeros(n), initial_soc_fraction=0.15, outage=outage
         )
-        book = sim.run(FleetIdleScheduler())
+        book = sim.run_jobs([FleetIdleScheduler()])[0]
         assert book.total_unserved_kwh == pytest.approx(0.0)
         assert int(book.blackout.sum()) == config.recovery_time_h

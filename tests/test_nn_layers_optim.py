@@ -24,7 +24,7 @@ class TestLayers:
         """An Embedding is a table only; the NCF network reads and trains
         it (its lookups and id checks are tested with the fused step)."""
         emb = nn.Embedding(10, 4, rng)
-        assert emb.weight.shape == (10, 4)
+        assert emb.weight.data.shape == (10, 4)
         with pytest.raises(ModelError):
             nn.Embedding(0, 4, rng)
 
@@ -42,7 +42,7 @@ class TestLayers:
         mlp = nn.MLP((3, 8, 2), rng)
         out, trace = mlp.forward_array(rng.normal(size=(5, 3)))
         assert out.shape == (5, 2)
-        assert len(trace) == len(mlp.body) + 1
+        assert len(trace) == len(mlp.body.steps) + 1
 
     def test_mlp_needs_two_sizes(self, rng):
         with pytest.raises(ModelError):
@@ -50,8 +50,8 @@ class TestLayers:
 
     def test_sequential_indexing(self, rng):
         seq = nn.Sequential(nn.Linear(2, 2, rng), nn.ReLU())
-        assert len(seq) == 2
-        assert isinstance(seq[1], nn.ReLU)
+        assert len(seq.steps) == 2
+        assert isinstance(seq.steps[1], nn.ReLU)
 
 
 class TestLosses:

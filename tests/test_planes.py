@@ -1,10 +1,10 @@
 """SlotPlanes: the precomputed planes must equal the per-step formulas.
 
 The fused kernel's correctness rests on each plane column being exactly
-the value the PR-1 engine recomputed from ``inputs.slot(t)`` — these
-tests pin that equality bit-for-bit, plus the engine-level consequences
-(``available_import_kw`` from the cache, blackout fast path, buffer
-reuse across ``reset``).
+the value the first fleet engine recomputed per step from the slot's
+traces (``fleet_oracle.slot_traces``) — these tests pin that equality
+bit-for-bit, plus the engine-level consequences (``available_import_kw``
+from the cache, blackout fast path, buffer reuse across ``reset``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.fleet import (
 from repro.hub.hub import HubConfig
 from repro.energy.battery import BatteryConfig
 
-from fleet_oracle import uniform_feeders
+from fleet_oracle import slot_traces, uniform_feeders
 
 
 def build_case(seed: int = 3, n_hubs: int = 6, horizon: int = 48):
@@ -93,7 +93,7 @@ class TestPlaneFormulas:
     def test_residual_static_plane_uses_the_raw_cs_draw(self, case):
         params, inputs, planes = case
         for t in range(inputs.horizon):
-            slot = inputs.slot(t)
+            slot = slot_traces(inputs, t)
             residual = (
                 params.bs_power_kw(slot.load_rate)
                 + params.cs_power_kw(slot.occupied)
@@ -110,10 +110,10 @@ class TestPlaneFormulas:
 
     def test_base_import_plane_matches_old_per_step_signal(self, case):
         params, inputs, planes = case
-        # The pre-planes engine rebuilt this from inputs.slot(t) per call.
+        # The pre-planes engine rebuilt this from slot_traces(inputs, t) per call.
         expected = []
         for t in range(inputs.horizon):
-            slot = inputs.slot(t)
+            slot = slot_traces(inputs, t)
             base = np.maximum(
                 params.bs_power_kw(slot.load_rate)
                 + params.cs_power_kw(slot.occupied)
@@ -151,11 +151,10 @@ class TestPlaneFormulas:
         _, inputs, planes = case
         assert (planes.outage_any == inputs.outage_mask().any(axis=0)).all()
 
-    def test_shapes_and_memory_accounting(self, case):
+    def test_plane_shapes(self, case):
         params, inputs, planes = case
-        assert planes.n_hubs == inputs.n_hubs
-        assert planes.horizon == inputs.horizon
-        assert planes.nbytes > 0
+        assert planes.p_bs_kw.shape == (inputs.n_hubs, inputs.horizon)
+        assert planes.outage_any.shape == (inputs.horizon,)
 
 
 class TestEngineUsesPlanes:
@@ -164,7 +163,7 @@ class TestEngineUsesPlanes:
         feeders = uniform_feeders(params.n_hubs, 2, 30.0)
         sim = FleetSimulation(params, inputs, feeders=feeders)
         for t in range(inputs.horizon):
-            slot = inputs.slot(t)
+            slot = slot_traces(inputs, t)
             base = np.maximum(
                 params.bs_power_kw(slot.load_rate)
                 + params.cs_power_kw(slot.occupied)
@@ -205,11 +204,11 @@ class TestEngineUsesPlanes:
     def test_planes_and_buffers_survive_reset(self):
         _, sim = build_default_fleet(6, n_days=2, seed=1)
         planes = sim.planes
-        first = sim.run(FleetRuleBasedScheduler())
+        first = sim.run_jobs([FleetRuleBasedScheduler()])[0]
         first_bytes = first.p_grid_kw.tobytes()
         sim.reset()
         assert sim.planes is planes  # not recomputed
-        second = sim.run(FleetRuleBasedScheduler())
+        second = sim.run_jobs([FleetRuleBasedScheduler()])[0]
         assert second.p_grid_kw.tobytes() == first_bytes
 
     def test_soc_snapshots_are_stable_across_later_steps(self):
@@ -286,7 +285,9 @@ class TestPlaneMemory:
         )
         assert sim.planes.outage.any()
         sim.run_jobs([FleetRuleBasedScheduler()] * n_jobs)
-        assert sum(book.congested_feeder_slots for book in sim.books) > 0
+        assert sum(
+            book.feeder_aggregates()["congested_feeder_slots"] for book in sim.books
+        ) > 0
         return sim
 
     def sources(self, sim) -> dict[str, np.ndarray]:
@@ -336,7 +337,7 @@ class TestPlaneMemory:
         p_cs[outage] = 0.0
         revenue[outage] = 0.0
         for book in run.books:
-            assert len(book) == inputs.horizon
+            assert book._n_recorded == inputs.horizon
             assert book.p_cs_kw.tobytes() == p_cs.tobytes()
             assert book.revenue.tobytes() == revenue.tobytes()
             assert (book.blackout == outage).all()

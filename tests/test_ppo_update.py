@@ -167,7 +167,8 @@ class TestReplacementKernels:
         params = [nn.Parameter(rng.normal(size=shape)) for shape in shapes]
         optimizer = nn.Adam(params, lr=1e-3)
         for param in params:
-            param.grad[...] = rng.normal(size=param.shape) * 10.0 ** rng.integers(-3, 3)
+            grad = rng.normal(size=param.data.shape)
+            param.grad[...] = grad * 10.0 ** rng.integers(-3, 3)
         squared = optimizer.flat_grad * optimizer.flat_grad
         offset = 0
         for param in params:
@@ -186,7 +187,7 @@ class TestReplacementKernels:
         looped_opt = nn.Adam(looped, lr=1e-2, weight_decay=1e-4)
         for _ in range(3):
             for a, b in zip(fused, looped):
-                a.grad[...] = b.grad[...] = rng.normal(size=a.shape)
+                a.grad[...] = b.grad[...] = rng.normal(size=a.data.shape)
             fused_opt.step(max_grad_norm=max_norm)
             ppo_oracle.clip_grad_norm(looped, max_norm)
             looped_opt.step()

@@ -32,8 +32,10 @@ from scalar_oracle import (
     IdleScheduler,
     RandomScheduler,
     RuleBasedScheduler,
+    act,
     evaluate_agent,
     evaluate_scheduler,
+    space_contains,
     train_ppo,
 )
 
@@ -62,7 +64,7 @@ def env(env_setup):
 class TestSpaces:
     def test_discrete(self):
         space = Discrete(3)
-        assert space.contains(2) and not space.contains(3)
+        assert space_contains(space, 2) and not space_contains(space, 3)
 
     def test_discrete_invalid(self):
         with pytest.raises(EnvError):
@@ -70,8 +72,8 @@ class TestSpaces:
 
     def test_box(self):
         box = Box(low=-1.0, high=1.0, shape=(3,))
-        assert box.contains(np.zeros(3))
-        assert not box.contains(np.full(3, 2.0))
+        assert space_contains(box, np.zeros(3))
+        assert not space_contains(box, np.full(3, 2.0))
 
     def test_box_invalid_bounds(self):
         with pytest.raises(EnvError):
@@ -292,7 +294,7 @@ class TestActorCriticAndPpo:
 
     def test_act_returns_valid(self, rng):
         net = ActorCritic(6, 3, rng)
-        action, log_prob, value = net.act(np.zeros(6), rng)
+        action, log_prob, value = act(net, np.zeros(6), rng)
         assert action in (0, 1, 2)
         assert log_prob <= 0.0
         assert np.isfinite(value)
@@ -304,12 +306,13 @@ class TestActorCriticAndPpo:
         state = np.ones(2)
         for _ in range(30):
             for _ in range(64):
-                action, log_prob, value = agent.act(state)
+                action, log_prob, value = act(agent.network, state, agent._rng)
                 reward = 1.0 if action == 2 else 0.0
                 add_row(buffer, state, action, log_prob, value, reward, True)
             agent.update(buffer)
         counts = np.bincount(
-            [agent.act(state)[0] for _ in range(100)], minlength=3
+            [act(agent.network, state, agent._rng)[0] for _ in range(100)],
+            minlength=3,
         )
         assert counts[2] > 60
 
@@ -317,7 +320,7 @@ class TestActorCriticAndPpo:
         agent = PpoAgent(2, 3, PpoConfig(), rng)
         buffer = FleetRolloutBuffer(8, 1, 2)
         for i in range(8):
-            action, lp, v = agent.act(np.zeros(2))
+            action, lp, v = act(agent.network, np.zeros(2), agent._rng)
             add_row(buffer, np.zeros(2), action, lp, v, 1.0, i == 7)
         stats = agent.update(buffer)
         assert np.isfinite(stats.policy_loss)
@@ -381,7 +384,8 @@ class TestSchedulersAndTraining:
 def replay(simulation: FleetSimulation, plan: np.ndarray):
     """Book a fixed ``(1, horizon)`` S_BP plan from slot 0."""
     simulation.reset()
-    return simulation.run(lambda view, start, stop: plan[:, start:stop])
+    (book,) = simulation.run_jobs([lambda view, start, stop: plan[:, start:stop]])
+    return book
 
 
 class TestDpOracle:

@@ -76,7 +76,7 @@ class TestRoundTrip:
     def test_every_preset_round_trips_through_json(self, name):
         spec = get_preset(name)
         payload = spec.to_dict()
-        assert payload["schema_version"] == SCHEMA_VERSION == 3
+        assert payload["schema_version"] == SCHEMA_VERSION == 4
         rebuilt = ScenarioSpec.from_json(json.dumps(payload))
         assert rebuilt == spec
 
@@ -142,6 +142,26 @@ def v1_payload(spec: ScenarioSpec, backend: str) -> dict:
 REMOVED_IN_V3 = "run.shards"
 
 
+#: The charging-station fields schema version 4 removed, with the values
+#: version 3 wrote by default.
+REMOVED_IN_V4 = {"dc_path_efficiency": 0.97, "ac_path_efficiency": 0.92}
+
+
+def v3_payload(spec: ScenarioSpec) -> dict:
+    """A spec as schema version 3 saved it: a charging-station config that
+    carries the two delivery efficiencies."""
+    payload = spec.to_dict()
+    payload["schema_version"] = 3
+    payload["fleet"]["charging_station"].update(REMOVED_IN_V4)
+    return payload
+
+
+#: A spec with an explicit charging-station config (its default is None).
+CS_SPEC = ScenarioSpec().with_overrides(
+    {"fleet.charging_station": {"rate_kw": 60.0, "base_price_kwh": 0.4}}
+)
+
+
 def v2_payload(spec: ScenarioSpec, shards: int) -> dict:
     """A spec as schema version 2 saved it: a run shard count."""
     payload = spec.to_dict()
@@ -182,11 +202,11 @@ class TestSchemaVersion:
         assert capsys.readouterr().err.count("[warning]") == 1
 
     def test_future_version_rejected(self):
-        payload = {**ScenarioSpec().to_dict(), "schema_version": 4}
-        with pytest.raises(ConfigError, match="schema_version 4 .* schema_version 3"):
+        payload = {**ScenarioSpec().to_dict(), "schema_version": 5}
+        with pytest.raises(ConfigError, match="schema_version 5 .* schema_version 4"):
             ScenarioSpec.from_dict(payload)
-        sweep = {**SweepSpec().to_dict(), "schema_version": 4}
-        with pytest.raises(ConfigError, match="schema_version 4"):
+        sweep = {**SweepSpec().to_dict(), "schema_version": 5}
+        with pytest.raises(ConfigError, match="schema_version 5"):
             SweepSpec.from_dict(sweep)
 
     @pytest.mark.parametrize("bad", [0, "2", 1.5, True])
@@ -201,6 +221,10 @@ class TestSchemaVersion:
         with pytest.raises(ConfigError, match="unknown key"):
             ScenarioSpec.from_dict(payload)
         payload = v2_payload(ScenarioSpec(), 4)
+        payload["schema_version"] = SCHEMA_VERSION
+        with pytest.raises(ConfigError, match="unknown key"):
+            ScenarioSpec.from_dict(payload)
+        payload = v3_payload(CS_SPEC)
         payload["schema_version"] = SCHEMA_VERSION
         with pytest.raises(ConfigError, match="unknown key"):
             ScenarioSpec.from_dict(payload)
@@ -239,6 +263,45 @@ class TestSchemaVersion:
         err = capsys.readouterr().err
         assert err.count("[warning]") == 1
         assert REMOVED_IN_V3 in err
+
+    def test_v3_charging_station_fields_are_dropped_with_one_warning(self, capsys):
+        payload = v3_payload(CS_SPEC)
+        assert ScenarioSpec.from_dict(payload) == CS_SPEC
+        err = capsys.readouterr().err
+        assert err.count("[warning]") == 1
+        assert "schema_version 3 is deprecated" in err
+        assert (
+            "fleet.charging_station.ac_path_efficiency, "
+            "fleet.charging_station.dc_path_efficiency" in err
+        )
+        # The input, nested sections included, is not mutated.
+        assert payload["fleet"]["charging_station"]["dc_path_efficiency"] == 0.97
+
+    def test_v3_sweep_drops_the_fields_from_base_and_grid(self, capsys):
+        base = v3_payload(CS_SPEC)
+        del base["schema_version"]  # the base shares the sweep's marker
+        removed_key = "fleet.charging_station.dc_path_efficiency"
+        payload = {
+            "schema_version": 3,
+            "name": "legacy",
+            "base": base,
+            "parameters": {"run.seed": [0, 1], removed_key: [0.9, 0.95]},
+        }
+        sweep = SweepSpec.from_dict(payload)
+        assert sweep == SweepSpec(
+            base=CS_SPEC, parameters={"run.seed": (0, 1)}, name="legacy"
+        )
+        err = capsys.readouterr().err
+        assert err.count("[warning]") == 1
+        assert removed_key in err
+        assert base["fleet"]["charging_station"]["ac_path_efficiency"] == 0.92
+
+    def test_v3_without_a_charging_station_loads_silently(self, capsys):
+        payload = ScenarioSpec().to_dict()
+        payload["schema_version"] = 3
+        assert payload["fleet"]["charging_station"] is None
+        assert ScenarioSpec.from_dict(payload) == ScenarioSpec()
+        assert capsys.readouterr().err == ""
 
     def test_version_is_not_a_settable_field(self):
         with pytest.raises(ConfigError, match="unknown key"):

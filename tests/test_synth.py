@@ -101,18 +101,7 @@ class TestWind:
 class TestWeather:
     def test_trace_consistency(self, factory):
         trace = WeatherGenerator(WeatherConfig(), factory).generate(72)
-        assert len(trace) == 72
-
-    def test_slice(self, factory):
-        trace = WeatherGenerator(WeatherConfig(), factory).generate(48)
-        sub = trace.slice(10, 20)
-        assert len(sub) == 10
-        assert np.allclose(sub.irradiance_w_m2, trace.irradiance_w_m2[10:20])
-
-    def test_bad_slice(self, factory):
-        trace = WeatherGenerator(WeatherConfig(), factory).generate(10)
-        with pytest.raises(DataError):
-            trace.slice(5, 20)
+        assert len(trace.irradiance_w_m2) == 72
 
     def test_deterministic_under_seed(self):
         a = WeatherGenerator(WeatherConfig(), RngFactory(seed=9)).generate(24)
@@ -138,10 +127,6 @@ class TestTraffic:
         weekday_mean = profile[: 24 * 5].mean()
         weekend_mean = profile[24 * 5 :].mean()
         assert weekend_mean < weekday_mean
-
-    def test_slice(self, factory):
-        trace = TrafficGenerator().generate(48, factory.stream("t"))
-        assert len(trace.slice(0, 24)) == 24
 
 
 class TestRtp:

@@ -73,13 +73,12 @@ class TestMetricsRegistry:
         assert stats.std == pytest.approx(np.std(values))
         assert stats.min == 1.0 and stats.max == 4.0
 
-    def test_timer_context_manager_counts_calls(self):
+    def test_timer_accumulates_calls(self):
         registry = MetricsRegistry()
         for _ in range(3):
-            with registry.time("work"):
-                pass
+            registry.add_time("work", 0.5)
         seconds, count = registry.timers["work"]
-        assert count == 3 and seconds >= 0.0
+        assert count == 3 and seconds == 1.5
 
     def test_snapshot_is_sorted_and_json_ready(self):
         registry = MetricsRegistry()
@@ -158,15 +157,6 @@ class TestTracer:
         assert trace[0]["name"] == "sweep-job"
         assert trace[0]["children"][0]["name"] == "step"
         assert parent.phase_totals()["step"]["count"] == 1
-
-    def test_summary_lines_render_tree(self):
-        tracer = Tracer()
-        with tracer.span("run"):
-            with tracer.span("step"):
-                pass
-        lines = tracer.summary_lines()
-        assert lines[0].startswith("run:")
-        assert lines[1].startswith("  step:")
 
 
 # --------------------------------------------------------------------- #

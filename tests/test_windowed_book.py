@@ -50,9 +50,6 @@ class TestWindowedBook:
             "charging_revenue_per_hub",
             "voll_cost_per_hub",
             "unserved_per_hub_kwh",
-            "feeder_import_kwh",
-            "feeder_shortfall_kwh",
-            "feeder_peak_import_kw",
         ):
             np.testing.assert_allclose(
                 getattr(windowed, name),
@@ -61,7 +58,24 @@ class TestWindowedBook:
                 atol=1e-9,
                 err_msg=name,
             )
-        assert windowed.congested_feeder_slots == dense.congested_feeder_slots
+        windowed_feeders = windowed.feeder_aggregates()
+        dense_feeders = dense.feeder_aggregates()
+        for name in (
+            "feeder_import_kwh",
+            "feeder_shortfall_kwh",
+            "feeder_peak_import_kw",
+        ):
+            np.testing.assert_allclose(
+                windowed_feeders[name],
+                dense_feeders[name],
+                rtol=1e-9,
+                atol=1e-9,
+                err_msg=name,
+            )
+        assert (
+            windowed_feeders["congested_feeder_slots"]
+            == dense_feeders["congested_feeder_slots"]
+        )
         assert windowed.blackout_hub_slots == dense.blackout_hub_slots
         np.testing.assert_allclose(
             windowed.daily_rewards(), dense.daily_rewards(), rtol=1e-9, atol=1e-9
@@ -70,11 +84,11 @@ class TestWindowedBook:
     def test_memory_does_not_scale_with_horizon(self):
         short = api.build(
             base_spec(**{"run.storage": "windowed", "run.days": 2})
-        ).simulation.book
+        ).simulation.books[0]
         long = api.build(
             base_spec(**{"run.storage": "windowed", "run.days": 8})
-        ).simulation.book
-        dense_long = api.build(base_spec(**{"run.days": 8})).simulation.book
+        ).simulation.books[0]
+        dense_long = api.build(base_spec(**{"run.days": 8})).simulation.books[0]
         # Ring is horizon-independent; only the (n_hubs, n_days) daily
         # fold grows, by a few hundred bytes here.
         assert long.nbytes - short.nbytes < 1024
